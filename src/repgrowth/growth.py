@@ -10,7 +10,6 @@ infinite stratum.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, replace
@@ -24,7 +23,9 @@ from .dirichlet import (
     BigPower,
     DirichletSeries,
     Multiplicity,
-    convolve,
+    _logaddexp,
+    _logsumexp,
+    convolve,  # noqa: F401  unused here; kept so growth.convolve stays bound (bench/tests)
     evaluate,
     mult_bits,
     mult_log,
@@ -539,13 +540,6 @@ def _contributions(spec: GroupSpec, bound: int, J: Optional[int] = None) -> Iter
                 yield from _geometric_contributions(st.stratum, bound, J)
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("REPGROWTH_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def truncated_zeta(
     spec: GroupSpec,
     N: int,
@@ -553,11 +547,20 @@ def truncated_zeta(
     backend: Optional[str] = None,
     log_threshold_bits: float = LOG_THRESHOLD_BITS,
 ) -> DirichletSeries:
-    """Dirichlet convolution over every factor that contributes below N.
+    """Dirichlet product over every factor that contributes below N.
 
     The backend is chosen automatically: once any factor multiplicity
     exceeds the threshold (default 2^64), the whole computation runs in the
     log domain; the exact backend is never silently degraded.
+
+    Each factor's powered series is 1 + x_f with x_f on dims >= 2, and the
+    product is accumulated in place in one dict keyed by dimension: factors
+    taken by (min dim of x_f, enumeration order), and for each one every
+    source d1 <= N // min_dim(x_f), high to low, adds acc[d1] * m2 into
+    acc[d1 * d2].  Targets exceed their sources, so no source is updated
+    before it is read.  That is about N * sum(|x_f| / min_dim(x_f)) dict
+    updates, for dense and sparse (huge-N) cutoffs alike.  The fixed order
+    keeps log-domain output deterministic.
     """
     if N < 1 or (J is not None and J < 1):
         raise PreconditionError("N and J must be >= 1")
@@ -565,25 +568,43 @@ def truncated_zeta(
     if backend is None:
         big = any(mult_bits(f.multiplicity) > log_threshold_bits for f in factors)
         backend = LOG if big else EXACT
+    exact = backend == EXACT
 
-    def powered(f: FactorSpec) -> DirichletSeries:
+    terms = []
+    for i, f in enumerate(factors):
         s = f.unit_series(N, backend)
-        if isinstance(f.multiplicity, int) and f.multiplicity == 1:
-            return s
-        return power_one_plus(s, f.multiplicity, N)
+        if not (isinstance(f.multiplicity, int) and f.multiplicity == 1):
+            s = power_one_plus(s, f.multiplicity, N)
+        x = [(d, m) for d, m in s.items() if d != 1]
+        if x:
+            terms.append((x[0][0], i, x))
+    terms.sort(key=lambda t: t[:2])
 
-    workers = _threads()
-    if workers > 1 and len(factors) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            series = list(pool.map(powered, factors))
-    else:
-        series = [powered(f) for f in factors]
-    result = DirichletSeries.one(N, backend)
-    for s in series:  # fixed reduction order keeps log-domain output deterministic
-        result = convolve(result, s, N)
-    return result
+    acc = {1: 1 if exact else 0.0}
+    sources = [1]  # sorted keys of acc that the current factor can still reach
+    for min_dim, _, x in terms:
+        bound = N // min_dim
+        del sources[bisect_right(sources, bound):]
+        fresh = []
+        for d1 in reversed(sources):
+            m1 = acc[d1]
+            for d2, m2 in x:
+                p = d1 * d2
+                if p > N:
+                    break
+                prev = acc.get(p)
+                if prev is None:
+                    acc[p] = m1 * m2 if exact else m1 + m2
+                    if p <= bound:
+                        fresh.append(p)
+                elif exact:
+                    acc[p] = prev + m1 * m2
+                else:
+                    acc[p] = _logaddexp(prev, m1 + m2)
+        if fresh:
+            sources += fresh
+            sources.sort()
+    return DirichletSeries(N, acc, backend)
 
 
 def m_n(spec: GroupSpec, n: int):
@@ -606,10 +627,7 @@ def m_n(spec: GroupSpec, n: int):
                 if total:
                     logs.append(math.log(total))
         logs.append(mult_log(m))
-    if not use_log:
-        return total
-    m0 = max(logs)
-    return m0 + math.log(math.fsum(math.exp(v - m0) for v in logs))
+    return _logsumexp(logs) if use_log else total
 
 
 # ---------------------------------------------------------------------------
@@ -766,7 +784,7 @@ def empirical_slope(spec: GroupSpec, N: int, J: Optional[int] = None) -> SlopeRe
     run = float("-inf")
     prefix: List[float] = []
     for lm in series.mults:
-        run = lm if run == float("-inf") else _logadd(run, lm)
+        run = lm if run == float("-inf") else _logaddexp(run, lm)
         prefix.append(run)
 
     def ln_R(n: int) -> float:
@@ -789,12 +807,6 @@ def empirical_slope(spec: GroupSpec, N: int, J: Optional[int] = None) -> SlopeRe
         if lr > 0:
             wmax = max(wmax, lr / math.log(n))
     return SlopeReport(N, (lo, N), tuple(points), wmax)
-
-
-def _logadd(a: float, b: float) -> float:
-    if a < b:
-        a, b = b, a
-    return a + math.log1p(math.exp(b - a))
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,18 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repgrowth.char_tables import psl2_table, sl2_table, zeta_series
 from repgrowth.constructor import build_fixed_type, make_schedule
-from repgrowth.dirichlet import BigPower, DirichletSeries, cumulative
+from repgrowth.dirichlet import (
+    BigPower,
+    DirichletSeries,
+    convolve,
+    cumulative,
+    power_one_plus,
+)
 from repgrowth.errors import PreconditionError, SpecFormatError
 from repgrowth.growth import (
     FactorSpec,
@@ -28,32 +36,13 @@ from repgrowth.growth import (
     with_flag,
 )
 from repgrowth.lie_data import LieType, PairSet, rho0
+from test_acceptance import _brute_product, _degrees
 
 A1 = LieType("A", 1)
 
 
 def finite_spec(*factors):
     return GroupSpec((FiniteStratum(tuple(factors)),))
-
-
-def brute_product_zeta(degree_lists, N):
-    """Oracle: enumerate degree tuples of an explicit product group."""
-    out = {1: 1}
-    for degrees in degree_lists:
-        nxt = {}
-        for d0, m0 in out.items():
-            for d in degrees:
-                if d0 * d <= N:
-                    nxt[d0 * d] = nxt.get(d0 * d, 0) + m0
-        out = nxt
-    return out
-
-
-def degrees_list(table):
-    out = []
-    for d, m in table.degrees:
-        out.extend([d] * m)
-    return out
 
 
 # -- truncated_zeta ----------------------------------------------------------
@@ -74,25 +63,85 @@ def test_psl2_5_squared_r25():
 def test_psl2_5_cubed_vs_brute_force():
     spec = finite_spec(FactorSpec(A1, 5, simple=True, multiplicity=3))
     s = truncated_zeta(spec, 125)
-    a5 = degrees_list(psl2_table(5))
-    assert dict(s.items()) == brute_product_zeta([a5, a5, a5], 125)
+    a5 = _degrees(psl2_table(5))
+    assert dict(s.items()) == _brute_product([a5, a5, a5], 125)
 
 
 def test_sl2_5_times_psl2_7_vs_brute_force():
     spec = finite_spec(FactorSpec(A1, 5, simple=False), FactorSpec(A1, 7, simple=True))
     s = truncated_zeta(spec, 100)
-    oracle = brute_product_zeta(
-        [degrees_list(sl2_table(5)), degrees_list(psl2_table(7))], 100
+    oracle = _brute_product(
+        [_degrees(sl2_table(5)), _degrees(psl2_table(7))], 100
     )
     assert dict(s.items()) == oracle
+
+
+def convolve_chain(factors, N, backend):
+    """Reference reduction: one pairwise convolve per powered factor, in order."""
+    result = DirichletSeries.one(N, backend)
+    for f in factors:
+        s = f.unit_series(N, backend)
+        if f.multiplicity != 1:
+            s = power_one_plus(s, f.multiplicity, N)
+        result = convolve(result, s, N)
+    return result
+
+
+A1_FIELD_SIZES = (4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27)
+a1_factor = st.builds(
+    lambda q, simple, mult: FactorSpec(A1, q, simple=simple, multiplicity=mult),
+    st.sampled_from(A1_FIELD_SIZES),
+    st.booleans(),
+    st.integers(1, 4),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(a1_factor, min_size=1, max_size=4), st.integers(1, 400))
+def test_accumulator_matches_convolve_chain_and_brute_force(factors, N):
+    # the list order is random, so minimal dimensions arrive out of order
+    spec = finite_spec(*factors)
+    got = truncated_zeta(spec, N)
+    assert got == convolve_chain(factors, N, "exact")
+    tables = [sl2_table(f.q) if not f.simple else psl2_table(f.q) for f in factors]
+    oracle = _brute_product(
+        [_degrees(t) for t, f in zip(tables, factors) for _ in range(f.multiplicity)], N
+    )
+    assert dict(got.items()) == oracle
+
+    got_log = truncated_zeta(spec, N, backend="log")
+    want_log = convolve_chain(factors, N, "log")
+    assert got_log.dims == want_log.dims
+    for a, b in zip(got_log.mults, want_log.mults):
+        assert abs(a - b) < 1e-9  # log ratio, so relative 1e-9 on the counts
+
+
+def test_accumulator_matches_convolve_chain_at_sparse_cutoff():
+    spec = build_fixed_type(Fraction(3, 2), LieType("A", 2), 5).union(
+        build_fixed_type(Fraction(2), LieType("A", 3), 7)
+    )
+    N = 2 ** 100
+    factors = [s.factor_at(j) for s in spec.strata for j in range(1, 40) if s.min_dim_at(j) <= N]
+    got = truncated_zeta(spec, N, backend="exact")
+    assert len(got) > len(factors)
+    assert got == convolve_chain(factors, N, "exact")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_truncation_compatible_sl2_over_primes(data):
+    spec = sl2_over_primes_spec(3)
+    N = data.draw(st.integers(1, 1500))
+    n = data.draw(st.integers(1, N))
+    assert truncated_zeta(spec, N).restrict(n) == truncated_zeta(spec, n)
 
 
 def test_example_family_truncation_small_N():
     # at N=4 both p=5 and p=7 contribute (min degrees 2 and 3)
     spec = sl2_over_primes_spec(3)
     s = truncated_zeta(spec, 4)
-    oracle = brute_product_zeta(
-        [degrees_list(sl2_table(5))] * 60 + [degrees_list(sl2_table(7))] * 168, 4
+    oracle = _brute_product(
+        [_degrees(sl2_table(5))] * 60 + [_degrees(sl2_table(7))] * 168, 4
     )
     assert dict(s.items()) == oracle
 
@@ -389,13 +438,6 @@ def test_diagonal_spec_round_trip_and_horizon_warning():
         warnings.simplefilter("error")
         truncated_zeta(spec, horizon)  # inside the horizon: no warning
     assert m_n(spec, 5) >= 0
-
-
-def test_threaded_series_construction_is_deterministic(monkeypatch):
-    spec = build_fixed_type(Fraction(2), A1, 5)
-    base = truncated_zeta(spec, 10 ** 5)
-    monkeypatch.setenv("REPGROWTH_THREADS", "4")
-    assert truncated_zeta(spec, 10 ** 5) == base
 
 
 def test_power_one_plus_exact_bigpower():
