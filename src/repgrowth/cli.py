@@ -8,14 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
-import random
 import sys
 from fractions import Fraction
 from typing import Optional
 
-from . import char_tables, constructor, dirichlet, finite_groups, growth, lie_data
+from . import char_tables, constructor, finite_groups, growth, invariants, lie_data
 from .errors import BudgetExceededError, InvariantError, PreconditionError, SpecFormatError
 
 EXIT_PARSE = 2
@@ -163,131 +161,13 @@ def _cmd_gens(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# the bundled invariant suite
-
-
-def _check_char_tables(report) -> None:
-    qs = [q for q in range(4, 82) if char_tables.prime_power(q)]
-    for q in qs:
-        sl2 = char_tables.sl2_table(q)  # constructors assert the mass identity
-        psl2 = char_tables.psl2_table(q)
-        expect = q + 4 if q % 2 else q + 1
-        report(sl2.num_characters() == expect, f"SL2({q}) class number {expect}")
-        report(char_tables.cover_degree_check(q), f"cover degree check q={q}")
-        want = q - 1 if q % 2 == 0 else (q - 1) // 2
-        report(
-            char_tables.min_nontrivial_degree(sl2) == want,
-            f"SL2({q}) minimal degree closed form",
-        )
-        del psl2
-
-
-def _check_dirichlet(report) -> None:
-    rng = random.Random(7)
-
-    def rand_series(N=40):
-        entries = {}
-        for _ in range(rng.randint(1, 8)):
-            entries[rng.randint(1, N)] = rng.randint(1, 50)
-        return dirichlet.DirichletSeries(N, entries)
-
-    ok = True
-    for _ in range(100):
-        a, b, c = rand_series(), rand_series(), rand_series()
-        ab_c = dirichlet.convolve(dirichlet.convolve(a, b, 40), c, 40)
-        a_bc = dirichlet.convolve(a, dirichlet.convolve(b, c, 40), 40)
-        ok &= ab_c == a_bc
-        ok &= dirichlet.convolve(a, b, 40) == dirichlet.convolve(b, a, 40)
-    report(ok, "convolution associative and commutative (100 random cases)")
-
-    ok = True
-    base = dirichlet.DirichletSeries(64, {1: 1, 2: 1, 3: 2, 5: 1})
-    for _ in range(50):
-        m1, m2 = rng.randint(1, 40), rng.randint(1, 40)
-        lhs = dirichlet.power_one_plus(base, m1 + m2, 64)
-        rhs = dirichlet.convolve(
-            dirichlet.power_one_plus(base, m1, 64),
-            dirichlet.power_one_plus(base, m2, 64),
-            64,
-        )
-        ok &= lhs == rhs
-    report(ok, "power additivity (50 random cases)")
-
-    ok = True
-    for _ in range(20):
-        M = rng.randint(2, 10 ** 6)
-        exact = dirichlet.power_one_plus(base, M, 64)
-        logd = dirichlet.power_one_plus(base.to_log(), M, 64)
-        for d, m in exact.items():
-            ok &= abs(math.exp(logd.mult_at(d)) - m) / m < 1e-9
-    report(ok, "exact vs log backend agreement within 1e-9 (M <= 1e6)")
-
-
-def _check_order_and_schedules(report) -> None:
-    rng = random.Random(11)
-    ok = True
-    for _ in range(200):
-        pairs = [(rng.randint(0, 6), rng.randint(1, 8)) for _ in range(rng.randint(2, 6))]
-        rho = Fraction(rng.randint(1, 12), rng.randint(1, 6))
-        for p1 in pairs:
-            ok &= not constructor.prec_less(p1, p1, rho)
-            for p2 in pairs:
-                if p1 != p2:
-                    ok &= constructor.prec_less(p1, p2, rho) != constructor.prec_less(
-                        p2, p1, rho
-                    )
-                for p3 in pairs:
-                    if (
-                        constructor.prec_less(p1, p2, rho)
-                        and constructor.prec_less(p2, p3, rho)
-                    ):
-                        ok &= constructor.prec_less(p1, p3, rho)
-    report(ok, "schedule order axioms (200 random pair sets)")
-
-    ok = True
-    for t, rho in [
-        (lie_data.LieType("A", 1), Fraction(2)),
-        (lie_data.LieType("A", 2), Fraction(3, 2)),
-        (lie_data.LieType("E8"), Fraction(1, 15) + Fraction(1, 100)),
-    ]:
-        sched = constructor.make_schedule(rho, t)
-        ok &= all(sched.f(j) >= 0 for j in range(1, 10 ** 4 + 1))
-    report(ok, "schedule nonnegativity f(j) >= 0 for j <= 10^4")
-
-    rng = random.Random(13)
-    ok = True
-    families = [lie_data.LieType("A", r) for r in (1, 2, 3)] + [
-        lie_data.LieType("B", 2),
-        lie_data.LieType("G2"),
-    ]
-    for _ in range(10):
-        t = rng.choice(families)
-        rho = lie_data.rho0(t) + Fraction(rng.randint(1, 20), 4)
-        spec = constructor.build_fixed_type(rho, t, rng.choice([5, 7, 11]))
-        ok &= growth.exact_abscissa(spec).abscissa == rho
-    report(ok, "fixed-type construction postcondition (10 random triples)")
-
-    ok = True
-    for d in (3, 4, 5):
-        summary = growth.exact_abscissa(growth.sl2_over_primes_spec(d))
-        ok &= summary.abscissa == Fraction(3 * d - 4)
-    report(ok, "SL2-over-primes family abscissa 3d-4")
-
-
 def _cmd_check(args) -> int:
-    failures = []
-
-    def report(ok: bool, name: str) -> None:
+    failures = 0
+    for name, ok in invariants.suite():
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        if not ok:
-            failures.append(name)
-
-    _check_char_tables(report)
-    _check_dirichlet(report)
-    _check_order_and_schedules(report)
+        failures += not ok
     if failures:
-        print(f"{len(failures)} invariant check(s) failed")
+        print(f"{failures} invariant check(s) failed")
         return EXIT_INVARIANT
     print("all invariant checks passed")
     return 0

@@ -6,9 +6,18 @@ constructions.  Exact abscissae come from rational rate data per stratum;
 truncated series realize the same products numerically below a cutoff N and
 are exact there because minimal nontrivial dimensions diverge within every
 infinite stratum.
+
+Every stratum kind has the same five methods, so spec-level computations
+are loops over strata and a new kind is one class plus one STRATUM_KINDS
+entry: factors_below(bound, J), the factors with a nontrivial irreducible of
+dimension <= bound; abscissa_rate(), (kind, rate) with kind "rational",
+"infinite" or "finite"; count_exponent(), b with m_n = O(n^b), or None;
+with_simple(simple), every factor in the simple or the cover view; and the
+classmethod from_jsonable(obj, pointer), the inverse of to_jsonable.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from bisect import bisect_right
@@ -34,6 +43,7 @@ from .dirichlet import (
 )
 from .errors import PreconditionError, SpecFormatError
 from .lie_data import (
+    A1,
     LieType,
     PairSet,
     canonical_pair_set,
@@ -48,10 +58,6 @@ _MATERIALIZE_BITS = 256    # q^f kept as a plain int while it stays this small
 
 class TruncationWarning(UserWarning):
     """A truncated computation could not certify exactness below its cutoff."""
-
-
-def _fraction_str(x: Fraction) -> str:
-    return str(x)
 
 
 def _parse_fraction(text, pointer: str = "") -> Fraction:
@@ -110,12 +116,16 @@ def exponent_rule_from_jsonable(obj: dict, pointer: str = ""):
 # factors and strata
 
 
-def _a1_min_degree(q: int, simple: bool) -> int:
-    if q % 2 == 0:
-        return q - 1
-    if not simple:
-        return (q - 1) // 2
-    return (q + 1) // 2 if q % 4 == 1 else (q - 1) // 2
+def _min_dim(lie_type: LieType, q: int, simple: bool, pairs: Optional[PairSet]) -> int:
+    """Minimal nontrivial irreducible degree of S_lambda(q), or of its cover
+    when not simple; pairs None means the canonical pair set."""
+    if lie_type == A1:
+        if q % 2 == 0:
+            return q - 1
+        return (q + 1) // 2 if simple and q % 4 == 1 else (q - 1) // 2
+    if pairs is None:
+        pairs = canonical_pair_set(lie_type)
+    return q ** pairs.min_dim_exponent()
 
 
 @dataclass(frozen=True)
@@ -142,20 +152,15 @@ class FactorSpec:
             if not report.ok:
                 raise PreconditionError(f"pair set rejected: {report.violations}")
 
-    def is_a1(self) -> bool:
-        return self.lie_type.family == "A" and self.lie_type.rank == 1
-
     def pair_set(self) -> PairSet:
         return self.pairs if self.pairs is not None else canonical_pair_set(self.lie_type)
 
     def min_nontrivial_dim(self) -> int:
-        if self.is_a1():
-            return _a1_min_degree(self.q, self.simple)
-        return self.q ** self.pair_set().min_dim_exponent()
+        return _min_dim(self.lie_type, self.q, self.simple, self.pairs)
 
     def unit_series(self, N: int, backend: str) -> DirichletSeries:
         """The factor's zeta series (constant term included), one copy."""
-        if self.is_a1():
+        if self.lie_type == A1:
             table = sl2_table(self.q) if not self.simple else psl2_table(self.q)
             return zeta_series(table, N, backend)
         xi = model_xi(self.pair_set(), self.q, N, EXACT)
@@ -204,15 +209,88 @@ class FactorSpec:
 class FiniteStratum:
     factors: Tuple[FactorSpec, ...]
 
+    def factors_below(self, bound: int, J: Optional[int]) -> List[FactorSpec]:
+        return [f for f in self.factors if f.min_nontrivial_dim() <= bound]
+
+    def abscissa_rate(self) -> Tuple[str, Optional[Fraction]]:
+        return ("finite", None)
+
+    def count_exponent(self) -> Optional[Fraction]:
+        return Fraction(0)  # eventually constant
+
+    def with_simple(self, simple: bool) -> "FiniteStratum":
+        return FiniteStratum(tuple(replace(f, simple=simple) for f in self.factors))
+
     def id_str(self) -> str:
         return f"finite[{len(self.factors)}]"
 
     def to_jsonable(self) -> dict:
         return {"index": "finite", "factors": [f.to_jsonable() for f in self.factors]}
 
+    @classmethod
+    def from_jsonable(cls, obj: dict, pointer: str = "") -> "FiniteStratum":
+        return cls(
+            tuple(
+                FactorSpec.from_jsonable(f, f"{pointer}/factors/{k}")
+                for k, f in enumerate(obj.get("factors", []))
+            )
+        )
+
+
+class _Tower:
+    """An infinite stratum: factors S(q_i)^{m_i} at the indices i of a tower
+    whose field sizes q_i diverge, so every truncation has a finite exact
+    horizon.  A subclass supplies the (position, index) sequence, where J
+    caps the position, the field size and multiplicity at an index, and the
+    growth constant c: the sum of m_i over q_i <= x grows like x^c (None
+    when it outgrows every power)."""
+
+    pairs: Optional[PairSet] = None
+
+    def pair_set(self) -> PairSet:
+        return self.pairs if self.pairs is not None else canonical_pair_set(self.lie_type)
+
+    def factor_at(self, i: int) -> FactorSpec:
+        return FactorSpec(
+            self.lie_type, self.field_size(i), self.simple, self.multiplicity(i), self.pairs
+        )
+
+    def min_dim_at(self, i: int) -> int:
+        return _min_dim(self.lie_type, self.field_size(i), self.simple, self.pairs)
+
+    def n_min(self) -> int:
+        return self.pair_set().min_dim_exponent()
+
+    def factors_below(self, bound: int, J: Optional[int]) -> Iterator[FactorSpec]:
+        for k, i in self.positions():
+            if self.min_dim_at(i) > bound:
+                return
+            if J is not None and k > J:
+                warnings.warn(
+                    f"{self.id_str()}: horizon J={J} truncates below the exact horizon; "
+                    f"entries <= {bound} may be incomplete",
+                    TruncationWarning,
+                    stacklevel=4,  # past _contributions to the caller of truncated_zeta
+                )
+                return
+            yield self.factor_at(i)
+
+    def abscissa_rate(self) -> Tuple[str, Optional[Fraction]]:
+        c = self.growth_constant()
+        if c is None:
+            return ("infinite", None)
+        return ("rational", max(Fraction(c + m, n) for m, n in self.pair_set()))
+
+    def count_exponent(self) -> Optional[Fraction]:
+        c = self.growth_constant()
+        return None if c is None else Fraction(c, self.n_min())
+
+    def with_simple(self, simple: bool) -> "_Tower":
+        return replace(self, simple=simple)
+
 
 @dataclass(frozen=True)
-class GeometricStratum:
+class GeometricStratum(_Tower):
     """Factors S(q^j)^{q^{f(j)}} for j = skip+1, skip+2, ...; field sizes
     diverge geometrically, so any truncation has a finite exact horizon."""
 
@@ -239,10 +317,13 @@ class GeometricStratum:
                 "bump q or the skip prefix"
             )
 
-    def pair_set(self) -> PairSet:
-        return self.pairs if self.pairs is not None else canonical_pair_set(self.lie_type)
+    def positions(self) -> Iterator[Tuple[int, int]]:
+        return ((j, j) for j in itertools.count(self.skip + 1))
 
-    def _multiplicity(self, j: int) -> Multiplicity:
+    def field_size(self, j: int) -> int:
+        return self.q ** j
+
+    def multiplicity(self, j: int) -> Multiplicity:
         f = self.exponents.f(j)
         if f == 0:
             return 1
@@ -250,22 +331,7 @@ class GeometricStratum:
             return self.q ** f
         return BigPower(self.q, f)
 
-    def factor_at(self, j: int) -> FactorSpec:
-        return FactorSpec(
-            self.lie_type, self.q ** j, self.simple, self._multiplicity(j), self.pairs
-        )
-
-    def min_dim_at(self, j: int) -> int:
-        if self.lie_type.family == "A" and self.lie_type.rank == 1:
-            return _a1_min_degree(self.q ** j, self.simple)
-        return (self.q ** j) ** self.pair_set().min_dim_exponent()
-
-    def n_min(self) -> int:
-        if self.lie_type.family == "A" and self.lie_type.rank == 1:
-            return 1
-        return self.pair_set().min_dim_exponent()
-
-    def rate(self) -> Optional[Fraction]:
+    def growth_constant(self) -> Optional[Fraction]:
         return self.exponents.rate()
 
     def id_str(self) -> str:
@@ -285,11 +351,22 @@ class GeometricStratum:
             out["skip"] = self.skip
         return out
 
+    @classmethod
+    def from_jsonable(cls, obj: dict, pointer: str = "") -> "GeometricStratum":
+        lt = LieType.from_jsonable(obj.get("lie_type", {}), pointer + "/lie_type")
+        rule = exponent_rule_from_jsonable(obj.get("schedule", {}), pointer + "/schedule")
+        pairs = None
+        if "pairs" in obj:
+            pairs = PairSet.from_jsonable(obj["pairs"], pointer + "/pairs")
+        simple = obj.get("flag", "simple") == "simple"
+        return cls(lt, int(obj["q"]), rule, simple, pairs, int(obj.get("skip", 0)))
+
 
 @dataclass(frozen=True)
-class PrimeStratum:
+class PrimeStratum(_Tower):
     """The prime-indexed A1 family: SL2(p)^{((p^3-p)/2)^E} over primes
-    p >= p_min.  Multiplicities grow like p^{3E} (the rate exponent)."""
+    p >= p_min.  Multiplicities grow like p^{3E} (the rate exponent), and
+    the primes themselves add one more power: c = 3E + 1."""
 
     p_min: int = 5
     mult_exponent: int = 1
@@ -301,25 +378,22 @@ class PrimeStratum:
         if self.mult_exponent < 0:
             raise PreconditionError("multiplicity exponent must be >= 0")
 
-    lie_type = LieType("A", 1)
+    lie_type = A1
 
     def rate_exponent(self) -> int:
         return 3 * self.mult_exponent
 
+    def positions(self) -> Iterator[Tuple[int, int]]:
+        return enumerate(primes_from(self.p_min), start=1)
+
+    def field_size(self, p: int) -> int:
+        return p
+
     def multiplicity(self, p: int) -> int:
         return ((p ** 3 - p) // 2) ** self.mult_exponent
 
-    def factor_at(self, p: int) -> FactorSpec:
-        return FactorSpec(self.lie_type, p, self.simple, self.multiplicity(p))
-
-    def min_dim_at(self, p: int) -> int:
-        return _a1_min_degree(p, self.simple)
-
-    def n_min(self) -> int:
-        return 1
-
-    def pair_set(self) -> PairSet:
-        return canonical_pair_set(self.lie_type)
+    def growth_constant(self) -> int:
+        return self.rate_exponent() + 1
 
     def id_str(self) -> str:
         return f"primes(p>={self.p_min},E={self.mult_exponent})"
@@ -333,6 +407,15 @@ class PrimeStratum:
             "flag": "simple" if self.simple else "cover",
         }
 
+    @classmethod
+    def from_jsonable(cls, obj: dict, pointer: str = "") -> "PrimeStratum":
+        e = int(obj.get("rate_exponent", 3))
+        if e % 3 != 0 or e < 0:
+            raise SpecFormatError(
+                "rate_exponent must be 3*E for the A1 prime family", pointer + "/rate_exponent"
+            )
+        return cls(int(obj.get("p_min", 5)), e // 3, obj.get("flag", "cover") == "simple")
+
 
 @dataclass(frozen=True)
 class DiagonalStage:
@@ -342,7 +425,7 @@ class DiagonalStage:
 
     def to_jsonable(self) -> dict:
         return {
-            "rho_m": _fraction_str(self.rho_m),
+            "rho_m": str(self.rho_m),
             "n_m": str(self.n_m),
             "stratum": self.stratum.to_jsonable(),
         }
@@ -360,8 +443,29 @@ class DiagonalStratum:
     def exact_horizon(self) -> int:
         return self.stages[-1].n_m if self.stages else 1
 
-    def rate(self) -> Fraction:
-        return self.rho
+    def factors_below(self, bound: int, J: Optional[int]) -> Iterator[FactorSpec]:
+        # not a generator: the stage walkers then run right under
+        # _contributions, as any tower's does, so their stacklevel holds
+        if bound > self.exact_horizon():
+            warnings.warn(
+                f"{self.id_str()}: truncation {bound} exceeds the materialized horizon "
+                f"{self.exact_horizon()}; unbuilt stages could contribute above it",
+                TruncationWarning,
+                stacklevel=4,  # past _contributions to the caller of truncated_zeta
+            )
+        return itertools.chain.from_iterable(
+            st.stratum.factors_below(bound, J) for st in self.stages
+        )
+
+    def abscissa_rate(self) -> Tuple[str, Optional[Fraction]]:
+        return ("rational", self.rho)
+
+    def count_exponent(self) -> Optional[Fraction]:
+        return self.rho  # upper bound across the materialized and asserted tail
+
+    def with_simple(self, simple: bool) -> "DiagonalStratum":
+        stages = tuple(replace(st, stratum=st.stratum.with_simple(simple)) for st in self.stages)
+        return replace(self, stages=stages)
 
     def id_str(self) -> str:
         return f"diagonal(rho={self.rho})"
@@ -369,12 +473,51 @@ class DiagonalStratum:
     def to_jsonable(self) -> dict:
         return {
             "index": "diagonal",
-            "rho": _fraction_str(self.rho),
+            "rho": str(self.rho),
             "stages": [s.to_jsonable() for s in self.stages],
         }
 
+    @classmethod
+    def from_jsonable(cls, obj: dict, pointer: str = "") -> "DiagonalStratum":
+        rho = _parse_fraction(obj.get("rho"), pointer + "/rho")
+        stages = []
+        for k, st in enumerate(obj.get("stages", [])):
+            sp = f"{pointer}/stages/{k}"
+            rho_m = _parse_fraction(st.get("rho_m"), sp + "/rho_m")
+            stratum = _stratum_from_jsonable(st["stratum"], sp + "/stratum", _STAGE_KINDS)
+            stages.append(DiagonalStage(rho_m, stratum, int(st["n_m"])))
+        return cls(rho, tuple(stages))
+
 
 Stratum = Union[FiniteStratum, GeometricStratum, PrimeStratum, DiagonalStratum]
+STRATUM_KINDS = {
+    "finite": FiniteStratum,
+    "geometric": GeometricStratum,
+    "primes": PrimeStratum,
+    "diagonal": DiagonalStratum,
+}
+_STAGE_KINDS = {"geometric": GeometricStratum}
+
+
+def _stratum_from_jsonable(obj, pointer: str, kinds=STRATUM_KINDS) -> Stratum:
+    """Parse one stratum by its index.  A missing or mistyped field becomes a
+    SpecFormatError at the stratum's pointer; a PreconditionError (a
+    well-formed but illegal value) passes through."""
+    if not isinstance(obj, dict):
+        raise SpecFormatError("stratum must be an object", pointer)
+    index = obj.get("index")
+    if not isinstance(index, str) or index not in kinds:
+        raise SpecFormatError(
+            f"stratum index must be one of {', '.join(kinds)}, got {index!r}", pointer + "/index"
+        )
+    try:
+        return kinds[index].from_jsonable(obj, pointer)
+    except (SpecFormatError, PreconditionError):
+        raise
+    except KeyError as e:
+        raise SpecFormatError(f"missing field {e}", pointer)
+    except (TypeError, AttributeError, ValueError, ZeroDivisionError, OverflowError) as e:
+        raise SpecFormatError(f"malformed field: {e}", pointer)
 
 
 @dataclass(frozen=True)
@@ -389,130 +532,24 @@ class GroupSpec:
 
     @classmethod
     def from_jsonable(cls, obj: dict, pointer: str = "") -> "GroupSpec":
-        if not isinstance(obj, dict) or "strata" not in obj:
+        if not isinstance(obj, dict) or not isinstance(obj.get("strata"), list):
             raise SpecFormatError("spec must be an object with a 'strata' list", pointer)
-        strata: List[Stratum] = []
-        for i, sobj in enumerate(obj["strata"]):
-            ptr = f"{pointer}/strata/{i}"
-            index = sobj.get("index")
-            if index == "finite":
-                factors = tuple(
-                    FactorSpec.from_jsonable(f, f"{ptr}/factors/{k}")
-                    for k, f in enumerate(sobj.get("factors", []))
-                )
-                strata.append(FiniteStratum(factors))
-            elif index == "geometric":
-                lt = LieType.from_jsonable(sobj.get("lie_type", {}), ptr + "/lie_type")
-                rule = exponent_rule_from_jsonable(sobj.get("schedule", {}), ptr + "/schedule")
-                pairs = (
-                    PairSet.from_jsonable(sobj["pairs"], ptr + "/pairs")
-                    if "pairs" in sobj
-                    else None
-                )
-                try:
-                    strata.append(
-                        GeometricStratum(
-                            lt,
-                            int(sobj["q"]),
-                            rule,
-                            sobj.get("flag", "simple") == "simple",
-                            pairs,
-                            int(sobj.get("skip", 0)),
-                        )
-                    )
-                except KeyError as e:
-                    raise SpecFormatError(f"missing field {e}", ptr)
-            elif index == "primes":
-                e = int(sobj.get("rate_exponent", 3))
-                if e % 3 != 0 or e < 0:
-                    raise SpecFormatError(
-                        "rate_exponent must be 3*E for the A1 prime family", ptr + "/rate_exponent"
-                    )
-                strata.append(
-                    PrimeStratum(
-                        int(sobj.get("p_min", 5)),
-                        e // 3,
-                        sobj.get("flag", "cover") == "simple",
-                    )
-                )
-            elif index == "diagonal":
-                rho = _parse_fraction(sobj.get("rho"), ptr + "/rho")
-                stages = []
-                for k, st in enumerate(sobj.get("stages", [])):
-                    sp = f"{ptr}/stages/{k}"
-                    sub = cls.from_jsonable({"strata": [st["stratum"]]}, sp).strata[0]
-                    if not isinstance(sub, GeometricStratum):
-                        raise SpecFormatError("diagonal stages must be geometric strata", sp)
-                    stages.append(
-                        DiagonalStage(
-                            _parse_fraction(st.get("rho_m"), sp + "/rho_m"),
-                            sub,
-                            int(st["n_m"]),
-                        )
-                    )
-                strata.append(DiagonalStratum(rho, tuple(stages)))
-            else:
-                raise SpecFormatError(f"unknown stratum index {index!r}", ptr + "/index")
-        return cls(tuple(strata))
+        return cls(
+            tuple(
+                _stratum_from_jsonable(s, f"{pointer}/strata/{i}")
+                for i, s in enumerate(obj["strata"])
+            )
+        )
 
 
 def with_flag(spec: GroupSpec, simple: bool) -> GroupSpec:
     """The same spec with every factor forced to the simple quotient or the
     cover view (the G vs G-tilde comparison)."""
-    out: List[Stratum] = []
-    for s in spec.strata:
-        if isinstance(s, FiniteStratum):
-            out.append(FiniteStratum(tuple(replace(f, simple=simple) for f in s.factors)))
-        elif isinstance(s, GeometricStratum):
-            out.append(replace(s, simple=simple))
-        elif isinstance(s, PrimeStratum):
-            out.append(replace(s, simple=simple))
-        else:
-            out.append(
-                DiagonalStratum(
-                    s.rho,
-                    tuple(
-                        DiagonalStage(st.rho_m, replace(st.stratum, simple=simple), st.n_m)
-                        for st in s.stages
-                    ),
-                )
-            )
-    return GroupSpec(tuple(out))
+    return GroupSpec(tuple(s.with_simple(simple) for s in spec.strata))
 
 
 # ---------------------------------------------------------------------------
 # contributions below a dimension bound
-
-
-def _geometric_contributions(s: GeometricStratum, bound: int, J: Optional[int]):
-    j = s.skip + 1
-    while s.min_dim_at(j) <= bound:
-        if J is not None and j > J:
-            warnings.warn(
-                f"{s.id_str()}: horizon J={J} truncates below the exact horizon; "
-                f"entries <= {bound} may be incomplete",
-                TruncationWarning,
-                stacklevel=4,
-            )
-            return
-        yield s.factor_at(j)
-        j += 1
-
-
-def _prime_contributions(s: PrimeStratum, bound: int, J: Optional[int]):
-    count = 0
-    for p in primes_from(s.p_min):
-        if s.min_dim_at(p) > bound:
-            return
-        count += 1
-        if J is not None and count > J:
-            warnings.warn(
-                f"{s.id_str()}: horizon J={J} truncates below the exact horizon",
-                TruncationWarning,
-                stacklevel=4,
-            )
-            return
-        yield s.factor_at(p)
 
 
 def _contributions(spec: GroupSpec, bound: int, J: Optional[int] = None) -> Iterator[FactorSpec]:
@@ -520,24 +557,7 @@ def _contributions(spec: GroupSpec, bound: int, J: Optional[int] = None) -> Iter
     stratum the minimal dimensions diverge, so this is a finite, exact set
     (a TruncationWarning is issued where that cannot be certified)."""
     for s in spec.strata:
-        if isinstance(s, FiniteStratum):
-            for f in s.factors:
-                if f.min_nontrivial_dim() <= bound:
-                    yield f
-        elif isinstance(s, GeometricStratum):
-            yield from _geometric_contributions(s, bound, J)
-        elif isinstance(s, PrimeStratum):
-            yield from _prime_contributions(s, bound, J)
-        else:
-            if bound > s.exact_horizon():
-                warnings.warn(
-                    f"{s.id_str()}: truncation {bound} exceeds the materialized horizon "
-                    f"{s.exact_horizon()}; unbuilt stages could contribute above it",
-                    TruncationWarning,
-                    stacklevel=3,
-                )
-            for st in s.stages:
-                yield from _geometric_contributions(st.stratum, bound, J)
+        yield from s.factors_below(bound, J)
 
 
 def truncated_zeta(
@@ -645,13 +665,13 @@ class RateSummary:
 
     def to_jsonable(self) -> dict:
         if self.kind == "rational":
-            absc = _fraction_str(self.abscissa)
+            absc = str(self.abscissa)
         else:
             absc = "finite-group" if self.kind == "finite" else "infinity"
         return {
             "abscissa": absc,
             "strata": [
-                {"id": sid, "kind": k, "rate": None if r is None else _fraction_str(r)}
+                {"id": sid, "kind": k, "rate": None if r is None else str(r)}
                 for sid, k, r in self.per_stratum
             ],
         }
@@ -665,40 +685,17 @@ class RateSummary:
         return "\n".join(lines) + "\n"
 
 
-def _stratum_rate(s: Stratum) -> Tuple[str, Optional[Fraction]]:
-    """(kind, rate): kind "finite" has no rate, "infinite" has rate None."""
-    if isinstance(s, FiniteStratum):
-        return ("finite", None)
-    if isinstance(s, GeometricStratum):
-        c = s.rate()
-        if c is None:
-            return ("infinite", None)
-        return ("rational", max(Fraction(c + m, n) for m, n in s.pair_set()))
-    if isinstance(s, PrimeStratum):
-        e = s.rate_exponent()
-        return ("rational", max(Fraction(e + m + 1, n) for m, n in s.pair_set()))
-    return ("rational", s.rate())
-
-
 def exact_abscissa(spec: GroupSpec) -> RateSummary:
     """Max of the stratum rates: geometric strata contribute
     max (c+m)/n over their pair set with c = lim f(j)/j, prime strata
     max (e+m+1)/n, finite strata only the finite-group marker."""
-    per = []
-    rates: List[Fraction] = []
-    infinite = False
-    for s in spec.strata:
-        kind, rate = _stratum_rate(s)
-        per.append((s.id_str(), kind, rate))
-        if kind == "infinite":
-            infinite = True
-        elif kind == "rational":
-            rates.append(rate)
-    if infinite:
-        return RateSummary("infinite", None, tuple(per))
-    if not rates:
-        return RateSummary("finite", None, tuple(per))
-    return RateSummary("rational", max(rates), tuple(per))
+    per = tuple((s.id_str(),) + s.abscissa_rate() for s in spec.strata)
+    kinds = {kind for _, kind, _ in per}
+    if "infinite" in kinds:
+        return RateSummary("infinite", None, per)
+    if "rational" not in kinds:
+        return RateSummary("finite", None, per)
+    return RateSummary("rational", max(r for _, k, r in per if k == "rational"), per)
 
 
 @dataclass(frozen=True)
@@ -713,10 +710,10 @@ class PrgVerdict:
             "prg": self.is_prg,
             "witness_exponent": None
             if self.witness_exponent is None
-            else _fraction_str(self.witness_exponent),
+            else str(self.witness_exponent),
             "witness_stratum": self.witness_stratum,
             "strata": [
-                {"id": sid, "exponent": None if e is None else _fraction_str(e)}
+                {"id": sid, "exponent": None if e is None else str(e)}
                 for sid, e in self.per_stratum
             ],
         }
@@ -726,27 +723,11 @@ def prg_verdict(spec: GroupSpec) -> PrgVerdict:
     """PRG iff every stratum's factor-count exponent is finite: m_n grows
     like n^{c/n_min} on a geometric stratum and n^{(e+1)/n_min} on a prime
     stratum; finite strata are eventually constant (exponent 0)."""
-    per = []
-    exps: List[Fraction] = [Fraction(0)]
-    witness = None
-    for s in spec.strata:
-        if isinstance(s, FiniteStratum):
-            e: Optional[Fraction] = Fraction(0)
-        elif isinstance(s, GeometricStratum):
-            c = s.rate()
-            e = None if c is None else c / s.n_min()
-        elif isinstance(s, PrimeStratum):
-            e = Fraction(s.rate_exponent() + 1, s.n_min())
-        else:
-            e = s.rho  # upper bound across the materialized and asserted tail
-        per.append((s.id_str(), e))
-        if e is None:
-            witness = witness or s.id_str()
-        else:
-            exps.append(e)
+    per = tuple((s.id_str(), s.count_exponent()) for s in spec.strata)
+    witness = next((sid for sid, e in per if e is None), None)
     if witness is not None:
-        return PrgVerdict(False, None, witness, tuple(per))
-    return PrgVerdict(True, max(exps), None, tuple(per))
+        return PrgVerdict(False, None, witness, per)
+    return PrgVerdict(True, max([Fraction(0)] + [e for _, e in per]), None, per)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,13 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line
 with its runtime against the stated limit.  Run with -s to see the lines."""
-import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
+from repgrowth import invariants
 from repgrowth.char_tables import (
-    cover_degree_check,
-    min_nontrivial_degree,
     prime_power,
     psl2_order,
     psl2_table,
@@ -22,10 +20,8 @@ from repgrowth.constructor import (
     build_fixed_type,
     convergence_certificate,
     default_diagonal_targets,
-    make_schedule,
-    prec_less,
 )
-from repgrowth.dirichlet import DirichletSeries, convolve, cumulative, power_one_plus
+from repgrowth.dirichlet import DirichletSeries, cumulative
 from repgrowth.growth import (
     FactorSpec,
     FiniteStratum,
@@ -104,13 +100,11 @@ def test_criterion_2_schedule_realization():
 def test_criterion_3_character_table_identities():
     def body():
         for q in PRIME_POWERS_4_81:
-            sl2 = sl2_table(q)
-            psl2 = psl2_table(q)
-            assert sum(m * d * d for d, m in sl2.degrees) == sl2_order(q)
-            assert sum(m * d * d for d, m in psl2.degrees) == psl2_order(q)
-            assert cover_degree_check(q)
-            want = q - 1 if q % 2 == 0 else (q - 1) // 2
-            assert min_nontrivial_degree(sl2) == want
+            assert sum(m * d * d for d, m in sl2_table(q).degrees) == sl2_order(q)
+            assert sum(m * d * d for d, m in psl2_table(q).degrees) == psl2_order(q)
+        # class numbers, cover degree checks and minimal degrees
+        for name, ok in invariants.character_tables(PRIME_POWERS_4_81):
+            assert ok, name
 
     run_criterion(3, "mass identities, cover checks, minimal degrees for q <= 81", 1.0, body)
 
@@ -245,53 +239,11 @@ def test_criterion_9_cover_quotient_inequality():
 def test_criterion_10_property_suites():
     def body():
         rng = random.Random(1001)
-        # strict-total-order axioms on 1000 random pair sets
-        for _ in range(1000):
-            pairs = [(rng.randint(0, 6), rng.randint(1, 8)) for _ in range(rng.randint(2, 5))]
-            rho = Fraction(rng.randint(1, 12), rng.randint(1, 6))
-            for p1 in pairs:
-                assert not prec_less(p1, p1, rho)
-                for p2 in pairs:
-                    if p1 != p2:
-                        assert prec_less(p1, p2, rho) != prec_less(p2, p1, rho)
-                    for p3 in pairs:
-                        if prec_less(p1, p2, rho) and prec_less(p2, p3, rho):
-                            assert prec_less(p1, p3, rho)
-
-        # convolution associativity / commutativity
-        def rand_series():
-            entries = {rng.randint(1, 40): rng.randint(1, 30) for _ in range(rng.randint(1, 7))}
-            return DirichletSeries(40, entries)
-
-        for _ in range(150):
-            a, b, c = rand_series(), rand_series(), rand_series()
-            assert convolve(a, b, 40) == convolve(b, a, 40)
-            assert convolve(convolve(a, b, 40), c, 40) == convolve(a, convolve(b, c, 40), 40)
-
-        # power additivity
-        base = DirichletSeries(64, {1: 1, 2: 1, 3: 2, 7: 1})
-        for _ in range(60):
-            m1, m2 = rng.randint(1, 30), rng.randint(1, 30)
-            lhs = power_one_plus(base, m1 + m2, 64)
-            rhs = convolve(power_one_plus(base, m1, 64), power_one_plus(base, m2, 64), 64)
-            assert lhs == rhs
-
-        # exact vs log agreement within relative 1e-9 for M <= 1e6
-        for _ in range(25):
-            M = rng.randint(2, 10 ** 6)
-            exact = power_one_plus(base, M, 64)
-            logd = power_one_plus(base.to_log(), M, 64)
-            assert logd.dims == exact.dims
-            for d, m in exact.items():
-                assert abs(math.exp(logd.mult_at(d)) - m) / m < 1e-9
-
-        # schedule nonnegativity to j = 10^4
-        for rho, t in [
-            (Fraction(2), A1),
-            (Fraction(3, 2), LieType("A", 2)),
-            (Fraction(1, 15) + Fraction(1, 100), LieType("E8")),
-        ]:
-            sched = make_schedule(rho, t)
-            assert all(sched.f(j) >= 0 for j in range(1, 10 ** 4 + 1))
+        assert invariants.order_axioms(rng, 1000)  # strict total order, 1000 pair sets
+        assert invariants.convolution_algebra(rng, 150)  # associative, commutative
+        assert invariants.power_additivity(rng, 60)
+        # exact vs log: same dims, counts within relative 1e-9, M <= 1e6
+        assert invariants.backend_agreement(rng, 25)
+        assert invariants.schedule_nonnegativity()  # f(j) >= 0 to j = 10^4
 
     run_criterion(10, "order axioms, series algebra, backend agreement, schedules", 60.0, body)

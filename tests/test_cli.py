@@ -181,3 +181,74 @@ def test_abscissa_empirical_csv(capsys):
     )
     assert code == 0
     assert out.splitlines()[0] == "n,R_n_log10,slope"
+
+
+A1_JSON = {"family": "A", "rank": 1}
+SCHEDULE = {"kind": "schedule", "rho": "2", "rho0": "1/2", "m0": 1, "n0": 1, "j0": 1}
+GEOM_STAGE = {
+    "index": "geometric",
+    "q": 5,
+    "lie_type": A1_JSON,
+    "schedule": {"kind": "poly", "coeffs": [0, 1]},
+}
+
+
+def _finite(**factor):
+    return {"strata": [{"index": "finite", "factors": [{"lie_type": A1_JSON, "q": 5, **factor}]}]}
+
+
+def _diagonal(**stage):
+    return {"strata": [{"index": "diagonal", "rho": "2", "stages": [stage]}]}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"strata": [1]},
+        {"strata": {"a": 1}},
+        _finite(q="abc"),
+        _finite(multiplicity="x"),
+        _finite(multiplicity={"base": 2}),
+        _finite(lie_type={"family": "A", "rank": "x"}),
+        {"strata": [{"index": "finite", "factors": [7]}]},
+        {"strata": [{**GEOM_STAGE, "q": "x"}]},
+        {"strata": [{**GEOM_STAGE, "schedule": {"kind": "poly"}}]},
+        {"strata": [{"index": "primes", "p_min": "a"}]},
+        _diagonal(rho_m="1", n_m="7"),
+        _diagonal(rho_m="1", n_m="x", stratum=GEOM_STAGE),
+        {"strata": [{**GEOM_STAGE, "schedule": {**SCHEDULE, "rho": "1/0"}}]},
+        {"strata": [{"index": "primes", "p_min": float("inf")}]},
+    ],
+    ids=[
+        "stratum-not-object",
+        "strata-not-list",
+        "finite-q",
+        "multiplicity-string",
+        "multiplicity-no-exponent",
+        "rank",
+        "bare-int-factor",
+        "geometric-q",
+        "poly-no-coeffs",
+        "p_min",
+        "stage-no-stratum",
+        "stage-n_m",
+        "schedule-rho-zero-denominator",
+        "p_min-infinity",
+    ],
+)
+def test_malformed_spec_is_parse_error(capsys, spec):
+    code = main(["prg", "--spec", json.dumps(spec)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_stage_errors_point_into_the_stage_stratum(capsys):
+    spec = _diagonal(rho_m="1", n_m="7", stratum={**GEOM_STAGE, "q": "x"})
+    assert main(["prg", "--spec", json.dumps(spec)]) == 2
+    assert "/strata/0/stages/0/stratum:" in capsys.readouterr().err
+
+
+def test_illegal_value_keeps_precondition_exit(capsys):
+    spec = {"strata": [{"index": "primes", "p_min": 3}]}
+    assert main(["prg", "--spec", json.dumps(spec)]) == 3

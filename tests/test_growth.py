@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repgrowth.char_tables import psl2_table, sl2_table, zeta_series
-from repgrowth.constructor import build_fixed_type, make_schedule
+from repgrowth.constructor import (
+    build_diagonal,
+    build_fixed_type,
+    default_diagonal_targets,
+    make_schedule,
+)
 from repgrowth.dirichlet import (
     BigPower,
     DirichletSeries,
@@ -18,12 +23,15 @@ from repgrowth.dirichlet import (
 )
 from repgrowth.errors import PreconditionError, SpecFormatError
 from repgrowth.growth import (
+    STRATUM_KINDS,
     FactorSpec,
     FiniteStratum,
     GeometricStratum,
     GroupSpec,
     PolyExponent,
+    PrgVerdict,
     PrimeStratum,
+    RateSummary,
     TruncationWarning,
     cover_mn_comparison,
     empirical_slope,
@@ -154,10 +162,37 @@ def test_truncation_stable_under_larger_horizon():
     assert a == b == c
 
 
-def test_truncation_warning_when_horizon_cuts():
-    spec = build_fixed_type(Fraction(2), A1, 5)
-    with pytest.warns(TruncationWarning):
-        truncated_zeta(spec, 10 ** 6, J=2)
+def _diagonal_spec():
+    spec, _ = build_diagonal(Fraction(2), default_diagonal_targets(Fraction(2), 3, 5), 10 ** 8)
+    return spec
+
+
+def _diagonal_horizon_cut():
+    spec = _diagonal_spec()
+    return spec, spec.strata[0].exact_horizon() * 10, None
+
+
+def _diagonal_stage_J_cut():
+    spec = _diagonal_spec()
+    return spec, spec.strata[0].exact_horizon(), 1
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: (build_fixed_type(Fraction(2), A1, 5), 10 ** 6, 2),
+        lambda: (sl2_over_primes_spec(3), 100, 2),
+        _diagonal_horizon_cut,
+        _diagonal_stage_J_cut,
+    ],
+    ids=["geometric-J", "primes-J", "diagonal-horizon", "diagonal-stage-J"],
+)
+def test_truncation_warning_when_horizon_cuts(make):
+    spec, N, J = make()
+    with pytest.warns(TruncationWarning) as record:
+        truncated_zeta(spec, N, J)
+    # the stack levels point past the stratum walkers at this caller
+    assert [w.filename for w in record] == [__file__] * len(record)
 
 
 def test_backend_autoswitch_on_huge_multiplicity():
@@ -380,6 +415,60 @@ def test_with_flag_switches_tables():
     spec = finite_spec(FactorSpec(A1, 5, simple=True))
     cover = with_flag(spec, simple=False)
     assert dict(truncated_zeta(cover, 6).items()) == {1: 1, 2: 2, 3: 2, 4: 2, 5: 1, 6: 1}
+
+
+# -- the stratum protocol ---------------------------------------------------
+
+
+def _instance(kind):
+    """One stratum of the kind, and a bound below which it has factors."""
+    if kind == "finite":
+        big = FactorSpec(LieType("A", 2), 4, multiplicity=BigPower(2, 100))
+        return FiniteStratum((FactorSpec(A1, 5), big)), 100
+    if kind == "geometric":
+        return build_fixed_type(Fraction(3, 2), LieType("A", 2), 5).strata[0], 10 ** 8
+    if kind == "primes":
+        return PrimeStratum(7, 2), 100
+    stratum = _diagonal_spec().strata[0]
+    return stratum, stratum.exact_horizon()
+
+
+@pytest.mark.parametrize("kind", sorted(STRATUM_KINDS))
+def test_stratum_protocol_every_kind(kind):
+    s, bound = _instance(kind)
+    assert type(s) is STRATUM_KINDS[kind] and s.to_jsonable()["index"] == kind
+    for simple in (True, False):
+        flagged = with_flag(GroupSpec((s,)), simple).strata[0]
+        factors = list(flagged.factors_below(bound, None))
+        assert factors and all(f.simple == simple for f in factors)
+    assert type(s).from_jsonable(s.to_jsonable()) == s
+    assert GroupSpec.from_jsonable(GroupSpec((s,)).to_jsonable()) == GroupSpec((s,))
+
+
+@pytest.mark.parametrize("p_min", [5, 7])
+@pytest.mark.parametrize("E", range(4))
+def test_prime_stratum_rates_frozen(E, p_min):
+    spec = GroupSpec((PrimeStratum(p_min, E),))
+    sid = f"primes(p>={p_min},E={E})"
+    rate, count = Fraction(3 * E + 2), Fraction(3 * E + 1)
+    assert exact_abscissa(spec) == RateSummary("rational", rate, ((sid, "rational", rate),))
+    assert prg_verdict(spec) == PrgVerdict(True, count, None, ((sid, count),))
+
+
+def test_superlinear_stratum_rates_frozen():
+    spec = GroupSpec(
+        (
+            GeometricStratum(A1, 5, PolyExponent((0, 0, 1))),
+            GeometricStratum(LieType("A", 2), 4, PolyExponent((0, 1))),
+        )
+    )
+    super_id, linear_id = "geom(A1,q=5)", "geom(A2,q=4)"
+    assert exact_abscissa(spec) == RateSummary(
+        "infinite", None, ((super_id, "infinite", None), (linear_id, "rational", Fraction(1)))
+    )
+    assert prg_verdict(spec) == PrgVerdict(
+        False, None, super_id, ((super_id, None), (linear_id, Fraction(1, 3)))
+    )
 
 
 # -- spec JSON ---------------------------------------------------------------
