@@ -51,10 +51,12 @@ class ConcreteGroup:
         for i, row in enumerate(self.table):
             self.inverse[i] = row.index(self.identity)
         self._spot_check_associativity()
+        self._whole: FrozenSet[int] = frozenset(range(self.order))
         # caches shared across the counting operations
         self._sub_index: Dict[FrozenSet[int], int] = {}
         self._sub_sets: List[FrozenSet[int]] = []
         self._sub_gens: List[Tuple[int, ...]] = []
+        self._sub_reps: List[Tuple[int, ...]] = []
         self._extend_cache: Dict[Tuple[int, int], int] = {}
         self._count_cache: Dict[Tuple[int, int], int] = {}
         self._phi_cache: Dict[int, int] = {}
@@ -82,24 +84,29 @@ class ConcreteGroup:
         return k
 
     def closure(self, gens: Sequence[int]) -> FrozenSet[int]:
-        """Subgroup generated by gens: BFS over right multiplication.
-        Finite groups need no explicit inverses (inverse = power)."""
-        gens = [g for g in gens if g != self.identity]
-        if not gens:
-            return frozenset((self.identity,))
-        seen = {self.identity}
-        seen.update(gens)
-        queue = [self.identity] + list(dict.fromkeys(gens))
+        """Subgroup generated by gens, by Dimino's algorithm: each new
+        generator g outside the subgroup H built so far adds the right coset
+        Hg, and right multiplication of the coset representatives by the
+        generators finds the remaining cosets of H in <H, g>.  Finite groups
+        need no explicit inverses (inverse = power).  Once more than |G|/2
+        elements are found the subgroup is G, by Lagrange."""
         t = self.table
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
-            for g in gens:
-                y = t[x][g]
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
+        n = self.order
+        seen = {self.identity}
+        used: List[int] = []
+        for g in gens:
+            if g in seen:
+                continue
+            used.append(g)
+            sub = list(seen)
+            reps = [g]
+            for r in reps:
+                if r not in seen:
+                    seen.update([t[h][r] for h in sub])
+                    if 2 * len(seen) > n:
+                        return self._whole
+                    tr = t[r]
+                    reps += [tr[s] for s in used]
         return frozenset(seen)
 
     def conjugacy_classes(self) -> List[FrozenSet[int]]:
@@ -135,23 +142,33 @@ class ConcreteGroup:
     # -- subgroup registry for the tuple-count recursion ------------------
 
     def _register(self, sub: FrozenSet[int], gens: Tuple[int, ...]) -> int:
+        """Index of the subgroup sub, generated by gens.  A new subgroup H
+        also stores one representative of each right coset Hz outside H:
+        <H, z> = <H, hz> for every h in H, so an extension of H depends
+        only on the coset."""
         sid = self._sub_index.get(sub)
         if sid is None:
             sid = len(self._sub_sets)
             self._sub_index[sub] = sid
             self._sub_sets.append(sub)
             self._sub_gens.append(gens)
+            t = self.table
+            covered = set(sub)
+            reps = []
+            for z in range(self.order):
+                if z not in covered:
+                    reps.append(z)
+                    covered.update([t[h][z] for h in sub])
+            self._sub_reps.append(tuple(reps))
         return sid
 
     def _extend(self, sid: int, z: int) -> int:
+        """Index of <H, z> for the subgroup H = sid and z outside H."""
         key = (sid, z)
         nid = self._extend_cache.get(key)
         if nid is None:
-            if z in self._sub_sets[sid]:
-                nid = sid
-            else:
-                gens = self._sub_gens[sid] + (z,)
-                nid = self._register(self.closure(gens), gens)
+            gens = self._sub_gens[sid] + (z,)
+            nid = self._register(self.closure(gens), gens)
             self._extend_cache[key] = nid
         return nid
 
@@ -212,21 +229,26 @@ def sl2_group(p: int) -> ConcreteGroup:
     return G
 
 
+def _psl2_canon(m: tuple, p: int) -> tuple:
+    """The lexicographically smaller of M and -M: the first nonzero entry of
+    the top row decides, and M is the smaller when that entry is below p/2."""
+    (a, b), (c, d) = m
+    if 2 * (a or b) < p:
+        return m
+    return (((-a) % p, (-b) % p), ((-c) % p, (-d) % p))
+
+
 def psl2_group(p: int) -> ConcreteGroup:
     """PSL2(F_p): matrices modulo +-1, represented by the lexicographically
     smaller of M and -M."""
     if p > 13:
         raise PreconditionError("matrix catalog capped at p <= 13")
 
-    def canon(m: tuple) -> tuple:
-        neg = tuple(tuple((-v) % p for v in row) for row in m)
-        return min(m, neg)
-
     def mul(a: tuple, b: tuple) -> tuple:
-        return canon(_mat_mul(a, b, p))
+        return _psl2_canon(_mat_mul(a, b, p), p)
 
-    gens = [canon(((1, 1), (0, 1))), canon(((0, p - 1), (1, 0)))]
-    identity = canon(((1, 0), (0, 1)))
+    gens = [_psl2_canon(((1, 1), (0, 1)), p), _psl2_canon(((0, p - 1), (1, 0)), p)]
+    identity = _psl2_canon(((1, 0), (0, 1)), p)
     elements = [identity]
     seen = {identity}
     qi = 0
@@ -270,9 +292,14 @@ def get_group(name: str) -> ConcreteGroup:
 def generating_tuple_count(G: ConcreteGroup, d: int) -> int:
     """phi_d(G): exact number of ordered d-tuples generating G.
 
-    Tuples are enumerated through their closure states, with the closure of
-    each (subgroup, extra element) pair cached, so the count is exact while
-    the work is proportional to (#subgroup states) * |G| * d.
+    Tuples are enumerated through their closure states.  Appending z to a
+    tuple that generates H gives <H, z>, which depends only on the right
+    coset Hz, so with c(H, r) the number of r-tuples that complete H to G,
+
+        c(H, r) = |H| * (c(H, r-1) + sum over the cosets Hz != H of c(<H, z>, r-1)).
+
+    Each (subgroup, coset) closure is cached, so the count is exact while
+    the work is proportional to sum over the subgroup states H of |G:H| * d.
     """
     if d < 1:
         raise PreconditionError("d must be >= 1")
@@ -286,12 +313,16 @@ def generating_tuple_count(G: ConcreteGroup, d: int) -> int:
     full_size = G.order
 
     def count(sid: int, r: int) -> int:
+        size = len(G._sub_sets[sid])
         if r == 0:
-            return 1 if len(G._sub_sets[sid]) == full_size else 0
+            return 1 if size == full_size else 0
         key = (sid, r)
         got = G._count_cache.get(key)
         if got is None:
-            got = sum(count(G._extend(sid, z), r - 1) for z in range(G.order))
+            got = size * (
+                count(sid, r - 1)
+                + sum(count(G._extend(sid, z), r - 1) for z in G._sub_reps[sid])
+            )
             G._count_cache[key] = got
         return got
 

@@ -128,6 +128,14 @@ def _min_dim(lie_type: LieType, q: int, simple: bool, pairs: Optional[PairSet]) 
     return q ** pairs.min_dim_exponent()
 
 
+def _simple_flag(obj: dict, default: str, pointer: str) -> bool:
+    """The JSON `flag` field: True for "simple", False for "cover"."""
+    flag = obj.get("flag", default)
+    if flag not in ("simple", "cover"):
+        raise SpecFormatError(f"flag must be simple|cover, got {flag!r}", pointer + "/flag")
+    return flag == "simple"
+
+
 @dataclass(frozen=True)
 class FactorSpec:
     """One quasi-simple factor S_lambda(q) or its cover, with multiplicity."""
@@ -196,11 +204,9 @@ class FactorSpec:
         pairs = None
         if "pairs" in obj:
             pairs = PairSet.from_jsonable(obj["pairs"], pointer + "/pairs")
-        flag = obj.get("flag", "simple")
-        if flag not in ("simple", "cover"):
-            raise SpecFormatError(f"flag must be simple|cover, got {flag!r}", pointer + "/flag")
+        simple = _simple_flag(obj, "simple", pointer)
         try:
-            return cls(lt, int(obj["q"]), flag == "simple", mult, pairs)
+            return cls(lt, int(obj["q"]), simple, mult, pairs)
         except PreconditionError as e:
             raise SpecFormatError(str(e), pointer)
 
@@ -310,10 +316,11 @@ class GeometricStratum(_Tower):
             report = validate_pair_set(self.pairs, self.lie_type)
             if not report.ok:
                 raise PreconditionError(f"pair set rejected: {report.violations}")
-        first = self.q ** (self.skip + 1)
-        if tits_excluded(self.lie_type, first):
+        # Tits exclusions have field size 2 or 3, so only the first factor
+        # S(q) of an unskipped tower can be one; q^(skip+1) >= 4 otherwise
+        if self.skip == 0 and tits_excluded(self.lie_type, self.q):
             raise PreconditionError(
-                f"first factor {self.lie_type.label()}({first}) is Tits-excluded; "
+                f"first factor {self.lie_type.label()}({self.q}) is Tits-excluded; "
                 "bump q or the skip prefix"
             )
 
@@ -358,7 +365,7 @@ class GeometricStratum(_Tower):
         pairs = None
         if "pairs" in obj:
             pairs = PairSet.from_jsonable(obj["pairs"], pointer + "/pairs")
-        simple = obj.get("flag", "simple") == "simple"
+        simple = _simple_flag(obj, "simple", pointer)
         return cls(lt, int(obj["q"]), rule, simple, pairs, int(obj.get("skip", 0)))
 
 
@@ -414,7 +421,7 @@ class PrimeStratum(_Tower):
             raise SpecFormatError(
                 "rate_exponent must be 3*E for the A1 prime family", pointer + "/rate_exponent"
             )
-        return cls(int(obj.get("p_min", 5)), e // 3, obj.get("flag", "cover") == "simple")
+        return cls(int(obj.get("p_min", 5)), e // 3, _simple_flag(obj, "cover", pointer))
 
 
 @dataclass(frozen=True)

@@ -218,6 +218,9 @@ def _diagonal(**stage):
         _diagonal(rho_m="1", n_m="x", stratum=GEOM_STAGE),
         {"strata": [{**GEOM_STAGE, "schedule": {**SCHEDULE, "rho": "1/0"}}]},
         {"strata": [{"index": "primes", "p_min": float("inf")}]},
+        {"strata": [{"index": "primes", "flag": "smple"}]},
+        {"strata": [{**GEOM_STAGE, "flag": "smple"}]},
+        _diagonal(rho_m="1", n_m="7", stratum={**GEOM_STAGE, "flag": 1}),
     ],
     ids=[
         "stratum-not-object",
@@ -234,6 +237,9 @@ def _diagonal(**stage):
         "stage-n_m",
         "schedule-rho-zero-denominator",
         "p_min-infinity",
+        "primes-flag",
+        "geometric-flag",
+        "stage-flag",
     ],
 )
 def test_malformed_spec_is_parse_error(capsys, spec):
@@ -241,6 +247,30 @@ def test_malformed_spec_is_parse_error(capsys, spec):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "stratum",
+    [
+        {"index": "primes", "flag": "smple"},
+        {**GEOM_STAGE, "flag": "smple"},
+        _finite(flag="smple")["strata"][0],
+    ],
+    ids=["primes", "geometric", "finite"],
+)
+def test_flag_typo_points_at_the_flag(capsys, stratum):
+    spec = {"strata": [GEOM_STAGE, stratum]}
+    assert main(["prg", "--spec", json.dumps(spec)]) == 2
+    err = capsys.readouterr().err
+    assert "/strata/1/" in err and "/flag: flag must be simple|cover, got 'smple'" in err
+
+
+def test_huge_skip_needs_no_power(capsys):
+    # a command that needs no series must not build q**(skip+1)
+    spec = {"strata": [{**GEOM_STAGE, "skip": 10 ** 8}]}
+    code, out = run(capsys, "prg", "--spec", json.dumps(spec))
+    assert code == 0
+    assert json.loads(out)["prg"]
 
 
 def test_stage_errors_point_into_the_stage_stratum(capsys):

@@ -1,7 +1,12 @@
+import itertools
+import random
+
 import pytest
 
 from repgrowth.errors import BudgetExceededError, PreconditionError
 from repgrowth.finite_groups import (
+    _psl2_canon,
+    alternating_group_5,
     automorphism_count,
     counts_jsonable,
     cyclic_group,
@@ -9,7 +14,25 @@ from repgrowth.finite_groups import (
     get_group,
     min_generators_power,
     permutation_group,
+    psl2_group,
+    sl2_group,
 )
+
+S3_GENS = [(1, 0, 2), (0, 2, 1)]
+
+
+def bfs_closure(G, gens):
+    """Oracle: breadth-first search over right multiplication by gens,
+    sharing no code with ConcreteGroup.closure."""
+    seen = {G.identity}
+    queue = [G.identity]
+    for x in queue:
+        for g in gens:
+            y = G.table[x][g]
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return frozenset(seen)
 
 
 def naive_pair_count(G):
@@ -18,7 +41,7 @@ def naive_pair_count(G):
         1
         for x in range(G.order)
         for y in range(G.order)
-        if len(G.closure((x, y))) == G.order
+        if len(bfs_closure(G, (x, y))) == G.order
     )
 
 
@@ -145,7 +168,74 @@ def test_sl2_5_center_and_order():
 def test_custom_permutation_group_guard():
     with pytest.raises(PreconditionError):
         permutation_group("big", [tuple(range(1, 9)) + (0,)])  # 9 points
-    S3 = permutation_group("S3", [(1, 0, 2), (0, 2, 1)])
+    S3 = permutation_group("S3", S3_GENS)
     assert S3.order == 6
     assert automorphism_count(S3) == 6
     assert generating_tuple_count(S3, 2) == naive_pair_count(S3)
+
+
+@pytest.mark.parametrize(
+    "G", [permutation_group("S3", S3_GENS), alternating_group_5()], ids=["S3", "A5"]
+)
+def test_closure_matches_bfs_on_every_pair(G):
+    for x in range(G.order):
+        for y in range(G.order):
+            assert G.closure((x, y)) == bfs_closure(G, (x, y))
+
+
+def test_closure_matches_bfs_on_random_psl2_7_tuples():
+    G = psl2_group(7)
+    rng = random.Random(7)
+    tuples = [
+        tuple(rng.randrange(G.order) for _ in range(k)) for k in (1, 2, 3) for _ in range(150)
+    ]
+    # tuples drawn inside proper subgroups, so that closures stop short of G
+    subgroups = {bfs_closure(G, t) for t in tuples} - {frozenset(range(G.order))}
+    for H in sorted(subgroups, key=sorted):
+        elems = sorted(H)
+        tuples += [tuple(rng.choice(elems) for _ in range(k)) for k in (2, 3)]
+    proper = 0
+    for t in tuples:
+        want = bfs_closure(G, t)
+        assert G.closure(t) == want
+        proper += len(want) < G.order
+    assert proper > 100
+
+
+def test_phi3_sl2_3_vs_brute_force():
+    G = sl2_group(3)
+    assert G.order == 24
+    brute = sum(
+        1
+        for t in itertools.product(range(G.order), repeat=3)
+        if len(bfs_closure(G, t)) == G.order
+    )
+    assert generating_tuple_count(G, 3) == brute
+
+
+@pytest.mark.parametrize(
+    "make, phi2, phi3, aut",
+    [
+        (lambda: sl2_group(5), 9120, 1601280, 120),
+        # phi_2(PSL2(7)) = 57 * 336: Hall's count of generating pairs
+        (lambda: psl2_group(7), 19152, 4491648, 336),
+    ],
+    ids=["SL2_5", "PSL2_7"],
+)
+def test_counts_frozen(make, phi2, phi3, aut):
+    G = make()
+    assert counts_jsonable(G, [2, 3]) == {
+        "group": G.name,
+        "phi": {"2": phi2, "3": phi3},
+        "aut": aut,
+    }
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_psl2_canon_is_min_of_m_and_minus_m(p):
+    for a, b, c, d in itertools.product(range(p), repeat=4):
+        if (a * d - b * c) % p != 1:
+            continue
+        m = ((a, b), (c, d))
+        neg = (((-a) % p, (-b) % p), ((-c) % p, (-d) % p))
+        assert _psl2_canon(m, p) == min(m, neg)

@@ -508,6 +508,18 @@ def test_tits_exclusion_rejected_in_factors():
     FactorSpec(A1, 4)
 
 
+def test_tits_exclusion_rejected_in_geometric_towers():
+    # only an unskipped tower over q in {2, 3} starts at an excluded factor
+    for q in (2, 3):
+        with pytest.raises(PreconditionError, match="Tits-excluded"):
+            GeometricStratum(A1, q, PolyExponent((0, 1)))
+        GeometricStratum(A1, q, PolyExponent((0, 1)), skip=1)
+    with pytest.raises(PreconditionError, match="Tits-excluded"):
+        GeometricStratum(LieType("G2"), 2, PolyExponent((0, 1)))
+    GeometricStratum(LieType("G2"), 3, PolyExponent((0, 1)))
+    GeometricStratum(A1, 4, PolyExponent((0, 1)))
+
+
 def test_pair_set_validation_in_factors():
     with pytest.raises(PreconditionError):
         FactorSpec(A1, 5, pairs=PairSet([(2, 1)]))
