@@ -7,50 +7,126 @@ rejected outright (the groups there are not quasi-simple).
 """
 from __future__ import annotations
 
-import io
 import csv
+import io
+import itertools
+import math
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 from typing import Dict, Iterator, Optional, Tuple
 
-from .dirichlet import EXACT, DirichletSeries
+from .dirichlet import EXACT, LOG, DirichletSeries
 from .errors import InvariantError, PreconditionError
 
 
+def primes_from(start: int) -> Iterator[int]:
+    """Primes >= start in increasing order.
+
+    A segmented sieve: windows [lo, hi) follow each other with the width
+    doubling from 64.  In each window the multiples d*d, d*(d+1), ... are
+    crossed off for d = 2, 3, 5 and every d <= sqrt(hi - 1) prime to 30,
+    a set that holds every prime up to sqrt(hi - 1).  A window needs
+    O(width) bytes whatever start is.
+    """
+    lo = max(2, start)
+    width = 64
+    while True:
+        hi = lo + width
+        flags = bytearray(b"\x01") * width
+        wheel = (d for d in range(7, isqrt(hi - 1) + 1, 2) if d % 3 and d % 5)
+        for d in itertools.chain((2, 3, 5), wheel):
+            first = max(d * d - lo, -lo % d)  # offset of max(d*d, first multiple >= lo)
+            if first < width:
+                flags[first::d] = bytes(len(range(first, width, d)))
+        yield from itertools.compress(range(lo, hi), flags)
+        lo = hi
+        width *= 2
+
+
+_SMALL_PRIMES = tuple(itertools.takewhile(lambda p: p < 1000, primes_from(2)))
+_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
+_PRIMORIAL = math.prod(_SMALL_PRIMES)
+# Miller-Rabin with the prime bases 2..41 proves primality below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", Math.
+# Comp. 86 (2017)); above it a base can only prove compositeness.
+_MR_BASES = _SMALL_PRIMES[:13]
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin on _MR_BASES for odd n above every base."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def prime_power(q: int) -> Optional[Tuple[int, int]]:
-    """(p, k) with q = p^k, or None.  Trial factorization; smooth values are
-    recognized immediately, desk-scale primes need a sqrt(q) scan."""
+    """(p, k) with q = p^k, or None.
+
+    One gcd with the product of the primes below 1000 finds q's small prime
+    factors.  Without one, q < 1000^2 is prime; a larger q is reduced to its
+    root r with q = r^k and k maximal, and r is tested by Miller-Rabin.
+    Raises PreconditionError when r passes every base but is at least
+    3.3 * 10^24, where that is no proof of primality.
+    """
     if q < 2:
         return None
-    p = None
-    m = q
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            p = d
-            break
-        d += 1 if d == 2 else 2
-    if p is None:
+    g = gcd(q, _PRIMORIAL)
+    if g > 1:
+        if g not in _SMALL_PRIME_SET:
+            return None  # two distinct primes divide q
+        k = 0
+        while q % g == 0:
+            q //= g
+            k += 1
+        return (g, k) if q == 1 else None
+    if q < 1000 * 1000:
         return (q, 1)
-    k = 0
-    while m % p == 0:
-        m //= p
-        k += 1
-    return (p, k) if m == 1 else None
+    # q = r^k needs r >= 1009 > 2^9, so k < bit_length / 9
+    k = 1
+    for e in primes_from(2):
+        if 9 * e > q.bit_length():
+            break
+        while True:
+            r = _iroot(q, e)
+            if r ** e != q:
+                break
+            q, k = r, k * e
+    if not _strong_probable_prime(q):
+        return None
+    if q >= _MR_EXACT_BELOW:
+        raise PreconditionError(
+            f"cannot prove that {q} is prime: it passes Miller-Rabin on the "
+            f"prime bases 2..41, which is a proof only below {_MR_EXACT_BELOW}"
+        )
+    return (q, k)
 
 
 def is_prime(n: int) -> bool:
     pk = prime_power(n)
     return pk is not None and pk[1] == 1
-
-
-def primes_from(start: int) -> Iterator[int]:
-    """Primes >= start in increasing order."""
-    n = max(2, start)
-    while True:
-        if is_prime(n):
-            yield n
-        n += 1
 
 
 @dataclass(frozen=True)
@@ -152,9 +228,11 @@ def cover_degree_check(q: int) -> bool:
 
 
 def zeta_series(t: DegreeTable, N: int, backend: str = EXACT) -> DirichletSeries:
-    """The degree data as an exact truncated series (dims > N dropped)."""
-    s = DirichletSeries(N, {d: m for d, m in t.degrees}, EXACT)
-    return s.to_log() if backend != EXACT else s
+    """The degree data as a truncated series (dims > N dropped); the log
+    backend holds the natural logs of the exact multiplicities."""
+    if backend == EXACT:
+        return DirichletSeries(N, t.degrees, EXACT)
+    return DirichletSeries(N, ((d, math.log(m)) for d, m in t.degrees), LOG)
 
 
 def table_to_jsonable(t: DegreeTable) -> dict:

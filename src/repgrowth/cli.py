@@ -1,8 +1,9 @@
 """Command-line front end: parse specs, run computations, export tables.
 
 Exit codes: 0 ok, 2 parse error, 3 precondition violation, 4 budget
-exhausted, 5 internal invariant failure.  Identical invocations produce
-byte-identical output on the exact backend.
+exhausted (a --budget, or a number too large to materialize exactly),
+5 internal invariant failure.  Identical invocations produce byte-identical
+output on the exact backend.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import char_tables, constructor, finite_groups, growth, invariants, lie_data
+from .dirichlet import RangeOverflow
 from .errors import BudgetExceededError, InvariantError, PreconditionError, SpecFormatError
 
 EXIT_PARSE = 2
@@ -249,6 +251,9 @@ def main(argv: Optional[list] = None) -> int:
         if e.partial is not None and getattr(args, "out", None):
             with open(args.out, "w") as fh:
                 json.dump({"partial_certificate": e.partial.to_jsonable()}, fh, indent=2)
+        return EXIT_BUDGET
+    except RangeOverflow as e:
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
     except (PreconditionError,) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -112,6 +112,17 @@ class Schedule:
             raise SpecFormatError(f"bad schedule: {e}", pointer)
 
 
+def _check_nonnegative(sched: Schedule) -> None:
+    """Raise InvariantError at the first j <= 10^4 with f(j) < 0.  f(j) = 0
+    below j0, so the scan starts there, in plain ints: f(j) >= 0 is
+    n0 * k_j >= m0 * j with k_j = (2*num*j + den) // (2*den)."""
+    num2, den = 2 * sched.rho.numerator, sched.rho.denominator
+    den2, m0, n0 = 2 * den, sched.m0, sched.n0
+    for j in range(sched.j0, _F_NONNEG_HORIZON + 1):
+        if n0 * ((num2 * j + den) // den2) < m0 * j:
+            raise InvariantError(f"schedule violates f({j}) >= 0")
+
+
 def make_schedule(rho: Fraction, t: LieType, a: Optional[PairSet] = None) -> Schedule:
     """Schedule for the type's admissibility threshold rho0 = rk/|Phi+|.
 
@@ -133,9 +144,7 @@ def make_schedule(rho: Fraction, t: LieType, a: Optional[PairSet] = None) -> Sch
     m0, n0 = prec_min(a, rho)
     j0 = math.ceil(1 / (rho - r0))
     sched = Schedule(rho, r0, m0, n0, j0)
-    for j in range(1, _F_NONNEG_HORIZON + 1):
-        if sched.f(j) < 0:
-            raise InvariantError(f"schedule violates f({j}) >= 0")
+    _check_nonnegative(sched)
     # closed form for the tail: k_j >= rho*j - 1/2 and m0 <= n0*rho0 give
     # f(j) >= n0*(j*(rho-rho0) - 1/2) >= n0/2 for j >= j0
     if j0 * (rho - r0) < 1:

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .errors import PreconditionError
 
@@ -118,23 +119,25 @@ class DirichletSeries:
             raise PreconditionError("cutoff must be a positive integer")
         if backend not in (EXACT, LOG):
             raise PreconditionError(f"unknown backend {backend!r}")
-        if isinstance(entries, Mapping):
-            items = entries.items()
-        else:
-            items = entries
+        items = entries.items() if isinstance(entries, Mapping) else entries
         merged: Dict[int, object] = {}
-        for d, m in items:
-            if d < 1:
-                raise PreconditionError(f"dimension {d} is not a positive integer")
-            if d > cutoff:
-                continue  # truncation silently discards
-            if backend == EXACT:
+        if backend == EXACT:
+            for d, m in items:
+                if d < 1:
+                    raise PreconditionError(f"dimension {d} is not a positive integer")
+                if d > cutoff:
+                    continue  # truncation silently discards
                 if not isinstance(m, int) or m <= 0:
                     raise PreconditionError(
                         f"exact multiplicity at dim {d} must be a positive integer"
                     )
                 merged[d] = merged.get(d, 0) + m
-            else:
+        else:
+            for d, m in items:
+                if d < 1:
+                    raise PreconditionError(f"dimension {d} is not a positive integer")
+                if d > cutoff:
+                    continue
                 m = float(m)
                 if not math.isfinite(m):
                     raise PreconditionError(f"log multiplicity at dim {d} must be finite")
@@ -144,7 +147,7 @@ class DirichletSeries:
         object.__setattr__(self, "cutoff", cutoff)
         object.__setattr__(self, "backend", backend)
         object.__setattr__(self, "_dims", tuple(dims))
-        object.__setattr__(self, "_mults", tuple(merged[d] for d in dims))
+        object.__setattr__(self, "_mults", tuple(map(merged.__getitem__, dims)))
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("DirichletSeries is immutable")
@@ -311,13 +314,51 @@ def _log_binomial(M: Multiplicity, k: int) -> float:
     return math.fsum(math.log(M - i) - math.log(i + 1.0) for i in range(k))
 
 
-def power_one_plus(base: DirichletSeries, M: Multiplicity, N: int) -> DirichletSeries:
-    """(1 + x)^M truncated at N, for base = 1 + x with x supported on dims >= 2.
+def _power_terms(x: List[Tuple[int, object]], M: Multiplicity, N: int, backend: str):
+    """The entries of (1 + x)^M - 1 at dims <= N, sorted by dimension, for x
+    a sorted list of (dim, mult) pairs on distinct dims in [2, N].
 
-    Every nontrivial dimension is >= 2, so only k <= log2(N) powers of x can
-    contribute; the exact backend uses exact binomials, the log backend the
+    x^k starts at min_dim(x)^k, so only the powers with min_dim(x)^k <= N
+    contribute, at most log2(N) of them; each one from k = 2 on is one
+    convolve.  The exact backend uses exact binomials, the log backend the
     identity log C(M,k) = sum_{i<k} log((M-i)/(i+1)).
     """
+    if not x:
+        return []
+    exact = backend == EXACT
+    Mi = mult_to_int(M) if exact else None
+    d0 = x[0][0]
+    out: Dict[int, object] = {}
+    terms = x
+    xs = xk = None
+    k = 1
+    while True:
+        if exact:
+            c = math.comb(Mi, k)
+            if c == 0:
+                break
+            for d, m in terms:
+                out[d] = out.get(d, 0) + c * m
+        else:
+            lc = _log_binomial(M, k)
+            if lc == float("-inf"):
+                break
+            for d, m in terms:
+                v = lc + m
+                prev = out.get(d)
+                out[d] = v if prev is None else _logaddexp(prev, v)
+        k += 1
+        if (isinstance(M, int) and k > M) or d0 ** k > N:
+            break
+        if xs is None:
+            xs = xk = DirichletSeries(N, x, backend)
+        xk = convolve(xk, xs, N)
+        terms = xk.items()
+    return sorted(out.items())
+
+
+def power_one_plus(base: DirichletSeries, M: Multiplicity, N: int) -> DirichletSeries:
+    """(1 + x)^M truncated at N, for base = 1 + x with x supported on dims >= 2."""
     if N > base.cutoff:
         raise PreconditionError("power target N exceeds the base cutoff")
     exact = base.backend == EXACT
@@ -329,34 +370,8 @@ def power_one_plus(base: DirichletSeries, M: Multiplicity, N: int) -> DirichletS
     if isinstance(M, int):
         if M < 1:
             raise PreconditionError("power M must be >= 1")
-    x = base.without_dim_one().restrict(N)
-    out: Dict[int, object] = {1: 1 if exact else 0.0}
-    if not x:
-        return DirichletSeries(N, out, base.backend)
-    Mi = mult_to_int(M) if exact else None
-    xk = None
-    k = 0
-    while True:
-        k += 1
-        if isinstance(M, int) and k > M:
-            break
-        xk = x if k == 1 else convolve(xk, x, N)
-        if not xk:
-            break
-        if exact:
-            c = math.comb(Mi, k)
-            if c == 0:
-                break
-            for d, m in xk.items():
-                out[d] = out.get(d, 0) + c * m
-        else:
-            lc = _log_binomial(M, k)
-            if lc == float("-inf"):
-                break
-            for d, m in xk.items():
-                v = lc + m
-                prev = out.get(d)
-                out[d] = v if prev is None else _logaddexp(prev, v)
+    x = [(d, m) for d, m in base.items() if 1 < d <= N]
+    out = [(1, 1 if exact else 0.0)] + _power_terms(x, M, N, base.backend)
     return DirichletSeries(N, out, base.backend)
 
 

@@ -369,10 +369,14 @@ def automorphism_count(G: ConcreteGroup) -> int:
 
     cand_x = [i for i in range(G.order) if orders[i] == orders[a]]
     cand_y = [i for i in range(G.order) if orders[i] == orders[b]]
+    # an automorphism maps ab to xy, so the orders of ab and xy must agree
+    order_ab = orders[t[a][b]]
     count = 0
     n = G.order
     for x in cand_x:
         for y in cand_y:
+            if orders[t[x][y]] != order_ab:
+                continue
             img = (x, y)
             phi = [0] * n
             phi[G.identity] = G.identity

@@ -34,12 +34,13 @@ from .dirichlet import (
     Multiplicity,
     _logaddexp,
     _logsumexp,
+    _power_terms,
     convolve,  # noqa: F401  unused here; kept so growth.convolve stays bound (bench/tests)
     evaluate,
     mult_bits,
     mult_log,
     mult_to_int,
-    power_one_plus,
+    power_one_plus,  # noqa: F401  unused here; kept bound for the same reason
 )
 from .errors import PreconditionError, SpecFormatError
 from .lie_data import (
@@ -47,9 +48,9 @@ from .lie_data import (
     LieType,
     PairSet,
     canonical_pair_set,
-    model_xi,
     tits_excluded,
     validate_pair_set,
+    xi_terms,
 )
 
 LOG_THRESHOLD_BITS = 64.0  # multiplicities above 2^64 push work into the log backend
@@ -171,10 +172,11 @@ class FactorSpec:
         if self.lie_type == A1:
             table = sl2_table(self.q) if not self.simple else psl2_table(self.q)
             return zeta_series(table, N, backend)
-        xi = model_xi(self.pair_set(), self.q, N, EXACT)
-        one = DirichletSeries(N, {1: 1}, EXACT)
-        s = DirichletSeries(N, list(one.items()) + list(xi.items()), EXACT)
-        return s.to_log() if backend == LOG else s
+        entries = xi_terms(self.pair_set(), self.q, N)
+        entries[1] = 1
+        if backend == LOG:
+            entries = {d: math.log(m) for d, m in entries.items()}
+        return DirichletSeries(N, entries, backend)
 
     def to_jsonable(self) -> dict:
         mult = self.multiplicity
@@ -585,9 +587,15 @@ def truncated_zeta(
     taken by (min dim of x_f, enumeration order), and for each one every
     source d1 <= N // min_dim(x_f), high to low, adds acc[d1] * m2 into
     acc[d1 * d2].  Targets exceed their sources, so no source is updated
-    before it is read.  That is about N * sum(|x_f| / min_dim(x_f)) dict
-    updates, for dense and sparse (huge-N) cutoffs alike.  The fixed order
-    keeps log-domain output deterministic.
+    before it is read.  The fixed order keeps log-domain output
+    deterministic.
+
+    Cost: per factor, one unit series, one binomial times each of its few
+    terms, and one convolve per power x_f^k with k >= 2 and
+    min_dim^k <= N (none once min_dim^2 > N, as for every prime p > 2
+    sqrt(N) + 1 in the SL2-over-primes family); then about
+    N * sum(|x_f| / min_dim(x_f)) dict updates for the product, for dense
+    and sparse (huge-N) cutoffs alike.
     """
     if N < 1 or (J is not None and J < 1):
         raise PreconditionError("N and J must be >= 1")
@@ -599,10 +607,8 @@ def truncated_zeta(
 
     terms = []
     for i, f in enumerate(factors):
-        s = f.unit_series(N, backend)
-        if not (isinstance(f.multiplicity, int) and f.multiplicity == 1):
-            s = power_one_plus(s, f.multiplicity, N)
-        x = [(d, m) for d, m in s.items() if d != 1]
+        x = [(d, m) for d, m in f.unit_series(N, backend).items() if d != 1]
+        x = _power_terms(x, f.multiplicity, N, backend)
         if x:
             terms.append((x[0][0], i, x))
     terms.sort(key=lambda t: t[:2])

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from .dirichlet import EXACT, DirichletSeries
 from .errors import PreconditionError, SpecFormatError
@@ -208,17 +208,24 @@ def validate_pair_set(a: PairSet, t: LieType) -> PairSetReport:
     return PairSetReport(not violations, tuple(violations))
 
 
-def model_xi(a: PairSet, q: int, N: int, backend: str = EXACT) -> DirichletSeries:
-    """The basic polynomial with, per pair (m, n), multiplicity q^m at
-    dimension q^n; same-dimension terms accumulate, dims > N are dropped.
-    No constant term: callers add 1 themselves when forming 1 + xi."""
+def xi_terms(a: PairSet, q: int, N: int) -> Dict[int, int]:
+    """The entries of the basic polynomial: per pair (m, n), multiplicity q^m
+    at dimension q^n; same-dimension terms accumulate, dims > N are dropped.
+    Every dimension is at least q >= 2, so there is no constant term."""
     if q < 2:
         raise PreconditionError("q must be at least 2")
-    entries = {}
+    entries: Dict[int, int] = {}
     for m, n in a:
         dim = q ** n
         if dim > N:
             continue
         entries[dim] = entries.get(dim, 0) + q ** m
-    series = DirichletSeries(N, entries, EXACT)
+    return entries
+
+
+def model_xi(a: PairSet, q: int, N: int, backend: str = EXACT) -> DirichletSeries:
+    """The basic polynomial xi_a(q) as a series truncated at N (see
+    :func:`xi_terms`).  No constant term: callers add 1 themselves when
+    forming 1 + xi."""
+    series = DirichletSeries(N, xi_terms(a, q, N), EXACT)
     return series if backend == EXACT else series.to_log()

@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import random
 
 import pytest
 
@@ -37,6 +39,79 @@ def test_prime_power_recognition():
 def test_primes_from():
     it = primes_from(5)
     assert [next(it) for _ in range(5)] == [5, 7, 11, 13, 17]
+
+
+def plain_primes_below(n):
+    """Primes < n by trial division against the primes found so far."""
+    out = []
+    for m in range(2, n):
+        if all(m % p for p in itertools.takewhile(lambda p: p * p <= m, out)):
+            out.append(m)
+    return out
+
+
+ORACLE_PRIMES = plain_primes_below(100_001)  # every prime factor test below 10^10
+
+
+def plain_prime_power(q):
+    """(p, k) with q = p^k, or None, by trial division; q < 10^10."""
+    if q < 2:
+        return None
+    for p in ORACLE_PRIMES:
+        if p * p > q:
+            return (q, 1)
+        if q % p == 0:
+            k = 0
+            while q % p == 0:
+                q //= p
+                k += 1
+            return (p, k) if q == 1 else None
+    raise AssertionError("oracle needs q < 10^10")
+
+
+def test_prime_power_matches_trial_division_below_2e5():
+    for q in range(-3, 200_001):
+        assert prime_power(q) == plain_prime_power(q), q
+
+
+def test_prime_power_matches_trial_division_on_random_q():
+    rng = random.Random(5)
+    for _ in range(20_000):
+        q = rng.randrange(2, 10 ** 10)
+        assert prime_power(q) == plain_prime_power(q), q
+
+
+@pytest.mark.parametrize("p", [2, 3, 997, 1009, 1013, 65537, 1000003])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_prime_power_of_small_and_large_primes(p, k):
+    assert prime_power(p ** k) == (p, k)
+    assert prime_power(p ** k * 1009 * 1013) is None
+
+
+def test_prime_power_products_of_large_primes():
+    assert prime_power(1009 * 1013) is None
+    assert prime_power((1009 * 1013) ** 2) is None
+    assert prime_power(1009 ** 2 * 1013) is None
+
+
+def test_prime_power_beyond_trial_division():
+    m61, m31, m89 = 2 ** 61 - 1, 2 ** 31 - 1, 2 ** 89 - 1
+    assert prime_power(m61) == (m61, 1)
+    assert prime_power(m61 ** 3) == (m61, 3)
+    assert prime_power(m61 * m31) is None  # above the proof bound: composite is exact
+    assert prime_power(m61 * m89) is None
+    with pytest.raises(PreconditionError, match="cannot prove"):
+        prime_power(m89)  # prime, but past the deterministic Miller-Rabin bound
+    # the smallest strong pseudoprime to every base 2..41: passes, so refused
+    with pytest.raises(PreconditionError, match="cannot prove"):
+        prime_power(3_317_044_064_679_887_385_961_981)
+
+
+@pytest.mark.parametrize("start", [0, 1, 2, 5, 63, 64, 65, 66, 127, 128, 129, 1000, 12345])
+def test_primes_from_matches_trial_division(start):
+    want = [p for p in ORACLE_PRIMES if p >= start][:3000]
+    assert want[-1] < ORACLE_PRIMES[-1]
+    assert list(itertools.islice(primes_from(start), 3000)) == want
 
 
 def test_sl2_5_table_matches_brute_force_class_count():

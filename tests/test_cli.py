@@ -282,3 +282,25 @@ def test_stage_errors_point_into_the_stage_stratum(capsys):
 def test_illegal_value_keeps_precondition_exit(capsys):
     spec = {"strata": [{"index": "primes", "p_min": 3}]}
     assert main(["prg", "--spec", json.dumps(spec)]) == 3
+
+
+def test_huge_prime_q_is_recognized(capsys):
+    # 2^61 - 1 needs no trial division: it is proven prime by Miller-Rabin
+    code, out = run(capsys, "zeta", "--group", "SL2", "--q", str(2 ** 61 - 1), "--N", "10")
+    assert code == 0
+    assert json.loads(out)["entries"] == [["1", "1"]]
+
+
+def test_unprovable_prime_q_is_a_precondition_error(capsys):
+    # 2^89 - 1 is prime, but past the bound where Miller-Rabin is a proof
+    code = main(["zeta", "--group", "SL2", "--q", str(2 ** 89 - 1), "--N", "10"])
+    assert code == 3
+    assert "cannot prove" in capsys.readouterr().err
+
+
+def test_unmaterializable_multiplicity_is_a_budget_exit(capsys):
+    code = main(["construct", "diagonal", "--rho", "1000000", "--stages", "1", "--p", "5"])
+    assert code == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: 5**2999995 is too large to materialize")

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from repgrowth.constructor import (
     DiagonalCertificate,
     Schedule,
+    _check_nonnegative,
     build_diagonal,
     build_fixed_type,
     convergence_certificate,
@@ -17,7 +19,7 @@ from repgrowth.constructor import (
     prec_min,
 )
 from repgrowth.dirichlet import cumulative
-from repgrowth.errors import BudgetExceededError, PreconditionError
+from repgrowth.errors import BudgetExceededError, InvariantError, PreconditionError
 from repgrowth.growth import GroupSpec, exact_abscissa, truncated_zeta, with_flag
 from repgrowth.lie_data import LieType, PairSet, canonical_pair_set, rho0
 
@@ -122,6 +124,38 @@ def test_schedule_nonnegativity_everywhere():
     ]:
         sched = make_schedule(rho, t)
         assert all(sched.f(j) >= 0 for j in range(1, 10 ** 4 + 1))
+
+
+# the (rho, stages, p) cases of the benchmark's diagonal_certificate workload
+DIAGONAL_CASES = [(Fraction(2), 7, 5), (Fraction(3), 7, 5), (Fraction(5, 2), 6, 7), (Fraction(2), 6, 7)]
+
+
+def test_nonnegativity_scan_agrees_with_schedule_f():
+    schedules = [
+        make_schedule(rho_m, t)
+        for rho, stages, p in DIAGONAL_CASES
+        for rho_m, t, _ in default_diagonal_targets(rho, stages, p)
+    ]
+    assert len(schedules) == 26
+    # each stage schedule, then variants that f(j) >= 0 may reject
+    cases = [
+        v
+        for s in schedules
+        for v in (s, replace(s, m0=s.m0 + 1), replace(s, j0=1, m0=s.m0 + 1),
+                  replace(s, rho=s.rho0 + Fraction(1, 10 ** 5)))
+    ]
+    # f(1) = k_1 - 2 = 0 only because 3/2 rounds half up; f(2) = 3 - 4
+    cases.append(Schedule(Fraction(3, 2), Fraction(1), 2, 1, 1))
+    failing = 0
+    for v in cases:
+        first = next((j for j in range(1, 10 ** 4 + 1) if v.f(j) < 0), None)
+        if first is None:
+            _check_nonnegative(v)
+            continue
+        failing += 1
+        with pytest.raises(InvariantError, match=rf"f\({first}\) >= 0"):
+            _check_nonnegative(v)
+    assert failing >= 20  # 23 of the 105 cases fail the scan
 
 
 def test_schedule_json_round_trip():
