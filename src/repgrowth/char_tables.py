@@ -129,6 +129,15 @@ def is_prime(n: int) -> bool:
     return pk is not None and pk[1] == 1
 
 
+def _check_degrees(group: str, q: int, degrees, order: int) -> None:
+    """The mass identity sum(mult * d^2) = |G| and a single linear character."""
+    mass = sum(m * d * d for d, m in degrees)
+    if mass != order:
+        raise InvariantError(f"{group}({q}): sum d^2*mult = {mass} != order {order}")
+    if sum(m for d, m in degrees if d == 1) != 1:
+        raise InvariantError(f"{group}({q}): need exactly one linear character")
+
+
 @dataclass(frozen=True)
 class DegreeTable:
     """Character degrees with multiplicities for a fixed group."""
@@ -139,13 +148,7 @@ class DegreeTable:
     order: int
 
     def __post_init__(self):
-        mass = sum(m * d * d for d, m in self.degrees)
-        if mass != self.order:
-            raise InvariantError(
-                f"{self.group}({self.q}): sum d^2*mult = {mass} != order {self.order}"
-            )
-        if dict(self.degrees).get(1) != 1:
-            raise InvariantError(f"{self.group}({self.q}): need exactly one linear character")
+        _check_degrees(self.group, self.q, self.degrees, self.order)
 
     def mult(self, d: int) -> int:
         return dict(self.degrees).get(d, 0)
@@ -176,38 +179,46 @@ def _check_q(q: int) -> None:
         raise PreconditionError(f"q = {q} is excluded: SL2(2), SL2(3) are not quasi-simple")
 
 
-def _table(group: str, q: int, raw: Dict[int, int], order: int) -> DegreeTable:
-    degrees = tuple(sorted((d, m) for d, m in raw.items() if m > 0))
-    return DegreeTable(group, q, degrees, order)
+def a1_degrees(q: int, simple: bool) -> Tuple[Tuple[int, int], ...]:
+    """Sorted (degree, multiplicity) pairs of PSL2(q) when simple, else of
+    SL2(q), for a prime power q >= 4, which the caller checks.
+
+    Even q: SL2(q) = PSL2(q) with 1, q, (q+1) x (q/2-1), (q-1) x q/2.  Odd q:
+    SL2(q) has 1, q, (q+1) x (q-3)/2, (q-1) x (q-1)/2 and the four
+    half-discrete-series characters of degrees (q+-1)/2; PSL2(q) keeps the
+    pair of degree (q+1)/2 when q = 1 mod 4 and (q-1)/2 when q = 3 mod 4.
+    Every result passes the mass identity and has one linear character.
+    """
+    if q % 2 == 0:
+        order = sl2_order(q)
+        raw = ((1, 1), (q - 1, q // 2), (q, 1), (q + 1, q // 2 - 1))
+    elif not simple:
+        order = sl2_order(q)
+        raw = (
+            (1, 1), ((q - 1) // 2, 2), ((q + 1) // 2, 2),
+            (q - 1, (q - 1) // 2), (q, 1), (q + 1, (q - 3) // 2),
+        )
+    elif q % 4 == 1:
+        order = psl2_order(q)
+        raw = ((1, 1), ((q + 1) // 2, 2), (q - 1, (q - 1) // 4), (q, 1), (q + 1, (q - 5) // 4))
+    else:
+        order = psl2_order(q)
+        raw = ((1, 1), ((q - 1) // 2, 2), (q - 1, (q - 3) // 4), (q, 1), (q + 1, (q - 3) // 4))
+    degrees = tuple(sorted((d, m) for d, m in raw if m > 0))
+    _check_degrees("PSL2" if simple else "SL2", q, degrees, order)
+    return degrees
 
 
 def sl2_table(q: int) -> DegreeTable:
-    """SL2(q) degrees.  Odd q: 1, q, (q+1) x (q-3)/2, (q-1) x (q-1)/2 and the
-    four half-discrete-series characters of degrees (q+-1)/2.  Even q:
-    SL2(q) = PSL2(q) with 1, q, (q+1) x (q/2-1), (q-1) x q/2."""
+    """SL2(q) degrees (see :func:`a1_degrees`)."""
     _check_q(q)
-    if q % 2 == 0:
-        raw = {1: 1, q: 1, q + 1: q // 2 - 1, q - 1: q // 2}
-    else:
-        raw = {1: 1, q: 1, q + 1: (q - 3) // 2, q - 1: (q - 1) // 2}
-        raw[(q + 1) // 2] = raw.get((q + 1) // 2, 0) + 2
-        raw[(q - 1) // 2] = raw.get((q - 1) // 2, 0) + 2
-    return _table("SL2", q, raw, sl2_order(q))
+    return DegreeTable("SL2", q, a1_degrees(q, False), sl2_order(q))
 
 
 def psl2_table(q: int) -> DegreeTable:
-    """PSL2(q) degrees; the odd case splits on q mod 4 (which of the two
-    half-degree pairs survives the central quotient)."""
+    """PSL2(q) degrees (see :func:`a1_degrees`)."""
     _check_q(q)
-    if q % 2 == 0:
-        raw = {1: 1, q: 1, q + 1: q // 2 - 1, q - 1: q // 2}
-    elif q % 4 == 1:
-        raw = {1: 1, q: 1, q - 1: (q - 1) // 4, q + 1: (q - 5) // 4}
-        raw[(q + 1) // 2] = raw.get((q + 1) // 2, 0) + 2
-    else:
-        raw = {1: 1, q: 1, q - 1: (q - 3) // 4, q + 1: (q - 3) // 4}
-        raw[(q - 1) // 2] = raw.get((q - 1) // 2, 0) + 2
-    return _table("PSL2", q, raw, psl2_order(q))
+    return DegreeTable("PSL2", q, a1_degrees(q, True), psl2_order(q))
 
 
 def min_nontrivial_degree(t: DegreeTable) -> int:

@@ -32,7 +32,7 @@ def _fraction_arg(text: str) -> Fraction:
 
 
 def _load_spec(arg: str) -> growth.GroupSpec:
-    if arg.strip().startswith("{"):
+    if arg.lstrip()[:1] in ("{", "["):
         text = arg
     elif arg == "-":
         text = sys.stdin.read()
@@ -84,7 +84,7 @@ def _cmd_zeta(args) -> int:
             lines.append(f"{d},{m}")
         _emit(args, "\n".join(lines) + "\n")
     else:
-        _emit_json(args, series.to_jsonable())
+        _emit(args, series.to_json())
     return 0
 
 

@@ -232,6 +232,19 @@ class DirichletSeries:
         ]
         return {"cutoff": self.cutoff, "backend": self.backend, "entries": entries}
 
+    def to_json(self) -> str:
+        """json.dumps(self.to_jsonable(), indent=2, sort_keys=True), byte for
+        byte, written row by row instead of through the pure-Python encoder."""
+        if self.backend == EXACT:
+            rows = [f'    [\n      "{d}",\n      "{m}"\n    ]' for d, m in self.items()]
+        else:
+            rows = [f'    [\n      "{d}",\n      {float(m)!r}\n    ]' for d, m in self.items()]
+        entries = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+        return (
+            f'{{\n  "backend": "{self.backend}",\n  "cutoff": {self.cutoff},\n'
+            f'  "entries": {entries}\n}}'
+        )
+
     @classmethod
     def from_jsonable(cls, obj: dict) -> "DirichletSeries":
         backend = obj["backend"]
@@ -320,7 +333,8 @@ def _power_terms(x: List[Tuple[int, object]], M: Multiplicity, N: int, backend: 
 
     x^k starts at min_dim(x)^k, so only the powers with min_dim(x)^k <= N
     contribute, at most log2(N) of them; each one from k = 2 on is one
-    convolve.  The exact backend uses exact binomials, the log backend the
+    convolve.  When M = 1 or min_dim(x)^2 > N that leaves C(M, 1) * x, a
+    plain list.  The exact backend uses exact binomials, the log backend the
     identity log C(M,k) = sum_{i<k} log((M-i)/(i+1)).
     """
     if not x:
@@ -328,6 +342,11 @@ def _power_terms(x: List[Tuple[int, object]], M: Multiplicity, N: int, backend: 
     exact = backend == EXACT
     Mi = mult_to_int(M) if exact else None
     d0 = x[0][0]
+    if M == 1 or d0 * d0 > N:
+        if exact:
+            return [(d, Mi * m) for d, m in x]
+        lc = _log_binomial(M, 1)
+        return [(d, lc + m) for d, m in x]
     out: Dict[int, object] = {}
     terms = x
     xs = xk = None

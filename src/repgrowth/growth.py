@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
-from .char_tables import primes_from, prime_power, psl2_table, sl2_table, zeta_series
+from .char_tables import a1_degrees, primes_from, prime_power
 from .dirichlet import (
     EXACT,
     LOG,
@@ -66,6 +66,20 @@ def _parse_fraction(text, pointer: str = "") -> Fraction:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError):
         raise SpecFormatError(f"not a rational: {text!r}", pointer)
+
+
+def _int_field(obj: dict, key: str, pointer: str, default: Optional[int] = None) -> int:
+    """int(obj[key]), or the default when the field is absent; a missing
+    required field is an error at the object, a malformed value one at the
+    field itself."""
+    if key not in obj:
+        if default is None:
+            raise SpecFormatError(f"missing field {key!r}", pointer)
+        return default
+    try:
+        return int(obj[key])
+    except (TypeError, ValueError, OverflowError):
+        raise SpecFormatError(f"{key} must be an integer, got {obj[key]!r}", f"{pointer}/{key}")
 
 
 # ---------------------------------------------------------------------------
@@ -167,16 +181,21 @@ class FactorSpec:
     def min_nontrivial_dim(self) -> int:
         return _min_dim(self.lie_type, self.q, self.simple, self.pairs)
 
+    def x_terms(self, N: int, backend: str) -> List[Tuple[int, object]]:
+        """The terms (dim, mult) of x_f = zeta_f - 1 at dims 2..N, sorted by
+        dimension; natural-log multiplicities on the log backend."""
+        if self.lie_type == A1:
+            terms = [(d, m) for d, m in a1_degrees(self.q, self.simple)[1:] if d <= N]
+        else:
+            terms = sorted(xi_terms(self.pair_set(), self.q, N).items())
+        if backend == LOG:
+            return [(d, math.log(m)) for d, m in terms]
+        return terms
+
     def unit_series(self, N: int, backend: str) -> DirichletSeries:
         """The factor's zeta series (constant term included), one copy."""
-        if self.lie_type == A1:
-            table = sl2_table(self.q) if not self.simple else psl2_table(self.q)
-            return zeta_series(table, N, backend)
-        entries = xi_terms(self.pair_set(), self.q, N)
-        entries[1] = 1
-        if backend == LOG:
-            entries = {d: math.log(m) for d, m in entries.items()}
-        return DirichletSeries(N, entries, backend)
+        one = (1, 1 if backend == EXACT else 0.0)
+        return DirichletSeries(N, [one] + self.x_terms(N, backend), backend)
 
     def to_jsonable(self) -> dict:
         mult = self.multiplicity
@@ -196,19 +215,19 @@ class FactorSpec:
     @classmethod
     def from_jsonable(cls, obj: dict, pointer: str = "") -> "FactorSpec":
         lt = LieType.from_jsonable(obj.get("lie_type", {}), pointer + "/lie_type")
-        if "q" not in obj:
-            raise SpecFormatError("missing q", pointer)
+        q = _int_field(obj, "q", pointer)
         mult = obj.get("multiplicity", 1)
         if isinstance(mult, dict):
-            mult = BigPower(int(mult["base"]), int(mult["exponent"]))
+            mp = pointer + "/multiplicity"
+            mult = BigPower(_int_field(mult, "base", mp), _int_field(mult, "exponent", mp))
         else:
-            mult = int(mult)
+            mult = _int_field(obj, "multiplicity", pointer, 1)
         pairs = None
         if "pairs" in obj:
             pairs = PairSet.from_jsonable(obj["pairs"], pointer + "/pairs")
         simple = _simple_flag(obj, "simple", pointer)
         try:
-            return cls(lt, int(obj["q"]), simple, mult, pairs)
+            return cls(lt, q, simple, mult, pairs)
         except PreconditionError as e:
             raise SpecFormatError(str(e), pointer)
 
@@ -368,7 +387,8 @@ class GeometricStratum(_Tower):
         if "pairs" in obj:
             pairs = PairSet.from_jsonable(obj["pairs"], pointer + "/pairs")
         simple = _simple_flag(obj, "simple", pointer)
-        return cls(lt, int(obj["q"]), rule, simple, pairs, int(obj.get("skip", 0)))
+        q, skip = _int_field(obj, "q", pointer), _int_field(obj, "skip", pointer, 0)
+        return cls(lt, q, rule, simple, pairs, skip)
 
 
 @dataclass(frozen=True)
@@ -388,6 +408,13 @@ class PrimeStratum(_Tower):
             raise PreconditionError("multiplicity exponent must be >= 0")
 
     lie_type = A1
+
+    def factors_below(self, bound: int, J: Optional[int]) -> Iterator[FactorSpec]:
+        # every prime p >= p_min has minimal dimension >= (p_min - 1) // 2, so
+        # a p_min far above the bound needs no sieve window at all
+        if (self.p_min - 1) // 2 > bound:
+            return iter(())
+        return super().factors_below(bound, J)
 
     def rate_exponent(self) -> int:
         return 3 * self.mult_exponent
@@ -418,12 +445,13 @@ class PrimeStratum(_Tower):
 
     @classmethod
     def from_jsonable(cls, obj: dict, pointer: str = "") -> "PrimeStratum":
-        e = int(obj.get("rate_exponent", 3))
+        e = _int_field(obj, "rate_exponent", pointer, 3)
         if e % 3 != 0 or e < 0:
             raise SpecFormatError(
                 "rate_exponent must be 3*E for the A1 prime family", pointer + "/rate_exponent"
             )
-        return cls(int(obj.get("p_min", 5)), e // 3, _simple_flag(obj, "cover", pointer))
+        p_min = _int_field(obj, "p_min", pointer, 5)
+        return cls(p_min, e // 3, _simple_flag(obj, "cover", pointer))
 
 
 @dataclass(frozen=True)
@@ -494,7 +522,7 @@ class DiagonalStratum:
             sp = f"{pointer}/stages/{k}"
             rho_m = _parse_fraction(st.get("rho_m"), sp + "/rho_m")
             stratum = _stratum_from_jsonable(st["stratum"], sp + "/stratum", _STAGE_KINDS)
-            stages.append(DiagonalStage(rho_m, stratum, int(st["n_m"])))
+            stages.append(DiagonalStage(rho_m, stratum, _int_field(st, "n_m", sp)))
         return cls(rho, tuple(stages))
 
 
@@ -590,10 +618,12 @@ def truncated_zeta(
     before it is read.  The fixed order keeps log-domain output
     deterministic.
 
-    Cost: per factor, one unit series, one binomial times each of its few
-    terms, and one convolve per power x_f^k with k >= 2 and
-    min_dim^k <= N (none once min_dim^2 > N, as for every prime p > 2
-    sqrt(N) + 1 in the SL2-over-primes family); then about
+    Cost: per factor, one validation (FactorSpec's checks), its terms x_f
+    from a closed form (A1) or the pair set, and one binomial times each of
+    them, with no per-factor series; a factor with a power x_f^k, k >= 2
+    and min_dim^k <= N (none once min_dim^2 > N, as for every prime
+    p > 2 sqrt(N) + 1 in the SL2-over-primes family) adds one series for
+    x_f and one convolve per such power.  Then about
     N * sum(|x_f| / min_dim(x_f)) dict updates for the product, for dense
     and sparse (huge-N) cutoffs alike.
     """
@@ -607,8 +637,7 @@ def truncated_zeta(
 
     terms = []
     for i, f in enumerate(factors):
-        x = [(d, m) for d, m in f.unit_series(N, backend).items() if d != 1]
-        x = _power_terms(x, f.multiplicity, N, backend)
+        x = _power_terms(f.x_terms(N, backend), f.multiplicity, N, backend)
         if x:
             terms.append((x[0][0], i, x))
     terms.sort(key=lambda t: t[:2])

@@ -7,6 +7,8 @@ import pytest
 
 from repgrowth.char_tables import (
     TRIVIAL,
+    DegreeTable,
+    a1_degrees,
     cover_degree_check,
     is_prime,
     min_nontrivial_degree,
@@ -21,7 +23,7 @@ from repgrowth.char_tables import (
     zeta_series,
 )
 from repgrowth.dirichlet import cumulative, evaluate
-from repgrowth.errors import PreconditionError
+from repgrowth.errors import InvariantError, PreconditionError
 from repgrowth.finite_groups import get_group
 
 PRIME_POWERS_4_81 = [q for q in range(4, 82) if prime_power(q) is not None]
@@ -241,3 +243,17 @@ def test_large_q_tables_big_integers():
     t = psl2_table(q)
     assert t.order == q * (q * q - 1) // 2
     assert min_nontrivial_degree(t) == (q + 1) // 2
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_a1_degrees_guard_rejects_the_excluded_fields(q):
+    # no prime-power check, but the single-linear-character guard still runs
+    for simple in (False, True):
+        with pytest.raises(InvariantError, match="one linear character"):
+            a1_degrees(q, simple)
+
+
+def test_degree_table_counts_every_linear_character():
+    with pytest.raises(InvariantError, match="one linear character"):
+        DegreeTable("S3", 2, ((1, 1), (1, 1), (2, 1)), 6)
+

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from repgrowth import growth
 from repgrowth.cli import main
-from repgrowth.growth import GroupSpec, exact_abscissa
+from repgrowth.growth import GroupSpec, exact_abscissa, sl2_over_primes_spec, truncated_zeta
 
 
 def run(capsys, *argv):
@@ -202,25 +203,32 @@ def _diagonal(**stage):
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "spec,pointer",
     [
-        {"strata": [1]},
-        {"strata": {"a": 1}},
-        _finite(q="abc"),
-        _finite(multiplicity="x"),
-        _finite(multiplicity={"base": 2}),
-        _finite(lie_type={"family": "A", "rank": "x"}),
-        {"strata": [{"index": "finite", "factors": [7]}]},
-        {"strata": [{**GEOM_STAGE, "q": "x"}]},
-        {"strata": [{**GEOM_STAGE, "schedule": {"kind": "poly"}}]},
-        {"strata": [{"index": "primes", "p_min": "a"}]},
-        _diagonal(rho_m="1", n_m="7"),
-        _diagonal(rho_m="1", n_m="x", stratum=GEOM_STAGE),
-        {"strata": [{**GEOM_STAGE, "schedule": {**SCHEDULE, "rho": "1/0"}}]},
-        {"strata": [{"index": "primes", "p_min": float("inf")}]},
-        {"strata": [{"index": "primes", "flag": "smple"}]},
-        {"strata": [{**GEOM_STAGE, "flag": "smple"}]},
-        _diagonal(rho_m="1", n_m="7", stratum={**GEOM_STAGE, "flag": 1}),
+        ({"strata": [1]}, "/strata/0"),
+        ({"strata": {"a": 1}}, ""),
+        (_finite(q="abc"), "/strata/0/factors/0/q"),
+        (_finite(multiplicity="x"), "/strata/0/factors/0/multiplicity"),
+        (_finite(multiplicity={"base": 2}), "/strata/0/factors/0/multiplicity"),
+        (_finite(lie_type={"family": "A", "rank": "x"}), "/strata/0"),
+        ({"strata": [{"index": "finite", "factors": [7]}]}, "/strata/0"),
+        ({"strata": [{**GEOM_STAGE, "q": "x"}]}, "/strata/0/q"),
+        ({"strata": [{**GEOM_STAGE, "schedule": {"kind": "poly"}}]}, "/strata/0"),
+        ({"strata": [{"index": "primes", "p_min": "a"}]}, "/strata/0/p_min"),
+        (_diagonal(rho_m="1", n_m="7"), "/strata/0"),
+        (_diagonal(rho_m="1", n_m="x", stratum=GEOM_STAGE), "/strata/0/stages/0/n_m"),
+        (
+            {"strata": [{**GEOM_STAGE, "schedule": {**SCHEDULE, "rho": "1/0"}}]},
+            "/strata/0",
+        ),
+        ({"strata": [{"index": "primes", "p_min": float("inf")}]}, "/strata/0/p_min"),
+        ({"strata": [{"index": "primes", "flag": "smple"}]}, "/strata/0/flag"),
+        ({"strata": [{**GEOM_STAGE, "flag": "smple"}]}, "/strata/0/flag"),
+        (
+            _diagonal(rho_m="1", n_m="7", stratum={**GEOM_STAGE, "flag": 1}),
+            "/strata/0/stages/0/stratum/flag",
+        ),
+        ({"strata": [{"index": "primes", "rate_exponent": "x"}]}, "/strata/0/rate_exponent"),
     ],
     ids=[
         "stratum-not-object",
@@ -240,13 +248,15 @@ def _diagonal(**stage):
         "primes-flag",
         "geometric-flag",
         "stage-flag",
+        "rate_exponent",
     ],
 )
-def test_malformed_spec_is_parse_error(capsys, spec):
+def test_malformed_spec_is_parse_error(capsys, spec, pointer):
     code = main(["prg", "--spec", json.dumps(spec)])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error:")
+    # the pointer of the offending field, or of the stratum when none is named
+    assert err.startswith(f"error: {pointer}: " if pointer else "error: ")
 
 
 @pytest.mark.parametrize(
@@ -276,7 +286,7 @@ def test_huge_skip_needs_no_power(capsys):
 def test_stage_errors_point_into_the_stage_stratum(capsys):
     spec = _diagonal(rho_m="1", n_m="7", stratum={**GEOM_STAGE, "q": "x"})
     assert main(["prg", "--spec", json.dumps(spec)]) == 2
-    assert "/strata/0/stages/0/stratum:" in capsys.readouterr().err
+    assert "/strata/0/stages/0/stratum/q:" in capsys.readouterr().err
 
 
 def test_illegal_value_keeps_precondition_exit(capsys):
@@ -304,3 +314,32 @@ def test_unmaterializable_multiplicity_is_a_budget_exit(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: 5**2999995 is too large to materialize")
+
+
+@pytest.mark.parametrize(
+    "text", ["[]", " [1]", '\n[{"strata": []}]'], ids=["empty", "space-first", "newline-first"]
+)
+def test_inline_json_array_is_a_spec_not_a_path(capsys, text):
+    assert main(["prg", "--spec", text]) == 2
+    assert "spec must be an object with a 'strata' list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d", [3, 4])  # exact, and log by the 2^64 switch
+def test_zeta_json_is_json_dumps_of_the_series(capsys, d):
+    spec = sl2_over_primes_spec(d)
+    code, out = run(capsys, "zeta", "--spec", json.dumps(spec.to_jsonable()), "--N", "300")
+    assert code == 0
+    want = truncated_zeta(spec, 300).to_jsonable()
+    assert out == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("p_min", [10 ** 14, 10 ** 18])
+def test_huge_p_min_enumerates_no_primes(capsys, monkeypatch, p_min):
+    def no_sieve(start):
+        raise AssertionError(f"primes_from({start}) called")
+
+    monkeypatch.setattr(growth, "primes_from", no_sieve)
+    spec = json.dumps({"strata": [{"index": "primes", "p_min": p_min}]})
+    code, out = run(capsys, "zeta", "--spec", spec, "--N", "10")
+    assert code == 0
+    assert json.loads(out)["entries"] == [["1", "1"]]

@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import product
 
@@ -216,3 +217,20 @@ def test_evaluate_limit_is_unit_multiplicity(s):
     assert evaluate(s, 80.0) == pytest.approx(target, abs=1e-12) or (
         target == 0 and evaluate(s, 80.0) < 1e-12
     )
+
+
+TO_JSON_CASES = {
+    "N=1": DirichletSeries(1, {1: 1}),
+    "N=1-log": DirichletSeries(1, {1: 0.0}, LOG),
+    "empty": DirichletSeries(7, {}),
+    "sl2_5": SL2_5,
+    "sl2_5-log": SL2_5.to_log(),
+    "big": DirichletSeries(10 ** 30, {10 ** 29: 3 ** 200, 1: 1}),
+    "floats": DirichletSeries(9, {2: 1e-300, 3: -0.0, 5: 123456.789, 9: 2.0 ** 60}, LOG),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TO_JSON_CASES))
+def test_to_json_is_json_dumps_byte_for_byte(name):
+    s = TO_JSON_CASES[name]
+    assert s.to_json() == json.dumps(s.to_jsonable(), indent=2, sort_keys=True)

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import sys
 import warnings
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ from repgrowth.dirichlet import (
     DirichletSeries,
     convolve,
     cumulative,
+    mult_to_int,
     power_one_plus,
 )
 from repgrowth.errors import PreconditionError, SpecFormatError
@@ -33,6 +36,7 @@ from repgrowth.growth import (
     PrimeStratum,
     RateSummary,
     TruncationWarning,
+    _contributions,
     cover_mn_comparison,
     empirical_slope,
     exact_abscissa,
@@ -43,7 +47,7 @@ from repgrowth.growth import (
     truncated_zeta,
     with_flag,
 )
-from repgrowth.lie_data import LieType, PairSet, rho0
+from repgrowth.lie_data import LieType, PairSet, rho0, xi_terms
 from test_acceptance import _brute_product, _degrees
 
 A1 = LieType("A", 1)
@@ -84,15 +88,45 @@ def test_sl2_5_times_psl2_7_vs_brute_force():
     assert dict(s.items()) == oracle
 
 
+def reference_unit_series(f, N, backend):
+    """A factor's zeta series through the character tables (A1) or a
+    DirichletSeries of its pair-set terms, independent of FactorSpec."""
+    if f.lie_type == A1:
+        return zeta_series(psl2_table(f.q) if f.simple else sl2_table(f.q), N, backend)
+    entries = xi_terms(f.pair_set(), f.q, N)
+    entries[1] = 1
+    if backend == "log":
+        entries = {d: math.log(m) for d, m in entries.items()}
+    return DirichletSeries(N, entries, backend)
+
+
+def reference_power(s, M, N):
+    """(1 + x)^M at dims <= N as the sum over k of C(M, k) x^k, each x^k a
+    plain convolve power: an oracle that does not go through _power_terms."""
+    M = mult_to_int(M)
+    x = DirichletSeries(N, [(d, m) for d, m in s.items() if d != 1])
+    out, xk = {1: 1}, DirichletSeries.one(N)
+    for k in itertools.count(1):
+        xk = convolve(xk, x, N)
+        c = math.comb(M, k)
+        if not xk or c == 0:
+            return DirichletSeries(N, out)
+        for d, m in xk.items():
+            out[d] = out.get(d, 0) + c * m
+
+
 def convolve_chain(factors, N, backend):
-    """Reference reduction: one pairwise convolve per powered factor, in order."""
-    result = DirichletSeries.one(N, backend)
+    """Reference reduction, computed exactly: one pairwise convolve per
+    powered factor, in order; on the log backend, the logs of the result."""
+    result = DirichletSeries.one(N)
     for f in factors:
-        s = f.unit_series(N, backend)
+        s = reference_unit_series(f, N, "exact")
         if f.multiplicity != 1:
-            s = power_one_plus(s, f.multiplicity, N)
+            powered = power_one_plus(s, f.multiplicity, N)
+            assert powered == reference_power(s, f.multiplicity, N)
+            s = powered
         result = convolve(result, s, N)
-    return result
+    return result if backend == "exact" else result.to_log()
 
 
 A1_FIELD_SIZES = (4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27)
@@ -133,6 +167,91 @@ def test_accumulator_matches_convolve_chain_at_sparse_cutoff():
     got = truncated_zeta(spec, N, backend="exact")
     assert len(got) > len(factors)
     assert got == convolve_chain(factors, N, "exact")
+
+
+def _geometric(lie_type, q, simple, coeffs):
+    return GroupSpec((GeometricStratum(lie_type, q, PolyExponent(coeffs), simple),))
+
+
+DIFFERENTIAL_SPECS = {
+    "primes-d3": (lambda: sl2_over_primes_spec(3), (1, 2, 3, 4, 9, 10, 97, 600)),
+    "primes-d3-simple": (lambda: with_flag(sl2_over_primes_spec(3), True), (1, 4, 60, 600)),
+    "primes-d4": (lambda: sl2_over_primes_spec(4), (1, 5, 150, 400)),
+    "primes-d5": (lambda: sl2_over_primes_spec(5), (1, 5, 150, 300)),
+    "A1-simple": (lambda: _geometric(A1, 5, True, (0, 2)), (1, 3, 30, 700, 5000)),
+    "A1-cover": (lambda: _geometric(A1, 9, False, (1, 1)), (1, 4, 50, 3000)),
+    "A2": (lambda: build_fixed_type(Fraction(3, 2), LieType("A", 2), 5), (1, 25, 10 ** 6, 2 ** 80)),
+    "B2": (lambda: _geometric(LieType("B", 2), 3, True, (0, 1)), (1, 3, 10 ** 5, 2 ** 80)),
+    "diagonal": (lambda: _diagonal_spec(), (1, 10, 10 ** 4, 10 ** 7)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_SPECS))
+def test_closed_form_terms_match_the_table_chain(name):
+    # the exact backend is bit-identical to the table chain (zeta_series of
+    # sl2_table/psl2_table, power_one_plus, convolve); the log backend is
+    # within 1e-9 of that chain's logs
+    make, Ns = DIFFERENTIAL_SPECS[name]
+    spec = make()
+    for N in Ns:
+        factors = list(_contributions(spec, N))
+        assert truncated_zeta(spec, N, backend="exact") == convolve_chain(factors, N, "exact")
+        got_log = truncated_zeta(spec, N, backend="log")
+        want_log = convolve_chain(factors, N, "log")
+        assert got_log.dims == want_log.dims
+        for a, b in zip(got_log.mults, want_log.mults):
+            assert abs(a - b) < 1e-9
+        for f in factors:
+            for backend in ("exact", "log"):
+                want = [(d, m) for d, m in reference_unit_series(f, N, backend).items() if d != 1]
+                assert f.x_terms(N, backend) == want
+                assert f.unit_series(N, backend) == reference_unit_series(f, N, backend)
+
+
+def _patch_everywhere(monkeypatch, fn, replacement):
+    """Rebind fn under every name that binds it in a repgrowth module."""
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.split(".")[0] == "repgrowth":
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+def test_prime_tower_builds_no_tables_and_few_series(monkeypatch):
+    N = 3000
+    spec = sl2_over_primes_spec(3)
+    want = truncated_zeta(spec, N)
+    factors = list(_contributions(spec, N))
+    powers = [
+        sum(1 for k in range(2, 64) if f.min_nontrivial_dim() ** k <= N) for f in factors
+    ]
+    bound = 1 + sum(powers) + sum(1 for n in powers if n)
+
+    def refuse(q):
+        raise AssertionError("a per-factor character table was built")
+
+    for fn in (sl2_table, psl2_table):
+        _patch_everywhere(monkeypatch, fn, refuse)
+    calls = []
+    init = DirichletSeries.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DirichletSeries, "__init__", counting_init)
+    assert truncated_zeta(spec, N) == want
+    assert len(factors) > 700 and 0 < sum(powers) < 100
+    assert len(calls) <= bound
+
+
+def test_prime_stratum_stops_before_the_sieve_only_past_the_bound():
+    # p = 23 has minimal dimension (23 - 1) / 2 = 11 in both views
+    for simple in (False, True):
+        s = GroupSpec((PrimeStratum(23, 0, simple),))
+        assert truncated_zeta(s, 10).dims == (1,)
+        assert truncated_zeta(s, 11).dims == (1, 11)
+        assert truncated_zeta(GroupSpec((PrimeStratum(21, 0, simple),)), 11).dims == (1, 11)
 
 
 @settings(max_examples=25, deadline=None)
