@@ -7,13 +7,11 @@ rejected outright (the groups there are not quasi-simple).
 """
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from .dirichlet import EXACT, LOG, DirichletSeries
 from .errors import InvariantError, PreconditionError
@@ -150,14 +148,8 @@ class DegreeTable:
     def __post_init__(self):
         _check_degrees(self.group, self.q, self.degrees, self.order)
 
-    def mult(self, d: int) -> int:
-        return dict(self.degrees).get(d, 0)
-
     def num_characters(self) -> int:
         return sum(m for _, m in self.degrees)
-
-    def degree_dict(self) -> Dict[int, int]:
-        return dict(self.degrees)
 
 
 TRIVIAL = DegreeTable("Trivial", 1, ((1, 1),), 1)
@@ -244,21 +236,3 @@ def zeta_series(t: DegreeTable, N: int, backend: str = EXACT) -> DirichletSeries
     if backend == EXACT:
         return DirichletSeries(N, t.degrees, EXACT)
     return DirichletSeries(N, ((d, math.log(m)) for d, m in t.degrees), LOG)
-
-
-def table_to_jsonable(t: DegreeTable) -> dict:
-    return {
-        "group": t.group,
-        "q": t.q,
-        "order": str(t.order),
-        "degrees": [[d, m] for d, m in t.degrees],
-    }
-
-
-def table_to_csv(t: DegreeTable) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["degree", "multiplicity"])
-    for d, m in t.degrees:
-        w.writerow([d, m])
-    return buf.getvalue()

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Optional
 
-from . import char_tables, constructor, finite_groups, growth, invariants, lie_data
+from . import constructor, finite_groups, growth, invariants, lie_data
 from .dirichlet import RangeOverflow
 from .errors import BudgetExceededError, InvariantError, PreconditionError, SpecFormatError
+from .errors import fraction_field, int_field
 
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
@@ -31,21 +31,47 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational like 3/2: {text!r}")
 
 
-def _load_spec(arg: str) -> growth.GroupSpec:
-    if arg.lstrip()[:1] in ("{", "["):
-        text = arg
-    elif arg == "-":
-        text = sys.stdin.read()
-    else:
-        if not os.path.exists(arg):
-            raise SpecFormatError(f"spec file not found: {arg}")
-        with open(arg) as fh:
-            text = fh.read()
+def _load_json(arg: str):
+    """The JSON value in arg: inline JSON text (first non-space character
+    { or [), - for stdin, or else a file path.  Every unreadable or
+    malformed input is a SpecFormatError."""
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
+        if arg.lstrip()[:1] in ("{", "["):
+            text = arg
+        elif arg == "-":
+            text = sys.stdin.read()
+        else:
+            with open(arg, encoding="utf-8") as fh:
+                text = fh.read()
+    except FileNotFoundError:
+        raise SpecFormatError(f"spec file not found: {arg}")
+    except (OSError, ValueError) as e:  # a directory, bad UTF-8, a NUL in the path
+        raise SpecFormatError(f"cannot read {arg}: {e}")
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:  # bad syntax, a huge integer, deep nesting
         raise SpecFormatError(f"invalid JSON: {e}")
-    return growth.GroupSpec.from_jsonable(obj)
+
+
+def _load_spec(arg: Optional[str]) -> growth.GroupSpec:
+    if arg is None:
+        raise SpecFormatError("needs --spec")
+    return growth.GroupSpec.from_jsonable(_load_json(arg))
+
+
+def _load_targets(arg: str) -> list:
+    """The --targets-json stages: a list of {"rho_m", "lie_type", "p"}."""
+    raw = _load_json(arg)
+    if not isinstance(raw, list) or not all(isinstance(item, dict) for item in raw):
+        raise SpecFormatError("targets must be a list of objects")
+    return [
+        (
+            fraction_field(item, "rho_m", f"/{k}"),
+            lie_data.LieType.from_jsonable(item.get("lie_type"), f"/{k}/lie_type"),
+            int_field(item, "p", f"/{k}"),
+        )
+        for k, item in enumerate(raw)
+    ]
 
 
 def _emit(args, text: str) -> None:
@@ -69,15 +95,11 @@ def _cmd_zeta(args) -> int:
     if args.group:
         if not args.q:
             raise PreconditionError("--group needs --q")
-        table = (
-            char_tables.sl2_table(args.q)
-            if args.group == "SL2"
-            else char_tables.psl2_table(args.q)
-        )
-        series = char_tables.zeta_series(table, args.N)
+        factor = growth.FactorSpec(lie_data.A1, args.q, simple=args.group == "PSL2")
+        spec = growth.GroupSpec((growth.FiniteStratum((factor,)),))
     else:
         spec = _load_spec(args.spec)
-        series = growth.truncated_zeta(spec, args.N, args.J)
+    series = growth.truncated_zeta(spec, args.N, args.J)
     if args.format == "csv":
         lines = ["dimension,multiplicity"]
         for d, m in series.items():
@@ -124,18 +146,8 @@ def _cmd_construct(args) -> int:
         spec = constructor.build_fixed_type(args.rho, t, args.p, args.q)
         _emit_json(args, spec.to_jsonable())
         return 0
-    targets = None
     if args.targets_json:
-        with open(args.targets_json) as fh:
-            raw = json.load(fh)
-        targets = [
-            (
-                Fraction(item["rho_m"]),
-                lie_data.LieType.from_jsonable(item["lie_type"]),
-                int(item["p"]),
-            )
-            for item in raw
-        ]
+        targets = _load_targets(args.targets_json)
     else:
         targets = constructor.default_diagonal_targets(
             args.rho, args.stages, args.p, args.family

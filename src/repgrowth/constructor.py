@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .char_tables import is_prime, prime_power
 from .dirichlet import EXACT, DirichletSeries, cumulative
-from .errors import BudgetExceededError, InvariantError, PreconditionError, SpecFormatError
+from .errors import BudgetExceededError, InvariantError, PreconditionError, fraction_field, int_field
 from .growth import (
     DiagonalStage,
     DiagonalStratum,
@@ -100,16 +100,9 @@ class Schedule:
 
     @classmethod
     def from_jsonable(cls, obj: dict, pointer: str = "") -> "Schedule":
-        try:
-            return cls(
-                Fraction(obj["rho"]),
-                Fraction(obj["rho0"]),
-                int(obj["m0"]),
-                int(obj["n0"]),
-                int(obj["j0"]),
-            )
-        except (KeyError, ValueError) as e:
-            raise SpecFormatError(f"bad schedule: {e}", pointer)
+        rho, rho0 = (fraction_field(obj, key, pointer) for key in ("rho", "rho0"))
+        m0, n0, j0 = (int_field(obj, key, pointer) for key in ("m0", "n0", "j0"))
+        return cls(rho, rho0, m0, n0, j0)
 
 
 def _check_nonnegative(sched: Schedule) -> None:

@@ -98,17 +98,6 @@ def _logsumexp(values) -> float:
     return m + math.log(math.fsum(math.exp(v - m) for v in vals))
 
 
-def _kahan(terms) -> float:
-    total = 0.0
-    comp = 0.0
-    for v in terms:
-        y = v - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
-
-
 class DirichletSeries:
     """Immutable truncated series: sorted dims, parallel multiplicities."""
 
@@ -183,16 +172,6 @@ class DirichletSeries:
     def min_dim(self) -> Optional[int]:
         return self._dims[0] if self._dims else None
 
-    def without_dim_one(self) -> "DirichletSeries":
-        return DirichletSeries(
-            self.cutoff,
-            ((d, m) for d, m in self.items() if d != 1),
-            self.backend,
-        )
-
-    def restrict(self, cutoff: int) -> "DirichletSeries":
-        return DirichletSeries(cutoff, self.items(), self.backend)
-
     def to_log(self) -> "DirichletSeries":
         """Explicit exact -> log conversion (never done implicitly)."""
         if self.backend == LOG:
@@ -256,11 +235,11 @@ class DirichletSeries:
 
 
 def evaluate(s: DirichletSeries, sigma: float) -> float:
-    """Sum mult * dim^(-sigma) with compensated (Kahan) summation.
+    """Sum mult * dim^(-sigma), correctly rounded (math.fsum).
 
-    sigma = 0 is allowed (the total mass, e.g. a class number); terms that
-    leave double range raise :class:`RangeOverflow` (the caller may convert
-    to the log backend), terms that underflow contribute 0.
+    sigma = 0 is allowed (the total mass, e.g. a class number); terms or a
+    sum that leave double range raise :class:`RangeOverflow` (the caller may
+    convert to the log backend), terms that underflow contribute 0.
     """
     if sigma < 0:
         raise PreconditionError("sigma must be nonnegative")
@@ -283,7 +262,12 @@ def evaluate(s: DirichletSeries, sigma: float) -> float:
                 )
             yield math.exp(lt) if lt > -745.0 else 0.0
 
-    return _kahan(terms())
+    try:
+        return math.fsum(terms())
+    except RangeOverflow:
+        raise
+    except OverflowError:
+        raise RangeOverflow("sum exceeds double range; evaluate on the log backend")
 
 
 def convolve(s1: DirichletSeries, s2: DirichletSeries, N: int) -> DirichletSeries:
@@ -411,11 +395,3 @@ def cumulative(s: DirichletSeries, n: int):
     if s.backend == EXACT:
         return sum(s.mults[:idx])
     return _logsumexp(s.mults[:idx])
-
-
-def log_cumulative(s: DirichletSeries, n: int) -> float:
-    """ln R_n on either backend (-inf if nothing counts yet)."""
-    r = cumulative(s, n)
-    if s.backend == LOG:
-        return r
-    return math.log(r) if r > 0 else float("-inf")

@@ -1,4 +1,6 @@
-"""Shared exception types; the CLI maps them onto exit codes."""
+"""Shared exception types, which the CLI maps onto exit codes, and the
+readers of integer and rational JSON fields."""
+from fractions import Fraction
 
 
 class PreconditionError(ValueError):
@@ -11,6 +13,46 @@ class SpecFormatError(ValueError):
     def __init__(self, message: str, pointer: str = ""):
         super().__init__(f"{pointer}: {message}" if pointer else message)
         self.pointer = pointer
+
+
+def _field(obj, key, pointer: str, default, parse, kind: str):
+    """parse(obj[key]) for a JSON integer or string, key a dict key or a list
+    index.  An absent key gives the default, or else an error at the object;
+    any other value (a float, a bool) is an error at the field."""
+    if isinstance(obj, dict) and key not in obj:
+        if default is None:
+            raise SpecFormatError(f"missing field {key!r}", pointer)
+        return default
+    value = obj[key]
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return parse(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise SpecFormatError(f"must be {kind}, got {value!r}", f"{pointer}/{key}")
+
+
+def int_field(obj, key, pointer: str, default=None) -> int:
+    """obj[key] as a JSON integer or a decimal string such as "12"."""
+    return _field(obj, key, pointer, default, int, "an integer")
+
+
+def int_list(value, pointer: str) -> tuple:
+    """A JSON list of integers, each read by int_field."""
+    if not isinstance(value, list):
+        raise SpecFormatError(f"must be a list of integers, got {value!r}", pointer)
+    return tuple(int_field(value, k, pointer) for k in range(len(value)))
+
+
+def _fraction(value) -> Fraction:
+    if "e" in str(value).lower():  # Fraction("1e999999999") builds 10**999999999
+        raise ValueError
+    return Fraction(value)
+
+
+def fraction_field(obj, key, pointer: str) -> Fraction:
+    """obj[key] as a JSON integer or a rational string such as "3/2" or "2.5"."""
+    return _field(obj, key, pointer, None, _fraction, "a rational like 3/2")
 
 
 class BudgetExceededError(RuntimeError):

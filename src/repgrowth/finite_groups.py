@@ -73,9 +73,6 @@ class ConcreteGroup:
             if t[t[a][b]][c] != t[a][t[b][c]]:
                 raise InvariantError("multiplication table is not associative")
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def element_order(self, a: int) -> int:
         k, x = 1, a
         while x != self.identity:
@@ -176,25 +173,28 @@ class ConcreteGroup:
         return f"ConcreteGroup({self.name}, order={self.order})"
 
 
-def permutation_group(name: str, gens: Sequence[tuple]) -> ConcreteGroup:
-    n = len(gens[0])
-    if n > 8:
-        raise PreconditionError("permutation degree capped at 8 points")
-    identity = tuple(range(n))
+def _elements(identity, gens: Sequence, mul) -> List:
+    """Every element generated by gens, breadth first from the identity by
+    right multiplication; the list order fixes the element indices."""
     elements = [identity]
     seen = {identity}
-    qi = 0
-    while qi < len(elements):
-        x = elements[qi]
-        qi += 1
+    for x in elements:  # the loop also visits the elements it appends
         for g in gens:
-            y = _compose(x, g)
+            y = mul(x, g)
             if y not in seen:
                 seen.add(y)
                 elements.append(y)
                 if len(elements) > ORDER_LIMIT:
                     raise PreconditionError("closure exceeded the order limit")
-    return ConcreteGroup(name, elements, _compose, identity)
+    return elements
+
+
+def permutation_group(name: str, gens: Sequence[tuple]) -> ConcreteGroup:
+    n = len(gens[0])
+    if n > 8:
+        raise PreconditionError("permutation degree capped at 8 points")
+    identity = tuple(range(n))
+    return ConcreteGroup(name, _elements(identity, gens, _compose), _compose, identity)
 
 
 def cyclic_group(n: int) -> ConcreteGroup:
@@ -210,20 +210,12 @@ def sl2_group(p: int) -> ConcreteGroup:
     """SL2(F_p) as explicit 2x2 matrices; order p(p^2-1)."""
     if p > 13:
         raise PreconditionError("matrix catalog capped at p <= 13")
+    def mul(a: tuple, b: tuple) -> tuple:
+        return _mat_mul(a, b, p)
+
     gens = [((1, 1), (0, 1)), ((0, p - 1), (1, 0))]
     identity = ((1, 0), (0, 1))
-    elements = [identity]
-    seen = {identity}
-    qi = 0
-    while qi < len(elements):
-        x = elements[qi]
-        qi += 1
-        for g in gens:
-            y = _mat_mul(x, g, p)
-            if y not in seen:
-                seen.add(y)
-                elements.append(y)
-    G = ConcreteGroup(f"SL2_{p}", elements, lambda a, b: _mat_mul(a, b, p), identity)
+    G = ConcreteGroup(f"SL2_{p}", _elements(identity, gens, mul), mul, identity)
     if G.order != p * (p * p - 1):
         raise InvariantError(f"SL2({p}) closure has wrong order {G.order}")
     return G
@@ -249,18 +241,7 @@ def psl2_group(p: int) -> ConcreteGroup:
 
     gens = [_psl2_canon(((1, 1), (0, 1)), p), _psl2_canon(((0, p - 1), (1, 0)), p)]
     identity = _psl2_canon(((1, 0), (0, 1)), p)
-    elements = [identity]
-    seen = {identity}
-    qi = 0
-    while qi < len(elements):
-        x = elements[qi]
-        qi += 1
-        for g in gens:
-            y = mul(x, g)
-            if y not in seen:
-                seen.add(y)
-                elements.append(y)
-    G = ConcreteGroup(f"PSL2_{p}", elements, mul, identity)
+    G = ConcreteGroup(f"PSL2_{p}", _elements(identity, gens, mul), mul, identity)
     expected = p * (p * p - 1) // (2 if p % 2 else 1)
     if G.order != expected:
         raise InvariantError(f"PSL2({p}) closure has wrong order {G.order}")

@@ -42,7 +42,7 @@ from .dirichlet import (
     mult_to_int,
     power_one_plus,  # noqa: F401  unused here; kept bound for the same reason
 )
-from .errors import PreconditionError, SpecFormatError
+from .errors import PreconditionError, SpecFormatError, fraction_field, int_field, int_list
 from .lie_data import (
     A1,
     LieType,
@@ -59,27 +59,6 @@ _MATERIALIZE_BITS = 256    # q^f kept as a plain int while it stays this small
 
 class TruncationWarning(UserWarning):
     """A truncated computation could not certify exactness below its cutoff."""
-
-
-def _parse_fraction(text, pointer: str = "") -> Fraction:
-    try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError):
-        raise SpecFormatError(f"not a rational: {text!r}", pointer)
-
-
-def _int_field(obj: dict, key: str, pointer: str, default: Optional[int] = None) -> int:
-    """int(obj[key]), or the default when the field is absent; a missing
-    required field is an error at the object, a malformed value one at the
-    field itself."""
-    if key not in obj:
-        if default is None:
-            raise SpecFormatError(f"missing field {key!r}", pointer)
-        return default
-    try:
-        return int(obj[key])
-    except (TypeError, ValueError, OverflowError):
-        raise SpecFormatError(f"{key} must be an integer, got {obj[key]!r}", f"{pointer}/{key}")
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +98,7 @@ class PolyExponent:
 def exponent_rule_from_jsonable(obj: dict, pointer: str = ""):
     kind = obj.get("kind")
     if kind == "poly":
-        return PolyExponent(tuple(int(c) for c in obj["coeffs"]))
+        return PolyExponent(int_list(obj["coeffs"], pointer + "/coeffs"))
     if kind == "schedule":
         from .constructor import Schedule  # deferred: constructor imports growth
 
@@ -215,13 +194,13 @@ class FactorSpec:
     @classmethod
     def from_jsonable(cls, obj: dict, pointer: str = "") -> "FactorSpec":
         lt = LieType.from_jsonable(obj.get("lie_type", {}), pointer + "/lie_type")
-        q = _int_field(obj, "q", pointer)
+        q = int_field(obj, "q", pointer)
         mult = obj.get("multiplicity", 1)
         if isinstance(mult, dict):
             mp = pointer + "/multiplicity"
-            mult = BigPower(_int_field(mult, "base", mp), _int_field(mult, "exponent", mp))
+            mult = BigPower(int_field(mult, "base", mp), int_field(mult, "exponent", mp))
         else:
-            mult = _int_field(obj, "multiplicity", pointer, 1)
+            mult = int_field(obj, "multiplicity", pointer, 1)
         pairs = None
         if "pairs" in obj:
             pairs = PairSet.from_jsonable(obj["pairs"], pointer + "/pairs")
@@ -387,7 +366,7 @@ class GeometricStratum(_Tower):
         if "pairs" in obj:
             pairs = PairSet.from_jsonable(obj["pairs"], pointer + "/pairs")
         simple = _simple_flag(obj, "simple", pointer)
-        q, skip = _int_field(obj, "q", pointer), _int_field(obj, "skip", pointer, 0)
+        q, skip = int_field(obj, "q", pointer), int_field(obj, "skip", pointer, 0)
         return cls(lt, q, rule, simple, pairs, skip)
 
 
@@ -445,12 +424,12 @@ class PrimeStratum(_Tower):
 
     @classmethod
     def from_jsonable(cls, obj: dict, pointer: str = "") -> "PrimeStratum":
-        e = _int_field(obj, "rate_exponent", pointer, 3)
+        e = int_field(obj, "rate_exponent", pointer, 3)
         if e % 3 != 0 or e < 0:
             raise SpecFormatError(
                 "rate_exponent must be 3*E for the A1 prime family", pointer + "/rate_exponent"
             )
-        p_min = _int_field(obj, "p_min", pointer, 5)
+        p_min = int_field(obj, "p_min", pointer, 5)
         return cls(p_min, e // 3, _simple_flag(obj, "cover", pointer))
 
 
@@ -516,13 +495,13 @@ class DiagonalStratum:
 
     @classmethod
     def from_jsonable(cls, obj: dict, pointer: str = "") -> "DiagonalStratum":
-        rho = _parse_fraction(obj.get("rho"), pointer + "/rho")
+        rho = fraction_field(obj, "rho", pointer)
         stages = []
         for k, st in enumerate(obj.get("stages", [])):
             sp = f"{pointer}/stages/{k}"
-            rho_m = _parse_fraction(st.get("rho_m"), sp + "/rho_m")
+            rho_m = fraction_field(st, "rho_m", sp)
             stratum = _stratum_from_jsonable(st["stratum"], sp + "/stratum", _STAGE_KINDS)
-            stages.append(DiagonalStage(rho_m, stratum, _int_field(st, "n_m", sp)))
+            stages.append(DiagonalStage(rho_m, stratum, int_field(st, "n_m", sp)))
         return cls(rho, tuple(stages))
 
 
@@ -602,12 +581,11 @@ def truncated_zeta(
     N: int,
     J: Optional[int] = None,
     backend: Optional[str] = None,
-    log_threshold_bits: float = LOG_THRESHOLD_BITS,
 ) -> DirichletSeries:
     """Dirichlet product over every factor that contributes below N.
 
     The backend is chosen automatically: once any factor multiplicity
-    exceeds the threshold (default 2^64), the whole computation runs in the
+    exceeds LOG_THRESHOLD_BITS (2^64), the whole computation runs in the
     log domain; the exact backend is never silently degraded.
 
     Each factor's powered series is 1 + x_f with x_f on dims >= 2, and the
@@ -631,7 +609,7 @@ def truncated_zeta(
         raise PreconditionError("N and J must be >= 1")
     factors = list(_contributions(spec, N, J))
     if backend is None:
-        big = any(mult_bits(f.multiplicity) > log_threshold_bits for f in factors)
+        big = any(mult_bits(f.multiplicity) > LOG_THRESHOLD_BITS for f in factors)
         backend = LOG if big else EXACT
     exact = backend == EXACT
 
@@ -804,11 +782,7 @@ def empirical_slope(spec: GroupSpec, N: int, J: Optional[int] = None) -> SlopeRe
     proxy downward, hence the window."""
     series = truncated_zeta(spec, N, J, backend=LOG)
     dims = series.dims
-    run = float("-inf")
-    prefix: List[float] = []
-    for lm in series.mults:
-        run = lm if run == float("-inf") else _logaddexp(run, lm)
-        prefix.append(run)
+    prefix = list(itertools.accumulate(series.mults, _logaddexp))
 
     def ln_R(n: int) -> float:
         i = bisect_right(dims, n) - 1

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
 
 from .dirichlet import EXACT, DirichletSeries
-from .errors import PreconditionError, SpecFormatError
+from .errors import PreconditionError, SpecFormatError, int_field, int_list
 
 FAMILIES = ("A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2")
 
@@ -75,10 +75,12 @@ class LieType:
 
     @classmethod
     def from_jsonable(cls, obj: dict, pointer: str = "") -> "LieType":
-        try:
-            return cls(obj["family"], int(obj["rank"]), bool(obj.get("twisted", False)))
-        except KeyError as e:
-            raise SpecFormatError(f"missing lie_type field {e}", pointer)
+        if not isinstance(obj, dict) or not isinstance(obj.get("family"), str):
+            raise SpecFormatError("lie_type must be an object with a family string", pointer)
+        twisted = obj.get("twisted", False)
+        if not isinstance(twisted, bool):
+            raise SpecFormatError(f"must be true or false, got {twisted!r}", pointer + "/twisted")
+        return cls(obj["family"], int_field(obj, "rank", pointer), twisted)
 
 
 A1 = LieType("A", 1)
@@ -166,10 +168,12 @@ class PairSet:
 
     @classmethod
     def from_jsonable(cls, obj, pointer: str = "") -> "PairSet":
-        try:
-            return cls((int(m), int(n)) for m, n in obj)
-        except (TypeError, ValueError):
+        if not isinstance(obj, list):
             raise SpecFormatError("pair set must be a list of [m, n] pairs", pointer)
+        pairs = [int_list(pair, f"{pointer}/{k}") for k, pair in enumerate(obj)]
+        if any(len(pair) != 2 for pair in pairs):
+            raise SpecFormatError("pair set must be a list of [m, n] pairs", pointer)
+        return cls(pairs)
 
 
 def canonical_pair_set(t: LieType) -> PairSet:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from repgrowth import growth
+from repgrowth import constructor, growth
 from repgrowth.cli import main
 from repgrowth.growth import GroupSpec, exact_abscissa, sl2_over_primes_spec, truncated_zeta
 
@@ -210,7 +210,7 @@ def _diagonal(**stage):
         (_finite(q="abc"), "/strata/0/factors/0/q"),
         (_finite(multiplicity="x"), "/strata/0/factors/0/multiplicity"),
         (_finite(multiplicity={"base": 2}), "/strata/0/factors/0/multiplicity"),
-        (_finite(lie_type={"family": "A", "rank": "x"}), "/strata/0"),
+        (_finite(lie_type={"family": "A", "rank": "x"}), "/strata/0/factors/0/lie_type/rank"),
         ({"strata": [{"index": "finite", "factors": [7]}]}, "/strata/0"),
         ({"strata": [{**GEOM_STAGE, "q": "x"}]}, "/strata/0/q"),
         ({"strata": [{**GEOM_STAGE, "schedule": {"kind": "poly"}}]}, "/strata/0"),
@@ -219,7 +219,7 @@ def _diagonal(**stage):
         (_diagonal(rho_m="1", n_m="x", stratum=GEOM_STAGE), "/strata/0/stages/0/n_m"),
         (
             {"strata": [{**GEOM_STAGE, "schedule": {**SCHEDULE, "rho": "1/0"}}]},
-            "/strata/0",
+            "/strata/0/schedule/rho",
         ),
         ({"strata": [{"index": "primes", "p_min": float("inf")}]}, "/strata/0/p_min"),
         ({"strata": [{"index": "primes", "flag": "smple"}]}, "/strata/0/flag"),
@@ -229,6 +229,26 @@ def _diagonal(**stage):
             "/strata/0/stages/0/stratum/flag",
         ),
         ({"strata": [{"index": "primes", "rate_exponent": "x"}]}, "/strata/0/rate_exponent"),
+        (_finite(q=7.9), "/strata/0/factors/0/q"),
+        (_finite(q=True), "/strata/0/factors/0/q"),
+        (_finite(multiplicity=True), "/strata/0/factors/0/multiplicity"),
+        (_finite(pairs=[[1.9, 3]]), "/strata/0/factors/0/pairs/0/0"),
+        (_finite(pairs=[[1, 1, 1]]), "/strata/0/factors/0/pairs"),
+        (_finite(lie_type={"family": "A", "rank": 1.0}), "/strata/0/factors/0/lie_type/rank"),
+        (_finite(lie_type=["A", 1]), "/strata/0/factors/0/lie_type"),
+        ({"strata": [{**GEOM_STAGE, "schedule": {"kind": "poly", "coeffs": [0, 1.5]}}]},
+         "/strata/0/schedule/coeffs/1"),
+        ({"strata": [{**GEOM_STAGE, "schedule": {"kind": "poly", "coeffs": "01"}}]},
+         "/strata/0/schedule/coeffs"),
+        ({"strata": [{**GEOM_STAGE, "schedule": {**SCHEDULE, "m0": 1.0}}]}, "/strata/0/schedule/m0"),
+        ({"strata": [{**GEOM_STAGE, "schedule": {**SCHEDULE, "rho": 2.1}}]}, "/strata/0/schedule/rho"),
+        (
+            {"strata": [{**GEOM_STAGE, "lie_type": {"family": "A", "rank": 2, "twisted": "false"}}]},
+            "/strata/0/lie_type/twisted",
+        ),
+        ({"strata": [{"index": "primes", "p_min": True}]}, "/strata/0/p_min"),
+        (_diagonal(rho_m="1", n_m=7.0, stratum=GEOM_STAGE), "/strata/0/stages/0/n_m"),
+        (_diagonal(rho_m=1.5, n_m="7", stratum=GEOM_STAGE), "/strata/0/stages/0/rho_m"),
     ],
     ids=[
         "stratum-not-object",
@@ -249,6 +269,21 @@ def _diagonal(**stage):
         "geometric-flag",
         "stage-flag",
         "rate_exponent",
+        "q-float",
+        "q-bool",
+        "multiplicity-bool",
+        "pair-float",
+        "pair-triple",
+        "rank-float",
+        "lie_type-list",
+        "coeff-float",
+        "coeffs-string",
+        "schedule-m0-float",
+        "schedule-rho-float",
+        "twisted-string",
+        "p_min-bool",
+        "stage-n_m-float",
+        "stage-rho_m-float",
     ],
 )
 def test_malformed_spec_is_parse_error(capsys, spec, pointer):
@@ -343,3 +378,141 @@ def test_huge_p_min_enumerates_no_primes(capsys, monkeypatch, p_min):
     code, out = run(capsys, "zeta", "--spec", spec, "--N", "10")
     assert code == 0
     assert json.loads(out)["entries"] == [["1", "1"]]
+
+
+def test_integer_and_rational_fields_take_decimal_strings(capsys):
+    def same_output(a, b, *argv):
+        got = run(capsys, *argv, "--spec", json.dumps(a))
+        assert got[0] == 0 and run(capsys, *argv, "--spec", json.dumps(b)) == got
+        return got[1]
+
+    same_output(_finite(q=7, multiplicity=2), _finite(q="7", multiplicity="2"), "zeta", "--N", "50")
+
+    def rho(r):
+        return {"strata": [{**GEOM_STAGE, "schedule": {**SCHEDULE, "rho": r}}]}
+
+    out = same_output(rho("2.1"), rho("21/10"), "abscissa")
+    assert json.loads(out)["abscissa"] == "21/10"
+
+
+@pytest.mark.parametrize("group", ["SL2", "PSL2"])
+@pytest.mark.parametrize("q", [4, 5, 7, 9, 27])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_zeta_group_is_the_one_factor_spec(capsys, group, q, fmt):
+    flag = "simple" if group == "PSL2" else "cover"
+    spec = json.dumps(_finite(q=q, flag=flag))
+    for N in ("1", "10", "1000"):
+        by_group = run(capsys, "zeta", "--group", group, "--q", str(q), "--N", N, "--format", fmt)
+        by_spec = run(capsys, "zeta", "--spec", spec, "--N", N, "--format", fmt)
+        assert by_group[0] == 0 and by_group == by_spec
+
+
+@pytest.mark.parametrize("group", ["SL2", "PSL2"])
+def test_zeta_group_rejects_the_excluded_fields(capsys, group):
+    for q in ("2", "3"):
+        assert main(["zeta", "--group", group, "--q", q, "--N", "10"]) == 3
+        assert "Tits-excluded" in capsys.readouterr().err
+
+
+def _spec_error(capsys, *argv):
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    assert out == ""
+    return code, err
+
+
+def test_spec_path_that_is_a_directory(capsys, tmp_path):
+    code, err = _spec_error(capsys, "prg", "--spec", str(tmp_path))
+    assert code == 2 and err.startswith(f"error: cannot read {tmp_path}:")
+
+
+def test_spec_file_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_bytes(b'{"strata": ["\xff"]}')
+    code, err = _spec_error(capsys, "prg", "--spec", str(path))
+    assert code == 2 and err.startswith(f"error: cannot read {path}:")
+
+
+@pytest.mark.parametrize("inline", [True, False], ids=["inline", "file"])
+def test_deeply_nested_spec(capsys, tmp_path, inline):
+    text = "[" * 100000
+    if not inline:
+        (tmp_path / "deep.json").write_text(text)
+        text = str(tmp_path / "deep.json")
+    code, err = _spec_error(capsys, "zeta", "--spec", text, "--N", "5")
+    assert code == 2 and err.startswith("error: invalid JSON:")
+
+
+def test_zeta_without_group_or_spec(capsys):
+    code, err = _spec_error(capsys, "zeta", "--N", "5")
+    assert code == 2 and err == "error: needs --spec\n"
+
+
+def _targets_jsonable(targets):
+    return [
+        {"rho_m": str(rho_m), "lie_type": t.to_jsonable(), "p": p} for rho_m, t, p in targets
+    ]
+
+
+def test_targets_json_equal_to_the_default_stages(capsys, tmp_path):
+    path = tmp_path / "targets.json"
+    targets = constructor.default_diagonal_targets(Fraction(2), 2, 5)
+    path.write_text(json.dumps(_targets_jsonable(targets)))
+    base = ("construct", "diagonal", "--rho", "2", "--p", "5")
+    from_file = run(capsys, *base, "--targets-json", str(path))
+    default = run(capsys, *base, "--stages", "2")
+    assert default[0] == 0 and from_file == default
+
+
+STAGE = {"rho_m": "1", "lie_type": {"family": "A", "rank": 2}, "p": 5}
+
+
+@pytest.mark.parametrize(
+    "targets,pointer",
+    [
+        ("{not json", ""),
+        ({"rho_m": "1"}, ""),
+        ([7], ""),
+        ([{k: v for k, v in STAGE.items() if k != "rho_m"}], "/0"),
+        ([{**STAGE, "rho_m": 1.5}], "/0/rho_m"),
+        ([{**STAGE, "rho_m": "x"}], "/0/rho_m"),
+        ([{k: v for k, v in STAGE.items() if k != "lie_type"}], "/0/lie_type"),
+        ([{**STAGE, "lie_type": "A2"}], "/0/lie_type"),
+        ([{**STAGE, "lie_type": {"family": "A", "rank": 2.5}}], "/0/lie_type/rank"),
+        ([{**STAGE, "lie_type": {"family": "A", "rank": 2, "twisted": 0}}], "/0/lie_type/twisted"),
+        ([{k: v for k, v in STAGE.items() if k != "p"}], "/0"),
+        ([{**STAGE, "p": 5.0}], "/0/p"),
+        ([STAGE, {**STAGE, "p": "five"}], "/1/p"),
+    ],
+    ids=[
+        "bad-json",
+        "not-a-list",
+        "item-not-object",
+        "no-rho_m",
+        "rho_m-float",
+        "rho_m-string",
+        "no-lie_type",
+        "lie_type-string",
+        "rank-float",
+        "twisted-int",
+        "no-p",
+        "p-float",
+        "p-string",
+    ],
+)
+def test_malformed_targets_json_is_parse_error(capsys, tmp_path, targets, pointer):
+    path = tmp_path / "targets.json"
+    path.write_text(targets if isinstance(targets, str) else json.dumps(targets))
+    code, err = _spec_error(
+        capsys, "construct", "diagonal", "--rho", "2", "--p", "5", "--targets-json", str(path)
+    )
+    assert code == 2
+    assert err.startswith(f"error: {pointer}: " if pointer else "error: ")
+
+
+def test_missing_targets_json_file(capsys, tmp_path):
+    missing = str(tmp_path / "nope.json")
+    code, err = _spec_error(
+        capsys, "construct", "diagonal", "--rho", "2", "--p", "5", "--targets-json", missing
+    )
+    assert code == 2 and err == f"error: spec file not found: {missing}\n"

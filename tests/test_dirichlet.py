@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -16,7 +17,6 @@ from repgrowth.dirichlet import (
     convolve,
     cumulative,
     evaluate,
-    log_cumulative,
     power_one_plus,
 )
 from repgrowth.errors import PreconditionError
@@ -70,10 +70,31 @@ def test_evaluate_overflow_is_a_range_error():
     assert evaluate(big.to_log(), 450.0) == pytest.approx(evaluate(big, 450.0), rel=1e-9)
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    st.dictionaries(st.integers(0, 52), st.integers(1, 2 ** 40), min_size=1, max_size=30),
+    st.integers(0, 3),
+)
+def test_evaluate_is_fsum_of_the_exact_terms(entries, sigma):
+    # dims 2^k < 2^53 and integer sigma: every term m * d^-sigma is a double, so the
+    # result must be the correctly rounded exact sum
+    s = DirichletSeries(2 ** 60, {2 ** k: m for k, m in entries.items()})
+    terms = [Fraction(m, d ** sigma) for d, m in s.items()]
+    assert evaluate(s, sigma) == math.fsum(map(float, terms)) == float(sum(terms))
+
+
+def test_evaluate_sum_past_double_range_is_a_range_error():
+    # each term is 2^1020 < DBL_MAX, their sum is 2^1025 > DBL_MAX
+    s = DirichletSeries(100, {d: 2 ** 1020 for d in range(1, 33)})
+    for series in (s, s.to_log()):
+        with pytest.raises(RangeOverflow, match="sum exceeds double range"):
+            evaluate(series, 0.0)
+
+
 def test_convolve_identity():
     one = DirichletSeries(120, {1: 1})
     assert convolve(SL2_5, one, 120) == SL2_5
-    assert convolve(SL2_5, one, 25) == SL2_5.restrict(25)
+    assert convolve(SL2_5, one, 25) == DirichletSeries(25, SL2_5.items())
 
 
 def test_convolve_a5_squared_r25():
@@ -138,8 +159,8 @@ def test_cumulative_examples_and_cutoff_guard():
 
 
 def test_log_cumulative_both_backends():
-    assert log_cumulative(A5, 5) == pytest.approx(math.log(5))
-    assert log_cumulative(A5.to_log(), 5) == pytest.approx(math.log(5), rel=1e-12)
+    assert cumulative(A5, 5) == 5
+    assert cumulative(A5.to_log(), 5) == pytest.approx(math.log(5), rel=1e-12)
 
 
 def test_serialization_round_trip():

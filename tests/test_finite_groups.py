@@ -1,10 +1,15 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 
 from repgrowth.errors import BudgetExceededError, PreconditionError
 from repgrowth.finite_groups import (
+    ConcreteGroup,
+    _compose,
+    _elements,
+    _mat_mul,
     _psl2_canon,
     alternating_group_5,
     automorphism_count,
@@ -239,3 +244,54 @@ def test_psl2_canon_is_min_of_m_and_minus_m(p):
         m = ((a, b), (c, d))
         neg = (((-a) % p, (-b) % p), ((-c) % p, (-d) % p))
         assert _psl2_canon(m, p) == min(m, neg)
+
+
+def _psl2_mul(p):
+    return lambda a, b: _psl2_canon(_mat_mul(a, b, p), p)
+
+
+# name: (identity, generators, multiplication, public constructor)
+BUILDS = {
+    "A5": (tuple(range(5)), [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)], _compose, alternating_group_5),
+    "SL2_5": (
+        ((1, 0), (0, 1)),
+        [((1, 1), (0, 1)), ((0, 4), (1, 0))],
+        lambda a, b: _mat_mul(a, b, 5),
+        lambda: sl2_group(5),
+    ),
+    "PSL2_7": (
+        _psl2_canon(((1, 0), (0, 1)), 7),
+        [_psl2_canon(((1, 1), (0, 1)), 7), _psl2_canon(((0, 6), (1, 0)), 7)],
+        _psl2_mul(7),
+        lambda: psl2_group(7),
+    ),
+}
+
+
+def plain_bfs(identity, gens, mul):
+    """Oracle: the elements in the order a FIFO queue from the identity
+    reaches them, right-multiplying by each generator in turn."""
+    elements, seen, queue = [identity], {identity}, deque([identity])
+    while queue:
+        x = queue.popleft()
+        for g in gens:
+            y = mul(x, g)
+            if y not in seen:
+                seen.add(y)
+                elements.append(y)
+                queue.append(y)
+    return elements
+
+
+@pytest.mark.parametrize("name", sorted(BUILDS))
+def test_shared_element_builder_is_a_plain_bfs(name):
+    identity, gens, mul, build = BUILDS[name]
+    want = plain_bfs(identity, gens, mul)
+    assert _elements(identity, gens, mul) == want
+    # the constructors index the elements in that order
+    assert build().table == ConcreteGroup(name, want, mul, identity).table
+
+
+def test_element_builder_stops_at_the_order_limit():
+    with pytest.raises(PreconditionError, match="order limit"):
+        sl2_group(13)  # order 2184 > ORDER_LIMIT
