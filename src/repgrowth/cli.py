@@ -1,14 +1,15 @@
 """Command-line front end: parse specs, run computations, export tables.
 
-Exit codes: 0 ok, 2 parse error, 3 precondition violation, 4 budget
-exhausted (a --budget, or a number too large to materialize exactly),
-5 internal invariant failure.  Identical invocations produce byte-identical
-output on the exact backend.
+Exit codes: 0 ok, 1 stdout closed early, 2 parse error, 3 precondition
+violation, 4 budget exhausted (a --budget, or a number too large to
+materialize exactly), 5 internal invariant failure.  Identical invocations
+produce byte-identical output on the exact backend.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -16,7 +17,7 @@ from typing import Optional
 from . import constructor, finite_groups, growth, invariants, lie_data
 from .dirichlet import RangeOverflow
 from .errors import BudgetExceededError, InvariantError, PreconditionError, SpecFormatError
-from .errors import fraction_field, int_field
+from .errors import fraction_field, int_field, rational
 
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
@@ -25,8 +26,9 @@ EXIT_INVARIANT = 5
 
 
 def _fraction_arg(text: str) -> Fraction:
+    """--rho, read like the rational spec fields (no exponent notation)."""
     try:
-        return Fraction(text)
+        return rational(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational like 3/2: {text!r}")
 
@@ -141,6 +143,8 @@ def _cmd_abscissa(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    if args.p is None and not (args.mode == "diagonal" and args.targets_json):
+        raise SpecFormatError("needs --p")
     if args.mode == "fixed":
         t = lie_data.LieType(args.family, args.rank, args.twisted)
         spec = constructor.build_fixed_type(args.rho, t, args.p, args.q)
@@ -221,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="A")
     p.add_argument("--rank", type=int, default=1)
     p.add_argument("--twisted", action="store_true")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=int, help="required unless --targets-json gives the stages")
     p.add_argument("--q", type=int)
     p.add_argument("--stages", type=int, default=4)
     p.add_argument("--targets-json")
@@ -276,7 +280,15 @@ def main(argv: Optional[list] = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout was closed early (say by `| head`): Python's documented
+        # recipe points stdout at devnull so that the flush at exit is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

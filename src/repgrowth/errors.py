@@ -44,7 +44,9 @@ def int_list(value, pointer: str) -> tuple:
     return tuple(int_field(value, k, pointer) for k in range(len(value)))
 
 
-def _fraction(value) -> Fraction:
+def rational(value) -> Fraction:
+    """value, an integer or a string such as "3/2" or "2.5" without an
+    exponent, as a Fraction; anything else raises ValueError."""
     if "e" in str(value).lower():  # Fraction("1e999999999") builds 10**999999999
         raise ValueError
     return Fraction(value)
@@ -52,7 +54,7 @@ def _fraction(value) -> Fraction:
 
 def fraction_field(obj, key, pointer: str) -> Fraction:
     """obj[key] as a JSON integer or a rational string such as "3/2" or "2.5"."""
-    return _field(obj, key, pointer, None, _fraction, "a rational like 3/2")
+    return _field(obj, key, pointer, None, rational, "a rational like 3/2")
 
 
 class BudgetExceededError(RuntimeError):

@@ -52,7 +52,8 @@ class ConcreteGroup:
             self.inverse[i] = row.index(self.identity)
         self._spot_check_associativity()
         self._whole: FrozenSet[int] = frozenset(range(self.order))
-        # caches shared across the counting operations
+        # caches shared across the counting operations; the subgroup
+        # registry maps every subgroup reached to its conjugacy class index
         self._sub_index: Dict[FrozenSet[int], int] = {}
         self._sub_sets: List[FrozenSet[int]] = []
         self._sub_gens: List[Tuple[int, ...]] = []
@@ -139,17 +140,18 @@ class ConcreteGroup:
     # -- subgroup registry for the tuple-count recursion ------------------
 
     def _register(self, sub: FrozenSet[int], gens: Tuple[int, ...]) -> int:
-        """Index of the subgroup sub, generated by gens.  A new subgroup H
-        also stores one representative of each right coset Hz outside H:
-        <H, z> = <H, hz> for every h in H, so an extension of H depends
-        only on the coset."""
+        """Index of the conjugacy class of the subgroup sub, generated by
+        gens.  The first subgroup H seen of a class is its representative:
+        every conjugate gHg^-1 maps to the same index, and only H stores one
+        representative of each right coset Hz outside H (<H, z> = <H, hz>
+        for every h in H, so an extension of H depends only on the coset)."""
         sid = self._sub_index.get(sub)
         if sid is None:
             sid = len(self._sub_sets)
-            self._sub_index[sub] = sid
             self._sub_sets.append(sub)
             self._sub_gens.append(gens)
             t = self.table
+            inv = self.inverse
             covered = set(sub)
             reps = []
             for z in range(self.order):
@@ -157,10 +159,16 @@ class ConcreteGroup:
                     reps.append(z)
                     covered.update([t[h][z] for h in sub])
             self._sub_reps.append(tuple(reps))
+            # gHg^-1 depends only on the left coset gH, and g = z^-1 runs
+            # over one element of each as z runs over 1 and the reps
+            for z in (self.identity, *reps):
+                g = inv[z]
+                self._sub_index.setdefault(frozenset([t[t[g][h]][z] for h in sub]), sid)
         return sid
 
     def _extend(self, sid: int, z: int) -> int:
-        """Index of <H, z> for the subgroup H = sid and z outside H."""
+        """Class index of <H, z> for the representative H of the class sid
+        and z outside H; called once per right coset of H."""
         key = (sid, z)
         nid = self._extend_cache.get(key)
         if nid is None:
@@ -279,8 +287,12 @@ def generating_tuple_count(G: ConcreteGroup, d: int) -> int:
 
         c(H, r) = |H| * (c(H, r-1) + sum over the cosets Hz != H of c(<H, z>, r-1)).
 
-    Each (subgroup, coset) closure is cached, so the count is exact while
-    the work is proportional to sum over the subgroup states H of |G:H| * d.
+    Conjugation by g maps the r-tuples completing H to those completing
+    gHg^-1, so c(H, r) = c(gHg^-1, r) (the symmetry behind P. Hall's
+    Eulerian functions) and the recursion runs over one representative H of
+    each conjugacy class of subgroups reached.  Each (class, coset) closure
+    is cached, so the count is exact while the work is proportional to the
+    sum over those representatives of |G:H| * d.
     """
     if d < 1:
         raise PreconditionError("d must be >= 1")
@@ -314,7 +326,10 @@ def generating_tuple_count(G: ConcreteGroup, d: int) -> int:
 
 def automorphism_count(G: ConcreteGroup) -> int:
     """|Aut(G)| by brute force: fix one generating pair (a, b) and count the
-    images (x, y) whose extension is a bijective homomorphism."""
+    images (x, y) whose extension is a bijective homomorphism.  Composing
+    with an inner automorphism shows that (x, y) and (gxg^-1, gyg^-1) are
+    valid together, so x runs over one element of each conjugacy class of
+    elements of a's order, and each valid pair counts the class size."""
     if G.order > AUT_ORDER_LIMIT:
         raise PreconditionError(f"automorphism counting capped at order {AUT_ORDER_LIMIT}")
     if G._aut_cache is not None:
@@ -348,13 +363,15 @@ def automorphism_count(G: ConcreteGroup) -> int:
                 via[y] = gi
                 bfs.append(y)
 
-    cand_x = [i for i in range(G.order) if orders[i] == orders[a]]
+    cand_x = [
+        (min(cls), len(cls)) for cls in G.conjugacy_classes() if orders[min(cls)] == orders[a]
+    ]
     cand_y = [i for i in range(G.order) if orders[i] == orders[b]]
     # an automorphism maps ab to xy, so the orders of ab and xy must agree
     order_ab = orders[t[a][b]]
     count = 0
     n = G.order
-    for x in cand_x:
+    for x, size in cand_x:
         for y in cand_y:
             if orders[t[x][y]] != order_ab:
                 continue
@@ -372,7 +389,7 @@ def automorphism_count(G: ConcreteGroup) -> int:
                     ok = False
                     break
             if ok and len(set(phi)) == n:
-                count += 1
+                count += size
     G._aut_cache = count
     return count
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import repgrowth
 from repgrowth import constructor, growth
 from repgrowth.cli import main
 from repgrowth.growth import GroupSpec, exact_abscissa, sl2_over_primes_spec, truncated_zeta
@@ -516,3 +520,69 @@ def test_missing_targets_json_file(capsys, tmp_path):
         capsys, "construct", "diagonal", "--rho", "2", "--p", "5", "--targets-json", missing
     )
     assert code == 2 and err == f"error: spec file not found: {missing}\n"
+
+
+@pytest.mark.parametrize("rho", ["1e3000000", "1E5", "2e0"])
+def test_rho_in_exponent_notation_is_parse_error(capsys, rho):
+    # a bare Fraction(rho) would build 10**3000000 before anything failed
+    code, err = _spec_error(capsys, "construct", "fixed", "--rho", rho, "--p", "5")
+    assert code == 2 and "error: argument --rho: not a rational" in err
+
+
+def test_rho_as_decimal_or_fraction_prints_the_same_spec(capsys):
+    base = ("construct", "fixed", "--p", "5")
+    decimal = run(capsys, *base, "--rho", "2.5")
+    assert decimal[0] == 0 and run(capsys, *base, "--rho", "5/2") == decimal
+    assert run(capsys, *base, "--rho", "2") == run(capsys, *base, "--rho", "4/2")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("fixed", "--rho", "2"), ("diagonal", "--rho", "2"), ("diagonal", "--rho", "2", "--stages", "3")],
+    ids=["fixed", "diagonal", "diagonal-stages"],
+)
+def test_construct_without_p_is_parse_error(capsys, argv):
+    code, err = _spec_error(capsys, "construct", *argv)
+    assert code == 2 and err == "error: needs --p\n"
+
+
+def test_targets_json_needs_no_p(capsys, tmp_path):
+    path = tmp_path / "targets.json"
+    targets = constructor.default_diagonal_targets(Fraction(2), 2, 5)
+    path.write_text(json.dumps(_targets_jsonable(targets)))
+    base = ("construct", "diagonal", "--rho", "2", "--targets-json", str(path))
+    without_p = run(capsys, *base)
+    assert without_p[0] == 0 and run(capsys, *base, "--p", "5") == without_p
+
+
+@pytest.mark.parametrize(
+    "argv, lines_read",
+    [
+        # about 0.5 MB of CSV, far more than a pipe buffers: the writer is
+        # still writing when the reader goes away
+        (("abscissa", "--example", "sl2-primes", "--empirical", "--N", "20000", "--format", "csv"), 1),
+        # a few hundred bytes, still buffered when the command flushes
+        # stdout into a pipe closed before it started
+        (("construct", "fixed", "--rho", "2", "--p", "5"), 0),
+    ],
+    ids=["mid-write", "at-flush"],
+)
+def test_closed_stdout_exits_1_without_a_traceback(argv, lines_read):
+    # buffered stdout as in a shell (unbuffered, one partial write drops
+    # the rest without an error)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repgrowth.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    r, w = os.pipe()
+    reader = os.fdopen(r, "rb")
+    if not lines_read:
+        reader.close()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repgrowth", *argv], stdout=w, stderr=subprocess.PIPE, env=env
+    )
+    os.close(w)
+    for _ in range(lines_read):
+        assert reader.readline()
+    reader.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""

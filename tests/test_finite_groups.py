@@ -295,3 +295,126 @@ def test_shared_element_builder_is_a_plain_bfs(name):
 def test_element_builder_stops_at_the_order_limit():
     with pytest.raises(PreconditionError, match="order limit"):
         sl2_group(13)  # order 2184 > ORDER_LIMIT
+
+
+def coset_free_phi(G, d):
+    """Oracle: phi_d(G) by c(<gens>, r) = sum over every z in G of
+    c(<gens, z>, r - 1), memoized on the subgroup that bfs_closure returns;
+    no coset representatives and no conjugacy classes."""
+    whole = frozenset(range(G.order))
+    memo = {}
+
+    def count(gens, r):
+        H = bfs_closure(G, gens)
+        if r == 0:
+            return int(H == whole)
+        if (H, r) not in memo:
+            memo[H, r] = sum(
+                count(gens, r - 1) if z in H else count(gens + (z,), r - 1)
+                for z in range(G.order)
+            )
+        return memo[H, r]
+
+    return count((), d)
+
+
+ORACLE_GROUPS = {
+    "C2": lambda: cyclic_group(2),
+    "C3": lambda: cyclic_group(3),
+    "S3": lambda: permutation_group("S3", S3_GENS),
+    "SL2_3": lambda: sl2_group(3),
+    "A5": alternating_group_5,
+    "SL2_5": lambda: sl2_group(5),
+    "PSL2_5": lambda: psl2_group(5),
+    "PSL2_7": lambda: psl2_group(7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
+def test_phi_matches_the_coset_free_oracle(name):
+    G = ORACLE_GROUPS[name]()
+    for d in (1, 2, 3):
+        assert generating_tuple_count(G, d) == coset_free_phi(G, d)
+
+
+@pytest.mark.parametrize(
+    "make, classes, subgroups",
+    [(alternating_group_5, 9, 59), (lambda: sl2_group(5), 12, 76), (lambda: psl2_group(7), 15, 179)],
+    ids=["A5", "SL2_5", "PSL2_7"],
+)
+def test_registry_holds_one_entry_per_conjugacy_class(make, classes, subgroups):
+    G = make()
+    generating_tuple_count(G, 3)
+    assert len(G._sub_sets) == classes
+    # every subgroup is reached (all of them are 2-generated) and filed
+    # under its class
+    assert len(G._sub_index) == subgroups
+    t, inv = G.table, G.inverse
+    for sid, H in enumerate(G._sub_sets):
+        for g in range(G.order):
+            assert G._sub_index[frozenset(t[t[g][h]][inv[g]] for h in H)] == sid
+    assert sorted(set(G._sub_index.values())) == list(range(classes))
+
+
+def brute_aut(G):
+    """Oracle: |Aut G| from every image pair (x, y) of a generating pair,
+    without the conjugacy-class shortcut or any order test."""
+    a, b = next(
+        (a, b)
+        for a in range(G.order)
+        for b in range(G.order)
+        if len(bfs_closure(G, (a, b))) == G.order
+    )
+    words = {G.identity: ()}
+    queue = [G.identity]
+    for h in queue:
+        for i, g in enumerate((a, b)):
+            k = G.table[h][g]
+            if k not in words:
+                words[k] = words[h] + (i,)
+                queue.append(k)
+    count = 0
+    for x in range(G.order):
+        for y in range(G.order):
+            phi = {}
+            for h, word in words.items():
+                v = G.identity
+                for i in word:
+                    v = G.table[v][(x, y)[i]]
+                phi[h] = v
+            hom = all(
+                phi[G.table[h][k]] == G.table[phi[h]][phi[k]]
+                for h in range(G.order)
+                for k in (a, b)
+            )
+            count += hom and len(set(phi.values())) == G.order
+    return count
+
+
+@pytest.mark.parametrize(
+    "make, aut",
+    [(lambda: permutation_group("S3", S3_GENS), 6), (lambda: sl2_group(3), 24), (alternating_group_5, 120)],
+    ids=["S3", "SL2_3", "A5"],
+)
+def test_automorphism_count_matches_brute_force(make, aut):
+    G = make()
+    assert automorphism_count(G) == brute_aut(G) == aut
+
+
+# d(G^k) at both ends of the k ranges where the answer is 3 and where it is 4:
+# (phi_2/|Aut|, phi_3/|Aut|] and (phi_3/|Aut|, 2 phi_3/|Aut|]
+@pytest.mark.parametrize(
+    "make, k, d",
+    [
+        (alternating_group_5, 20, 3),
+        (alternating_group_5, 1668, 3),
+        (alternating_group_5, 1669, 4),
+        (alternating_group_5, 3336, 4),
+        (lambda: psl2_group(7), 58, 3),
+        (lambda: psl2_group(7), 13368, 3),
+        (lambda: psl2_group(7), 13369, 4),
+        (lambda: psl2_group(7), 26736, 4),
+    ],
+)
+def test_min_generators_power_at_the_range_ends(make, k, d):
+    assert min_generators_power(make(), k) == d
