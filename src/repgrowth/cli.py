@@ -8,6 +8,7 @@ produce byte-identical output on the exact backend.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -31,6 +32,20 @@ def _fraction_arg(text: str) -> Fraction:
         return rational(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational like 3/2: {text!r}")
+
+
+def _out_arg(path: str) -> str:
+    """--out, refused at parse time when it cannot be written (a missing
+    directory, a directory), so no work is done for output that would be
+    lost; the probe leaves no new file behind."""
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as e:
+        raise argparse.ArgumentTypeError(f"cannot write {path!r}: {e.strerror or e}")
+    if not existed:
+        os.remove(path)
+    return path
 
 
 def _load_json(arg: str):
@@ -145,17 +160,20 @@ def _cmd_abscissa(args) -> int:
 def _cmd_construct(args) -> int:
     if args.p is None and not (args.mode == "diagonal" and args.targets_json):
         raise SpecFormatError("needs --p")
+    family = "A" if args.family is None else args.family
     if args.mode == "fixed":
-        t = lie_data.LieType(args.family, args.rank, args.twisted)
+        t = lie_data.LieType(family, args.rank, args.twisted)
         spec = constructor.build_fixed_type(args.rho, t, args.p, args.q)
         _emit_json(args, spec.to_jsonable())
         return 0
     if args.targets_json:
+        for flag, value in (("--stages", args.stages), ("--family", args.family)):
+            if value is not None:
+                raise SpecFormatError(f"{flag} does not apply with --targets-json")
         targets = _load_targets(args.targets_json)
     else:
-        targets = constructor.default_diagonal_targets(
-            args.rho, args.stages, args.p, args.family
-        )
+        stages = 4 if args.stages is None else args.stages
+        targets = constructor.default_diagonal_targets(args.rho, stages, args.p, family)
     spec, cert = constructor.build_diagonal(args.rho, targets, args.budget)
     _emit_json(args, {"spec": spec.to_jsonable(), "certificate": cert.to_jsonable()})
     return 0
@@ -205,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--J", type=int)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out")
+    p.add_argument("--out", type=_out_arg)
     p.set_defaults(func=_cmd_zeta)
 
     p = sub.add_parser("abscissa", help="exact abscissa or empirical slope table")
@@ -216,33 +234,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=10 ** 6)
     p.add_argument("--J", type=int)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out")
+    p.add_argument("--out", type=_out_arg)
     p.set_defaults(func=_cmd_abscissa)
 
     p = sub.add_parser("construct", help="build a spec of prescribed growth degree")
     p.add_argument("mode", choices=["fixed", "diagonal"])
     p.add_argument("--rho", type=_fraction_arg, required=True)
-    p.add_argument("--family", default="A")
+    p.add_argument("--family", help="default A; not with --targets-json")
     p.add_argument("--rank", type=int, default=1)
     p.add_argument("--twisted", action="store_true")
     p.add_argument("--p", type=int, help="required unless --targets-json gives the stages")
     p.add_argument("--q", type=int)
-    p.add_argument("--stages", type=int, default=4)
+    p.add_argument("--stages", type=int, help="default 4; not with --targets-json")
     p.add_argument("--targets-json")
     p.add_argument("--budget", type=int, default=10 ** 9)
-    p.add_argument("--out")
+    p.add_argument("--out", type=_out_arg)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("prg", help="polynomial representation growth verdict")
     p.add_argument("--spec", required=True)
-    p.add_argument("--out")
+    p.add_argument("--out", type=_out_arg)
     p.set_defaults(func=_cmd_prg)
 
     p = sub.add_parser("gens", help="generating-tuple and automorphism counts")
     p.add_argument("--group", required=True)
     p.add_argument("--d", type=int, action="append")
     p.add_argument("--min-gens", type=int, dest="min_gens")
-    p.add_argument("--out")
+    p.add_argument("--out", type=_out_arg)
     p.set_defaults(func=_cmd_gens)
 
     p = sub.add_parser("check", help="run the bundled invariant suite")
@@ -280,6 +298,16 @@ def main(argv: Optional[list] = None) -> int:
 
 
 def entrypoint() -> None:
+    if isinstance(sys.stdout.buffer, io.RawIOBase):
+        # unbuffered stdout (PYTHONUNBUFFERED, -u) takes a short write into
+        # a closed pipe as success and drops the rest; a BufferedWriter
+        # writes until done, so the closed pipe raises BrokenPipeError
+        sys.stdout = io.TextIOWrapper(
+            io.BufferedWriter(io.FileIO(sys.stdout.fileno(), "w", closefd=False)),
+            encoding=sys.stdout.encoding,
+            errors=sys.stdout.errors,
+            line_buffering=True,
+        )
     try:
         code = main()
         sys.stdout.flush()

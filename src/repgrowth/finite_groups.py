@@ -33,25 +33,28 @@ def _mat_mul(a: tuple, b: tuple, p: int) -> tuple:
 
 class ConcreteGroup:
     """A finite group as an explicit multiplication table over element
-    indices; immutable after construction and safe to share."""
+    indices, built from its identity, generators and mul; immutable after
+    construction and safe to share.
 
-    def __init__(self, name: str, elements: List, mul, identity):
-        if len(elements) > ORDER_LIMIT:
-            raise PreconditionError(f"group order {len(elements)} exceeds {ORDER_LIMIT}")
+    The right-regular action of the generators fills the table (Cayley's
+    theorem) with n * |gens| mul calls: _elements first reaches each
+    element y other than the identity as y = x * g, so the column of right
+    multiplication by y is g's index map applied to x's column.  A seeded
+    spot check then compares mul with the table on 1000 random pairs, and
+    tests associativity on 1000 random triples."""
+
+    def __init__(self, name: str, identity, gens: Sequence, mul):
+        elements, right, first = _elements(identity, gens, mul)
         self.name = name
-        self.order = len(elements)
-        index = {e: i for i, e in enumerate(elements)}
-        if len(index) != self.order:
-            raise PreconditionError("duplicate elements")
-        self.identity = index[identity]
-        self.table: List[List[int]] = [
-            [index[mul(x, y)] for y in elements] for x in elements
-        ]
-        self.inverse: List[int] = [0] * self.order
-        for i, row in enumerate(self.table):
-            self.inverse[i] = row.index(self.identity)
-        self._spot_check_associativity()
-        self._whole: FrozenSet[int] = frozenset(range(self.order))
+        self.order = n = len(elements)
+        self.identity = 0
+        cols = [range(n)]
+        for x, g in first:
+            cols.append(list(map(right[g].__getitem__, cols[x])))
+        self.table: List[List[int]] = list(map(list, zip(*cols)))
+        self._spot_check(elements, mul)
+        self.inverse: List[int] = [row.index(0) for row in self.table]
+        self._whole: FrozenSet[int] = frozenset(range(n))
         # caches shared across the counting operations; the subgroup
         # registry maps every subgroup reached to its conjugacy class index
         self._sub_index: Dict[FrozenSet[int], int] = {}
@@ -64,13 +67,17 @@ class ConcreteGroup:
         self._aut_cache: Optional[int] = None
         self._simple_cache: Optional[bool] = None
 
-    def _spot_check_associativity(self) -> None:
-        # construction sources are associative by design; this guards typos
+    def _spot_check(self, elements: List, mul) -> None:
+        # mul against the table on random pairs (a product that is not an
+        # element fails too), and associativity on random triples
         rng = random.Random(0)
         n = self.order
         t = self.table
+        index = {e: i for i, e in enumerate(elements)}
         for _ in range(1000):
             a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            if index.get(mul(elements[a], elements[b])) != t[a][b]:
+                raise InvariantError(f"{self.name}: mul disagrees with the table")
             if t[t[a][b]][c] != t[a][t[b][c]]:
                 raise InvariantError("multiplication table is not associative")
 
@@ -181,28 +188,35 @@ class ConcreteGroup:
         return f"ConcreteGroup({self.name}, order={self.order})"
 
 
-def _elements(identity, gens: Sequence, mul) -> List:
+def _elements(identity, gens: Sequence, mul) -> Tuple[List, List[List[int]], List[Tuple[int, int]]]:
     """Every element generated by gens, breadth first from the identity by
-    right multiplication; the list order fixes the element indices."""
+    right multiplication with one mul call per element and generator; the
+    list order fixes the element indices (and holds no element twice).
+    right[k][i] is the index of elements[i] * gens[k], and first[j - 1] =
+    (i, k) with i < j says that elements[j] was first reached that way."""
     elements = [identity]
-    seen = {identity}
-    for x in elements:  # the loop also visits the elements it appends
-        for g in gens:
+    index = {identity: 0}
+    right: List[List[int]] = [[] for _ in gens]
+    first: List[Tuple[int, int]] = []
+    for i, x in enumerate(elements):  # the loop also visits the elements it appends
+        for k, g in enumerate(gens):
             y = mul(x, g)
-            if y not in seen:
-                seen.add(y)
+            j = index.get(y)
+            if j is None:
+                j = index[y] = len(elements)
                 elements.append(y)
-                if len(elements) > ORDER_LIMIT:
+                first.append((i, k))
+                if j >= ORDER_LIMIT:
                     raise PreconditionError("closure exceeded the order limit")
-    return elements
+            right[k].append(j)
+    return elements, right, first
 
 
 def permutation_group(name: str, gens: Sequence[tuple]) -> ConcreteGroup:
     n = len(gens[0])
     if n > 8:
         raise PreconditionError("permutation degree capped at 8 points")
-    identity = tuple(range(n))
-    return ConcreteGroup(name, _elements(identity, gens, _compose), _compose, identity)
+    return ConcreteGroup(name, tuple(range(n)), gens, _compose)
 
 
 def cyclic_group(n: int) -> ConcreteGroup:
@@ -223,7 +237,7 @@ def sl2_group(p: int) -> ConcreteGroup:
 
     gens = [((1, 1), (0, 1)), ((0, p - 1), (1, 0))]
     identity = ((1, 0), (0, 1))
-    G = ConcreteGroup(f"SL2_{p}", _elements(identity, gens, mul), mul, identity)
+    G = ConcreteGroup(f"SL2_{p}", identity, gens, mul)
     if G.order != p * (p * p - 1):
         raise InvariantError(f"SL2({p}) closure has wrong order {G.order}")
     return G
@@ -249,7 +263,7 @@ def psl2_group(p: int) -> ConcreteGroup:
 
     gens = [_psl2_canon(((1, 1), (0, 1)), p), _psl2_canon(((0, p - 1), (1, 0)), p)]
     identity = _psl2_canon(((1, 0), (0, 1)), p)
-    G = ConcreteGroup(f"PSL2_{p}", _elements(identity, gens, mul), mul, identity)
+    G = ConcreteGroup(f"PSL2_{p}", identity, gens, mul)
     expected = p * (p * p - 1) // (2 if p % 2 else 1)
     if G.order != expected:
         raise InvariantError(f"PSL2({p}) closure has wrong order {G.order}")

@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -5,11 +8,14 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repgrowth
 from repgrowth import constructor, growth
 from repgrowth.cli import main
 from repgrowth.growth import GroupSpec, exact_abscissa, sl2_over_primes_spec, truncated_zeta
+from repgrowth.lie_data import LieType
 
 
 def run(capsys, *argv):
@@ -555,7 +561,7 @@ def test_targets_json_needs_no_p(capsys, tmp_path):
     assert without_p[0] == 0 and run(capsys, *base, "--p", "5") == without_p
 
 
-@pytest.mark.parametrize(
+CLOSED_STDOUT = pytest.mark.parametrize(
     "argv, lines_read",
     [
         # about 0.5 MB of CSV, far more than a pipe buffers: the writer is
@@ -567,11 +573,15 @@ def test_targets_json_needs_no_p(capsys, tmp_path):
     ],
     ids=["mid-write", "at-flush"],
 )
-def test_closed_stdout_exits_1_without_a_traceback(argv, lines_read):
-    # buffered stdout as in a shell (unbuffered, one partial write drops
-    # the rest without an error)
+
+
+def _run_into_closed_stdout(argv, lines_read, unbuffered):
+    """Exit code and stderr of python -m repgrowth argv, whose stdout pipe
+    is closed after lines_read lines (0: before the command starts)."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repgrowth.__file__)))
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     r, w = os.pipe()
     reader = os.fdopen(r, "rb")
     if not lines_read:
@@ -584,5 +594,126 @@ def test_closed_stdout_exits_1_without_a_traceback(argv, lines_read):
         assert reader.readline()
     reader.close()
     err = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == 1
-    assert err == ""
+    return proc.wait(timeout=60), err
+
+
+@CLOSED_STDOUT
+def test_closed_stdout_exits_1_without_a_traceback(argv, lines_read):
+    # buffered stdout as in a shell
+    assert _run_into_closed_stdout(argv, lines_read, unbuffered=False) == (1, "")
+
+
+@CLOSED_STDOUT
+def test_closed_stdout_exits_1_when_stdout_is_unbuffered(argv, lines_read):
+    # unbuffered, one short write into the closed pipe used to drop the
+    # rest of the output and exit 0
+    assert _run_into_closed_stdout(argv, lines_read, unbuffered=True) == (1, "")
+
+
+OUT_COMMANDS = {
+    "zeta": ("zeta", "--group", "SL2", "--q", "5", "--N", "10"),
+    "abscissa": ("abscissa", "--example", "sl2-primes"),
+    "construct": ("construct", "fixed", "--rho", "2", "--p", "5"),
+    "prg": ("prg", "--spec", json.dumps(sl2_over_primes_spec(3).to_jsonable())),
+    "gens": ("gens", "--group", "C3"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_is_parse_error(capsys, monkeypatch, tmp_path, command, where):
+    out = str(tmp_path / "nope" / "x.json") if where == "missing-directory" else str(tmp_path)
+    # refused before any work starts
+    monkeypatch.setattr(growth, "truncated_zeta", None)
+    code, err = _spec_error(capsys, *OUT_COMMANDS[command], "--out", out)
+    assert code == 2
+    assert err.splitlines()[-1].endswith(f"error: argument --out: cannot write {out!r}: " + (
+        "No such file or directory" if where == "missing-directory" else "Is a directory"
+    ))
+    assert os.listdir(tmp_path) == []
+
+
+def test_out_probe_leaves_no_file_behind(capsys, tmp_path):
+    target = tmp_path / "x.json"
+    code, _ = _spec_error(capsys, "zeta", "--spec", "{not json", "--N", "5", "--out", str(target))
+    assert code == 2 and not target.exists()
+    target.write_text("kept")
+    code, _ = _spec_error(capsys, "zeta", "--spec", "{not json", "--N", "5", "--out", str(target))
+    assert code == 2 and target.read_text() == "kept"
+
+
+@pytest.mark.parametrize(
+    "flag", [("--stages", "2"), ("--stages", "4"), ("--family", "A")], ids=["stages", "stages-4", "family"]
+)
+def test_targets_json_refuses_stages_and_family(capsys, tmp_path, flag):
+    path = tmp_path / "targets.json"
+    targets = constructor.default_diagonal_targets(Fraction(2), 2, 5)
+    path.write_text(json.dumps(_targets_jsonable(targets)))
+    code, err = _spec_error(
+        capsys, "construct", "diagonal", "--rho", "2", "--targets-json", str(path), *flag
+    )
+    assert code == 2
+    assert err == f"error: {flag[0]} does not apply with --targets-json\n"
+
+
+def test_construct_defaults_are_four_stages_of_family_a(capsys):
+    base = ("construct", "diagonal", "--rho", "2", "--p", "5")
+    default = run(capsys, *base)
+    assert default[0] == 0 and run(capsys, *base, "--stages", "4", "--family", "A") == default
+    base = ("construct", "fixed", "--rho", "2", "--p", "5")
+    assert run(capsys, *base) == run(capsys, *base, "--family", "A")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=10),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=10), children, max_size=4),
+    max_leaves=12,
+)
+VALID_SPECS = [
+    sl2_over_primes_spec(3).to_jsonable(),
+    constructor.build_fixed_type(Fraction(3, 2), LieType("A", 2, False), 5).to_jsonable(),
+]
+
+
+def _pointers(node, prefix=()):
+    """The key paths to every value below node."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _pointers(child, prefix + (key,))
+
+
+def _with_field(spec, path, value):
+    spec = copy.deepcopy(spec)
+    node = spec
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return spec
+
+
+ONE_FIELD_REPLACED = st.sampled_from(
+    [(spec, path) for spec in VALID_SPECS for path in _pointers(spec)]
+).flatmap(lambda sp: JSON_VALUES.map(lambda value: _with_field(*sp, value)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(JSON_VALUES | ONE_FIELD_REPLACED)
+def test_any_json_spec_ends_in_a_documented_exit(spec):
+    text = json.dumps(spec)
+    for argv in (["zeta", "--N", "100"], ["abscissa"], ["prg"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            stdin, sys.stdin = sys.stdin, io.StringIO(text)
+            try:
+                code = main([*argv, "--spec", "-"])
+            finally:
+                sys.stdin = stdin
+        assert code in (0, 2, 3, 4), (argv, text, err.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -1,10 +1,11 @@
+import functools
 import itertools
 import random
 from collections import deque
 
 import pytest
 
-from repgrowth.errors import BudgetExceededError, PreconditionError
+from repgrowth.errors import BudgetExceededError, InvariantError, PreconditionError
 from repgrowth.finite_groups import (
     ConcreteGroup,
     _compose,
@@ -246,25 +247,39 @@ def test_psl2_canon_is_min_of_m_and_minus_m(p):
         assert _psl2_canon(m, p) == min(m, neg)
 
 
-def _psl2_mul(p):
-    return lambda a, b: _psl2_canon(_mat_mul(a, b, p), p)
+def _sl2(p):
+    return (
+        ((1, 0), (0, 1)),
+        [((1, 1), (0, 1)), ((0, p - 1), (1, 0))],
+        lambda a, b: _mat_mul(a, b, p),
+        lambda: sl2_group(p),
+    )
+
+
+def _psl2(p):
+    def canon(m):
+        return _psl2_canon(m, p)
+
+    return (
+        canon(((1, 0), (0, 1))),
+        [canon(((1, 1), (0, 1))), canon(((0, p - 1), (1, 0)))],
+        lambda a, b: canon(_mat_mul(a, b, p)),
+        lambda: psl2_group(p),
+    )
 
 
 # name: (identity, generators, multiplication, public constructor)
 BUILDS = {
     "A5": (tuple(range(5)), [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)], _compose, alternating_group_5),
-    "SL2_5": (
-        ((1, 0), (0, 1)),
-        [((1, 1), (0, 1)), ((0, 4), (1, 0))],
-        lambda a, b: _mat_mul(a, b, 5),
-        lambda: sl2_group(5),
-    ),
-    "PSL2_7": (
-        _psl2_canon(((1, 0), (0, 1)), 7),
-        [_psl2_canon(((1, 1), (0, 1)), 7), _psl2_canon(((0, 6), (1, 0)), 7)],
-        _psl2_mul(7),
-        lambda: psl2_group(7),
-    ),
+    "C2": ((0, 1), [(1, 0)], _compose, lambda: cyclic_group(2)),
+    "C3": ((0, 1, 2), [(1, 2, 0)], _compose, lambda: cyclic_group(3)),
+    "S3": ((0, 1, 2), S3_GENS, _compose, lambda: permutation_group("S3", S3_GENS)),
+    "SL2_3": _sl2(3),
+    "SL2_5": _sl2(5),
+    "SL2_7": _sl2(7),
+    "PSL2_5": _psl2(5),
+    "PSL2_7": _psl2(7),
+    "PSL2_11": _psl2(11),
 }
 
 
@@ -283,13 +298,68 @@ def plain_bfs(identity, gens, mul):
     return elements
 
 
+@functools.lru_cache(maxsize=None)
+def n2_oracle(name):
+    """Oracle: table, inverse and identity index from mul on all n^2 pairs
+    of the plain-BFS elements, the way the table was once built."""
+    identity, gens, mul, _ = BUILDS[name]
+    elements = plain_bfs(identity, gens, mul)
+    index = {e: i for i, e in enumerate(elements)}
+    table = [[index[mul(x, y)] for y in elements] for x in elements]
+    e = index[identity]
+    return table, [row.index(e) for row in table], e
+
+
 @pytest.mark.parametrize("name", sorted(BUILDS))
 def test_shared_element_builder_is_a_plain_bfs(name):
     identity, gens, mul, build = BUILDS[name]
     want = plain_bfs(identity, gens, mul)
-    assert _elements(identity, gens, mul) == want
+    elements, right, first = _elements(identity, gens, mul)
+    assert elements == want
+    index = {e: i for i, e in enumerate(want)}
+    assert right == [[index[mul(x, g)] for x in want] for g in gens]
+    assert all(want[j] == mul(want[i], gens[k]) and i < j for j, (i, k) in enumerate(first, 1))
     # the constructors index the elements in that order
-    assert build().table == ConcreteGroup(name, want, mul, identity).table
+    assert build().table == n2_oracle(name)[0]
+
+
+@pytest.mark.parametrize("name", sorted(BUILDS))
+def test_table_from_generator_columns_matches_the_n2_oracle(name):
+    identity, gens, mul, _ = BUILDS[name]
+    G = ConcreteGroup(name, identity, gens, mul)
+    assert (G.table, G.inverse, G.identity) == n2_oracle(name)
+
+
+@pytest.mark.parametrize("name", ["C2", "S3", "A5", "SL2_5", "PSL2_7"])
+def test_wrong_identity_fails_the_mul_spot_check(name):
+    # searched from a generator, the same elements come out, and the table
+    # is that of a group, but not of mul
+    _, gens, mul, _ = BUILDS[name]
+    with pytest.raises(InvariantError, match="mul disagrees with the table"):
+        ConcreteGroup(name, gens[0], gens, mul)
+
+
+@pytest.mark.parametrize("name", ["S3", "A5", "PSL2_7"])
+def test_mul_swapped_at_involutions_fails_the_mul_spot_check(name):
+    identity, gens, mul, _ = BUILDS[name]
+
+    def swapped(x, y):  # y*x whenever x is an involution
+        return mul(y, x) if x != identity and mul(x, x) == identity else mul(x, y)
+
+    with pytest.raises(InvariantError, match="mul disagrees with the table"):
+        ConcreteGroup(name, identity, gens, swapped)
+
+
+def test_mul_right_only_on_the_generators_fails_the_mul_spot_check():
+    # the search multiplies by generators only; the other products are
+    # 6-tuples, not elements, which only the spot check sees
+    identity, gens, mul, _ = BUILDS["A5"]
+
+    def partial(x, y):
+        return mul(x, y) if y in gens else mul(x, y) + (5,)
+
+    with pytest.raises(InvariantError, match="mul disagrees with the table"):
+        ConcreteGroup("A5", identity, gens, partial)
 
 
 def test_element_builder_stops_at_the_order_limit():
