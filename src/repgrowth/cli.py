@@ -91,6 +91,13 @@ def _load_targets(arg: str) -> list:
     ]
 
 
+def _refuse(args, flags, why: str) -> None:
+    """Exit 2 on the first of flags given; each defaults to None, or False for a switch."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) not in (None, False):
+            raise SpecFormatError(f"{flag} {why}")
+
+
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
@@ -110,11 +117,13 @@ def _emit_json(args, obj) -> None:
 
 def _cmd_zeta(args) -> int:
     if args.group:
+        _refuse(args, ["--spec"], "does not apply with --group")
         if not args.q:
             raise PreconditionError("--group needs --q")
         factor = growth.FactorSpec(lie_data.A1, args.q, simple=args.group == "PSL2")
         spec = growth.GroupSpec((growth.FiniteStratum((factor,)),))
     else:
+        _refuse(args, ["--q"], "applies only with --group")
         spec = _load_spec(args.spec)
     series = growth.truncated_zeta(spec, args.N, args.J)
     if args.format == "csv":
@@ -129,6 +138,7 @@ def _cmd_zeta(args) -> int:
 
 def _cmd_abscissa(args) -> int:
     if args.example:
+        _refuse(args, ["--spec"], "does not apply with --example")
         if args.example != "sl2-primes":
             raise PreconditionError(f"unknown example {args.example!r}")
         spec = growth.sl2_over_primes_spec(args.d)
@@ -158,23 +168,29 @@ def _cmd_abscissa(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    if args.p is None and not (args.mode == "diagonal" and args.targets_json):
+    if args.mode == "fixed":
+        _refuse(
+            args, ["--stages", "--targets-json", "--budget"], "does not apply to construct fixed"
+        )
+    else:
+        _refuse(args, ["--rank", "--twisted", "--q"], "does not apply to construct diagonal")
+        if args.targets_json:
+            _refuse(args, ["--stages", "--family"], "does not apply with --targets-json")
+    if args.p is None and not args.targets_json:
         raise SpecFormatError("needs --p")
     family = "A" if args.family is None else args.family
     if args.mode == "fixed":
-        t = lie_data.LieType(family, args.rank, args.twisted)
+        t = lie_data.LieType(family, 1 if args.rank is None else args.rank, args.twisted)
         spec = constructor.build_fixed_type(args.rho, t, args.p, args.q)
         _emit_json(args, spec.to_jsonable())
         return 0
     if args.targets_json:
-        for flag, value in (("--stages", args.stages), ("--family", args.family)):
-            if value is not None:
-                raise SpecFormatError(f"{flag} does not apply with --targets-json")
         targets = _load_targets(args.targets_json)
     else:
         stages = 4 if args.stages is None else args.stages
         targets = constructor.default_diagonal_targets(args.rho, stages, args.p, family)
-    spec, cert = constructor.build_diagonal(args.rho, targets, args.budget)
+    budget = 10 ** 9 if args.budget is None else args.budget
+    spec, cert = constructor.build_diagonal(args.rho, targets, budget)
     _emit_json(args, {"spec": spec.to_jsonable(), "certificate": cert.to_jsonable()})
     return 0
 
@@ -241,13 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", choices=["fixed", "diagonal"])
     p.add_argument("--rho", type=_fraction_arg, required=True)
     p.add_argument("--family", help="default A; not with --targets-json")
-    p.add_argument("--rank", type=int, default=1)
-    p.add_argument("--twisted", action="store_true")
+    p.add_argument("--rank", type=int, help="default 1; fixed only")
+    p.add_argument("--twisted", action="store_true", help="fixed only")
     p.add_argument("--p", type=int, help="required unless --targets-json gives the stages")
-    p.add_argument("--q", type=int)
-    p.add_argument("--stages", type=int, help="default 4; not with --targets-json")
-    p.add_argument("--targets-json")
-    p.add_argument("--budget", type=int, default=10 ** 9)
+    p.add_argument("--q", type=int, help="fixed only")
+    p.add_argument("--stages", type=int, help="default 4; diagonal only, not with --targets-json")
+    p.add_argument("--targets-json", help="diagonal only")
+    p.add_argument("--budget", type=int, help="default 10**9; diagonal only")
     p.add_argument("--out", type=_out_arg)
     p.set_defaults(func=_cmd_construct)
 

@@ -29,9 +29,9 @@ from .lie_data import (
     LieType,
     PairSet,
     canonical_pair_set,
+    require_pair_set,
     rho0,
     tits_excluded,
-    validate_pair_set,
 )
 
 _F_NONNEG_HORIZON = 10_000
@@ -100,9 +100,16 @@ class Schedule:
 
     @classmethod
     def from_jsonable(cls, obj: dict, pointer: str = "") -> "Schedule":
+        """A spec's schedule, held to a bound that proves f(j) >= 0 for every
+        j >= j0: with k_j >= rho*j - 1/2, f(j) >= j*(n0*rho - m0) - n0/2, so
+        2*j0*(n0*rho - m0) >= n0 suffices.  make_schedule's schedules meet
+        it, since m0 <= n0*rho0 and j0*(rho - rho0) >= 1 there."""
         rho, rho0 = (fraction_field(obj, key, pointer) for key in ("rho", "rho0"))
         m0, n0, j0 = (int_field(obj, key, pointer) for key in ("m0", "n0", "j0"))
-        return cls(rho, rho0, m0, n0, j0)
+        sched = cls(rho, rho0, m0, n0, j0)
+        if 2 * j0 * sched.rate() < n0:
+            raise PreconditionError("schedule needs 2*j0*(n0*rho - m0) >= n0 to keep f(j) >= 0")
+        return sched
 
 
 def _check_nonnegative(sched: Schedule) -> None:
@@ -120,8 +127,9 @@ def make_schedule(rho: Fraction, t: LieType, a: Optional[PairSet] = None) -> Sch
     """Schedule for the type's admissibility threshold rho0 = rk/|Phi+|.
 
     Nonnegativity of f is an exact proof obligation: checked pointwise to
-    j = 10^4 and by the closed-form bound f(j) >= n0*(j*(rho-rho0) - 1/2),
-    positive from j0 = ceil(1/(rho-rho0)) on.
+    j = 10^4, and for every j by the closed-form bound f(j) >=
+    n0*(j*(rho-rho0) - 1/2), positive from j0 = ceil(1/(rho-rho0)) on
+    since every pair (m, n) of a valid set has m <= n*rho0.
     """
     rho = Fraction(rho)
     r0 = rho0(t)
@@ -131,17 +139,11 @@ def make_schedule(rho: Fraction, t: LieType, a: Optional[PairSet] = None) -> Sch
         )
     if a is None:
         a = canonical_pair_set(t)
-    report = validate_pair_set(a, t)
-    if not report.ok:
-        raise PreconditionError(f"pair set rejected: {report.violations}")
+    require_pair_set(a, t)
     m0, n0 = prec_min(a, rho)
     j0 = math.ceil(1 / (rho - r0))
     sched = Schedule(rho, r0, m0, n0, j0)
     _check_nonnegative(sched)
-    # closed form for the tail: k_j >= rho*j - 1/2 and m0 <= n0*rho0 give
-    # f(j) >= n0*(j*(rho-rho0) - 1/2) >= n0/2 for j >= j0
-    if j0 * (rho - r0) < 1:
-        raise InvariantError("first active index does not clear the closed-form bound")
     return sched
 
 
@@ -182,16 +184,6 @@ class ConvergenceReport:
     horizon: int
     bound: Fraction
     ok: bool
-
-    def to_jsonable(self) -> dict:
-        return {
-            "sigma": str(self.sigma),
-            "verdict": self.verdict,
-            "j_settle": self.j_settle,
-            "horizon": self.horizon,
-            "bound": str(self.bound),
-            "ok": self.ok,
-        }
 
 
 def termwise_log_slope(sched: Schedule, pairs: PairSet, sigma: Fraction, j: int) -> Fraction:
@@ -304,19 +296,6 @@ def _slope_geq(R: int, n: int, tau: Fraction) -> bool:
     return R ** tau.denominator >= n ** tau.numerator
 
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def charge(self, amount: int, partial):
-        self.used += amount
-        if self.used > self.limit:
-            raise BudgetExceededError(
-                f"work budget {self.limit} exhausted", partial=partial
-            )
-
-
 def build_diagonal(
     rho: Fraction,
     targets: Sequence[Tuple[Fraction, LieType, int]],
@@ -343,20 +322,21 @@ def build_diagonal(
     if any(r >= rho for r in rhos):
         raise PreconditionError("every rho_m must stay below the limit rho")
 
-    budget = _Budget(n_budget)
+    used = 0  # series entries materialized so far, against n_budget
     stages: List[DiagonalStage] = []
     records: List[StageRecord] = []
     built: List[GeometricStratum] = []
     n_prev = 1
 
     def union_series(strata: Sequence[GeometricStratum], N: int, simple: bool) -> DirichletSeries:
+        nonlocal used
         spec = with_flag(GroupSpec(tuple(strata)), simple=simple)
         s = truncated_zeta(spec, N, backend=EXACT)
-        budget.charge(len(s), _partial())
+        used += len(s)
+        if used > n_budget:
+            partial = DiagonalCertificate(rho, tuple(records), complete=False)
+            raise BudgetExceededError(f"work budget {n_budget} exhausted", partial=partial)
         return s
-
-    def _partial() -> DiagonalCertificate:
-        return DiagonalCertificate(rho, tuple(records), complete=False)
 
     for m, (rho_m, t_m, p_m) in enumerate(targets, start=1):
         rho_m = Fraction(rho_m)

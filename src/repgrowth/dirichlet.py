@@ -10,11 +10,12 @@ explicit via :meth:`DirichletSeries.to_log`.
 """
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Tuple, Union
 
 from .errors import PreconditionError
 
@@ -90,14 +91,6 @@ def _logaddexp(a: float, b: float) -> float:
     return a + math.log1p(math.exp(b - a))
 
 
-def _logsumexp(values) -> float:
-    vals = list(values)
-    if not vals:
-        return float("-inf")
-    m = max(vals)
-    return m + math.log(math.fsum(math.exp(v - m) for v in vals))
-
-
 class DirichletSeries:
     """Immutable truncated series: sorted dims, parallel multiplicities."""
 
@@ -169,9 +162,6 @@ class DirichletSeries:
             return self._mults[i]
         return default
 
-    def min_dim(self) -> Optional[int]:
-        return self._dims[0] if self._dims else None
-
     def to_log(self) -> "DirichletSeries":
         """Explicit exact -> log conversion (never done implicitly)."""
         if self.backend == LOG:
@@ -184,7 +174,7 @@ class DirichletSeries:
         """Sum of all multiplicities; natural log of it on the log backend."""
         if self.backend == EXACT:
             return sum(self._mults)
-        return _logsumexp(self._mults)
+        return functools.reduce(_logaddexp, self._mults, -math.inf)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DirichletSeries):
@@ -382,8 +372,9 @@ def cumulative(s: DirichletSeries, n: int):
     """R_n = sum of multiplicities at dims <= n.
 
     Exact backend returns the integer count; the log backend returns the
-    natural log of the count, combined by log-sum-exp.  Refuses n beyond the
-    cutoff: the truncation makes the answer unknown there.
+    natural log of the count, folded left to right by _logaddexp as
+    empirical_slope's prefix sums are.  Refuses n beyond the cutoff: the
+    truncation makes the answer unknown there.
     """
     if n < 1:
         raise PreconditionError("n must be a positive integer")
@@ -394,4 +385,4 @@ def cumulative(s: DirichletSeries, n: int):
     idx = bisect_right(s.dims, n)
     if s.backend == EXACT:
         return sum(s.mults[:idx])
-    return _logsumexp(s.mults[:idx])
+    return functools.reduce(_logaddexp, s.mults[:idx], -math.inf)

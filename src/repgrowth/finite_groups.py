@@ -7,6 +7,7 @@ verified are exact, so exact verification beats sampling.
 """
 from __future__ import annotations
 
+import math
 import random
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -63,7 +64,6 @@ class ConcreteGroup:
         self._sub_reps: List[Tuple[int, ...]] = []
         self._extend_cache: Dict[Tuple[int, int], int] = {}
         self._count_cache: Dict[Tuple[int, int], int] = {}
-        self._phi_cache: Dict[int, int] = {}
         self._aut_cache: Optional[int] = None
         self._simple_cache: Optional[bool] = None
 
@@ -127,21 +127,15 @@ class ConcreteGroup:
 
     def is_nonabelian_simple(self) -> bool:
         """Simple iff the normal closure of every nontrivial class is the
-        whole group (normal subgroups are unions of classes)."""
+        whole group (normal subgroups are unions of classes); abelian iff
+        every class is a single element."""
         if self._simple_cache is None:
-            abelian = all(
-                self.table[a][b] == self.table[b][a]
-                for a in range(self.order)
-                for b in range(a)
+            classes = self.conjugacy_classes()
+            self._simple_cache = len(classes) < self.order and all(
+                len(self.closure(tuple(cls))) == self.order
+                for cls in classes
+                if cls != frozenset((self.identity,))
             )
-            if abelian:
-                self._simple_cache = False
-            else:
-                self._simple_cache = all(
-                    len(self.closure(tuple(cls))) == self.order
-                    for cls in self.conjugacy_classes()
-                    if cls != frozenset((self.identity,))
-                )
         return self._simple_cache
 
     # -- subgroup registry for the tuple-count recursion ------------------
@@ -228,21 +222,6 @@ def alternating_group_5() -> ConcreteGroup:
     return permutation_group("A5", [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)])
 
 
-def sl2_group(p: int) -> ConcreteGroup:
-    """SL2(F_p) as explicit 2x2 matrices; order p(p^2-1)."""
-    if p > 13:
-        raise PreconditionError("matrix catalog capped at p <= 13")
-    def mul(a: tuple, b: tuple) -> tuple:
-        return _mat_mul(a, b, p)
-
-    gens = [((1, 1), (0, 1)), ((0, p - 1), (1, 0))]
-    identity = ((1, 0), (0, 1))
-    G = ConcreteGroup(f"SL2_{p}", identity, gens, mul)
-    if G.order != p * (p * p - 1):
-        raise InvariantError(f"SL2({p}) closure has wrong order {G.order}")
-    return G
-
-
 def _psl2_canon(m: tuple, p: int) -> tuple:
     """The lexicographically smaller of M and -M: the first nonzero entry of
     the top row decides, and M is the smaller when that entry is below p/2."""
@@ -252,22 +231,31 @@ def _psl2_canon(m: tuple, p: int) -> tuple:
     return (((-a) % p, (-b) % p), ((-c) % p, (-d) % p))
 
 
-def psl2_group(p: int) -> ConcreteGroup:
-    """PSL2(F_p): matrices modulo +-1, represented by the lexicographically
-    smaller of M and -M."""
+def _matrix_group(name: str, p: int, mul, center: int) -> ConcreteGroup:
+    """The group that [[1, 1], [0, 1]] and [[0, -1], [1, 0]] generate under
+    mul: SL2(F_p) modulo a center of the given order, with mul(1, M) the
+    representative of the matrix M."""
     if p > 13:
         raise PreconditionError("matrix catalog capped at p <= 13")
-
-    def mul(a: tuple, b: tuple) -> tuple:
-        return _psl2_canon(_mat_mul(a, b, p), p)
-
-    gens = [_psl2_canon(((1, 1), (0, 1)), p), _psl2_canon(((0, p - 1), (1, 0)), p)]
-    identity = _psl2_canon(((1, 0), (0, 1)), p)
-    G = ConcreteGroup(f"PSL2_{p}", identity, gens, mul)
-    expected = p * (p * p - 1) // (2 if p % 2 else 1)
-    if G.order != expected:
-        raise InvariantError(f"PSL2({p}) closure has wrong order {G.order}")
+    one = ((1, 0), (0, 1))
+    gens = [mul(one, ((1, 1), (0, 1))), mul(one, ((0, p - 1), (1, 0)))]
+    G = ConcreteGroup(f"{name}_{p}", mul(one, one), gens, mul)
+    if G.order != p * (p * p - 1) // center:
+        raise InvariantError(f"{name}({p}) closure has wrong order {G.order}")
     return G
+
+
+def sl2_group(p: int) -> ConcreteGroup:
+    """SL2(F_p) as explicit 2x2 matrices; order p(p^2-1)."""
+    return _matrix_group("SL2", p, lambda a, b: _mat_mul(a, b, p), 1)
+
+
+def psl2_group(p: int) -> ConcreteGroup:
+    """PSL2(F_p): matrices modulo +-1 (a center of order gcd(2, p - 1)),
+    represented by the lexicographically smaller of M and -M."""
+    return _matrix_group(
+        "PSL2", p, lambda a, b: _psl2_canon(_mat_mul(a, b, p), p), math.gcd(2, p - 1)
+    )
 
 
 _CATALOG = {
@@ -314,8 +302,6 @@ def generating_tuple_count(G: ConcreteGroup, d: int) -> int:
         raise PreconditionError(
             f"|G|^d = {G.order}^{d} exceeds the enumeration budget {TUPLE_BUDGET}"
         )
-    if d in G._phi_cache:
-        return G._phi_cache[d]
     trivial = G._register(frozenset((G.identity,)), ())
     full_size = G.order
 
@@ -333,9 +319,7 @@ def generating_tuple_count(G: ConcreteGroup, d: int) -> int:
             G._count_cache[key] = got
         return got
 
-    phi = count(trivial, d)
-    G._phi_cache[d] = phi
-    return phi
+    return count(trivial, d)
 
 
 def automorphism_count(G: ConcreteGroup) -> int:
@@ -359,23 +343,11 @@ def automorphism_count(G: ConcreteGroup) -> int:
     if b is None:
         raise PreconditionError(f"{G.name} is not 2-generated")
 
-    # BFS words over right multiplication by a, b
-    parent = [-1] * G.order
-    via = [-1] * G.order  # 0 = a, 1 = b
-    bfs = [G.identity]
-    seen = {G.identity}
+    # every element g but the identity as a word in a, b: the breadth-first
+    # search first reaches g as w * (a, b)[k], for a w reached before g
     t = G.table
-    qi = 0
-    while qi < len(bfs):
-        x = bfs[qi]
-        qi += 1
-        for gi, g in enumerate((a, b)):
-            y = t[x][g]
-            if y not in seen:
-                seen.add(y)
-                parent[y] = x
-                via[y] = gi
-                bfs.append(y)
+    words, _, first = _elements(G.identity, (a, b), lambda x, g: t[x][g])
+    steps = [(g, words[i], k) for g, (i, k) in zip(words[1:], first)]
 
     cand_x = [
         (min(cls), len(cls)) for cls in G.conjugacy_classes() if orders[min(cls)] == orders[a]
@@ -390,10 +362,9 @@ def automorphism_count(G: ConcreteGroup) -> int:
             if orders[t[x][y]] != order_ab:
                 continue
             img = (x, y)
-            phi = [0] * n
-            phi[G.identity] = G.identity
-            for g in bfs[1:]:
-                phi[g] = t[phi[parent[g]]][img[via[g]]]
+            phi = [G.identity] * n
+            for g, w, k in steps:
+                phi[g] = t[phi[w]][img[k]]
             # multiplicativity on generator right-mults extends inductively
             # to all products; bijectivity then makes phi an automorphism
             ok = True

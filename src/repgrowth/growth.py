@@ -33,7 +33,6 @@ from .dirichlet import (
     DirichletSeries,
     Multiplicity,
     _logaddexp,
-    _logsumexp,
     _power_terms,
     convolve,  # noqa: F401  unused here; kept so growth.convolve stays bound (bench/tests)
     evaluate,
@@ -48,8 +47,8 @@ from .lie_data import (
     LieType,
     PairSet,
     canonical_pair_set,
+    require_pair_set,
     tits_excluded,
-    validate_pair_set,
     xi_terms,
 )
 
@@ -150,9 +149,7 @@ class FactorSpec:
         if isinstance(self.multiplicity, int) and self.multiplicity < 1:
             raise PreconditionError("factor multiplicity must be >= 1")
         if self.pairs is not None:
-            report = validate_pair_set(self.pairs, self.lie_type)
-            if not report.ok:
-                raise PreconditionError(f"pair set rejected: {report.violations}")
+            require_pair_set(self.pairs, self.lie_type)
 
     def pair_set(self) -> PairSet:
         return self.pairs if self.pairs is not None else canonical_pair_set(self.lie_type)
@@ -313,9 +310,7 @@ class GeometricStratum(_Tower):
         if self.skip < 0:
             raise PreconditionError("skip must be >= 0")
         if self.pairs is not None:
-            report = validate_pair_set(self.pairs, self.lie_type)
-            if not report.ok:
-                raise PreconditionError(f"pair set rejected: {report.violations}")
+            require_pair_set(self.pairs, self.lie_type)
         # Tits exclusions have field size 2 or 3, so only the first factor
         # S(q) of an unskipped tower can be one; q^(skip+1) >= 4 otherwise
         if self.skip == 0 and tits_excluded(self.lie_type, self.q):
@@ -332,6 +327,8 @@ class GeometricStratum(_Tower):
 
     def multiplicity(self, j: int) -> Multiplicity:
         f = self.exponents.f(j)
+        if f < 0:  # a PolyExponent checks f only up to j = 10^4
+            raise PreconditionError(f"{self.id_str()}: f({j}) = {f} < 0")
         if f == 0:
             return 1
         if f * math.log2(self.q) <= _MATERIALIZE_BITS:
@@ -653,21 +650,17 @@ def m_n(spec: GroupSpec, n: int):
     natural log of the count otherwise."""
     if n < 1:
         raise PreconditionError("n must be >= 1")
-    total = 0
-    logs: List[float] = []
-    use_log = False
+    total = 0  # the natural log of the count once a multiplicity overflows
     for f in _contributions(spec, n):
         m = f.multiplicity
-        if not use_log:
+        if isinstance(total, int):
             try:
                 total += mult_to_int(m)
                 continue
             except OverflowError:
-                use_log = True
-                if total:
-                    logs.append(math.log(total))
-        logs.append(mult_log(m))
-    return _logsumexp(logs) if use_log else total
+                total = math.log(total) if total else float("-inf")
+        total = _logaddexp(total, mult_log(m))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -783,26 +776,19 @@ def empirical_slope(spec: GroupSpec, N: int, J: Optional[int] = None) -> SlopeRe
     series = truncated_zeta(spec, N, J, backend=LOG)
     dims = series.dims
     prefix = list(itertools.accumulate(series.mults, _logaddexp))
-
-    def ln_R(n: int) -> float:
-        i = bisect_right(dims, n) - 1
-        return prefix[i] if i >= 0 else float("-inf")
-
     points = []
     for i, d in enumerate(dims):
         if d < 2:
             continue
         lr = prefix[i]
         points.append(SlopePoint(d, lr / math.log(10.0), lr / math.log(d)))
+    # R_n is constant between dimensions, so ln R_n / ln n peaks over the
+    # window [lo, N] at lo or at a dimension in it (dims[0] = 1 <= lo)
     lo = max(2, math.isqrt(N - 1) + 1)
-    window_candidates = [n for n in (lo, N) if 2 <= n <= N] + [
-        p.n for p in points if lo <= p.n <= N
-    ]
-    wmax = 0.0
-    for n in window_candidates:
-        lr = ln_R(n)
-        if lr > 0:
-            wmax = max(wmax, lr / math.log(n))
+    wmax = max([0.0] + [p.slope for p in points if p.n >= lo])
+    lr = prefix[bisect_right(dims, lo) - 1]
+    if lo <= N and lr > 0:
+        wmax = max(wmax, lr / math.log(lo))
     return SlopeReport(N, (lo, N), tuple(points), wmax)
 
 
@@ -917,14 +903,6 @@ class CoverMnReport:
     m_simple_at_n_squared: object
     m_cover_at_n: object
     passed: bool
-
-    def to_jsonable(self) -> dict:
-        return {
-            "n": self.n,
-            "m_simple(n^2)": str(self.m_simple_at_n_squared),
-            "m_cover(n)": str(self.m_cover_at_n),
-            "passed": self.passed,
-        }
 
 
 def cover_mn_comparison(spec: GroupSpec, n: int) -> CoverMnReport:

@@ -187,12 +187,6 @@ class PairSetReport:
     ok: bool
     violations: Tuple[Tuple[Tuple[int, int], str], ...]
 
-    def to_jsonable(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": [[list(p), rule] for p, rule in self.violations],
-        }
-
 
 def validate_pair_set(a: PairSet, t: LieType) -> PairSetReport:
     """Check m <= rk, n <= |Phi+| and m*|Phi+| <= n*rk for every pair,
@@ -210,6 +204,13 @@ def validate_pair_set(a: PairSet, t: LieType) -> PairSetReport:
                 ((m, n), f"m/n <= rk/|Phi+| violated: {m}*{pos} > {n}*{rk}")
             )
     return PairSetReport(not violations, tuple(violations))
+
+
+def require_pair_set(a: PairSet, t: LieType) -> None:
+    """PreconditionError listing the violations unless a is valid for t."""
+    report = validate_pair_set(a, t)
+    if not report.ok:
+        raise PreconditionError(f"pair set rejected: {report.violations}")
 
 
 def xi_terms(a: PairSet, q: int, N: int) -> Dict[int, int]:

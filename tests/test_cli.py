@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repgrowth
-from repgrowth import constructor, growth
+from repgrowth import cli, constructor, growth
 from repgrowth.cli import main
 from repgrowth.growth import GroupSpec, exact_abscissa, sl2_over_primes_spec, truncated_zeta
 from repgrowth.lie_data import LieType
@@ -660,8 +660,85 @@ def test_construct_defaults_are_four_stages_of_family_a(capsys):
     base = ("construct", "diagonal", "--rho", "2", "--p", "5")
     default = run(capsys, *base)
     assert default[0] == 0 and run(capsys, *base, "--stages", "4", "--family", "A") == default
+    assert run(capsys, *base, "--budget", str(10 ** 9)) == default
     base = ("construct", "fixed", "--rho", "2", "--p", "5")
-    assert run(capsys, *base) == run(capsys, *base, "--family", "A")
+    assert run(capsys, *base) == run(capsys, *base, "--family", "A", "--rank", "1")
+
+
+DIAGONAL = ("construct", "diagonal", "--rho", "2", "--p", "5", "--stages", "2")
+FIXED = ("construct", "fixed", "--rho", "2", "--p", "5")
+UNREAD_FLAGS = {
+    "diagonal-rank": (
+        (*DIAGONAL, "--rank", "3", "--twisted", "--q", "25"),
+        "--rank does not apply to construct diagonal",
+    ),
+    "diagonal-twisted": (
+        (*DIAGONAL, "--twisted"),
+        "--twisted does not apply to construct diagonal",
+    ),
+    "diagonal-q": ((*DIAGONAL, "--q", "25"), "--q does not apply to construct diagonal"),
+    "fixed-stages": (
+        (*FIXED, "--stages", "9", "--budget", "1", "--targets-json", "/nonexistent"),
+        "--stages does not apply to construct fixed",
+    ),
+    "fixed-budget": ((*FIXED, "--budget", "1"), "--budget does not apply to construct fixed"),
+    "fixed-targets-json": (
+        (*FIXED, "--targets-json", "/nonexistent"),
+        "--targets-json does not apply to construct fixed",
+    ),
+    "zeta-group-spec": (
+        ("zeta", "--group", "SL2", "--q", "5", "--N", "5", "--spec", "/nonexistent"),
+        "--spec does not apply with --group",
+    ),
+    "zeta-spec-q": (
+        ("zeta", "--spec", '{"strata":[]}', "--q", "7", "--N", "3"),
+        "--q applies only with --group",
+    ),
+    "abscissa-example-spec": (
+        ("abscissa", "--example", "sl2-primes", "--spec", "/nonexistent"),
+        "--spec does not apply with --example",
+    ),
+}
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the flags were checked")
+
+
+@pytest.mark.parametrize("argv,message", UNREAD_FLAGS.values(), ids=UNREAD_FLAGS.keys())
+def test_flag_the_command_does_not_read_is_parse_error(capsys, monkeypatch, argv, message):
+    for module, name in [
+        (constructor, "build_fixed_type"),
+        (constructor, "build_diagonal"),
+        (growth, "truncated_zeta"),
+        (growth, "empirical_slope"),
+        (growth, "exact_abscissa"),
+        (cli, "_load_spec"),
+        (cli, "_load_targets"),
+    ]:
+        monkeypatch.setattr(module, name, _no_work)
+    code, err = _spec_error(capsys, *argv)
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
+NEGATIVE_SCHEDULE = {
+    "strata": [
+        {
+            **GEOM_STAGE,
+            "schedule": {"kind": "schedule", "rho": "1", "rho0": "1/2", "m0": 5, "n0": 1, "j0": 1},
+        }
+    ]
+}
+
+
+@pytest.mark.parametrize("argv", [("zeta", "--N", "100"), ("abscissa",), ("prg",)])
+def test_schedule_with_negative_exponents_is_a_precondition_error(capsys, argv):
+    # f(j) = k_j - 5j < 0: zeta used to end in a traceback, abscissa to print -3
+    code, err = _spec_error(capsys, *argv, "--spec", json.dumps(NEGATIVE_SCHEDULE))
+    assert code == 3
+    assert err.startswith("error: schedule needs 2*j0*(n0*rho - m0) >= n0")
+    assert "Traceback" not in err
 
 
 JSON_VALUES = st.recursive(

@@ -158,9 +158,28 @@ def test_nonnegativity_scan_agrees_with_schedule_f():
     assert failing >= 20  # 23 of the 105 cases fail the scan
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"rho": "1", "rho0": "1/2", "m0": 5, "n0": 1, "j0": 1},  # f(j) = k_j - 5j < 0
+        {"rho": "3/2", "rho0": "1", "m0": 2, "n0": 1, "j0": 1},  # f(2) = 3 - 4
+        {"rho": "7/5", "rho0": "1", "m0": 6, "n0": 5, "j0": 1},  # rate 1, but f(1) = 5 - 6
+    ],
+)
+def test_json_schedule_without_the_positivity_bound_is_refused(fields):
+    with pytest.raises(PreconditionError, match=r"2\*j0\*\(n0\*rho - m0\) >= n0"):
+        Schedule.from_jsonable({"kind": "schedule", **fields})
+
+
 def test_schedule_json_round_trip():
     sched = make_schedule(Fraction(3, 2), LieType("A", 2))
     assert Schedule.from_jsonable(sched.to_jsonable()) == sched
+    # every stage schedule passes from_jsonable's bound, for the reason given there
+    for rho, stages, p in DIAGONAL_CASES:
+        for rho_m, t, _ in default_diagonal_targets(rho, stages, p):
+            sched = make_schedule(rho_m, t)
+            assert sched.m0 <= sched.n0 * sched.rho0 and sched.j0 * (sched.rho - sched.rho0) >= 1
+            assert Schedule.from_jsonable(sched.to_jsonable()) == sched
 
 
 # -- fixed-type construction -------------------------------------------------
@@ -307,6 +326,21 @@ def test_build_diagonal_budget_exhaustion_reports_partial():
     partial = info.value.partial
     assert isinstance(partial, DiagonalCertificate)
     assert not partial.complete
+
+
+def test_tight_budgets_raise_the_partial_certificate_of_the_stages_done():
+    targets = default_diagonal_targets(Fraction(2), 4, 5)
+    _, full = build_diagonal(Fraction(2), targets)
+    done = set()
+    for budget in range(1, 400, 3):
+        try:
+            build_diagonal(Fraction(2), targets, budget)
+        except BudgetExceededError as e:
+            assert str(e) == f"work budget {budget} exhausted"
+            k = len(e.partial.stages)
+            assert e.partial == DiagonalCertificate(Fraction(2), full.stages[:k], complete=False)
+            done.add(k)
+    assert done == {0, 1, 2, 3}
 
 
 def test_certificate_json_shape():

@@ -7,6 +7,7 @@ import pytest
 
 from repgrowth.errors import BudgetExceededError, InvariantError, PreconditionError
 from repgrowth.finite_groups import (
+    AUT_ORDER_LIMIT,
     ConcreteGroup,
     _compose,
     _elements,
@@ -266,6 +267,29 @@ def _psl2(p):
         lambda a, b: canon(_mat_mul(a, b, p)),
         lambda: psl2_group(p),
     )
+
+
+@pytest.mark.parametrize(
+    "kind,p",
+    [(k, p) for k in ("SL2", "PSL2") for p in (2, 3, 5, 7, 11, 13) if (k, p) != ("SL2", 13)],
+)
+def test_matrix_groups_match_the_per_group_builders(kind, p):
+    """The shared matrix builder against ConcreteGroup on the identity,
+    generators and mul that sl2_group and psl2_group each used to pass;
+    |Aut| against |PGL2(p)| (S3 and S4 for p = 2, 3), and simplicity against
+    the pairwise commutation test it replaced."""
+    identity, gens, mul, make = (_sl2 if kind == "SL2" else _psl2)(p)
+    old = ConcreteGroup(f"{kind}_{p}", identity, gens, mul)
+    G = make()
+    assert (G.name, G.order, G.table, G.inverse) == (old.name, old.order, old.table, old.inverse)
+    if G.order <= AUT_ORDER_LIMIT:
+        assert automorphism_count(G) == {2: 6, 3: 24}.get(p, p * (p * p - 1))
+    t = G.table
+    abelian = all(t[a][b] == t[b][a] for a in range(G.order) for b in range(a))
+    simple = not abelian and all(
+        len(G.closure(tuple(c))) == G.order for c in G.conjugacy_classes() if c != {G.identity}
+    )
+    assert G.is_nonabelian_simple() == simple == (kind == "PSL2" and p >= 5)
 
 
 # name: (identity, generators, multiplication, public constructor)

@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import warnings
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,10 @@ from repgrowth.constructor import (
     make_schedule,
 )
 from repgrowth.dirichlet import (
+    LOG,
     BigPower,
     DirichletSeries,
+    _logaddexp,
     convolve,
     cumulative,
     mult_to_int,
@@ -35,6 +38,7 @@ from repgrowth.growth import (
     PrgVerdict,
     PrimeStratum,
     RateSummary,
+    SlopePoint,
     TruncationWarning,
     _contributions,
     cover_mn_comparison,
@@ -449,6 +453,76 @@ def test_scheduled_tower_windowed_max_tracks_the_abscissa():
     assert maxima == sorted(maxima)  # increasing with N
     # sanity envelope: proxy <= exact + 0.5
     assert maxima[-1] <= 2.0 + 0.5
+
+
+def _bisect_window(spec, N, J=None):
+    """The windowed max as computed before it read the slopes: ln R_n by
+    bisection at lo, at N and at every dimension in [lo, N]."""
+    series = truncated_zeta(spec, N, J, backend=LOG)
+    dims = series.dims
+    prefix = list(itertools.accumulate(series.mults, _logaddexp))
+
+    def ln_R(n):
+        i = bisect_right(dims, n) - 1
+        return prefix[i] if i >= 0 else float("-inf")
+
+    points = []
+    for i, d in enumerate(dims):
+        if d < 2:
+            continue
+        lr = prefix[i]
+        points.append(SlopePoint(d, lr / math.log(10.0), lr / math.log(d)))
+    lo = max(2, math.isqrt(N - 1) + 1)
+    candidates = [n for n in (lo, N) if 2 <= n <= N] + [p.n for p in points if lo <= p.n <= N]
+    wmax = 0.0
+    for n in candidates:
+        lr = ln_R(n)
+        if lr > 0:
+            wmax = max(wmax, lr / math.log(n))
+    return tuple(points), wmax
+
+
+WINDOW_CASES = [
+    (sl2_over_primes_spec(d), N, None)
+    for d in (3, 4, 5)
+    for N in (2, 3, 4, 5, 10, 17, 100, 999, 2500)
+] + [
+    (sl2_over_primes_spec(3), 2500, 1),
+    (build_fixed_type(Fraction(3, 2), LieType("A", 2), 5), 2 ** 80, None),
+] + [(finite_spec(FactorSpec(A1, 5, simple=True)), N, None) for N in (1, 10, 36)]
+# A5 has degrees 1, 3, 3, 4, 5: at N = 36 the window [6, 36] holds no
+# dimension, and its max, ln 5 / ln 6, is the value at lo
+
+
+@pytest.mark.parametrize("spec,N,J", WINDOW_CASES)
+def test_windowed_max_matches_the_bisect_loop(spec, N, J):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)  # the J = 1 cut
+        rep = empirical_slope(spec, N, J)
+        points, wmax = _bisect_window(spec, N, J)
+    assert rep.points == points
+    assert rep.windowed_max.hex() == wmax.hex()
+
+
+@pytest.mark.parametrize("d,N", [(3, 2500), (5, 999)])
+def test_log_cumulative_is_the_slope_prefix_bit_for_bit(d, N):
+    spec = sl2_over_primes_spec(d)
+    series = truncated_zeta(spec, N, backend=LOG)
+    prefix = list(itertools.accumulate(series.mults, _logaddexp))
+    assert [cumulative(series, n) for n in series.dims] == prefix
+    assert series.total_mass() == prefix[-1]
+    points = empirical_slope(spec, N).points
+    assert [p.log10_R for p in points] == [
+        cumulative(series, p.n) / math.log(10.0) for p in points
+    ]
+
+
+def test_geometric_multiplicity_refuses_a_negative_exponent():
+    # f(j) = (j - 20000)^2 - 1 passes PolyExponent's scan to j = 10^4
+    tower = GeometricStratum(A1, 5, PolyExponent((399999999, -40000, 1)))
+    assert tower.multiplicity(10 ** 4) == BigPower(5, (10 ** 4 - 20000) ** 2 - 1)
+    with pytest.raises(PreconditionError, match=r"f\(20000\) = -1 < 0"):
+        tower.multiplicity(20000)
 
 
 def test_slope_csv_export():
