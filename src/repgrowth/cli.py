@@ -139,13 +139,18 @@ def _cmd_zeta(args) -> int:
 def _cmd_abscissa(args) -> int:
     if args.example:
         _refuse(args, ["--spec"], "does not apply with --example")
+    else:
+        _refuse(args, ["--d"], "applies only with --example")
+    if not args.empirical:
+        _refuse(args, ["--N", "--J"], "applies only with --empirical")
+    if args.example:
         if args.example != "sl2-primes":
             raise PreconditionError(f"unknown example {args.example!r}")
-        spec = growth.sl2_over_primes_spec(args.d)
+        spec = growth.sl2_over_primes_spec(3 if args.d is None else args.d)
     else:
         spec = _load_spec(args.spec)
     if args.empirical:
-        report = growth.empirical_slope(spec, args.N, args.J)
+        report = growth.empirical_slope(spec, 10 ** 6 if args.N is None else args.N, args.J)
         if args.format == "csv":
             _emit(args, report.to_csv())
         else:
@@ -203,7 +208,18 @@ def _cmd_prg(args) -> int:
 
 def _cmd_gens(args) -> int:
     G = finite_groups.get_group(args.group)
-    out = finite_groups.counts_jsonable(G, args.d or [2])
+    ds = args.d or [2]
+    # phi_d <= |G|^d, so below 10^digits every count prints; str() refuses
+    # longer ints (from Python 3.10.7; where it has no limit, the default
+    # bounds the work), and |G|^d >= 2^((b-1)d) settles a large d without
+    # forming the power
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    d, b = max(ds), G.order.bit_length()
+    if d * (b - 1) >= 4 * digits or G.order ** d >= 10 ** digits:
+        raise PreconditionError(
+            f"--d {d}: |{G.name}|^{d} has more than {digits} digits, too many to print"
+        )
+    out = finite_groups.counts_jsonable(G, ds)
     if args.min_gens is not None:
         out["min_generators"] = {
             "k": str(args.min_gens),
@@ -245,10 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("abscissa", help="exact abscissa or empirical slope table")
     p.add_argument("--spec")
     p.add_argument("--example", help="canned family, e.g. sl2-primes")
-    p.add_argument("--d", type=int, default=3, help="generator count for sl2-primes")
+    p.add_argument("--d", type=int, help="generator count for sl2-primes, default 3")
     p.add_argument("--empirical", action="store_true")
-    p.add_argument("--N", type=int, default=10 ** 6)
-    p.add_argument("--J", type=int)
+    p.add_argument("--N", type=int, help="default 10**6; --empirical only")
+    p.add_argument("--J", type=int, help="--empirical only")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", type=_out_arg)
     p.set_defaults(func=_cmd_abscissa)

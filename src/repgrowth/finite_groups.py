@@ -11,10 +11,9 @@ import math
 import random
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .errors import BudgetExceededError, InvariantError, PreconditionError
+from .errors import InvariantError, PreconditionError
 
 ORDER_LIMIT = 2000
-TUPLE_BUDGET = 10 ** 8
 AUT_ORDER_LIMIT = 400
 
 
@@ -57,13 +56,16 @@ class ConcreteGroup:
         self.inverse: List[int] = [row.index(0) for row in self.table]
         self._whole: FrozenSet[int] = frozenset(range(n))
         # caches shared across the counting operations; the subgroup
-        # registry maps every subgroup reached to its conjugacy class index
+        # registry maps every subgroup reached to its conjugacy class index,
+        # and _sub_edges[sid] lists the class of <H, z> for each coset Hz != H
         self._sub_index: Dict[FrozenSet[int], int] = {}
         self._sub_sets: List[FrozenSet[int]] = []
         self._sub_gens: List[Tuple[int, ...]] = []
         self._sub_reps: List[Tuple[int, ...]] = []
-        self._extend_cache: Dict[Tuple[int, int], int] = {}
-        self._count_cache: Dict[Tuple[int, int], int] = {}
+        self._sub_edges: List[List[int]] = []
+        # the tuple-count level c_r over the classes, and phi_0 .. phi_r
+        self._level: List[int] = []
+        self._phi: List[int] = []
         self._aut_cache: Optional[int] = None
         self._simple_cache: Optional[bool] = None
 
@@ -138,7 +140,7 @@ class ConcreteGroup:
             )
         return self._simple_cache
 
-    # -- subgroup registry for the tuple-count recursion ------------------
+    # -- subgroup-class graph for the tuple counts -----------------------
 
     def _register(self, sub: FrozenSet[int], gens: Tuple[int, ...]) -> int:
         """Index of the conjugacy class of the subgroup sub, generated by
@@ -167,16 +169,16 @@ class ConcreteGroup:
                 self._sub_index.setdefault(frozenset([t[t[g][h]][z] for h in sub]), sid)
         return sid
 
-    def _extend(self, sid: int, z: int) -> int:
-        """Class index of <H, z> for the representative H of the class sid
-        and z outside H; called once per right coset of H."""
-        key = (sid, z)
-        nid = self._extend_cache.get(key)
-        if nid is None:
-            gens = self._sub_gens[sid] + (z,)
-            nid = self._register(self.closure(gens), gens)
-            self._extend_cache[key] = nid
-        return nid
+    def _class_graph(self) -> None:
+        """Register every conjugacy class of subgroups reachable from the
+        trivial one (class 0) and record, for each representative H, the
+        class of <H, z> for one z per right coset Hz != H; called once."""
+        self._register(frozenset((self.identity,)), ())
+        # the loop also visits the classes it registers
+        for gens, reps in zip(self._sub_gens, self._sub_reps):
+            self._sub_edges.append(
+                [self._register(self.closure(gens + (z,)), gens + (z,)) for z in reps]
+            )
 
     def __repr__(self):
         return f"ConcreteGroup({self.name}, order={self.order})"
@@ -283,43 +285,35 @@ def get_group(name: str) -> ConcreteGroup:
 def generating_tuple_count(G: ConcreteGroup, d: int) -> int:
     """phi_d(G): exact number of ordered d-tuples generating G.
 
-    Tuples are enumerated through their closure states.  Appending z to a
+    Tuples are counted through their closure states.  Appending z to a
     tuple that generates H gives <H, z>, which depends only on the right
-    coset Hz, so with c(H, r) the number of r-tuples that complete H to G,
+    coset Hz, so with c_r(H) the number of r-tuples that complete H to G,
 
-        c(H, r) = |H| * (c(H, r-1) + sum over the cosets Hz != H of c(<H, z>, r-1)).
+        c_r(H) = |H| * (c_{r-1}(H) + sum over the cosets Hz != H of c_{r-1}(<H, z>)),
 
+    from c_0(H) = 1 if H = G and 0 otherwise, and phi_d = c_d(1).
     Conjugation by g maps the r-tuples completing H to those completing
-    gHg^-1, so c(H, r) = c(gHg^-1, r) (the symmetry behind P. Hall's
-    Eulerian functions) and the recursion runs over one representative H of
-    each conjugacy class of subgroups reached.  Each (class, coset) closure
-    is cached, so the count is exact while the work is proportional to the
-    sum over those representatives of |G:H| * d.
+    gHg^-1, so c_r(H) = c_r(gHg^-1) (the symmetry behind P. Hall's Eulerian
+    functions) and the levels run over one representative H of each
+    conjugacy class of subgroups.  The class graph is built once per group,
+    with one closure per representative and coset; after that each level
+    costs sum |G:H| additions, and the levels computed so far are kept, so
+    a larger d resumes where the last call stopped.
     """
     if d < 1:
         raise PreconditionError("d must be >= 1")
-    if G.order ** d > TUPLE_BUDGET:
-        raise PreconditionError(
-            f"|G|^d = {G.order}^{d} exceeds the enumeration budget {TUPLE_BUDGET}"
-        )
-    trivial = G._register(frozenset((G.identity,)), ())
-    full_size = G.order
-
-    def count(sid: int, r: int) -> int:
-        size = len(G._sub_sets[sid])
-        if r == 0:
-            return 1 if size == full_size else 0
-        key = (sid, r)
-        got = G._count_cache.get(key)
-        if got is None:
-            got = size * (
-                count(sid, r - 1)
-                + sum(count(G._extend(sid, z), r - 1) for z in G._sub_reps[sid])
-            )
-            G._count_cache[key] = got
-        return got
-
-    return count(trivial, d)
+    if not G._phi:
+        G._class_graph()
+        G._level = [int(len(H) == G.order) for H in G._sub_sets]
+        G._phi.append(G._level[0])
+    while len(G._phi) <= d:
+        c = G._level
+        G._level = [
+            len(H) * (c[sid] + sum(c[nid] for nid in edges))
+            for sid, (H, edges) in enumerate(zip(G._sub_sets, G._sub_edges))
+        ]
+        G._phi.append(G._level[0])
+    return G._phi[d]
 
 
 def automorphism_count(G: ConcreteGroup) -> int:
@@ -382,9 +376,8 @@ def automorphism_count(G: ConcreteGroup) -> int:
 def min_generators_power(G: ConcreteGroup, k: int) -> int:
     """d(G^k) = min{d >= 2 : phi_d(G)/|Aut G| >= k} for nonabelian simple G.
 
-    phi_d is enumerated on demand while |G|^d stays inside the budget; past
-    that the bound phi_{d+1} >= phi_d * |G| certifies the answer when it can,
-    otherwise a larger enumeration is genuinely needed.
+    phi_2, phi_3, ... are computed level by level until one reaches k |Aut G|;
+    that always happens, since phi_d/|G|^d tends to 1 as d grows.
     """
     if not G.is_nonabelian_simple():
         raise PreconditionError(f"{G.name} is not nonabelian simple")
@@ -392,26 +385,9 @@ def min_generators_power(G: ConcreteGroup, k: int) -> int:
         raise PreconditionError("k must be >= 1")
     aut = automorphism_count(G)
     d = 2
-    last_d, last_phi = None, None
-    while G.order ** d <= TUPLE_BUDGET:
-        phi = generating_tuple_count(G, d)
-        if phi // aut >= k:
-            return d
-        last_d, last_phi = d, phi
+    while generating_tuple_count(G, d) // aut < k:
         d += 1
-    # lower bound on d: even phi_d = |G|^d cannot reach k before this
-    d_low = last_d + 1
-    while G.order ** d_low < k * aut:
-        d_low += 1
-    # upper bound: appending arbitrary coordinates keeps tuples generating
-    d_up = last_d + 1
-    while last_phi * G.order ** (d_up - last_d) < k * aut:
-        d_up += 1
-    if d_low == d_up:
-        return d_low
-    raise BudgetExceededError(
-        f"needs larger enumeration: d({G.name}^k) is in [{d_low}, {d_up}]"
-    )
+    return d
 
 
 def counts_jsonable(G: ConcreteGroup, ds: Sequence[int]) -> dict:

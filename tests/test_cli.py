@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repgrowth
-from repgrowth import cli, constructor, growth
+from repgrowth import cli, constructor, finite_groups, growth
 from repgrowth.cli import main
 from repgrowth.growth import GroupSpec, exact_abscissa, sl2_over_primes_spec, truncated_zeta
 from repgrowth.lie_data import LieType
@@ -136,6 +136,38 @@ def test_gens_json(capsys):
     assert obj["phi"]["2"] == 2280
     assert obj["aut"] == 120
     assert obj["min_generators"] == {"k": "60", "d": 3}
+
+
+def test_gens_counts_past_the_old_tuple_budget(capsys):
+    # 168^4 > 10^8 and d(A5^6450000) = 5 were refused by an enumeration budget
+    code, out = run(capsys, "gens", "--group", "PSL2_7", "--d", "4")
+    assert code == 0 and json.loads(out)["phi"] == {"4": 790518960}
+    code, out = run(capsys, "gens", "--group", "A5", "--min-gens", "6450000")
+    assert code == 0 and json.loads(out)["min_generators"] == {"k": "6450000", "d": 5}
+
+
+@pytest.mark.parametrize("group, d", [("A5", 2418), ("SL2_5", 2068), ("PSL2_7", 1932)])
+def test_gens_refuses_a_d_whose_count_cannot_be_printed(capsys, monkeypatch, group, d):
+    # the largest d with |G|^d < 10^4300 prints; the next one exits 3
+    code, out = run(capsys, "gens", "--group", group, "--d", str(d))
+    assert code == 0 and len(str(json.loads(out)["phi"][str(d)])) <= 4300
+    monkeypatch.setattr(finite_groups, "generating_tuple_count", _no_work)
+    for too_large in (d + 1, 10 ** 9):
+        code, err = _spec_error(capsys, "gens", "--group", group, "--d", "2", "--d", str(too_large))
+        assert code == 3
+        assert err == (
+            f"error: --d {too_large}: |{group}|^{too_large} has more than 4300 digits,"
+            " too many to print\n"
+        )
+
+
+def test_abscissa_defaults_are_d_3_and_n_10_6(capsys):
+    assert run(capsys, "abscissa", "--example", "sl2-primes") == run(
+        capsys, "abscissa", "--example", "sl2-primes", "--d", "3"
+    )
+    base = ("abscissa", "--spec", json.dumps(_finite(q=7)), "--empirical")
+    default = run(capsys, *base)
+    assert default[0] == 0 and run(capsys, *base, "--N", str(10 ** 6)) == default
 
 
 def test_unknown_subcommand_is_parse_error(capsys):
@@ -698,6 +730,15 @@ UNREAD_FLAGS = {
         ("abscissa", "--example", "sl2-primes", "--spec", "/nonexistent"),
         "--spec does not apply with --example",
     ),
+    "abscissa-spec-d": (
+        ("abscissa", "--spec", "/nonexistent", "--d", "3", "--empirical"),
+        "--d applies only with --example",
+    ),
+    "abscissa-N": (
+        ("abscissa", "--example", "sl2-primes", "--N", "1000000"),
+        "--N applies only with --empirical",
+    ),
+    "abscissa-J": (("abscissa", "--spec", "/nonexistent", "--J", "2"), "--J applies only with --empirical"),
 }
 
 
@@ -713,6 +754,7 @@ def test_flag_the_command_does_not_read_is_parse_error(capsys, monkeypatch, argv
         (growth, "truncated_zeta"),
         (growth, "empirical_slope"),
         (growth, "exact_abscissa"),
+        (growth, "sl2_over_primes_spec"),
         (cli, "_load_spec"),
         (cli, "_load_targets"),
     ]:
@@ -794,3 +836,26 @@ def test_any_json_spec_ends_in_a_documented_exit(spec):
                 sys.stdin = stdin
         assert code in (0, 2, 3, 4), (argv, text, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+
+def hall_phi_a5(d):
+    return 60 ** d - 5 * 12 ** d - 6 * 10 ** d - 10 * 6 ** d + 20 * 3 ** d + 60 * 2 ** d - 60
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(finite_groups.catalog_names()),
+    st.lists(st.integers(-2, 60), max_size=3),
+    st.none() | st.integers(-2, 10 ** 60),
+)
+def test_gens_ends_in_a_count_or_a_precondition_exit(group, ds, k):
+    argv = ["gens", "--group", group, *(a for d in ds for a in ("--d", str(d)))]
+    if k is not None:
+        argv += ["--min-gens", str(k)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 3), (argv, err.getvalue())
+    if code == 0 and group == "A5":
+        phi = json.loads(out.getvalue())["phi"]
+        assert phi == {str(d): hall_phi_a5(d) for d in ds or [2]}

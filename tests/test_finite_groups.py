@@ -1,11 +1,12 @@
 import functools
 import itertools
 import random
+import time
 from collections import deque
 
 import pytest
 
-from repgrowth.errors import BudgetExceededError, InvariantError, PreconditionError
+from repgrowth.errors import InvariantError, PreconditionError
 from repgrowth.finite_groups import (
     AUT_ORDER_LIMIT,
     ConcreteGroup,
@@ -132,26 +133,44 @@ def test_simplicity_detection():
     assert not get_group("C3").is_nonabelian_simple()
 
 
-def test_feasibility_guard():
-    with pytest.raises(PreconditionError):
-        generating_tuple_count(get_group("A5"), 6)  # 60^6 > 1e8
+def hall_phi_a5(d):
+    """Oracle: P. Hall's closed form of phi_d(A5), a Moebius sum over its
+    subgroup lattice."""
+    return 60 ** d - 5 * 12 ** d - 6 * 10 ** d - 10 * 6 ** d + 20 * 3 ** d + 60 * 2 ** d - 60
+
+
+def test_phi_a5_is_halls_polynomial():
+    A5 = alternating_group_5()
+    assert [generating_tuple_count(A5, d) for d in range(1, 61)] == [
+        hall_phi_a5(d) for d in range(1, 61)
+    ]
+
+
+def test_phi_for_a_smaller_d_after_a_larger_one():
+    G = psl2_group(7)
+    assert generating_tuple_count(G, 4) == 790518960
+    assert generating_tuple_count(G, 2) == 19152
 
 
 def test_huge_k_certified_beyond_enumeration():
-    # 60^10 is far past the enumeration budget, but the bracketing bounds
-    # coincide and certify Wiegold's b+2 at b = 10
+    # Wiegold's b+2 at b = 10
     assert min_generators_power(get_group("A5"), 60 ** 10) == 12
 
 
-def test_out_of_range_k_certifies_or_reports():
-    # past the enumeration range the bracket [d_low, d_up] either closes
-    # (a certified answer) or the error names the interval; both conform
-    A5 = get_group("A5")
-    for k in (10 ** 7, 10 ** 8 + 1, 10 ** 9 + 7):
-        try:
-            assert min_generators_power(A5, k) >= 3
-        except BudgetExceededError as e:
-            assert "needs larger enumeration" in str(e)
+def test_min_generators_power_past_the_old_budget():
+    # 6,450,000 lies in (phi_4/|Aut|, phi_5/|Aut|] = (106549, 6464040]
+    A5 = alternating_group_5()
+    ks = (6450000, 10 ** 7, 10 ** 8 + 1, 10 ** 9 + 7, 60 ** 10)
+    assert [min_generators_power(A5, k) for k in ks] == [5, 6, 6, 7, 12]
+
+
+@pytest.mark.parametrize("make, d", [(alternating_group_5, 2419), (lambda: psl2_group(7), 1934)])
+def test_largest_k_the_cli_parses_takes_bounded_time(make, d):
+    # 10^4299 is below 10^4300, the smallest int argparse cannot read
+    G = make()
+    start = time.perf_counter()
+    assert min_generators_power(G, 10 ** 4299) == d
+    assert time.perf_counter() - start < 30
 
 
 def test_unknown_group_id():
@@ -427,7 +446,7 @@ ORACLE_GROUPS = {
 @pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
 def test_phi_matches_the_coset_free_oracle(name):
     G = ORACLE_GROUPS[name]()
-    for d in (1, 2, 3):
+    for d in (1, 2, 3, 4):
         assert generating_tuple_count(G, d) == coset_free_phi(G, d)
 
 
