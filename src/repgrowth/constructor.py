@@ -34,9 +34,6 @@ from .lie_data import (
     tits_excluded,
 )
 
-_F_NONNEG_HORIZON = 10_000
-
-
 def prec_less(p1: Tuple[int, int], p2: Tuple[int, int], rho: Fraction) -> bool:
     """The schedule order: (m,n) precedes (m',n') when m - n*rho is larger,
     ties broken by smaller n.  A strict linear order on any pair set."""
@@ -61,7 +58,15 @@ def prec_min(a: PairSet, rho: Fraction) -> Tuple[int, int]:
 @dataclass(frozen=True)
 class Schedule:
     """The multiplicity-exponent schedule: k_j = round(rho*j) half-up,
-    f(j) = n0*k_j - m0*j from the first active index j0 on, zero before."""
+    f(j) = n0*k_j - m0*j from the first active index j0 on, zero before.
+
+    Construction refuses a schedule unless a bound proves f(j) >= 0 for
+    every j.  With rho = num/den and D = n0*num - m0*den, k_j >= rho*j -
+    1/2 + 1/(2*den), so f(j) <= -1 forces 2*j*D <= n0*(den - 1) - 2*den.
+    D >= 0 makes 2*j*D grow with j, so 2*j0*D > n0*(den - 1) - 2*den rules
+    that out for every j >= j0.  make_schedule's schedules meet the bound:
+    m0 <= n0*rho0 and j0*(rho - rho0) >= 1 give 2*j0*D >= 2*n0*den.
+    """
 
     rho: Fraction
     rho0: Fraction
@@ -74,6 +79,13 @@ class Schedule:
             raise PreconditionError("need 0 < rho0 < rho")
         if self.m0 < 0 or self.n0 < 1 or self.j0 < 1:
             raise PreconditionError("malformed schedule data")
+        num, den = self.rho.numerator, self.rho.denominator
+        D = self.n0 * num - self.m0 * den
+        if D < 0 or 2 * self.j0 * D <= self.n0 * (den - 1) - 2 * den:
+            raise PreconditionError(
+                "schedule needs D = n0*num - m0*den >= 0 and "
+                "2*j0*D > n0*(den - 1) - 2*den, rho = num/den, to keep f(j) >= 0"
+            )
 
     def k(self, j: int) -> int:
         num, den = self.rho.numerator, self.rho.denominator
@@ -100,36 +112,17 @@ class Schedule:
 
     @classmethod
     def from_jsonable(cls, obj: dict, pointer: str = "") -> "Schedule":
-        """A spec's schedule, held to a bound that proves f(j) >= 0 for every
-        j >= j0: with k_j >= rho*j - 1/2, f(j) >= j*(n0*rho - m0) - n0/2, so
-        2*j0*(n0*rho - m0) >= n0 suffices.  make_schedule's schedules meet
-        it, since m0 <= n0*rho0 and j0*(rho - rho0) >= 1 there."""
         rho, rho0 = (fraction_field(obj, key, pointer) for key in ("rho", "rho0"))
         m0, n0, j0 = (int_field(obj, key, pointer) for key in ("m0", "n0", "j0"))
-        sched = cls(rho, rho0, m0, n0, j0)
-        if 2 * j0 * sched.rate() < n0:
-            raise PreconditionError("schedule needs 2*j0*(n0*rho - m0) >= n0 to keep f(j) >= 0")
-        return sched
-
-
-def _check_nonnegative(sched: Schedule) -> None:
-    """Raise InvariantError at the first j <= 10^4 with f(j) < 0.  f(j) = 0
-    below j0, so the scan starts there, in plain ints: f(j) >= 0 is
-    n0 * k_j >= m0 * j with k_j = (2*num*j + den) // (2*den)."""
-    num2, den = 2 * sched.rho.numerator, sched.rho.denominator
-    den2, m0, n0 = 2 * den, sched.m0, sched.n0
-    for j in range(sched.j0, _F_NONNEG_HORIZON + 1):
-        if n0 * ((num2 * j + den) // den2) < m0 * j:
-            raise InvariantError(f"schedule violates f({j}) >= 0")
+        return cls(rho, rho0, m0, n0, j0)
 
 
 def make_schedule(rho: Fraction, t: LieType, a: Optional[PairSet] = None) -> Schedule:
     """Schedule for the type's admissibility threshold rho0 = rk/|Phi+|.
 
-    Nonnegativity of f is an exact proof obligation: checked pointwise to
-    j = 10^4, and for every j by the closed-form bound f(j) >=
-    n0*(j*(rho-rho0) - 1/2), positive from j0 = ceil(1/(rho-rho0)) on
-    since every pair (m, n) of a valid set has m <= n*rho0.
+    Nonnegativity of f is an exact proof obligation, discharged by
+    Schedule's bound: j0 = ceil(1/(rho-rho0)), and every pair (m, n) of a
+    valid set has m <= n*rho0.
     """
     rho = Fraction(rho)
     r0 = rho0(t)
@@ -142,9 +135,7 @@ def make_schedule(rho: Fraction, t: LieType, a: Optional[PairSet] = None) -> Sch
     require_pair_set(a, t)
     m0, n0 = prec_min(a, rho)
     j0 = math.ceil(1 / (rho - r0))
-    sched = Schedule(rho, r0, m0, n0, j0)
-    _check_nonnegative(sched)
-    return sched
+    return Schedule(rho, r0, m0, n0, j0)
 
 
 def build_fixed_type(

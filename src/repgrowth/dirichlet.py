@@ -260,30 +260,44 @@ def evaluate(s: DirichletSeries, sigma: float) -> float:
         raise RangeOverflow("sum exceeds double range; evaluate on the log backend")
 
 
+def _mul_into(acc, src, d1s, x, N, exact, bound=0):
+    """Add src[d1] * x into the dict acc at dims <= N, for each d1 of d1s in
+    turn and the terms of x in order (sum of logs and _logaddexp on the log
+    backend).  x holds (dim, mult) pairs sorted by dim, iterated once per
+    d1.  Returns the keys it created that are <= bound, in creation order.
+
+    src may be acc itself when every target d1 * d2 exceeds its source and
+    d1s runs high to low: then no source is updated before it is read.
+    """
+    fresh = []
+    for d1 in d1s:
+        m1 = src[d1]
+        for d2, m2 in x:
+            p = d1 * d2
+            if p > N:
+                break
+            prev = acc.get(p)
+            if prev is None:
+                acc[p] = m1 * m2 if exact else m1 + m2
+                if p <= bound:
+                    fresh.append(p)
+            elif exact:
+                acc[p] = prev + m1 * m2
+            else:
+                acc[p] = _logaddexp(prev, m1 + m2)
+    return fresh
+
+
 def convolve(s1: DirichletSeries, s2: DirichletSeries, N: int) -> DirichletSeries:
     """Dirichlet product truncated at N: entry at d is sum over d1*d2 = d."""
     if s1.backend != s2.backend:
         raise BackendMismatch("cannot convolve series with different backends")
     if N > min(s1.cutoff, s2.cutoff):
         raise PreconditionError("convolution target N exceeds an input cutoff")
-    exact = s1.backend == EXACT
     acc: Dict[int, object] = {}
     if s1 and s2:
-        d2s, m2s = s2.dims, s2.mults
-        d2min = d2s[0]
-        for d1, m1 in s1.items():
-            if d1 * d2min > N:
-                break  # dims sorted, nothing further fits
-            for d2, m2 in zip(d2s, m2s):
-                p = d1 * d2
-                if p > N:
-                    break
-                if exact:
-                    acc[p] = acc.get(p, 0) + m1 * m2
-                else:
-                    v = m1 + m2
-                    prev = acc.get(p)
-                    acc[p] = v if prev is None else _logaddexp(prev, v)
+        d1s = s1.dims[:bisect_right(s1.dims, N // s2.dims[0])]
+        _mul_into(acc, dict(zip(d1s, s1.mults)), d1s, list(s2.items()), N, s1.backend == EXACT)
     return DirichletSeries(N, acc, s1.backend)
 
 
@@ -326,20 +340,10 @@ def _power_terms(x: List[Tuple[int, object]], M: Multiplicity, N: int, backend: 
     xs = xk = None
     k = 1
     while True:
-        if exact:
-            c = math.comb(Mi, k)
-            if c == 0:
-                break
-            for d, m in terms:
-                out[d] = out.get(d, 0) + c * m
-        else:
-            lc = _log_binomial(M, k)
-            if lc == float("-inf"):
-                break
-            for d, m in terms:
-                v = lc + m
-                prev = out.get(d)
-                out[d] = v if prev is None else _logaddexp(prev, v)
+        c = math.comb(Mi, k) if exact else _log_binomial(M, k)
+        if c == (0 if exact else float("-inf")):
+            break
+        _mul_into(out, {1: c}, (1,), terms, N, exact)
         k += 1
         if (isinstance(M, int) and k > M) or d0 ** k > N:
             break

@@ -33,6 +33,7 @@ from .dirichlet import (
     DirichletSeries,
     Multiplicity,
     _logaddexp,
+    _mul_into,
     _power_terms,
     convolve,  # noqa: F401  unused here; kept so growth.convolve stays bound (bench/tests)
     evaluate,
@@ -64,6 +65,61 @@ class TruncationWarning(UserWarning):
 # exponent rules for geometric strata
 
 
+def _horner(coeffs: Sequence[int], j: int) -> int:
+    v = 0
+    for c in reversed(coeffs):
+        v = v * j + c
+    return v
+
+
+def _first_true(pred, lo: int, hi: int) -> int:
+    """The least j in (lo, hi] with pred(j), for pred false at lo, true at
+    hi and monotone in between."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _first_negative(coeffs: Sequence[int]) -> Optional[int]:
+    """The least integer j >= 1 with f(j) < 0, or None, for f(j) = sum
+    coeffs[i] * j^i of degree >= 1 with a positive leading coefficient.
+
+    Every real root lies below B = 2 + max|c_i| // lead (Cauchy's bound),
+    so f > 0 from B on.  [1, B] is cut at integers into pieces on which f
+    is monotone, from the highest derivative down: where a derivative g' is
+    monotone on a piece and changes sign, integer bisection finds the c
+    with g'(c - 1) and g'(c) on opposite sides of 0 (g'(c) may be 0), and
+    c - 1 and c become cuts for g.  Along f's pieces, the first one that
+    starts >= 0 and ends < 0 holds the answer, found by bisection.
+    """
+    ders = [list(coeffs)]
+    while len(ders[-1]) > 2:
+        ders.append([i * c for i, c in enumerate(ders[-1])][1:])
+    cuts = [1, 2 + max(abs(c) for c in coeffs[:-1]) // coeffs[-1]]
+    for dg in reversed(ders[1:]):  # dg is monotone on each piece of cuts
+        refined = [1]
+        for a, b in zip(cuts, cuts[1:]):
+            ga = _horner(dg, a)
+            s = (ga > 0) - (ga < 0)
+            if b - a > 1 and s * _horner(dg, b) < 0:
+                c = _first_true(lambda j: s * _horner(dg, j) <= 0, a, b)
+                refined += [j for j in (c - 1, c) if j > refined[-1]]
+            if b > refined[-1]:
+                refined.append(b)
+        cuts = refined
+    f = ders[0]
+    for a, b in zip(cuts, cuts[1:]):
+        if _horner(f, a) < 0:
+            return a
+        if _horner(f, b) < 0:
+            return _first_true(lambda j: _horner(f, j) < 0, a, b)
+    return None
+
+
 @dataclass(frozen=True)
 class PolyExponent:
     """f(j) as an integer polynomial; degree >= 2 means superlinear
@@ -77,9 +133,12 @@ class PolyExponent:
         lead = max((i for i, c in enumerate(self.coeffs) if c != 0), default=0)
         if lead > 0 and self.coeffs[lead] < 0:
             raise PreconditionError("leading coefficient must be positive")
-        for j in range(1, 10_001):
-            if self.f(j) < 0:
-                raise PreconditionError(f"f({j}) < 0")
+        if lead == 0:
+            j = 1 if self.coeffs[0] < 0 else None
+        else:
+            j = _first_negative(self.coeffs[: lead + 1])
+        if j is not None:
+            raise PreconditionError(f"f({j}) = {self.f(j)} < 0")
 
     def f(self, j: int) -> int:
         return sum(c * j ** i for i, c in enumerate(self.coeffs))
@@ -327,7 +386,7 @@ class GeometricStratum(_Tower):
 
     def multiplicity(self, j: int) -> Multiplicity:
         f = self.exponents.f(j)
-        if f < 0:  # a PolyExponent checks f only up to j = 10^4
+        if f < 0:  # PolyExponent and Schedule refuse this when built; other rules may not
             raise PreconditionError(f"{self.id_str()}: f({j}) = {f} < 0")
         if f == 0:
             return 1
@@ -600,10 +659,14 @@ def truncated_zeta(
     p > 2 sqrt(N) + 1 in the SL2-over-primes family) adds one series for
     x_f and one convolve per such power.  Then about
     N * sum(|x_f| / min_dim(x_f)) dict updates for the product, for dense
-    and sparse (huge-N) cutoffs alike.
+    and sparse (huge-N) cutoffs alike.  Every multiply-add here, in the
+    binomial sums and in convolve runs through one kernel,
+    dirichlet._mul_into.
     """
     if N < 1 or (J is not None and J < 1):
         raise PreconditionError("N and J must be >= 1")
+    if backend not in (None, EXACT, LOG):
+        raise PreconditionError(f"unknown backend {backend!r}")
     factors = list(_contributions(spec, N, J))
     if backend is None:
         big = any(mult_bits(f.multiplicity) > LOG_THRESHOLD_BITS for f in factors)
@@ -622,22 +685,7 @@ def truncated_zeta(
     for min_dim, _, x in terms:
         bound = N // min_dim
         del sources[bisect_right(sources, bound):]
-        fresh = []
-        for d1 in reversed(sources):
-            m1 = acc[d1]
-            for d2, m2 in x:
-                p = d1 * d2
-                if p > N:
-                    break
-                prev = acc.get(p)
-                if prev is None:
-                    acc[p] = m1 * m2 if exact else m1 + m2
-                    if p <= bound:
-                        fresh.append(p)
-                elif exact:
-                    acc[p] = prev + m1 * m2
-                else:
-                    acc[p] = _logaddexp(prev, m1 + m2)
+        fresh = _mul_into(acc, acc, reversed(sources), x, N, exact, bound)
         if fresh:
             sources += fresh
             sources.sort()

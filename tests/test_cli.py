@@ -779,7 +779,7 @@ def test_schedule_with_negative_exponents_is_a_precondition_error(capsys, argv):
     # f(j) = k_j - 5j < 0: zeta used to end in a traceback, abscissa to print -3
     code, err = _spec_error(capsys, *argv, "--spec", json.dumps(NEGATIVE_SCHEDULE))
     assert code == 3
-    assert err.startswith("error: schedule needs 2*j0*(n0*rho - m0) >= n0")
+    assert err.startswith("error: schedule needs D = n0*num - m0*den >= 0")
     assert "Traceback" not in err
 
 

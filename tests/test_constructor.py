@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 from repgrowth.constructor import (
     DiagonalCertificate,
     Schedule,
-    _check_nonnegative,
     build_diagonal,
     build_fixed_type,
     convergence_certificate,
@@ -19,7 +17,7 @@ from repgrowth.constructor import (
     prec_min,
 )
 from repgrowth.dirichlet import cumulative
-from repgrowth.errors import BudgetExceededError, InvariantError, PreconditionError
+from repgrowth.errors import BudgetExceededError, PreconditionError
 from repgrowth.growth import GroupSpec, exact_abscissa, truncated_zeta, with_flag
 from repgrowth.lie_data import LieType, PairSet, canonical_pair_set, rho0
 
@@ -130,6 +128,21 @@ def test_schedule_nonnegativity_everywhere():
 DIAGONAL_CASES = [(Fraction(2), 7, 5), (Fraction(3), 7, 5), (Fraction(5, 2), 6, 7), (Fraction(2), 6, 7)]
 
 
+def _f_scan(rho, m0, n0, j0, stop):
+    """f(j) = n0*k_j - m0*j pointwise for j0 <= j < stop, k_j = round(rho*j)
+    half up, with no Schedule built."""
+    num, den = rho.numerator, rho.denominator
+    return [n0 * ((2 * num * j + den) // (2 * den)) - m0 * j for j in range(j0, stop)]
+
+
+def _nonnegative_everywhere(rho, m0, n0, j0):
+    """The exact decision: k_{j+den} = k_j + num, so f(j + den) = f(j) +
+    n0*num - m0*den, and f >= 0 for every j >= j0 iff that step is >= 0
+    and f >= 0 on one period j0 .. j0 + den - 1."""
+    step = n0 * rho.numerator - m0 * rho.denominator
+    return step >= 0 and min(_f_scan(rho, m0, n0, j0, j0 + rho.denominator)) >= 0
+
+
 def test_nonnegativity_scan_agrees_with_schedule_f():
     schedules = [
         make_schedule(rho_m, t)
@@ -137,25 +150,51 @@ def test_nonnegativity_scan_agrees_with_schedule_f():
         for rho_m, t, _ in default_diagonal_targets(rho, stages, p)
     ]
     assert len(schedules) == 26
-    # each stage schedule, then variants that f(j) >= 0 may reject
+    # each stage schedule, then variants on which f(j) >= 0 may fail
     cases = [
         v
         for s in schedules
-        for v in (s, replace(s, m0=s.m0 + 1), replace(s, j0=1, m0=s.m0 + 1),
-                  replace(s, rho=s.rho0 + Fraction(1, 10 ** 5)))
+        for v in ((s.rho, s.m0, s.n0, s.j0), (s.rho, s.m0 + 1, s.n0, s.j0),
+                  (s.rho, s.m0 + 1, s.n0, 1), (s.rho0 + Fraction(1, 10 ** 5), s.m0, s.n0, s.j0))
     ]
     # f(1) = k_1 - 2 = 0 only because 3/2 rounds half up; f(2) = 3 - 4
-    cases.append(Schedule(Fraction(3, 2), Fraction(1), 2, 1, 1))
+    cases.append((Fraction(3, 2), 2, 1, 1))
     failing = 0
-    for v in cases:
-        first = next((j for j in range(1, 10 ** 4 + 1) if v.f(j) < 0), None)
-        if first is None:
-            _check_nonnegative(v)
+    for rho, m0, n0, j0 in cases:
+        exact = _nonnegative_everywhere(rho, m0, n0, j0)
+        assert exact == (min(_f_scan(rho, m0, n0, j0, 10 ** 4 + 1)) >= 0)
+        failing += not exact
+        try:
+            sched = Schedule(rho, Fraction(1, 10 ** 6), m0, n0, j0)
+        except PreconditionError:
             continue
-        failing += 1
-        with pytest.raises(InvariantError, match=rf"f\({first}\) >= 0"):
-            _check_nonnegative(v)
-    assert failing >= 20  # 23 of the 105 cases fail the scan
+        assert exact  # the bound accepts no schedule with a negative f
+        assert [sched.f(j) for j in range(j0, 10 ** 4 + 1)] == _f_scan(rho, m0, n0, j0, 10 ** 4 + 1)
+    assert failing >= 20  # 23 of the 105 cases have a negative f
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(1, 60), st.integers(1, 12), st.integers(0, 20), st.integers(1, 10), st.integers(1, 30)
+)
+def test_schedule_bound_accepts_only_nonnegative_f(num, den, m0, n0, j0):
+    rho = Fraction(num, den)
+    try:
+        sched = Schedule(rho, rho / 2, m0, n0, j0)
+    except PreconditionError as e:
+        assert "to keep f(j) >= 0" in str(e)
+        return
+    assert n0 * rho.numerator - m0 * rho.denominator >= 0
+    assert min(sched.f(j) for j in range(j0, j0 + rho.denominator)) >= 0
+
+
+def test_schedule_with_a_small_rate_is_accepted():
+    # rho = 5/4, m0 = n0 = j0 = 1: f(j) = round(5j/4) - j = round(j/4) >= 0,
+    # though 2*j0*(n0*rho - m0) = 1/2 < n0
+    sched = Schedule.from_jsonable(
+        {"kind": "schedule", "rho": "5/4", "rho0": "1", "m0": 1, "n0": 1, "j0": 1}
+    )
+    assert [sched.f(j) for j in range(1, 9)] == [0, 1, 1, 1, 1, 2, 2, 2]
 
 
 @pytest.mark.parametrize(
@@ -167,14 +206,14 @@ def test_nonnegativity_scan_agrees_with_schedule_f():
     ],
 )
 def test_json_schedule_without_the_positivity_bound_is_refused(fields):
-    with pytest.raises(PreconditionError, match=r"2\*j0\*\(n0\*rho - m0\) >= n0"):
+    with pytest.raises(PreconditionError, match=r"2\*j0\*D > n0\*\(den - 1\) - 2\*den"):
         Schedule.from_jsonable({"kind": "schedule", **fields})
 
 
 def test_schedule_json_round_trip():
     sched = make_schedule(Fraction(3, 2), LieType("A", 2))
     assert Schedule.from_jsonable(sched.to_jsonable()) == sched
-    # every stage schedule passes from_jsonable's bound, for the reason given there
+    # every stage schedule passes Schedule's bound, for the reason given there
     for rho, stages, p in DIAGONAL_CASES:
         for rho_m, t, _ in default_diagonal_targets(rho, stages, p):
             sched = make_schedule(rho_m, t)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -255,3 +256,30 @@ TO_JSON_CASES = {
 def test_to_json_is_json_dumps_byte_for_byte(name):
     s = TO_JSON_CASES[name]
     assert s.to_json() == json.dumps(s.to_jsonable(), indent=2, sort_keys=True)
+
+
+# sha256 of to_json() on the log backend, pinned when the three multiply-add
+# loops became one kernel: evaluation order must not drift, not even by an ulp
+POWER_BASE = DirichletSeries(64, {1: 1, 2: 3, 3: 1, 5: 7, 8: 2, 13: 5, 20: 1, 64: 9})
+LOG_POWER_DIGESTS = {
+    2: "18c7017aa855e289f18ea31bbb603b03b598a4b39db0f6ec52971d779403b1a3",
+    7: "eae7de9420677301fee8aaa44a2cf6b16d41d0c324b9a508db00765c247fad35",
+    10 ** 6: "33c76573e17f34537a7b42a35ecf60e4a0cc93ba2b8c0145feee3f1cf8f340f5",
+    BigPower(5, 1000): "b06481bce4e17f5759957749361e1f82cbee0454d8d6a64b2f7e832fa19e9e94",
+}
+
+
+def _digest(s):
+    return hashlib.sha256(s.to_json().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("M", list(LOG_POWER_DIGESTS), ids=str)
+def test_log_power_is_pinned_bit_for_bit(M):
+    assert _digest(power_one_plus(POWER_BASE.to_log(), M, 64)) == LOG_POWER_DIGESTS[M]
+
+
+def test_log_convolve_is_pinned_bit_for_bit():
+    a = DirichletSeries(500, {d: d * d + 1 for d in range(1, 500, 3)})
+    b = DirichletSeries(500, {1: 1, **{d: 7 * d + 2 for d in range(2, 500, 5)}})
+    got = convolve(a.to_log(), b.to_log(), 500)
+    assert _digest(got) == "e695aff9d00eecedc5d2b48229b68ea14b6faa59ed8116580d8a9eb938c14e67"

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -27,6 +28,7 @@ from repgrowth.dirichlet import (
     mult_to_int,
     power_one_plus,
 )
+from repgrowth import growth
 from repgrowth.errors import PreconditionError, SpecFormatError
 from repgrowth.growth import (
     STRATUM_KINDS,
@@ -329,6 +331,31 @@ def test_backend_autoswitch_on_huge_multiplicity():
             assert math.exp(s.mult_at(d)) == pytest.approx(m, rel=1e-9)
 
 
+@pytest.mark.parametrize("backend", ["Exact", "LOG", "", "float"])
+def test_unknown_backend_is_refused_before_any_work(backend, monkeypatch):
+    # a misspelt backend must not fall through to the log branch
+    def no_factors(*args):
+        raise AssertionError("factors enumerated before the backend was checked")
+
+    monkeypatch.setattr(growth, "_contributions", no_factors)
+    with pytest.raises(PreconditionError, match="unknown backend"):
+        truncated_zeta(sl2_over_primes_spec(3), 100, backend=backend)
+
+
+# sha256 of to_json() on the log backend, pinned when the three multiply-add
+# loops became one kernel: evaluation order must not drift, not even by an ulp
+LOG_ZETA_DIGESTS = {
+    4: "9095851dc88e9f668faacd4963678ef00b17d458500e069728911633cbe6a287",
+    5: "a9e0a0a343d5625005ed731ff32c270d729700d355a8639a405953bcf4b4e8d5",
+}
+
+
+@pytest.mark.parametrize("d", sorted(LOG_ZETA_DIGESTS))
+def test_log_zeta_is_pinned_bit_for_bit(d):
+    text = truncated_zeta(sl2_over_primes_spec(d), 2500, backend=LOG).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == LOG_ZETA_DIGESTS[d]
+
+
 # -- m_n ---------------------------------------------------------------------
 
 
@@ -517,12 +544,60 @@ def test_log_cumulative_is_the_slope_prefix_bit_for_bit(d, N):
     ]
 
 
+class _DuckExponent:
+    """An exponent rule that checks nothing: f(j) = (j - 20000)^2 - 1."""
+
+    def f(self, j):
+        return (j - 20000) ** 2 - 1
+
+    def rate(self):
+        return None
+
+
 def test_geometric_multiplicity_refuses_a_negative_exponent():
-    # f(j) = (j - 20000)^2 - 1 passes PolyExponent's scan to j = 10^4
-    tower = GeometricStratum(A1, 5, PolyExponent((399999999, -40000, 1)))
+    tower = GeometricStratum(A1, 5, _DuckExponent())
     assert tower.multiplicity(10 ** 4) == BigPower(5, (10 ** 4 - 20000) ** 2 - 1)
     with pytest.raises(PreconditionError, match=r"f\(20000\) = -1 < 0"):
         tower.multiplicity(20000)
+    # negative at j = 20000 alone, far past any fixed scan horizon
+    with pytest.raises(PreconditionError, match=r"^f\(20000\) = -1 < 0$"):
+        PolyExponent((399999999, -40000, 1))
+
+
+def _root_poly(roots, shift):
+    """The coefficients of prod (j - r) + shift, lowest degree first."""
+    c = [1]
+    for r in roots:
+        c = [0] + c
+        for i in range(len(c) - 1):
+            c[i] -= r * c[i + 1]
+    c[0] += shift
+    return tuple(c)
+
+
+POLYS = st.one_of(
+    st.builds(
+        lambda low, lead: tuple(low) + (lead,),
+        st.lists(st.integers(-60, 60), min_size=0, max_size=4),
+        st.integers(1, 5),
+    ),
+    st.builds(_root_poly, st.lists(st.integers(-4, 14), min_size=1, max_size=3), st.integers(-2, 2)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(POLYS)
+def test_poly_nonnegativity_decision_matches_a_scan(coeffs):
+    lead = max((i for i, c in enumerate(coeffs) if c != 0), default=0)
+    # past Cauchy's root bound f has the sign of its leading coefficient
+    bound = 2 + max((abs(c) for c in coeffs[:lead]), default=0) // max(coeffs[lead], 1)
+    scan = [j for j in range(1, bound + 1) if sum(c * j ** i for i, c in enumerate(coeffs)) < 0]
+    if not scan:
+        PolyExponent(coeffs)
+        return
+    j = scan[0]
+    with pytest.raises(PreconditionError, match=rf"^f\({j}\) = -\d+ < 0$"):
+        PolyExponent(coeffs)
 
 
 def test_slope_csv_export():
