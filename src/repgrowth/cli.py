@@ -1,9 +1,10 @@
 """Command-line front end: parse specs, run computations, export tables.
 
 Exit codes: 0 ok, 1 stdout closed early, 2 parse error, 3 precondition
-violation, 4 budget exhausted (a --budget, or a number too large to
-materialize exactly), 5 internal invariant failure.  Identical invocations
-produce byte-identical output on the exact backend.
+violation, 4 budget exhausted (a --budget, a number too large to
+materialize exactly, or an exact count too long to print), 5 internal
+invariant failure.  Identical invocations produce byte-identical output on
+the exact backend.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import constructor, finite_groups, growth, invariants, lie_data
-from .dirichlet import RangeOverflow
+from .dirichlet import RangeOverflow, max_str_digits
 from .errors import BudgetExceededError, InvariantError, PreconditionError, SpecFormatError
 from .errors import fraction_field, int_field, rational
 
@@ -126,13 +127,7 @@ def _cmd_zeta(args) -> int:
         _refuse(args, ["--q"], "applies only with --group")
         spec = _load_spec(args.spec)
     series = growth.truncated_zeta(spec, args.N, args.J)
-    if args.format == "csv":
-        lines = ["dimension,multiplicity"]
-        for d, m in series.items():
-            lines.append(f"{d},{m}")
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit(args, series.to_json())
+    _emit(args, series.to_csv() if args.format == "csv" else series.to_json())
     return 0
 
 
@@ -151,18 +146,7 @@ def _cmd_abscissa(args) -> int:
         spec = _load_spec(args.spec)
     if args.empirical:
         report = growth.empirical_slope(spec, 10 ** 6 if args.N is None else args.N, args.J)
-        if args.format == "csv":
-            _emit(args, report.to_csv())
-        else:
-            _emit_json(
-                args,
-                {
-                    "N": report.N,
-                    "window": list(report.window),
-                    "windowed_max": report.windowed_max,
-                    "points": [[str(p.n), p.log10_R, p.slope] for p in report.points],
-                },
-            )
+        _emit(args, report.to_csv() if args.format == "csv" else report.to_json())
         return 0
     summary = growth.exact_abscissa(spec)
     if args.format == "csv":
@@ -209,11 +193,9 @@ def _cmd_prg(args) -> int:
 def _cmd_gens(args) -> int:
     G = finite_groups.get_group(args.group)
     ds = args.d or [2]
-    # phi_d <= |G|^d, so below 10^digits every count prints; str() refuses
-    # longer ints (from Python 3.10.7; where it has no limit, the default
-    # bounds the work), and |G|^d >= 2^((b-1)d) settles a large d without
-    # forming the power
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    # phi_d <= |G|^d, so below 10^digits every count prints, and
+    # |G|^d >= 2^((b-1)d) settles a large d without forming the power
+    digits = max_str_digits()
     d, b = max(ds), G.order.bit_length()
     if d * (b - 1) >= 4 * digits or G.order ** d >= 10 ** digits:
         raise PreconditionError(

@@ -287,6 +287,18 @@ def _slope_geq(R: int, n: int, tau: Fraction) -> bool:
     return R ** tau.denominator >= n ** tau.numerator
 
 
+def _first_past(series: DirichletSeries, n_prev: int, test) -> Tuple[Optional[int], int]:
+    """The first dimension d > n_prev of series with test(R_d, d), R_d the
+    running count of the entries at dims <= d, and R_d there; (None, the
+    total count) when there is none."""
+    running = 0
+    for d, mult in series.items():
+        running += mult
+        if d > n_prev and test(running, d):
+            return d, running
+    return None, running
+
+
 def build_diagonal(
     rho: Fraction,
     targets: Sequence[Tuple[Fraction, LieType, int]],
@@ -349,13 +361,7 @@ def build_diagonal(
             onset = stratum.min_dim_at(skip + 1)
             sweep_N = stratum.min_dim_at(max(skip + 4, j_star))
             series = union_series(built + [stratum], sweep_N, simple=False)
-            violation = None
-            running = 0
-            for d, mult in series.items():
-                running += mult
-                if d > n_prev and not _slope_leq(running, d, rho):
-                    violation = d
-                    break
+            violation, _ = _first_past(series, n_prev, lambda R, d: not _slope_leq(R, d, rho))
             if violation is None:
                 swept_to = sweep_N
                 break
@@ -405,12 +411,7 @@ def build_diagonal(
         N_try = stratum.min_dim_at(skip + 1)
         while n_m is None:
             series = union_series(built, N_try, simple=True)
-            running = 0
-            for d, mult in series.items():
-                running += mult
-                if d > n_prev and _slope_geq(running, d, target):
-                    n_m = d
-                    break
+            n_m, running = _first_past(series, n_prev, lambda R, d: _slope_geq(R, d, target))
             if n_m is None:
                 N_try = N_try * N_try
         slope_val = math.log(running) / math.log(n_m) if n_m > 1 else 0.0

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -31,7 +32,16 @@ class BackendMismatch(PreconditionError):
 
 
 class RangeOverflow(OverflowError):
-    """Exact -> float conversion left double range; switch to the log backend."""
+    """A number too large for its use: an exact -> float conversion past
+    double range (switch to the log backend), a power too large to
+    materialize, or an exact count too long to print."""
+
+
+def max_str_digits() -> int:
+    """The most digits str() prints of an int: Python's limit (from 3.10.7),
+    or its default 4300 where there is none or it is off, so that the
+    default bounds the work."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 @dataclass(frozen=True)
@@ -201,9 +211,23 @@ class DirichletSeries:
         ]
         return {"cutoff": self.cutoff, "backend": self.backend, "entries": entries}
 
+    def _require_printable(self) -> None:
+        digits = max_str_digits()
+        if self.backend == EXACT and max(self._mults, default=0) >= 10 ** digits:
+            raise RangeOverflow(f"an exact count has more than {digits} digits, too many to print")
+
+    def to_csv(self) -> str:
+        """A dimension,multiplicity header and one row per entry; raises
+        RangeOverflow, before any text is formed, when a count is too long
+        to print."""
+        self._require_printable()
+        return "dimension,multiplicity\n" + "".join(f"{d},{m}\n" for d, m in self.items())
+
     def to_json(self) -> str:
         """json.dumps(self.to_jsonable(), indent=2, sort_keys=True), byte for
-        byte, written row by row instead of through the pure-Python encoder."""
+        byte, written row by row instead of through the pure-Python encoder;
+        raises RangeOverflow as to_csv does."""
+        self._require_printable()
         if self.backend == EXACT:
             rows = [f'    [\n      "{d}",\n      "{m}"\n    ]' for d, m in self.items()]
         else:

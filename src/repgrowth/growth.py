@@ -54,7 +54,7 @@ from .lie_data import (
 )
 
 LOG_THRESHOLD_BITS = 64.0  # multiplicities above 2^64 push work into the log backend
-_MATERIALIZE_BITS = 256    # q^f kept as a plain int while it stays this small
+_MATERIALIZE_BITS = 256    # tower multiplicities stay plain ints while this small
 
 
 class TruncationWarning(UserWarning):
@@ -320,6 +320,13 @@ class _Tower:
     def min_dim_at(self, i: int) -> int:
         return _min_dim(self.lie_type, self.field_size(i), self.simple, self.pairs)
 
+    @staticmethod
+    def _power(base: int, e: int) -> Multiplicity:
+        """base**e, kept unexpanded once it passes _MATERIALIZE_BITS bits."""
+        if e * math.log2(base) <= _MATERIALIZE_BITS:
+            return base ** e
+        return BigPower(base, e)
+
     def n_min(self) -> int:
         return self.pair_set().min_dim_exponent()
 
@@ -388,11 +395,7 @@ class GeometricStratum(_Tower):
         f = self.exponents.f(j)
         if f < 0:  # PolyExponent and Schedule refuse this when built; other rules may not
             raise PreconditionError(f"{self.id_str()}: f({j}) = {f} < 0")
-        if f == 0:
-            return 1
-        if f * math.log2(self.q) <= _MATERIALIZE_BITS:
-            return self.q ** f
-        return BigPower(self.q, f)
+        return self._power(self.q, f)
 
     def growth_constant(self) -> Optional[Fraction]:
         return self.exponents.rate()
@@ -460,8 +463,8 @@ class PrimeStratum(_Tower):
     def field_size(self, p: int) -> int:
         return p
 
-    def multiplicity(self, p: int) -> int:
-        return ((p ** 3 - p) // 2) ** self.mult_exponent
+    def multiplicity(self, p: int) -> Multiplicity:
+        return self._power((p ** 3 - p) // 2, self.mult_exponent)
 
     def growth_constant(self) -> int:
         return self.rate_exponent() + 1
@@ -646,11 +649,15 @@ def truncated_zeta(
 
     Each factor's powered series is 1 + x_f with x_f on dims >= 2, and the
     product is accumulated in place in one dict keyed by dimension: factors
-    taken by (min dim of x_f, enumeration order), and for each one every
-    source d1 <= N // min_dim(x_f), high to low, adds acc[d1] * m2 into
+    sorted stably by minimal nontrivial dimension (where x_f starts), ties
+    kept in enumeration order, and for each one every source
+    d1 <= N // min_dim(x_f), high to low, adds acc[d1] * m2 into
     acc[d1 * d2].  Targets exceed their sources, so no source is updated
     before it is read.  The fixed order keeps log-domain output
-    deterministic.
+    deterministic.  Each factor's terms are formed, applied and dropped
+    before the next factor's; only the factor list is held throughout,
+    since the automatic backend reads every multiplicity before the first
+    update and the order spans strata.
 
     Cost: per factor, one validation (FactorSpec's checks), its terms x_f
     from a closed form (A1) or the pair set, and one binomial times each of
@@ -672,18 +679,13 @@ def truncated_zeta(
         big = any(mult_bits(f.multiplicity) > LOG_THRESHOLD_BITS for f in factors)
         backend = LOG if big else EXACT
     exact = backend == EXACT
-
-    terms = []
-    for i, f in enumerate(factors):
-        x = _power_terms(f.x_terms(N, backend), f.multiplicity, N, backend)
-        if x:
-            terms.append((x[0][0], i, x))
-    terms.sort(key=lambda t: t[:2])
+    factors.sort(key=FactorSpec.min_nontrivial_dim)
 
     acc = {1: 1 if exact else 0.0}
     sources = [1]  # sorted keys of acc that the current factor can still reach
-    for min_dim, _, x in terms:
-        bound = N // min_dim
+    for f in factors:
+        x = _power_terms(f.x_terms(N, backend), f.multiplicity, N, backend)
+        bound = N // x[0][0]
         del sources[bisect_right(sources, bound):]
         fresh = _mul_into(acc, acc, reversed(sources), x, N, exact, bound)
         if fresh:
@@ -814,6 +816,21 @@ class SlopeReport:
         for p in self.points:
             lines.append(f"{p.n},{p.log10_R:.6f},{p.slope:.9f}")
         return "\n".join(lines) + "\n"
+
+    def to_json(self) -> str:
+        """json.dumps of {"N", "window", "windowed_max", "points": [[str(n),
+        log10_R, slope], ...]} with indent=2 and sort_keys=True, byte for
+        byte, written row by row instead of through the pure-Python encoder."""
+        rows = [
+            f'    [\n      "{p.n}",\n      {p.log10_R!r},\n      {p.slope!r}\n    ]'
+            for p in self.points
+        ]
+        points = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+        lo, hi = self.window
+        return (
+            f'{{\n  "N": {self.N},\n  "points": {points},\n  "window": [\n    {lo},\n'
+            f'    {hi}\n  ],\n  "windowed_max": {self.windowed_max!r}\n}}'
+        )
 
 
 def empirical_slope(spec: GroupSpec, N: int, J: Optional[int] = None) -> SlopeReport:

@@ -6,6 +6,7 @@ Weyl groups, weights or character theory.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
@@ -176,6 +177,7 @@ class PairSet:
         return cls(pairs)
 
 
+@functools.cache  # a PairSet is immutable; towers ask for it once per factor
 def canonical_pair_set(t: LieType) -> PairSet:
     """The default model set {(rk, |Phi+|)}; it saturates every validation
     constraint and suffices for all exact abscissa computations."""

@@ -410,6 +410,66 @@ def test_zeta_json_is_json_dumps_of_the_series(capsys, d):
     assert out == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
 
+def _run_module(*argv):
+    """Exit code, stdout and stderr of python -m repgrowth argv in a fresh
+    process, which must end within 30 s."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repgrowth.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repgrowth", *argv], capture_output=True, env=env, timeout=30
+    )
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
+# one A2 factor with multiplicity 2^63 - 1: below 2^64, so zeta stays exact
+LONG_COUNT_SPEC = json.dumps(
+    {
+        "strata": [
+            {
+                "index": "finite",
+                "factors": [
+                    {"lie_type": {"family": "A", "rank": 2}, "q": 2, "multiplicity": 2 ** 63 - 1}
+                ],
+            }
+        ]
+    }
+)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_zeta_count_too_long_to_print_is_a_budget_exit(tmp_path, fmt):
+    # at N = 2^600 the largest count has 3,539 digits; at 2^900 str() refuses one
+    argv = ("zeta", "--spec", LONG_COUNT_SPEC, "--format", fmt, "--N")
+    code, out, err = _run_module(*argv, str(2 ** 600))
+    assert (code, err) == (0, "")
+    assert max(len(line) for line in out.splitlines()) > 3539
+    target = tmp_path / "series"
+    for where in ((), ("--out", str(target))):
+        assert _run_module(*argv, str(2 ** 900), *where) == (
+            4,
+            "",
+            "error: an exact count has more than 4300 digits, too many to print\n",
+        )
+    assert not target.exists()
+
+
+HUGE_E_SPEC = json.dumps({"strata": [{"index": "primes", "rate_exponent": 3 * 10 ** 20}]})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("abscissa", "--example", "sl2-primes", "--d", str(10 ** 20), "--empirical", "--N", "10"),
+        ("zeta", "--spec", HUGE_E_SPEC, "--N", "10"),
+    ],
+    ids=["abscissa", "zeta"],
+)
+def test_huge_prime_rate_exponent_finishes(argv):
+    # ((p^3 - p)/2)^E used to be formed in full, and neither command ended
+    code, out, err = _run_module(*argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)
+
+
 @pytest.mark.parametrize("p_min", [10 ** 14, 10 ** 18])
 def test_huge_p_min_enumerates_no_primes(capsys, monkeypatch, p_min):
     def no_sieve(start):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 import random
 import sys
@@ -19,9 +20,11 @@ from repgrowth.constructor import (
     make_schedule,
 )
 from repgrowth.dirichlet import (
+    EXACT,
     LOG,
     BigPower,
     DirichletSeries,
+    RangeOverflow,
     _logaddexp,
     convolve,
     cumulative,
@@ -356,6 +359,73 @@ def test_log_zeta_is_pinned_bit_for_bit(d):
     assert hashlib.sha256(text.encode()).hexdigest() == LOG_ZETA_DIGESTS[d]
 
 
+def _order_spec():
+    """Strata whose factors tie on minimal dimension across views and
+    strata: a finite stratum out of min-dim order (PSL2(7) and PSL2(5) at 3,
+    SL2(5) at 2, an A2 factor, SL2(9)), a simple-view prime stratum (3, 5,
+    7, ...), two fixed-type towers (PSL2(5) at 3 first) and a diagonal."""
+    finite = FiniteStratum(
+        (
+            FactorSpec(A1, 7, simple=True),
+            FactorSpec(A1, 5, simple=True),
+            FactorSpec(A1, 5, simple=False),
+            FactorSpec(LieType("A", 2), 3),
+            FactorSpec(A1, 9, simple=False),
+        )
+    )
+    return GroupSpec(
+        (
+            finite,
+            PrimeStratum(7, 2, simple=True),
+            build_fixed_type(Fraction(2), A1, 5).strata[0],
+            build_fixed_type(Fraction(3), LieType("A", 2), 2).strata[0],
+            _diagonal_spec().strata[0],
+        )
+    )
+
+
+# sha256 of to_json(), pinned before truncated_zeta applied each factor as it
+# was formed: factors must keep the order (min dim, stratum, position)
+ORDER_DIGESTS = {
+    (EXACT, 1000): "42996539c88d52b312dcca214cadc8a740729c4483163af2ac6fc3497618e88a",
+    (EXACT, 5000): "820e5021d9daa32fc38a85ede05b289255b667d70e9c20fa3bb4986a24173904",
+    (LOG, 1000): "fea62f1637ab67fd4b7457d2d73f597275ecb666d850a358ae8f82e21503c974",
+    (LOG, 5000): "44cbbc01bffa1415633cd6b10839c78caec8dcd3acda2d069e2a8c02452e0f37",
+}
+
+
+def test_factor_order_is_pinned_bit_for_bit():
+    spec = _order_spec()
+    for (backend, N), digest in ORDER_DIGESTS.items():
+        text = truncated_zeta(spec, N, backend=backend).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (backend, N)
+
+
+@pytest.mark.parametrize("backend", [EXACT, LOG])
+def test_each_factor_is_applied_as_it_is_formed(monkeypatch, backend):
+    N = 5000
+    spec = _order_spec()
+    events = []
+    power_terms, mul_into = growth._power_terms, growth._mul_into
+
+    def traced_power_terms(*args):
+        x = power_terms(*args)
+        events.append(("power", x[0][0]))
+        return x
+
+    def traced_mul_into(acc, src, d1s, x, *args):
+        events.append(("mul", x[0][0]))
+        return mul_into(acc, src, d1s, x, *args)
+
+    monkeypatch.setattr(growth, "_power_terms", traced_power_terms)
+    monkeypatch.setattr(growth, "_mul_into", traced_mul_into)
+    truncated_zeta(spec, N, backend=backend)
+    n = len(list(_contributions(spec, N)))
+    assert [kind for kind, _ in events] == ["power", "mul"] * n
+    dims = [d for _, d in events[::2]]
+    assert [d for _, d in events[1::2]] == dims == sorted(dims)
+
+
 # -- m_n ---------------------------------------------------------------------
 
 
@@ -373,6 +443,21 @@ def test_m_n_nondecreasing_and_additive():
     other = finite_spec(FactorSpec(A1, 5, simple=True, multiplicity=7))
     for n in (1, 3, 10):
         assert m_n(spec.union(other), n) == m_n(spec, n) + m_n(other, n)
+
+
+def test_huge_prime_rate_exponent_stays_unexpanded():
+    # ((p^3 - p)/2)^E used to be formed in full: E = 10^20 never finished
+    spec = GroupSpec((PrimeStratum(5, 10 ** 20),))
+    assert spec.strata[0].multiplicity(7) == BigPower(168, 10 ** 20)
+    assert truncated_zeta(spec, 10).backend == LOG
+    with pytest.raises(RangeOverflow):
+        truncated_zeta(spec, 10, backend=EXACT)
+    # SL2(19) has minimal dimension 9 and the largest base, (19^3 - 19)/2 = 3420
+    assert m_n(spec, 10) == pytest.approx(1e20 * math.log(3420))
+    # both towers keep a multiplicity a plain int up to 256 bits: 60^43 has 254
+    assert PrimeStratum(5, 43).multiplicity(5) == 60 ** 43
+    assert PrimeStratum(5, 44).multiplicity(5) == BigPower(60, 44)
+    assert GeometricStratum(A1, 5, PolyExponent((0,))).multiplicity(3) == 1
 
 
 def test_m_n_log_domain_for_astronomic_multiplicities():
@@ -604,6 +689,30 @@ def test_slope_csv_export():
     rep = empirical_slope(finite_spec(FactorSpec(A1, 5, simple=True)), 5)
     text = rep.to_csv()
     assert text.splitlines()[0] == "n,R_n_log10,slope"
+
+
+@pytest.mark.parametrize(
+    "spec, N, J",
+    [
+        (sl2_over_primes_spec(3), 1, None),  # no points
+        (sl2_over_primes_spec(3), 2000, None),
+        (sl2_over_primes_spec(5), 999, None),
+        (build_fixed_type(Fraction(2), A1, 5), 5000, None),
+        (sl2_over_primes_spec(3), 3000, 20),  # cut by J
+    ],
+    ids=["no-points", "d3", "d5", "geometric", "J-cut"],
+)
+def test_slope_json_is_json_dumps_of_the_report(spec, N, J):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        rep = empirical_slope(spec, N, J)
+    want = {
+        "N": rep.N,
+        "window": list(rep.window),
+        "windowed_max": rep.windowed_max,
+        "points": [[str(p.n), p.log10_R, p.slope] for p in rep.points],
+    }
+    assert rep.to_json() == json.dumps(want, indent=2, sort_keys=True)
 
 
 # -- prg verdicts ------------------------------------------------------------
