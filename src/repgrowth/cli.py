@@ -169,7 +169,10 @@ def _cmd_construct(args) -> int:
         raise SpecFormatError("needs --p")
     family = "A" if args.family is None else args.family
     if args.mode == "fixed":
-        t = lie_data.LieType(family, 1 if args.rank is None else args.rank, args.twisted)
+        rank = args.rank
+        if rank is None:  # the family's smallest rank; an unknown family fails in LieType
+            rank = lie_data._RANK_RANGE.get(family, (None,))[0]
+        t = lie_data.LieType(family, rank, args.twisted)
         spec = constructor.build_fixed_type(args.rho, t, args.p, args.q)
         _emit_json(args, spec.to_jsonable())
         return 0
@@ -255,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", choices=["fixed", "diagonal"])
     p.add_argument("--rho", type=_fraction_arg, required=True)
     p.add_argument("--family", help="default A; not with --targets-json")
-    p.add_argument("--rank", type=int, help="default 1; fixed only")
+    p.add_argument("--rank", type=int, help="default the family's smallest; fixed only")
     p.add_argument("--twisted", action="store_true", help="fixed only")
     p.add_argument("--p", type=int, help="required unless --targets-json gives the stages")
     p.add_argument("--q", type=int, help="fixed only")

@@ -15,12 +15,13 @@ from typing import List, Optional, Sequence, Tuple
 
 from .char_tables import is_prime, prime_power
 from .dirichlet import EXACT, DirichletSeries, cumulative
-from .errors import BudgetExceededError, InvariantError, PreconditionError, fraction_field, int_field
+from .errors import BudgetExceededError, InvariantError, PreconditionError
 from .growth import (
     DiagonalStage,
     DiagonalStratum,
     GeometricStratum,
     GroupSpec,
+    Schedule,
     exact_abscissa,
     truncated_zeta,
     with_flag,
@@ -53,68 +54,6 @@ def prec_min(a: PairSet, rho: Fraction) -> Tuple[int, int]:
         if best is None or prec_less(pair, best, rho):
             best = pair
     return best
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """The multiplicity-exponent schedule: k_j = round(rho*j) half-up,
-    f(j) = n0*k_j - m0*j from the first active index j0 on, zero before.
-
-    Construction refuses a schedule unless a bound proves f(j) >= 0 for
-    every j.  With rho = num/den and D = n0*num - m0*den, k_j >= rho*j -
-    1/2 + 1/(2*den), so f(j) <= -1 forces 2*j*D <= n0*(den - 1) - 2*den.
-    D >= 0 makes 2*j*D grow with j, so 2*j0*D > n0*(den - 1) - 2*den rules
-    that out for every j >= j0.  make_schedule's schedules meet the bound:
-    m0 <= n0*rho0 and j0*(rho - rho0) >= 1 give 2*j0*D >= 2*n0*den.
-    """
-
-    rho: Fraction
-    rho0: Fraction
-    m0: int
-    n0: int
-    j0: int
-
-    def __post_init__(self):
-        if not (0 < self.rho0 < self.rho):
-            raise PreconditionError("need 0 < rho0 < rho")
-        if self.m0 < 0 or self.n0 < 1 or self.j0 < 1:
-            raise PreconditionError("malformed schedule data")
-        num, den = self.rho.numerator, self.rho.denominator
-        D = self.n0 * num - self.m0 * den
-        if D < 0 or 2 * self.j0 * D <= self.n0 * (den - 1) - 2 * den:
-            raise PreconditionError(
-                "schedule needs D = n0*num - m0*den >= 0 and "
-                "2*j0*D > n0*(den - 1) - 2*den, rho = num/den, to keep f(j) >= 0"
-            )
-
-    def k(self, j: int) -> int:
-        num, den = self.rho.numerator, self.rho.denominator
-        return (2 * num * j + den) // (2 * den)
-
-    def f(self, j: int) -> int:
-        if j < self.j0:
-            return 0
-        return self.n0 * self.k(j) - self.m0 * j
-
-    def rate(self) -> Fraction:
-        """lim f(j)/j = n0*rho - m0, exactly."""
-        return self.n0 * self.rho - self.m0
-
-    def to_jsonable(self) -> dict:
-        return {
-            "kind": "schedule",
-            "rho": str(self.rho),
-            "rho0": str(self.rho0),
-            "m0": self.m0,
-            "n0": self.n0,
-            "j0": self.j0,
-        }
-
-    @classmethod
-    def from_jsonable(cls, obj: dict, pointer: str = "") -> "Schedule":
-        rho, rho0 = (fraction_field(obj, key, pointer) for key in ("rho", "rho0"))
-        m0, n0, j0 = (int_field(obj, key, pointer) for key in ("m0", "n0", "j0"))
-        return cls(rho, rho0, m0, n0, j0)
 
 
 def make_schedule(rho: Fraction, t: LieType, a: Optional[PairSet] = None) -> Schedule:

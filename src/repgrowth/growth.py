@@ -5,7 +5,8 @@ S(q^j)^{q^{f(j)}}, prime-indexed SL2 towers, and materialized diagonal
 constructions.  Exact abscissae come from rational rate data per stratum;
 truncated series realize the same products numerically below a cutoff N and
 are exact there because minimal nontrivial dimensions diverge within every
-infinite stratum.
+infinite stratum.  The exponent rules f(j) of geometric strata live here
+too: PolyExponent, and the construction's Schedule f(j) = n0*k_j - m0*j.
 
 Every stratum kind has the same five methods, so spec-level computations
 are loops over strata and a new kind is one class plus one STRATUM_KINDS
@@ -153,13 +154,73 @@ class PolyExponent:
         return {"kind": "poly", "coeffs": list(self.coeffs)}
 
 
+@dataclass(frozen=True)
+class Schedule:
+    """The multiplicity-exponent schedule: k_j = round(rho*j) half-up,
+    f(j) = n0*k_j - m0*j from the first active index j0 on, zero before.
+
+    Construction refuses a schedule unless a bound proves f(j) >= 0 for
+    every j.  With rho = num/den and D = n0*num - m0*den, k_j >= rho*j -
+    1/2 + 1/(2*den), so f(j) <= -1 forces 2*j*D <= n0*(den - 1) - 2*den.
+    D >= 0 makes 2*j*D grow with j, so 2*j0*D > n0*(den - 1) - 2*den rules
+    that out for every j >= j0.  make_schedule's schedules meet the bound:
+    m0 <= n0*rho0 and j0*(rho - rho0) >= 1 give 2*j0*D >= 2*n0*den.
+    """
+
+    rho: Fraction
+    rho0: Fraction
+    m0: int
+    n0: int
+    j0: int
+
+    def __post_init__(self):
+        if not (0 < self.rho0 < self.rho):
+            raise PreconditionError("need 0 < rho0 < rho")
+        if self.m0 < 0 or self.n0 < 1 or self.j0 < 1:
+            raise PreconditionError("malformed schedule data")
+        num, den = self.rho.numerator, self.rho.denominator
+        D = self.n0 * num - self.m0 * den
+        if D < 0 or 2 * self.j0 * D <= self.n0 * (den - 1) - 2 * den:
+            raise PreconditionError(
+                "schedule needs D = n0*num - m0*den >= 0 and "
+                "2*j0*D > n0*(den - 1) - 2*den, rho = num/den, to keep f(j) >= 0"
+            )
+
+    def k(self, j: int) -> int:
+        num, den = self.rho.numerator, self.rho.denominator
+        return (2 * num * j + den) // (2 * den)
+
+    def f(self, j: int) -> int:
+        if j < self.j0:
+            return 0
+        return self.n0 * self.k(j) - self.m0 * j
+
+    def rate(self) -> Fraction:
+        """lim f(j)/j = n0*rho - m0, exactly."""
+        return self.n0 * self.rho - self.m0
+
+    def to_jsonable(self) -> dict:
+        return {
+            "kind": "schedule",
+            "rho": str(self.rho),
+            "rho0": str(self.rho0),
+            "m0": self.m0,
+            "n0": self.n0,
+            "j0": self.j0,
+        }
+
+    @classmethod
+    def from_jsonable(cls, obj: dict, pointer: str = "") -> "Schedule":
+        rho, rho0 = (fraction_field(obj, key, pointer) for key in ("rho", "rho0"))
+        m0, n0, j0 = (int_field(obj, key, pointer) for key in ("m0", "n0", "j0"))
+        return cls(rho, rho0, m0, n0, j0)
+
+
 def exponent_rule_from_jsonable(obj: dict, pointer: str = ""):
     kind = obj.get("kind")
     if kind == "poly":
         return PolyExponent(int_list(obj["coeffs"], pointer + "/coeffs"))
     if kind == "schedule":
-        from .constructor import Schedule  # deferred: constructor imports growth
-
         return Schedule.from_jsonable(obj, pointer)
     raise SpecFormatError(f"unknown schedule kind {kind!r}", pointer)
 
@@ -260,11 +321,7 @@ class FactorSpec:
         pairs = None
         if "pairs" in obj:
             pairs = PairSet.from_jsonable(obj["pairs"], pointer + "/pairs")
-        simple = _simple_flag(obj, "simple", pointer)
-        try:
-            return cls(lt, q, simple, mult, pairs)
-        except PreconditionError as e:
-            raise SpecFormatError(str(e), pointer)
+        return cls(lt, q, _simple_flag(obj, "simple", pointer), mult, pairs)
 
 
 @dataclass(frozen=True)
@@ -510,10 +567,23 @@ class DiagonalStage:
 class DiagonalStratum:
     """A materialized diagonal construction: limit rho plus the verified
     stages.  The unmaterialized tail only contributes above the last
-    checkpoint, so truncations are exact up to stages[-1].n_m."""
+    checkpoint, so truncations are exact up to stages[-1].n_m.  Built or
+    read, it meets what build_diagonal guarantees: rho > 0, stage abscissae
+    rho_m increasing strictly below rho, and checkpoints n_m increasing
+    strictly from above 1."""
 
     rho: Fraction
     stages: Tuple[DiagonalStage, ...]
+
+    def __post_init__(self):
+        if self.rho <= 0:
+            raise PreconditionError(f"diagonal limit rho = {self.rho} must be positive")
+        rhos = [st.rho_m for st in self.stages] + [self.rho]
+        if any(a >= b for a, b in zip(rhos, rhos[1:])):
+            raise PreconditionError("stage rho_m must increase strictly and stay below rho")
+        ns = [1] + [st.n_m for st in self.stages]
+        if any(a >= b for a, b in zip(ns, ns[1:])):
+            raise PreconditionError("checkpoints n_m must increase strictly from above 1")
 
     def exact_horizon(self) -> int:
         return self.stages[-1].n_m if self.stages else 1
@@ -879,21 +949,6 @@ class SimCReport:
     passed: bool
     C: float
     points: Tuple[SimCPoint, ...]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "passed": self.passed,
-            "C": self.C,
-            "points": [
-                {
-                    "at": p.label,
-                    "ok": p.ok,
-                    "margin_fg": p.margin_fg,
-                    "margin_gf": p.margin_gf,
-                }
-                for p in self.points
-            ],
-        }
 
 
 def _min_term(s: DirichletSeries) -> Tuple[float, float]:

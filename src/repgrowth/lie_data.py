@@ -187,15 +187,16 @@ def canonical_pair_set(t: LieType) -> PairSet:
 @dataclass(frozen=True)
 class PairSetReport:
     ok: bool
-    violations: Tuple[Tuple[Tuple[int, int], str], ...]
+    violations: Tuple[Tuple[Optional[Tuple[int, int]], str], ...]
 
 
 def validate_pair_set(a: PairSet, t: LieType) -> PairSetReport:
     """Check m <= rk, n <= |Phi+| and m*|Phi+| <= n*rk for every pair,
-    in exact integer arithmetic; failures are listed per pair per rule."""
+    in exact integer arithmetic; failures are listed per pair per rule.  An
+    empty set fails too (pair None): it has no minimal dimension."""
     rk = t.rank
     pos = positive_root_count(t)
-    violations = []
+    violations = [] if a.pairs else [(None, "the set is empty")]
     for m, n in sorted(a.pairs):
         if m > rk:
             violations.append(((m, n), f"m <= rk violated: {m} > {rk}"))

@@ -109,7 +109,7 @@ def test_parse_error_exit_codes(capsys):
         }
     )
     code, _ = run(capsys, "zeta", "--spec", bad, "--N", "5")
-    assert code == 2 or code == 3  # surfaced as a spec rejection
+    assert code == 3
 
 
 def test_pair_set_rejection(capsys):
@@ -126,7 +126,7 @@ def test_pair_set_rejection(capsys):
         }
     )
     code, _ = run(capsys, "zeta", "--spec", bad, "--N", "5")
-    assert code in (2, 3)
+    assert code == 3
 
 
 def test_gens_json(capsys):
@@ -371,6 +371,49 @@ def test_illegal_value_keeps_precondition_exit(capsys):
     assert main(["prg", "--spec", json.dumps(spec)]) == 3
 
 
+EMPTY_PAIRS = {
+    "geometric": {"strata": [{**GEOM_STAGE, "lie_type": {"family": "A", "rank": 2}, "pairs": []}]},
+    "finite": _finite(lie_type={"family": "A", "rank": 2}, pairs=[]),
+}
+
+
+@pytest.mark.parametrize("argv", [("zeta", "--N", "100"), ("abscissa",), ("prg",)])
+@pytest.mark.parametrize("spec", EMPTY_PAIRS.values(), ids=EMPTY_PAIRS.keys())
+def test_empty_pair_set_is_a_precondition_error(capsys, argv, spec):
+    # abscissa used to end in a traceback: max() of the empty pair set
+    code, err = _spec_error(capsys, *argv, "--spec", json.dumps(spec))
+    assert code == 3
+    assert err.startswith("error: pair set rejected:") and err.count("\n") == 1
+
+
+DIAGONAL_STAGE = {"rho_m": "1", "n_m": "7", "stratum": GEOM_STAGE}
+ILLEGAL_DIAGONALS = {
+    "rho-negative": ("-2", []),
+    "rho-zero": ("0", []),
+    "rho_m-at-rho": ("2", [{**DIAGONAL_STAGE, "rho_m": "2"}]),
+    "rho_m-above-rho": ("2", [{**DIAGONAL_STAGE, "rho_m": "3"}]),
+    "rho_m-not-increasing": ("2", [DIAGONAL_STAGE, {**DIAGONAL_STAGE, "n_m": "9"}]),
+    "n_m-at-1": ("2", [{**DIAGONAL_STAGE, "n_m": "1"}]),
+    "n_m-not-increasing": ("2", [DIAGONAL_STAGE, {**DIAGONAL_STAGE, "rho_m": "3/2"}]),
+}
+
+
+@pytest.mark.parametrize("argv", [("zeta", "--N", "100"), ("abscissa",), ("prg",)])
+@pytest.mark.parametrize("rho,stages", ILLEGAL_DIAGONALS.values(), ids=ILLEGAL_DIAGONALS.keys())
+def test_diagonal_stratum_breaking_the_construction_rules_is_refused(capsys, argv, rho, stages):
+    # rho -2 with no stages used to print abscissa -2 and a PRG verdict
+    spec = {"strata": [{"index": "diagonal", "rho": rho, "stages": stages}]}
+    code, err = _spec_error(capsys, *argv, "--spec", json.dumps(spec))
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_legal_diagonal_stratum_without_stages_is_read(capsys):
+    spec = {"strata": [{"index": "diagonal", "rho": "2", "stages": []}]}
+    code, out = run(capsys, "abscissa", "--spec", json.dumps(spec))
+    assert code == 0 and json.loads(out)["abscissa"] == "2"
+
+
 def test_huge_prime_q_is_recognized(capsys):
     # 2^61 - 1 needs no trial division: it is proven prime by Miller-Rabin
     code, out = run(capsys, "zeta", "--group", "SL2", "--q", str(2 ** 61 - 1), "--N", "10")
@@ -507,6 +550,17 @@ def test_zeta_group_is_the_one_factor_spec(capsys, group, q, fmt):
         by_group = run(capsys, "zeta", "--group", group, "--q", str(q), "--N", N, "--format", fmt)
         by_spec = run(capsys, "zeta", "--spec", spec, "--N", N, "--format", fmt)
         assert by_group[0] == 0 and by_group == by_spec
+
+
+@pytest.mark.parametrize("group", ["SL2", "PSL2"])
+@pytest.mark.parametrize("q", [2, 6, 2 ** 89 - 1], ids=["tits", "not-prime-power", "unprovable"])
+def test_zeta_group_and_its_spec_refuse_an_illegal_q_alike(capsys, group, q):
+    # the spec form used to exit 2 with the same message under a pointer
+    flag = "simple" if group == "PSL2" else "cover"
+    by_group = _spec_error(capsys, "zeta", "--group", group, "--q", str(q), "--N", "10")
+    by_spec = _spec_error(capsys, "zeta", "--spec", json.dumps(_finite(q=q, flag=flag)), "--N", "10")
+    assert by_group[0] == 3 and by_group == by_spec
+    assert by_group[1].startswith("error: ") and by_group[1].count("\n") == 1
 
 
 @pytest.mark.parametrize("group", ["SL2", "PSL2"])
@@ -755,6 +809,14 @@ def test_construct_defaults_are_four_stages_of_family_a(capsys):
     assert run(capsys, *base, "--budget", str(10 ** 9)) == default
     base = ("construct", "fixed", "--rho", "2", "--p", "5")
     assert run(capsys, *base) == run(capsys, *base, "--family", "A", "--rank", "1")
+
+
+@pytest.mark.parametrize("family,rank", [("A", 1), ("B", 2), ("C", 3), ("D", 4), ("E6", 6),
+                                         ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2)])
+def test_construct_fixed_rank_defaults_to_the_familys_smallest(capsys, family, rank):
+    base = ("construct", "fixed", "--rho", "2", "--p", "5", "--family", family)
+    default = run(capsys, *base)
+    assert default[0] == 0 and default == run(capsys, *base, "--rank", str(rank))
 
 
 DIAGONAL = ("construct", "diagonal", "--rho", "2", "--p", "5", "--stages", "2")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repgrowth
 from repgrowth.constructor import (
     DiagonalCertificate,
     Schedule,
@@ -208,6 +209,10 @@ def test_schedule_with_a_small_rate_is_accepted():
 def test_json_schedule_without_the_positivity_bound_is_refused(fields):
     with pytest.raises(PreconditionError, match=r"2\*j0\*D > n0\*\(den - 1\) - 2\*den"):
         Schedule.from_jsonable({"kind": "schedule", **fields})
+
+
+def test_schedule_is_one_class_under_every_name():
+    assert repgrowth.Schedule is repgrowth.constructor.Schedule is repgrowth.growth.Schedule
 
 
 def test_schedule_json_round_trip():

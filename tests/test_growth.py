@@ -6,6 +6,7 @@ import random
 import sys
 import warnings
 from bisect import bisect_right
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,7 @@ from repgrowth import growth
 from repgrowth.errors import PreconditionError, SpecFormatError
 from repgrowth.growth import (
     STRATUM_KINDS,
+    DiagonalStratum,
     FactorSpec,
     FiniteStratum,
     GeometricStratum,
@@ -860,6 +862,15 @@ def test_spec_round_trip_every_stratum_kind():
             FactorSpec(LieType("A", 2), 4, multiplicity=BigPower(2, 100)),
         ),
         GroupSpec((GeometricStratum(A1, 5, PolyExponent((0, 0, 1))),)),
+        # non-canonical pair sets, written and read as "pairs"
+        finite_spec(FactorSpec(LieType("A", 2), 4, pairs=PairSet([(1, 3), (2, 3)]))),
+        GroupSpec(
+            (
+                GeometricStratum(
+                    LieType("A", 2), 5, PolyExponent((0, 1)), pairs=PairSet([(0, 1), (2, 3)])
+                ),
+            )
+        ),
     ]
     for spec in specs:
         again = GroupSpec.from_jsonable(spec.to_jsonable())
@@ -900,6 +911,35 @@ def test_tits_exclusion_rejected_in_geometric_towers():
 def test_pair_set_validation_in_factors():
     with pytest.raises(PreconditionError):
         FactorSpec(A1, 5, pairs=PairSet([(2, 1)]))
+
+
+def test_empty_pair_set_is_refused_when_built():
+    with pytest.raises(PreconditionError, match="empty"):
+        FactorSpec(LieType("A", 2), 5, pairs=PairSet([]))
+    with pytest.raises(PreconditionError, match="empty"):
+        GeometricStratum(LieType("A", 2), 5, PolyExponent((0, 1)), pairs=PairSet([]))
+    with pytest.raises(PreconditionError, match="empty"):
+        make_schedule(Fraction(2), LieType("A", 2), PairSet([]))
+
+
+def test_diagonal_stratum_meets_the_construction_rules():
+    spec = _diagonal_spec()
+    diag = spec.strata[0]
+    stage = diag.stages[0]
+    assert DiagonalStratum(Fraction(2), ()).exact_horizon() == 1
+    for rho, stages in [
+        (Fraction(0), ()),
+        (Fraction(-2), ()),
+        (stage.rho_m, diag.stages),  # a stage at the limit
+        (diag.rho, diag.stages[::-1]),  # abscissae and checkpoints decreasing
+        (diag.rho, (replace(stage, n_m=1),)),
+        (diag.rho, (stage, replace(stage, n_m=stage.n_m + 1))),  # rho_m repeated
+        (diag.rho, (stage, replace(stage, rho_m=(stage.rho_m + diag.rho) / 2))),  # n_m repeated
+    ]:
+        with pytest.raises(PreconditionError):
+            DiagonalStratum(rho, stages)
+    # with_flag rebuilds every stratum, so the rules hold in both views
+    assert with_flag(with_flag(spec, False), True) == spec
 
 
 def test_diagonal_spec_round_trip_and_horizon_warning():

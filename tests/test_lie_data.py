@@ -13,6 +13,7 @@ from repgrowth.lie_data import (
     canonical_pair_set,
     model_xi,
     positive_root_count,
+    require_pair_set,
     rho0,
     tits_excluded,
     validate_pair_set,
@@ -160,6 +161,16 @@ def test_validate_pair_set_examples():
     assert len(report.violations) == 2  # m > rk and m/n > rk/|Phi+|
     a2 = LieType("A", 2)
     assert validate_pair_set(PairSet([(1, 3), (2, 3)]), a2).ok
+
+
+def test_empty_pair_set_does_not_validate():
+    # it has no minimal dimension; PairSet([]) itself stays legal
+    for family, rank in ALL_TYPES:
+        t = LieType(family, rank)
+        report = validate_pair_set(PairSet([]), t)
+        assert not report.ok and report.violations == ((None, "the set is empty"),)
+        with pytest.raises(PreconditionError, match="empty"):
+            require_pair_set(PairSet([]), t)
 
 
 def test_canonical_pair_always_validates():
