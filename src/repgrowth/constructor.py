@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
 from typing import List, Optional, Sequence, Tuple
 
 from .char_tables import is_prime, prime_power
-from .dirichlet import EXACT, DirichletSeries, cumulative
+from .dirichlet import EXACT, DirichletSeries, convolve, cumulative
 from .errors import BudgetExceededError, InvariantError, PreconditionError
 from .growth import (
     DiagonalStage,
@@ -24,7 +25,6 @@ from .growth import (
     Schedule,
     exact_abscissa,
     truncated_zeta,
-    with_flag,
 )
 from .lie_data import (
     LieType,
@@ -250,9 +250,20 @@ def build_diagonal(
     at dimensions <= n(m-1) (exact, since minimal dimensions are computable)
     and (ii) no slope in the exact sweep exceeds rho; then n(m) is searched
     as the first checkpoint with slope >= rho_m - 1/m.  n_budget caps the
-    total series entries materialized by the sweeps and searches.
+    total entries of the union series formed, every prefix cutoff of a scan
+    included; it must be >= 0.
+
+    On the exact backend the Dirichlet product is associative and
+    commutative, so a union series is the convolve of one series per
+    stratum; those are memoized by (stratum, flag, cutoff) for one stage.
+    Both scans look for their first hit above n(m-1) on prefixes at
+    C = max(n(m-1), 2)^2, squared at each step (the sweep caps C at its
+    window): entries <= C do not depend on the cutoff, so the hit is the
+    one a full-cutoff scan finds.
     """
     rho = Fraction(rho)
+    if n_budget < 0:
+        raise PreconditionError(f"work budget {n_budget} must be >= 0")
     if not targets:
         raise PreconditionError("need at least one stage target")
     ranks = [t.rank for _, t, _ in targets]
@@ -264,23 +275,43 @@ def build_diagonal(
     if any(r >= rho for r in rhos):
         raise PreconditionError("every rho_m must stay below the limit rho")
 
-    used = 0  # series entries materialized so far, against n_budget
+    used = 0  # union series entries formed so far, against n_budget
     stages: List[DiagonalStage] = []
     records: List[StageRecord] = []
     built: List[GeometricStratum] = []
+    memo = {}  # (stratum, simple, N) -> that stratum's series, for one stage
     n_prev = 1
+
+    def stratum_series(s: GeometricStratum, N: int, simple: bool) -> DirichletSeries:
+        key = (s, simple, N)
+        if key not in memo:
+            memo[key] = truncated_zeta(GroupSpec((s.with_simple(simple),)), N, backend=EXACT)
+        return memo[key]
 
     def union_series(strata: Sequence[GeometricStratum], N: int, simple: bool) -> DirichletSeries:
         nonlocal used
-        spec = with_flag(GroupSpec(tuple(strata)), simple=simple)
-        s = truncated_zeta(spec, N, backend=EXACT)
+        s = reduce(
+            lambda a, b: convolve(a, b, N), (stratum_series(t, N, simple) for t in strata)
+        )
         used += len(s)
         if used > n_budget:
             partial = DiagonalCertificate(rho, tuple(records), complete=False)
             raise BudgetExceededError(f"work budget {n_budget} exhausted", partial=partial)
         return s
 
+    def scan(strata: Sequence[GeometricStratum], simple: bool, test, cap: Optional[int] = None):
+        """_first_past on the union's prefixes up to cap (unbounded when None)."""
+        C = max(n_prev, 2) ** 2
+        while True:
+            if cap is not None:
+                C = min(C, cap)
+            hit = _first_past(union_series(strata, C, simple), n_prev, test)
+            if hit[0] is not None or C == cap:
+                return hit
+            C *= C
+
     for m, (rho_m, t_m, p_m) in enumerate(targets, start=1):
+        memo.clear()
         rho_m = Fraction(rho_m)
         base = build_fixed_type(rho_m, t_m, p_m).strata[0]
 
@@ -299,8 +330,9 @@ def build_diagonal(
             stratum = replace(base, skip=skip)
             onset = stratum.min_dim_at(skip + 1)
             sweep_N = stratum.min_dim_at(max(skip + 4, j_star))
-            series = union_series(built + [stratum], sweep_N, simple=False)
-            violation, _ = _first_past(series, n_prev, lambda R, d: not _slope_leq(R, d, rho))
+            violation, _ = scan(
+                built + [stratum], False, lambda R, d: not _slope_leq(R, d, rho), sweep_N
+            )
             if violation is None:
                 swept_to = sweep_N
                 break
@@ -346,13 +378,7 @@ def build_diagonal(
 
         # (iii): first checkpoint above n(m-1) with slope >= rho_m - 1/m
         target = rho_m - Fraction(1, m)
-        n_m = None
-        N_try = stratum.min_dim_at(skip + 1)
-        while n_m is None:
-            series = union_series(built, N_try, simple=True)
-            n_m, running = _first_past(series, n_prev, lambda R, d: _slope_geq(R, d, target))
-            if n_m is None:
-                N_try = N_try * N_try
+        n_m, running = scan(built, True, lambda R, d: _slope_geq(R, d, target))
         slope_val = math.log(running) / math.log(n_m) if n_m > 1 else 0.0
         checks.append(
             CheckRecord(

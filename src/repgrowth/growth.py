@@ -569,8 +569,8 @@ class DiagonalStratum:
     stages.  The unmaterialized tail only contributes above the last
     checkpoint, so truncations are exact up to stages[-1].n_m.  Built or
     read, it meets what build_diagonal guarantees: rho > 0, stage abscissae
-    rho_m increasing strictly below rho, and checkpoints n_m increasing
-    strictly from above 1."""
+    rho_m increasing strictly below rho, checkpoints n_m increasing strictly
+    from above 1, and each stage stratum of abscissa exactly its rho_m."""
 
     rho: Fraction
     stages: Tuple[DiagonalStage, ...]
@@ -584,6 +584,13 @@ class DiagonalStratum:
         ns = [1] + [st.n_m for st in self.stages]
         if any(a >= b for a, b in zip(ns, ns[1:])):
             raise PreconditionError("checkpoints n_m must increase strictly from above 1")
+        for k, st in enumerate(self.stages):
+            kind, rate = st.stratum.abscissa_rate()
+            if (kind, rate) != ("rational", st.rho_m):
+                shown = rate if kind == "rational" else kind
+                raise PreconditionError(
+                    f"stage {k}: stratum abscissa {shown} differs from rho_m = {st.rho_m}"
+                )
 
     def exact_horizon(self) -> int:
         return self.stages[-1].n_m if self.stages else 1

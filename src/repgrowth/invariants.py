@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from typing import Iterable, Iterator, Tuple
 
@@ -18,7 +19,7 @@ from .char_tables import (
     sl2_table,
 )
 from .constructor import build_fixed_type, make_schedule, prec_less
-from .dirichlet import DirichletSeries, convolve, power_one_plus
+from .dirichlet import EXACT, DirichletSeries, convolve, power_one_plus
 from .lie_data import A1, LieType, rho0
 
 FIELD_SIZES = [q for q in range(4, 82) if prime_power(q)]
@@ -117,6 +118,36 @@ def fixed_type_postcondition(rng: random.Random, cases: int) -> bool:
     return ok
 
 
+def union_factorization(rng: random.Random, cases: int) -> bool:
+    """On the exact backend the series of a union of strata is the convolve
+    of the strata's own series (what build_diagonal's memo rests on): two
+    fixed-type towers over q in {5, 7}, a finite stratum and, at a dense
+    N <= 2000, the prime stratum; at the sparse N = 2^200 the towers and
+    the finite stratum, as the prime stratum has no sparse truncation."""
+    types = [LieType("A", 2), LieType("A", 3), LieType("B", 2), LieType("G2")]
+    ok = True
+    for _ in range(cases):
+        towers = [
+            build_fixed_type(rho0(t) + Fraction(rng.randint(1, 8), 4), t, rng.choice([5, 7]))
+            .strata[0]
+            .with_simple(rng.random() < 0.5)
+            for t in rng.sample(types, 2)
+        ]
+        factor = growth.FactorSpec(A1, rng.choice([4, 5, 7, 8, 9]), rng.random() < 0.5, 2)
+        finite = growth.FiniteStratum((factor,))
+        primes = growth.PrimeStratum(5, 1, simple=rng.random() < 0.5)
+        for N, strata in (
+            (rng.randint(500, 2000), towers + [primes, finite]),
+            (2 ** 200, towers + [finite]),
+        ):
+            whole = growth.truncated_zeta(growth.GroupSpec(tuple(strata)), N, backend=EXACT)
+            parts = (
+                growth.truncated_zeta(growth.GroupSpec((s,)), N, backend=EXACT) for s in strata
+            )
+            ok &= whole == reduce(lambda a, b: convolve(a, b, N), parts)
+    return ok
+
+
 def suite() -> Iterator[Tuple[str, bool]]:
     """The named checks of `repgrowth check`, in order, with fixed seeds."""
     yield from character_tables(FIELD_SIZES)
@@ -129,6 +160,8 @@ def suite() -> Iterator[Tuple[str, bool]]:
     yield "schedule nonnegativity f(j) >= 0 for j <= 10^4", schedule_nonnegativity()
     name = "fixed-type construction postcondition (10 random triples)"
     yield name, fixed_type_postcondition(random.Random(13), 10)
+    name = "union series = convolve of per-stratum series, N <= 2000 and 2^200 (4 cases)"
+    yield name, union_factorization(random.Random(17), 4)
     yield "SL2-over-primes family abscissa 3d-4", all(
         growth.exact_abscissa(growth.sl2_over_primes_spec(d)).abscissa == 3 * d - 4
         for d in (3, 4, 5)

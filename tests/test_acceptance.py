@@ -244,5 +244,7 @@ def test_criterion_10_property_suites():
         # exact vs log: same dims, counts within relative 1e-9, M <= 1e6
         assert invariants.backend_agreement(rng, 25)
         assert invariants.schedule_nonnegativity()  # f(j) >= 0 to j = 10^4
+        # a union's exact series is the convolve of its strata's series
+        assert invariants.union_factorization(rng, 12)
 
     run_criterion(10, "order axioms, series algebra, backend agreement, schedules", 60.0, body)

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -387,6 +388,7 @@ def test_empty_pair_set_is_a_precondition_error(capsys, argv, spec):
 
 
 DIAGONAL_STAGE = {"rho_m": "1", "n_m": "7", "stratum": GEOM_STAGE}
+SQUARE_STAGE = {**GEOM_STAGE, "flag": "simple", "schedule": {"kind": "poly", "coeffs": [0, 0, 1]}}
 ILLEGAL_DIAGONALS = {
     "rho-negative": ("-2", []),
     "rho-zero": ("0", []),
@@ -395,6 +397,9 @@ ILLEGAL_DIAGONALS = {
     "rho_m-not-increasing": ("2", [DIAGONAL_STAGE, {**DIAGONAL_STAGE, "n_m": "9"}]),
     "n_m-at-1": ("2", [{**DIAGONAL_STAGE, "n_m": "1"}]),
     "n_m-not-increasing": ("2", [DIAGONAL_STAGE, {**DIAGONAL_STAGE, "rho_m": "3/2"}]),
+    # GEOM_STAGE has abscissa 2; with f(j) = j^2 it has none (infinite)
+    "stratum-rate-not-rho_m": ("3", [DIAGONAL_STAGE]),
+    "stratum-rate-infinite": ("2", [{**DIAGONAL_STAGE, "stratum": SQUARE_STAGE}]),
 }
 
 
@@ -406,6 +411,28 @@ def test_diagonal_stratum_breaking_the_construction_rules_is_refused(capsys, arg
     code, err = _spec_error(capsys, *argv, "--spec", json.dumps(spec))
     assert code == 3
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_diagonal_stage_of_another_rate_is_refused(capsys):
+    # this stage tower alone has infinite abscissa and is not PRG, yet the
+    # stratum used to print abscissa 2 and "prg": true
+    spec = json.dumps(_diagonal(rho_m="1", n_m="7", stratum=SQUARE_STAGE))
+    for cmd in ("abscissa", "prg"):
+        code, err = _spec_error(capsys, cmd, "--spec", spec)
+        assert code == 3
+        assert err == "error: stage 0: stratum abscissa infinite differs from rho_m = 1\n"
+    stage = {**DIAGONAL_STAGE, "rho_m": "2"}  # GEOM_STAGE's own abscissa
+    legal = json.dumps({"strata": [{"index": "diagonal", "rho": "3", "stages": [stage]}]})
+    code, out = run(capsys, "abscissa", "--spec", legal)
+    assert code == 0 and json.loads(out)["abscissa"] == "3"
+
+
+def test_negative_budget_is_refused_and_zero_runs_out(capsys):
+    base = ("construct", "diagonal", "--rho", "2", "--stages", "2", "--p", "5", "--budget")
+    code, err = _spec_error(capsys, *base, "-1")
+    assert code == 3 and err == "error: work budget -1 must be >= 0\n"
+    code, err = _spec_error(capsys, *base, "0")
+    assert code == 4 and err == "error: work budget 0 exhausted\n"
 
 
 def test_legal_diagonal_stratum_without_stages_is_read(capsys):
@@ -618,6 +645,37 @@ def test_targets_json_equal_to_the_default_stages(capsys, tmp_path):
     from_file = run(capsys, *base, "--targets-json", str(path))
     default = run(capsys, *base, "--stages", "2")
     assert default[0] == 0 and from_file == default
+
+
+# sha256 of the `construct diagonal` stdout, pinned before build_diagonal
+# formed its unions from per-stratum series and scanned prefixes
+CONSTRUCT_DIGESTS = {
+    ("--rho", "2", "--stages", "10", "--p", "5"):
+        "e8682996cdd0d6ee2ea0e438086cc83ce0f17e8a07ebbe58d72d9cb77bef653f",
+    ("--rho", "3", "--stages", "3", "--p", "5", "--family", "B"):
+        "def66999b00596bdcca41e85e7db82316b8ec1ff2b31ba3975bf371d9a8bba1c",
+}
+P7_TARGETS = [
+    {"rho_m": "3/2", "lie_type": {"family": "A", "rank": 2}, "p": 7},
+    {"rho_m": "2", "lie_type": {"family": "C", "rank": 3}, "p": 7},
+    {"rho_m": "9/4", "lie_type": {"family": "A", "rank": 5}, "p": 7},
+]
+P7_DIGEST = "32494ccfdefc06bd032488fd66f942029be04d6b08bfac9678700e92b84ad944"
+
+
+@pytest.mark.parametrize("args", list(CONSTRUCT_DIGESTS))
+def test_construct_diagonal_output_is_pinned(capsys, args):
+    code, out = run(capsys, "construct", "diagonal", *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CONSTRUCT_DIGESTS[args]
+
+
+def test_construct_diagonal_targets_json_output_is_pinned(capsys, tmp_path):
+    path = tmp_path / "targets.json"
+    path.write_text(json.dumps(P7_TARGETS))
+    code, out = run(capsys, "construct", "diagonal", "--rho", "5/2", "--targets-json", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == P7_DIGEST
 
 
 STAGE = {"rho_m": "1", "lie_type": {"family": "A", "rank": 2}, "p": 5}

@@ -9,6 +9,9 @@ import repgrowth
 from repgrowth.constructor import (
     DiagonalCertificate,
     Schedule,
+    _first_past,
+    _slope_geq,
+    _slope_leq,
     build_diagonal,
     build_fixed_type,
     convergence_certificate,
@@ -385,6 +388,45 @@ def test_tight_budgets_raise_the_partial_certificate_of_the_stages_done():
             assert e.partial == DiagonalCertificate(Fraction(2), full.stages[:k], complete=False)
             done.add(k)
     assert done == {0, 1, 2, 3}
+
+
+# the (rho, stages, p) cases of the diagonal_certificate benchmark workload
+BENCHMARK_CASES = [
+    (Fraction(2), 7, 5),
+    (Fraction(3), 7, 5),
+    (Fraction(5, 2), 6, 7),
+    (Fraction(2), 6, 7),
+]
+
+
+@pytest.mark.parametrize("rho, stages, p", BENCHMARK_CASES)
+def test_prefix_scans_find_the_full_cutoff_hit(rho, stages, p):
+    # build_diagonal scans prefixes at C = max(n(m-1), 2)^2, squared at each
+    # step; a hit <= C must be the hit at the full cutoff, and none below it
+    spec, cert = build_diagonal(rho, default_diagonal_targets(rho, stages, p))
+    strata = GroupSpec(tuple(st.stratum for st in spec.strata[0].stages))
+    full = cert.stages[-1].n_m ** 2
+    n_prev = 1
+    for m, record in enumerate(cert.stages, start=1):
+        target = record.rho_m - Fraction(1, m)
+        scans = [
+            (True, lambda R, d: _slope_geq(R, d, target)),
+            (False, lambda R, d: not _slope_leq(R, d, rho)),
+        ]
+        for simple, test in scans:
+            union = with_flag(strata, simple)
+            at_full = _first_past(truncated_zeta(union, full, backend="exact"), n_prev, test)
+            if simple:  # later stages add nothing at or below n(m)
+                assert at_full[0] == record.n_m
+            C = max(n_prev, 2) ** 2
+            while C < full:
+                at_C = _first_past(truncated_zeta(union, C, backend="exact"), n_prev, test)
+                if at_full[0] is not None and at_full[0] <= C:
+                    assert at_C == at_full
+                else:
+                    assert at_C[0] is None
+                C *= C
+        n_prev = record.n_m
 
 
 def test_certificate_json_shape():
