@@ -12,7 +12,7 @@ from .dirichlet import (
     power_one_plus,
 )
 from .lie_data import LieType, PairSet, canonical_pair_set, positive_root_count, rho0, validate_pair_set, model_xi
-from .char_tables import DegreeTable, cover_degree_check, min_nontrivial_degree, psl2_table, sl2_table, zeta_series
+from .char_tables import DegreeTable, min_nontrivial_degree, psl2_table, sl2_table, zeta_series
 from .finite_groups import (
     ConcreteGroup,
     automorphism_count,
@@ -28,12 +28,10 @@ from .growth import (
     GroupSpec,
     PrimeStratum,
     PolyExponent,
-    cover_mn_comparison,
     empirical_slope,
     exact_abscissa,
     m_n,
     prg_verdict,
-    sim_C_check,
     sl2_over_primes_spec,
     truncated_zeta,
 )
@@ -42,7 +40,6 @@ from .constructor import (
     Schedule,
     build_diagonal,
     build_fixed_type,
-    convergence_certificate,
     make_schedule,
     prec_min,
 )

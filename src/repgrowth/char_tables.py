@@ -222,14 +222,6 @@ def min_nontrivial_degree(t: DegreeTable) -> int:
     raise PreconditionError(f"{t.group}({t.q}) has no nontrivial character")
 
 
-def cover_degree_check(q: int) -> bool:
-    """The covering-degree inequality at A1 scale: the simple quotient has a
-    nontrivial character of degree <= (cover's minimal degree)^2 - 1."""
-    d_cover = min_nontrivial_degree(sl2_table(q))
-    d_simple = min_nontrivial_degree(psl2_table(q))
-    return d_simple <= d_cover * d_cover - 1
-
-
 def zeta_series(t: DegreeTable, N: int, backend: str = EXACT) -> DirichletSeries:
     """The degree data as a truncated series (dims > N dropped); the log
     backend holds the natural logs of the exact multiplicities."""

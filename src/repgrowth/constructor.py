@@ -35,25 +35,22 @@ from .lie_data import (
     tits_excluded,
 )
 
+def _prec_key(pair: Tuple[int, int], rho: Fraction) -> Tuple[Fraction, int]:
+    m, n = pair
+    return (n * rho - m, n)
+
+
 def prec_less(p1: Tuple[int, int], p2: Tuple[int, int], rho: Fraction) -> bool:
     """The schedule order: (m,n) precedes (m',n') when m - n*rho is larger,
     ties broken by smaller n.  A strict linear order on any pair set."""
-    m1, n1 = p1
-    m2, n2 = p2
-    v1 = m1 - n1 * rho
-    v2 = m2 - n2 * rho
-    return v1 > v2 or (v1 == v2 and n1 < n2)
+    return _prec_key(p1, rho) < _prec_key(p2, rho)
 
 
 def prec_min(a: PairSet, rho: Fraction) -> Tuple[int, int]:
     """The order-minimal pair: the one no other pair precedes."""
     if a.is_empty():
         raise PreconditionError("empty pair set")
-    best = None
-    for pair in a:
-        if best is None or prec_less(pair, best, rho):
-            best = pair
-    return best
+    return min(a, key=lambda pair: _prec_key(pair, rho))
 
 
 def make_schedule(rho: Fraction, t: LieType, a: Optional[PairSet] = None) -> Schedule:
@@ -97,55 +94,6 @@ def build_fixed_type(
     if got.kind != "rational" or got.abscissa != Fraction(rho):
         raise InvariantError(f"postcondition failed: abscissa {got.abscissa} != {rho}")
     return spec
-
-
-# ---------------------------------------------------------------------------
-# termwise convergence certificates for the schedule sum
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Exact termwise evidence for sum_j q^{f(j)} sum_{(m,n)} q^{j(m - n*sigma)}:
-    past j_settle every per-j log-slope clears the stated bound."""
-
-    sigma: Fraction
-    verdict: str  # "converges" | "diverges"
-    j_settle: int
-    horizon: int
-    bound: Fraction
-    ok: bool
-
-
-def termwise_log_slope(sched: Schedule, pairs: PairSet, sigma: Fraction, j: int) -> Fraction:
-    """(1/j) log_q of the j-th term: f(j)/j + max over pairs of (m - n*sigma)."""
-    return Fraction(sched.f(j), j) + max(m - n * sigma for m, n in pairs)
-
-
-def convergence_certificate(
-    sched: Schedule, pairs: PairSet, sigma: Fraction, horizon: int = 200
-) -> ConvergenceReport:
-    """Certify the two-sided behaviour around rho in exact rational
-    arithmetic: at sigma = rho + eps slopes settle below -n0*eps/2 (geometric
-    decay), at sigma = rho - eps the (m0, n0)-term slopes settle at >= 0."""
-    sigma = Fraction(sigma)
-    if sigma == sched.rho:
-        raise PreconditionError("termwise test is two-sided around rho, not at it")
-    if sigma > sched.rho:
-        eps = sigma - sched.rho
-        j_settle = max(sched.j0, math.ceil(2 / eps))
-        bound = Fraction(-sched.n0 * eps, 2)
-        ok = all(
-            termwise_log_slope(sched, pairs, sigma, j) <= bound
-            for j in range(j_settle, horizon + 1)
-        )
-        return ConvergenceReport(sigma, "converges", j_settle, horizon, bound, ok)
-    eps = sched.rho - sigma
-    j_settle = max(sched.j0, math.ceil(1 / eps))
-    minimal = Fraction(sched.m0) - sched.n0 * sigma
-    ok = all(
-        Fraction(sched.f(j), j) + minimal >= 0 for j in range(j_settle, horizon + 1)
-    )
-    return ConvergenceReport(sigma, "diverges", j_settle, horizon, Fraction(0), ok)
 
 
 # ---------------------------------------------------------------------------

@@ -180,12 +180,6 @@ class DirichletSeries:
             self.cutoff, ((d, math.log(m)) for d, m in self.items()), LOG
         )
 
-    def total_mass(self):
-        """Sum of all multiplicities; natural log of it on the log backend."""
-        if self.backend == EXACT:
-            return sum(self._mults)
-        return functools.reduce(_logaddexp, self._mults, -math.inf)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DirichletSeries):
             return NotImplemented

@@ -37,7 +37,6 @@ from .dirichlet import (
     _mul_into,
     _power_terms,
     convolve,  # noqa: F401  unused here; kept so growth.convolve stays bound (bench/tests)
-    evaluate,
     mult_bits,
     mult_log,
     mult_to_int,
@@ -932,119 +931,6 @@ def empirical_slope(spec: GroupSpec, N: int, J: Optional[int] = None) -> SlopeRe
     if lo <= N and lr > 0:
         wmax = max(wmax, lr / math.log(lo))
     return SlopeReport(N, (lo, N), tuple(points), wmax)
-
-
-# ---------------------------------------------------------------------------
-# the ~_C comparison
-
-
-@dataclass(frozen=True)
-class SimCPoint:
-    label: str
-    ok_fg: bool
-    margin_fg: float
-    ok_gf: bool
-    margin_gf: float
-
-    @property
-    def ok(self) -> bool:
-        return self.ok_fg and self.ok_gf
-
-
-@dataclass(frozen=True)
-class SimCReport:
-    passed: bool
-    C: float
-    points: Tuple[SimCPoint, ...]
-
-
-def _min_term(s: DirichletSeries) -> Tuple[float, float]:
-    """(ln mult, ln dim) of the minimal-dimension term."""
-    d = s.dims[0]
-    m = s.mults[0]
-    lm = m if s.backend == LOG else math.log(m)
-    return lm, math.log(d)
-
-
-def sim_C_check(
-    f: DirichletSeries,
-    g: DirichletSeries,
-    C: float,
-    grid: Sequence[float],
-    probe_sigma: float = 16.0,
-) -> SimCReport:
-    """Check f(s) <= C^{1+s} g(s) and the reverse at each grid sigma, plus
-    the two asymptotic regimes: at sigma -> 0+ the inequalities reduce to
-    the total masses (within factor C), and at sigma -> infinity to the
-    minimal dimensions with their multiplicities, probed at a large finite
-    exponent (default 16).  A pass certifies the relation on the grid and
-    these regime probes only; margins are reported per point."""
-    if C < 1:
-        raise PreconditionError("C must be >= 1")
-    if not f or not g:
-        raise PreconditionError("both series must be nonzero")
-    lC = math.log(C)
-    points: List[SimCPoint] = []
-
-    def cap_exp(x: float) -> float:
-        if x > 700.0:
-            return float("inf")
-        return math.exp(x) if x > -745.0 else 0.0
-
-    def add(label: str, lf: float, lg: float, slack: float):
-        # inequality in logs: lf <= slack + lg (and symmetrically)
-        diff_fg = slack + lg - lf
-        diff_gf = slack + lf - lg
-        points.append(
-            SimCPoint(label, diff_fg >= 0.0, cap_exp(diff_fg), diff_gf >= 0.0, cap_exp(diff_gf))
-        )
-
-    for sigma in grid:
-        lf = math.log(evaluate(f, sigma))
-        lg = math.log(evaluate(g, sigma))
-        add(f"sigma={sigma}", lf, lg, (1.0 + sigma) * lC)
-
-    mf, mg = f.total_mass(), g.total_mass()
-    lmf = mf if f.backend == LOG else math.log(mf)
-    lmg = mg if g.backend == LOG else math.log(mg)
-    add("sigma->0+ (total masses)", lmf, lmg, lC)
-
-    (lmin_f, ldim_f) = _min_term(f)
-    (lmin_g, ldim_g) = _min_term(g)
-    add(
-        f"sigma->inf (min dims, probe {probe_sigma})",
-        lmin_f - probe_sigma * ldim_f,
-        lmin_g - probe_sigma * ldim_g,
-        (1.0 + probe_sigma) * lC,
-    )
-    return SimCReport(all(p.ok for p in points), float(C), tuple(points))
-
-
-# ---------------------------------------------------------------------------
-# cover vs quotient multiplicity counts
-
-
-@dataclass(frozen=True)
-class CoverMnReport:
-    n: int
-    m_simple_at_n_squared: object
-    m_cover_at_n: object
-    passed: bool
-
-
-def cover_mn_comparison(spec: GroupSpec, n: int) -> CoverMnReport:
-    """m_{n^2} of the simple view must dominate m_n of the cover view (each
-    cover character of degree d yields a simple-quotient character of degree
-    at most d^2 - 1)."""
-    lhs = m_n(with_flag(spec, simple=True), n * n)
-    rhs = m_n(with_flag(spec, simple=False), n)
-    if isinstance(lhs, float) or isinstance(rhs, float):
-        ok = float(lhs if isinstance(lhs, float) else math.log(max(lhs, 1))) >= float(
-            rhs if isinstance(rhs, float) else math.log(max(rhs, 1))
-        )
-    else:
-        ok = lhs >= rhs
-    return CoverMnReport(n, lhs, rhs, ok)
 
 
 # ---------------------------------------------------------------------------

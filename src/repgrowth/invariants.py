@@ -1,6 +1,10 @@
 """The invariant suite, shared by `repgrowth check` (one line per check of
 `suite()`) and the acceptance tests (the same checks, more random cases).
-Each check returns True when every case holds."""
+Each check returns True when every case holds; `sim_C` instead names the
+inequalities that fail.  Besides the algebra of series and schedules, the
+suite runs the paper's centre theorem: zeta(SL2(q)) - 1 ~_2 q^(1-s), and
+m_{n^2}(G/Z) >= m_n(G) with the same abscissa and PRG verdict for G and G/Z.
+"""
 from __future__ import annotations
 
 import math
@@ -8,19 +12,14 @@ import random
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from . import growth
-from .char_tables import (
-    cover_degree_check,
-    min_nontrivial_degree,
-    prime_power,
-    psl2_table,
-    sl2_table,
-)
+from .char_tables import min_nontrivial_degree, prime_power, psl2_table, sl2_table
 from .constructor import build_fixed_type, make_schedule, prec_less
-from .dirichlet import EXACT, DirichletSeries, convolve, power_one_plus
-from .lie_data import A1, LieType, rho0
+from .dirichlet import EXACT, LOG, DirichletSeries, convolve, cumulative, evaluate, power_one_plus
+from .errors import PreconditionError
+from .lie_data import A1, LieType, PairSet, rho0
 
 FIELD_SIZES = [q for q in range(4, 82) if prime_power(q)]
 _POWER_BASE = {1: 1, 2: 1, 3: 2, 5: 1}
@@ -37,6 +36,101 @@ def character_tables(qs: Iterable[int]) -> Iterator[Tuple[str, bool]]:
         yield f"cover degree check q={q}", cover_degree_check(q)
         want = q - 1 if q % 2 == 0 else (q - 1) // 2
         yield f"SL2({q}) minimal degree closed form", min_nontrivial_degree(sl2) == want
+
+
+def cover_degree_check(q: int) -> bool:
+    """The covering-degree inequality at A1 scale: the simple quotient has a
+    nontrivial character of degree <= (cover's minimal degree)^2 - 1."""
+    d_cover = min_nontrivial_degree(sl2_table(q))
+    return min_nontrivial_degree(psl2_table(q)) <= d_cover * d_cover - 1
+
+
+def cover_quotient(spec: growth.GroupSpec, ns: Iterable[int]) -> bool:
+    """m_{n^2} of the simple view dominates m_n of the cover view for each n
+    in ns: a cover character of degree d yields a simple-quotient character
+    of degree at most d^2 - 1.  Two integer counts compare exactly; logs are
+    compared only when m_n returned one."""
+    simple, cover = growth.with_flag(spec, True), growth.with_flag(spec, False)
+    ok = True
+    for n in ns:
+        lhs, rhs = growth.m_n(simple, n * n), growth.m_n(cover, n)
+        if isinstance(lhs, float) or isinstance(rhs, float):
+            lhs, rhs = (x if isinstance(x, float) else math.log(x) if x else -math.inf
+                        for x in (lhs, rhs))
+        ok &= lhs >= rhs
+    return ok
+
+
+def centre_blind() -> bool:
+    """The centre theorem: m_{n^2}(G/Z) >= m_n(G) on the mixed A1 family (n <= 20),
+    SL2 over primes at d = 3 (n <= 60) and a fixed-type A1 tower; the same
+    exact_abscissa and prg_verdict in both views of SL2 over primes, d <= 5."""
+    mixed = growth.FiniteStratum(tuple(growth.FactorSpec(A1, q) for q in (5, 7, 9, 11, 13)))
+    ok = cover_quotient(growth.GroupSpec((mixed,)), range(1, 21))
+    ok &= cover_quotient(growth.sl2_over_primes_spec(3), range(1, 61))
+    ok &= cover_quotient(build_fixed_type(Fraction(2), A1, 5), range(1, 61))
+    for d in (3, 4, 5):
+        spec = growth.sl2_over_primes_spec(d)
+        simple, cover = growth.with_flag(spec, True), growth.with_flag(spec, False)
+        ok &= growth.exact_abscissa(simple) == growth.exact_abscissa(cover)
+        ok &= growth.prg_verdict(simple) == growth.prg_verdict(cover)
+    return ok
+
+
+def sim_C(f: DirichletSeries, g: DirichletSeries, C: float, grid: Sequence[float]) -> List[str]:
+    """The inequalities of f ~_C g that fail, none when the relation holds:
+    f(s) <= C^(1+s) g(s) and the reverse at each grid sigma, and in the two
+    regimes sigma -> 0+ (the total masses, within factor C) and sigma -> inf
+    (the minimal terms, probed at sigma = 16).  A pass certifies these only."""
+    if C < 1:
+        raise PreconditionError("C must be >= 1")
+    if not f or not g:
+        raise PreconditionError("both series must be nonzero")
+
+    def logs(s: DirichletSeries) -> List[float]:
+        ln = (lambda m: m) if s.backend == LOG else math.log  # log counts are logs
+        return [math.log(evaluate(s, sigma)) for sigma in grid] + [
+            ln(cumulative(s, s.cutoff)),
+            ln(s.mults[0]) - 16.0 * math.log(s.dims[0]),
+        ]
+
+    labels = [f"sigma={sigma}" for sigma in grid] + ["sigma->0+", "sigma->inf"]
+    fails = []
+    for label, sigma, lf, lg in zip(labels, [*grid, 0.0, 16.0], logs(f), logs(g)):
+        slack = (1.0 + sigma) * math.log(C)
+        if lf > slack + lg:
+            fails.append(f"{label}: f <= C^(1+s) g")
+        if lg > slack + lf:
+            fails.append(f"{label}: g <= C^(1+s) f")
+    return fails
+
+
+def sl2_model(q: int) -> List[str]:
+    """sim_C of zeta(SL2(q)) - 1 against the model q^(1-s), a single term of
+    dimension q and multiplicity q, with C = 2 on the grid {0.5, 1, 2, 4}."""
+    f = DirichletSeries(q + 1, [(d, m) for d, m in sl2_table(q).degrees if d > 1])
+    g = DirichletSeries(q + 1, {q: q})
+    return sim_C(f, g, 2.0, [0.5, 1.0, 2.0, 4.0])
+
+
+def termwise_two_sided(sched: growth.Schedule, pairs: PairSet, eps: Fraction) -> bool:
+    """The schedule sum sum_j q^{f(j)} sum_{(m,n)} q^{j(m - n*sigma)} term by term,
+    in exact rationals for j <= 200: at sigma = rho + eps every per-j log-slope
+    f(j)/j + max (m - n*sigma) is <= -n0*eps/2 from max(j0, ceil(2/eps)) on, and
+    at rho - eps the (m0, n0) term's slope is >= 0 from max(j0, ceil(1/eps)) on."""
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise PreconditionError("the termwise test is two-sided around rho: need eps > 0")
+    up, down = sched.rho + eps, sched.rho - eps
+    converges = all(
+        Fraction(sched.f(j), j) + max(m - n * up for m, n in pairs) <= -sched.n0 * eps / 2
+        for j in range(max(sched.j0, math.ceil(2 / eps)), 201)
+    )
+    diverges = all(
+        Fraction(sched.f(j), j) + sched.m0 - sched.n0 * down >= 0
+        for j in range(max(sched.j0, math.ceil(1 / eps)), 201)
+    )
+    return converges and diverges
 
 
 def _random_series(rng: random.Random, N: int = 40) -> DirichletSeries:
@@ -107,7 +201,8 @@ def schedule_nonnegativity() -> bool:
 
 
 def fixed_type_postcondition(rng: random.Random, cases: int) -> bool:
-    """A fixed-type tower built for rho has exact abscissa rho."""
+    """A fixed-type tower built for rho has exact abscissa rho, and its
+    schedule sum converges at rho + 1/4 and diverges at rho - 1/4."""
     families = [LieType("A", r) for r in (1, 2, 3)] + [LieType("B", 2), LieType("G2")]
     ok = True
     for _ in range(cases):
@@ -115,6 +210,8 @@ def fixed_type_postcondition(rng: random.Random, cases: int) -> bool:
         rho = rho0(t) + Fraction(rng.randint(1, 20), 4)
         spec = build_fixed_type(rho, t, rng.choice([5, 7, 11]))
         ok &= growth.exact_abscissa(spec).abscissa == rho
+        stratum = spec.strata[0]
+        ok &= termwise_two_sided(stratum.exponents, stratum.pair_set(), Fraction(1, 4))
     return ok
 
 
@@ -166,3 +263,7 @@ def suite() -> Iterator[Tuple[str, bool]]:
         growth.exact_abscissa(growth.sl2_over_primes_spec(d)).abscissa == 3 * d - 4
         for d in (3, 4, 5)
     )
+    name = "zeta(SL2(q)) - 1 ~_2 q^(1-s) for prime powers 17 <= q <= 81"
+    yield name, not any(sl2_model(q) for q in FIELD_SIZES if q >= 17)
+    name = "m_{n^2}(G/Z) >= m_n(G), abscissa and PRG verdict the same in both views"
+    yield name, centre_blind()

@@ -17,19 +17,16 @@ from repgrowth.char_tables import (
 from repgrowth.constructor import (
     build_diagonal,
     build_fixed_type,
-    convergence_certificate,
     default_diagonal_targets,
 )
-from repgrowth.dirichlet import DirichletSeries, cumulative
+from repgrowth.dirichlet import cumulative
 from repgrowth.growth import (
     FactorSpec,
     FiniteStratum,
     GroupSpec,
     PrimeStratum,
-    cover_mn_comparison,
     exact_abscissa,
     m_n,
-    sim_C_check,
     sl2_over_primes_spec,
     truncated_zeta,
     with_flag,
@@ -86,10 +83,7 @@ def test_criterion_2_schedule_realization():
             assert exact_abscissa(spec).abscissa == rho
             sched = spec.strata[0].exponents
             pairs = spec.strata[0].pair_set()
-            up = convergence_certificate(sched, pairs, rho + quarter, horizon=200)
-            assert up.verdict == "converges" and up.ok
-            down = convergence_certificate(sched, pairs, rho - quarter, horizon=200)
-            assert down.verdict == "diverges" and down.ok
+            assert invariants.termwise_two_sided(sched, pairs, quarter)
 
     run_criterion(
         2, "100 random schedules hit their abscissa, with termwise certificates", 30.0, body
@@ -216,10 +210,8 @@ def test_criterion_7_diagonal_construction():
 def test_criterion_8_sim2_model_check():
     def body():
         for q in [q for q in PRIME_POWERS_4_81 if q >= 17]:
-            f = DirichletSeries(q + 1, [(d, m) for d, m in sl2_table(q).degrees if d > 1])
-            g = DirichletSeries(q + 1, {q: q})
-            report = sim_C_check(f, g, 2.0, [0.5, 1.0, 2.0, 4.0])
-            assert report.passed, f"q={q}: {report.to_jsonable()}"
+            fails = invariants.sl2_model(q)
+            assert not fails, f"q={q}: {fails}"
 
     run_criterion(8, "zeta(SL2(q))-1 ~_2 q^(1-s) on the grid plus regime probes", 1.0, body)
 
@@ -229,8 +221,7 @@ def test_criterion_9_cover_quotient_inequality():
         spec = GroupSpec(
             (FiniteStratum(tuple(FactorSpec(A1, q) for q in (5, 7, 9, 11, 13))),)
         )
-        for n in range(1, 21):
-            assert cover_mn_comparison(spec, n).passed
+        assert invariants.cover_quotient(spec, range(1, 21))
 
     run_criterion(9, "m_{n^2}(simple) >= m_n(cover) over the mixed A1 family", 1.0, body)
 

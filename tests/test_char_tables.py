@@ -8,7 +8,6 @@ from repgrowth.char_tables import (
     TRIVIAL,
     DegreeTable,
     a1_degrees,
-    cover_degree_check,
     is_prime,
     min_nontrivial_degree,
     prime_power,
@@ -22,6 +21,7 @@ from repgrowth.char_tables import (
 from repgrowth.dirichlet import DirichletSeries, cumulative, evaluate
 from repgrowth.errors import InvariantError, PreconditionError
 from repgrowth.finite_groups import get_group
+from repgrowth.invariants import cover_degree_check
 
 PRIME_POWERS_4_81 = [q for q in range(4, 82) if prime_power(q) is not None]
 

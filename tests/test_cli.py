@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repgrowth
-from repgrowth import cli, constructor, finite_groups, growth
+from repgrowth import cli, constructor, finite_groups, growth, invariants
 from repgrowth.cli import main
 from repgrowth.growth import GroupSpec, exact_abscissa, sl2_over_primes_spec, truncated_zeta
 from repgrowth.lie_data import LieType
@@ -201,6 +201,17 @@ def test_check_suite_passes(capsys):
     assert code == 0
     assert "all invariant checks passed" in out
     assert "FAIL" not in out
+    lines = out.splitlines()
+    assert "PASS  zeta(SL2(q)) - 1 ~_2 q^(1-s) for prime powers 17 <= q <= 81" in lines
+    name = "m_{n^2}(G/Z) >= m_n(G), abscissa and PRG verdict the same in both views"
+    assert f"PASS  {name}" in lines
+
+
+def test_check_reports_a_failing_invariant_with_exit_5(capsys, monkeypatch):
+    monkeypatch.setattr(invariants, "suite", lambda: [("a", True), ("broken", False)])
+    code, out = run(capsys, "check")
+    assert code == 5
+    assert out.splitlines() == ["PASS  a", "FAIL  broken", "1 invariant check(s) failed"]
 
 
 def test_abscissa_csv_summary(capsys):

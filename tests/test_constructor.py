@@ -14,7 +14,6 @@ from repgrowth.constructor import (
     _slope_leq,
     build_diagonal,
     build_fixed_type,
-    convergence_certificate,
     default_diagonal_targets,
     make_schedule,
     prec_less,
@@ -23,6 +22,7 @@ from repgrowth.constructor import (
 from repgrowth.dirichlet import cumulative
 from repgrowth.errors import BudgetExceededError, PreconditionError
 from repgrowth.growth import GroupSpec, exact_abscissa, truncated_zeta, with_flag
+from repgrowth.invariants import termwise_two_sided
 from repgrowth.lie_data import LieType, PairSet, canonical_pair_set, rho0
 
 A1 = LieType("A", 1)
@@ -284,16 +284,14 @@ def test_build_fixed_type_random_admissible_triples():
 # -- termwise convergence certificates ---------------------------------------
 
 
-def test_convergence_certificate_two_sided():
+def test_termwise_two_sided_around_rho():
     sched = make_schedule(Fraction(2), A1)
-    pairs = canonical_pair_set(A1)
-    up = convergence_certificate(sched, pairs, Fraction(9, 4), horizon=200)
-    assert up.verdict == "converges" and up.ok
-    down = convergence_certificate(sched, pairs, Fraction(7, 4), horizon=200)
-    assert down.verdict == "diverges" and down.ok
+    assert termwise_two_sided(sched, canonical_pair_set(A1), Fraction(1, 4))
+    # a pair (3, 1) outgrows the schedule: the sum no longer converges at rho + 1/4
+    assert not termwise_two_sided(sched, PairSet([(1, 1), (3, 1)]), Fraction(1, 4))
 
 
-def test_convergence_certificate_exact_slope_signs():
+def test_termwise_exact_slope_signs():
     # the two-sided proof, checked in rational arithmetic over j <= 500
     sched = make_schedule(Fraction(2), A1)
     eps = Fraction(1, 8)
@@ -304,10 +302,11 @@ def test_convergence_certificate_exact_slope_signs():
         assert down >= 0
 
 
-def test_convergence_certificate_rejects_sigma_rho():
+def test_termwise_rejects_nonpositive_eps():
     sched = make_schedule(Fraction(2), A1)
-    with pytest.raises(PreconditionError):
-        convergence_certificate(sched, canonical_pair_set(A1), Fraction(2))
+    for eps in (Fraction(0), Fraction(-1, 4)):
+        with pytest.raises(PreconditionError):
+            termwise_two_sided(sched, canonical_pair_set(A1), eps)
 
 
 # -- the diagonal construction -----------------------------------------------

@@ -49,7 +49,7 @@ def test_evaluate_sl2_5_hand_sum():
 
 def test_evaluate_at_zero_is_the_class_number():
     assert evaluate(SL2_5, 0.0) == 9.0
-    assert SL2_5.total_mass() == 9
+    assert cumulative(SL2_5, SL2_5.cutoff) == 9
     with pytest.raises(PreconditionError):
         evaluate(SL2_5, -0.5)
 

@@ -33,6 +33,7 @@ from repgrowth.dirichlet import (
     power_one_plus,
 )
 from repgrowth import growth
+from repgrowth.invariants import cover_quotient, sim_C
 from repgrowth.errors import PreconditionError, SpecFormatError
 from repgrowth.growth import (
     STRATUM_KINDS,
@@ -48,12 +49,10 @@ from repgrowth.growth import (
     SlopePoint,
     TruncationWarning,
     _contributions,
-    cover_mn_comparison,
     empirical_slope,
     exact_abscissa,
     m_n,
     prg_verdict,
-    sim_C_check,
     sl2_over_primes_spec,
     truncated_zeta,
     with_flag,
@@ -624,7 +623,7 @@ def test_log_cumulative_is_the_slope_prefix_bit_for_bit(d, N):
     series = truncated_zeta(spec, N, backend=LOG)
     prefix = list(itertools.accumulate(series.mults, _logaddexp))
     assert [cumulative(series, n) for n in series.dims] == prefix
-    assert series.total_mass() == prefix[-1]
+    assert cumulative(series, series.cutoff) == prefix[-1]
     points = empirical_slope(spec, N).points
     assert [p.log10_R for p in points] == [
         cumulative(series, p.n) / math.log(10.0) for p in points
@@ -745,32 +744,37 @@ def test_prg_geometric_exponent():
 
 def test_sim_c_reflexive():
     f = zeta_series(sl2_table(5), 120)
-    report = sim_C_check(f, f, 2.0, [0.5, 1, 2])
-    assert report.passed
-    for p in report.points:
-        assert p.margin_fg >= 1.0 and p.margin_gf >= 1.0
+    assert sim_C(f, f, 2.0, [0.5, 1, 2]) == []
+    assert sim_C(f, f, 1.0, [0.5, 1, 2]) == []  # both sides equal: no slack needed
 
 
 def test_sim_c_sl2_17_against_model():
     f = DirichletSeries(18, [(d, m) for d, m in sl2_table(17).degrees if d > 1])
     g = DirichletSeries(18, {17: 17})
-    assert sim_C_check(f, g, 2.0, [0.5, 1, 2, 4]).passed
+    assert sim_C(f, g, 2.0, [0.5, 1, 2, 4]) == []
 
 
 def test_sim_c_failure_case():
     f = DirichletSeries(4, {2: 1})
     g = DirichletSeries(4, {2: 100})
-    report = sim_C_check(f, g, 2.0, [1.0])
-    assert not report.passed
-    point = report.points[0]
-    assert point.label == "sigma=1.0"
-    assert not point.ok_gf  # 100 > 2^2 * 1
+    fails = sim_C(f, g, 2.0, [1.0])
+    assert fails[0] == "sigma=1.0: g <= C^(1+s) f"  # 100 > 2^2 * 1
+    assert not any(fail.endswith("f <= C^(1+s) g") for fail in fails)
+
+
+def test_sim_c_probe_separates_minimal_dimensions():
+    # equal within C = 2 at sigma = 0.5, 1 and in total mass; only the
+    # sigma -> inf probe sees f's extra term at dimension 2
+    f = DirichletSeries(60, {2: 1, 50: 2500})
+    g = DirichletSeries(60, {50: 2500})
+    assert sim_C(f, g, 2.0, [0.5, 1.0]) == ["sigma->inf: f <= C^(1+s) g"]
+    assert sim_C(f.to_log(), g.to_log(), 2.0, [0.5, 1.0]) == ["sigma->inf: f <= C^(1+s) g"]
 
 
 def test_sim_c_rejects_empty():
     f = DirichletSeries(4, {2: 1})
     with pytest.raises(PreconditionError):
-        sim_C_check(f, DirichletSeries(4, {}), 2.0, [1.0])
+        sim_C(f, DirichletSeries(4, {}), 2.0, [1.0])
 
 
 # -- cover/quotient comparison ----------------------------------------------
@@ -778,16 +782,25 @@ def test_sim_c_rejects_empty():
 
 def test_cover_mn_single_pair():
     spec = finite_spec(FactorSpec(A1, 5))
-    rep = cover_mn_comparison(spec, 2)
-    assert rep.passed and rep.m_simple_at_n_squared == 1 and rep.m_cover_at_n == 1
-    rep = cover_mn_comparison(spec, 1)
-    assert rep.passed and rep.m_simple_at_n_squared == 0 == rep.m_cover_at_n
+    assert cover_quotient(spec, [1, 2])
+    simple, cover = with_flag(spec, True), with_flag(spec, False)
+    assert m_n(simple, 4) == 1 == m_n(cover, 2)
+    assert m_n(simple, 1) == 0 == m_n(cover, 1)
 
 
 def test_cover_mn_mixed_family():
     spec = finite_spec(*(FactorSpec(A1, q) for q in (5, 7, 9, 11, 13)))
-    for n in range(1, 21):
-        assert cover_mn_comparison(spec, n).passed
+    assert cover_quotient(spec, range(1, 21))
+
+
+def test_cover_quotient_compares_logs_only_when_m_n_gives_one():
+    # PSL2(7) has degree 3 <= 2^2 while SL2(7) has nothing of degree <= 2
+    spec = finite_spec(FactorSpec(A1, 7, multiplicity=BigPower(5, 10 ** 12)))
+    simple, cover = with_flag(spec, True), with_flag(spec, False)
+    assert m_n(simple, 1) == 0 == m_n(cover, 1)
+    assert isinstance(m_n(simple, 4), float) and m_n(cover, 2) == 0
+    assert isinstance(m_n(simple, 9), float) and isinstance(m_n(cover, 3), float)
+    assert cover_quotient(spec, [1, 2, 3])
 
 
 def test_with_flag_switches_tables():
