@@ -9,6 +9,7 @@ the headline statements need.  Round-half-up is fixed for reproducibility.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
@@ -203,7 +204,14 @@ def build_diagonal(
 
     On the exact backend the Dirichlet product is associative and
     commutative, so a union series is the convolve of one series per
-    stratum; those are memoized by (stratum, flag, cutoff) for one stage.
+    stratum.  Those are memoized by (stratum, flag) at the largest cutoff
+    formed so far, across stages, and a smaller cutoff N gets the entries
+    <= N, which are the series truncated at N; a candidate a stage rejects
+    loses its entry.  The product of the built strata is memoized by
+    (flag, cutoff) until a stratum is built, so each sweep attempt's union
+    is one convolve of it with the candidate's series.  Budgets count every
+    union formed, memo hits included.
+
     Both scans look for their first hit above n(m-1) on prefixes at
     C = max(n(m-1), 2)^2, squared at each step (the sweep caps C at its
     window): entries <= C do not depend on the cutoff, so the hit is the
@@ -227,39 +235,55 @@ def build_diagonal(
     stages: List[DiagonalStage] = []
     records: List[StageRecord] = []
     built: List[GeometricStratum] = []
-    memo = {}  # (stratum, simple, N) -> that stratum's series, for one stage
+    memo = {}  # (stratum, simple) -> its series at the largest cutoff formed so far
+    folds = {}  # (simple, N) -> the product of built's series, until built grows
     n_prev = 1
 
     def stratum_series(s: GeometricStratum, N: int, simple: bool) -> DirichletSeries:
-        key = (s, simple, N)
-        if key not in memo:
-            memo[key] = truncated_zeta(GroupSpec((s.with_simple(simple),)), N, backend=EXACT)
-        return memo[key]
+        have = memo.get((s, simple))
+        if have is None or have.cutoff < N:
+            have = truncated_zeta(GroupSpec((s.with_simple(simple),)), N, backend=EXACT)
+            memo[s, simple] = have
+        if have.cutoff == N:
+            return have
+        i = bisect_right(have.dims, N)  # the prefix identity: entries <= N
+        return DirichletSeries(N, zip(have.dims[:i], have.mults[:i]))
 
-    def union_series(strata: Sequence[GeometricStratum], N: int, simple: bool) -> DirichletSeries:
+    def fold(N: int, simple: bool) -> DirichletSeries:
+        if (simple, N) not in folds:
+            folds[simple, N] = reduce(
+                lambda a, b: convolve(a, b, N), (stratum_series(t, N, simple) for t in built)
+            )
+        return folds[simple, N]
+
+    def union_series(N: int, simple: bool, extra: Optional[GeometricStratum] = None):
+        """The series of built, times extra's when given, at N."""
         nonlocal used
-        s = reduce(
-            lambda a, b: convolve(a, b, N), (stratum_series(t, N, simple) for t in strata)
-        )
+        if extra is None:
+            s = fold(N, simple)
+        else:
+            s = stratum_series(extra, N, simple)
+            if built:
+                s = convolve(fold(N, simple), s, N)
         used += len(s)
         if used > n_budget:
             partial = DiagonalCertificate(rho, tuple(records), complete=False)
             raise BudgetExceededError(f"work budget {n_budget} exhausted", partial=partial)
         return s
 
-    def scan(strata: Sequence[GeometricStratum], simple: bool, test, cap: Optional[int] = None):
+    def scan(simple: bool, test, cap: Optional[int] = None, extra=None):
         """_first_past on the union's prefixes up to cap (unbounded when None)."""
         C = max(n_prev, 2) ** 2
         while True:
             if cap is not None:
                 C = min(C, cap)
-            hit = _first_past(union_series(strata, C, simple), n_prev, test)
+            hit = _first_past(union_series(C, simple, extra), n_prev, test)
             if hit[0] is not None or C == cap:
                 return hit
             C *= C
 
     for m, (rho_m, t_m, p_m) in enumerate(targets, start=1):
-        memo.clear()
+        folds.clear()  # the sweep reads none of the last stage's (iii) folds
         rho_m = Fraction(rho_m)
         base = build_fixed_type(rho_m, t_m, p_m).strata[0]
 
@@ -279,29 +303,28 @@ def build_diagonal(
             onset = stratum.min_dim_at(skip + 1)
             sweep_N = stratum.min_dim_at(max(skip + 4, j_star))
             violation, _ = scan(
-                built + [stratum], False, lambda R, d: not _slope_leq(R, d, rho), sweep_N
+                False, lambda R, d: not _slope_leq(R, d, rho), sweep_N, extra=stratum
             )
             if violation is None:
                 swept_to = sweep_N
                 break
             if violation >= onset:
+                del memo[stratum, False]  # a rejected candidate
                 skip += 1
                 continue
             raise InvariantError(
                 f"stage {m}: slope exceeds rho at {violation}, below this stage's onset"
             )
 
-        built.append(stratum)
-        checks = []
-
         # (i) exact cumulative equality at n(m-1) on the cover view
-        lhs = cumulative(union_series(built, max(n_prev, 1), simple=False), n_prev)
-        if len(built) > 1:
-            rhs = cumulative(union_series(built[:-1], max(n_prev, 1), simple=False), n_prev)
-        else:
-            rhs = 1  # the empty product: only the trivial representation
+        lhs = cumulative(union_series(n_prev, False, extra=stratum), n_prev)
+        # the empty product holds only the trivial representation
+        rhs = cumulative(union_series(n_prev, False), n_prev) if built else 1
         if lhs != rhs:
             raise InvariantError(f"stage {m}: new representations at or below {n_prev}")
+        built.append(stratum)
+        folds.clear()
+        checks = []
         checks.append(
             CheckRecord(
                 "no-new-small-reps",
@@ -326,7 +349,7 @@ def build_diagonal(
 
         # (iii): first checkpoint above n(m-1) with slope >= rho_m - 1/m
         target = rho_m - Fraction(1, m)
-        n_m, running = scan(built, True, lambda R, d: _slope_geq(R, d, target))
+        n_m, running = scan(True, lambda R, d: _slope_geq(R, d, target))
         slope_val = math.log(running) / math.log(n_m) if n_m > 1 else 0.0
         checks.append(
             CheckRecord(

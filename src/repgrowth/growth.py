@@ -24,7 +24,7 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .char_tables import a1_degrees, primes_from, prime_power
 from .dirichlet import (
@@ -770,15 +770,11 @@ def truncated_zeta(
     return DirichletSeries(N, acc, backend)
 
 
-def m_n(spec: GroupSpec, n: int):
-    """Total multiplicity of simple factors with a nontrivial irreducible
-    representation of dimension <= n.  Exact int when materializable; the
-    natural log of the count otherwise."""
-    if n < 1:
-        raise PreconditionError("n must be >= 1")
-    total = 0  # the natural log of the count once a multiplicity overflows
-    for f in _contributions(spec, n):
-        m = f.multiplicity
+def _count(mults: Iterable[Multiplicity]):
+    """The sum of mults: an exact int while each one materializes, the
+    natural log of the sum from the first that does not on."""
+    total = 0
+    for m in mults:
         if isinstance(total, int):
             try:
                 total += mult_to_int(m)
@@ -787,6 +783,30 @@ def m_n(spec: GroupSpec, n: int):
                 total = math.log(total) if total else float("-inf")
         total = _logaddexp(total, mult_log(m))
     return total
+
+
+def m_n(spec: GroupSpec, n: int):
+    """Total multiplicity of simple factors with a nontrivial irreducible
+    representation of dimension <= n.  Exact int when materializable; the
+    natural log of the count otherwise."""
+    if n < 1:
+        raise PreconditionError("n must be >= 1")
+    return _count(f.multiplicity for f in _contributions(spec, n))
+
+
+def m_ns(spec: GroupSpec, ns: Iterable[int]) -> List:
+    """[m_n(spec, n) for n in ns], each the same int or float, from one walk
+    of the contributions at max(ns).  Along every tower the minimal
+    dimensions never decrease, so the contributions at n are the walk's
+    factors of minimal dimension <= n, in the walk's order."""
+    ns = list(ns)
+    if any(n < 1 for n in ns):
+        raise PreconditionError("n must be >= 1")
+    walk = [
+        (f.min_nontrivial_dim(), f.multiplicity)
+        for f in _contributions(spec, max(ns, default=1))
+    ]
+    return [_count(m for d, m in walk if d <= n) for n in ns]
 
 
 # ---------------------------------------------------------------------------

@@ -50,10 +50,11 @@ def cover_quotient(spec: growth.GroupSpec, ns: Iterable[int]) -> bool:
     in ns: a cover character of degree d yields a simple-quotient character
     of degree at most d^2 - 1.  Two integer counts compare exactly; logs are
     compared only when m_n returned one."""
-    simple, cover = growth.with_flag(spec, True), growth.with_flag(spec, False)
+    ns = list(ns)
+    simple = growth.m_ns(growth.with_flag(spec, True), [n * n for n in ns])
+    cover = growth.m_ns(growth.with_flag(spec, False), ns)
     ok = True
-    for n in ns:
-        lhs, rhs = growth.m_n(simple, n * n), growth.m_n(cover, n)
+    for lhs, rhs in zip(simple, cover):
         if isinstance(lhs, float) or isinstance(rhs, float):
             lhs, rhs = (x if isinstance(x, float) else math.log(x) if x else -math.inf
                         for x in (lhs, rhs))
@@ -245,6 +246,35 @@ def union_factorization(rng: random.Random, cases: int) -> bool:
     return ok
 
 
+def prefix_truncation(rng: random.Random, cases: int) -> bool:
+    """For N <= N', the exact truncated_zeta at N is the entries <= N of the
+    one at N' (what build_diagonal's memo across stages rests on): each of
+    two random fixed-type towers in both flags and the prime stratum at a
+    dense N' <= 2000; the towers alone at the sparse N' = 2^200, with N of
+    random bit length, as the prime stratum has no sparse truncation."""
+    types = [LieType("A", 2), LieType("A", 3), LieType("B", 2), LieType("G2")]
+    ok = True
+    for _ in range(cases):
+        towers = [
+            build_fixed_type(rho0(t) + Fraction(rng.randint(1, 8), 4), t, rng.choice([5, 7]))
+            .strata[0]
+            for t in rng.sample(types, 2)
+        ]
+        towers = [s.with_simple(simple) for s in towers for simple in (True, False)]
+        primes = growth.PrimeStratum(5, 1, simple=rng.random() < 0.5)
+        top = rng.randint(500, 2000)
+        for big_N, N, strata in (
+            (top, rng.randint(1, top), towers + [primes]),
+            (2 ** 200, rng.randint(1, 2 ** rng.randint(1, 200)), towers),
+        ):
+            for s in strata:
+                spec = growth.GroupSpec((s,))
+                big = growth.truncated_zeta(spec, big_N, backend=EXACT)
+                head = DirichletSeries(N, [(d, m) for d, m in big.items() if d <= N])
+                ok &= growth.truncated_zeta(spec, N, backend=EXACT) == head
+    return ok
+
+
 def suite() -> Iterator[Tuple[str, bool]]:
     """The named checks of `repgrowth check`, in order, with fixed seeds."""
     yield from character_tables(FIELD_SIZES)
@@ -259,6 +289,8 @@ def suite() -> Iterator[Tuple[str, bool]]:
     yield name, fixed_type_postcondition(random.Random(13), 10)
     name = "union series = convolve of per-stratum series, N <= 2000 and 2^200 (4 cases)"
     yield name, union_factorization(random.Random(17), 4)
+    name = "truncated_zeta at N = its entries <= N at N' >= N, N' <= 2000 and 2^200 (4 cases)"
+    yield name, prefix_truncation(random.Random(19), 4)
     yield "SL2-over-primes family abscissa 3d-4", all(
         growth.exact_abscissa(growth.sl2_over_primes_spec(d)).abscissa == 3 * d - 4
         for d in (3, 4, 5)

@@ -237,5 +237,7 @@ def test_criterion_10_property_suites():
         assert invariants.schedule_nonnegativity()  # f(j) >= 0 to j = 10^4
         # a union's exact series is the convolve of its strata's series
         assert invariants.union_factorization(rng, 12)
+        # truncated_zeta at N is the prefix <= N of it at any N' >= N
+        assert invariants.prefix_truncation(rng, 12)
 
     run_criterion(10, "order axioms, series algebra, backend agreement, schedules", 60.0, body)

@@ -205,6 +205,8 @@ def test_check_suite_passes(capsys):
     assert "PASS  zeta(SL2(q)) - 1 ~_2 q^(1-s) for prime powers 17 <= q <= 81" in lines
     name = "m_{n^2}(G/Z) >= m_n(G), abscissa and PRG verdict the same in both views"
     assert f"PASS  {name}" in lines
+    name = "truncated_zeta at N = its entries <= N at N' >= N, N' <= 2000 and 2^200 (4 cases)"
+    assert f"PASS  {name}" in lines
 
 
 def test_check_reports_a_failing_invariant_with_exit_5(capsys, monkeypatch):

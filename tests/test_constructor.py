@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -396,6 +397,43 @@ BENCHMARK_CASES = [
     (Fraction(5, 2), 6, 7),
     (Fraction(2), 6, 7),
 ]
+
+
+def _stages_done(rho, targets, budget):
+    """len(partial.stages) when the budget runs out, None when it does not."""
+    try:
+        build_diagonal(rho, targets, budget)
+    except BudgetExceededError as e:
+        return len(e.partial.stages)
+    return None
+
+
+def test_budgets_run_out_at_the_same_union():
+    # every union formed counts its entries, memo hits included, so budgets
+    # run out at the same union: on the grid of the test above, edges holds
+    # the last budget with k stages done; in the (3, 7, 5) benchmark case
+    # stage k ends once `used` union entries have been formed
+    targets = default_diagonal_targets(Fraction(2), 4, 5)
+    edges = [(16, 0), (58, 1), (142, 2), (328, 3)]
+    want = {b: next((k for top, k in edges if b <= top), None) for b in range(1, 400, 3)}
+    assert {b: _stages_done(Fraction(2), targets, b) for b in want} == want
+    targets = default_diagonal_targets(Fraction(3), 7, 5)
+    for k, used in enumerate([17, 55, 150, 336, 642, 1222, 2032], start=1):
+        assert _stages_done(Fraction(3), targets, used - 1) == k - 1
+        assert _stages_done(Fraction(3), targets, used) == (k if k < 7 else None)
+
+
+@pytest.mark.parametrize("rho, stages, p", BENCHMARK_CASES)
+def test_build_diagonal_leaves_no_reference_cycles(rho, stages, p):
+    # the memos live in one call and hold no cycle, so nothing waits for the
+    # cyclic collector once build_diagonal returns
+    gc.collect()
+    gc.disable()
+    try:
+        build_diagonal(rho, default_diagonal_targets(rho, stages, p))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("rho, stages, p", BENCHMARK_CASES)

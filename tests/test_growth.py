@@ -52,6 +52,7 @@ from repgrowth.growth import (
     empirical_slope,
     exact_abscissa,
     m_n,
+    m_ns,
     prg_verdict,
     sl2_over_primes_spec,
     truncated_zeta,
@@ -801,6 +802,37 @@ def test_cover_quotient_compares_logs_only_when_m_n_gives_one():
     assert isinstance(m_n(simple, 4), float) and m_n(cover, 2) == 0
     assert isinstance(m_n(simple, 9), float) and isinstance(m_n(cover, 3), float)
     assert cover_quotient(spec, [1, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "spec, top",
+    [
+        (finite_spec(*(FactorSpec(A1, q) for q in (5, 7, 9, 11, 13))), 20),
+        (sl2_over_primes_spec(3), 60),
+        (build_fixed_type(Fraction(2), A1, 5), 60),
+        # ints, then logs from the first BigPower too large to materialize
+        (
+            GroupSpec(
+                (
+                    PrimeStratum(5, 1),
+                    PrimeStratum(7, 10 ** 20, simple=True),
+                    FiniteStratum((FactorSpec(A1, 7, multiplicity=BigPower(5, 10 ** 12)),)),
+                )
+            ),
+            30,
+        ),
+    ],
+)
+def test_m_ns_is_m_n_at_every_n(spec, top):
+    # one walk gives each n the same int, or the same float to the bit
+    for simple in (True, False):
+        view = with_flag(spec, simple)
+        ns = [n * n for n in range(1, top + 1)] if simple else list(range(top, 0, -1))
+        got = m_ns(view, ns)
+        assert [(type(v), v) for v in got] == [(type(v), v) for v in (m_n(view, n) for n in ns)]
+    assert m_ns(spec, []) == []
+    with pytest.raises(PreconditionError):
+        m_ns(spec, [3, 0])
 
 
 def test_with_flag_switches_tables():
