@@ -205,9 +205,12 @@ def build_diagonal(
     On the exact backend the Dirichlet product is associative and
     commutative, so a union series is the convolve of one series per
     stratum.  Those are memoized by (stratum, flag) at the largest cutoff
-    formed so far, across stages, and a smaller cutoff N gets the entries
-    <= N, which are the series truncated at N; a candidate a stage rejects
-    loses its entry.  The product of the built strata is memoized by
+    formed so far, and a smaller cutoff N gets the entries <= N, which are
+    the series truncated at N; a candidate a stage rejects loses its entry.
+    The cover-view series serve check (i) and the sweep of later stages as
+    prefixes.  The simple view's are dropped when a stage starts: its (iii)
+    scan starts at max(n(m-1), 2)^2, which no cutoff of the last stage's
+    (iii) scan exceeds.  The product of the built strata is memoized by
     (flag, cutoff) until a stratum is built, so each sweep attempt's union
     is one convolve of it with the candidate's series.  Budgets count every
     union formed, memo hits included.
@@ -284,6 +287,8 @@ def build_diagonal(
 
     for m, (rho_m, t_m, p_m) in enumerate(targets, start=1):
         folds.clear()  # the sweep reads none of the last stage's (iii) folds
+        for t in built:  # nor (iii) any of its simple-view series
+            memo.pop((t, True), None)
         rho_m = Fraction(rho_m)
         base = build_fixed_type(rho_m, t_m, p_m).strata[0]
 

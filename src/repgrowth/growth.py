@@ -770,35 +770,21 @@ def truncated_zeta(
     return DirichletSeries(N, acc, backend)
 
 
-def _count(mults: Iterable[Multiplicity]):
-    """The sum of mults: an exact int while each one materializes, the
-    natural log of the sum from the first that does not on."""
-    total = 0
-    for m in mults:
-        if isinstance(total, int):
-            try:
-                total += mult_to_int(m)
-                continue
-            except OverflowError:
-                total = math.log(total) if total else float("-inf")
-        total = _logaddexp(total, mult_log(m))
-    return total
-
-
 def m_n(spec: GroupSpec, n: int):
     """Total multiplicity of simple factors with a nontrivial irreducible
     representation of dimension <= n.  Exact int when materializable; the
     natural log of the count otherwise."""
     if n < 1:
         raise PreconditionError("n must be >= 1")
-    return _count(f.multiplicity for f in _contributions(spec, n))
+    return m_ns(spec, [n])[0]
 
 
 def m_ns(spec: GroupSpec, ns: Iterable[int]) -> List:
-    """[m_n(spec, n) for n in ns], each the same int or float, from one walk
-    of the contributions at max(ns).  Along every tower the minimal
-    dimensions never decrease, so the contributions at n are the walk's
-    factors of minimal dimension <= n, in the walk's order."""
+    """[m_n(spec, n) for n in ns] from one walk of the contributions at
+    max(ns).  Along every tower the minimal dimensions never decrease, so
+    the contributions at n are the walk's factors of minimal dimension
+    <= n.  Each count is an exact int while each multiplicity materializes,
+    the natural log of the sum from the first that does not on."""
     ns = list(ns)
     if any(n < 1 for n in ns):
         raise PreconditionError("n must be >= 1")
@@ -806,7 +792,21 @@ def m_ns(spec: GroupSpec, ns: Iterable[int]) -> List:
         (f.min_nontrivial_dim(), f.multiplicity)
         for f in _contributions(spec, max(ns, default=1))
     ]
-    return [_count(m for d, m in walk if d <= n) for n in ns]
+    out = []
+    for n in ns:
+        total = 0
+        for d, m in walk:
+            if d > n:
+                continue
+            if isinstance(total, int):
+                try:
+                    total += mult_to_int(m)
+                    continue
+                except OverflowError:
+                    total = math.log(total) if total else float("-inf")
+            total = _logaddexp(total, mult_log(m))
+        out.append(total)
+    return out
 
 
 # ---------------------------------------------------------------------------
