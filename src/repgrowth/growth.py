@@ -55,6 +55,7 @@ from .lie_data import (
 
 LOG_THRESHOLD_BITS = 64.0  # multiplicities above 2^64 push work into the log backend
 _MATERIALIZE_BITS = 256    # tower multiplicities stay plain ints while this small
+MAX_POLY_COEFFS = 256      # _first_negative holds ~count^2/2 coefficients of size ~count!
 
 
 class TruncationWarning(UserWarning):
@@ -130,6 +131,10 @@ class PolyExponent:
     def __post_init__(self):
         if not self.coeffs:
             raise PreconditionError("empty coefficient list")
+        if len(self.coeffs) > MAX_POLY_COEFFS:
+            raise PreconditionError(
+                f"{len(self.coeffs)} coefficients: a poly schedule takes at most {MAX_POLY_COEFFS}"
+            )
         lead = max((i for i, c in enumerate(self.coeffs) if c != 0), default=0)
         if lead > 0 and self.coeffs[lead] < 0:
             raise PreconditionError("leading coefficient must be positive")
@@ -228,16 +233,31 @@ def exponent_rule_from_jsonable(obj: dict, pointer: str = ""):
 # factors and strata
 
 
-def _min_dim(lie_type: LieType, q: int, simple: bool, pairs: Optional[PairSet]) -> int:
-    """Minimal nontrivial irreducible degree of S_lambda(q), or of its cover
-    when not simple; pairs None means the canonical pair set."""
+def _min_dim(
+    lie_type: LieType,
+    q: int,
+    simple: bool,
+    pairs: Optional[PairSet],
+    e: int = 1,
+    bound: Optional[int] = None,
+) -> int:
+    """Minimal nontrivial irreducible degree of S_lambda(q^e), or of its
+    cover when not simple; pairs None means the canonical pair set.  That
+    degree is at least (q^(e*n) - 1)/2 >= (2^(e*n) - 1)/2, for n = 1 on A1
+    and the least pair exponent otherwise, so given a bound, a degree whose
+    exponent e*n passes bound.bit_length() + 1 is returned as bound + 1
+    without forming q^e or q^(e*n)."""
+    if lie_type != A1 and pairs is None:
+        pairs = canonical_pair_set(lie_type)
+    n = 1 if lie_type == A1 else pairs.min_dim_exponent()
+    if bound is not None and e * n > bound.bit_length() + 1:
+        return bound + 1
+    q **= e
     if lie_type == A1:
         if q % 2 == 0:
             return q - 1
         return (q + 1) // 2 if simple and q % 4 == 1 else (q - 1) // 2
-    if pairs is None:
-        pairs = canonical_pair_set(lie_type)
-    return q ** pairs.min_dim_exponent()
+    return q ** n
 
 
 def _simple_flag(obj: dict, default: str, pointer: str) -> bool:
@@ -273,8 +293,10 @@ class FactorSpec:
     def pair_set(self) -> PairSet:
         return self.pairs if self.pairs is not None else canonical_pair_set(self.lie_type)
 
-    def min_nontrivial_dim(self) -> int:
-        return _min_dim(self.lie_type, self.q, self.simple, self.pairs)
+    def min_nontrivial_dim(self, bound: Optional[int] = None) -> int:
+        """The least nontrivial degree; bound + 1 for one the exponent alone
+        puts above a given bound (see _min_dim)."""
+        return _min_dim(self.lie_type, self.q, self.simple, self.pairs, bound=bound)
 
     def x_terms(self, N: int, backend: str) -> List[Tuple[int, object]]:
         """The terms (dim, mult) of x_f = zeta_f - 1 at dims 2..N, sorted by
@@ -328,7 +350,7 @@ class FiniteStratum:
     factors: Tuple[FactorSpec, ...]
 
     def factors_below(self, bound: int, J: Optional[int]) -> List[FactorSpec]:
-        return [f for f in self.factors if f.min_nontrivial_dim() <= bound]
+        return [f for f in self.factors if f.min_nontrivial_dim(bound) <= bound]
 
     def abscissa_rate(self) -> Tuple[str, Optional[Fraction]]:
         return ("finite", None)
@@ -359,9 +381,9 @@ class _Tower:
     """An infinite stratum: factors S(q_i)^{m_i} at the indices i of a tower
     whose field sizes q_i diverge, so every truncation has a finite exact
     horizon.  A subclass supplies the (position, index) sequence, where J
-    caps the position, the field size and multiplicity at an index, and the
-    growth constant c: the sum of m_i over q_i <= x grows like x^c (None
-    when it outgrows every power)."""
+    caps the position, the field size q_i = q^e (as the pair q, e) and the
+    multiplicity at an index, and the growth constant c: the sum of m_i
+    over q_i <= x grows like x^c (None when it outgrows every power)."""
 
     pairs: Optional[PairSet] = None
 
@@ -369,12 +391,14 @@ class _Tower:
         return self.pairs if self.pairs is not None else canonical_pair_set(self.lie_type)
 
     def factor_at(self, i: int) -> FactorSpec:
-        return FactorSpec(
-            self.lie_type, self.field_size(i), self.simple, self.multiplicity(i), self.pairs
-        )
+        q, e = self.field(i)
+        return FactorSpec(self.lie_type, q ** e, self.simple, self.multiplicity(i), self.pairs)
 
-    def min_dim_at(self, i: int) -> int:
-        return _min_dim(self.lie_type, self.field_size(i), self.simple, self.pairs)
+    def min_dim_at(self, i: int, bound: Optional[int] = None) -> int:
+        """The least nontrivial degree at index i; bound + 1 for one the
+        exponents alone put above a given bound (see _min_dim)."""
+        q, e = self.field(i)
+        return _min_dim(self.lie_type, q, self.simple, self.pairs, e, bound)
 
     @staticmethod
     def _power(base: int, e: int) -> Multiplicity:
@@ -388,7 +412,7 @@ class _Tower:
 
     def factors_below(self, bound: int, J: Optional[int]) -> Iterator[FactorSpec]:
         for k, i in self.positions():
-            if self.min_dim_at(i) > bound:
+            if self.min_dim_at(i, bound) > bound:
                 return
             if J is not None and k > J:
                 warnings.warn(
@@ -444,8 +468,8 @@ class GeometricStratum(_Tower):
     def positions(self) -> Iterator[Tuple[int, int]]:
         return ((j, j) for j in itertools.count(self.skip + 1))
 
-    def field_size(self, j: int) -> int:
-        return self.q ** j
+    def field(self, j: int) -> Tuple[int, int]:
+        return self.q, j
 
     def multiplicity(self, j: int) -> Multiplicity:
         f = self.exponents.f(j)
@@ -516,8 +540,8 @@ class PrimeStratum(_Tower):
     def positions(self) -> Iterator[Tuple[int, int]]:
         return enumerate(primes_from(self.p_min), start=1)
 
-    def field_size(self, p: int) -> int:
-        return p
+    def field(self, p: int) -> Tuple[int, int]:
+        return p, 1
 
     def multiplicity(self, p: int) -> Multiplicity:
         return self._power((p ** 3 - p) // 2, self.mult_exponent)

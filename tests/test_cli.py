@@ -553,6 +553,29 @@ def test_huge_prime_rate_exponent_finishes(argv):
     assert json.loads(out)
 
 
+# strata whose first minimal dimension, q^(skip+1) or q^|Phi+|, has far more
+# digits than N: each used to be formed before the comparison with N
+FAR_FIRST_DIM = {
+    "skip": {"strata": [{**GEOM_STAGE, "skip": 10 ** 8}]},
+    "tower": {"strata": [{**GEOM_STAGE, "lie_type": {"family": "A", "rank": 30000}}]},
+    "factor": {
+        "strata": [
+            {"index": "finite", "factors": [{"lie_type": {"family": "A", "rank": 10 ** 5}, "q": 5}]}
+        ]
+    },
+}
+
+
+@pytest.mark.parametrize("spec", FAR_FIRST_DIM.values(), ids=FAR_FIRST_DIM.keys())
+def test_first_dimension_far_above_n_contributes_nothing(spec):
+    zeta = _run_module("zeta", "--spec", json.dumps(spec), "--N", "100")
+    assert (zeta[0], zeta[2]) == (0, "")
+    assert json.loads(zeta[1])["entries"] == [["1", "1"]]
+    slope = _run_module("abscissa", "--empirical", "--spec", json.dumps(spec), "--N", "100")
+    assert (slope[0], slope[2]) == (0, "")
+    assert json.loads(slope[1])["points"] == []
+
+
 @pytest.mark.parametrize("p_min", [10 ** 14, 10 ** 18])
 def test_huge_p_min_enumerates_no_primes(capsys, monkeypatch, p_min):
     def no_sieve(start):
@@ -976,6 +999,26 @@ def test_schedule_with_negative_exponents_is_a_precondition_error(capsys, argv):
     assert "Traceback" not in err
 
 
+def _ones_poly(count):
+    return {"strata": [{**GEOM_STAGE, "schedule": {"kind": "poly", "coeffs": [1] * count}}]}
+
+
+def test_poly_schedule_past_the_coefficient_cap_is_refused(capsys, monkeypatch):
+    # the sign check keeps derivatives whose coefficients grow factorially,
+    # so a longer list is refused before the check runs
+    def no_check(coeffs):
+        raise AssertionError("_first_negative ran")
+
+    code, out = run(capsys, "prg", "--spec", json.dumps(_ones_poly(growth.MAX_POLY_COEFFS)))
+    assert code == 0
+    assert json.loads(out)["prg"] is False
+    monkeypatch.setattr(growth, "_first_negative", no_check)
+    for count in (growth.MAX_POLY_COEFFS + 1, 3000):
+        code, err = _spec_error(capsys, "prg", "--spec", json.dumps(_ones_poly(count)))
+        assert code == 3
+        assert err == f"error: {count} coefficients: a poly schedule takes at most 256\n"
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=10),
     lambda children: st.lists(children, max_size=4)
@@ -985,6 +1028,18 @@ JSON_VALUES = st.recursive(
 VALID_SPECS = [
     sl2_over_primes_spec(3).to_jsonable(),
     constructor.build_fixed_type(Fraction(3, 2), LieType("A", 2, False), 5).to_jsonable(),
+    {
+        "strata": [
+            {
+                "index": "geometric",
+                "q": 4,
+                "lie_type": {"family": "B", "rank": 3},
+                "flag": "cover",
+                "skip": 1,
+                "schedule": {"kind": "poly", "coeffs": [1, 2]},
+            }
+        ]
+    },
 ]
 
 
@@ -1015,7 +1070,8 @@ ONE_FIELD_REPLACED = st.sampled_from(
 ).flatmap(lambda sp: JSON_VALUES.map(lambda value: _with_field(*sp, value)))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+# every example takes well under 0.1 s; the deadline turns a slow one into a failure
+@settings(max_examples=200, deadline=2000, derandomize=True)
 @given(JSON_VALUES | ONE_FIELD_REPLACED)
 def test_any_json_spec_ends_in_a_documented_exit(spec):
     text = json.dumps(spec)

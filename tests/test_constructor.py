@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repgrowth
+from repgrowth import constructor
 from repgrowth.constructor import (
     DiagonalCertificate,
     Schedule,
@@ -434,6 +435,49 @@ def test_build_diagonal_leaves_no_reference_cycles(rho, stages, p):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# the most truncated_zeta and convolve calls of each benchmark case
+BENCHMARK_CALLS = [(94, 71), (93, 71), (83, 60), (77, 54)]
+
+
+@pytest.mark.parametrize("case, most", list(zip(BENCHMARK_CASES, BENCHMARK_CALLS)))
+def test_build_diagonal_forms_each_product_once_per_cutoff(monkeypatch, case, most):
+    # one memo of the product of each tuple of strata: the last sweep union
+    # serves the next stage's early cutoffs with no convolve
+    calls = dict.fromkeys(["truncated_zeta", "convolve"], 0)
+
+    def counted(name):
+        real = getattr(constructor, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(constructor, name, counted(name))
+    rho, stages, p = case
+    build_diagonal(rho, default_diagonal_targets(rho, stages, p))
+    assert calls["truncated_zeta"] <= most[0]
+    assert calls["convolve"] <= most[1]
+
+
+@pytest.mark.parametrize(
+    "rho, rhos, want",
+    [
+        (Fraction(2), (Fraction(15, 8), Fraction(31, 16)), [(4, 30517578125), (8, 5 ** 18)]),
+        (Fraction(3), (Fraction(23, 8), Fraction(47, 16)), [(4, 30517578125), (8, 5 ** 18)]),
+    ],
+)
+def test_rejected_candidates_in_the_first_stage_and_later(rho, rhos, want):
+    # rho_m close to rho makes both stages reject candidates, the first one
+    # while nothing is built yet; (dropped, n_m) as a memo of one series per
+    # stratum found them
+    targets = [(r, LieType("A", rank), 5) for r, rank in zip(rhos, (2, 3))]
+    _, cert = build_diagonal(rho, targets)
+    assert [(st.dropped, st.n_m) for st in cert.stages] == want
 
 
 @pytest.mark.parametrize("rho, stages, p", BENCHMARK_CASES)

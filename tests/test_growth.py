@@ -835,6 +835,39 @@ def test_m_ns_is_m_n_at_every_n(spec, top):
         m_ns(spec, [3, 0])
 
 
+@pytest.mark.parametrize(
+    "lie_type",
+    [A1, LieType("A", 2), LieType("A", 2, True), LieType("B", 2), LieType("G2")],
+    ids=str,
+)
+def test_min_dim_with_a_bound_answers_bound_plus_one_only_above_it(lie_type):
+    # the exponent shortcut may only answer for degrees above the bound
+    for q, e, simple in itertools.product((2, 3, 4, 5, 7, 8, 9), range(1, 14), (True, False)):
+        degree = growth._min_dim(lie_type, q ** e, simple, None)
+        for bound in {1, 2, 3, 7, 8, 100, 2 ** 20, max(degree - 1, 1), degree, degree + 1}:
+            got = growth._min_dim(lie_type, q, simple, None, e, bound)
+            assert got in ((degree,) if degree <= bound else (degree, bound + 1))
+        assert growth._min_dim(lie_type, q, simple, None, 10 ** 9 * e, 10 ** 6) == 10 ** 6 + 1
+
+
+FAR_TOWER = GeometricStratum(A1, 5, PolyExponent((0, 1)))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GroupSpec((replace(FAR_TOWER, skip=10 ** 8),)),
+        GroupSpec((replace(FAR_TOWER, lie_type=LieType("A", 30000)),)),
+        finite_spec(FactorSpec(LieType("A", 10 ** 5), 5)),
+    ],
+    ids=["skip", "tower", "factor"],
+)
+def test_m_n_skips_a_first_dimension_far_above_n(spec):
+    # q^(skip+1) and q^|Phi+| have far more digits than n, and are not formed
+    assert m_ns(spec, [1, 100]) == [0, 0]
+    assert m_n(with_flag(spec, False), 100) == 0
+
+
 def test_with_flag_switches_tables():
     spec = finite_spec(FactorSpec(A1, 5, simple=True))
     cover = with_flag(spec, simple=False)
