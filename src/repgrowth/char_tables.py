@@ -140,7 +140,7 @@ def _check_degrees(group: str, q: int, degrees, order: int) -> None:
 class DegreeTable:
     """Character degrees with multiplicities for a fixed group."""
 
-    group: str  # "SL2" | "PSL2" | "Trivial"
+    group: str  # "SL2" | "PSL2"
     q: int
     degrees: Tuple[Tuple[int, int], ...]  # sorted (degree, multiplicity)
     order: int
@@ -150,9 +150,6 @@ class DegreeTable:
 
     def num_characters(self) -> int:
         return sum(m for _, m in self.degrees)
-
-
-TRIVIAL = DegreeTable("Trivial", 1, ((1, 1),), 1)
 
 
 def sl2_order(q: int) -> int:

@@ -126,7 +126,7 @@ def _cmd_zeta(args) -> int:
     else:
         _refuse(args, ["--q"], "applies only with --group")
         spec = _load_spec(args.spec)
-    series = growth.truncated_zeta(spec, args.N, args.J)
+    series = growth.truncated_zeta(spec, args.N)
     _emit(args, series.to_csv() if args.format == "csv" else series.to_json())
     return 0
 
@@ -137,7 +137,7 @@ def _cmd_abscissa(args) -> int:
     else:
         _refuse(args, ["--d"], "applies only with --example")
     if not args.empirical:
-        _refuse(args, ["--N", "--J"], "applies only with --empirical")
+        _refuse(args, ["--N"], "applies only with --empirical")
     if args.example:
         if args.example != "sl2-primes":
             raise PreconditionError(f"unknown example {args.example!r}")
@@ -145,7 +145,7 @@ def _cmd_abscissa(args) -> int:
     else:
         spec = _load_spec(args.spec)
     if args.empirical:
-        report = growth.empirical_slope(spec, 10 ** 6 if args.N is None else args.N, args.J)
+        report = growth.empirical_slope(spec, 10 ** 6 if args.N is None else args.N)
         _emit(args, report.to_csv() if args.format == "csv" else report.to_json())
         return 0
     summary = growth.exact_abscissa(spec)
@@ -238,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int)
     p.add_argument("--spec", help="spec JSON path, inline JSON, or - for stdin")
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--J", type=int)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", type=_out_arg)
     p.set_defaults(func=_cmd_zeta)
@@ -249,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, help="generator count for sl2-primes, default 3")
     p.add_argument("--empirical", action="store_true")
     p.add_argument("--N", type=int, help="default 10**6; --empirical only")
-    p.add_argument("--J", type=int, help="--empirical only")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", type=_out_arg)
     p.set_defaults(func=_cmd_abscissa)

@@ -144,11 +144,6 @@ class DirichletSeries:
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("DirichletSeries is immutable")
 
-    @classmethod
-    def one(cls, cutoff: int, backend: str = EXACT) -> "DirichletSeries":
-        """The multiplicative identity {1 -> 1}."""
-        return cls(cutoff, {1: 1 if backend == EXACT else 0.0}, backend)
-
     @property
     def dims(self) -> Tuple[int, ...]:
         return self._dims
@@ -231,15 +226,6 @@ class DirichletSeries:
             f'{{\n  "backend": "{self.backend}",\n  "cutoff": {self.cutoff},\n'
             f'  "entries": {entries}\n}}'
         )
-
-    @classmethod
-    def from_jsonable(cls, obj: dict) -> "DirichletSeries":
-        backend = obj["backend"]
-        if backend == EXACT:
-            entries = ((int(d), int(m)) for d, m in obj["entries"])
-        else:
-            entries = ((int(d), float(m)) for d, m in obj["entries"])
-        return cls(int(obj["cutoff"]), entries, backend)
 
 
 def evaluate(s: DirichletSeries, sigma: float) -> float:

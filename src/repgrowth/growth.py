@@ -10,7 +10,7 @@ too: PolyExponent, and the construction's Schedule f(j) = n0*k_j - m0*j.
 
 Every stratum kind has the same five methods, so spec-level computations
 are loops over strata and a new kind is one class plus one STRATUM_KINDS
-entry: factors_below(bound, J), the factors with a nontrivial irreducible of
+entry: factors_below(bound), the factors with a nontrivial irreducible of
 dimension <= bound; abscissa_rate(), (kind, rate) with kind "rational",
 "infinite" or "finite"; count_exponent(), b with m_n = O(n^b), or None;
 with_simple(simple), every factor in the simple or the cover view; and the
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, replace
@@ -56,10 +57,25 @@ from .lie_data import (
 LOG_THRESHOLD_BITS = 64.0  # multiplicities above 2^64 push work into the log backend
 _MATERIALIZE_BITS = 256    # tower multiplicities stay plain ints while this small
 MAX_POLY_COEFFS = 256      # _first_negative holds ~count^2/2 coefficients of size ~count!
+# count * the longest coefficient's bit length: _first_negative bisects over
+# [1, 2 + max|c_i| // lead] at every derivative level, so its time grows with
+# both; the slowest accepted case measured on a 2-core machine,
+# j^126 (j - 255) (128 coefficients of up to 8 bits), takes about 0.25 s
+MAX_POLY_BITS = 1024
 
 
 class TruncationWarning(UserWarning):
     """A truncated computation could not certify exactness below its cutoff."""
+
+
+def _caller_stacklevel() -> int:
+    """The warnings.warn stacklevel, for a warn in the calling frame, of the
+    first frame outside this module: the caller of the public walker,
+    however deep in this module the warning is raised."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +150,12 @@ class PolyExponent:
         if len(self.coeffs) > MAX_POLY_COEFFS:
             raise PreconditionError(
                 f"{len(self.coeffs)} coefficients: a poly schedule takes at most {MAX_POLY_COEFFS}"
+            )
+        bits = max(abs(c).bit_length() for c in self.coeffs)
+        if len(self.coeffs) * bits > MAX_POLY_BITS:
+            raise PreconditionError(
+                f"{len(self.coeffs)} coefficients of up to {bits} bits: a poly schedule "
+                f"takes at most {MAX_POLY_BITS} in count * bits"
             )
         lead = max((i for i, c in enumerate(self.coeffs) if c != 0), default=0)
         if lead > 0 and self.coeffs[lead] < 0:
@@ -349,7 +371,7 @@ class FactorSpec:
 class FiniteStratum:
     factors: Tuple[FactorSpec, ...]
 
-    def factors_below(self, bound: int, J: Optional[int]) -> List[FactorSpec]:
+    def factors_below(self, bound: int) -> List[FactorSpec]:
         return [f for f in self.factors if f.min_nontrivial_dim(bound) <= bound]
 
     def abscissa_rate(self) -> Tuple[str, Optional[Fraction]]:
@@ -380,10 +402,10 @@ class FiniteStratum:
 class _Tower:
     """An infinite stratum: factors S(q_i)^{m_i} at the indices i of a tower
     whose field sizes q_i diverge, so every truncation has a finite exact
-    horizon.  A subclass supplies the (position, index) sequence, where J
-    caps the position, the field size q_i = q^e (as the pair q, e) and the
-    multiplicity at an index, and the growth constant c: the sum of m_i
-    over q_i <= x grows like x^c (None when it outgrows every power)."""
+    horizon.  A subclass supplies the index sequence, the field size
+    q_i = q^e (as the pair q, e) and the multiplicity at an index, and the
+    growth constant c: the sum of m_i over q_i <= x grows like x^c (None
+    when it outgrows every power)."""
 
     pairs: Optional[PairSet] = None
 
@@ -410,17 +432,9 @@ class _Tower:
     def n_min(self) -> int:
         return self.pair_set().min_dim_exponent()
 
-    def factors_below(self, bound: int, J: Optional[int]) -> Iterator[FactorSpec]:
-        for k, i in self.positions():
+    def factors_below(self, bound: int) -> Iterator[FactorSpec]:
+        for i in self.indices():
             if self.min_dim_at(i, bound) > bound:
-                return
-            if J is not None and k > J:
-                warnings.warn(
-                    f"{self.id_str()}: horizon J={J} truncates below the exact horizon; "
-                    f"entries <= {bound} may be incomplete",
-                    TruncationWarning,
-                    stacklevel=4,  # past _contributions to the caller of truncated_zeta
-                )
                 return
             yield self.factor_at(i)
 
@@ -465,8 +479,8 @@ class GeometricStratum(_Tower):
                 "bump q or the skip prefix"
             )
 
-    def positions(self) -> Iterator[Tuple[int, int]]:
-        return ((j, j) for j in itertools.count(self.skip + 1))
+    def indices(self) -> Iterator[int]:
+        return itertools.count(self.skip + 1)
 
     def field(self, j: int) -> Tuple[int, int]:
         return self.q, j
@@ -527,18 +541,18 @@ class PrimeStratum(_Tower):
 
     lie_type = A1
 
-    def factors_below(self, bound: int, J: Optional[int]) -> Iterator[FactorSpec]:
+    def factors_below(self, bound: int) -> Iterator[FactorSpec]:
         # every prime p >= p_min has minimal dimension >= (p_min - 1) // 2, so
         # a p_min far above the bound needs no sieve window at all
         if (self.p_min - 1) // 2 > bound:
             return iter(())
-        return super().factors_below(bound, J)
+        return super().factors_below(bound)
 
     def rate_exponent(self) -> int:
         return 3 * self.mult_exponent
 
-    def positions(self) -> Iterator[Tuple[int, int]]:
-        return enumerate(primes_from(self.p_min), start=1)
+    def indices(self) -> Iterator[int]:
+        return primes_from(self.p_min)
 
     def field(self, p: int) -> Tuple[int, int]:
         return p, 1
@@ -618,19 +632,16 @@ class DiagonalStratum:
     def exact_horizon(self) -> int:
         return self.stages[-1].n_m if self.stages else 1
 
-    def factors_below(self, bound: int, J: Optional[int]) -> Iterator[FactorSpec]:
-        # not a generator: the stage walkers then run right under
-        # _contributions, as any tower's does, so their stacklevel holds
+    def factors_below(self, bound: int) -> Iterator[FactorSpec]:
         if bound > self.exact_horizon():
             warnings.warn(
                 f"{self.id_str()}: truncation {bound} exceeds the materialized horizon "
                 f"{self.exact_horizon()}; unbuilt stages could contribute above it",
                 TruncationWarning,
-                stacklevel=4,  # past _contributions to the caller of truncated_zeta
+                stacklevel=_caller_stacklevel(),
             )
-        return itertools.chain.from_iterable(
-            st.stratum.factors_below(bound, J) for st in self.stages
-        )
+        for st in self.stages:
+            yield from st.stratum.factors_below(bound)
 
     def abscissa_rate(self) -> Tuple[str, Optional[Fraction]]:
         return ("rational", self.rho)
@@ -699,9 +710,6 @@ def _stratum_from_jsonable(obj, pointer: str, kinds=STRATUM_KINDS) -> Stratum:
 class GroupSpec:
     strata: Tuple[Stratum, ...]
 
-    def union(self, other: "GroupSpec") -> "GroupSpec":
-        return GroupSpec(self.strata + other.strata)
-
     def to_jsonable(self) -> dict:
         return {"strata": [s.to_jsonable() for s in self.strata]}
 
@@ -727,18 +735,18 @@ def with_flag(spec: GroupSpec, simple: bool) -> GroupSpec:
 # contributions below a dimension bound
 
 
-def _contributions(spec: GroupSpec, bound: int, J: Optional[int] = None) -> Iterator[FactorSpec]:
+def _contributions(spec: GroupSpec, bound: int) -> Iterator[FactorSpec]:
     """Factors whose minimal nontrivial dimension is <= bound.  Within every
     stratum the minimal dimensions diverge, so this is a finite, exact set
     (a TruncationWarning is issued where that cannot be certified)."""
     for s in spec.strata:
-        yield from s.factors_below(bound, J)
+        yield from s.factors_below(bound)
 
 
 def truncated_zeta(
     spec: GroupSpec,
     N: int,
-    J: Optional[int] = None,
+    *,
     backend: Optional[str] = None,
 ) -> DirichletSeries:
     """Dirichlet product over every factor that contributes below N.
@@ -770,11 +778,11 @@ def truncated_zeta(
     binomial sums and in convolve runs through one kernel,
     dirichlet._mul_into.
     """
-    if N < 1 or (J is not None and J < 1):
-        raise PreconditionError("N and J must be >= 1")
+    if N < 1:
+        raise PreconditionError("N must be >= 1")
     if backend not in (None, EXACT, LOG):
         raise PreconditionError(f"unknown backend {backend!r}")
-    factors = list(_contributions(spec, N, J))
+    factors = list(_contributions(spec, N))
     if backend is None:
         big = any(mult_bits(f.multiplicity) > LOG_THRESHOLD_BITS for f in factors)
         backend = LOG if big else EXACT
@@ -953,12 +961,12 @@ class SlopeReport:
         )
 
 
-def empirical_slope(spec: GroupSpec, N: int, J: Optional[int] = None) -> SlopeReport:
+def empirical_slope(spec: GroupSpec, N: int) -> SlopeReport:
     """Slope sequence log R_n / log n from the truncated series (log-domain
     counts), plus the maximum over the window [sqrt(N), N].  Early
     dimensions are dominated by the smallest factor and bias the limsup
     proxy downward, hence the window."""
-    series = truncated_zeta(spec, N, J, backend=LOG)
+    series = truncated_zeta(spec, N, backend=LOG)
     dims = series.dims
     prefix = list(itertools.accumulate(series.mults, _logaddexp))
     points = []

@@ -161,9 +161,6 @@ class PairSet:
             raise PreconditionError("empty pair set has no minimal exponent")
         return min(n for _, n in self.pairs)
 
-    def union(self, other: "PairSet") -> "PairSet":
-        return PairSet(self.pairs | other.pairs)
-
     def to_jsonable(self) -> list:
         return [[m, n] for m, n in sorted(self.pairs)]
 

@@ -176,7 +176,7 @@ def test_criterion_6_product_rule():
 
         for _ in range(50):
             a, b = rng.choice(pool), rng.choice(pool)
-            got = exact_abscissa(a.union(b))
+            got = exact_abscissa(GroupSpec(a.strata + b.strata))
             expected = max(value(a), value(b))
             if expected == Fraction(-1):
                 assert got.kind == "finite"

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repgrowth.char_tables import (
-    TRIVIAL,
     DegreeTable,
     a1_degrees,
     is_prime,
@@ -203,7 +202,7 @@ def test_small_q_rejected():
 
 
 def test_zeta_series():
-    assert dict(zeta_series(TRIVIAL, 10).items()) == {1: 1}
+    assert dict(zeta_series(DegreeTable("Trivial", 1, ((1, 1),), 1), 10).items()) == {1: 1}
     assert dict(zeta_series(psl2_table(5), 4).items()) == {1: 1, 3: 2, 4: 1}
     full = zeta_series(sl2_table(5), 120)
     assert cumulative(full, 120) == 9

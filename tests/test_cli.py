@@ -954,7 +954,6 @@ UNREAD_FLAGS = {
         ("abscissa", "--example", "sl2-primes", "--N", "1000000"),
         "--N applies only with --empirical",
     ),
-    "abscissa-J": (("abscissa", "--spec", "/nonexistent", "--J", "2"), "--J applies only with --empirical"),
 }
 
 
@@ -978,6 +977,20 @@ def test_flag_the_command_does_not_read_is_parse_error(capsys, monkeypatch, argv
     code, err = _spec_error(capsys, *argv)
     assert code == 2
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("zeta", "--N", "10"), ("abscissa", "--empirical", "--N", "10")],
+    ids=["zeta", "abscissa"],
+)
+def test_no_horizon_flag(capsys, monkeypatch, argv):
+    # every truncation runs to its exact horizon, so there is no --J to cut it
+    monkeypatch.setattr(cli, "_load_spec", _no_work)
+    code, err = _spec_error(capsys, *argv, "--spec", "S", "--J", "3")
+    assert code == 2
+    assert err.splitlines()[-1].endswith("error: unrecognized arguments: --J 3")
+    assert "Traceback" not in err
 
 
 NEGATIVE_SCHEDULE = {
@@ -1017,6 +1030,24 @@ def test_poly_schedule_past_the_coefficient_cap_is_refused(capsys, monkeypatch):
         code, err = _spec_error(capsys, "prg", "--spec", json.dumps(_ones_poly(count)))
         assert code == 3
         assert err == f"error: {count} coefficients: a poly schedule takes at most 256\n"
+
+
+def test_poly_schedule_past_the_bit_cap_is_refused(capsys, monkeypatch):
+    # j^20 (j - R)(j - R - 2) with R = 10^1000: the sign check would bisect
+    # over [1, ~10^2000] at every derivative level
+    def no_check(coeffs):
+        raise AssertionError("_first_negative ran")
+
+    monkeypatch.setattr(growth, "_first_negative", no_check)
+    R = 10 ** 1000
+    coeffs = [0] * 20 + [R * (R + 2), -(2 * R + 2), 1]
+    spec = {"strata": [{**GEOM_STAGE, "schedule": {"kind": "poly", "coeffs": coeffs}}]}
+    code, err = _spec_error(capsys, "prg", "--spec", json.dumps(spec))
+    assert code == 3
+    assert err == (
+        "error: 23 coefficients of up to 6644 bits: a poly schedule takes at most 1024 "
+        "in count * bits\n"
+    )
 
 
 JSON_VALUES = st.recursive(

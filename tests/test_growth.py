@@ -116,7 +116,7 @@ def reference_power(s, M, N):
     plain convolve power: an oracle that does not go through _power_terms."""
     M = mult_to_int(M)
     x = DirichletSeries(N, [(d, m) for d, m in s.items() if d != 1])
-    out, xk = {1: 1}, DirichletSeries.one(N)
+    out, xk = {1: 1}, DirichletSeries(N, {1: 1})
     for k in itertools.count(1):
         xk = convolve(xk, x, N)
         c = math.comb(M, k)
@@ -129,7 +129,7 @@ def reference_power(s, M, N):
 def convolve_chain(factors, N, backend):
     """Reference reduction, computed exactly: one pairwise convolve per
     powered factor, in order; on the log backend, the logs of the result."""
-    result = DirichletSeries.one(N)
+    result = DirichletSeries(N, {1: 1})
     for f in factors:
         s = reference_unit_series(f, N, "exact")
         if f.multiplicity != 1:
@@ -170,8 +170,9 @@ def test_accumulator_matches_convolve_chain_and_brute_force(factors, N):
 
 
 def test_accumulator_matches_convolve_chain_at_sparse_cutoff():
-    spec = build_fixed_type(Fraction(3, 2), LieType("A", 2), 5).union(
-        build_fixed_type(Fraction(2), LieType("A", 3), 7)
+    spec = GroupSpec(
+        build_fixed_type(Fraction(3, 2), LieType("A", 2), 5).strata
+        + build_fixed_type(Fraction(2), LieType("A", 3), 7).strata
     )
     N = 2 ** 100
     factors = [s.factor_at(j) for s in spec.strata for j in range(1, 40) if s.min_dim_at(j) <= N]
@@ -284,45 +285,27 @@ def test_example_family_truncation_small_N():
     assert dict(s.items()) == oracle
 
 
-def test_truncation_stable_under_larger_horizon():
-    spec = build_fixed_type(Fraction(2), A1, 5)
-    a = truncated_zeta(spec, 10 ** 4, J=8)
-    b = truncated_zeta(spec, 10 ** 4, J=50)
-    c = truncated_zeta(spec, 10 ** 4)
-    assert a == b == c
-
-
 def _diagonal_spec():
     spec, _ = build_diagonal(Fraction(2), default_diagonal_targets(Fraction(2), 3, 5), 10 ** 8)
     return spec
 
 
-def _diagonal_horizon_cut():
-    spec = _diagonal_spec()
-    return spec, spec.strata[0].exact_horizon() * 10, None
-
-
-def _diagonal_stage_J_cut():
-    spec = _diagonal_spec()
-    return spec, spec.strata[0].exact_horizon(), 1
-
-
 @pytest.mark.parametrize(
-    "make",
+    "walk",
     [
-        lambda: (build_fixed_type(Fraction(2), A1, 5), 10 ** 6, 2),
-        lambda: (sl2_over_primes_spec(3), 100, 2),
-        _diagonal_horizon_cut,
-        _diagonal_stage_J_cut,
+        truncated_zeta,
+        m_n,
+        lambda spec, N: m_ns(spec, [2, N]),
+        empirical_slope,
     ],
-    ids=["geometric-J", "primes-J", "diagonal-horizon", "diagonal-stage-J"],
+    ids=["diagonal-horizon", "m_n", "m_ns", "empirical_slope"],
 )
-def test_truncation_warning_when_horizon_cuts(make):
-    spec, N, J = make()
+def test_truncation_warning_when_horizon_cuts(walk):
+    spec = _diagonal_spec()
     with pytest.warns(TruncationWarning) as record:
-        truncated_zeta(spec, N, J)
-    # the stack levels point past the stratum walkers at this caller
-    assert [w.filename for w in record] == [__file__] * len(record)
+        walk(spec, spec.strata[0].exact_horizon() * 10)
+    # one warning, its stack level past every walker in growth at this file
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_backend_autoswitch_on_huge_multiplicity():
@@ -345,6 +328,12 @@ def test_unknown_backend_is_refused_before_any_work(backend, monkeypatch):
     monkeypatch.setattr(growth, "_contributions", no_factors)
     with pytest.raises(PreconditionError, match="unknown backend"):
         truncated_zeta(sl2_over_primes_spec(3), 100, backend=backend)
+
+
+def test_backend_is_keyword_only():
+    # a third positional argument is neither read as a backend nor ignored
+    with pytest.raises(TypeError):
+        truncated_zeta(sl2_over_primes_spec(3), 100, "log")
 
 
 # sha256 of to_json() on the log backend, pinned when the three multiply-add
@@ -444,7 +433,7 @@ def test_m_n_nondecreasing_and_additive():
     assert vals == sorted(vals)
     other = finite_spec(FactorSpec(A1, 5, simple=True, multiplicity=7))
     for n in (1, 3, 10):
-        assert m_n(spec.union(other), n) == m_n(spec, n) + m_n(other, n)
+        assert m_n(GroupSpec(spec.strata + other.strata), n) == m_n(spec, n) + m_n(other, n)
 
 
 def test_huge_prime_rate_exponent_stays_unexpanded():
@@ -517,7 +506,7 @@ def test_union_rule_random_structured_specs():
 
     for _ in range(50):
         a, b = rng.choice(pool), rng.choice(pool)
-        got = exact_abscissa(a.union(b))
+        got = exact_abscissa(GroupSpec(a.strata + b.strata))
         va, vb = value(exact_abscissa(a)), value(exact_abscissa(b))
         expected = max(va, vb)
         if expected == Fraction(-1):
@@ -569,10 +558,10 @@ def test_scheduled_tower_windowed_max_tracks_the_abscissa():
     assert maxima[-1] <= 2.0 + 0.5
 
 
-def _bisect_window(spec, N, J=None):
+def _bisect_window(spec, N):
     """The windowed max as computed before it read the slopes: ln R_n by
     bisection at lo, at N and at every dimension in [lo, N]."""
-    series = truncated_zeta(spec, N, J, backend=LOG)
+    series = truncated_zeta(spec, N, backend=LOG)
     dims = series.dims
     prefix = list(itertools.accumulate(series.mults, _logaddexp))
 
@@ -597,23 +586,24 @@ def _bisect_window(spec, N, J=None):
 
 
 WINDOW_CASES = [
-    (sl2_over_primes_spec(d), N, None)
+    (sl2_over_primes_spec(d), N)
     for d in (3, 4, 5)
     for N in (2, 3, 4, 5, 10, 17, 100, 999, 2500)
 ] + [
-    (sl2_over_primes_spec(3), 2500, 1),
-    (build_fixed_type(Fraction(3, 2), LieType("A", 2), 5), 2 ** 80, None),
-] + [(finite_spec(FactorSpec(A1, 5, simple=True)), N, None) for N in (1, 10, 36)]
+    (build_fixed_type(Fraction(2), A1, 5), 5 ** 8),
+    (build_fixed_type(Fraction(3, 2), LieType("A", 2), 5), 2 ** 80),
+] + [(finite_spec(FactorSpec(A1, 5, simple=True)), N) for N in (1, 10, 36)]
 # A5 has degrees 1, 3, 3, 4, 5: at N = 36 the window [6, 36] holds no
 # dimension, and its max, ln 5 / ln 6, is the value at lo
 
 
-@pytest.mark.parametrize("spec,N,J", WINDOW_CASES)
-def test_windowed_max_matches_the_bisect_loop(spec, N, J):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)  # the J = 1 cut
-        rep = empirical_slope(spec, N, J)
-        points, wmax = _bisect_window(spec, N, J)
+# explicit ids keep each case's test name spec<i>-<N>-None stable
+@pytest.mark.parametrize(
+    "spec,N", WINDOW_CASES, ids=[f"spec{i}-{N}-None" for i, (_, N) in enumerate(WINDOW_CASES)]
+)
+def test_windowed_max_matches_the_bisect_loop(spec, N):
+    rep = empirical_slope(spec, N)
+    points, wmax = _bisect_window(spec, N)
     assert rep.points == points
     assert rep.windowed_max.hex() == wmax.hex()
 
@@ -687,6 +677,40 @@ def test_poly_nonnegativity_decision_matches_a_scan(coeffs):
         PolyExponent(coeffs)
 
 
+def _roots_past_one(k, R):
+    """j^k (j - R)(j - R - 2): its roots past 1 make the sign check bisect
+    at every derivative level."""
+    return (0,) * k + _root_poly([R, R + 2], 0)
+
+
+@pytest.mark.parametrize(
+    "k,R", [(20, 2 ** 64), (60, 2 ** 64), (120, 2 ** 64), (20, 10 ** 100), (20, 10 ** 1000)]
+)
+def test_poly_past_the_bit_cap_is_refused_before_the_sign_check(monkeypatch, k, R):
+    def no_check(coeffs):
+        raise AssertionError("_first_negative ran")
+
+    monkeypatch.setattr(growth, "_first_negative", no_check)
+    coeffs = _roots_past_one(k, R)
+    bits = (R * (R + 2)).bit_length()
+    assert len(coeffs) * bits > growth.MAX_POLY_BITS
+    with pytest.raises(PreconditionError, match=rf"^{k + 3} coefficients of up to {bits} bits: "):
+        PolyExponent(coeffs)
+
+
+@pytest.mark.parametrize(
+    "coeffs,j",
+    [
+        (_roots_past_one(4, 2 ** 64), 2 ** 64 + 1),  # 7 coefficients of up to 129 bits
+        ((0,) * 126 + (-255, 1), 1),  # j^126 (j - 255): 128 of up to 8 bits
+    ],
+)
+def test_poly_at_the_bit_cap_gets_its_verdict(coeffs, j):
+    assert len(coeffs) * max(abs(c).bit_length() for c in coeffs) <= growth.MAX_POLY_BITS
+    with pytest.raises(PreconditionError, match=rf"^f\({j}\) = -\d+ < 0$"):
+        PolyExponent(coeffs)
+
+
 def test_slope_csv_export():
     rep = empirical_slope(finite_spec(FactorSpec(A1, 5, simple=True)), 5)
     text = rep.to_csv()
@@ -694,20 +718,17 @@ def test_slope_csv_export():
 
 
 @pytest.mark.parametrize(
-    "spec, N, J",
+    "spec, N",
     [
-        (sl2_over_primes_spec(3), 1, None),  # no points
-        (sl2_over_primes_spec(3), 2000, None),
-        (sl2_over_primes_spec(5), 999, None),
-        (build_fixed_type(Fraction(2), A1, 5), 5000, None),
-        (sl2_over_primes_spec(3), 3000, 20),  # cut by J
+        (sl2_over_primes_spec(3), 1),  # no points
+        (sl2_over_primes_spec(3), 2000),
+        (sl2_over_primes_spec(5), 999),
+        (build_fixed_type(Fraction(2), A1, 5), 5000),
     ],
-    ids=["no-points", "d3", "d5", "geometric", "J-cut"],
+    ids=["no-points", "d3", "d5", "geometric"],
 )
-def test_slope_json_is_json_dumps_of_the_report(spec, N, J):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        rep = empirical_slope(spec, N, J)
+def test_slope_json_is_json_dumps_of_the_report(spec, N):
+    rep = empirical_slope(spec, N)
     want = {
         "N": rep.N,
         "window": list(rep.window),
@@ -896,7 +917,7 @@ def test_stratum_protocol_every_kind(kind):
     assert type(s) is STRATUM_KINDS[kind] and s.to_jsonable()["index"] == kind
     for simple in (True, False):
         flagged = with_flag(GroupSpec((s,)), simple).strata[0]
-        factors = list(flagged.factors_below(bound, None))
+        factors = list(flagged.factors_below(bound))
         assert factors and all(f.simple == simple for f in factors)
     assert type(s).from_jsonable(s.to_jsonable()) == s
     assert GroupSpec.from_jsonable(GroupSpec((s,)).to_jsonable()) == GroupSpec((s,))
