@@ -170,7 +170,9 @@ def _check_q(q: int) -> None:
 
 def a1_degrees(q: int, simple: bool) -> Tuple[Tuple[int, int], ...]:
     """Sorted (degree, multiplicity) pairs of PSL2(q) when simple, else of
-    SL2(q), for a prime power q >= 4, which the caller checks.
+    SL2(q), for a prime power q >= 4, which the caller checks.  Each branch
+    lists its degrees in increasing order, which holds for every q >= 4
+    since (q + 1)/2 < q - 1 there, so no sort is needed.
 
     Even q: SL2(q) = PSL2(q) with 1, q, (q+1) x (q/2-1), (q-1) x q/2.  Odd q:
     SL2(q) has 1, q, (q+1) x (q-3)/2, (q-1) x (q-1)/2 and the four
@@ -193,7 +195,7 @@ def a1_degrees(q: int, simple: bool) -> Tuple[Tuple[int, int], ...]:
     else:
         order = psl2_order(q)
         raw = ((1, 1), ((q - 1) // 2, 2), (q - 1, (q - 3) // 4), (q, 1), (q + 1, (q - 3) // 4))
-    degrees = tuple(sorted((d, m) for d, m in raw if m > 0))
+    degrees = tuple((d, m) for d, m in raw if m > 0)
     _check_degrees("PSL2" if simple else "SL2", q, degrees, order)
     return degrees
 

@@ -324,10 +324,12 @@ def _power_terms(x: List[Tuple[int, object]], M: Multiplicity, N: int, backend: 
     a sorted list of (dim, mult) pairs on distinct dims in [2, N].
 
     x^k starts at min_dim(x)^k, so only the powers with min_dim(x)^k <= N
-    contribute, at most log2(N) of them; each one from k = 2 on is one
-    convolve.  When M = 1 or min_dim(x)^2 > N that leaves C(M, 1) * x, a
-    plain list.  The exact backend uses exact binomials, the log backend the
-    identity log C(M,k) = sum_{i<k} log((M-i)/(i+1)).
+    contribute, at most log2(N) of them.  For a one-term x = (d, m) each
+    power is the one term (d^k, m^k), m^k on the log backend the running
+    sum m + ... + m that convolve would form; for a longer x each one from
+    k = 2 on is one convolve.  When M = 1 or min_dim(x)^2 > N that leaves
+    C(M, 1) * x, a plain list.  The exact backend uses exact binomials, the
+    log backend the identity log C(M,k) = sum_{i<k} log((M-i)/(i+1)).
     """
     if not x:
         return []
@@ -351,6 +353,10 @@ def _power_terms(x: List[Tuple[int, object]], M: Multiplicity, N: int, backend: 
         k += 1
         if (isinstance(M, int) and k > M) or d0 ** k > N:
             break
+        if len(x) == 1:
+            (dk, mk), (_, m0) = terms[0], x[0]
+            terms = [(dk * d0, mk * m0 if exact else mk + m0)]
+            continue
         if xs is None:
             xs = xk = DirichletSeries(N, x, backend)
         xk = convolve(xk, xs, N)

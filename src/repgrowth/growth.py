@@ -10,9 +10,11 @@ too: PolyExponent, and the construction's Schedule f(j) = n0*k_j - m0*j.
 
 Every stratum kind has the same five methods, so spec-level computations
 are loops over strata and a new kind is one class plus one STRATUM_KINDS
-entry: factors_below(bound), the factors with a nontrivial irreducible of
-dimension <= bound; abscissa_rate(), (kind, rate) with kind "rational",
-"infinite" or "finite"; count_exponent(), b with m_n = O(n^b), or None;
+entry: factors_below(bound), a (min_dim, factor) pair for each factor
+whose minimal nontrivial degree min_dim is <= bound, min_dim being the
+value the stratum's stop test computed, so no caller forms it again;
+abscissa_rate(), (kind, rate) with kind "rational", "infinite" or
+"finite"; count_exponent(), b with m_n = O(n^b), or None;
 with_simple(simple), every factor in the simple or the cover view; and the
 classmethod from_jsonable(obj, pointer), the inverse of to_jsonable.
 """
@@ -25,6 +27,7 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .char_tables import a1_degrees, primes_from, prime_power
@@ -60,7 +63,7 @@ MAX_POLY_COEFFS = 256      # _first_negative holds ~count^2/2 coefficients of si
 # count * the longest coefficient's bit length: _first_negative bisects over
 # [1, 2 + max|c_i| // lead] at every derivative level, so its time grows with
 # both; the slowest accepted case measured on a 2-core machine,
-# j^126 (j - 255) (128 coefficients of up to 8 bits), takes about 0.25 s
+# j^126 (j - 255) + 254 (128 coefficients of up to 8 bits), takes about 0.23 s
 MAX_POLY_BITS = 1024
 
 
@@ -111,8 +114,11 @@ def _first_negative(coeffs: Sequence[int]) -> Optional[int]:
     monotone on a piece and changes sign, integer bisection finds the c
     with g'(c - 1) and g'(c) on opposite sides of 0 (g'(c) may be 0), and
     c - 1 and c become cuts for g.  Along f's pieces, the first one that
-    starts >= 0 and ends < 0 holds the answer, found by bisection.
+    starts >= 0 and ends < 0 holds the answer, found by bisection.  f(1) < 0
+    is answered before any cut is formed.
     """
+    if sum(coeffs) < 0:
+        return 1
     ders = [list(coeffs)]
     while len(ders[-1]) > 2:
         ders.append([i * c for i, c in enumerate(ders[-1])][1:])
@@ -269,13 +275,14 @@ def _min_dim(
     and the least pair exponent otherwise, so given a bound, a degree whose
     exponent e*n passes bound.bit_length() + 1 is returned as bound + 1
     without forming q^e or q^(e*n)."""
-    if lie_type != A1 and pairs is None:
+    a1 = lie_type == A1
+    if not a1 and pairs is None:
         pairs = canonical_pair_set(lie_type)
-    n = 1 if lie_type == A1 else pairs.min_dim_exponent()
+    n = 1 if a1 else pairs.min_dim_exponent()
     if bound is not None and e * n > bound.bit_length() + 1:
         return bound + 1
     q **= e
-    if lie_type == A1:
+    if a1:
         if q % 2 == 0:
             return q - 1
         return (q + 1) // 2 if simple and q % 4 == 1 else (q - 1) // 2
@@ -371,8 +378,9 @@ class FactorSpec:
 class FiniteStratum:
     factors: Tuple[FactorSpec, ...]
 
-    def factors_below(self, bound: int) -> List[FactorSpec]:
-        return [f for f in self.factors if f.min_nontrivial_dim(bound) <= bound]
+    def factors_below(self, bound: int) -> List[Tuple[int, FactorSpec]]:
+        dims = ((f.min_nontrivial_dim(bound), f) for f in self.factors)
+        return [(d, f) for d, f in dims if d <= bound]
 
     def abscissa_rate(self) -> Tuple[str, Optional[Fraction]]:
         return ("finite", None)
@@ -432,11 +440,12 @@ class _Tower:
     def n_min(self) -> int:
         return self.pair_set().min_dim_exponent()
 
-    def factors_below(self, bound: int) -> Iterator[FactorSpec]:
+    def factors_below(self, bound: int) -> Iterator[Tuple[int, FactorSpec]]:
         for i in self.indices():
-            if self.min_dim_at(i, bound) > bound:
+            d = self.min_dim_at(i, bound)
+            if d > bound:
                 return
-            yield self.factor_at(i)
+            yield d, self.factor_at(i)
 
     def abscissa_rate(self) -> Tuple[str, Optional[Fraction]]:
         c = self.growth_constant()
@@ -541,7 +550,7 @@ class PrimeStratum(_Tower):
 
     lie_type = A1
 
-    def factors_below(self, bound: int) -> Iterator[FactorSpec]:
+    def factors_below(self, bound: int) -> Iterator[Tuple[int, FactorSpec]]:
         # every prime p >= p_min has minimal dimension >= (p_min - 1) // 2, so
         # a p_min far above the bound needs no sieve window at all
         if (self.p_min - 1) // 2 > bound:
@@ -632,7 +641,7 @@ class DiagonalStratum:
     def exact_horizon(self) -> int:
         return self.stages[-1].n_m if self.stages else 1
 
-    def factors_below(self, bound: int) -> Iterator[FactorSpec]:
+    def factors_below(self, bound: int) -> Iterator[Tuple[int, FactorSpec]]:
         if bound > self.exact_horizon():
             warnings.warn(
                 f"{self.id_str()}: truncation {bound} exceeds the materialized horizon "
@@ -735,10 +744,11 @@ def with_flag(spec: GroupSpec, simple: bool) -> GroupSpec:
 # contributions below a dimension bound
 
 
-def _contributions(spec: GroupSpec, bound: int) -> Iterator[FactorSpec]:
-    """Factors whose minimal nontrivial dimension is <= bound.  Within every
-    stratum the minimal dimensions diverge, so this is a finite, exact set
-    (a TruncationWarning is issued where that cannot be certified)."""
+def _contributions(spec: GroupSpec, bound: int) -> Iterator[Tuple[int, FactorSpec]]:
+    """(min_dim, factor) for the factors whose minimal nontrivial dimension
+    min_dim is <= bound.  Within every stratum the minimal dimensions
+    diverge, so this is a finite, exact set (a TruncationWarning is issued
+    where that cannot be certified)."""
     for s in spec.strata:
         yield from s.factors_below(bound)
 
@@ -769,10 +779,13 @@ def truncated_zeta(
 
     Cost: per factor, one validation (FactorSpec's checks), its terms x_f
     from a closed form (A1) or the pair set, and one binomial times each of
-    them, with no per-factor series; a factor with a power x_f^k, k >= 2
+    them, with no per-factor series; its minimal dimension comes with it
+    from factors_below, formed once.  A factor with a power x_f^k, k >= 2
     and min_dim^k <= N (none once min_dim^2 > N, as for every prime
-    p > 2 sqrt(N) + 1 in the SL2-over-primes family) adds one series for
-    x_f and one convolve per such power.  Then about
+    p > 2 sqrt(N) + 1 in the SL2-over-primes family) forms each such power
+    as one term, with no series, when x_f has one term at dims <= N (as on
+    a one-pair set), and otherwise (the A1 degrees) adds one series for x_f
+    and one convolve per such power.  Then about
     N * sum(|x_f| / min_dim(x_f)) dict updates for the product, for dense
     and sparse (huge-N) cutoffs alike.  Every multiply-add here, in the
     binomial sums and in convolve runs through one kernel,
@@ -784,14 +797,14 @@ def truncated_zeta(
         raise PreconditionError(f"unknown backend {backend!r}")
     factors = list(_contributions(spec, N))
     if backend is None:
-        big = any(mult_bits(f.multiplicity) > LOG_THRESHOLD_BITS for f in factors)
+        big = any(mult_bits(f.multiplicity) > LOG_THRESHOLD_BITS for _, f in factors)
         backend = LOG if big else EXACT
     exact = backend == EXACT
-    factors.sort(key=FactorSpec.min_nontrivial_dim)
+    factors.sort(key=itemgetter(0))
 
     acc = {1: 1 if exact else 0.0}
     sources = [1]  # sorted keys of acc that the current factor can still reach
-    for f in factors:
+    for _, f in factors:
         x = _power_terms(f.x_terms(N, backend), f.multiplicity, N, backend)
         bound = N // x[0][0]
         del sources[bisect_right(sources, bound):]
@@ -820,16 +833,14 @@ def m_ns(spec: GroupSpec, ns: Iterable[int]) -> List:
     ns = list(ns)
     if any(n < 1 for n in ns):
         raise PreconditionError("n must be >= 1")
-    walk = [
-        (f.min_nontrivial_dim(), f.multiplicity)
-        for f in _contributions(spec, max(ns, default=1))
-    ]
+    walk = list(_contributions(spec, max(ns, default=1)))
     out = []
     for n in ns:
         total = 0
-        for d, m in walk:
+        for d, f in walk:
             if d > n:
                 continue
+            m = f.multiplicity
             if isinstance(total, int):
                 try:
                     total += mult_to_int(m)

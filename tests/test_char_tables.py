@@ -226,6 +226,17 @@ def test_large_q_tables_big_integers():
     assert min_nontrivial_degree(t) == (q + 1) // 2
 
 
+def test_a1_degrees_branches_list_degrees_in_increasing_order():
+    # a1_degrees does not sort: each of its four branches (even q, odd q
+    # cover, q = 1 and q = 3 mod 4 simple) must list its degrees in order
+    for q in range(4, 2001):
+        if prime_power(q) is None:
+            continue
+        for simple in (False, True):
+            degrees = [d for d, _ in a1_degrees(q, simple)]
+            assert all(a < b for a, b in zip(degrees, degrees[1:])), (q, simple)
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_a1_degrees_guard_rejects_the_excluded_fields(q):
     # no prime-power check, but the single-linear-character guard still runs

@@ -15,9 +15,13 @@ from repgrowth.dirichlet import (
     BigPower,
     DirichletSeries,
     RangeOverflow,
+    _log_binomial,
+    _mul_into,
+    _power_terms,
     convolve,
     cumulative,
     evaluate,
+    mult_to_int,
     power_one_plus,
 )
 from repgrowth.errors import PreconditionError
@@ -286,3 +290,59 @@ def test_log_convolve_is_pinned_bit_for_bit():
     b = DirichletSeries(500, {1: 1, **{d: 7 * d + 2 for d in range(2, 500, 5)}})
     got = convolve(a.to_log(), b.to_log(), 500)
     assert _digest(got) == "e695aff9d00eecedc5d2b48229b68ea14b6faa59ed8116580d8a9eb938c14e67"
+
+
+def convolve_power_terms(x, M, N, backend):
+    """Reference for _power_terms: every power x^k from k = 2 on formed as
+    one convolve of DirichletSeries, whatever the length of x."""
+    exact = backend == EXACT
+    Mi = mult_to_int(M) if exact else None
+    d0 = x[0][0]
+    out, terms, xs, xk, k = {}, x, None, None, 1
+    while True:
+        c = math.comb(Mi, k) if exact else _log_binomial(M, k)
+        if c == (0 if exact else float("-inf")):
+            break
+        _mul_into(out, {1: c}, (1,), terms, N, exact)
+        k += 1
+        if (isinstance(M, int) and k > M) or d0 ** k > N:
+            break
+        if xs is None:
+            xs = xk = DirichletSeries(N, x, backend)
+        xk = convolve(xk, xs, N)
+        terms = xk.items()
+    return sorted(out.items())
+
+
+def count_series_inits(monkeypatch):
+    """A list that gains one entry per DirichletSeries built from now on."""
+    calls = []
+    init = DirichletSeries.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DirichletSeries, "__init__", counting_init)
+    return calls
+
+
+ONE_TERM_POWERS = [1, 2, 7, 2 ** 70, BigPower(3, 500), BigPower(3, 1000)]
+
+
+@pytest.mark.parametrize("backend", [EXACT, LOG])
+@pytest.mark.parametrize("M", ONE_TERM_POWERS, ids=str)
+def test_one_term_powers_match_the_convolve_loop_bit_for_bit(M, backend, monkeypatch):
+    # BigPower(3, 500) has 792 bits, BigPower(3, 1000) 1585: both sides of
+    # _log_binomial's 900-bit switch
+    cases = []
+    for d, m in ((2, 3), (25, 5), (5 ** 6, 5 ** 4)):
+        x = [(d, m if backend == EXACT else math.log(m))]
+        cases += [(x, N) for k in (1, 2, 3, 8) for N in {d ** k, max(d, d ** k - 1)}]
+    wants = [convolve_power_terms(x, M, N, backend) for x, N in cases]
+    calls = count_series_inits(monkeypatch)
+    for (x, N), want in zip(cases, wants):
+        got = _power_terms(x, M, N, backend)
+        assert got == want, (x, N)
+        assert [type(v) for _, v in got] == [type(v) for _, v in want]
+    assert calls == []

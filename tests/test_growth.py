@@ -60,6 +60,7 @@ from repgrowth.growth import (
 )
 from repgrowth.lie_data import LieType, PairSet, rho0, xi_terms
 from test_acceptance import _brute_product, _degrees
+from test_dirichlet import count_series_inits
 
 A1 = LieType("A", 1)
 
@@ -206,7 +207,7 @@ def test_closed_form_terms_match_the_table_chain(name):
     make, Ns = DIFFERENTIAL_SPECS[name]
     spec = make()
     for N in Ns:
-        factors = list(_contributions(spec, N))
+        factors = [f for _, f in _contributions(spec, N)]
         assert truncated_zeta(spec, N, backend="exact") == convolve_chain(factors, N, "exact")
         got_log = truncated_zeta(spec, N, backend="log")
         want_log = convolve_chain(factors, N, "log")
@@ -233,10 +234,8 @@ def test_prime_tower_builds_no_tables_and_few_series(monkeypatch):
     N = 3000
     spec = sl2_over_primes_spec(3)
     want = truncated_zeta(spec, N)
-    factors = list(_contributions(spec, N))
-    powers = [
-        sum(1 for k in range(2, 64) if f.min_nontrivial_dim() ** k <= N) for f in factors
-    ]
+    walk = list(_contributions(spec, N))
+    powers = [sum(1 for k in range(2, 64) if d ** k <= N) for d, _ in walk]
     bound = 1 + sum(powers) + sum(1 for n in powers if n)
 
     def refuse(q):
@@ -244,17 +243,23 @@ def test_prime_tower_builds_no_tables_and_few_series(monkeypatch):
 
     for fn in (sl2_table, psl2_table):
         _patch_everywhere(monkeypatch, fn, refuse)
-    calls = []
-    init = DirichletSeries.__init__
-
-    def counting_init(self, *args, **kwargs):
-        calls.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(DirichletSeries, "__init__", counting_init)
+    calls = count_series_inits(monkeypatch)
     assert truncated_zeta(spec, N) == want
-    assert len(factors) > 700 and 0 < sum(powers) < 100
+    assert len(walk) > 700 and 0 < sum(powers) < 100
     assert len(calls) <= bound
+
+
+def test_one_term_factors_build_no_series(monkeypatch):
+    # every factor of a canonical-pair tower has a one-term x_f, so its
+    # powers need no series: the only one built is the result
+    N = 2 ** 100
+    spec = build_fixed_type(Fraction(3, 2), LieType("A", 2), 5)
+    want = truncated_zeta(spec, N)
+    walk = list(_contributions(spec, N))
+    assert any(d * d <= N and f.multiplicity != 1 for d, f in walk)
+    calls = count_series_inits(monkeypatch)
+    assert truncated_zeta(spec, N) == want
+    assert len(calls) == 1
 
 
 def test_prime_stratum_stops_before_the_sieve_only_past_the_bound():
@@ -711,6 +716,15 @@ def test_poly_at_the_bit_cap_gets_its_verdict(coeffs, j):
         PolyExponent(coeffs)
 
 
+def test_poly_negative_at_one_is_refused_before_any_refinement(monkeypatch):
+    def no_bisection(*args):
+        raise AssertionError("_first_true ran")
+
+    monkeypatch.setattr(growth, "_first_true", no_bisection)
+    with pytest.raises(PreconditionError, match=r"^f\(1\) = -254 < 0$"):
+        PolyExponent((0,) * 126 + (-255, 1))
+
+
 def test_slope_csv_export():
     rep = empirical_slope(finite_spec(FactorSpec(A1, 5, simple=True)), 5)
     text = rep.to_csv()
@@ -917,8 +931,9 @@ def test_stratum_protocol_every_kind(kind):
     assert type(s) is STRATUM_KINDS[kind] and s.to_jsonable()["index"] == kind
     for simple in (True, False):
         flagged = with_flag(GroupSpec((s,)), simple).strata[0]
-        factors = list(flagged.factors_below(bound))
-        assert factors and all(f.simple == simple for f in factors)
+        walk = list(flagged.factors_below(bound))
+        assert walk and all(f.simple == simple for _, f in walk)
+        assert all(d == f.min_nontrivial_dim() <= bound for d, f in walk)
     assert type(s).from_jsonable(s.to_jsonable()) == s
     assert GroupSpec.from_jsonable(GroupSpec((s,)).to_jsonable()) == GroupSpec((s,))
 
