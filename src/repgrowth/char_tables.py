@@ -1,9 +1,10 @@
 """Exact character-degree multisets for SL2(q) and PSL2(q).
 
-The degree families are the classical closed forms; every constructed table
-is guarded by the column-orthogonality mass identity sum(mult * d^2) = |G|,
-which catches any transcription slip in the formulas.  q = 2, 3 are
-rejected outright (the groups there are not quasi-simple).
+The degree families are the classical closed forms.  Every DegreeTable is
+guarded by the column-orthogonality mass identity sum(mult * d^2) = |G|,
+which catches any transcription slip in the formulas; for the closed forms
+of a1_degrees the identity is proven once per branch for all q instead.
+q = 2, 3 are rejected outright (the groups there are not quasi-simple).
 """
 from __future__ import annotations
 
@@ -168,6 +169,22 @@ def _check_q(q: int) -> None:
         raise PreconditionError(f"q = {q} is excluded: SL2(2), SL2(3) are not quasi-simple")
 
 
+def a1_terms(q: int, simple: bool) -> Tuple[Tuple[int, int], ...]:
+    """The (degree, multiplicity) families of a1_degrees in increasing
+    degree, a multiplicity 0 included (the family q + 1 of PSL2(5)), for a
+    prime power q >= 4 that the caller checks."""
+    if q % 2 == 0:
+        return ((1, 1), (q - 1, q // 2), (q, 1), (q + 1, q // 2 - 1))
+    if not simple:
+        return (
+            (1, 1), ((q - 1) // 2, 2), ((q + 1) // 2, 2),
+            (q - 1, (q - 1) // 2), (q, 1), (q + 1, (q - 3) // 2),
+        )
+    if q % 4 == 1:
+        return ((1, 1), ((q + 1) // 2, 2), (q - 1, (q - 1) // 4), (q, 1), (q + 1, (q - 5) // 4))
+    return ((1, 1), ((q - 1) // 2, 2), (q - 1, (q - 3) // 4), (q, 1), (q + 1, (q - 3) // 4))
+
+
 def a1_degrees(q: int, simple: bool) -> Tuple[Tuple[int, int], ...]:
     """Sorted (degree, multiplicity) pairs of PSL2(q) when simple, else of
     SL2(q), for a prime power q >= 4, which the caller checks.  Each branch
@@ -178,26 +195,18 @@ def a1_degrees(q: int, simple: bool) -> Tuple[Tuple[int, int], ...]:
     SL2(q) has 1, q, (q+1) x (q-3)/2, (q-1) x (q-1)/2 and the four
     half-discrete-series characters of degrees (q+-1)/2; PSL2(q) keeps the
     pair of degree (q+1)/2 when q = 1 mod 4 and (q-1)/2 when q = 3 mod 4.
-    Every result passes the mass identity and has one linear character.
+
+    Every result passes the mass identity sum(mult * d^2) = |G| and has one
+    linear character, for every q >= 4, so neither is summed per call.  On
+    each branch both sides of the identity are polynomials in q of degree
+    <= 3, equal at four q (tests/test_char_tables.py checks more), so equal
+    as polynomials; every other degree is at least (q - 1)/2 > 1.  q = 2
+    and 3 give more than one linear character and are refused.
     """
-    if q % 2 == 0:
-        order = sl2_order(q)
-        raw = ((1, 1), (q - 1, q // 2), (q, 1), (q + 1, q // 2 - 1))
-    elif not simple:
-        order = sl2_order(q)
-        raw = (
-            (1, 1), ((q - 1) // 2, 2), ((q + 1) // 2, 2),
-            (q - 1, (q - 1) // 2), (q, 1), (q + 1, (q - 3) // 2),
-        )
-    elif q % 4 == 1:
-        order = psl2_order(q)
-        raw = ((1, 1), ((q + 1) // 2, 2), (q - 1, (q - 1) // 4), (q, 1), (q + 1, (q - 5) // 4))
-    else:
-        order = psl2_order(q)
-        raw = ((1, 1), ((q - 1) // 2, 2), (q - 1, (q - 3) // 4), (q, 1), (q + 1, (q - 3) // 4))
-    degrees = tuple((d, m) for d, m in raw if m > 0)
-    _check_degrees("PSL2" if simple else "SL2", q, degrees, order)
-    return degrees
+    if q < 4:
+        group = "PSL2" if simple else "SL2"
+        raise InvariantError(f"{group}({q}): need exactly one linear character")
+    return tuple((d, m) for d, m in a1_terms(q, simple) if m > 0)
 
 
 def sl2_table(q: int) -> DegreeTable:

@@ -2,9 +2,9 @@
 
 Exit codes: 0 ok, 1 stdout closed early, 2 parse error, 3 precondition
 violation, 4 budget exhausted (a --budget, a number too large to
-materialize exactly, or an exact count too long to print), 5 internal
-invariant failure.  Identical invocations produce byte-identical output on
-the exact backend.
+materialize exactly, a base**exponent multiplicity whose log passes double
+range, or an exact count too long to print), 5 internal invariant failure.
+Identical invocations produce byte-identical output on the exact backend.
 """
 from __future__ import annotations
 

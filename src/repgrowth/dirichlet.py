@@ -44,6 +44,13 @@ def max_str_digits() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
+def _int_name(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # more digits than str() prints
+        return f"<{n.bit_length()}-bit integer>"
+
+
 @dataclass(frozen=True)
 class BigPower:
     """A multiplicity of the form base**exponent kept unexpanded.
@@ -60,16 +67,30 @@ class BigPower:
             raise PreconditionError("BigPower needs base >= 2 and exponent >= 0")
 
     def log(self) -> float:
-        return self.exponent * math.log(self.base)
+        return self._scaled(math.log(self.base), "natural log")
 
     def bits(self) -> float:
-        return self.exponent * math.log2(self.base)
+        return self._scaled(math.log2(self.base), "bit length")
+
+    def _scaled(self, unit: float, what: str) -> float:
+        """exponent * unit; RangeOverflow where that leaves double range, as
+        it does for any exponent past 2^1024, which float() refuses."""
+        try:
+            v = self.exponent * unit
+        except OverflowError:
+            v = math.inf
+        if v == math.inf:
+            raise RangeOverflow(f"{self._name()} is too large: its {what} exceeds double range")
+        return v
+
+    def _name(self) -> str:
+        """base**exponent, for messages; an operand past str()'s digit limit
+        is named by its bit length."""
+        return "**".join(map(_int_name, (self.base, self.exponent)))
 
     def to_int(self) -> int:
         if self.bits() > MAX_MATERIALIZE_BITS:
-            raise RangeOverflow(
-                f"{self.base}**{self.exponent} is too large to materialize exactly"
-            )
+            raise RangeOverflow(f"{self._name()} is too large to materialize exactly")
         return self.base ** self.exponent
 
 
@@ -111,6 +132,8 @@ class DirichletSeries:
             raise PreconditionError("cutoff must be a positive integer")
         if backend not in (EXACT, LOG):
             raise PreconditionError(f"unknown backend {backend!r}")
+        if backend == EXACT and type(entries) is dict and self._init_exact_dict(cutoff, entries):
+            return
         items = entries.items() if isinstance(entries, Mapping) else entries
         merged: Dict[int, object] = {}
         if backend == EXACT:
@@ -140,6 +163,29 @@ class DirichletSeries:
         object.__setattr__(self, "backend", backend)
         object.__setattr__(self, "_dims", tuple(dims))
         object.__setattr__(self, "_mults", tuple(map(merged.__getitem__, dims)))
+
+    def _init_exact_dict(self, cutoff: int, entries: dict) -> bool:
+        """Set up from a dict of exact entries without a merged copy: its
+        keys are distinct, so nothing merges.  Each entry is checked in the
+        order __init__ checks it; returns False, setting nothing, at the
+        first multiplicity that is not a positive plain int, so that the
+        merging path raises the same error (or turns an int subclass such as
+        True into a plain int)."""
+        dims = []
+        for d, m in entries.items():
+            if d < 1:
+                raise PreconditionError(f"dimension {d} is not a positive integer")
+            if d > cutoff:
+                continue
+            if type(m) is not int or m <= 0:
+                return False
+            dims.append(d)
+        dims.sort()
+        object.__setattr__(self, "cutoff", cutoff)
+        object.__setattr__(self, "backend", EXACT)
+        object.__setattr__(self, "_dims", tuple(dims))
+        object.__setattr__(self, "_mults", tuple(map(entries.__getitem__, dims)))
+        return True
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("DirichletSeries is immutable")
@@ -266,14 +312,17 @@ def evaluate(s: DirichletSeries, sigma: float) -> float:
 
 def _mul_into(acc, src, d1s, x, N, exact, bound=0):
     """Add src[d1] * x into the dict acc at dims <= N, for each d1 of d1s in
-    turn and the terms of x in order (sum of logs and _logaddexp on the log
-    backend).  x holds (dim, mult) pairs sorted by dim, iterated once per
-    d1.  Returns the keys it created that are <= bound, in creation order.
+    turn and the terms of x in order (sum of logs and a log-add on the log
+    backend, written out in line: the operands swapped so that the larger
+    comes first, then a + log1p(exp(b - a)), bit for bit _logaddexp).  x
+    holds (dim, mult) pairs sorted by dim, iterated once per d1.  Returns
+    the keys it created that are <= bound, in creation order.
 
     src may be acc itself when every target d1 * d2 exceeds its source and
     d1s runs high to low: then no source is updated before it is read.
     """
     fresh = []
+    log1p, exp = math.log1p, math.exp
     for d1 in d1s:
         m1 = src[d1]
         for d2, m2 in x:
@@ -288,7 +337,10 @@ def _mul_into(acc, src, d1s, x, N, exact, bound=0):
             elif exact:
                 acc[p] = prev + m1 * m2
             else:
-                acc[p] = _logaddexp(prev, m1 + m2)
+                m = m1 + m2
+                if prev < m:
+                    prev, m = m, prev
+                acc[p] = prev + log1p(exp(m - prev))
     return fresh
 
 
@@ -316,6 +368,8 @@ def _log_binomial(M: Multiplicity, k: int) -> float:
             return k * lM - math.fsum(math.log(i + 1.0) for i in range(k))
     if k > M:
         return float("-inf")
+    if k == 1:  # the sum below is fsum([log(M) - 0.0]), which is log(M)
+        return math.log(M)
     return math.fsum(math.log(M - i) - math.log(i + 1.0) for i in range(k))
 
 

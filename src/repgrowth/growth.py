@@ -30,7 +30,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .char_tables import a1_degrees, primes_from, prime_power
+from .char_tables import a1_terms, primes_from, prime_power
 from .dirichlet import (
     EXACT,
     LOG,
@@ -281,7 +281,12 @@ def _min_dim(
     n = 1 if a1 else pairs.min_dim_exponent()
     if bound is not None and e * n > bound.bit_length() + 1:
         return bound + 1
-    q **= e
+    return _least_degree(a1, q ** e, simple, n)
+
+
+def _least_degree(a1: bool, q: int, simple: bool, n: int) -> int:
+    """_min_dim from the field size q itself: (q - 1) or (q +- 1)/2 on A1,
+    q^n for the least pair exponent n otherwise."""
     if a1:
         if q % 2 == 0:
             return q - 1
@@ -331,7 +336,7 @@ class FactorSpec:
         """The terms (dim, mult) of x_f = zeta_f - 1 at dims 2..N, sorted by
         dimension; natural-log multiplicities on the log backend."""
         if self.lie_type == A1:
-            terms = [(d, m) for d, m in a1_degrees(self.q, self.simple)[1:] if d <= N]
+            terms = [(d, m) for d, m in a1_terms(self.q, self.simple)[1:] if m and d <= N]
         else:
             terms = sorted(xi_terms(self.pair_set(), self.q, N).items())
         if backend == LOG:
@@ -441,11 +446,21 @@ class _Tower:
         return self.pair_set().min_dim_exponent()
 
     def factors_below(self, bound: int) -> Iterator[Tuple[int, FactorSpec]]:
+        """(min_dim_at(i, bound), factor_at(i)) along the indices while the
+        degree is <= bound, from one field(i) per index: q^e is formed once
+        and serves both."""
+        a1 = self.lie_type == A1
+        n = 1 if a1 else self.n_min()
+        cap = bound.bit_length() + 1
         for i in self.indices():
-            d = self.min_dim_at(i, bound)
+            q, e = self.field(i)
+            if e * n > cap:
+                return
+            q **= e
+            d = _least_degree(a1, q, self.simple, n)
             if d > bound:
                 return
-            yield d, self.factor_at(i)
+            yield d, FactorSpec(self.lie_type, q, self.simple, self.multiplicity(i), self.pairs)
 
     def abscissa_rate(self) -> Tuple[str, Optional[Fraction]]:
         c = self.growth_constant()
@@ -777,19 +792,23 @@ def truncated_zeta(
     since the automatic backend reads every multiplicity before the first
     update and the order spans strata.
 
-    Cost: per factor, one validation (FactorSpec's checks), its terms x_f
-    from a closed form (A1) or the pair set, and one binomial times each of
-    them, with no per-factor series; its minimal dimension comes with it
-    from factors_below, formed once.  A factor with a power x_f^k, k >= 2
-    and min_dim^k <= N (none once min_dim^2 > N, as for every prime
-    p > 2 sqrt(N) + 1 in the SL2-over-primes family) forms each such power
-    as one term, with no series, when x_f has one term at dims <= N (as on
-    a one-pair set), and otherwise (the A1 degrees) adds one series for x_f
-    and one convolve per such power.  Then about
-    N * sum(|x_f| / min_dim(x_f)) dict updates for the product, for dense
-    and sparse (huge-N) cutoffs alike.  Every multiply-add here, in the
-    binomial sums and in convolve runs through one kernel,
-    dirichlet._mul_into.
+    Cost: per factor, one validation (FactorSpec's checks, prime_power
+    among them), its terms x_f from a closed form (A1, filtered in one pass
+    with no mass identity summed) or the pair set, and one binomial times
+    each of them, with no per-factor series; its minimal dimension comes
+    with it from factors_below, which forms a tower index's field size once
+    for both.  A factor with a power x_f^k, k >= 2 and min_dim^k <= N (none
+    once min_dim^2 > N, as for every prime p > 2 sqrt(N) + 1 in the
+    SL2-over-primes family) forms each such power as one term, with no
+    series, when x_f has one term at dims <= N (as on a one-pair set), and
+    otherwise (the A1 degrees) adds one series for x_f and one convolve per
+    such power.  Then about N * sum(|x_f| / min_dim(x_f)) dict updates for
+    the product, for dense and sparse (huge-N) cutoffs alike, each a
+    multiply-add or, on the log backend, a log-add written out in line
+    with no call.  Every one of them, in the binomial sums and in convolve
+    too, runs through one kernel, dirichlet._mul_into; the result series is
+    made from the accumulator dict with no merged copy on the exact
+    backend.
     """
     if N < 1:
         raise PreconditionError("N must be >= 1")

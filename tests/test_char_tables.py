@@ -249,3 +249,30 @@ def test_degree_table_counts_every_linear_character():
     with pytest.raises(InvariantError, match="one linear character"):
         DegreeTable("S3", 2, ((1, 1), (1, 1), (2, 1)), 6)
 
+
+
+def _a1_branch(q, simple):
+    if q % 2 == 0:
+        return "even q"
+    if not simple:
+        return "odd q cover"
+    return "simple, q = 1 mod 4" if q % 4 == 1 else "simple, q = 3 mod 4"
+
+
+def test_a1_degrees_mass_identity_holds_on_every_branch():
+    # a1_degrees sums no mass per call: on each branch both sides of
+    # sum(m * d^2) = |G| are polynomials in q of degree <= 3, so agreement
+    # at four q of the branch proves it for every q; here every prime power
+    # 4 <= q <= 2000 is checked, in both views
+    seen = {}
+    for q in range(4, 2001):
+        if prime_power(q) is None:
+            continue
+        for simple in (False, True):
+            degrees = a1_degrees(q, simple)
+            order = psl2_order(q) if simple else sl2_order(q)
+            assert sum(m * d * d for d, m in degrees) == order, (q, simple)
+            assert [m for d, m in degrees if d == 1] == [1], (q, simple)
+            seen.setdefault(_a1_branch(q, simple), set()).add(q)
+    assert len(seen) == 4
+    assert all(len(qs) >= 4 for qs in seen.values()), seen.keys()

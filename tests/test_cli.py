@@ -476,6 +476,20 @@ def test_unmaterializable_multiplicity_is_a_budget_exit(capsys):
     assert err.startswith("error: 5**2999995 is too large to materialize")
 
 
+@pytest.mark.parametrize("value", [10 ** 400, 17 * 10 ** 307], ids=["10**400", "17*10**307"])
+@pytest.mark.parametrize("argv", [["zeta"], ["abscissa", "--empirical"]], ids=" ".join)
+def test_multiplicity_past_double_range_is_a_budget_exit(capsys, argv, value):
+    # 3**(10**400) has no float log at all and 3**(17*10**307) one of inf:
+    # the first raised a bare OverflowError, the second exited 3 at "dim 3"
+    factor = {"lie_type": {"family": "A", "rank": 1}, "q": 5,
+              "multiplicity": {"base": 3, "exponent": value}}
+    spec = json.dumps({"strata": [{"index": "finite", "factors": [factor]}]})
+    code = main([*argv, "--spec", spec, "--N", "10"])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == ""
+    assert err.startswith(f"error: 3**{value} is too large: its ")
+
+
 @pytest.mark.parametrize(
     "text", ["[]", " [1]", '\n[{"strata": []}]'], ids=["empty", "space-first", "newline-first"]
 )

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import struct
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -16,6 +18,7 @@ from repgrowth.dirichlet import (
     DirichletSeries,
     RangeOverflow,
     _log_binomial,
+    _logaddexp,
     _mul_into,
     _power_terms,
     convolve,
@@ -346,3 +349,79 @@ def test_one_term_powers_match_the_convolve_loop_bit_for_bit(M, backend, monkeyp
         assert got == want, (x, N)
         assert [type(v) for _, v in got] == [type(v) for _, v in want]
     assert calls == []
+
+
+def _bits(v):
+    return struct.pack("<d", v)
+
+
+LOG_ADD_GRID = [
+    -1e300, -745.5, -700.0, -40.0, -1.5, -1e-300, -0.0, 0.0, 5e-324, 1e-16,
+    0.5, 1.0, math.log(3.0), 2.0, 37.0, 700.0, 709.5, 1e300,
+]
+
+
+def test_inlined_log_add_is_logaddexp_bit_for_bit():
+    # _mul_into adds in the log domain without calling _logaddexp; on a grid
+    # of equal operands, large gaps and negatives, in both argument orders,
+    # the sum it stores must be _logaddexp's to the last bit
+    for prev, m1, m2 in product(LOG_ADD_GRID, LOG_ADD_GRID, (0.0, -3.25, 1.5)):
+        acc = {6: prev}
+        fresh = _mul_into(acc, {2: m1}, (2,), [(3, m2)], 6, False)
+        assert fresh == []
+        assert _bits(acc[6]) == _bits(_logaddexp(prev, m1 + m2)), (prev, m1, m2)
+
+
+LOG_BINOMIAL_ONE = [
+    1, 2, 3, 7, 10 ** 6, 2 ** 53 + 1, 2 ** 70, 10 ** 100,
+    BigPower(2, 1), BigPower(3, 500), BigPower(5, 387), BigPower(2, 900),
+]
+
+
+@pytest.mark.parametrize("M", LOG_BINOMIAL_ONE, ids=str)
+def test_log_binomial_of_one_is_the_fsum_form_bit_for_bit(M):
+    # _log_binomial(M, 1) returns math.log(M), which must equal the general
+    # form fsum([log(M) - log(1.0)]) for ints and for BigPowers of <= 900
+    # bits, the ones it materializes
+    Mi = mult_to_int(M)
+    assert isinstance(M, int) or M.bits() <= 900
+    want = math.fsum(math.log(Mi - i) - math.log(i + 1.0) for i in range(1))
+    assert _bits(_log_binomial(M, 1)) == _bits(want)
+
+
+@pytest.mark.parametrize("exponent", [10 ** 400, 17 * 10 ** 307])
+def test_bigpower_past_double_range_is_a_range_error(exponent):
+    # the log of 3**(17 * 10**307) is about 1.87e308, past the largest
+    # double; 10**400 cannot even be made a float
+    M = BigPower(3, exponent)
+    for method in (M.log, M.bits, M.to_int):
+        with pytest.raises(RangeOverflow, match=rf"^3\*\*{exponent} is too large"):
+            method()
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no str() digit limit")
+def test_bigpower_names_an_operand_too_long_to_print_by_its_bits():
+    M = BigPower(3, 10 ** 5000)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(RangeOverflow, match=r"^3\*\*<16610-bit integer> is too large"):
+            M.log()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_exact_series_from_a_dict_keeps_the_merging_checks_and_values():
+    # a dict's keys are distinct, so __init__ keeps its values without a
+    # merged copy; each check still runs in order, and a bool still becomes
+    # the int that merging makes of it
+    s = DirichletSeries(10, {7: 2, 1: 1, 30: -5, 3: 4})
+    assert s.dims == (1, 3, 7) and s.mults == (1, 4, 2)
+    assert DirichletSeries(10, {2: True}).mults == (1,)
+    assert type(DirichletSeries(10, {2: True}).mults[0]) is int
+    with pytest.raises(PreconditionError, match="dimension 0"):
+        DirichletSeries(10, {30: -5, 0: 1, 2: -1})
+    with pytest.raises(PreconditionError, match="at dim 2 must be a positive"):
+        DirichletSeries(10, {2: -1, 0: 1})
+    with pytest.raises(PreconditionError, match="at dim 5 must be a positive"):
+        DirichletSeries(10, {2: 1, 5: 2.0})

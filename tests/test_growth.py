@@ -221,6 +221,55 @@ def test_closed_form_terms_match_the_table_chain(name):
                 assert f.unit_series(N, backend) == reference_unit_series(f, N, backend)
 
 
+TOWER_WALKS = {
+    "geometric-pairs": (
+        lambda: GeometricStratum(
+            LieType("A", 2), 4, PolyExponent((1, 2)), pairs=PairSet([(1, 3), (2, 3)])
+        ),
+        (1, 4095, 4096, 10 ** 20, 2 ** 200),
+    ),
+    "primes-cover": (lambda: PrimeStratum(5, 1), (1, 2, 3, 50, 1000)),
+    "primes-simple": (lambda: PrimeStratum(7, 2, simple=True), (1, 4, 60, 1000)),
+    "diagonal": (lambda: _diagonal_spec().strata[0], (1, 10, 10 ** 4, 10 ** 7, 10 ** 8)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOWER_WALKS))
+def test_tower_walk_forms_each_field_once(monkeypatch, name):
+    # factors_below calls field(i) once per index it visits, the last one
+    # (where the degree passes the bound) included, and yields what
+    # min_dim_at(i, bound) and factor_at(i) give at each index before it
+    make, bounds = TOWER_WALKS[name]
+    stratum = make()
+    towers = [st.stratum for st in stratum.stages] if name == "diagonal" else [stratum]
+    calls = []
+    for cls in {type(t) for t in towers}:
+        field = cls.field
+
+        def counting(self, i, field=field):
+            calls.append((id(self), i))
+            return field(self, i)
+
+        monkeypatch.setattr(cls, "field", counting)
+    longest = 0
+    for bound in bounds:
+        calls.clear()
+        got = list(stratum.factors_below(bound))
+        visited = list(calls)
+        assert len(set(visited)) == len(visited), (bound, visited)
+        want, stops = [], 0
+        for t in towers:
+            indices = [i for key, i in visited if key == id(t)]
+            if indices:
+                want += [(t.min_dim_at(i, bound), t.factor_at(i)) for i in indices[:-1]]
+                assert t.min_dim_at(indices[-1], bound) > bound
+                stops += 1
+        assert got == want, bound
+        assert len(got) == len(visited) - stops
+        longest = max(longest, len(got))
+    assert longest >= 3
+
+
 def _patch_everywhere(monkeypatch, fn, replacement):
     """Rebind fn under every name that binds it in a repgrowth module."""
     for name, module in list(sys.modules.items()):
@@ -463,6 +512,16 @@ def test_m_n_log_domain_for_astronomic_multiplicities():
     got = m_n(spec, 10)
     assert isinstance(got, float)
     assert got == pytest.approx(1e12 * math.log(5))
+
+
+@pytest.mark.parametrize("exponent", [10 ** 400, 17 * 10 ** 307])
+def test_m_n_of_a_multiplicity_past_double_range_is_a_range_error(exponent):
+    # the log of 3**(17 * 10**307) used to come back as inf, and the count
+    # along with it; 10**400 raised a plain OverflowError
+    spec = finite_spec(FactorSpec(A1, 5, simple=True, multiplicity=BigPower(3, exponent)))
+    for walk in (lambda: m_n(spec, 10), lambda: truncated_zeta(spec, 10)):
+        with pytest.raises(RangeOverflow, match=rf"^3\*\*{exponent} is too large"):
+            walk()
 
 
 # -- exact_abscissa ----------------------------------------------------------
