@@ -27,6 +27,7 @@ from .growth import (
     truncated_zeta,
 )
 from .lie_data import (
+    A1,
     LieType,
     PairSet,
     canonical_pair_set,
@@ -186,22 +187,22 @@ def _first_past(series: DirichletSeries, n_prev: int, test) -> Tuple[Optional[in
     return None, running
 
 
-def _product(memo: dict, strata: tuple, N: int, simple: bool) -> DirichletSeries:
-    """The exact series of the product of the nonempty strata at N, in the
-    simple or cover view: the convolve of its head strata[:-1]'s product
-    with the last stratum's series.  memo holds each (strata, simple) at the
-    largest cutoff formed so far, and a smaller N gets its entries <= N,
-    which are the product truncated at N.  A stale entry leaves memo before
-    it is formed again, and forming a product drops its head's head: that
-    was formed with the head, at the head's cutoff, so a call that needs it
+def _product(memo: dict, strata: tuple, N: int) -> DirichletSeries:
+    """The exact series of the product of the nonempty strata at N, each in
+    its own view: the convolve of its head strata[:-1]'s product with the
+    last stratum's series.  memo holds each tuple of strata at the largest
+    cutoff formed so far, and a smaller N gets its entries <= N, which are
+    the product truncated at N.  A stale entry leaves memo before it is
+    formed again, and forming a product drops its head's head: that was
+    formed with the head, at the head's cutoff, so a call that needs it
     again needs it past that cutoff."""
-    have = memo.pop((strata, simple), None)
+    have = memo.pop(strata, None)
     if have is None or have.cutoff < N:
-        have = truncated_zeta(GroupSpec((strata[-1].with_simple(simple),)), N, backend=EXACT)
+        have = truncated_zeta(GroupSpec(strata[-1:]), N, backend=EXACT)
         if len(strata) > 1:
-            have = convolve(_product(memo, strata[:-1], N, simple), have, N)
-            memo.pop((strata[:-2], simple), None)
-    memo[strata, simple] = have
+            have = convolve(_product(memo, strata[:-1], N), have, N)
+            memo.pop(strata[:-2], None)
+    memo[strata] = have
     if have.cutoff == N:
         return have
     i = bisect_right(have.dims, N)  # the prefix identity: entries <= N
@@ -225,15 +226,15 @@ def build_diagonal(
 
     On the exact backend the Dirichlet product is associative and
     commutative, so a union series is _product's, memoized per tuple of
-    strata and flag.  When a stage starts only built's cover-view product
-    is kept: it is the last sweep union of the stage before, and serves the
-    early sweep cutoffs as prefixes.  Each sweep attempt's union is then one
-    convolve of built's product with the candidate's series, check (i)
-    reads both as prefixes, and a rejected candidate loses its entry.
-    Nothing else is read again, since the sweep window and the (iii) scan,
-    which starts at max(n(m-1), 2)^2, pass every cutoff of the stage
-    before.  The four benchmark cases take 94/93/83/77 truncated_zeta and
-    71/71/60/54 convolve calls.  Budgets count every union formed, memo
+    strata.  Past A1 both views are one series, so every scan reads the
+    cover view, but the (iii) search reads an A1 stage, which increasing
+    ranks allow only first, in the simple view.  When a stage starts only
+    built's products are kept: the cover one, the last sweep union of the
+    stage before, serves the early sweep cutoffs and the (iii) search as
+    prefixes.  Nothing else is read again, since the sweep window and the
+    (iii) scan, which starts at max(n(m-1), 2)^2, pass every cutoff of the
+    stage before.  The four benchmark cases take 62/63/54/51 truncated_zeta
+    and 49/50/41/38 convolve calls.  Budgets count every union formed, memo
     hits included.
 
     Both scans look for their first hit above n(m-1) on prefixes at
@@ -258,38 +259,38 @@ def build_diagonal(
     used = 0  # union series entries formed so far, against n_budget
     stages: List[DiagonalStage] = []
     records: List[StageRecord] = []
-    built: List[GeometricStratum] = []
-    memo = {}  # (strata, simple) -> their product series, for _product
+    built: Tuple[GeometricStratum, ...] = ()  # the accepted stages, cover view
+    shown: Tuple[GeometricStratum, ...] = ()  # the same, but an A1 stage simple
+    memo = {}  # strata -> their product series, for _product
     n_prev = 1
 
-    def union_series(N: int, simple: bool, extra: Optional[GeometricStratum] = None):
-        """The series of built, times extra's when given, at N."""
+    def union_series(N: int, strata: tuple):
+        """The product series of strata at N, counted against n_budget."""
         nonlocal used
-        s = _product(memo, tuple(built) if extra is None else (*built, extra), N, simple)
+        s = _product(memo, strata, N)
         used += len(s)
         if used > n_budget:
             partial = DiagonalCertificate(rho, tuple(records), complete=False)
             raise BudgetExceededError(f"work budget {n_budget} exhausted", partial=partial)
         return s
 
-    def scan(simple: bool, test, cap: Optional[int] = None, extra=None):
+    def scan(strata: tuple, test, cap: Optional[int] = None):
         """_first_past on the union's prefixes up to cap (unbounded when None)."""
         C = max(n_prev, 2) ** 2
         while True:
             if cap is not None:
                 C = min(C, cap)
-            hit = _first_past(union_series(C, simple, extra), n_prev, test)
+            hit = _first_past(union_series(C, strata), n_prev, test)
             if hit[0] is not None or C == cap:
                 return hit
             C *= C
 
     for m, (rho_m, t_m, p_m) in enumerate(targets, start=1):
-        # the last sweep union, built's product by now, serves this stage's
-        # early cutoffs; nothing else in the memo is read again
-        key = (tuple(built), False)
-        memo = {key: memo[key]} if key in memo else {}
+        # the built products serve this stage's early cutoffs; nothing else
+        # in the memo is read again
+        memo = {key: memo[key] for key in (built, shown) if key in memo}
         rho_m = Fraction(rho_m)
-        base = build_fixed_type(rho_m, t_m, p_m).strata[0]
+        base = build_fixed_type(rho_m, t_m, p_m).strata[0].with_simple(False)
 
         # condition (i): drop every factor already visible at n(m-1)
         skip = 0
@@ -299,21 +300,21 @@ def build_diagonal(
         # condition (ii): extend the drop prefix until the exact sweep is
         # clean.  Onset slopes run up to k_j/j <= rho_m + 1/(2j), so only
         # factor indices j <= 1/(2(rho - rho_m)) can spike past rho; the
-        # sweep window covers all of them.
+        # simple view's sweep window, which on A1 ends at or past the cover
+        # view's, covers all of them.
         j_star = math.ceil(Fraction(1, 2) / (rho - rho_m)) + 1
         swept_to = n_prev
         while True:
             stratum = replace(base, skip=skip)
+            union = (*built, stratum)
             onset = stratum.min_dim_at(skip + 1)
-            sweep_N = stratum.min_dim_at(max(skip + 4, j_star))
-            violation, _ = scan(
-                False, lambda R, d: not _slope_leq(R, d, rho), sweep_N, extra=stratum
-            )
+            sweep_N = stratum.with_simple(True).min_dim_at(max(skip + 4, j_star))
+            violation, _ = scan(union, lambda R, d: not _slope_leq(R, d, rho), sweep_N)
             if violation is None:
                 swept_to = sweep_N
                 break
             if violation >= onset:
-                del memo[(*built, stratum), False]  # a rejected candidate
+                del memo[union]  # a rejected candidate
                 skip += 1
                 continue
             raise InvariantError(
@@ -321,12 +322,13 @@ def build_diagonal(
             )
 
         # (i) exact cumulative equality at n(m-1) on the cover view
-        lhs = cumulative(union_series(n_prev, False, extra=stratum), n_prev)
+        lhs = cumulative(union_series(n_prev, union), n_prev)
         # the empty product holds only the trivial representation
-        rhs = cumulative(union_series(n_prev, False), n_prev) if built else 1
+        rhs = cumulative(union_series(n_prev, built), n_prev) if built else 1
         if lhs != rhs:
             raise InvariantError(f"stage {m}: new representations at or below {n_prev}")
-        built.append(stratum)
+        built = union
+        shown = (*shown, stratum.with_simple(t_m == A1))
         checks = []
         checks.append(
             CheckRecord(
@@ -352,7 +354,7 @@ def build_diagonal(
 
         # (iii): first checkpoint above n(m-1) with slope >= rho_m - 1/m
         target = rho_m - Fraction(1, m)
-        n_m, running = scan(True, lambda R, d: _slope_geq(R, d, target))
+        n_m, running = scan(shown, lambda R, d: _slope_geq(R, d, target))
         slope_val = math.log(running) / math.log(n_m) if n_m > 1 else 0.0
         checks.append(
             CheckRecord(
@@ -362,7 +364,7 @@ def build_diagonal(
                 {"n_m": str(n_m), "target": str(target), "slope": f"{slope_val:.6f}"},
             )
         )
-        stages.append(DiagonalStage(rho_m, stratum, n_m))
+        stages.append(DiagonalStage(rho_m, stratum.with_simple(True), n_m))
         records.append(StageRecord(m, rho_m, t_m, p_m, skip, n_m, tuple(checks)))
         n_prev = n_m
 

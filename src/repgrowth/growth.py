@@ -16,7 +16,9 @@ value the stratum's stop test computed, so no caller forms it again;
 abscissa_rate(), (kind, rate) with kind "rational", "infinite" or
 "finite"; count_exponent(), b with m_n = O(n^b), or None;
 with_simple(simple), every factor in the simple or the cover view; and the
-classmethod from_jsonable(obj, pointer), the inverse of to_jsonable.
+classmethod from_jsonable(obj, pointer), the inverse of to_jsonable.  The
+two views differ on A1 factors alone: past A1 the model has no centre, so
+its series, minimal degrees and counts do not read the flag.
 """
 from __future__ import annotations
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import repgrowth
 from repgrowth import cli, constructor, finite_groups, growth, invariants
 from repgrowth.cli import main
+from repgrowth.dirichlet import cumulative
 from repgrowth.growth import GroupSpec, exact_abscissa, sl2_over_primes_spec, truncated_zeta
 from repgrowth.lie_data import LieType
 
@@ -726,6 +727,69 @@ def test_construct_diagonal_targets_json_output_is_pinned(capsys, tmp_path):
     code, out = run(capsys, "construct", "diagonal", "--rho", "5/2", "--targets-json", str(path))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == P7_DIGEST
+
+
+def _a1_first(rho_m, p, *later):
+    """A --targets-json list: an A1 stage, then (rho_m, A_rank) stages over p."""
+    stages = [(rho_m, 1), *later]
+    return json.dumps(
+        [{"rho_m": r, "lie_type": {"family": "A", "rank": k}, "p": p} for r, k in stages]
+    )
+
+
+# sha256 of the `construct diagonal` stdout, pinned while the n(m) search
+# still read every stage in the simple view: on A1 the two views differ
+A1_FIRST_DIGESTS = {
+    ("4", _a1_first("2", 5, ("3", 2))):
+        "a1a1f716f2e5cb8426963689bdcf5ad584f4aea71f016df0532b67b8f083fd57",
+    ("3", _a1_first("2", 7, ("5/2", 2))):
+        "e2f34e91053f49ad46ecda6dd31dd30b81d730b3caa81a77372ff8ecc1082e70",
+}
+
+
+def _check_diagonal_output(out: str) -> list:
+    """Re-check the printed certificate from its spec alone: at each stage m
+    the cover-view slope of stages 1..m stays <= rho up to swept_to, and
+    stages 1..m and 1..m-1 have the same cumulative count at n(m-1).
+    Returns the (dropped, n_m) of each stage."""
+    obj = json.loads(out)
+    rho = Fraction(obj["certificate"]["rho"])
+    stages = [st.stratum for st in GroupSpec.from_jsonable(obj["spec"]).strata[0].stages]
+    n_prev, got = 1, []
+    for m, record in enumerate(obj["certificate"]["stages"], start=1):
+        swept_to = int(record["checks"][1]["swept_to"])
+        upto, before = (growth.with_flag(GroupSpec(tuple(stages[:k])), False) for k in (m, m - 1))
+        running = 0
+        for d, mult in truncated_zeta(upto, swept_to, backend="exact").items():
+            running += mult
+            assert running ** rho.denominator <= d ** rho.numerator
+        lhs, rhs = (
+            cumulative(truncated_zeta(spec, n_prev, backend="exact"), n_prev)
+            for spec in (upto, before)
+        )
+        assert lhs == rhs
+        got.append((record["dropped"], int(record["n_m"])))
+        n_prev = int(record["n_m"])
+    return got
+
+
+def test_an_a1_stage_over_q_1_mod_4_is_built(capsys):
+    # SL2(5) has a degree-2 irreducible that PSL2(5) lacks: the sweep finds
+    # the cover-view slope above rho there, and the onset it is compared
+    # with is the cover view's too, so the factor is dropped
+    targets = _a1_first("2", 5)
+    code, out = run(capsys, "construct", "diagonal", "--rho", "3", "--targets-json", targets)
+    assert code == 0
+    assert _check_diagonal_output(out) == [(1, 13)]
+
+
+@pytest.mark.parametrize("args", list(A1_FIRST_DIGESTS))
+def test_construct_diagonal_with_an_a1_first_stage_is_pinned(capsys, args):
+    rho, targets = args
+    code, out = run(capsys, "construct", "diagonal", "--rho", rho, "--targets-json", targets)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == A1_FIRST_DIGESTS[args]
+    _check_diagonal_output(out)
 
 
 STAGE = {"rho_m": "1", "lie_type": {"family": "A", "rank": 2}, "p": 5}
