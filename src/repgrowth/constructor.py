@@ -228,12 +228,13 @@ def build_diagonal(
     commutative, so a union series is _product's, memoized per tuple of
     strata.  Past A1 both views are one series, so every scan reads the
     cover view, but the (iii) search reads an A1 stage, which increasing
-    ranks allow only first, in the simple view.  When a stage starts only
-    built's products are kept: the cover one, the last sweep union of the
-    stage before, serves the early sweep cutoffs and the (iii) search as
-    prefixes.  Nothing else is read again, since the sweep window and the
-    (iii) scan, which starts at max(n(m-1), 2)^2, pass every cutoff of the
-    stage before.  The four benchmark cases take 62/63/54/51 truncated_zeta
+    ranks allow only first, in the simple view.  The memo evicts what is not
+    read again as it goes: forming a product pops its head's head, and a
+    rejected candidate leaves it.  The cover product of built, the last
+    sweep union of the stage before, serves the early sweep cutoffs and the
+    (iii) search as prefixes; nothing older is read again, since the sweep
+    window and the (iii) scan, which starts at max(n(m-1), 2)^2, pass every
+    cutoff of the stage before.  The four benchmark cases take 62/63/54/51 truncated_zeta
     and 49/50/41/38 convolve calls.  Budgets count every union formed, memo
     hits included.
 
@@ -286,9 +287,6 @@ def build_diagonal(
             C *= C
 
     for m, (rho_m, t_m, p_m) in enumerate(targets, start=1):
-        # the built products serve this stage's early cutoffs; nothing else
-        # in the memo is read again
-        memo = {key: memo[key] for key in (built, shown) if key in memo}
         rho_m = Fraction(rho_m)
         base = build_fixed_type(rho_m, t_m, p_m).strata[0].with_simple(False)
 

@@ -7,6 +7,7 @@ verified are exact, so exact verification beats sampling.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -57,12 +58,13 @@ class ConcreteGroup:
         self._whole: FrozenSet[int] = frozenset(range(n))
         # caches shared across the counting operations; the subgroup
         # registry maps every subgroup reached to its conjugacy class index,
-        # and _sub_edges[sid] lists the class of <H, z> for each coset Hz != H
+        # _sub_orbits[sid] lists (z, size) for each orbit of cosets Hz != H,
+        # and _sub_edges[sid] the pairs (class of <H, z>, size)
         self._sub_index: Dict[FrozenSet[int], int] = {}
         self._sub_sets: List[FrozenSet[int]] = []
         self._sub_gens: List[Tuple[int, ...]] = []
-        self._sub_reps: List[Tuple[int, ...]] = []
-        self._sub_edges: List[List[int]] = []
+        self._sub_orbits: List[List[Tuple[int, int]]] = []
+        self._sub_edges: List[List[Tuple[int, int]]] = []
         # the tuple-count level c_r over the classes, and phi_0 .. phi_r
         self._level: List[int] = []
         self._phi: List[int] = []
@@ -72,12 +74,10 @@ class ConcreteGroup:
     def _spot_check(self, elements: List, mul) -> None:
         # mul against the table on random pairs (a product that is not an
         # element fails too), and associativity on random triples
-        rng = random.Random(0)
-        n = self.order
         t = self.table
         index = {e: i for i, e in enumerate(elements)}
-        for _ in range(1000):
-            a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        draws = iter(_randrange_draws(random.Random(0), self.order, 3000))
+        for a, b, c in zip(draws, draws, draws):
             if index.get(mul(elements[a], elements[b])) != t[a][b]:
                 raise InvariantError(f"{self.name}: mul disagrees with the table")
             if t[t[a][b]][c] != t[a][t[b][c]]:
@@ -145,9 +145,13 @@ class ConcreteGroup:
     def _register(self, sub: FrozenSet[int], gens: Tuple[int, ...]) -> int:
         """Index of the conjugacy class of the subgroup sub, generated by
         gens.  The first subgroup H seen of a class is its representative:
-        every conjugate gHg^-1 maps to the same index, and only H stores one
-        representative of each right coset Hz outside H (<H, z> = <H, hz>
-        for every h in H, so an extension of H depends only on the coset)."""
+        every conjugate gHg^-1 maps to the same index.  Only H stores, for
+        each orbit of the right cosets Hz != H under two moves that keep the
+        class of <H, z>, its least element z and the number of cosets in it:
+        z -> zs for s in gens, since <H, zs> = <H, z>, and z -> gzg^-1 for g
+        in N_G(H), since <H, gzg^-1> = g<H, z>g^-1.  The conjugations run
+        over the normalizer elements that each enlarge the subgroup the
+        earlier ones generate with H; with H's own they generate N_G(H)."""
         sid = self._sub_index.get(sub)
         if sid is None:
             sid = len(self._sub_sets)
@@ -155,33 +159,91 @@ class ConcreteGroup:
             self._sub_gens.append(gens)
             t = self.table
             inv = self.inverse
-            covered = set(sub)
+            # coset[x] indexes the right coset Hx, reps[i] is the least
+            # element of coset i, and coset 0 is H
+            coset: Dict[int, int] = {}
             reps = []
+            normal = []
             for z in range(self.order):
-                if z not in covered:
+                if z not in coset:
+                    hz = [t[h][z] for h in sub]
+                    coset.update(zip(hz, itertools.repeat(len(reps))))
                     reps.append(z)
-                    covered.update([t[h][z] for h in sub])
-            self._sub_reps.append(tuple(reps))
-            # gHg^-1 depends only on the left coset gH, and g = z^-1 runs
-            # over one element of each as z runs over 1 and the reps
-            for z in (self.identity, *reps):
-                g = inv[z]
-                self._sub_index.setdefault(frozenset([t[t[g][h]][z] for h in sub]), sid)
+                    # gHg^-1 = g(Hz) for g = z^-1 depends only on the left
+                    # coset gH, and g runs over one element of each; gHg^-1 = H
+                    # puts g in N_G(H), where gH = Hg
+                    g = inv[z]
+                    conj = frozenset(map(t[g].__getitem__, hz))
+                    self._sub_index.setdefault(conj, sid)
+                    if conj == sub:
+                        normal.append(g)
+            # the greedy generators of N_G(H) over H, closed in N_G(H)/H
+            conjugators = []
+            reached = [0]
+            inside = {0}
+            for g in normal:
+                if coset[g] not in inside:
+                    conjugators.append(g)
+                    for i in reached:  # the loop also visits what it appends
+                        for y in conjugators:
+                            j = coset[t[reps[i]][y]]
+                            if j not in inside:
+                                inside.add(j)
+                                reached.append(j)
+            moves = [[coset[t[z][s]] for z in reps] for s in gens] + [
+                [coset[t[t[g][z]][inv[g]]] for z in reps] for g in conjugators
+            ]
+            seen = [False] * len(reps)
+            orbits = []
+            for i in range(1, len(reps)):
+                if not seen[i]:
+                    seen[i] = True
+                    orbit = [i]
+                    for j in orbit:  # the loop also visits what it appends
+                        for move in moves:
+                            k = move[j]
+                            if not seen[k]:
+                                seen[k] = True
+                                orbit.append(k)
+                    orbits.append((reps[i], len(orbit)))
+            self._sub_orbits.append(orbits)
         return sid
 
     def _class_graph(self) -> None:
         """Register every conjugacy class of subgroups reachable from the
-        trivial one (class 0) and record, for each representative H, the
-        class of <H, z> for one z per right coset Hz != H; called once."""
+        trivial one (class 0) and record, for each representative H and each
+        orbit of its right cosets Hz != H, the class of <H, z> for the
+        orbit's representative z and the orbit's size; called once.  One
+        closure per orbit suffices: z -> zs for s in H leaves <H, z> as it
+        is, and z -> gzg^-1 for g in N_G(H) conjugates it by g, so neither
+        move changes its class."""
         self._register(frozenset((self.identity,)), ())
         # the loop also visits the classes it registers
-        for gens, reps in zip(self._sub_gens, self._sub_reps):
+        for gens, orbits in zip(self._sub_gens, self._sub_orbits):
             self._sub_edges.append(
-                [self._register(self.closure(gens + (z,)), gens + (z,)) for z in reps]
+                [
+                    (self._register(self.closure(gens + (z,)), gens + (z,)), size)
+                    for z, size in orbits
+                ]
             )
 
     def __repr__(self):
         return f"ConcreteGroup({self.name}, order={self.order})"
+
+
+def _randrange_draws(rng: random.Random, n: int, count: int) -> List[int]:
+    """count successive rng.randrange(n), drawn the way randrange draws for
+    one int argument but without its per-call checks: n.bit_length() random
+    bits, drawn again while they are >= n."""
+    bits = rng.getrandbits
+    k = n.bit_length()
+    out = []
+    for _ in range(count):
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        out.append(r)
+    return out
 
 
 def _elements(identity, gens: Sequence, mul) -> Tuple[List, List[List[int]], List[Tuple[int, int]]]:
@@ -295,10 +357,15 @@ def generating_tuple_count(G: ConcreteGroup, d: int) -> int:
     Conjugation by g maps the r-tuples completing H to those completing
     gHg^-1, so c_r(H) = c_r(gHg^-1) (the symmetry behind P. Hall's Eulerian
     functions) and the levels run over one representative H of each
-    conjugacy class of subgroups.  The class graph is built once per group,
-    with one closure per representative and coset; after that each level
-    costs sum |G:H| additions, and the levels computed so far are kept, so
-    a larger d resumes where the last call stopped.
+    conjugacy class of subgroups.  The same symmetry groups the cosets:
+    z -> zs for s in H keeps <H, z>, and z -> gzg^-1 for g in N_G(H) maps
+    it to its conjugate g<H, z>g^-1, so c_{r-1}(<H, z>) is constant on each
+    orbit of the cosets under these moves, and the sum runs over the
+    orbits, each term times the orbit's size.  The class graph is built
+    once per group, with one closure per representative and orbit; after
+    that each level costs one multiply-add per orbit, and the levels
+    computed so far are kept, so a larger d resumes where the last call
+    stopped.
     """
     if d < 1:
         raise PreconditionError("d must be >= 1")
@@ -309,7 +376,7 @@ def generating_tuple_count(G: ConcreteGroup, d: int) -> int:
     while len(G._phi) <= d:
         c = G._level
         G._level = [
-            len(H) * (c[sid] + sum(c[nid] for nid in edges))
+            len(H) * (c[sid] + sum(size * c[nid] for nid, size in edges))
             for sid, (H, edges) in enumerate(zip(G._sub_sets, G._sub_edges))
         ]
         G._phi.append(G._level[0])

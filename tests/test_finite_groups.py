@@ -14,6 +14,7 @@ from repgrowth.finite_groups import (
     _elements,
     _mat_mul,
     _psl2_canon,
+    _randrange_draws,
     alternating_group_5,
     automorphism_count,
     counts_jsonable,
@@ -467,6 +468,91 @@ def test_registry_holds_one_entry_per_conjugacy_class(make, classes, subgroups):
         for g in range(G.order):
             assert G._sub_index[frozenset(t[t[g][h]][inv[g]] for h in H)] == sid
     assert sorted(set(G._sub_index.values())) == list(range(classes))
+
+
+def coset_orbit(G, H, z):
+    """Oracle: the right cosets of H reached from Hz by z -> zh for every h
+    in H and z -> gzg^-1 for every g in the normalizer of H, each coset as
+    a frozenset."""
+    t, inv = G.table, G.inverse
+    normalizer = [g for g in range(G.order) if frozenset(t[t[g][h]][inv[g]] for h in H) == H]
+    start = frozenset(t[h][z] for h in H)
+    orbit, queue = {start}, [start]
+    for coset in queue:
+        y = min(coset)
+        for w in [t[y][h] for h in H] + [t[t[g][y]][inv[g]] for g in normalizer]:
+            image = frozenset(t[h][w] for h in H)
+            if image not in orbit:
+                orbit.add(image)
+                queue.append(image)
+    return orbit
+
+
+def per_coset_classes(G, sid):
+    """Reference: the class graph before orbits, the class of <H, z> for
+    the least z of every right coset Hz != H, by closing each one."""
+    H, gens = G._sub_sets[sid], G._sub_gens[sid]
+    cosets = {frozenset(G.table[h][z] for h in H) for z in range(G.order)} - {H}
+    return {c: G._sub_index[bfs_closure(G, gens + (min(c),))] for c in cosets}
+
+
+@pytest.mark.parametrize("name", ["A5", "S3", "SL2_3", "SL2_5", "PSL2_5", "PSL2_7"])
+def test_coset_orbits_keep_the_class_of_every_coset(name):
+    G = ORACLE_GROUPS[name]()
+    generating_tuple_count(G, 1)
+    for sid, H in enumerate(G._sub_sets):
+        orbits = G._sub_orbits[sid]
+        assert sum(size for _, size in orbits) == G.order // len(H) - 1
+        reference = per_coset_classes(G, sid)
+        covered = set()
+        for (z, size), (nid, edge_size) in zip(orbits, G._sub_edges[sid]):
+            orbit = coset_orbit(G, H, z)
+            assert size == edge_size == len(orbit)
+            assert z == min(min(c) for c in orbit)
+            assert {reference[c] for c in orbit} == {nid}
+            covered |= orbit
+        assert covered == set(reference)
+
+
+@pytest.mark.parametrize(
+    "make, closures",
+    [(alternating_group_5, 28), (lambda: sl2_group(5), 50), (lambda: psl2_group(7), 71)],
+    ids=["A5", "SL2_5", "PSL2_7"],
+)
+def test_class_graph_closes_one_coset_per_orbit(make, closures, monkeypatch):
+    G = make()
+    calls = []
+    closure = ConcreteGroup.closure
+
+    def counted(self, gens):
+        calls.append(gens)
+        return closure(self, gens)
+
+    monkeypatch.setattr(ConcreteGroup, "closure", counted)
+    generating_tuple_count(G, 2)
+    assert len(calls) == sum(map(len, G._sub_orbits)) == closures
+
+
+# phi_2 and phi_3 where coset_free_phi takes too long, as the per-coset
+# class graph computed them
+@pytest.mark.parametrize(
+    "make, phi2, phi3",
+    [
+        (lambda: sl2_group(7), 76608, 35933184),
+        (lambda: psl2_group(11), 335280, 280874880),
+        (lambda: psl2_group(13), 1081080, 1295068320),
+    ],
+    ids=["SL2_7", "PSL2_11", "PSL2_13"],
+)
+def test_phi_pinned_past_the_coset_free_oracle(make, phi2, phi3):
+    G = make()
+    assert (generating_tuple_count(G, 2), generating_tuple_count(G, 3)) == (phi2, phi3)
+
+
+@pytest.mark.parametrize("n", [2, 3, 60, 120, 168, 336, 660, 1092])
+def test_spot_check_draws_are_the_randrange_draws(n):
+    rng = random.Random(0)
+    assert _randrange_draws(random.Random(0), n, 3000) == [rng.randrange(n) for _ in range(3000)]
 
 
 def brute_aut(G):
