@@ -95,7 +95,8 @@ def _load_targets(arg: str) -> list:
 def _refuse(args, flags, why: str) -> None:
     """Exit 2 on the first of flags given; each defaults to None, or False for a switch."""
     for flag in flags:
-        if getattr(args, flag[2:].replace("-", "_")) not in (None, False):
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value is not False:  # 0 == False, so no `in`
             raise SpecFormatError(f"{flag} {why}")
 
 
@@ -119,7 +120,7 @@ def _emit_json(args, obj) -> None:
 def _cmd_zeta(args) -> int:
     if args.group:
         _refuse(args, ["--spec"], "does not apply with --group")
-        if not args.q:
+        if args.q is None:
             raise PreconditionError("--group needs --q")
         factor = growth.FactorSpec(lie_data.A1, args.q, simple=args.group == "PSL2")
         spec = growth.GroupSpec((growth.FiniteStratum((factor,)),))

@@ -301,7 +301,6 @@ def build_diagonal(
         # simple view's sweep window, which on A1 ends at or past the cover
         # view's, covers all of them.
         j_star = math.ceil(Fraction(1, 2) / (rho - rho_m)) + 1
-        swept_to = n_prev
         while True:
             stratum = replace(base, skip=skip)
             union = (*built, stratum)
@@ -309,7 +308,6 @@ def build_diagonal(
             sweep_N = stratum.with_simple(True).min_dim_at(max(skip + 4, j_star))
             violation, _ = scan(union, lambda R, d: not _slope_leq(R, d, rho), sweep_N)
             if violation is None:
-                swept_to = sweep_N
                 break
             if violation >= onset:
                 del memo[union]  # a rejected candidate
@@ -344,7 +342,7 @@ def build_diagonal(
                 {
                     "rate": str(rho_m),
                     "rho": str(rho),
-                    "swept_to": str(swept_to),
+                    "swept_to": str(sweep_N),  # the accepted candidate's window
                     "dropped": skip,
                 },
             )

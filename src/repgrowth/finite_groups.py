@@ -34,8 +34,10 @@ def _mat_mul(a: tuple, b: tuple, p: int) -> tuple:
 
 class ConcreteGroup:
     """A finite group as an explicit multiplication table over element
-    indices, built from its identity, generators and mul; immutable after
-    construction and safe to share.
+    indices, built from its identity, generators and mul.  The table is
+    fixed at construction; the caches (the subgroup-class graph, the phi
+    levels, |Aut G|, simplicity) fill on first use, so an instance shared
+    between threads needs a lock around its first counts.
 
     The right-regular action of the generators fills the table (Cayley's
     theorem) with n * |gens| mul calls: _elements first reaches each
@@ -58,13 +60,11 @@ class ConcreteGroup:
         self._whole: FrozenSet[int] = frozenset(range(n))
         # caches shared across the counting operations; the subgroup
         # registry maps every subgroup reached to its conjugacy class index,
-        # _sub_orbits[sid] lists (z, size) for each orbit of cosets Hz != H,
-        # and _sub_edges[sid] the pairs (class of <H, z>, size)
+        # and _sub_edges[sid] maps the class of each <H, z> for the cosets
+        # Hz != H to the number of those cosets
         self._sub_index: Dict[FrozenSet[int], int] = {}
         self._sub_sets: List[FrozenSet[int]] = []
-        self._sub_gens: List[Tuple[int, ...]] = []
-        self._sub_orbits: List[List[Tuple[int, int]]] = []
-        self._sub_edges: List[List[Tuple[int, int]]] = []
+        self._sub_edges: List[Dict[int, int]] = []
         # the tuple-count level c_r over the classes, and phi_0 .. phi_r
         self._level: List[int] = []
         self._phi: List[int] = []
@@ -144,88 +144,68 @@ class ConcreteGroup:
 
     def _register(self, sub: FrozenSet[int], gens: Tuple[int, ...]) -> int:
         """Index of the conjugacy class of the subgroup sub, generated by
-        gens.  The first subgroup H seen of a class is its representative:
-        every conjugate gHg^-1 maps to the same index.  Only H stores, for
-        each orbit of the right cosets Hz != H under two moves that keep the
-        class of <H, z>, its least element z and the number of cosets in it:
-        z -> zs for s in gens, since <H, zs> = <H, z>, and z -> gzg^-1 for g
-        in N_G(H), since <H, gzg^-1> = g<H, z>g^-1.  The conjugations run
-        over the normalizer elements that each enlarge the subgroup the
-        earlier ones generate with H; with H's own they generate N_G(H)."""
+        gens; the first call for a class also builds its part of the class
+        graph.  The first subgroup H seen of a class is its representative:
+        every conjugate gHg^-1 maps to the same index.  The right cosets
+        Hz != H fall into orbits under two moves that keep the class of
+        <H, z>: z -> zs for s in gens, since <H, zs> = <H, z>, and
+        z -> gzg^-1 for g in N_G(H), since <H, gzg^-1> = g<H, z>g^-1.  The
+        conjugations run over the normalizer elements that each enlarge the
+        subgroup the earlier ones generate with H.  Each orbit's least
+        element z is closed once, <H, z> is registered in turn (the
+        recursion is at most as deep as the longest subgroup chain), and
+        _sub_edges[sid] maps each class reached to its number of cosets."""
         sid = self._sub_index.get(sub)
-        if sid is None:
-            sid = len(self._sub_sets)
-            self._sub_sets.append(sub)
-            self._sub_gens.append(gens)
-            t = self.table
-            inv = self.inverse
-            # coset[x] indexes the right coset Hx, reps[i] is the least
-            # element of coset i, and coset 0 is H
-            coset: Dict[int, int] = {}
-            reps = []
-            normal = []
-            for z in range(self.order):
-                if z not in coset:
-                    hz = [t[h][z] for h in sub]
-                    coset.update(zip(hz, itertools.repeat(len(reps))))
-                    reps.append(z)
-                    # gHg^-1 = g(Hz) for g = z^-1 depends only on the left
-                    # coset gH, and g runs over one element of each; gHg^-1 = H
-                    # puts g in N_G(H), where gH = Hg
-                    g = inv[z]
-                    conj = frozenset(map(t[g].__getitem__, hz))
-                    self._sub_index.setdefault(conj, sid)
-                    if conj == sub:
-                        normal.append(g)
-            # the greedy generators of N_G(H) over H, closed in N_G(H)/H
-            conjugators = []
-            reached = [0]
-            inside = {0}
-            for g in normal:
-                if coset[g] not in inside:
-                    conjugators.append(g)
-                    for i in reached:  # the loop also visits what it appends
-                        for y in conjugators:
-                            j = coset[t[reps[i]][y]]
-                            if j not in inside:
-                                inside.add(j)
-                                reached.append(j)
-            moves = [[coset[t[z][s]] for z in reps] for s in gens] + [
-                [coset[t[t[g][z]][inv[g]]] for z in reps] for g in conjugators
-            ]
-            seen = [False] * len(reps)
-            orbits = []
-            for i in range(1, len(reps)):
-                if not seen[i]:
-                    seen[i] = True
-                    orbit = [i]
-                    for j in orbit:  # the loop also visits what it appends
-                        for move in moves:
-                            k = move[j]
-                            if not seen[k]:
-                                seen[k] = True
-                                orbit.append(k)
-                    orbits.append((reps[i], len(orbit)))
-            self._sub_orbits.append(orbits)
+        if sid is not None:
+            return sid
+        sid = len(self._sub_sets)
+        self._sub_sets.append(sub)
+        edges: Dict[int, int] = {}
+        self._sub_edges.append(edges)
+        t = self.table
+        inv = self.inverse
+        # coset[x] indexes the right coset Hx, reps[i] is the least element
+        # of coset i, and coset 0 is H
+        coset: Dict[int, int] = {}
+        reps = []
+        normal = []
+        for z in range(self.order):
+            if z not in coset:
+                hz = [t[h][z] for h in sub]
+                coset.update(zip(hz, itertools.repeat(len(reps))))
+                reps.append(z)
+                # gHg^-1 = g(Hz) for g = z^-1 depends only on the left coset
+                # gH, and g runs over one element of each; gHg^-1 = H puts g
+                # in N_G(H), where gH = Hg
+                g = inv[z]
+                conj = frozenset(map(t[g].__getitem__, hz))
+                self._sub_index.setdefault(conj, sid)
+                if conj == sub:
+                    normal.append(g)
+        conjugators = []
+        inside = sub
+        for g in normal:
+            if g not in inside:
+                conjugators.append(g)
+                inside = self.closure(gens + tuple(conjugators))
+        moves = [[coset[t[z][s]] for z in reps] for s in gens] + [
+            [coset[t[t[g][z]][inv[g]]] for z in reps] for g in conjugators
+        ]
+        seen = [False] * len(reps)
+        for i in range(1, len(reps)):
+            if not seen[i]:
+                seen[i] = True
+                orbit = [i]
+                for j in orbit:  # the loop also visits what it appends
+                    for move in moves:
+                        k = move[j]
+                        if not seen[k]:
+                            seen[k] = True
+                            orbit.append(k)
+                z = reps[i]
+                nid = self._register(self.closure(gens + (z,)), gens + (z,))
+                edges[nid] = edges.get(nid, 0) + len(orbit)
         return sid
-
-    def _class_graph(self) -> None:
-        """Register every conjugacy class of subgroups reachable from the
-        trivial one (class 0) and record, for each representative H and each
-        orbit of its right cosets Hz != H, the class of <H, z> for the
-        orbit's representative z and the orbit's size; called once.  One
-        closure per orbit suffices: z -> zs for s in H leaves <H, z> as it
-        is, and z -> gzg^-1 for g in N_G(H) conjugates it by g, so neither
-        move changes its class."""
-        self._register(frozenset((self.identity,)), ())
-        # the loop also visits the classes it registers
-        for gens, orbits in zip(self._sub_gens, self._sub_orbits):
-            self._sub_edges.append(
-                [
-                    (self._register(self.closure(gens + (z,)), gens + (z,)), size)
-                    for z, size in orbits
-                ]
-            )
 
     def __repr__(self):
         return f"ConcreteGroup({self.name}, order={self.order})"
@@ -362,21 +342,23 @@ def generating_tuple_count(G: ConcreteGroup, d: int) -> int:
     it to its conjugate g<H, z>g^-1, so c_{r-1}(<H, z>) is constant on each
     orbit of the cosets under these moves, and the sum runs over the
     orbits, each term times the orbit's size.  The class graph is built
-    once per group, with one closure per representative and orbit; after
-    that each level costs one multiply-add per orbit, and the levels
+    once per group, in one pass from the trivial class: each representative
+    closes one coset per orbit (and one subgroup per normalizer generator),
+    and its orbits that reach the same class merge into one edge.  After
+    that each level costs one multiply-add per edge, and the levels
     computed so far are kept, so a larger d resumes where the last call
     stopped.
     """
     if d < 1:
         raise PreconditionError("d must be >= 1")
     if not G._phi:
-        G._class_graph()
+        G._register(frozenset((G.identity,)), ())
         G._level = [int(len(H) == G.order) for H in G._sub_sets]
         G._phi.append(G._level[0])
     while len(G._phi) <= d:
         c = G._level
         G._level = [
-            len(H) * (c[sid] + sum(size * c[nid] for nid, size in edges))
+            len(H) * (c[sid] + sum(size * c[nid] for nid, size in edges.items()))
             for sid, (H, edges) in enumerate(zip(G._sub_sets, G._sub_edges))
         ]
         G._phi.append(G._level[0])

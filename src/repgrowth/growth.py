@@ -286,6 +286,14 @@ def _min_dim(
     return _least_degree(a1, q ** e, simple, n)
 
 
+def _require_pairs(pairs: PairSet, lie_type: LieType) -> None:
+    """require_pair_set, and on A1 the set {(1, 1)} alone: A1 series come
+    from the SL2/PSL2 character degrees, so no other set describes them."""
+    require_pair_set(pairs, lie_type)
+    if lie_type == A1 and pairs != canonical_pair_set(A1):
+        raise PreconditionError(f"an A1 pair set must be [[1, 1]], got {pairs!r}")
+
+
 def _least_degree(a1: bool, q: int, simple: bool, n: int) -> int:
     """_min_dim from the field size q itself: (q - 1) or (q +- 1)/2 on A1,
     q^n for the least pair exponent n otherwise."""
@@ -324,7 +332,7 @@ class FactorSpec:
         if isinstance(self.multiplicity, int) and self.multiplicity < 1:
             raise PreconditionError("factor multiplicity must be >= 1")
         if self.pairs is not None:
-            require_pair_set(self.pairs, self.lie_type)
+            _require_pairs(self.pairs, self.lie_type)
 
     def pair_set(self) -> PairSet:
         return self.pairs if self.pairs is not None else canonical_pair_set(self.lie_type)
@@ -496,7 +504,7 @@ class GeometricStratum(_Tower):
         if self.skip < 0:
             raise PreconditionError("skip must be >= 0")
         if self.pairs is not None:
-            require_pair_set(self.pairs, self.lie_type)
+            _require_pairs(self.pairs, self.lie_type)
         # Tits exclusions have field size 2 or 3, so only the first factor
         # S(q) of an unskipped tower can be one; q^(skip+1) >= 4 otherwise
         if self.skip == 0 and tits_excluded(self.lie_type, self.q):
@@ -608,6 +616,8 @@ class PrimeStratum(_Tower):
             raise SpecFormatError(
                 "rate_exponent must be 3*E for the A1 prime family", pointer + "/rate_exponent"
             )
+        if "pairs" in obj:
+            _require_pairs(PairSet.from_jsonable(obj["pairs"], pointer + "/pairs"), A1)
         p_min = int_field(obj, "p_min", pointer, 5)
         return cls(p_min, e // 3, _simple_flag(obj, "cover", pointer))
 
@@ -840,8 +850,6 @@ def m_n(spec: GroupSpec, n: int):
     """Total multiplicity of simple factors with a nontrivial irreducible
     representation of dimension <= n.  Exact int when materializable; the
     natural log of the count otherwise."""
-    if n < 1:
-        raise PreconditionError("n must be >= 1")
     return m_ns(spec, [n])[0]
 
 

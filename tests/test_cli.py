@@ -38,6 +38,12 @@ def test_zeta_requires_q_with_group(capsys):
     assert code == 3
 
 
+def test_zeta_group_q_zero_reaches_the_field_size_check(capsys):
+    code = main(["zeta", "--group", "SL2", "--q", "0", "--N", "10"])
+    assert code == 3
+    assert "q = 0 is not a prime power" in capsys.readouterr().err
+
+
 def test_abscissa_example_sl2_primes(capsys):
     code, out = run(capsys, "abscissa", "--example", "sl2-primes", "--d", "3")
     assert code == 0
@@ -129,6 +135,34 @@ def test_pair_set_rejection(capsys):
     )
     code, _ = run(capsys, "zeta", "--spec", bad, "--N", "5")
     assert code == 3
+
+
+A1_STRATA = {
+    "geometric": {
+        "index": "geometric",
+        "q": 5,
+        "lie_type": {"family": "A", "rank": 1},
+        "schedule": {"kind": "poly", "coeffs": [0, 1]},
+    },
+    "primes": {"index": "primes", "p_min": 5, "rate_exponent": 3},
+    "finite": {"index": "finite", "factors": [{"lie_type": {"family": "A", "rank": 1}, "q": 5}]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(A1_STRATA))
+@pytest.mark.parametrize("pairs", [[[0, 1]], [[7, 1]], [[0, 1], [1, 1]]])
+def test_a1_pair_set_other_than_1_1_exits_3(capsys, kind, pairs):
+    # A1 series come from the character degrees, so the pair set that
+    # abscissa reads must be the one they agree with
+    def spec(pairs):
+        stratum = copy.deepcopy(A1_STRATA[kind])
+        target = stratum["factors"][0] if kind == "finite" else stratum
+        target["pairs"] = pairs
+        return json.dumps({"strata": [stratum]})
+
+    for command in (["zeta", "--N", "10"], ["abscissa"]):
+        assert run(capsys, *command, "--spec", spec(pairs))[0] == 3
+        assert run(capsys, *command, "--spec", spec([[1, 1]]))[0] == 0
 
 
 def test_gens_json(capsys):
@@ -1030,6 +1064,15 @@ UNREAD_FLAGS = {
     ),
     "abscissa-N": (
         ("abscissa", "--example", "sl2-primes", "--N", "1000000"),
+        "--N applies only with --empirical",
+    ),
+    # a zero is given too, although it equals False
+    "zeta-spec-q-zero": (
+        ("zeta", "--spec", '{"strata":[]}', "--q", "0", "--N", "3"),
+        "--q applies only with --group",
+    ),
+    "abscissa-N-zero": (
+        ("abscissa", "--example", "sl2-primes", "--N", "0"),
         "--N applies only with --empirical",
     ),
 }

@@ -2,7 +2,7 @@ import functools
 import itertools
 import random
 import time
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -491,9 +491,20 @@ def coset_orbit(G, H, z):
 def per_coset_classes(G, sid):
     """Reference: the class graph before orbits, the class of <H, z> for
     the least z of every right coset Hz != H, by closing each one."""
-    H, gens = G._sub_sets[sid], G._sub_gens[sid]
+    H = G._sub_sets[sid]
     cosets = {frozenset(G.table[h][z] for h in H) for z in range(G.order)} - {H}
-    return {c: G._sub_index[bfs_closure(G, gens + (min(c),))] for c in cosets}
+    return {c: G._sub_index[bfs_closure(G, tuple(H) + (min(c),))] for c in cosets}
+
+
+def orbit_count(G, H):
+    """Oracle: the number of orbits of the right cosets Hz != H under the
+    moves of coset_orbit."""
+    cosets = {frozenset(G.table[h][z] for h in H) for z in range(G.order)} - {H}
+    count = 0
+    while cosets:
+        cosets -= coset_orbit(G, H, min(map(min, cosets)))
+        count += 1
+    return count
 
 
 @pytest.mark.parametrize("name", ["A5", "S3", "SL2_3", "SL2_5", "PSL2_5", "PSL2_7"])
@@ -501,25 +512,17 @@ def test_coset_orbits_keep_the_class_of_every_coset(name):
     G = ORACLE_GROUPS[name]()
     generating_tuple_count(G, 1)
     for sid, H in enumerate(G._sub_sets):
-        orbits = G._sub_orbits[sid]
-        assert sum(size for _, size in orbits) == G.order // len(H) - 1
-        reference = per_coset_classes(G, sid)
-        covered = set()
-        for (z, size), (nid, edge_size) in zip(orbits, G._sub_edges[sid]):
-            orbit = coset_orbit(G, H, z)
-            assert size == edge_size == len(orbit)
-            assert z == min(min(c) for c in orbit)
-            assert {reference[c] for c in orbit} == {nid}
-            covered |= orbit
-        assert covered == set(reference)
+        edges = G._sub_edges[sid]
+        assert sum(edges.values()) == G.order // len(H) - 1
+        assert edges == Counter(per_coset_classes(G, sid).values())
 
 
 @pytest.mark.parametrize(
-    "make, closures",
-    [(alternating_group_5, 28), (lambda: sl2_group(5), 50), (lambda: psl2_group(7), 71)],
+    "make, orbits, conjugators",
+    [(alternating_group_5, 28, 6), (lambda: sl2_group(5), 50, 12), (lambda: psl2_group(7), 71, 13)],
     ids=["A5", "SL2_5", "PSL2_7"],
 )
-def test_class_graph_closes_one_coset_per_orbit(make, closures, monkeypatch):
+def test_class_graph_closes_one_coset_per_orbit(make, orbits, conjugators, monkeypatch):
     G = make()
     calls = []
     closure = ConcreteGroup.closure
@@ -530,7 +533,36 @@ def test_class_graph_closes_one_coset_per_orbit(make, closures, monkeypatch):
 
     monkeypatch.setattr(ConcreteGroup, "closure", counted)
     generating_tuple_count(G, 2)
-    assert len(calls) == sum(map(len, G._sub_orbits)) == closures
+    monkeypatch.undo()
+    # one closure per orbit, and one per greedy generator of N_G(H) over
+    # H; each of those at least doubles the subgroup it extends
+    assert sum(orbit_count(G, H) for H in G._sub_sets) == orbits
+    assert len(calls) == orbits + conjugators
+    t, inv = G.table, G.inverse
+    bound = 0
+    for H in G._sub_sets:
+        normalizer = [g for g in range(G.order) if frozenset(t[t[g][h]][inv[g]] for h in H) == H]
+        bound += (len(normalizer) // len(H)).bit_length() - 1
+    assert conjugators <= bound
+
+
+def random_permutation_group(seed):
+    """A seeded random permutation group on 4 to 6 points, generated by 1
+    to 3 random permutations, drawn again until its order is at most 120."""
+    rng = random.Random(seed)
+    while True:
+        n = rng.randint(4, 6)
+        gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 3))]
+        G = permutation_group(f"R{seed}", gens)
+        if G.order <= 120:
+            return G
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_phi_matches_the_coset_free_oracle_on_random_permutation_groups(seed):
+    G = random_permutation_group(seed)
+    for d in (1, 2, 3):
+        assert generating_tuple_count(G, d) == coset_free_phi(G, d)
 
 
 # phi_2 and phi_3 where coset_free_phi takes too long, as the per-coset

@@ -1077,6 +1077,18 @@ def test_spec_round_trip_every_stratum_kind():
         assert again.to_jsonable() == spec.to_jsonable()
 
 
+def test_prime_stratum_reads_its_pair_set():
+    # to_jsonable writes "pairs": [[1, 1]], and from_jsonable accepts that
+    # set alone
+    spec = sl2_over_primes_spec(3)
+    assert spec.to_jsonable()["strata"][0]["pairs"] == [[1, 1]]
+    assert GroupSpec.from_jsonable(spec.to_jsonable()) == spec
+    obj = spec.to_jsonable()
+    obj["strata"][0]["pairs"] = [[0, 1]]
+    with pytest.raises(PreconditionError, match="A1 pair set"):
+        GroupSpec.from_jsonable(obj)
+
+
 def test_spec_parse_errors_carry_pointers():
     with pytest.raises(SpecFormatError):
         GroupSpec.from_jsonable({"nope": []})
