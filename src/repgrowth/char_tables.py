@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Iterator, Optional, Tuple
@@ -45,15 +46,30 @@ def primes_from(start: int) -> Iterator[int]:
 _SMALL_PRIMES = tuple(itertools.takewhile(lambda p: p < 1000, primes_from(2)))
 _SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 _PRIMORIAL = math.prod(_SMALL_PRIMES)
-# Miller-Rabin with the prime bases 2..41 proves primality below this bound
-# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", Math.
-# Comp. 86 (2017)); above it a base can only prove compositeness.
-_MR_BASES = _SMALL_PRIMES[:13]
-_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+# psi_k, the least strong pseudoprime to the first k prime bases (OEIS
+# A014233; Jaeschke, "On strong pseudoprimes to several bases", Math. Comp.
+# 61 (1993); Sorenson and Webster, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp. 86 (2017)): Miller-Rabin on the first k bases proves
+# primality below psi_k, so bases 2..41 prove it below psi_13 and above
+# that a base can only prove compositeness.
+_MR_BOUNDS = (
+    2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
+    3_474_749_660_383, 341_550_071_728_321, 341_550_071_728_321,
+    3_825_123_056_546_413_051, 3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461, 3_317_044_064_679_887_385_961_981,
+)
+_MR_BASES = _SMALL_PRIMES[: len(_MR_BOUNDS)]
+_MR_EXACT_BELOW = _MR_BOUNDS[-1]
+# a perfect power r^e with no prime factor below 1000 has r >= 1009 > 2^9,
+# so 9 * e < its bit length; exponents past _SMALL_PRIMES need this many bits
+_SIEVED_EXPONENT_BITS = 9 * 1009
 
 
 def _iroot(n: int, k: int) -> int:
-    """floor(n ** (1/k)) for n >= 1, by Newton's method from above."""
+    """floor(n ** (1/k)) for n >= 1: isqrt for k = 2, else Newton's method
+    from above."""
+    if k == 2:
+        return isqrt(n)
     x = 1 << -(-n.bit_length() // k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
@@ -63,12 +79,13 @@ def _iroot(n: int, k: int) -> int:
 
 
 def _strong_probable_prime(n: int) -> bool:
-    """Miller-Rabin on _MR_BASES for odd n above every base."""
+    """Miller-Rabin for odd n above every base, on the first k bases of
+    _MR_BASES for the least k with n < psi_k, all of them from psi_12 on."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[: bisect_right(_MR_BOUNDS, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -86,9 +103,14 @@ def prime_power(q: int) -> Optional[Tuple[int, int]]:
 
     One gcd with the product of the primes below 1000 finds q's small prime
     factors.  Without one, q < 1000^2 is prime; a larger q is reduced to its
-    root r with q = r^k and k maximal, and r is tested by Miller-Rabin.
-    Raises PreconditionError when r passes every base but is at least
-    3.3 * 10^24, where that is no proof of primality.
+    root r with q = r^k and k maximal, over the prime exponents in
+    _SMALL_PRIMES (a sieve starts only for a q of 9081 bits or more, which
+    can need exponents past 997), and r is tested by Miller-Rabin on the
+    first k prime bases 2, 3, 5, ... for the least k with r < psi_k: one
+    below 2047, two below 1,373,653, three below 25,326,001, all thirteen
+    (2..41) from psi_12 ~ 3.2 * 10^23 on.  Raises PreconditionError when r
+    passes every base but is at least psi_13 ~ 3.3 * 10^24, where that is
+    no proof of primality.
     """
     if q < 2:
         return None
@@ -103,9 +125,9 @@ def prime_power(q: int) -> Optional[Tuple[int, int]]:
         return (g, k) if q == 1 else None
     if q < 1000 * 1000:
         return (q, 1)
-    # q = r^k needs r >= 1009 > 2^9, so k < bit_length / 9
     k = 1
-    for e in primes_from(2):
+    exponents = _SMALL_PRIMES if q.bit_length() < _SIEVED_EXPONENT_BITS else primes_from(2)
+    for e in exponents:
         if 9 * e > q.bit_length():
             break
         while True:

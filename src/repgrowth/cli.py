@@ -9,6 +9,7 @@ Identical invocations produce byte-identical output on the exact backend.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -230,7 +231,12 @@ def _cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    main() call after the first, so it must hold no per-call state: each
+    parse_args makes a fresh namespace, and the type and action callbacks
+    keep nothing between calls."""
     ap = argparse.ArgumentParser(prog="repgrowth")
     sub = ap.add_subparsers(dest="command", required=True)
 

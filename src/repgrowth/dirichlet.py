@@ -10,7 +10,6 @@ explicit via :meth:`DirichletSeries.to_log`.
 """
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from bisect import bisect_right
@@ -440,8 +439,8 @@ def cumulative(s: DirichletSeries, n: int):
     """R_n = sum of multiplicities at dims <= n.
 
     Exact backend returns the integer count; the log backend returns the
-    natural log of the count, folded left to right by _logaddexp as
-    empirical_slope's prefix sums are.  Refuses n beyond the cutoff: the
+    natural log of the count, the last of the _log_prefix_sums that are
+    empirical_slope's prefix sums.  Refuses n beyond the cutoff: the
     truncation makes the answer unknown there.
     """
     if n < 1:
@@ -453,4 +452,21 @@ def cumulative(s: DirichletSeries, n: int):
     idx = bisect_right(s.dims, n)
     if s.backend == EXACT:
         return sum(s.mults[:idx])
-    return functools.reduce(_logaddexp, s.mults[:idx], -math.inf)
+    sums = _log_prefix_sums(s.mults[:idx])
+    return sums[-1] if sums else -math.inf
+
+
+def _log_prefix_sums(ms) -> List[float]:
+    """The natural logs of the running sums of exp(m) over the log
+    multiplicities ms, folded left to right from -inf: each log-add written
+    out in line as _mul_into writes it (the larger operand first, then
+    a + log1p(exp(b - a))), bit for bit _logaddexp, with no call per term."""
+    out = []
+    log1p, exp = math.log1p, math.exp
+    a = -math.inf
+    for b in ms:
+        if a < b:
+            a, b = b, a
+        a += log1p(exp(b - a))
+        out.append(a)
+    return out

@@ -39,6 +39,8 @@ from .dirichlet import (
     BigPower,
     DirichletSeries,
     Multiplicity,
+    _log_binomial,
+    _log_prefix_sums,
     _logaddexp,
     _mul_into,
     _power_terms,
@@ -780,6 +782,23 @@ def _contributions(spec: GroupSpec, bound: int) -> Iterator[Tuple[int, FactorSpe
         yield from s.factors_below(bound)
 
 
+def _factor_terms(f: FactorSpec, min_dim: int, N: int, backend: str) -> list:
+    """The terms of (1 + x_f)^M - 1 at dims <= N, M = f.multiplicity and
+    min_dim <= N where x_f starts: _power_terms(f.x_terms(N, backend), M,
+    N, backend), bit for bit.  A linear A1 factor (M = 1 or min_dim^2 > N,
+    so the terms are C(M, 1) * x_f) forms them in one pass over a1_terms,
+    with no x_f list to scale."""
+    M = f.multiplicity
+    if f.lie_type != A1 or (M != 1 and min_dim * min_dim <= N):
+        return _power_terms(f.x_terms(N, backend), M, N, backend)
+    terms = a1_terms(f.q, f.simple)[1:]
+    if backend == EXACT:
+        Mi = mult_to_int(M)
+        return [(d, Mi * m) for d, m in terms if m and d <= N]
+    lc = _log_binomial(M, 1)
+    return [(d, lc + math.log(m)) for d, m in terms if m and d <= N]
+
+
 def truncated_zeta(
     spec: GroupSpec,
     N: int,
@@ -805,22 +824,24 @@ def truncated_zeta(
     update and the order spans strata.
 
     Cost: per factor, one validation (FactorSpec's checks, prime_power
-    among them), its terms x_f from a closed form (A1, filtered in one pass
-    with no mass identity summed) or the pair set, and one binomial times
-    each of them, with no per-factor series; its minimal dimension comes
+    among them: for a prime field size between 10^6 and 2.5 * 10^7 a gcd,
+    one square root and Miller-Rabin on two or three bases) and one call of
+    _factor_terms, with no per-factor series; its minimal dimension comes
     with it from factors_below, which forms a tower index's field size once
-    for both.  A factor with a power x_f^k, k >= 2 and min_dim^k <= N (none
-    once min_dim^2 > N, as for every prime p > 2 sqrt(N) + 1 in the
-    SL2-over-primes family) forms each such power as one term, with no
-    series, when x_f has one term at dims <= N (as on a one-pair set), and
-    otherwise (the A1 degrees) adds one series for x_f and one convolve per
-    such power.  Then about N * sum(|x_f| / min_dim(x_f)) dict updates for
-    the product, for dense and sparse (huge-N) cutoffs alike, each a
-    multiply-add or, on the log backend, a log-add written out in line
-    with no call.  Every one of them, in the binomial sums and in convolve
-    too, runs through one kernel, dirichlet._mul_into; the result series is
-    made from the accumulator dict with no merged copy on the exact
-    backend.
+    for both.  A linear A1 factor (M = 1 or min_dim^2 > N, as for every
+    prime p > 2 sqrt(N) + 1 in the SL2-over-primes family) forms its terms
+    C(M, 1) * x_f in one pass over the closed form, with no mass identity
+    summed.  Any other factor forms x_f from a closed form or the pair set
+    and one binomial times each term, and each power x_f^k, k >= 2 and
+    min_dim^k <= N, as one term, with no series, when x_f has one term at
+    dims <= N (as on a one-pair set), and otherwise (the A1 degrees) with
+    one series for x_f and one convolve per such power.  Then about
+    N * sum(|x_f| / min_dim(x_f)) dict updates for the product, for dense
+    and sparse (huge-N) cutoffs alike, each a multiply-add or, on the log
+    backend, a log-add written out in line with no call.  Every one of
+    them, in the binomial sums and in convolve too, runs through one
+    kernel, dirichlet._mul_into; the result series is made from the
+    accumulator dict with no merged copy on the exact backend.
     """
     if N < 1:
         raise PreconditionError("N must be >= 1")
@@ -835,8 +856,8 @@ def truncated_zeta(
 
     acc = {1: 1 if exact else 0.0}
     sources = [1]  # sorted keys of acc that the current factor can still reach
-    for _, f in factors:
-        x = _power_terms(f.x_terms(N, backend), f.multiplicity, N, backend)
+    for min_dim, f in factors:
+        x = _factor_terms(f, min_dim, N, backend)
         bound = N // x[0][0]
         del sources[bisect_right(sources, bound):]
         fresh = _mul_into(acc, acc, reversed(sources), x, N, exact, bound)
@@ -1008,7 +1029,7 @@ def empirical_slope(spec: GroupSpec, N: int) -> SlopeReport:
     proxy downward, hence the window."""
     series = truncated_zeta(spec, N, backend=LOG)
     dims = series.dims
-    prefix = list(itertools.accumulate(series.mults, _logaddexp))
+    prefix = _log_prefix_sums(series.mults)
     points = []
     for i, d in enumerate(dims):
         if d < 2:

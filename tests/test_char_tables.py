@@ -6,6 +6,7 @@ import pytest
 
 from repgrowth.char_tables import (
     DegreeTable,
+    _strong_probable_prime,
     a1_degrees,
     is_prime,
     min_nontrivial_degree,
@@ -103,6 +104,50 @@ def test_prime_power_beyond_trial_division():
     # the smallest strong pseudoprime to every base 2..41: passes, so refused
     with pytest.raises(PreconditionError, match="cannot prove"):
         prime_power(3_317_044_064_679_887_385_961_981)
+
+
+# psi_k (OEIS A014233), the least strong pseudoprime to the first k prime
+# bases 2, 3, 5, ..., 41: Miller-Rabin on those k bases is a proof below it
+PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_prime_power_refuses_each_base_count_edge(k):
+    # psi_k passes the k bases that prove primality below it, so whatever
+    # count of bases runs at psi_k has to reach the next base that fails it
+    psi = PSI[k - 1]
+    assert prime_power(psi) is None
+    assert not _strong_probable_prime(psi)  # psi_1, psi_2, psi_4 have a factor < 1000
+    assert prime_power(psi ** 2) is None
+
+
+def test_prime_power_past_the_last_base_count_edge_cannot_prove():
+    with pytest.raises(PreconditionError, match="cannot prove"):
+        prime_power(PSI[12])
+    with pytest.raises(PreconditionError, match="cannot prove"):
+        prime_power(PSI[12] ** 3)
+
+
+@pytest.mark.parametrize(
+    "lo,hi",
+    [(10 ** 6, 12 * 10 ** 5), (PSI[1] - 3000, PSI[1] + 3000), (PSI[2] - 3000, PSI[2] + 3000)],
+)
+def test_prime_power_agrees_with_the_sieve(lo, hi):
+    # past 10^6 every prime takes the Miller-Rabin path; the windows at psi_2
+    # and psi_3 hold primes on both sides of a change in the base count
+    sieved = set(itertools.takewhile(lambda p: p < hi, primes_from(lo)))
+    got = {n: prime_power(n) for n in range(lo, hi)}
+    assert {n for n, pk in got.items() if pk == (n, 1)} == sieved
+    assert all(pk is None or pk[0] ** pk[1] == n for n, pk in got.items())
+
+
+def test_prime_power_with_an_exponent_past_the_small_primes():
+    # 1009 is the first exponent the perfect-power loop takes from the sieve
+    assert prime_power(1009 ** 1009) == (1009, 1009)
 
 
 @pytest.mark.parametrize("start", [0, 1, 2, 5, 63, 64, 65, 66, 127, 128, 129, 1000, 12345])

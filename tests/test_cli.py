@@ -552,6 +552,30 @@ def _run_module(*argv):
     return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
 
 
+def test_reused_parser_answers_each_call_as_a_fresh_process(capsys, monkeypatch, tmp_path):
+    # main() builds the parser once per process; a parse error, a run, a
+    # refused --out and a run of another command in turn on that one parser
+    # must each print and exit exactly as in a process of their own
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    missing = str(tmp_path / "missing" / "out.json")
+    calls = [
+        ("zeta", "--N", "ten"),
+        ("zeta", "--group", "SL2", "--q", "5", "--N", "60"),
+        ("zeta", "--group", "SL2", "--q", "5", "--N", "60", "--out", missing),
+        ("gens", "--group", "A5", "--d", "2"),
+    ]
+    cli.build_parser.cache_clear()
+    parser = cli.build_parser()
+    got = []
+    for argv in calls:
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        got.append((code, out, err))
+    assert cli.build_parser() is parser
+    assert [code for code, _, _ in got] == [2, 0, 2, 0]
+    assert got == [_run_module(*argv) for argv in calls]
+
+
 # one A2 factor with multiplicity 2^63 - 1: below 2^64, so zeta stays exact
 LONG_COUNT_SPEC = json.dumps(
     {

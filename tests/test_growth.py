@@ -451,24 +451,57 @@ def test_each_factor_is_applied_as_it_is_formed(monkeypatch, backend):
     N = 5000
     spec = _order_spec()
     events = []
-    power_terms, mul_into = growth._power_terms, growth._mul_into
+    factor_terms, mul_into = growth._factor_terms, growth._mul_into
 
-    def traced_power_terms(*args):
-        x = power_terms(*args)
-        events.append(("power", x[0][0]))
+    def traced_factor_terms(*args):
+        x = factor_terms(*args)
+        events.append(("form", x[0][0]))
         return x
 
     def traced_mul_into(acc, src, d1s, x, *args):
         events.append(("mul", x[0][0]))
         return mul_into(acc, src, d1s, x, *args)
 
-    monkeypatch.setattr(growth, "_power_terms", traced_power_terms)
+    monkeypatch.setattr(growth, "_factor_terms", traced_factor_terms)
     monkeypatch.setattr(growth, "_mul_into", traced_mul_into)
     truncated_zeta(spec, N, backend=backend)
     n = len(list(_contributions(spec, N)))
-    assert [kind for kind, _ in events] == ["power", "mul"] * n
+    assert [kind for kind, _ in events] == ["form", "mul"] * n
     dims = [d for _, d in events[::2]]
     assert [d for _, d in events[1::2]] == dims == sorted(dims)
+
+
+def _a1_factor_cases():
+    """(factor, N) for A1 factors: q even, 1 and 3 mod 4 (PSL2(5) with its
+    family of multiplicity 0), in both views, at M = 1, plain int M and a
+    materializable BigPower M, with N from min_dim through min_dim^2 - 1
+    (linear), min_dim^2 (x_f^2 reaches N) and min_dim^2 + 1 to past
+    min_dim^3."""
+    for q in (4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 101, 103):
+        for simple in (True, False):
+            for M in (1, 60, 168 ** 7, BigPower(60, 44)):
+                f = FactorSpec(A1, q, simple=simple, multiplicity=M)
+                d = f.min_nontrivial_dim()
+                for N in (d, d * d - 1, d * d, d * d + 1, d ** 3 + 5):
+                    yield f, N
+
+
+@pytest.mark.parametrize("backend", [EXACT, LOG])
+def test_one_pass_a1_terms_are_the_power_terms_bit_for_bit(backend):
+    cases = list(_a1_factor_cases())
+    big = FactorSpec(A1, 7, simple=False, multiplicity=BigPower(168, 10 ** 6))
+    if backend == LOG:  # a BigPower past the exact backend's range
+        cases += [(big, N) for N in (3, 8, 9, 10, 28)]
+    linear = 0
+    for f, N in cases:
+        d = f.min_nontrivial_dim()
+        linear += f.multiplicity == 1 or d * d > N
+        want = growth._power_terms(f.x_terms(N, backend), f.multiplicity, N, backend)
+        got = growth._factor_terms(f, d, N, backend)
+        assert got == want, (f, N)
+        if backend == LOG:
+            assert [m.hex() for _, m in got] == [m.hex() for _, m in want], (f, N)
+    assert 0 < linear < len(cases)
 
 
 # -- m_n ---------------------------------------------------------------------
