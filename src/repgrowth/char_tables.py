@@ -51,7 +51,7 @@ _PRIMORIAL = math.prod(_SMALL_PRIMES)
 # 61 (1993); Sorenson and Webster, "Strong pseudoprimes to twelve prime
 # bases", Math. Comp. 86 (2017)): Miller-Rabin on the first k bases proves
 # primality below psi_k, so bases 2..41 prove it below psi_13 and above
-# that a base can only prove compositeness.
+# that a base can only prove compositeness: base 2 alone runs there.
 _MR_BOUNDS = (
     2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
     3_474_749_660_383, 341_550_071_728_321, 341_550_071_728_321,
@@ -67,10 +67,13 @@ _SIEVED_EXPONENT_BITS = 9 * 1009
 
 def _iroot(n: int, k: int) -> int:
     """floor(n ** (1/k)) for n >= 1: isqrt for k = 2, else Newton's method
-    from above."""
+    from the float root of n's top bits, rounded up past its error: some
+    2^-40 above the root, where a power of two can be twice the root and a
+    step shrinks x by only about 1 - 1/k."""
     if k == 2:
         return isqrt(n)
-    x = 1 << -(-n.bit_length() // k)
+    s = max(0, (n.bit_length() - 1) // k - 52)
+    x = (int(math.exp(math.log((n >> s * k) + 1) / k) * (1 + 2 ** -40)) + 2) << s
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
@@ -80,12 +83,14 @@ def _iroot(n: int, k: int) -> int:
 
 def _strong_probable_prime(n: int) -> bool:
     """Miller-Rabin for odd n above every base, on the first k bases of
-    _MR_BASES for the least k with n < psi_k, all of them from psi_12 on."""
+    _MR_BASES for the least k with n < psi_k, all thirteen from psi_12 on;
+    from psi_13 on, where no count of bases is a proof, on base 2 alone."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES[: bisect_right(_MR_BOUNDS, n) + 1]:
+    k = bisect_right(_MR_BOUNDS, n) + 1 if n < _MR_EXACT_BELOW else 1
+    for a in _MR_BASES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -108,9 +113,10 @@ def prime_power(q: int) -> Optional[Tuple[int, int]]:
     can need exponents past 997), and r is tested by Miller-Rabin on the
     first k prime bases 2, 3, 5, ... for the least k with r < psi_k: one
     below 2047, two below 1,373,653, three below 25,326,001, all thirteen
-    (2..41) from psi_12 ~ 3.2 * 10^23 on.  Raises PreconditionError when r
-    passes every base but is at least psi_13 ~ 3.3 * 10^24, where that is
-    no proof of primality.
+    (2..41) from psi_12 ~ 3.2 * 10^23.  From psi_13 ~ 3.3 * 10^24 on, where
+    no count of bases is a proof, base 2 alone runs: r failing it gives
+    None, r passing it PreconditionError, even a base-2 strong pseudoprime
+    that a later base would show composite (exit 3 either way).
     """
     if q < 2:
         return None
@@ -139,8 +145,8 @@ def prime_power(q: int) -> Optional[Tuple[int, int]]:
         return None
     if q >= _MR_EXACT_BELOW:
         raise PreconditionError(
-            f"cannot prove that {q} is prime: it passes Miller-Rabin on the "
-            f"prime bases 2..41, which is a proof only below {_MR_EXACT_BELOW}"
+            f"cannot prove that {q} is prime: it passes Miller-Rabin to base 2, "
+            f"and no count of bases is a proof at or above {_MR_EXACT_BELOW}"
         )
     return (q, k)
 

@@ -1,9 +1,10 @@
 """Command-line front end: parse specs, run computations, export tables.
 
-Exit codes: 0 ok, 1 stdout closed early, 2 parse error, 3 precondition
-violation, 4 budget exhausted (a --budget, a number too large to
-materialize exactly, a base**exponent multiplicity whose log passes double
-range, or an exact count too long to print), 5 internal invariant failure.
+Exit codes: 0 ok, 1 stdout closed early, and the exit_code of each
+errors.ReportedError subclass: 2 parse error, 3 precondition violation,
+4 budget exhausted (a --budget, a number too large to materialize exactly,
+a base**exponent multiplicity whose log passes double range, or an exact
+count too long to print), 5 internal invariant failure.
 Identical invocations produce byte-identical output on the exact backend.
 """
 from __future__ import annotations
@@ -18,14 +19,9 @@ from fractions import Fraction
 from typing import Optional
 
 from . import constructor, finite_groups, growth, invariants, lie_data
-from .dirichlet import RangeOverflow, max_str_digits
-from .errors import BudgetExceededError, InvariantError, PreconditionError, SpecFormatError
+from .dirichlet import max_str_digits
+from .errors import InvariantError, PreconditionError, ReportedError, SpecFormatError
 from .errors import fraction_field, int_field, rational
-
-EXIT_PARSE = 2
-EXIT_PRECONDITION = 3
-EXIT_BUDGET = 4
-EXIT_INVARIANT = 5
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -223,7 +219,7 @@ def _cmd_check(args) -> int:
         failures += not ok
     if failures:
         print(f"{failures} invariant check(s) failed")
-        return EXIT_INVARIANT
+        return InvariantError.exit_code
     print("all invariant checks passed")
     return 0
 
@@ -296,27 +292,15 @@ def main(argv: Optional[list] = None) -> int:
     try:
         args = ap.parse_args(argv)
     except SystemExit as e:
-        return e.code if isinstance(e.code, int) else EXIT_PARSE
+        return e.code if isinstance(e.code, int) else SpecFormatError.exit_code
     try:
         return args.func(args)
-    except SpecFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except BudgetExceededError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except ReportedError as e:
+        print(f"{e.label}: {e}", file=sys.stderr)
         if e.partial is not None and getattr(args, "out", None):
             with open(args.out, "w") as fh:
                 json.dump({"partial_certificate": e.partial.to_jsonable()}, fh, indent=2)
-        return EXIT_BUDGET
-    except RangeOverflow as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (PreconditionError,) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except InvariantError as e:
-        print(f"internal invariant failure: {e}", file=sys.stderr)
-        return EXIT_INVARIANT
+        return e.exit_code
 
 
 def entrypoint() -> None:

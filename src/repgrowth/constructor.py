@@ -158,21 +158,14 @@ class DiagonalCertificate:
         }
 
 
-def _slope_leq(R: int, n: int, tau: Fraction) -> bool:
-    """log R / log n <= tau, decided exactly: R^den <= n^num."""
-    if R <= 1:
-        return True
+def _slope_cmp(R: int, n: int, tau: Fraction) -> int:
+    """The sign of log R / log n - tau for n >= 2, decided exactly by
+    comparing R^den with n^num; 1 when tau < 0, where the slope of a count
+    R >= 1 cannot fall below it."""
     if tau < 0:
-        return False
-    return R ** tau.denominator <= n ** tau.numerator
-
-
-def _slope_geq(R: int, n: int, tau: Fraction) -> bool:
-    if tau <= 0:
-        return True
-    if R <= 1:
-        return False
-    return R ** tau.denominator >= n ** tau.numerator
+        return 1
+    a, b = R ** tau.denominator, n ** tau.numerator
+    return (a > b) - (a < b)
 
 
 def _first_past(series: DirichletSeries, n_prev: int, test) -> Tuple[Optional[int], int]:
@@ -306,7 +299,7 @@ def build_diagonal(
             union = (*built, stratum)
             onset = stratum.min_dim_at(skip + 1)
             sweep_N = stratum.with_simple(True).min_dim_at(max(skip + 4, j_star))
-            violation, _ = scan(union, lambda R, d: not _slope_leq(R, d, rho), sweep_N)
+            violation, _ = scan(union, lambda R, d: _slope_cmp(R, d, rho) > 0, sweep_N)
             if violation is None:
                 break
             if violation >= onset:
@@ -350,7 +343,7 @@ def build_diagonal(
 
         # (iii): first checkpoint above n(m-1) with slope >= rho_m - 1/m
         target = rho_m - Fraction(1, m)
-        n_m, running = scan(shown, lambda R, d: _slope_geq(R, d, target))
+        n_m, running = scan(shown, lambda R, d: _slope_cmp(R, d, target) >= 0)
         slope_val = math.log(running) / math.log(n_m) if n_m > 1 else 0.0
         checks.append(
             CheckRecord(

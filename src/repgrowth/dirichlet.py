@@ -17,7 +17,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple, Union
 
-from .errors import PreconditionError
+from .errors import PreconditionError, ReportedError
 
 EXACT = "exact"
 LOG = "log"
@@ -30,10 +30,12 @@ class BackendMismatch(PreconditionError):
     """Two series with different backends were combined."""
 
 
-class RangeOverflow(OverflowError):
+class RangeOverflow(OverflowError, ReportedError):
     """A number too large for its use: an exact -> float conversion past
     double range (switch to the log backend), a power too large to
-    materialize, or an exact count too long to print."""
+    materialize, or an exact count too long to print (exit 4)."""
+
+    exit_code = 4
 
 
 def max_str_digits() -> int:
@@ -380,8 +382,8 @@ def _power_terms(x: List[Tuple[int, object]], M: Multiplicity, N: int, backend: 
     contribute, at most log2(N) of them.  For a one-term x = (d, m) each
     power is the one term (d^k, m^k), m^k on the log backend the running
     sum m + ... + m that convolve would form; for a longer x each one from
-    k = 2 on is one convolve.  When M = 1 or min_dim(x)^2 > N that leaves
-    C(M, 1) * x, a plain list.  The exact backend uses exact binomials, the
+    k = 2 on is one convolve.  When M = 1 or min_dim(x)^2 > N the loop adds
+    C(M, 1) * x once and stops.  The exact backend uses exact binomials, the
     log backend the identity log C(M,k) = sum_{i<k} log((M-i)/(i+1)).
     """
     if not x:
@@ -389,11 +391,6 @@ def _power_terms(x: List[Tuple[int, object]], M: Multiplicity, N: int, backend: 
     exact = backend == EXACT
     Mi = mult_to_int(M) if exact else None
     d0 = x[0][0]
-    if M == 1 or d0 * d0 > N:
-        if exact:
-            return [(d, Mi * m) for d, m in x]
-        lc = _log_binomial(M, 1)
-        return [(d, lc + m) for d, m in x]
     out: Dict[int, object] = {}
     terms = x
     xs = xk = None

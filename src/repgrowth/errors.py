@@ -1,14 +1,28 @@
-"""Shared exception types, which the CLI maps onto exit codes, and the
-readers of integer and rational JSON fields."""
+"""Shared exception types, each carrying the exit code the CLI reports it
+with, and the readers of integer and rational JSON fields."""
 from fractions import Fraction
 
 
-class PreconditionError(ValueError):
+class ReportedError(Exception):
+    """A failure the CLI reports as `label: message` on stderr, ending with
+    the subclass's exit_code; a partial certificate, when set, goes to
+    --out.  Each subclass keeps a builtin base for `except` to catch."""
+
+    exit_code: int
+    label = "error"
+    partial = None
+
+
+class PreconditionError(ValueError, ReportedError):
     """An operation was called outside its documented domain (exit 3)."""
 
+    exit_code = 3
 
-class SpecFormatError(ValueError):
+
+class SpecFormatError(ValueError, ReportedError):
     """Structurally invalid spec or JSON input (exit 2)."""
+
+    exit_code = 2
 
     def __init__(self, message: str, pointer: str = ""):
         super().__init__(f"{pointer}: {message}" if pointer else message)
@@ -57,13 +71,18 @@ def fraction_field(obj, key, pointer: str) -> Fraction:
     return _field(obj, key, pointer, None, rational, "a rational like 3/2")
 
 
-class BudgetExceededError(RuntimeError):
+class BudgetExceededError(RuntimeError, ReportedError):
     """A search or enumeration ran out of its work budget (exit 4)."""
+
+    exit_code = 4
 
     def __init__(self, message: str, partial=None):
         super().__init__(message)
         self.partial = partial
 
 
-class InvariantError(AssertionError):
+class InvariantError(AssertionError, ReportedError):
     """An internal consistency check failed (exit 5)."""
+
+    exit_code = 5
+    label = "internal invariant failure"

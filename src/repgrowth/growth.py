@@ -275,17 +275,14 @@ def _min_dim(
 ) -> int:
     """Minimal nontrivial irreducible degree of S_lambda(q^e), or of its
     cover when not simple; pairs None means the canonical pair set.  That
-    degree is at least (q^(e*n) - 1)/2 >= (2^(e*n) - 1)/2, for n = 1 on A1
-    and the least pair exponent otherwise, so given a bound, a degree whose
-    exponent e*n passes bound.bit_length() + 1 is returned as bound + 1
-    without forming q^e or q^(e*n)."""
-    a1 = lie_type == A1
-    if not a1 and pairs is None:
-        pairs = canonical_pair_set(lie_type)
-    n = 1 if a1 else pairs.min_dim_exponent()
+    degree is at least (q^(e*n) - 1)/2 >= (2^(e*n) - 1)/2, for n the least
+    pair exponent (1 on A1, whose one pair set is [[1, 1]]), so given a
+    bound, a degree whose exponent e*n passes bound.bit_length() + 1 is
+    returned as bound + 1 without forming q^e or q^(e*n)."""
+    n = (canonical_pair_set(lie_type) if pairs is None else pairs).min_dim_exponent()
     if bound is not None and e * n > bound.bit_length() + 1:
         return bound + 1
-    return _least_degree(a1, q ** e, simple, n)
+    return _least_degree(lie_type == A1, q ** e, simple, n)
 
 
 def _require_pairs(pairs: PairSet, lie_type: LieType) -> None:
@@ -462,7 +459,7 @@ class _Tower:
         degree is <= bound, from one field(i) per index: q^e is formed once
         and serves both."""
         a1 = self.lie_type == A1
-        n = 1 if a1 else self.n_min()
+        n = self.n_min()
         cap = bound.bit_length() + 1
         for i in self.indices():
             q, e = self.field(i)
@@ -785,13 +782,13 @@ def _contributions(spec: GroupSpec, bound: int) -> Iterator[Tuple[int, FactorSpe
 def _factor_terms(f: FactorSpec, min_dim: int, N: int, backend: str) -> list:
     """The terms of (1 + x_f)^M - 1 at dims <= N, M = f.multiplicity and
     min_dim <= N where x_f starts: _power_terms(f.x_terms(N, backend), M,
-    N, backend), bit for bit.  A linear A1 factor (M = 1 or min_dim^2 > N,
-    so the terms are C(M, 1) * x_f) forms them in one pass over a1_terms,
-    with no x_f list to scale."""
+    N, backend), bit for bit.  A linear factor of any type (M = 1 or
+    min_dim^2 > N, so the terms are C(M, 1) * x_f) scales the exact terms
+    of x_f in one pass, over a1_terms on A1 with no x_f list formed."""
     M = f.multiplicity
-    if f.lie_type != A1 or (M != 1 and min_dim * min_dim <= N):
+    if M != 1 and min_dim * min_dim <= N:
         return _power_terms(f.x_terms(N, backend), M, N, backend)
-    terms = a1_terms(f.q, f.simple)[1:]
+    terms = a1_terms(f.q, f.simple)[1:] if f.lie_type == A1 else f.x_terms(N, EXACT)
     if backend == EXACT:
         Mi = mult_to_int(M)
         return [(d, Mi * m) for d, m in terms if m and d <= N]
@@ -828,11 +825,11 @@ def truncated_zeta(
     one square root and Miller-Rabin on two or three bases) and one call of
     _factor_terms, with no per-factor series; its minimal dimension comes
     with it from factors_below, which forms a tower index's field size once
-    for both.  A linear A1 factor (M = 1 or min_dim^2 > N, as for every
-    prime p > 2 sqrt(N) + 1 in the SL2-over-primes family) forms its terms
-    C(M, 1) * x_f in one pass over the closed form, with no mass identity
-    summed.  Any other factor forms x_f from a closed form or the pair set
-    and one binomial times each term, and each power x_f^k, k >= 2 and
+    for both.  A linear factor (M = 1 or min_dim^2 > N, as for every prime
+    p > 2 sqrt(N) + 1 in the SL2-over-primes family) forms its terms
+    C(M, 1) * x_f in one pass over the closed form or the pair set, with no
+    mass identity summed.  Any other factor forms x_f the same way and one
+    binomial times each term, and each power x_f^k, k >= 2 and
     min_dim^k <= N, as one term, with no series, when x_f has one term at
     dims <= N (as on a one-pair set), and otherwise (the A1 degrees) with
     one series for x_f and one convolve per such power.  Then about

@@ -14,8 +14,6 @@ from typing import Dict, Iterable, Optional, Tuple
 from .dirichlet import EXACT, DirichletSeries
 from .errors import PreconditionError, SpecFormatError, int_field, int_list
 
-FAMILIES = ("A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2")
-
 # Bourbaki irreducible ranges; C starts at 3 and D at 4 so B2=C2 and D3=A3
 # are not represented twice.
 _RANK_RANGE = {

@@ -1,11 +1,13 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
 from repgrowth.char_tables import (
     DegreeTable,
+    _iroot,
     _strong_probable_prime,
     a1_degrees,
     is_prime,
@@ -148,6 +150,39 @@ def test_prime_power_agrees_with_the_sieve(lo, hi):
 def test_prime_power_with_an_exponent_past_the_small_primes():
     # 1009 is the first exponent the perfect-power loop takes from the sieve
     assert prime_power(1009 ** 1009) == (1009, 1009)
+
+
+def test_iroot_is_the_floor_root_up_to_14300_bits():
+    rng = random.Random(27)
+    cases = []
+    for _ in range(400):
+        k = rng.randint(2, 1601)
+        r = rng.randint(2, 1 << max(1, 14300 // k))
+        cases += [(rng.getrandbits(rng.randint(1, 14300)) or 1, k), (r ** k, k), (r ** k - 1, k)]
+    for n, k in cases:
+        x = _iroot(n, k)
+        assert x ** k <= n < (x + 1) ** k, (n.bit_length(), k)
+
+
+def test_prime_power_of_a_huge_mersenne_prime_is_refused_quickly():
+    # 4423 bits with no factor below 1000: one root for each of the 94 prime
+    # exponents up to 491, each started near the root, and one Miller-Rabin
+    # base, since no count of bases proves anything past psi_13
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError, match="cannot prove"):
+        prime_power(2 ** 4423 - 1)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_base_2_strong_pseudoprime_past_psi_13_is_refused():
+    # 2^97 - 1 = 11447 * 13842607235828485645766393, like every composite
+    # Mersenne number a strong pseudoprime to base 2, and past psi_13, where
+    # base 2 alone runs: refused (exit 3), where base 3 would have shown it
+    # composite
+    q = 11447 * 13842607235828485645766393
+    assert q == 2 ** 97 - 1 and q > PSI[12]
+    with pytest.raises(PreconditionError, match="cannot prove"):
+        prime_power(q)
 
 
 @pytest.mark.parametrize("start", [0, 1, 2, 5, 63, 64, 65, 66, 127, 128, 129, 1000, 12345])

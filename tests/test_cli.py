@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repgrowth
-from repgrowth import cli, constructor, finite_groups, growth, invariants
+from repgrowth import cli, constructor, dirichlet, errors, finite_groups, growth, invariants
 from repgrowth.cli import main
 from repgrowth.dirichlet import cumulative
 from repgrowth.growth import GroupSpec, exact_abscissa, sl2_over_primes_spec, truncated_zeta
@@ -1284,3 +1285,97 @@ def test_gens_ends_in_a_count_or_a_precondition_exit(group, ds, k):
     if code == 0 and group == "A5":
         phi = json.loads(out.getvalue())["phi"]
         assert phi == {str(d): hall_phi_a5(d) for d in ds or [2]}
+
+
+def _reported_classes():
+    """Every subclass of errors.ReportedError, at any depth."""
+    found, todo = [], [errors.ReportedError]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            found.append(cls)
+            todo.append(cls)
+    return found
+
+
+def _mixed_backends(spec, N):
+    return dirichlet.convolve(
+        dirichlet.DirichletSeries(N, {1: 1}), dirichlet.DirichletSeries(N, {1: 0.0}, "log"), N
+    )
+
+
+def _no_rational_abscissa(spec):
+    return growth.RateSummary("infinite", None, ())
+
+
+# one real failure per ReportedError subclass: (argv, the function to
+# patch first or None, its stand-in, exit code, stderr prefix)
+REPORTED_CASES = {
+    errors.SpecFormatError: (
+        ["zeta", "--spec", "{", "--N", "10"], None, None, 2, "error: invalid JSON",
+    ),
+    errors.PreconditionError: (
+        ["zeta", "--group", "SL2", "--q", "6", "--N", "10"], None, None, 3,
+        "error: q = 6 is not a prime power",
+    ),
+    dirichlet.BackendMismatch: (
+        ["zeta", "--group", "SL2", "--q", "5", "--N", "10"], (growth, "truncated_zeta"),
+        _mixed_backends, 3, "error: cannot convolve series with different backends",
+    ),
+    errors.BudgetExceededError: (
+        ["construct", "diagonal", "--rho", "2", "--p", "5", "--budget", "1"], None, None, 4,
+        "error: work budget 1 exhausted",
+    ),
+    dirichlet.RangeOverflow: (
+        ["construct", "diagonal", "--rho", "1000000", "--stages", "1", "--p", "5"], None, None, 4,
+        "error: 5**2999995 is too large to materialize",
+    ),
+    errors.InvariantError: (
+        ["construct", "diagonal", "--rho", "2", "--p", "5", "--stages", "1"],
+        (constructor, "exact_abscissa"), _no_rational_abscissa, 5,
+        "internal invariant failure: postcondition failed",
+    ),
+}
+
+
+def test_every_reported_error_has_a_cli_case():
+    assert set(REPORTED_CASES) == set(_reported_classes())
+
+
+@pytest.mark.parametrize("cls", list(REPORTED_CASES), ids=lambda cls: cls.__name__)
+def test_reported_error_exits_with_its_code_and_label(capsys, monkeypatch, cls):
+    argv, target, stand_in, code, prefix = REPORTED_CASES[cls]
+    if target is not None:
+        monkeypatch.setattr(*target, stand_in)
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(errors.ReportedError) as info:
+        args.func(args)
+    assert type(info.value) is cls
+    capsys.readouterr()
+    assert main(argv) == code == cls.exit_code
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(prefix)
+    assert err.count("\n") == 1  # one line, no traceback
+
+
+def test_module_docstring_lists_the_reported_exit_codes():
+    # "Exit codes: 0 ok, 1 stdout closed early, and ...: 2 parse error, ..."
+    text = " ".join(cli.__doc__.split("Exit codes:")[1].split("\n\n")[0].split())
+    listed = {int(c) for c in re.findall(r"(?:^|[:,] )(\d) ", text)}
+    assert listed == {0, 1} | {cls.exit_code for cls in _reported_classes()}
+    assert {0, 1}.isdisjoint(cls.exit_code for cls in _reported_classes())
+
+
+def test_budget_exit_writes_the_partial_certificate_to_out(capsys, tmp_path):
+    path = tmp_path / "cert.json"
+    argv = ["construct", "diagonal", "--rho", "2", "--p", "5", "--budget", "300"]
+    with pytest.raises(errors.BudgetExceededError) as info:
+        constructor.build_diagonal(Fraction(2), constructor.default_diagonal_targets(2, 4, 5), 300)
+    assert main([*argv, "--out", str(path)]) == 4
+    assert capsys.readouterr() == ("", "error: work budget 300 exhausted\n")
+    cert = json.loads(path.read_text())
+    assert cert == {"partial_certificate": info.value.partial.to_jsonable()}
+    assert len(cert["partial_certificate"]["stages"]) == 3
+    # a failure with no partial certificate leaves --out unwritten
+    path = tmp_path / "zeta.json"
+    assert main(["zeta", "--group", "SL2", "--q", "6", "--N", "10", "--out", str(path)]) == 3
+    assert not path.exists()

@@ -12,8 +12,7 @@ from repgrowth.constructor import (
     DiagonalCertificate,
     Schedule,
     _first_past,
-    _slope_geq,
-    _slope_leq,
+    _slope_cmp,
     build_diagonal,
     build_fixed_type,
     default_diagonal_targets,
@@ -314,6 +313,38 @@ def test_termwise_rejects_nonpositive_eps():
 # -- the diagonal construction -----------------------------------------------
 
 
+def slope_leq(R, n, tau):
+    """Reference: log R / log n <= tau, decided exactly: R^den <= n^num."""
+    if R <= 1:
+        return True
+    if tau < 0:
+        return False
+    return R ** tau.denominator <= n ** tau.numerator
+
+
+def slope_geq(R, n, tau):
+    """Reference: log R / log n >= tau, decided exactly: R^den >= n^num."""
+    if tau <= 0:
+        return True
+    if R <= 1:
+        return False
+    return R ** tau.denominator >= n ** tau.numerator
+
+
+def test_slope_cmp_is_both_one_sided_slope_tests():
+    taus = [Fraction(1, 3), Fraction(1), Fraction(2), Fraction(5, 2), Fraction(7, 3)]
+    for tau in taus:
+        for R in range(1, 201):
+            for n in range(2, 61):
+                c = _slope_cmp(R, n, tau)
+                assert c in (-1, 0, 1)
+                assert (c <= 0) == slope_leq(R, n, tau), (R, n, tau)
+                assert (c >= 0) == slope_geq(R, n, tau), (R, n, tau)
+    # the slope of a count R >= 1 is >= 0, so above any negative tau
+    assert _slope_cmp(1, 2, Fraction(-1, 2)) == _slope_cmp(200, 60, Fraction(-3)) == 1
+    assert _slope_cmp(1, 7, Fraction(0)) == 0 and _slope_cmp(2, 7, Fraction(0)) == 1
+
+
 def test_default_targets():
     targets = default_diagonal_targets(Fraction(2), 4, 5)
     assert [t[0] for t in targets] == [Fraction(1), Fraction(3, 2), Fraction(5, 3), Fraction(7, 4)]
@@ -496,8 +527,8 @@ def test_prefix_scans_find_the_full_cutoff_hit(rho, stages, p):
     for m, record in enumerate(cert.stages, start=1):
         target = record.rho_m - Fraction(1, m)
         scans = [
-            (True, lambda R, d: _slope_geq(R, d, target)),
-            (False, lambda R, d: not _slope_leq(R, d, rho)),
+            (True, lambda R, d: _slope_cmp(R, d, target) >= 0),
+            (False, lambda R, d: _slope_cmp(R, d, rho) > 0),
         ]
         for simple, test in scans:
             union = with_flag(strata, simple)

@@ -58,7 +58,7 @@ from repgrowth.growth import (
     truncated_zeta,
     with_flag,
 )
-from repgrowth.lie_data import LieType, PairSet, rho0, xi_terms
+from repgrowth.lie_data import LieType, PairSet, rho0, tits_excluded, xi_terms
 from test_acceptance import _brute_product, _degrees
 from test_dirichlet import count_series_inits
 
@@ -486,19 +486,49 @@ def _a1_factor_cases():
                     yield f, N
 
 
+def _other_factor_cases():
+    """(factor, N) for the other types: A2, 2A2, B2 and G2 on their canonical
+    pair sets and A3 on a two-pair set (dims q^2 and q^6), at M = 1, a plain
+    int M and a BigPower M past 900 bits, with N from min_dim through
+    min_dim^2 - 1 (linear), min_dim^2 and past min_dim^3 (both A3 terms)."""
+    types = [
+        (LieType("A", 2), None),
+        (LieType("A", 2, True), None),
+        (LieType("B", 2), None),
+        (LieType("G2"), None),
+        (LieType("A", 3), PairSet([(1, 2), (3, 6)])),
+    ]
+    for t, pairs in types:
+        for q in (2, 3, 4, 5):
+            if tits_excluded(t, q):
+                continue
+            for M in (1, 60, BigPower(5, 400)):
+                f = FactorSpec(t, q, multiplicity=M, pairs=pairs)
+                d = f.min_nontrivial_dim()
+                for N in (d, d * d - 1, d * d, d ** 3 + 5):
+                    yield f, N
+
+
 @pytest.mark.parametrize("backend", [EXACT, LOG])
-def test_one_pass_a1_terms_are_the_power_terms_bit_for_bit(backend):
-    cases = list(_a1_factor_cases())
+def test_one_pass_linear_terms_are_the_power_terms_bit_for_bit(backend):
+    cases = list(_a1_factor_cases()) + list(_other_factor_cases())
     big = FactorSpec(A1, 7, simple=False, multiplicity=BigPower(168, 10 ** 6))
     if backend == LOG:  # a BigPower past the exact backend's range
         cases += [(big, N) for N in (3, 8, 9, 10, 28)]
     linear = 0
     for f, N in cases:
-        d = f.min_nontrivial_dim()
-        linear += f.multiplicity == 1 or d * d > N
-        want = growth._power_terms(f.x_terms(N, backend), f.multiplicity, N, backend)
+        d, M = f.min_nontrivial_dim(), f.multiplicity
+        x = f.x_terms(N, backend)
+        want = growth._power_terms(x, M, N, backend)
         got = growth._factor_terms(f, d, N, backend)
         assert got == want, (f, N)
+        if M == 1 or d * d > N:  # C(M, 1) * x_f, scaled here independently
+            linear += 1
+            if backend == EXACT:
+                assert got == [(d2, mult_to_int(M) * m) for d2, m in x], (f, N)
+            else:
+                lc = growth._log_binomial(M, 1)
+                assert got == [(d2, lc + m) for d2, m in x], (f, N)
         if backend == LOG:
             assert [m.hex() for _, m in got] == [m.hex() for _, m in want], (f, N)
     assert 0 < linear < len(cases)
