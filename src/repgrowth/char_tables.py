@@ -16,7 +16,7 @@ from math import gcd, isqrt
 from typing import Iterator, Optional, Tuple
 
 from .dirichlet import EXACT, LOG, DirichletSeries
-from .errors import InvariantError, PreconditionError
+from .errors import InvariantError, PreconditionError, int_name
 
 
 def primes_from(start: int) -> Iterator[int]:
@@ -145,7 +145,7 @@ def prime_power(q: int) -> Optional[Tuple[int, int]]:
         return None
     if q >= _MR_EXACT_BELOW:
         raise PreconditionError(
-            f"cannot prove that {q} is prime: it passes Miller-Rabin to base 2, "
+            f"cannot prove that {int_name(q)} is prime: it passes Miller-Rabin to base 2, "
             f"and no count of bases is a proof at or above {_MR_EXACT_BELOW}"
         )
     return (q, k)
@@ -192,7 +192,7 @@ def psl2_order(q: int) -> int:
 def _check_q(q: int) -> None:
     pk = prime_power(q)
     if pk is None:
-        raise PreconditionError(f"q = {q} is not a prime power")
+        raise PreconditionError(f"q = {int_name(q)} is not a prime power")
     if q < 4:
         raise PreconditionError(f"q = {q} is excluded: SL2(2), SL2(3) are not quasi-simple")
 

@@ -9,14 +9,13 @@ the headline statements need.  Round-half-up is fixed for reproducibility.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .char_tables import is_prime, prime_power
 from .dirichlet import EXACT, DirichletSeries, convolve, cumulative
-from .errors import BudgetExceededError, InvariantError, PreconditionError
+from .errors import BudgetExceededError, InvariantError, PreconditionError, int_name
 from .growth import (
     DiagonalStage,
     DiagonalStratum,
@@ -81,12 +80,12 @@ def build_fixed_type(
     """A one-stratum spec with semisimple part prod_j S(q^j)^{q^{f(j)}} whose
     exact abscissa is rho (asserted before returning)."""
     if not is_prime(p):
-        raise PreconditionError(f"p = {p} is not prime")
+        raise PreconditionError(f"p = {int_name(p)} is not prime")
     if q is None:
         q = p
     pk = prime_power(q)
     if pk is None or pk[0] != p:
-        raise PreconditionError(f"q = {q} is not a power of p = {p}")
+        raise PreconditionError(f"q = {int_name(q)} is not a power of p = {p}")
     while tits_excluded(t, q):
         q *= p  # bump past SL2(2), SL2(3) and friends
     sched = make_schedule(Fraction(rho), t)
@@ -183,7 +182,11 @@ def _first_past(series: DirichletSeries, n_prev: int, test) -> Tuple[Optional[in
 def _product(memo: dict, strata: tuple, N: int) -> DirichletSeries:
     """The exact series of the product of the nonempty strata at N, each in
     its own view: the convolve of its head strata[:-1]'s product with the
-    last stratum's series.  memo holds each tuple of strata at the largest
+    last stratum's series, formed by truncated_zeta.  When the strata are
+    graded by one prime p (every stage past A1, over powers of p), both
+    series are GradedSeries, so that convolve runs on the exponents of p,
+    with the dict kernel's updates in its order, and the product is graded
+    again.  memo holds each tuple of strata at the largest
     cutoff formed so far, and a smaller N gets its entries <= N, which are
     the product truncated at N.  A stale entry leaves memo before it is
     formed again, and forming a product drops its head's head: that was
@@ -196,10 +199,7 @@ def _product(memo: dict, strata: tuple, N: int) -> DirichletSeries:
             have = convolve(_product(memo, strata[:-1], N), have, N)
             memo.pop(strata[:-2], None)
     memo[strata] = have
-    if have.cutoff == N:
-        return have
-    i = bisect_right(have.dims, N)  # the prefix identity: entries <= N
-    return DirichletSeries(N, zip(have.dims[:i], have.mults[:i]))
+    return have if have.cutoff == N else have.prefix(N)
 
 
 def build_diagonal(
@@ -230,6 +230,14 @@ def build_diagonal(
     cutoff of the stage before.  The four benchmark cases take 62/63/54/51 truncated_zeta
     and 49/50/41/38 convolve calls.  Budgets count every union formed, memo
     hits included.
+
+    When every stage is past A1 over powers of one prime p, each stage
+    stratum is graded by p, so its truncated_zeta and every convolve of a
+    product run on the exponents of p (dirichlet.GradedSeries and
+    _mul_into_graded) instead of on dimensions of hundreds of bits, with
+    the dict kernel's updates in its order: the same series, the same
+    certificate.  An A1 stage, or stages over two primes, keep the dict
+    kernel for every product they enter.
 
     Both scans look for their first hit above n(m-1) on prefixes at
     C = max(n(m-1), 2)^2, squared at each step (the sweep caps C at its

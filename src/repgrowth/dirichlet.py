@@ -127,6 +127,7 @@ class DirichletSeries:
     """Immutable truncated series: sorted dims, parallel multiplicities."""
 
     __slots__ = ("cutoff", "backend", "_dims", "_mults")
+    grading = None  # GradedSeries: the prime p of every dimension p^e
 
     def __init__(self, cutoff: int, entries, backend: str = EXACT):
         if cutoff < 1:
@@ -214,6 +215,20 @@ class DirichletSeries:
             return self._mults[i]
         return default
 
+    def prefix(self, N: int) -> "DirichletSeries":
+        """The entries at dims <= N as a series truncated at N <= cutoff, of
+        this series' kind; on the exact backend the product a series holds,
+        truncated at N, is its prefix (invariants.prefix_truncation)."""
+        if not 1 <= N <= self.cutoff:
+            raise PreconditionError(f"prefix cutoff {N} is outside [1, {self.cutoff}]")
+        i = bisect_right(self._dims, N)
+        out = object.__new__(type(self))
+        object.__setattr__(out, "cutoff", N)
+        object.__setattr__(out, "backend", self.backend)
+        object.__setattr__(out, "_dims", self._dims[:i])
+        object.__setattr__(out, "_mults", self._mults[:i])
+        return out
+
     def to_log(self) -> "DirichletSeries":
         """Explicit exact -> log conversion (never done implicitly)."""
         if self.backend == LOG:
@@ -273,6 +288,37 @@ class DirichletSeries:
             f'{{\n  "backend": "{self.backend}",\n  "cutoff": {self.cutoff},\n'
             f'  "entries": {entries}\n}}'
         )
+
+
+class GradedSeries(DirichletSeries):
+    """A series graded by a prime p: every dimension is a power p^e, and
+    the exponents e are kept alongside the dimensions, so that convolve
+    adds two small exponents where it would multiply two dimensions.  It
+    equals, prints and serializes as the DirichletSeries of its entries."""
+
+    __slots__ = ("grading", "exps")
+
+    def __init__(self, cutoff: int, p: int, entries: dict, backend: str = EXACT):
+        """entries: {e: multiplicity} on exponents e <= floor_log(cutoff, p),
+        checked as DirichletSeries checks its entries; each dimension p^e is
+        formed from the one before it."""
+        exps = sorted(entries)
+        dims, d, prev = {}, 1, 0
+        for e in exps:
+            d *= p ** (e - prev)
+            prev = e
+            dims[d] = entries[e]
+        super().__init__(cutoff, dims, backend)
+        if len(self) != len(exps):
+            raise PreconditionError(f"an exponent of {p} puts a dimension past the cutoff {cutoff}")
+        object.__setattr__(self, "grading", p)
+        object.__setattr__(self, "exps", tuple(exps))
+
+    def prefix(self, N: int) -> "GradedSeries":
+        out = super().prefix(N)
+        object.__setattr__(out, "grading", self.grading)
+        object.__setattr__(out, "exps", self.exps[:len(out)])
+        return out
 
 
 def evaluate(s: DirichletSeries, sigma: float) -> float:
@@ -345,17 +391,79 @@ def _mul_into(acc, src, d1s, x, N, exact, bound=0):
     return fresh
 
 
+def _mul_into_graded(acc, src, e1s, x, D, exact, bound=0):
+    """_mul_into on a graded series, one whose every dimension is a power
+    p^e of one prime p, keyed by the exponent e: the same loop in the same
+    update order (so the same bits on the log backend), with the key
+    e1 + e2 for d1 * d2 and the stop e > D = floor(log_p N) for d1 * d2 > N.
+    Small-int keys spare each update a multiply, a compare and two hashes
+    of a dimension that can run to thousands of bits."""
+    fresh = []
+    log1p, exp = math.log1p, math.exp
+    for e1 in e1s:
+        m1 = src[e1]
+        for e2, m2 in x:
+            e = e1 + e2
+            if e > D:
+                break
+            prev = acc.get(e)
+            if prev is None:
+                acc[e] = m1 * m2 if exact else m1 + m2
+                if e <= bound:
+                    fresh.append(e)
+            elif exact:
+                acc[e] = prev + m1 * m2
+            else:
+                m = m1 + m2
+                if prev < m:
+                    prev, m = m, prev
+                acc[e] = prev + log1p(exp(m - prev))
+    return fresh
+
+
+def floor_log(N: int, p: int) -> int:
+    """floor(log_p N) for N >= 1 and p >= 2, exactly: the float estimate
+    corrected by integer powers."""
+    e = int(math.log(N) / math.log(p))
+    while e > 0 and p ** e > N:
+        e -= 1
+    while p ** (e + 1) <= N:
+        e += 1
+    return e
+
+
+def graded_terms(terms, p: int) -> List[Tuple[int, object]]:
+    """(e, m) for each (p^e, m) of terms, every dimension a power of p:
+    log(p^e) / log(p) in floats is within far less than 1/2 of e for any e
+    an int in memory can reach, so rounding it gives e exactly."""
+    lp = math.log(p)
+    return [(round(math.log(d) / lp), m) for d, m in terms]
+
+
 def convolve(s1: DirichletSeries, s2: DirichletSeries, N: int) -> DirichletSeries:
-    """Dirichlet product truncated at N: entry at d is sum over d1*d2 = d."""
+    """Dirichlet product truncated at N: entry at d is sum over d1*d2 = d.
+
+    Two series graded by one prime p (GradedSeries) multiply on their
+    exponents, through _mul_into_graded: the same updates in the same
+    order, so the same series to the bit, graded by p again."""
     if s1.backend != s2.backend:
         raise BackendMismatch("cannot convolve series with different backends")
     if N > min(s1.cutoff, s2.cutoff):
         raise PreconditionError("convolution target N exceeds an input cutoff")
+    if N < 1:
+        raise PreconditionError("cutoff must be a positive integer")
+    exact, p = s1.backend == EXACT, s1.grading
     acc: Dict[int, object] = {}
+    if p is None or p != s2.grading:
+        if s1 and s2:
+            d1s = s1.dims[:bisect_right(s1.dims, N // s2.dims[0])]
+            _mul_into(acc, dict(zip(d1s, s1.mults)), d1s, list(s2.items()), N, exact)
+        return DirichletSeries(N, acc, s1.backend)
     if s1 and s2:
-        d1s = s1.dims[:bisect_right(s1.dims, N // s2.dims[0])]
-        _mul_into(acc, dict(zip(d1s, s1.mults)), d1s, list(s2.items()), N, s1.backend == EXACT)
-    return DirichletSeries(N, acc, s1.backend)
+        D = floor_log(N, p)
+        e1s = s1.exps[:bisect_right(s1.exps, D - s2.exps[0])]
+        _mul_into_graded(acc, dict(zip(e1s, s1.mults)), e1s, list(zip(s2.exps, s2.mults)), D, exact)
+    return GradedSeries(N, p, acc, s1.backend)
 
 
 def _log_binomial(M: Multiplicity, k: int) -> float:

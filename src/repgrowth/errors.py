@@ -1,5 +1,6 @@
 """Shared exception types, each carrying the exit code the CLI reports it
 with, and the readers of integer and rational JSON fields."""
+import math
 from fractions import Fraction
 
 
@@ -27,6 +28,21 @@ class SpecFormatError(ValueError, ReportedError):
     def __init__(self, message: str, pointer: str = ""):
         super().__init__(f"{pointer}: {message}" if pointer else message)
         self.pointer = pointer
+
+
+_NAME_DIGITS = 24  # the digits int_name prints of a long integer
+
+
+def int_name(n: int) -> str:
+    """n for a message: in full up to about _NAME_DIGITS digits, else its
+    leading _NAME_DIGITS or _NAME_DIGITS + 1 digits and its bit length, with
+    no str() of the whole number, which takes time quadratic in its length
+    and is refused past 4300 digits."""
+    sign, n = "-" * (n < 0), abs(n)
+    k = int(n.bit_length() * math.log10(2)) - _NAME_DIGITS  # n // 10^k keeps the leading digits
+    if k <= 0:
+        return f"{sign}{n}"
+    return f"{sign}{n // 10 ** k}... ({n.bit_length()} bits)"
 
 
 def _field(obj, key, pointer: str, default, parse, kind: str):

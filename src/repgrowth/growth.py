@@ -8,15 +8,17 @@ are exact there because minimal nontrivial dimensions diverge within every
 infinite stratum.  The exponent rules f(j) of geometric strata live here
 too: PolyExponent, and the construction's Schedule f(j) = n0*k_j - m0*j.
 
-Every stratum kind has the same five methods, so spec-level computations
+Every stratum kind has the same six methods, so spec-level computations
 are loops over strata and a new kind is one class plus one STRATUM_KINDS
 entry: factors_below(bound), a (min_dim, factor) pair for each factor
 whose minimal nontrivial degree min_dim is <= bound, min_dim being the
 value the stratum's stop test computed, so no caller forms it again;
 abscissa_rate(), (kind, rate) with kind "rational", "infinite" or
 "finite"; count_exponent(), b with m_n = O(n^b), or None;
-with_simple(simple), every factor in the simple or the cover view; and the
-classmethod from_jsonable(obj, pointer), the inverse of to_jsonable.  The
+with_simple(simple), every factor in the simple or the cover view;
+grading(), the prime p when every dimension of every factor is a power of
+p (the stratum is graded), else None; and the classmethod
+from_jsonable(obj, pointer), the inverse of to_jsonable.  The
 two views differ on A1 factors alone: past A1 the model has no centre, so
 its series, minimal degrees and counts do not read the flag.
 """
@@ -38,19 +40,30 @@ from .dirichlet import (
     LOG,
     BigPower,
     DirichletSeries,
+    GradedSeries,
     Multiplicity,
     _log_binomial,
     _log_prefix_sums,
     _logaddexp,
     _mul_into,
+    _mul_into_graded,
     _power_terms,
+    floor_log,
+    graded_terms,
     convolve,  # noqa: F401  unused here; kept so growth.convolve stays bound (bench/tests)
     mult_bits,
     mult_log,
     mult_to_int,
     power_one_plus,  # noqa: F401  unused here; kept bound for the same reason
 )
-from .errors import PreconditionError, SpecFormatError, fraction_field, int_field, int_list
+from .errors import (
+    PreconditionError,
+    SpecFormatError,
+    fraction_field,
+    int_field,
+    int_list,
+    int_name,
+)
 from .lie_data import (
     A1,
     LieType,
@@ -303,6 +316,12 @@ def _least_degree(a1: bool, q: int, simple: bool, n: int) -> int:
     return q ** n
 
 
+def _grading(lie_type: LieType, q: int) -> Optional[int]:
+    """p for a factor past A1 over q = p^k: its dimensions are powers of q;
+    None on A1, whose degrees q +- 1 are not."""
+    return None if lie_type == A1 else prime_power(q)[0]
+
+
 def _simple_flag(obj: dict, default: str, pointer: str) -> bool:
     """The JSON `flag` field: True for "simple", False for "cover"."""
     flag = obj.get("flag", default)
@@ -323,7 +342,7 @@ class FactorSpec:
 
     def __post_init__(self):
         if prime_power(self.q) is None:
-            raise PreconditionError(f"q = {self.q} is not a prime power")
+            raise PreconditionError(f"q = {int_name(self.q)} is not a prime power")
         if tits_excluded(self.lie_type, self.q):
             raise PreconditionError(
                 f"{self.lie_type.label()}({self.q}) is Tits-excluded (not quasi-simple)"
@@ -333,8 +352,22 @@ class FactorSpec:
         if self.pairs is not None:
             _require_pairs(self.pairs, self.lie_type)
 
+    @classmethod
+    def _proven(cls, **fields) -> "FactorSpec":
+        """The factor of every field, each passed by name, without
+        __post_init__'s checks, for a caller that has proven each of them
+        already (GeometricStratum.factors_below)."""
+        if fields.keys() != cls.__dataclass_fields__.keys():
+            raise TypeError(f"FactorSpec._proven needs every field by name, got {sorted(fields)}")
+        f = object.__new__(cls)
+        f.__dict__.update(fields)
+        return f
+
     def pair_set(self) -> PairSet:
         return self.pairs if self.pairs is not None else canonical_pair_set(self.lie_type)
+
+    def grading(self) -> Optional[int]:
+        return _grading(self.lie_type, self.q)
 
     def min_nontrivial_dim(self, bound: Optional[int] = None) -> int:
         """The least nontrivial degree; bound + 1 for one the exponent alone
@@ -388,9 +421,19 @@ class FactorSpec:
         return cls(lt, q, _simple_flag(obj, "simple", pointer), mult, pairs)
 
 
+def _common(values) -> Optional[int]:
+    """The one value of values when they all agree and are not None; None
+    otherwise, and for no values at all."""
+    seen = set(values)
+    return seen.pop() if len(seen) == 1 else None
+
+
 @dataclass(frozen=True)
 class FiniteStratum:
     factors: Tuple[FactorSpec, ...]
+
+    def grading(self) -> Optional[int]:
+        return _common(f.grading() for f in self.factors)
 
     def factors_below(self, bound: int) -> List[Tuple[int, FactorSpec]]:
         dims = ((f.min_nontrivial_dim(bound), f) for f in self.factors)
@@ -430,6 +473,7 @@ class _Tower:
     when it outgrows every power)."""
 
     pairs: Optional[PairSet] = None
+    _factor = FactorSpec  # how factors_below builds each factor
 
     def pair_set(self) -> PairSet:
         return self.pairs if self.pairs is not None else canonical_pair_set(self.lie_type)
@@ -469,7 +513,13 @@ class _Tower:
             d = _least_degree(a1, q, self.simple, n)
             if d > bound:
                 return
-            yield d, FactorSpec(self.lie_type, q, self.simple, self.multiplicity(i), self.pairs)
+            yield d, self._factor(
+                lie_type=self.lie_type,
+                q=q,
+                simple=self.simple,
+                multiplicity=self.multiplicity(i),
+                pairs=self.pairs,
+            )
 
     def abscissa_rate(self) -> Tuple[str, Optional[Fraction]]:
         c = self.growth_constant()
@@ -496,10 +546,15 @@ class GeometricStratum(_Tower):
     simple: bool = True
     pairs: Optional[PairSet] = None
     skip: int = 0
+    # Every check of FactorSpec holds for each S(q^j) once it holds for the
+    # stratum: q^j is a power of the prime power q; only field sizes 2 and 3
+    # are Tits-excluded, and q^j >= 4 from j = 2 on; q^f(j) >= 1, since
+    # multiplicity(j) refuses f(j) < 0; the pair set is checked here.
+    _factor = FactorSpec._proven
 
     def __post_init__(self):
         if self.q < 2 or prime_power(self.q) is None:
-            raise PreconditionError(f"base field size {self.q} is not a prime power")
+            raise PreconditionError(f"base field size {int_name(self.q)} is not a prime power")
         if self.skip < 0:
             raise PreconditionError("skip must be >= 0")
         if self.pairs is not None:
@@ -526,6 +581,9 @@ class GeometricStratum(_Tower):
 
     def growth_constant(self) -> Optional[Fraction]:
         return self.exponents.rate()
+
+    def grading(self) -> Optional[int]:
+        return _grading(self.lie_type, self.q)
 
     def id_str(self) -> str:
         return f"geom({self.lie_type.label()},q={self.q})"
@@ -595,6 +653,9 @@ class PrimeStratum(_Tower):
 
     def growth_constant(self) -> int:
         return self.rate_exponent() + 1
+
+    def grading(self) -> None:
+        return None  # A1 over every prime
 
     def id_str(self) -> str:
         return f"primes(p>={self.p_min},E={self.mult_exponent})"
@@ -681,6 +742,9 @@ class DiagonalStratum:
     def abscissa_rate(self) -> Tuple[str, Optional[Fraction]]:
         return ("rational", self.rho)
 
+    def grading(self) -> Optional[int]:
+        return grading(st.stratum for st in self.stages)
+
     def count_exponent(self) -> Optional[Fraction]:
         return self.rho  # upper bound across the materialized and asserted tail
 
@@ -760,6 +824,12 @@ class GroupSpec:
         )
 
 
+def grading(strata: Iterable[Stratum]) -> Optional[int]:
+    """The prime p when every stratum is graded by p, so that every
+    dimension of their product is a power of p; None otherwise."""
+    return _common(s.grading() for s in strata)
+
+
 def with_flag(spec: GroupSpec, simple: bool) -> GroupSpec:
     """The same spec with every factor forced to the simple quotient or the
     cover view (the G vs G-tilde comparison)."""
@@ -820,12 +890,23 @@ def truncated_zeta(
     since the automatic backend reads every multiplicity before the first
     update and the order spans strata.
 
-    Cost: per factor, one validation (FactorSpec's checks, prime_power
-    among them: for a prime field size between 10^6 and 2.5 * 10^7 a gcd,
-    one square root and Miller-Rabin on two or three bases) and one call of
-    _factor_terms, with no per-factor series; its minimal dimension comes
-    with it from factors_below, which forms a tower index's field size once
-    for both.  A linear factor (M = 1 or min_dim^2 > N, as for every prime
+    A graded spec, one whose strata all answer grading() with one prime p
+    (towers and finite factors past A1 over powers of p, and diagonal
+    stages over them), keys the accumulator by the exponent e of p^e
+    instead: the same factors, sort and _factor_terms, the same sources
+    list, and the same updates in the same order through
+    dirichlet._mul_into_graded, so the output is the same to the bit.  A1
+    strata, prime strata and strata over several primes keep the dict
+    kernel.
+
+    Cost: per factor, one call of _factor_terms, with no per-factor
+    series, and, for a factor that a prime stratum or a finite stratum
+    builds, FactorSpec's checks (prime_power among them: for a prime field
+    size between 10^6 and 2.5 * 10^7 a gcd, one square root and
+    Miller-Rabin on two or three bases); a geometric tower proves them once
+    for all its factors.  Its minimal dimension comes with it from
+    factors_below, which forms a tower index's field size once for both.
+    A linear factor (M = 1 or min_dim^2 > N, as for every prime
     p > 2 sqrt(N) + 1 in the SL2-over-primes family) forms its terms
     C(M, 1) * x_f in one pass over the closed form or the pair set, with no
     mass identity summed.  Any other factor forms x_f the same way and one
@@ -833,12 +914,15 @@ def truncated_zeta(
     min_dim^k <= N, as one term, with no series, when x_f has one term at
     dims <= N (as on a one-pair set), and otherwise (the A1 degrees) with
     one series for x_f and one convolve per such power.  Then about
-    N * sum(|x_f| / min_dim(x_f)) dict updates for the product, for dense
-    and sparse (huge-N) cutoffs alike, each a multiply-add or, on the log
-    backend, a log-add written out in line with no call.  Every one of
-    them, in the binomial sums and in convolve too, runs through one
-    kernel, dirichlet._mul_into; the result series is made from the
-    accumulator dict with no merged copy on the exact backend.
+    N * sum(|x_f| / min_dim(x_f)) updates for the product, for dense and
+    sparse (huge-N) cutoffs alike, each a multiply-add or, on the log
+    backend, a log-add written out in line with no call; on a graded spec
+    each also adds two small exponents where the dict kernel multiplies two
+    dimensions of up to log2(N) bits, and the accumulator holds at most
+    floor(log_p N) + 1 keys.  Every one of them, in the binomial sums and in
+    convolve too, runs through one kernel, dirichlet._mul_into, or its
+    graded twin; the result series is made from the accumulator dict with
+    no merged copy on the exact backend.
     """
     if N < 1:
         raise PreconditionError("N must be >= 1")
@@ -851,17 +935,26 @@ def truncated_zeta(
     exact = backend == EXACT
     factors.sort(key=itemgetter(0))
 
-    acc = {1: 1 if exact else 0.0}
-    sources = [1]  # sorted keys of acc that the current factor can still reach
+    p = grading(spec.strata)
+    if p is None:
+        top, unit, kernel = N, 1, _mul_into
+    else:  # keys are exponents of p: 1 = p^0, and d1 * d2 <= N is e1 + e2 <= top
+        top, unit, kernel = floor_log(N, p), 0, _mul_into_graded
+    acc = {unit: 1 if exact else 0.0}
+    sources = [unit]  # sorted keys of acc that the current factor can still reach
     for min_dim, f in factors:
         x = _factor_terms(f, min_dim, N, backend)
-        bound = N // x[0][0]
+        if p is None:
+            bound = N // x[0][0]
+        else:
+            x = graded_terms(x, p)
+            bound = top - x[0][0]
         del sources[bisect_right(sources, bound):]
-        fresh = _mul_into(acc, acc, reversed(sources), x, N, exact, bound)
+        fresh = kernel(acc, acc, reversed(sources), x, top, exact, bound)
         if fresh:
             sources += fresh
             sources.sort()
-    return DirichletSeries(N, acc, backend)
+    return DirichletSeries(N, acc, backend) if p is None else GradedSeries(N, p, acc, backend)
 
 
 def m_n(spec: GroupSpec, n: int):

@@ -504,6 +504,23 @@ def test_unprovable_prime_q_is_a_precondition_error(capsys):
     assert "cannot prove" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "q, why",
+    [
+        (2 ** 11213 - 1, "cannot prove that 2814112013697373133393152... (11213 bits) is prime"),
+        (1009 ** 1009 * 1013, "q = 854665510060041286380509... (10079 bits) is not a prime power"),
+    ],
+    ids=["mersenne-11213", "1009^1009*1013"],
+)
+def test_a_huge_q_is_named_by_its_leading_digits_and_bits(capsys, q, why):
+    # a prime past every proof bound and a product of two primes, each over
+    # 10,000 bits (3,376 and 3,034 digits): the exit-3 message stays short
+    code = main(["zeta", "--group", "SL2", "--q", str(q), "--N", "10"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert why in err and len(err) < 250, err
+
+
 def test_unmaterializable_multiplicity_is_a_budget_exit(capsys):
     code = main(["construct", "diagonal", "--rho", "1000000", "--stages", "1", "--p", "5"])
     assert code == 4

@@ -1,0 +1,263 @@
+"""The graded kernel: series whose every dimension is a power of one prime p
+multiply on the exponents of p, with the dict kernel's updates in its order,
+so both kernels give the same series to the bit."""
+import functools
+import math
+import warnings
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repgrowth import char_tables, constructor, dirichlet, growth
+from repgrowth.constructor import build_diagonal, default_diagonal_targets
+from repgrowth.dirichlet import (
+    EXACT,
+    LOG,
+    BigPower,
+    DirichletSeries,
+    GradedSeries,
+    convolve,
+    floor_log,
+    graded_terms,
+)
+from repgrowth.errors import PreconditionError
+from repgrowth.growth import (
+    DiagonalStratum,
+    FactorSpec,
+    FiniteStratum,
+    GeometricStratum,
+    GroupSpec,
+    PolyExponent,
+    PrimeStratum,
+    TruncationWarning,
+    sl2_over_primes_spec,
+    truncated_zeta,
+)
+from repgrowth.lie_data import A1, LieType, PairSet, positive_root_count, tits_excluded
+
+GRADED_KINDS = (FactorSpec, FiniteStratum, GeometricStratum, DiagonalStratum)
+TYPES = (
+    LieType("A", 2),
+    LieType("A", 2, True),
+    LieType("B", 2),
+    LieType("G2"),
+    LieType("A", 3),
+    LieType("C", 3),
+)
+PRIMES = (2, 3, 5, 7)
+MOST_FACTORS = 12  # per tower or finite stratum below N, to bound each example's work
+
+
+def _valid_pairs(t: LieType):
+    """Every pair (m, n) that require_pair_set accepts for t."""
+    rk, pos = t.rank, positive_root_count(t)
+    return [(m, n) for m in range(rk + 1) for n in range(1, pos + 1) if m * pos <= n * rk]
+
+
+@functools.cache
+def _diagonal(p: int) -> DiagonalStratum:
+    spec, _ = build_diagonal(Fraction(2), default_diagonal_targets(Fraction(2), 3, p))
+    return spec.strata[0]
+
+
+@st.composite
+def _pair_sets(draw, t: LieType):
+    if draw(st.booleans()):
+        return None  # the canonical set
+    pairs = draw(st.sets(st.sampled_from(_valid_pairs(t)), min_size=1, max_size=3))
+    return PairSet(pairs)
+
+
+@st.composite
+def graded_cases(draw):
+    """(spec, N): one to three strata graded by one prime p (towers of rank
+    >= 2 over q = p^k, finite factors past A1 over powers of p, a diagonal
+    over p), and a dense N <= 3000 or a sparse N up to about 2^2000; each
+    field exponent k is large enough that at most MOST_FACTORS factors of a
+    stratum lie below N."""
+    p = draw(st.sampled_from(PRIMES))
+    sparse = draw(st.booleans())
+    top = draw(st.integers(8, 2000 if sparse else 11))  # log2 of N, about
+    D = int(top / math.log2(p))
+    if not sparse:
+        N = draw(st.integers(2, 3000))
+        D = floor_log(N, p)
+    k_min = max(1, -(-D // MOST_FACTORS))
+    strata = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["tower", "finite", "diagonal"] if D <= 60 else ["tower", "finite"]))
+        if kind == "diagonal":
+            strata.append(_diagonal(p))
+            continue
+        t = draw(st.sampled_from(TYPES))
+        pairs = draw(_pair_sets(t))
+        if kind == "tower":
+            q = p ** draw(st.integers(k_min, k_min + 3))
+            rule = PolyExponent((draw(st.integers(0, 3)), draw(st.integers(0, 2))))
+            skip = 1 if tits_excluded(t, q) else draw(st.integers(0, 2))
+            strata.append(GeometricStratum(t, q, rule, draw(st.booleans()), pairs, skip))
+            continue
+        factors = []
+        for _ in range(draw(st.integers(1, 3))):
+            q = p ** draw(st.integers(k_min, k_min + 3))
+            if tits_excluded(t, q):
+                q *= p
+            M = draw(st.one_of(st.integers(1, 10 ** 6), st.builds(BigPower, st.just(p), st.integers(0, 400))))
+            factors.append(FactorSpec(t, q, draw(st.booleans()), M, pairs))
+        strata.append(FiniteStratum(tuple(factors)))
+    if sparse:
+        e = draw(st.integers(max(1, D - 40), D))
+        N = draw(st.integers(p ** e, p ** (e + 1) - 1))
+    return GroupSpec(tuple(strata)), N
+
+
+def _both_kernels(spec, N, backend):
+    """truncated_zeta as is and with every stratum's grading() None."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)  # N past a diagonal's horizon
+        graded = truncated_zeta(spec, N, backend=backend)
+        with pytest.MonkeyPatch.context() as mp:
+            for cls in GRADED_KINDS:
+                mp.setattr(cls, "grading", lambda self: None)
+            plain = truncated_zeta(spec, N, backend=backend)
+    return graded, plain
+
+
+@settings(max_examples=100, deadline=None)
+@given(graded_cases(), st.sampled_from([EXACT, LOG]))
+def test_graded_and_dict_kernels_give_the_same_bytes(case, backend):
+    spec, N = case
+    graded, plain = _both_kernels(spec, N, backend)
+    p = growth.grading(spec.strata)
+    assert p is not None and graded.grading == p and plain.grading is None
+    assert graded.to_json().encode() == plain.to_json().encode()
+    assert [(p ** e, m) for e, m in zip(graded.exps, graded.mults)] == list(plain.items())
+
+
+def _forbid_graded_kernel(mp):
+    def refuse(*args):
+        raise AssertionError("entered the graded kernel")
+
+    mp.setattr(growth, "_mul_into_graded", refuse)
+    mp.setattr(dirichlet, "_mul_into_graded", refuse)
+
+
+def _a1_and_mixed_specs():
+    a2 = LieType("A", 2)
+    sched = constructor.make_schedule(Fraction(2), a2)
+    yield sl2_over_primes_spec(3)
+    yield GroupSpec((GeometricStratum(A1, 5, constructor.make_schedule(Fraction(2), A1)),))
+    yield GroupSpec((FiniteStratum((FactorSpec(a2, 4), FactorSpec(A1, 8))),))
+    yield GroupSpec((GeometricStratum(a2, 5, sched), FiniteStratum((FactorSpec(a2, 7),))))
+    yield GroupSpec((GeometricStratum(a2, 4, sched), GeometricStratum(a2, 9, sched)))
+    yield GroupSpec((GeometricStratum(a2, 5, sched), PrimeStratum(7, 1)))
+    yield GroupSpec((FiniteStratum(()),))
+
+
+@pytest.mark.parametrize("backend", [EXACT, LOG])
+def test_a1_and_mixed_prime_specs_never_enter_the_graded_kernel(backend):
+    with pytest.MonkeyPatch.context() as mp:
+        _forbid_graded_kernel(mp)
+        for spec in _a1_and_mixed_specs():
+            assert growth.grading(spec.strata) is None
+            series = truncated_zeta(spec, 10 ** 4, backend=backend)
+            assert series.grading is None
+
+
+@pytest.mark.parametrize(
+    "targets",
+    [
+        [(Fraction(3, 2), A1, 5), (Fraction(7, 4), LieType("A", 2), 5)],
+        [(Fraction(3, 2), LieType("A", 2), 5), (Fraction(7, 4), LieType("A", 3), 7)],
+    ],
+    ids=["a1-first", "two-primes"],
+)
+def test_products_with_an_a1_stage_or_two_primes_take_the_dict_kernel(monkeypatch, targets):
+    # each stage past A1 is graded alone, but a product with an A1 stage or
+    # with a stage over another prime is not, so convolve takes the dict kernel
+    products = []
+    real = constructor.convolve
+    monkeypatch.setattr(constructor, "convolve", lambda *a: products.append(real(*a)) or products[-1])
+    _, cert = build_diagonal(Fraction(2), targets)
+    assert cert.complete and products
+    assert all(s.grading is None for s in products)
+
+
+def test_a_graded_build_forms_its_products_on_exponents(monkeypatch):
+    # the control for the test above: the same patch stops a graded build
+    with pytest.MonkeyPatch.context() as mp:
+        _forbid_graded_kernel(mp)
+        with pytest.raises(AssertionError, match="graded kernel"):
+            build_diagonal(Fraction(2), default_diagonal_targets(Fraction(2), 2, 5))
+    calls = []
+    real = dirichlet._mul_into_graded
+    monkeypatch.setattr(dirichlet, "_mul_into_graded", lambda *a: calls.append(1) or real(*a))
+    _, cert = build_diagonal(Fraction(2), default_diagonal_targets(Fraction(2), 3, 5))
+    assert cert.complete and calls  # convolve took the graded kernel
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(PRIMES),
+    st.dictionaries(st.integers(0, 300), st.integers(1, 10 ** 30), min_size=1, max_size=12),
+    st.dictionaries(st.integers(1, 300), st.integers(1, 10 ** 30), min_size=1, max_size=12),
+    st.integers(0, 400),
+    st.sampled_from([EXACT, LOG]),
+)
+def test_graded_convolve_is_the_dict_convolve(p, a, b, e, backend):
+    N = p ** e + p ** e // 3
+    top = floor_log(N, p)
+    a = {k: v for k, v in a.items() if k <= top} or {0: 1}
+    b = {k: v for k, v in b.items() if k <= top} or {0: 1}
+    ga, gb = GradedSeries(N, p, a, EXACT), GradedSeries(N, p, b, EXACT)
+    if backend == LOG:
+        ga, gb = (GradedSeries(N, p, {k: math.log(v) for k, v in s.items()}, LOG) for s in (a, b))
+    da, db = (DirichletSeries(N, list(s.items()), backend) for s in (ga, gb))
+    assert ga == da and gb == db
+    M = max(1, N // p)
+    got, want = convolve(ga, gb, M), convolve(da, db, M)
+    assert got.grading == p and want.grading is None
+    assert got.to_json() == want.to_json()
+    assert convolve(ga, db, M).grading is None  # one plain operand: the dict kernel
+
+
+def test_prefix_keeps_the_grading_and_slices_the_exponents():
+    s = GradedSeries(5 ** 40, 5, {0: 1, 3: 7, 10: 2, 40: 9})
+    cut = s.prefix(5 ** 10 + 1)
+    assert cut.grading == 5 and cut.exps == (0, 3, 10)
+    assert cut == DirichletSeries(5 ** 10 + 1, {1: 1, 125: 7, 5 ** 10: 2})
+    plain = DirichletSeries(100, {1: 1, 7: 2, 99: 3}).prefix(50)
+    assert type(plain) is DirichletSeries and plain == DirichletSeries(50, {1: 1, 7: 2})
+    with pytest.raises(PreconditionError):
+        s.prefix(5 ** 41)
+    with pytest.raises(PreconditionError, match="past the cutoff"):
+        GradedSeries(5 ** 3, 5, {4: 1})
+
+
+@pytest.mark.parametrize("p", PRIMES + (1009, 2 ** 61 - 1))
+def test_floor_log_and_graded_terms_are_exact(p):
+    for e in list(range(0, 60)) + [1000, 4000]:
+        x = p ** e
+        for N in {x, x + 1, x * p - 1} - {x * p}:
+            assert floor_log(N, p) == e
+        assert floor_log(x * p, p) == e + 1
+        assert graded_terms([(x, 1)], p) == [(e, 1)]
+
+
+def test_tower_factors_reuse_the_stratum_proof(monkeypatch):
+    # a geometric tower builds each S(q^j) without prime_power; the public
+    # FactorSpec and a prime stratum's factors keep the check
+    tower = GeometricStratum(LieType("A", 2), 25, PolyExponent((1, 1)))
+    calls = []
+    real = char_tables.prime_power
+    monkeypatch.setattr(growth, "prime_power", lambda q: calls.append(q) or real(q))
+    walked = list(tower.factors_below(25 ** 30))
+    assert len(walked) == 10 and calls == []
+    assert [f for _, f in walked] == [tower.factor_at(j) for j in range(1, 11)]
+    assert len(calls) == 10  # factor_at builds the public FactorSpec
+    calls.clear()
+    assert len(list(PrimeStratum(5, 1).factors_below(100))) == len(calls) > 0
+    with pytest.raises(PreconditionError, match="not a prime power"):
+        FactorSpec(LieType("A", 2), 10)
