@@ -9,6 +9,7 @@ the headline statements need.  Round-half-up is fixed for reproducibility.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -157,24 +158,30 @@ class DiagonalCertificate:
         }
 
 
-def _slope_cmp(R: int, n: int, tau: Fraction) -> int:
-    """The sign of log R / log n - tau for n >= 2, decided exactly by
-    comparing R^den with n^num; 1 when tau < 0, where the slope of a count
-    R >= 1 cannot fall below it."""
+def _slope_test(tau: Fraction, strict: bool):
+    """test(R, n): whether log R / log n > tau when strict, >= tau
+    otherwise, for a count R >= 1 and n >= 2, decided exactly by comparing
+    R^den with n^num, tau = num/den.  Formed once per scan, so that no
+    Fraction operation runs per entry: tau < 0 is settled here, since the
+    slope of a count R >= 1 is never negative, and num and den are plain
+    ints."""
     if tau < 0:
-        return 1
-    a, b = R ** tau.denominator, n ** tau.numerator
-    return (a > b) - (a < b)
+        return lambda R, n: True
+    num, den = tau.numerator, tau.denominator
+    if strict:
+        return lambda R, n: R ** den > n ** num
+    return lambda R, n: R ** den >= n ** num
 
 
 def _first_past(series: DirichletSeries, n_prev: int, test) -> Tuple[Optional[int], int]:
     """The first dimension d > n_prev of series with test(R_d, d), R_d the
     running count of the entries at dims <= d, and R_d there; (None, the
     total count) when there is none."""
-    running = 0
-    for d, mult in series.items():
+    i = bisect_right(series.dims, n_prev)
+    running = sum(series.mults[:i])
+    for d, mult in zip(series.dims[i:], series.mults[i:]):
         running += mult
-        if d > n_prev and test(running, d):
+        if test(running, d):
             return d, running
     return None, running
 
@@ -236,13 +243,19 @@ def build_diagonal(
     product run on the exponents of p (dirichlet.GradedSeries and
     _mul_into_graded) instead of on dimensions of hundreds of bits, with
     the dict kernel's updates in its order: the same series, the same
-    certificate.  An A1 stage, or stages over two primes, keep the dict
-    kernel for every product they enter.
+    certificate.  Each factor's terms are formed on those exponents too,
+    from the k of q = p^k each stage stratum proved when it was built, and
+    no dimension is formed for them.  An A1 stage, or stages over two
+    primes, keep the dict kernel for every product they enter.  A stage
+    stratum's hash is formed once, when it is built, so a memo lookup
+    hashes no Fraction of its schedule.
 
     Both scans look for their first hit above n(m-1) on prefixes at
     C = max(n(m-1), 2)^2, squared at each step (the sweep caps C at its
     window): entries <= C do not depend on the cutoff, so the hit is the
-    one a full-cutoff scan finds.
+    one a full-cutoff scan finds.  Each scan forms its slope test once
+    (_slope_test), so no Fraction operation runs per entry, and starts its
+    running count past n(m-1) with one sum.
     """
     rho = Fraction(rho)
     if n_budget < 0:
@@ -276,8 +289,11 @@ def build_diagonal(
             raise BudgetExceededError(f"work budget {n_budget} exhausted", partial=partial)
         return s
 
-    def scan(strata: tuple, test, cap: Optional[int] = None):
-        """_first_past on the union's prefixes up to cap (unbounded when None)."""
+    def scan(strata: tuple, tau: Fraction, strict: bool, cap: Optional[int] = None):
+        """_first_past on the union's prefixes up to cap (unbounded when
+        None): the first d > n(m-1) whose slope passes tau, strictly when
+        strict, and the count there."""
+        test = _slope_test(tau, strict)
         C = max(n_prev, 2) ** 2
         while True:
             if cap is not None:
@@ -307,7 +323,7 @@ def build_diagonal(
             union = (*built, stratum)
             onset = stratum.min_dim_at(skip + 1)
             sweep_N = stratum.with_simple(True).min_dim_at(max(skip + 4, j_star))
-            violation, _ = scan(union, lambda R, d: _slope_cmp(R, d, rho) > 0, sweep_N)
+            violation, _ = scan(union, rho, True, sweep_N)
             if violation is None:
                 break
             if violation >= onset:
@@ -351,7 +367,7 @@ def build_diagonal(
 
         # (iii): first checkpoint above n(m-1) with slope >= rho_m - 1/m
         target = rho_m - Fraction(1, m)
-        n_m, running = scan(shown, lambda R, d: _slope_cmp(R, d, target) >= 0)
+        n_m, running = scan(shown, target, False)
         slope_val = math.log(running) / math.log(n_m) if n_m > 1 else 0.0
         checks.append(
             CheckRecord(

@@ -15,9 +15,11 @@ import sys
 from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple, Union
+from itertools import accumulate, repeat
+from operator import add, mul, sub
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from .errors import PreconditionError, ReportedError
+from .errors import PreconditionError, ReportedError, int_name
 
 EXACT = "exact"
 LOG = "log"
@@ -43,13 +45,6 @@ def max_str_digits() -> int:
     or its default 4300 where there is none or it is off, so that the
     default bounds the work."""
     return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
-
-
-def _int_name(n: int) -> str:
-    try:
-        return str(n)
-    except ValueError:  # more digits than str() prints
-        return f"<{n.bit_length()}-bit integer>"
 
 
 @dataclass(frozen=True)
@@ -85,9 +80,9 @@ class BigPower:
         return v
 
     def _name(self) -> str:
-        """base**exponent, for messages; an operand past str()'s digit limit
-        is named by its bit length."""
-        return "**".join(map(_int_name, (self.base, self.exponent)))
+        """base**exponent, for messages, each operand as errors.int_name
+        names it."""
+        return "**".join(map(int_name, (self.base, self.exponent)))
 
     def to_int(self) -> int:
         if self.bits() > MAX_MATERIALIZE_BITS:
@@ -168,25 +163,33 @@ class DirichletSeries:
 
     def _init_exact_dict(self, cutoff: int, entries: dict) -> bool:
         """Set up from a dict of exact entries without a merged copy: its
-        keys are distinct, so nothing merges.  Each entry is checked in the
-        order __init__ checks it; returns False, setting nothing, at the
-        first multiplicity that is not a positive plain int, so that the
-        merging path raises the same error (or turns an int subclass such as
-        True into a plain int)."""
-        dims = []
-        for d, m in entries.items():
-            if d < 1:
-                raise PreconditionError(f"dimension {d} is not a positive integer")
-            if d > cutoff:
-                continue
-            if type(m) is not int or m <= 0:
+        keys are distinct, so nothing merges.  The checks run on whole
+        sequences at C level, the sorted keys' ends against 1 and the cutoff,
+        then the kept values (see _init_sorted); returns False, setting
+        nothing, where one fails, so that the merging path raises its error
+        in its order."""
+        try:
+            dims = sorted(entries)
+            if dims and dims[0] < 1:
                 return False
-            dims.append(d)
-        dims.sort()
+        except TypeError:  # keys that do not compare with each other or with 1
+            return False
+        del dims[bisect_right(dims, cutoff):]  # truncation silently discards
+        return self._init_sorted(cutoff, EXACT, tuple(dims), tuple(map(entries.__getitem__, dims)))
+
+    def _init_sorted(self, cutoff: int, backend: str, dims: tuple, mults: tuple) -> bool:
+        """Set up from dims sorted, distinct and in [1, cutoff] and their
+        multiplicities, when these are exact and each a positive plain int:
+        the type set and the minimum are checked, with no loop in Python.
+        Returns False, setting nothing, otherwise (the log backend, a
+        nonpositive value, a float, an int subclass such as True, which the
+        merging path turns into a plain int)."""
+        if backend != EXACT or not {int}.issuperset(map(type, mults)) or min(mults, default=1) < 1:
+            return False
         object.__setattr__(self, "cutoff", cutoff)
         object.__setattr__(self, "backend", EXACT)
-        object.__setattr__(self, "_dims", tuple(dims))
-        object.__setattr__(self, "_mults", tuple(map(entries.__getitem__, dims)))
+        object.__setattr__(self, "_dims", dims)
+        object.__setattr__(self, "_mults", mults)
         return True
 
     def __setattr__(self, name, value):  # immutable
@@ -300,17 +303,22 @@ class GradedSeries(DirichletSeries):
 
     def __init__(self, cutoff: int, p: int, entries: dict, backend: str = EXACT):
         """entries: {e: multiplicity} on exponents e <= floor_log(cutoff, p),
-        checked as DirichletSeries checks its entries; each dimension p^e is
-        formed from the one before it."""
+        checked as DirichletSeries checks its entries.  The dimensions p^e
+        are the running products of the steps p^(e - e_prev), formed in C
+        with no dict of dimensions.  Exact counts that are positive plain
+        ints, on exponents from 0 up to the cutoff, are kept as they are
+        (DirichletSeries._init_sorted); any other entries go through the
+        merging path of DirichletSeries, which raises its errors."""
         exps = sorted(entries)
-        dims, d, prev = {}, 1, 0
-        for e in exps:
-            d *= p ** (e - prev)
-            prev = e
-            dims[d] = entries[e]
-        super().__init__(cutoff, dims, backend)
-        if len(self) != len(exps):
-            raise PreconditionError(f"an exponent of {p} puts a dimension past the cutoff {cutoff}")
+        dims = tuple(accumulate(map(pow, repeat(p), map(sub, exps, [0, *exps])), mul))
+        mults = tuple(map(entries.__getitem__, exps))
+        in_range = not exps or (exps[0] >= 0 and dims[-1] <= cutoff)
+        if not (cutoff >= 1 and in_range and self._init_sorted(cutoff, backend, dims, mults)):
+            super().__init__(cutoff, zip(dims, mults), backend)
+            if len(self) != len(exps):
+                raise PreconditionError(
+                    f"an exponent of {p} puts a dimension past the cutoff {cutoff}"
+                )
         object.__setattr__(self, "grading", p)
         object.__setattr__(self, "exps", tuple(exps))
 
@@ -432,14 +440,6 @@ def floor_log(N: int, p: int) -> int:
     return e
 
 
-def graded_terms(terms, p: int) -> List[Tuple[int, object]]:
-    """(e, m) for each (p^e, m) of terms, every dimension a power of p:
-    log(p^e) / log(p) in floats is within far less than 1/2 of e for any e
-    an int in memory can reach, so rounding it gives e exactly."""
-    lp = math.log(p)
-    return [(round(math.log(d) / lp), m) for d, m in terms]
-
-
 def convolve(s1: DirichletSeries, s2: DirichletSeries, N: int) -> DirichletSeries:
     """Dirichlet product truncated at N: entry at d is sum over d1*d2 = d.
 
@@ -482,23 +482,37 @@ def _log_binomial(M: Multiplicity, k: int) -> float:
     return math.fsum(math.log(M - i) - math.log(i + 1.0) for i in range(k))
 
 
-def _power_terms(x: List[Tuple[int, object]], M: Multiplicity, N: int, backend: str):
+def _power_terms(
+    x: List[Tuple[int, object]],
+    M: Multiplicity,
+    N: int,
+    backend: str,
+    p: Optional[int] = None,
+    top: Optional[int] = None,
+):
     """The entries of (1 + x)^M - 1 at dims <= N, sorted by dimension, for x
-    a sorted list of (dim, mult) pairs on distinct dims in [2, N].
+    a sorted list of (dim, mult) pairs on distinct dims in [2, N].  Given a
+    prime p and top = floor_log(N, p), every dimension is a power p^e and
+    is keyed by its exponent e instead, in x and in the result, so that a
+    product of two terms adds their keys where it would multiply them: the
+    same terms in the same order, and the same bits, as convolve dispatches.
 
     x^k starts at min_dim(x)^k, so only the powers with min_dim(x)^k <= N
     contribute, at most log2(N) of them.  For a one-term x = (d, m) each
     power is the one term (d^k, m^k), m^k on the log backend the running
     sum m + ... + m that convolve would form; for a longer x each one from
-    k = 2 on is one convolve.  When M = 1 or min_dim(x)^2 > N the loop adds
-    C(M, 1) * x once and stops.  The exact backend uses exact binomials, the
-    log backend the identity log C(M,k) = sum_{i<k} log((M-i)/(i+1)).
+    k = 2 on is one convolve.  Each power's terms, times C(M, k), are added
+    into the result in line, as _mul_into would add them, a log-add being
+    _logaddexp.  When M = 1 or min_dim(x)^2 > N the loop adds C(M, 1) * x
+    once and stops.  The exact backend uses exact binomials, the log
+    backend the identity log C(M,k) = sum_{i<k} log((M-i)/(i+1)).
     """
     if not x:
         return []
     exact = backend == EXACT
     Mi = mult_to_int(M) if exact else None
-    d0 = x[0][0]
+    times, stop = (mul, N) if p is None else (add, top)
+    d0 = start = x[0][0]  # start: the least key of x^k
     out: Dict[int, object] = {}
     terms = x
     xs = xk = None
@@ -507,18 +521,22 @@ def _power_terms(x: List[Tuple[int, object]], M: Multiplicity, N: int, backend: 
         c = math.comb(Mi, k) if exact else _log_binomial(M, k)
         if c == (0 if exact else float("-inf")):
             break
-        _mul_into(out, {1: c}, (1,), terms, N, exact)
+        for d, m in terms:
+            v = c * m if exact else c + m
+            prev = out.get(d)
+            out[d] = v if prev is None else (prev + v if exact else _logaddexp(prev, v))
         k += 1
-        if (isinstance(M, int) and k > M) or d0 ** k > N:
+        start = times(start, d0)
+        if (isinstance(M, int) and k > M) or start > stop:
             break
-        if len(x) == 1:
-            (dk, mk), (_, m0) = terms[0], x[0]
-            terms = [(dk * d0, mk * m0 if exact else mk + m0)]
+        if len(x) == 1:  # x^k is the one term at start
+            (_, mk), (_, m0) = terms[0], x[0]
+            terms = [(start, mk * m0 if exact else mk + m0)]
             continue
         if xs is None:
-            xs = xk = DirichletSeries(N, x, backend)
+            xs = xk = GradedSeries(N, p, dict(x), backend) if p else DirichletSeries(N, x, backend)
         xk = convolve(xk, xs, N)
-        terms = xk.items()
+        terms = zip(xk.exps, xk.mults) if p else xk.items()
     return sorted(out.items())
 
 

@@ -29,7 +29,7 @@ import math
 import sys
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -49,7 +49,6 @@ from .dirichlet import (
     _mul_into_graded,
     _power_terms,
     floor_log,
-    graded_terms,
     convolve,  # noqa: F401  unused here; kept so growth.convolve stays bound (bench/tests)
     mult_bits,
     mult_log,
@@ -316,10 +315,16 @@ def _least_degree(a1: bool, q: int, simple: bool, n: int) -> int:
     return q ** n
 
 
-def _grading(lie_type: LieType, q: int) -> Optional[int]:
-    """p for a factor past A1 over q = p^k: its dimensions are powers of q;
-    None on A1, whose degrees q +- 1 are not."""
-    return None if lie_type == A1 else prime_power(q)[0]
+def _is_a1(t: LieType) -> bool:
+    """t == A1, by identity first: the factors of A1 towers and prime strata
+    carry the A1 object itself, and the dataclass __eq__ costs a call."""
+    return t is A1 or t == A1
+
+
+def _grading(lie_type: LieType, pk: Tuple[int, int]) -> Optional[int]:
+    """p for a factor past A1 over q = p^k, pk = (p, k): its dimensions are
+    powers of q; None on A1, whose degrees q +- 1 are not."""
+    return None if _is_a1(lie_type) else pk[0]
 
 
 def _simple_flag(obj: dict, default: str, pointer: str) -> bool:
@@ -339,10 +344,13 @@ class FactorSpec:
     simple: bool = True
     multiplicity: Multiplicity = 1
     pairs: Optional[PairSet] = None
+    _pk: Tuple[int, int] = field(init=False, repr=False, compare=False)  # q = p^k as (p, k)
 
     def __post_init__(self):
-        if prime_power(self.q) is None:
+        pk = prime_power(self.q)
+        if pk is None:
             raise PreconditionError(f"q = {int_name(self.q)} is not a prime power")
+        object.__setattr__(self, "_pk", pk)
         if tits_excluded(self.lie_type, self.q):
             raise PreconditionError(
                 f"{self.lie_type.label()}({self.q}) is Tits-excluded (not quasi-simple)"
@@ -354,9 +362,9 @@ class FactorSpec:
 
     @classmethod
     def _proven(cls, **fields) -> "FactorSpec":
-        """The factor of every field, each passed by name, without
-        __post_init__'s checks, for a caller that has proven each of them
-        already (GeometricStratum.factors_below)."""
+        """The factor of every field, each passed by name, _pk = (p, k) with
+        q = p^k among them, without __post_init__'s checks, for a caller
+        that has proven each of them already (GeometricStratum._factor)."""
         if fields.keys() != cls.__dataclass_fields__.keys():
             raise TypeError(f"FactorSpec._proven needs every field by name, got {sorted(fields)}")
         f = object.__new__(cls)
@@ -367,17 +375,22 @@ class FactorSpec:
         return self.pairs if self.pairs is not None else canonical_pair_set(self.lie_type)
 
     def grading(self) -> Optional[int]:
-        return _grading(self.lie_type, self.q)
+        return _grading(self.lie_type, self._pk)
 
     def min_nontrivial_dim(self, bound: Optional[int] = None) -> int:
         """The least nontrivial degree; bound + 1 for one the exponent alone
         puts above a given bound (see _min_dim)."""
         return _min_dim(self.lie_type, self.q, self.simple, self.pairs, bound=bound)
 
-    def x_terms(self, N: int, backend: str) -> List[Tuple[int, object]]:
+    def x_terms(self, N: int, backend: str, top: Optional[int] = None) -> List[Tuple[int, object]]:
         """The terms (dim, mult) of x_f = zeta_f - 1 at dims 2..N, sorted by
-        dimension; natural-log multiplicities on the log backend."""
-        if self.lie_type == A1:
+        dimension; natural-log multiplicities on the log backend.  Given
+        top = floor_log(N, p) for a factor past A1 over q = p^k, each term
+        is keyed by the exponent of its dimension p^e instead, the pair
+        (m, n) at e = k*n, with no dimension formed (xi_terms)."""
+        if top is not None:
+            terms = sorted(xi_terms(self.pair_set(), self.q, top, self._pk[1]).items())
+        elif _is_a1(self.lie_type):
             terms = [(d, m) for d, m in a1_terms(self.q, self.simple)[1:] if m and d <= N]
         else:
             terms = sorted(xi_terms(self.pair_set(), self.q, N).items())
@@ -473,7 +486,6 @@ class _Tower:
     when it outgrows every power)."""
 
     pairs: Optional[PairSet] = None
-    _factor = FactorSpec  # how factors_below builds each factor
 
     def pair_set(self) -> PairSet:
         return self.pairs if self.pairs is not None else canonical_pair_set(self.lie_type)
@@ -487,6 +499,11 @@ class _Tower:
         exponents alone put above a given bound (see _min_dim)."""
         q, e = self.field(i)
         return _min_dim(self.lie_type, q, self.simple, self.pairs, e, bound)
+
+    def _factor(self, q: int, e: int, multiplicity: Multiplicity) -> FactorSpec:
+        """The factor that factors_below yields at the field size q = q_i^e,
+        formed: a FactorSpec, with its checks."""
+        return FactorSpec(self.lie_type, q, self.simple, multiplicity, self.pairs)
 
     @staticmethod
     def _power(base: int, e: int) -> Multiplicity:
@@ -502,7 +519,7 @@ class _Tower:
         """(min_dim_at(i, bound), factor_at(i)) along the indices while the
         degree is <= bound, from one field(i) per index: q^e is formed once
         and serves both."""
-        a1 = self.lie_type == A1
+        a1 = _is_a1(self.lie_type)
         n = self.n_min()
         cap = bound.bit_length() + 1
         for i in self.indices():
@@ -513,13 +530,7 @@ class _Tower:
             d = _least_degree(a1, q, self.simple, n)
             if d > bound:
                 return
-            yield d, self._factor(
-                lie_type=self.lie_type,
-                q=q,
-                simple=self.simple,
-                multiplicity=self.multiplicity(i),
-                pairs=self.pairs,
-            )
+            yield d, self._factor(q, e, self.multiplicity(i))
 
     def abscissa_rate(self) -> Tuple[str, Optional[Fraction]]:
         c = self.growth_constant()
@@ -546,15 +557,14 @@ class GeometricStratum(_Tower):
     simple: bool = True
     pairs: Optional[PairSet] = None
     skip: int = 0
-    # Every check of FactorSpec holds for each S(q^j) once it holds for the
-    # stratum: q^j is a power of the prime power q; only field sizes 2 and 3
-    # are Tits-excluded, and q^j >= 4 from j = 2 on; q^f(j) >= 1, since
-    # multiplicity(j) refuses f(j) < 0; the pair set is checked here.
-    _factor = FactorSpec._proven
+    _pk: Tuple[int, int] = field(init=False, repr=False, compare=False)  # q = p^k as (p, k)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.q < 2 or prime_power(self.q) is None:
+        pk = prime_power(self.q) if self.q >= 2 else None
+        if pk is None:
             raise PreconditionError(f"base field size {int_name(self.q)} is not a prime power")
+        object.__setattr__(self, "_pk", pk)
         if self.skip < 0:
             raise PreconditionError("skip must be >= 0")
         if self.pairs is not None:
@@ -566,6 +576,30 @@ class GeometricStratum(_Tower):
                 f"first factor {self.lie_type.label()}({self.q}) is Tits-excluded; "
                 "bump q or the skip prefix"
             )
+        fields = (self.lie_type, self.q, self.exponents, self.simple, self.pairs, self.skip)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        """The dataclass hash of the compared fields, formed once when the
+        stratum is built: build_diagonal's memo hashes tuples of stage
+        strata on every lookup, and a Schedule hashes two Fractions."""
+        return self._hash
+
+    def _factor(self, q: int, e: int, multiplicity: Multiplicity) -> FactorSpec:
+        """S(q^e)^multiplicity over the stratum's q = p^k, with no check run
+        again: every check of FactorSpec holds for each S(q^j) once it holds
+        for the stratum.  q^j = p^(k*j); only field sizes 2 and 3 are
+        Tits-excluded, and q^j >= 4 from j = 2 on; q^f(j) >= 1, since
+        multiplicity(j) refuses f(j) < 0; the pair set is checked here."""
+        p, k = self._pk
+        return FactorSpec._proven(
+            lie_type=self.lie_type,
+            q=q,
+            simple=self.simple,
+            multiplicity=multiplicity,
+            pairs=self.pairs,
+            _pk=(p, k * e),
+        )
 
     def indices(self) -> Iterator[int]:
         return itertools.count(self.skip + 1)
@@ -583,7 +617,7 @@ class GeometricStratum(_Tower):
         return self.exponents.rate()
 
     def grading(self) -> Optional[int]:
-        return _grading(self.lie_type, self.q)
+        return _grading(self.lie_type, self._pk)
 
     def id_str(self) -> str:
         return f"geom({self.lie_type.label()},q={self.q})"
@@ -849,21 +883,32 @@ def _contributions(spec: GroupSpec, bound: int) -> Iterator[Tuple[int, FactorSpe
         yield from s.factors_below(bound)
 
 
-def _factor_terms(f: FactorSpec, min_dim: int, N: int, backend: str) -> list:
+def _factor_terms(
+    f: FactorSpec, min_dim: int, N: int, backend: str, top: Optional[int] = None
+) -> list:
     """The terms of (1 + x_f)^M - 1 at dims <= N, M = f.multiplicity and
     min_dim <= N where x_f starts: _power_terms(f.x_terms(N, backend), M,
     N, backend), bit for bit.  A linear factor of any type (M = 1 or
     min_dim^2 > N, so the terms are C(M, 1) * x_f) scales the exact terms
-    of x_f in one pass, over a1_terms on A1 with no x_f list formed."""
+    of x_f in one pass, over a1_terms on A1 with no x_f list formed.  Given
+    top = floor_log(N, p) on a spec graded by p, every term is keyed by the
+    exponent of its dimension instead: x_f's from the pairs
+    (FactorSpec.x_terms), each power's by adding them (_power_terms given
+    p), the same multiplicities in the same order."""
     M = f.multiplicity
+    p = None if top is None else f._pk[0]  # a graded factor is past A1
     if M != 1 and min_dim * min_dim <= N:
-        return _power_terms(f.x_terms(N, backend), M, N, backend)
-    terms = a1_terms(f.q, f.simple)[1:] if f.lie_type == A1 else f.x_terms(N, EXACT)
+        return _power_terms(f.x_terms(N, backend, top), M, N, backend, p, top)
+    if p is None and _is_a1(f.lie_type):
+        terms = a1_terms(f.q, f.simple)[1:]
+    else:
+        terms = f.x_terms(N, EXACT, top)
+    stop = N if p is None else top
     if backend == EXACT:
         Mi = mult_to_int(M)
-        return [(d, Mi * m) for d, m in terms if m and d <= N]
+        return [(d, Mi * m) for d, m in terms if m and d <= stop]
     lc = _log_binomial(M, 1)
-    return [(d, lc + math.log(m)) for d, m in terms if m and d <= N]
+    return [(d, lc + math.log(m)) for d, m in terms if m and d <= stop]
 
 
 def truncated_zeta(
@@ -893,11 +938,15 @@ def truncated_zeta(
     A graded spec, one whose strata all answer grading() with one prime p
     (towers and finite factors past A1 over powers of p, and diagonal
     stages over them), keys the accumulator by the exponent e of p^e
-    instead: the same factors, sort and _factor_terms, the same sources
-    list, and the same updates in the same order through
-    dirichlet._mul_into_graded, so the output is the same to the bit.  A1
-    strata, prime strata and strata over several primes keep the dict
-    kernel.
+    instead: the same factors and sort, the same sources list, and the
+    same updates in the same order through dirichlet._mul_into_graded, so
+    the output is the same to the bit.  Each factor's terms are formed at
+    their exponents as well (_factor_terms given top = floor_log(N, p)):
+    a factor over q = p^k, k proven when its stratum or FactorSpec was
+    built, has the pair (m, n) of x_f at k*n, and the k-th power of a
+    one-term x_f at k times its exponent, so no dimension is formed and no
+    float log reads an exponent back.  A1 strata, prime strata and strata
+    over several primes keep the dict kernel.
 
     Cost: per factor, one call of _factor_terms, with no per-factor
     series, and, for a factor that a prime stratum or a finite stratum
@@ -919,10 +968,11 @@ def truncated_zeta(
     backend, a log-add written out in line with no call; on a graded spec
     each also adds two small exponents where the dict kernel multiplies two
     dimensions of up to log2(N) bits, and the accumulator holds at most
-    floor(log_p N) + 1 keys.  Every one of them, in the binomial sums and in
-    convolve too, runs through one kernel, dirichlet._mul_into, or its
-    graded twin; the result series is made from the accumulator dict with
-    no merged copy on the exact backend.
+    floor(log_p N) + 1 keys.  Every one of them, in convolve too, runs
+    through one kernel, dirichlet._mul_into, or its graded twin, and the
+    binomial sums add their terms in line as the kernel adds them; the
+    result series is made from the accumulator dict with no merged copy on
+    the exact backend, and a graded one with no dict of dimensions.
     """
     if N < 1:
         raise PreconditionError("N must be >= 1")
@@ -937,20 +987,17 @@ def truncated_zeta(
 
     p = grading(spec.strata)
     if p is None:
-        top, unit, kernel = N, 1, _mul_into
+        top, stop, unit, kernel = None, N, 1, _mul_into
     else:  # keys are exponents of p: 1 = p^0, and d1 * d2 <= N is e1 + e2 <= top
-        top, unit, kernel = floor_log(N, p), 0, _mul_into_graded
+        top = stop = floor_log(N, p)
+        unit, kernel = 0, _mul_into_graded
     acc = {unit: 1 if exact else 0.0}
     sources = [unit]  # sorted keys of acc that the current factor can still reach
     for min_dim, f in factors:
-        x = _factor_terms(f, min_dim, N, backend)
-        if p is None:
-            bound = N // x[0][0]
-        else:
-            x = graded_terms(x, p)
-            bound = top - x[0][0]
+        x = _factor_terms(f, min_dim, N, backend, top)
+        bound = N // x[0][0] if p is None else top - x[0][0]
         del sources[bisect_right(sources, bound):]
-        fresh = kernel(acc, acc, reversed(sources), x, top, exact, bound)
+        fresh = kernel(acc, acc, reversed(sources), x, stop, exact, bound)
         if fresh:
             sources += fresh
             sources.sort()

@@ -211,18 +211,20 @@ def require_pair_set(a: PairSet, t: LieType) -> None:
         raise PreconditionError(f"pair set rejected: {report.violations}")
 
 
-def xi_terms(a: PairSet, q: int, N: int) -> Dict[int, int]:
+def xi_terms(a: PairSet, q: int, N: int, k: Optional[int] = None) -> Dict[int, int]:
     """The entries of the basic polynomial: per pair (m, n), multiplicity q^m
     at dimension q^n; same-dimension terms accumulate, dims > N are dropped.
-    Every dimension is at least q >= 2, so there is no constant term."""
+    Every dimension is at least q >= 2, so there is no constant term.  Given
+    k with q = p^k for a prime p, each entry is keyed by the exponent k*n of
+    its dimension p^(k*n) instead, and N is the largest exponent kept."""
     if q < 2:
         raise PreconditionError("q must be at least 2")
     entries: Dict[int, int] = {}
     for m, n in a:
-        dim = q ** n
-        if dim > N:
+        key = q ** n if k is None else k * n
+        if key > N:
             continue
-        entries[dim] = entries.get(dim, 0) + q ** m
+        entries[key] = entries.get(key, 0) + q ** m
     return entries
 
 

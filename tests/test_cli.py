@@ -529,6 +529,13 @@ def test_unmaterializable_multiplicity_is_a_budget_exit(capsys):
     assert err.startswith("error: 5**2999995 is too large to materialize")
 
 
+# errors.int_name's names of the two exponents: 24 leading digits and the bit length
+EXPONENT_NAMES = {
+    10 ** 400: "1000000000000000000000000... (1329 bits)",
+    17 * 10 ** 307: "1700000000000000000000000... (1024 bits)",
+}
+
+
 @pytest.mark.parametrize("value", [10 ** 400, 17 * 10 ** 307], ids=["10**400", "17*10**307"])
 @pytest.mark.parametrize("argv", [["zeta"], ["abscissa", "--empirical"]], ids=" ".join)
 def test_multiplicity_past_double_range_is_a_budget_exit(capsys, argv, value):
@@ -540,7 +547,7 @@ def test_multiplicity_past_double_range_is_a_budget_exit(capsys, argv, value):
     code = main([*argv, "--spec", spec, "--N", "10"])
     out, err = capsys.readouterr()
     assert code == 4 and out == ""
-    assert err.startswith(f"error: 3**{value} is too large: its ")
+    assert err.startswith(f"error: 3**{EXPONENT_NAMES[value]} is too large: its ")
 
 
 @pytest.mark.parametrize(

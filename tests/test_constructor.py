@@ -12,7 +12,7 @@ from repgrowth.constructor import (
     DiagonalCertificate,
     Schedule,
     _first_past,
-    _slope_cmp,
+    _slope_test,
     build_diagonal,
     build_fixed_type,
     default_diagonal_targets,
@@ -315,10 +315,10 @@ def test_termwise_rejects_nonpositive_eps():
 
 def slope_leq(R, n, tau):
     """Reference: log R / log n <= tau, decided exactly: R^den <= n^num."""
-    if R <= 1:
-        return True
     if tau < 0:
         return False
+    if R <= 1:
+        return True
     return R ** tau.denominator <= n ** tau.numerator
 
 
@@ -332,17 +332,34 @@ def slope_geq(R, n, tau):
 
 
 def test_slope_cmp_is_both_one_sided_slope_tests():
-    taus = [Fraction(1, 3), Fraction(1), Fraction(2), Fraction(5, 2), Fraction(7, 3)]
+    # each scan forms its test once, tau < 0 settled there; the strict test
+    # is "slope > tau", the other "slope >= tau"
+    taus = [Fraction(-3), Fraction(-1, 2), Fraction(0)]
+    taus += [Fraction(1, 3), Fraction(1), Fraction(2), Fraction(5, 2), Fraction(7, 3)]
     for tau in taus:
+        above, at_least = _slope_test(tau, True), _slope_test(tau, False)
         for R in range(1, 201):
             for n in range(2, 61):
-                c = _slope_cmp(R, n, tau)
-                assert c in (-1, 0, 1)
-                assert (c <= 0) == slope_leq(R, n, tau), (R, n, tau)
-                assert (c >= 0) == slope_geq(R, n, tau), (R, n, tau)
+                assert above(R, n) == (not slope_leq(R, n, tau)), (R, n, tau)
+                assert at_least(R, n) == slope_geq(R, n, tau), (R, n, tau)
     # the slope of a count R >= 1 is >= 0, so above any negative tau
-    assert _slope_cmp(1, 2, Fraction(-1, 2)) == _slope_cmp(200, 60, Fraction(-3)) == 1
-    assert _slope_cmp(1, 7, Fraction(0)) == 0 and _slope_cmp(2, 7, Fraction(0)) == 1
+    assert _slope_test(Fraction(-1, 2), True)(1, 2) and _slope_test(Fraction(-3), True)(200, 60)
+    # at tau = 0 a count of 1 has slope exactly 0: at least tau, not above it
+    assert _slope_test(Fraction(0), False)(1, 7) and not _slope_test(Fraction(0), True)(1, 7)
+    assert _slope_test(Fraction(0), True)(2, 7)
+
+
+def test_a_formed_slope_test_runs_no_fraction_operation(monkeypatch):
+    taus = (Fraction(-1), Fraction(0), Fraction(7, 3))
+    tests = [_slope_test(tau, strict) for tau in taus for strict in (True, False)]
+
+    def refuse(*args):
+        raise AssertionError("a Fraction operation ran")
+
+    for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__", "numerator", "denominator"):
+        monkeypatch.setattr(Fraction, name, property(refuse) if name.endswith("ator") else refuse)
+    assert [t(8, 2) for t in tests] == [True] * 6  # 8^3 > 2^7
+    assert [t(2, 5) for t in tests] == [True, True, True, True, False, False]
 
 
 def test_default_targets():
@@ -527,8 +544,8 @@ def test_prefix_scans_find_the_full_cutoff_hit(rho, stages, p):
     for m, record in enumerate(cert.stages, start=1):
         target = record.rho_m - Fraction(1, m)
         scans = [
-            (True, lambda R, d: _slope_cmp(R, d, target) >= 0),
-            (False, lambda R, d: _slope_cmp(R, d, rho) > 0),
+            (True, _slope_test(target, False)),
+            (False, _slope_test(rho, True)),
         ]
         for simple, test in scans:
             union = with_flag(strata, simple)

@@ -4,6 +4,7 @@ so both kernels give the same series to the bit."""
 import functools
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,6 @@ from repgrowth.dirichlet import (
     GradedSeries,
     convolve,
     floor_log,
-    graded_terms,
 )
 from repgrowth.errors import PreconditionError
 from repgrowth.growth import (
@@ -236,14 +236,91 @@ def test_prefix_keeps_the_grading_and_slices_the_exponents():
         GradedSeries(5 ** 3, 5, {4: 1})
 
 
+def graded_terms(terms, p):
+    """Reference: (e, m) for each (p^e, m) of terms, the exponent read back
+    by a float log, as truncated_zeta once did on a graded spec."""
+    lp = math.log(p)
+    return [(round(math.log(d) / lp), m) for d, m in terms]
+
+
 @pytest.mark.parametrize("p", PRIMES + (1009, 2 ** 61 - 1))
 def test_floor_log_and_graded_terms_are_exact(p):
+    # a tower over p proves p prime once; its factor over q = p^e keys the
+    # pair (0, 1), multiplicity 1 at dimension q, by e, with no log taken
+    tower = GeometricStratum(LieType("A", 2), p, PolyExponent((0,)), pairs=PairSet([(0, 1)]))
     for e in list(range(0, 60)) + [1000, 4000]:
         x = p ** e
         for N in {x, x + 1, x * p - 1} - {x * p}:
             assert floor_log(N, p) == e
         assert floor_log(x * p, p) == e + 1
-        assert graded_terms([(x, 1)], p) == [(e, 1)]
+        if e:
+            f = tower._factor(x, e, 1)
+            assert f.x_terms(x, EXACT) == [(x, 1)]
+            assert f.x_terms(x, EXACT, floor_log(x, p)) == [(e, 1)]
+
+
+@st.composite
+def graded_factors(draw):
+    """(factor, N): a factor past A1 over q = p^k, canonical or with a drawn
+    pair set, an int multiplicity (often below its number of powers) or a
+    BigPower, and an N whose exponent D = floor_log(N, p) puts the start
+    K * e0 of a power x^K, e0 = k * n0 the start of x, at D - 1, D or
+    D + 1."""
+    p = draw(st.sampled_from(PRIMES))
+    t = draw(st.sampled_from(TYPES))
+    pairs = draw(_pair_sets(t))
+    k = draw(st.integers(1, 4))
+    if tits_excluded(t, p ** k):
+        k += 1
+    M = draw(
+        st.one_of(
+            st.integers(1, 5),
+            st.integers(1, 10 ** 40),
+            st.builds(BigPower, st.just(p), st.integers(0, 600)),
+        )
+    )
+    f = FactorSpec(t, p ** k, draw(st.booleans()), M, pairs)
+    e0 = k * f.pair_set().min_dim_exponent()
+    D = max(e0, draw(st.integers(1, 8)) * e0 + draw(st.sampled_from([-1, 0, 1])))
+    return f, draw(st.integers(p ** D, p ** (D + 1) - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graded_factors(), st.sampled_from([EXACT, LOG]))
+def test_graded_factor_terms_are_the_dimension_terms_on_exponents(case, backend):
+    f, N = case
+    p = f.grading()
+    d = f.min_nontrivial_dim()
+    got = growth._factor_terms(f, d, N, backend, floor_log(N, p))
+    want = graded_terms(growth._factor_terms(f, d, N, backend), p)
+    assert [e for e, _ in got] == [e for e, _ in want]
+    assert [type(m) for _, m in got] == [type(m) for _, m in want]
+    if backend == LOG:
+        assert [m.hex() for _, m in got] == [m.hex() for _, m in want]
+    else:
+        assert got == want
+
+
+def test_equal_strata_built_apart_hash_equal_and_share_one_memo_entry(monkeypatch):
+    a2 = LieType("A", 2)
+    a = GeometricStratum(a2, 5, constructor.make_schedule(Fraction(2), a2), simple=False)
+    b = replace(GeometricStratum(a2, 5, constructor.make_schedule(Fraction(2), a2)), simple=False)
+    assert a is not b and a.exponents is not b.exponents
+    assert a == b and hash(a) == hash(b)
+    assert hash(a) == hash((a.lie_type, a.q, a.exponents, a.simple, a.pairs, a.skip))
+    assert hash(replace(a, skip=1)) != hash(a)
+    calls = []
+    real = constructor.truncated_zeta
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(constructor, "truncated_zeta", counting)
+    memo = {}
+    first = constructor._product(memo, (a,), 5 ** 40)
+    assert constructor._product(memo, (b,), 5 ** 40) is first
+    assert len(memo) == len(calls) == 1
 
 
 def test_tower_factors_reuse_the_stratum_proof(monkeypatch):
