@@ -192,8 +192,8 @@ def _product(memo: dict, strata: tuple, N: int) -> DirichletSeries:
     last stratum's series, formed by truncated_zeta.  When the strata are
     graded by one prime p (every stage past A1, over powers of p), both
     series are GradedSeries, so that convolve runs on the exponents of p,
-    with the dict kernel's updates in its order, and the product is graded
-    again.  memo holds each tuple of strata at the largest
+    with the updates of dimension keys in their order, and the product is
+    graded again.  memo holds each tuple of strata at the largest
     cutoff formed so far, and a smaller N gets its entries <= N, which are
     the product truncated at N.  A stale entry leaves memo before it is
     formed again, and forming a product drops its head's head: that was
@@ -240,15 +240,15 @@ def build_diagonal(
 
     When every stage is past A1 over powers of one prime p, each stage
     stratum is graded by p, so its truncated_zeta and every convolve of a
-    product run on the exponents of p (dirichlet.GradedSeries and
-    _mul_into_graded) instead of on dimensions of hundreds of bits, with
-    the dict kernel's updates in its order: the same series, the same
-    certificate.  Each factor's terms are formed on those exponents too,
-    from the k of q = p^k each stage stratum proved when it was built, and
-    no dimension is formed for them.  An A1 stage, or stages over two
-    primes, keep the dict kernel for every product they enter.  A stage
-    stratum's hash is formed once, when it is built, so a memo lookup
-    hashes no Fraction of its schedule.
+    product run on the exponents of p (dirichlet.GradedSeries, whose keys
+    the one kernel _mul_into adds) instead of on dimensions of hundreds of
+    bits, with the updates of dimension keys in their order: the same
+    series, the same certificate.  Each factor's terms are formed on those
+    exponents too, from the k of q = p^k each stage stratum proved when it
+    was built, and no dimension is formed for them.  An A1 stage, or
+    stages over two primes, keep dimension keys for every product they
+    enter.  A stage stratum's hash is formed once, when it is built, so a
+    memo lookup hashes no Fraction of its schedule.
 
     Both scans look for their first hit above n(m-1) on prefixes at
     C = max(n(m-1), 2)^2, squared at each step (the sweep caps C at its

@@ -365,67 +365,44 @@ def evaluate(s: DirichletSeries, sigma: float) -> float:
         raise RangeOverflow("sum exceeds double range; evaluate on the log backend")
 
 
-def _mul_into(acc, src, d1s, x, N, exact, bound=0):
-    """Add src[d1] * x into the dict acc at dims <= N, for each d1 of d1s in
-    turn and the terms of x in order (sum of logs and a log-add on the log
-    backend, written out in line: the operands swapped so that the larger
-    comes first, then a + log1p(exp(b - a)), bit for bit _logaddexp).  x
-    holds (dim, mult) pairs sorted by dim, iterated once per d1.  Returns
-    the keys it created that are <= bound, in creation order.
+def _mul_into(acc, src, k1s, x, stop, exact, bound=0, graded=False):
+    """Add src[k1] * x into the dict acc, for each key k1 of k1s in turn and
+    the terms of x in order (sum of logs and a log-add on the log backend,
+    written out in line: the operands swapped so that the larger comes
+    first, then a + log1p(exp(b - a)), bit for bit _logaddexp).  x holds
+    (key, mult) pairs sorted by key, iterated once per k1.  A key is a
+    dimension d, and the update of d1 and d2 lands at d1 * d2 <= stop = N;
+    graded, every dimension is a power p^e of one prime p keyed by its
+    exponent e, and the update lands at e1 + e2 <= stop = floor_log(N, p):
+    the same updates in the same order, so the same bits on the log
+    backend, with small-int keys that spare each update a multiply, a
+    compare and two hashes of a dimension that can run to thousands of
+    bits.  Returns the keys it created that are <= bound, in creation
+    order.
 
-    src may be acc itself when every target d1 * d2 exceeds its source and
-    d1s runs high to low: then no source is updated before it is read.
+    src may be acc itself when every target key exceeds its source and
+    k1s runs high to low: then no source is updated before it is read.
     """
     fresh = []
     log1p, exp = math.log1p, math.exp
-    for d1 in d1s:
-        m1 = src[d1]
-        for d2, m2 in x:
-            p = d1 * d2
-            if p > N:
+    for k1 in k1s:
+        m1 = src[k1]
+        for k2, m2 in x:
+            k = k1 + k2 if graded else k1 * k2
+            if k > stop:
                 break
-            prev = acc.get(p)
+            prev = acc.get(k)
             if prev is None:
-                acc[p] = m1 * m2 if exact else m1 + m2
-                if p <= bound:
-                    fresh.append(p)
+                acc[k] = m1 * m2 if exact else m1 + m2
+                if k <= bound:
+                    fresh.append(k)
             elif exact:
-                acc[p] = prev + m1 * m2
+                acc[k] = prev + m1 * m2
             else:
                 m = m1 + m2
                 if prev < m:
                     prev, m = m, prev
-                acc[p] = prev + log1p(exp(m - prev))
-    return fresh
-
-
-def _mul_into_graded(acc, src, e1s, x, D, exact, bound=0):
-    """_mul_into on a graded series, one whose every dimension is a power
-    p^e of one prime p, keyed by the exponent e: the same loop in the same
-    update order (so the same bits on the log backend), with the key
-    e1 + e2 for d1 * d2 and the stop e > D = floor(log_p N) for d1 * d2 > N.
-    Small-int keys spare each update a multiply, a compare and two hashes
-    of a dimension that can run to thousands of bits."""
-    fresh = []
-    log1p, exp = math.log1p, math.exp
-    for e1 in e1s:
-        m1 = src[e1]
-        for e2, m2 in x:
-            e = e1 + e2
-            if e > D:
-                break
-            prev = acc.get(e)
-            if prev is None:
-                acc[e] = m1 * m2 if exact else m1 + m2
-                if e <= bound:
-                    fresh.append(e)
-            elif exact:
-                acc[e] = prev + m1 * m2
-            else:
-                m = m1 + m2
-                if prev < m:
-                    prev, m = m, prev
-                acc[e] = prev + log1p(exp(m - prev))
+                acc[k] = prev + log1p(exp(m - prev))
     return fresh
 
 
@@ -444,26 +421,29 @@ def convolve(s1: DirichletSeries, s2: DirichletSeries, N: int) -> DirichletSerie
     """Dirichlet product truncated at N: entry at d is sum over d1*d2 = d.
 
     Two series graded by one prime p (GradedSeries) multiply on their
-    exponents, through _mul_into_graded: the same updates in the same
-    order, so the same series to the bit, graded by p again."""
+    exponents: _mul_into keys each update by e1 + e2 in place of d1 * d2,
+    in the same order, so the result is the same series to the bit, graded
+    by p again."""
     if s1.backend != s2.backend:
         raise BackendMismatch("cannot convolve series with different backends")
     if N > min(s1.cutoff, s2.cutoff):
         raise PreconditionError("convolution target N exceeds an input cutoff")
     if N < 1:
         raise PreconditionError("cutoff must be a positive integer")
-    exact, p = s1.backend == EXACT, s1.grading
+    p = s1.grading
+    graded = p is not None and p == s2.grading
     acc: Dict[int, object] = {}
-    if p is None or p != s2.grading:
-        if s1 and s2:
-            d1s = s1.dims[:bisect_right(s1.dims, N // s2.dims[0])]
-            _mul_into(acc, dict(zip(d1s, s1.mults)), d1s, list(s2.items()), N, exact)
-        return DirichletSeries(N, acc, s1.backend)
     if s1 and s2:
-        D = floor_log(N, p)
-        e1s = s1.exps[:bisect_right(s1.exps, D - s2.exps[0])]
-        _mul_into_graded(acc, dict(zip(e1s, s1.mults)), e1s, list(zip(s2.exps, s2.mults)), D, exact)
-    return GradedSeries(N, p, acc, s1.backend)
+        if graded:
+            k1s, k2s, stop = s1.exps, s2.exps, floor_log(N, p)
+            reach = stop - k2s[0]
+        else:
+            k1s, k2s, stop = s1.dims, s2.dims, N
+            reach = N // k2s[0]
+        k1s = k1s[:bisect_right(k1s, reach)]
+        x = list(zip(k2s, s2.mults))
+        _mul_into(acc, dict(zip(k1s, s1.mults)), k1s, x, stop, s1.backend == EXACT, graded=graded)
+    return GradedSeries(N, p, acc, s1.backend) if graded else DirichletSeries(N, acc, s1.backend)
 
 
 def _log_binomial(M: Multiplicity, k: int) -> float:

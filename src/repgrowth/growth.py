@@ -46,7 +46,6 @@ from .dirichlet import (
     _log_prefix_sums,
     _logaddexp,
     _mul_into,
-    _mul_into_graded,
     _power_terms,
     floor_log,
     convolve,  # noqa: F401  unused here; kept so growth.convolve stays bound (bench/tests)
@@ -277,21 +276,27 @@ def exponent_rule_from_jsonable(obj: dict, pointer: str = ""):
 # factors and strata
 
 
+def _pair_set(lie_type: LieType, pairs: Optional[PairSet]) -> PairSet:
+    """The pair set of a factor or stratum: pairs None means the canonical
+    pair set of its type."""
+    return canonical_pair_set(lie_type) if pairs is None else pairs
+
+
 def _min_dim(
     lie_type: LieType,
     q: int,
     simple: bool,
-    pairs: Optional[PairSet],
+    pairs: PairSet,
     e: int = 1,
     bound: Optional[int] = None,
 ) -> int:
     """Minimal nontrivial irreducible degree of S_lambda(q^e), or of its
-    cover when not simple; pairs None means the canonical pair set.  That
-    degree is at least (q^(e*n) - 1)/2 >= (2^(e*n) - 1)/2, for n the least
-    pair exponent (1 on A1, whose one pair set is [[1, 1]]), so given a
-    bound, a degree whose exponent e*n passes bound.bit_length() + 1 is
-    returned as bound + 1 without forming q^e or q^(e*n)."""
-    n = (canonical_pair_set(lie_type) if pairs is None else pairs).min_dim_exponent()
+    cover when not simple, for the pair set pairs.  That degree is at least
+    (q^(e*n) - 1)/2 >= (2^(e*n) - 1)/2, for n the least pair exponent (1 on
+    A1, whose one pair set is [[1, 1]]), so given a bound, a degree whose
+    exponent e*n passes bound.bit_length() + 1 is returned as bound + 1
+    without forming q^e or q^(e*n)."""
+    n = pairs.min_dim_exponent()
     if bound is not None and e * n > bound.bit_length() + 1:
         return bound + 1
     return _least_degree(lie_type == A1, q ** e, simple, n)
@@ -372,7 +377,7 @@ class FactorSpec:
         return f
 
     def pair_set(self) -> PairSet:
-        return self.pairs if self.pairs is not None else canonical_pair_set(self.lie_type)
+        return _pair_set(self.lie_type, self.pairs)
 
     def grading(self) -> Optional[int]:
         return _grading(self.lie_type, self._pk)
@@ -380,7 +385,7 @@ class FactorSpec:
     def min_nontrivial_dim(self, bound: Optional[int] = None) -> int:
         """The least nontrivial degree; bound + 1 for one the exponent alone
         puts above a given bound (see _min_dim)."""
-        return _min_dim(self.lie_type, self.q, self.simple, self.pairs, bound=bound)
+        return _min_dim(self.lie_type, self.q, self.simple, self.pair_set(), bound=bound)
 
     def x_terms(self, N: int, backend: str, top: Optional[int] = None) -> List[Tuple[int, object]]:
         """The terms (dim, mult) of x_f = zeta_f - 1 at dims 2..N, sorted by
@@ -488,7 +493,7 @@ class _Tower:
     pairs: Optional[PairSet] = None
 
     def pair_set(self) -> PairSet:
-        return self.pairs if self.pairs is not None else canonical_pair_set(self.lie_type)
+        return _pair_set(self.lie_type, self.pairs)
 
     def factor_at(self, i: int) -> FactorSpec:
         q, e = self.field(i)
@@ -498,7 +503,7 @@ class _Tower:
         """The least nontrivial degree at index i; bound + 1 for one the
         exponents alone put above a given bound (see _min_dim)."""
         q, e = self.field(i)
-        return _min_dim(self.lie_type, q, self.simple, self.pairs, e, bound)
+        return _min_dim(self.lie_type, q, self.simple, self.pair_set(), e, bound)
 
     def _factor(self, q: int, e: int, multiplicity: Multiplicity) -> FactorSpec:
         """The factor that factors_below yields at the field size q = q_i^e,
@@ -939,14 +944,15 @@ def truncated_zeta(
     (towers and finite factors past A1 over powers of p, and diagonal
     stages over them), keys the accumulator by the exponent e of p^e
     instead: the same factors and sort, the same sources list, and the
-    same updates in the same order through dirichlet._mul_into_graded, so
-    the output is the same to the bit.  Each factor's terms are formed at
-    their exponents as well (_factor_terms given top = floor_log(N, p)):
+    same updates in the same order through the same kernel, which adds two
+    keys where it would multiply them, so the output is the same to the
+    bit.  Each factor's terms are formed at their exponents as well
+    (_factor_terms given top = floor_log(N, p)):
     a factor over q = p^k, k proven when its stratum or FactorSpec was
     built, has the pair (m, n) of x_f at k*n, and the k-th power of a
     one-term x_f at k times its exponent, so no dimension is formed and no
     float log reads an exponent back.  A1 strata, prime strata and strata
-    over several primes keep the dict kernel.
+    over several primes keep dimension keys.
 
     Cost: per factor, one call of _factor_terms, with no per-factor
     series, and, for a factor that a prime stratum or a finite stratum
@@ -966,13 +972,14 @@ def truncated_zeta(
     N * sum(|x_f| / min_dim(x_f)) updates for the product, for dense and
     sparse (huge-N) cutoffs alike, each a multiply-add or, on the log
     backend, a log-add written out in line with no call; on a graded spec
-    each also adds two small exponents where the dict kernel multiplies two
+    each adds two small exponents where dimension keys multiply two
     dimensions of up to log2(N) bits, and the accumulator holds at most
     floor(log_p N) + 1 keys.  Every one of them, in convolve too, runs
-    through one kernel, dirichlet._mul_into, or its graded twin, and the
-    binomial sums add their terms in line as the kernel adds them; the
-    result series is made from the accumulator dict with no merged copy on
-    the exact backend, and a graded one with no dict of dimensions.
+    through one kernel, dirichlet._mul_into, with one of its two key
+    rules, and the binomial sums add their terms in line as the kernel
+    adds them; the result series is made from the accumulator dict with no
+    merged copy on the exact backend, and a graded one with no dict of
+    dimensions.
     """
     if N < 1:
         raise PreconditionError("N must be >= 1")
@@ -986,22 +993,20 @@ def truncated_zeta(
     factors.sort(key=itemgetter(0))
 
     p = grading(spec.strata)
-    if p is None:
-        top, stop, unit, kernel = None, N, 1, _mul_into
-    else:  # keys are exponents of p: 1 = p^0, and d1 * d2 <= N is e1 + e2 <= top
-        top = stop = floor_log(N, p)
-        unit, kernel = 0, _mul_into_graded
+    graded = p is not None  # keys are exponents of p: 1 = p^0, and d1 * d2 <= N is e1 + e2 <= top
+    top = floor_log(N, p) if graded else None
+    stop, unit = (top, 0) if graded else (N, 1)
     acc = {unit: 1 if exact else 0.0}
     sources = [unit]  # sorted keys of acc that the current factor can still reach
     for min_dim, f in factors:
         x = _factor_terms(f, min_dim, N, backend, top)
-        bound = N // x[0][0] if p is None else top - x[0][0]
+        bound = top - x[0][0] if graded else N // x[0][0]
         del sources[bisect_right(sources, bound):]
-        fresh = kernel(acc, acc, reversed(sources), x, stop, exact, bound)
+        fresh = _mul_into(acc, acc, reversed(sources), x, stop, exact, bound, graded)
         if fresh:
             sources += fresh
             sources.sort()
-    return DirichletSeries(N, acc, backend) if p is None else GradedSeries(N, p, acc, backend)
+    return GradedSeries(N, p, acc, backend) if graded else DirichletSeries(N, acc, backend)
 
 
 def m_n(spec: GroupSpec, n: int):

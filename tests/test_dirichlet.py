@@ -362,15 +362,17 @@ LOG_ADD_GRID = [
 ]
 
 
-def test_inlined_log_add_is_logaddexp_bit_for_bit():
+@pytest.mark.parametrize("graded, stop", [(False, 6), (True, 5)], ids=["dims", "exponents"])
+def test_inlined_log_add_is_logaddexp_bit_for_bit(graded, stop):
     # _mul_into adds in the log domain without calling _logaddexp; on a grid
     # of equal operands, large gaps and negatives, in both argument orders,
-    # the sum it stores must be _logaddexp's to the last bit
+    # the sum it stores at 2 * 3 (or, graded, at 2 + 3) must be _logaddexp's
+    # to the last bit
     for prev, m1, m2 in product(LOG_ADD_GRID, LOG_ADD_GRID, (0.0, -3.25, 1.5)):
-        acc = {6: prev}
-        fresh = _mul_into(acc, {2: m1}, (2,), [(3, m2)], 6, False)
-        assert fresh == []
-        assert _bits(acc[6]) == _bits(_logaddexp(prev, m1 + m2)), (prev, m1, m2)
+        acc = {stop: prev}
+        fresh = _mul_into(acc, {2: m1}, (2,), [(3, m2)], stop, False, 0, graded)
+        assert fresh == [] and list(acc) == [stop]
+        assert _bits(acc[stop]) == _bits(_logaddexp(prev, m1 + m2)), (prev, m1, m2)
 
 
 LOG_BINOMIAL_ONE = [

@@ -1,7 +1,9 @@
-"""The graded kernel: series whose every dimension is a power of one prime p
-multiply on the exponents of p, with the dict kernel's updates in its order,
-so both kernels give the same series to the bit."""
+"""Graded series: series whose every dimension is a power of one prime p
+multiply on the exponents of p, through the one kernel dirichlet._mul_into
+with keys added in place of dimensions multiplied, in the same update
+order, so both key rules give the same series to the bit."""
 import functools
+import inspect
 import math
 import warnings
 from dataclasses import replace
@@ -136,12 +138,27 @@ def test_graded_and_dict_kernels_give_the_same_bytes(case, backend):
     assert [(p ** e, m) for e, m in zip(graded.exps, graded.mults)] == list(plain.items())
 
 
-def _forbid_graded_kernel(mp):
-    def refuse(*args):
-        raise AssertionError("entered the graded kernel")
+def _watch_graded_kernel(mp, seen):
+    """Wrap the one kernel where convolve (dirichlet) and truncated_zeta
+    (growth) call it: each call in graded mode, keys added rather than
+    multiplied, passes the calling module's name to seen before it runs."""
+    real = dirichlet._mul_into
+    bind = inspect.signature(real).bind
+    for module in (dirichlet, growth):
 
-    mp.setattr(growth, "_mul_into_graded", refuse)
-    mp.setattr(dirichlet, "_mul_into_graded", refuse)
+        def watched(*args, _name=module.__name__, **kwargs):
+            if bind(*args, **kwargs).arguments.get("graded"):
+                seen(_name)
+            return real(*args, **kwargs)
+
+        mp.setattr(module, "_mul_into", watched)
+
+
+def _forbid_graded_kernel(mp):
+    def refuse(name):
+        raise AssertionError(f"entered the graded kernel from {name}")
+
+    _watch_graded_kernel(mp, refuse)
 
 
 def _a1_and_mixed_specs():
@@ -164,6 +181,11 @@ def test_a1_and_mixed_prime_specs_never_enter_the_graded_kernel(backend):
             assert growth.grading(spec.strata) is None
             series = truncated_zeta(spec, 10 ** 4, backend=backend)
             assert series.grading is None
+        # the control: the same patch stops a graded spec
+        a2 = LieType("A", 2)
+        graded = GroupSpec((GeometricStratum(a2, 5, constructor.make_schedule(Fraction(2), a2)),))
+        with pytest.raises(AssertionError, match="graded kernel from repgrowth.growth"):
+            truncated_zeta(graded, 10 ** 4, backend=backend)
 
 
 @pytest.mark.parametrize(
@@ -176,26 +198,29 @@ def test_a1_and_mixed_prime_specs_never_enter_the_graded_kernel(backend):
 )
 def test_products_with_an_a1_stage_or_two_primes_take_the_dict_kernel(monkeypatch, targets):
     # each stage past A1 is graded alone, but a product with an A1 stage or
-    # with a stage over another prime is not, so convolve takes the dict kernel
-    products = []
+    # with a stage over another prime is not, so convolve keys by dimensions
+    products, calls = [], []
     real = constructor.convolve
     monkeypatch.setattr(constructor, "convolve", lambda *a: products.append(real(*a)) or products[-1])
+    _watch_graded_kernel(monkeypatch, calls.append)
     _, cert = build_diagonal(Fraction(2), targets)
     assert cert.complete and products
     assert all(s.grading is None for s in products)
+    assert set(calls) == {"repgrowth.growth"}  # graded stage series, no graded convolve
 
 
 def test_a_graded_build_forms_its_products_on_exponents(monkeypatch):
-    # the control for the test above: the same patch stops a graded build
+    # the control for the test above: a graded build's convolve keys by
+    # exponents, and the patch that refuses graded mode stops the build
     with pytest.MonkeyPatch.context() as mp:
         _forbid_graded_kernel(mp)
         with pytest.raises(AssertionError, match="graded kernel"):
             build_diagonal(Fraction(2), default_diagonal_targets(Fraction(2), 2, 5))
     calls = []
-    real = dirichlet._mul_into_graded
-    monkeypatch.setattr(dirichlet, "_mul_into_graded", lambda *a: calls.append(1) or real(*a))
+    _watch_graded_kernel(monkeypatch, calls.append)
     _, cert = build_diagonal(Fraction(2), default_diagonal_targets(Fraction(2), 3, 5))
-    assert cert.complete and calls  # convolve took the graded kernel
+    # truncated_zeta and convolve both keyed their updates by exponents
+    assert cert.complete and set(calls) == {"repgrowth.dirichlet", "repgrowth.growth"}
 
 
 @settings(max_examples=80, deadline=None)

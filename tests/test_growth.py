@@ -59,7 +59,7 @@ from repgrowth.growth import (
     truncated_zeta,
     with_flag,
 )
-from repgrowth.lie_data import LieType, PairSet, rho0, tits_excluded, xi_terms
+from repgrowth.lie_data import LieType, PairSet, canonical_pair_set, rho0, tits_excluded, xi_terms
 from test_acceptance import _brute_product, _degrees
 from test_dirichlet import count_series_inits
 
@@ -447,10 +447,10 @@ def test_factor_order_is_pinned_bit_for_bit():
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (backend, N)
 
 
-@pytest.mark.parametrize("backend", [EXACT, LOG])
-def test_each_factor_is_applied_as_it_is_formed(monkeypatch, backend):
-    N = 5000
-    spec = _order_spec()
+def _applied_as_formed(spec, N, backend):
+    """Trace truncated_zeta's factor terms and kernel calls: each factor's
+    terms must be formed, then applied, before the next factor's, in
+    increasing order of their least key (dimension, or graded exponent)."""
     events = []
     factor_terms, mul_into = growth._factor_terms, growth._mul_into
 
@@ -463,13 +463,29 @@ def test_each_factor_is_applied_as_it_is_formed(monkeypatch, backend):
         events.append(("mul", x[0][0]))
         return mul_into(acc, src, d1s, x, *args)
 
-    monkeypatch.setattr(growth, "_factor_terms", traced_factor_terms)
-    monkeypatch.setattr(growth, "_mul_into", traced_mul_into)
-    truncated_zeta(spec, N, backend=backend)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(growth, "_factor_terms", traced_factor_terms)
+        mp.setattr(growth, "_mul_into", traced_mul_into)
+        truncated_zeta(spec, N, backend=backend)
     n = len(list(_contributions(spec, N)))
-    assert [kind for kind, _ in events] == ["form", "mul"] * n
-    dims = [d for _, d in events[::2]]
-    assert [d for _, d in events[1::2]] == dims == sorted(dims)
+    assert n > 1 and [kind for kind, _ in events] == ["form", "mul"] * n
+    keys = [k for _, k in events[::2]]
+    assert [k for _, k in events[1::2]] == keys == sorted(keys)
+
+
+@pytest.mark.parametrize("backend", [EXACT, LOG])
+def test_each_factor_is_applied_as_it_is_formed(backend):
+    # an A2 tower over 5 with a finite stratum over powers of 5 is graded:
+    # its factors go through the same kernel, keyed by exponent
+    graded = GroupSpec(
+        (
+            build_fixed_type(Fraction(2), LieType("A", 2), 5).strata[0],
+            FiniteStratum((FactorSpec(LieType("A", 2), 25), FactorSpec(LieType("A", 2), 5))),
+        )
+    )
+    assert growth.grading(graded.strata) == 5
+    _applied_as_formed(_order_spec(), 5000, backend)
+    _applied_as_formed(graded, 5 ** 60, backend)
 
 
 def _a1_factor_cases():
@@ -1008,12 +1024,13 @@ def test_m_ns_is_m_n_at_every_n(spec, top):
 )
 def test_min_dim_with_a_bound_answers_bound_plus_one_only_above_it(lie_type):
     # the exponent shortcut may only answer for degrees above the bound
+    pairs = canonical_pair_set(lie_type)
     for q, e, simple in itertools.product((2, 3, 4, 5, 7, 8, 9), range(1, 14), (True, False)):
-        degree = growth._min_dim(lie_type, q ** e, simple, None)
+        degree = growth._min_dim(lie_type, q ** e, simple, pairs)
         for bound in {1, 2, 3, 7, 8, 100, 2 ** 20, max(degree - 1, 1), degree, degree + 1}:
-            got = growth._min_dim(lie_type, q, simple, None, e, bound)
+            got = growth._min_dim(lie_type, q, simple, pairs, e, bound)
             assert got in ((degree,) if degree <= bound else (degree, bound + 1))
-        assert growth._min_dim(lie_type, q, simple, None, 10 ** 9 * e, 10 ** 6) == 10 ** 6 + 1
+        assert growth._min_dim(lie_type, q, simple, pairs, 10 ** 9 * e, 10 ** 6) == 10 ** 6 + 1
 
 
 FAR_TOWER = GeometricStratum(A1, 5, PolyExponent((0, 1)))
