@@ -12,6 +12,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import count
 from typing import List, Optional, Sequence, Tuple
 
 from .char_tables import is_prime, prime_power
@@ -209,6 +210,70 @@ def _product(memo: dict, strata: tuple, N: int) -> DirichletSeries:
     return have if have.cutoff == N else have.prefix(N)
 
 
+class _Unions:
+    """The union series of one diagonal build: _product's memo, and the
+    entries of every union formed so far, memo hits included, against a
+    budget."""
+
+    def __init__(self, budget: int):
+        self.memo, self.used, self.budget = {}, 0, budget
+
+    def series(self, strata: tuple, N: int) -> DirichletSeries:
+        s = _product(self.memo, strata, N)
+        self.used += len(s)
+        if self.used > self.budget:
+            raise BudgetExceededError(f"work budget {self.budget} exhausted")
+        return s
+
+    def first_past(
+        self, strata: tuple, n_prev: int, tau: Fraction, strict: bool, cap: Optional[int] = None
+    ) -> Tuple[Optional[int], int]:
+        """The first d > n_prev of the union whose slope passes tau,
+        strictly when strict, and the count there: _first_past on prefixes
+        at C = max(n_prev, 2)^2, squared at each step and capped at cap
+        (unbounded when None).  Entries <= C do not depend on the cutoff,
+        so the hit is the one a full-cutoff scan finds.  The slope test is
+        formed once (_slope_test), so no Fraction operation runs per entry,
+        and the running count starts past n_prev with one sum."""
+        test = _slope_test(tau, strict)
+        C = max(n_prev, 2) ** 2
+        while True:
+            if cap is not None:
+                C = min(C, cap)
+            hit = _first_past(self.series(strata, C), n_prev, test)
+            if hit[0] is not None or C == cap:
+                return hit
+            C *= C
+
+
+def _decide(
+    unions: _Unions, built: tuple, stratum, rho: Fraction, n_prev: int, j_star: int
+) -> Optional[int]:
+    """Check (ii) for one candidate stratum on top of the stages built,
+    both in the cover view: the exact sweep of their union finds no slope
+    past rho above n(m-1) = n_prev.  Onset slopes run up to k_j/j <=
+    rho_m + 1/(2j), so only factor indices j <= 1/(2(rho - rho_m)) < j_star
+    can spike past rho; the simple view's sweep window, which on A1 ends
+    at or past the cover view's, covers all of them.
+
+    Returns the evidence that accepts, swept_to, the end of that window.
+    A violation at or past the candidate's onset rejects it: its union
+    leaves the memo and the result is None.  A violation below the onset
+    is built's, which was accepted under rho: an InvariantError (exit 5)
+    that names the stage m = len(built) + 1."""
+    union = (*built, stratum)
+    swept_to = stratum.with_simple(True).min_dim_at(max(stratum.skip + 4, j_star))
+    violation, _ = unions.first_past(union, n_prev, rho, True, swept_to)
+    if violation is None:
+        return swept_to
+    if violation >= stratum.min_dim_at(stratum.skip + 1):
+        del unions.memo[union]
+        return None
+    raise InvariantError(
+        f"stage {len(built) + 1}: slope exceeds rho at {violation}, below this stage's onset"
+    )
+
+
 def build_diagonal(
     rho: Fraction,
     targets: Sequence[Tuple[Fraction, LieType, int]],
@@ -219,10 +284,10 @@ def build_diagonal(
 
     Per stage the leading factors are dropped until (i) nothing new appears
     at dimensions <= n(m-1) (exact, since minimal dimensions are computable)
-    and (ii) no slope in the exact sweep exceeds rho; then n(m) is searched
-    as the first checkpoint with slope >= rho_m - 1/m.  n_budget caps the
-    total entries of the union series formed, every prefix cutoff of a scan
-    included; it must be >= 0.
+    and (ii) no slope in the exact sweep exceeds rho (_decide); then n(m) is
+    searched as the first checkpoint with slope >= rho_m - 1/m.  n_budget
+    caps the total entries of the union series formed, every prefix cutoff
+    of a scan included; it must be >= 0.
 
     On the exact backend the Dirichlet product is associative and
     commutative, so a union series is _product's, memoized per tuple of
@@ -234,9 +299,9 @@ def build_diagonal(
     sweep union of the stage before, serves the early sweep cutoffs and the
     (iii) search as prefixes; nothing older is read again, since the sweep
     window and the (iii) scan, which starts at max(n(m-1), 2)^2, pass every
-    cutoff of the stage before.  The four benchmark cases take 62/63/54/51 truncated_zeta
-    and 49/50/41/38 convolve calls.  Budgets count every union formed, memo
-    hits included.
+    cutoff of the stage before.  The four benchmark cases take 62/63/54/51
+    truncated_zeta and 49/50/41/38 convolve calls.  Budgets count every
+    union formed, memo hits included.
 
     When every stage is past A1 over powers of one prime p, each stage
     stratum is graded by p, so its truncated_zeta and every convolve of a
@@ -249,13 +314,6 @@ def build_diagonal(
     stages over two primes, keep dimension keys for every product they
     enter.  A stage stratum's hash is formed once, when it is built, so a
     memo lookup hashes no Fraction of its schedule.
-
-    Both scans look for their first hit above n(m-1) on prefixes at
-    C = max(n(m-1), 2)^2, squared at each step (the sweep caps C at its
-    window): entries <= C do not depend on the cutoff, so the hit is the
-    one a full-cutoff scan finds.  Each scan forms its slope test once
-    (_slope_test), so no Fraction operation runs per entry, and starts its
-    running count past n(m-1) with one sum.
     """
     rho = Fraction(rho)
     if n_budget < 0:
@@ -271,115 +329,56 @@ def build_diagonal(
     if any(r >= rho for r in rhos):
         raise PreconditionError("every rho_m must stay below the limit rho")
 
-    used = 0  # union series entries formed so far, against n_budget
+    unions = _Unions(n_budget)
     stages: List[DiagonalStage] = []
     records: List[StageRecord] = []
     built: Tuple[GeometricStratum, ...] = ()  # the accepted stages, cover view
     shown: Tuple[GeometricStratum, ...] = ()  # the same, but an A1 stage simple
-    memo = {}  # strata -> their product series, for _product
     n_prev = 1
-
-    def union_series(N: int, strata: tuple):
-        """The product series of strata at N, counted against n_budget."""
-        nonlocal used
-        s = _product(memo, strata, N)
-        used += len(s)
-        if used > n_budget:
-            partial = DiagonalCertificate(rho, tuple(records), complete=False)
-            raise BudgetExceededError(f"work budget {n_budget} exhausted", partial=partial)
-        return s
-
-    def scan(strata: tuple, tau: Fraction, strict: bool, cap: Optional[int] = None):
-        """_first_past on the union's prefixes up to cap (unbounded when
-        None): the first d > n(m-1) whose slope passes tau, strictly when
-        strict, and the count there."""
-        test = _slope_test(tau, strict)
-        C = max(n_prev, 2) ** 2
-        while True:
-            if cap is not None:
-                C = min(C, cap)
-            hit = _first_past(union_series(C, strata), n_prev, test)
-            if hit[0] is not None or C == cap:
-                return hit
-            C *= C
-
-    for m, (rho_m, t_m, p_m) in enumerate(targets, start=1):
-        rho_m = Fraction(rho_m)
-        base = build_fixed_type(rho_m, t_m, p_m).strata[0].with_simple(False)
-
-        # condition (i): drop every factor already visible at n(m-1)
-        skip = 0
-        while base.min_dim_at(skip + 1) <= n_prev:
-            skip += 1
-
-        # condition (ii): extend the drop prefix until the exact sweep is
-        # clean.  Onset slopes run up to k_j/j <= rho_m + 1/(2j), so only
-        # factor indices j <= 1/(2(rho - rho_m)) can spike past rho; the
-        # simple view's sweep window, which on A1 ends at or past the cover
-        # view's, covers all of them.
-        j_star = math.ceil(Fraction(1, 2) / (rho - rho_m)) + 1
-        while True:
-            stratum = replace(base, skip=skip)
-            union = (*built, stratum)
-            onset = stratum.min_dim_at(skip + 1)
-            sweep_N = stratum.with_simple(True).min_dim_at(max(skip + 4, j_star))
-            violation, _ = scan(union, rho, True, sweep_N)
-            if violation is None:
-                break
-            if violation >= onset:
-                del memo[union]  # a rejected candidate
+    try:
+        for m, (rho_m, t_m, p_m) in enumerate(targets, start=1):
+            rho_m = Fraction(rho_m)
+            base = build_fixed_type(rho_m, t_m, p_m).strata[0].with_simple(False)
+            # condition (i): drop every factor already visible at n(m-1)
+            skip = 0
+            while base.min_dim_at(skip + 1) <= n_prev:
                 skip += 1
-                continue
-            raise InvariantError(
-                f"stage {m}: slope exceeds rho at {violation}, below this stage's onset"
-            )
+            # condition (ii): extend the drop prefix until _decide accepts
+            j_star = math.ceil(Fraction(1, 2) / (rho - rho_m)) + 1
+            for skip in count(skip):
+                stratum = replace(base, skip=skip)
+                window = _decide(unions, built, stratum, rho, n_prev, j_star)
+                if window is not None:
+                    break
 
-        # (i) exact cumulative equality at n(m-1) on the cover view
-        lhs = cumulative(union_series(n_prev, union), n_prev)
-        # the empty product holds only the trivial representation
-        rhs = cumulative(union_series(n_prev, built), n_prev) if built else 1
-        if lhs != rhs:
-            raise InvariantError(f"stage {m}: new representations at or below {n_prev}")
-        built = union
-        shown = (*shown, stratum.with_simple(t_m == A1))
-        checks = []
-        checks.append(
-            CheckRecord(
-                "no-new-small-reps",
-                "pass",
-                "exact",
-                {"at": str(n_prev), "cumulative": str(lhs)},
-            )
-        )
-        checks.append(
-            CheckRecord(
-                "never-larger-than-rho",
-                "pass",
-                "rate-bound+exact-sweep",
-                {
-                    "rate": str(rho_m),
-                    "rho": str(rho),
-                    "swept_to": str(sweep_N),  # the accepted candidate's window
-                    "dropped": skip,
-                },
-            )
-        )
+            # (i) exact cumulative equality at n(m-1) on the cover view
+            union = (*built, stratum)
+            lhs = cumulative(unions.series(union, n_prev), n_prev)
+            # the empty product holds only the trivial representation
+            rhs = cumulative(unions.series(built, n_prev), n_prev) if built else 1
+            if lhs != rhs:
+                raise InvariantError(f"stage {m}: new representations at or below {n_prev}")
+            built = union
+            shown = (*shown, stratum.with_simple(t_m == A1))
 
-        # (iii): first checkpoint above n(m-1) with slope >= rho_m - 1/m
-        target = rho_m - Fraction(1, m)
-        n_m, running = scan(shown, target, False)
-        slope_val = math.log(running) / math.log(n_m) if n_m > 1 else 0.0
-        checks.append(
-            CheckRecord(
-                "close-to-rho-m",
-                "pass",
-                "exact",
-                {"n_m": str(n_m), "target": str(target), "slope": f"{slope_val:.6f}"},
+            # (iii): first checkpoint above n(m-1) with slope >= rho_m - 1/m
+            target = rho_m - Fraction(1, m)
+            n_m, running = unions.first_past(shown, n_prev, target, False)
+            slope_val = math.log(running) / math.log(n_m) if n_m > 1 else 0.0
+            small = {"at": str(n_prev), "cumulative": str(lhs)}
+            sweep = {"rate": str(rho_m), "rho": str(rho), "swept_to": str(window), "dropped": skip}
+            close = {"n_m": str(n_m), "target": str(target), "slope": f"{slope_val:.6f}"}
+            checks = (
+                CheckRecord("no-new-small-reps", "pass", "exact", small),
+                CheckRecord("never-larger-than-rho", "pass", "rate-bound+exact-sweep", sweep),
+                CheckRecord("close-to-rho-m", "pass", "exact", close),
             )
-        )
-        stages.append(DiagonalStage(rho_m, stratum.with_simple(True), n_m))
-        records.append(StageRecord(m, rho_m, t_m, p_m, skip, n_m, tuple(checks)))
-        n_prev = n_m
+            stages.append(DiagonalStage(rho_m, stratum.with_simple(True), n_m))
+            records.append(StageRecord(m, rho_m, t_m, p_m, skip, n_m, checks))
+            n_prev = n_m
+    except BudgetExceededError as e:
+        e.partial = DiagonalCertificate(rho, tuple(records), complete=False)
+        raise
 
     spec = GroupSpec((DiagonalStratum(rho, tuple(stages)),))
     got = exact_abscissa(spec)

@@ -484,8 +484,8 @@ def _power_terms(
     k = 2 on is one convolve.  Each power's terms, times C(M, k), are added
     into the result in line, as _mul_into would add them, a log-add being
     _logaddexp.  When M = 1 or min_dim(x)^2 > N the loop adds C(M, 1) * x
-    once and stops.  The exact backend uses exact binomials, the log
-    backend the identity log C(M,k) = sum_{i<k} log((M-i)/(i+1)).
+    once and stops.  The exact backend forms C(M, k) as C(M, k-1)*(M-k+1)//k,
+    the log backend as log C(M,k) = sum_{i<k} log((M-i)/(i+1)).
     """
     if not x:
         return []
@@ -496,9 +496,9 @@ def _power_terms(
     out: Dict[int, object] = {}
     terms = x
     xs = xk = None
-    k = 1
+    k = c = 1  # c: C(M, 0) before the first step
     while True:
-        c = math.comb(Mi, k) if exact else _log_binomial(M, k)
+        c = c * (Mi - k + 1) // k if exact else _log_binomial(M, k)
         if c == (0 if exact else float("-inf")):
             break
         for d, m in terms:

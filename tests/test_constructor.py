@@ -1,5 +1,7 @@
 import gc
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,8 @@ from repgrowth import constructor
 from repgrowth.constructor import (
     DiagonalCertificate,
     Schedule,
+    _Unions,
+    _decide,
     _first_past,
     _slope_test,
     build_diagonal,
@@ -21,7 +25,7 @@ from repgrowth.constructor import (
     prec_min,
 )
 from repgrowth.dirichlet import cumulative
-from repgrowth.errors import BudgetExceededError, PreconditionError
+from repgrowth.errors import BudgetExceededError, InvariantError, PreconditionError
 from repgrowth.growth import GroupSpec, exact_abscissa, truncated_zeta, with_flag
 from repgrowth.invariants import termwise_two_sided
 from repgrowth.lie_data import LieType, PairSet, canonical_pair_set, rho0
@@ -561,6 +565,46 @@ def test_prefix_scans_find_the_full_cutoff_hit(rho, stages, p):
                     assert at_C[0] is None
                 C *= C
         n_prev = record.n_m
+
+
+def _j_star(rho, rho_m):
+    return math.ceil(Fraction(1, 2) / (rho - rho_m)) + 1
+
+
+@pytest.mark.parametrize("rho, stages, p", BENCHMARK_CASES)
+def test_decide_replays_each_stage_of_the_certificate(rho, stages, p):
+    # check (ii) at each stage's recorded skip, on a fresh union source,
+    # accepts with the recorded sweep window, and one factor fewer dropped
+    # is rejected, unless that skip is below the (i) walk's start
+    spec, cert = build_diagonal(rho, default_diagonal_targets(rho, stages, p))
+    built, n_prev, rejected = (), 1, 0
+    for stage, record in zip(spec.strata[0].stages, cert.stages):
+        stratum = stage.stratum.with_simple(False)
+        j_star = _j_star(rho, record.rho_m)
+        swept_to = int(record.checks[1].detail["swept_to"])
+        assert _decide(_Unions(10 ** 9), built, stratum, rho, n_prev, j_star) == swept_to
+        start = next(s for s in range(record.dropped + 1) if stratum.min_dim_at(s + 1) > n_prev)
+        if record.dropped > start:
+            unions = _Unions(10 ** 9)
+            fewer = replace(stratum, skip=record.dropped - 1)
+            assert _decide(unions, built, fewer, rho, n_prev, j_star) is None
+            assert (*built, fewer) not in unions.memo
+            rejected += 1
+        built, n_prev = (*built, stratum), record.n_m
+    assert rejected
+
+
+def test_a_violation_below_the_onset_is_an_invariant_error():
+    # built stages are accepted under rho, so no public input reaches this:
+    # a built stratum of rate 3 > rho = 2 passes rho below the onset of
+    # every early A3 candidate
+    rho = Fraction(2)
+    built = (build_fixed_type(Fraction(3), LieType("A", 2), 5).strata[0].with_simple(False),)
+    base = build_fixed_type(Fraction(3, 2), LieType("A", 3), 5).strata[0].with_simple(False)
+    for skip in range(4):
+        candidate = replace(base, skip=skip)
+        with pytest.raises(InvariantError, match="stage 2: slope exceeds rho at 125, below"):
+            _decide(_Unions(10 ** 9), built, candidate, rho, 1, _j_star(rho, Fraction(3, 2)))
 
 
 def test_certificate_json_shape():
