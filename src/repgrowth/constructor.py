@@ -190,21 +190,24 @@ def _first_past(series: DirichletSeries, n_prev: int, test) -> Tuple[Optional[in
 def _product(memo: dict, strata: tuple, N: int) -> DirichletSeries:
     """The exact series of the product of the nonempty strata at N, each in
     its own view: the convolve of its head strata[:-1]'s product with the
-    last stratum's series, formed by truncated_zeta.  When the strata are
-    graded by one prime p (every stage past A1, over powers of p), both
-    series are GradedSeries, so that convolve runs on the exponents of p,
-    with the updates of dimension keys in their order, and the product is
-    graded again.  memo holds each tuple of strata at the largest
-    cutoff formed so far, and a smaller N gets its entries <= N, which are
-    the product truncated at N.  A stale entry leaves memo before it is
-    formed again, and forming a product drops its head's head: that was
-    formed with the head, at the head's cutoff, so a call that needs it
-    again needs it past that cutoff."""
+    last stratum's series, formed by truncated_zeta.  When that series is
+    the unit {1: 1} (no factor of the last stratum at or below N, as for a
+    candidate scanned below its onset), the product is the head's, with no
+    convolve.  When every factor the two apply is past A1 over one prime
+    p, both series are GradedSeries, so that convolve runs on the
+    exponents of p, with the updates of dimension keys in their order, and
+    the product is graded again.  memo holds each tuple of strata at the
+    largest cutoff formed so far, and a smaller N gets its entries <= N,
+    which are the product truncated at N.  A stale entry leaves memo
+    before it is formed again, and forming a product drops its head's
+    head: that was formed with the head, at the head's cutoff, so a call
+    that needs it again needs it past that cutoff."""
     have = memo.pop(strata, None)
     if have is None or have.cutoff < N:
         have = truncated_zeta(GroupSpec(strata[-1:]), N, backend=EXACT)
         if len(strata) > 1:
-            have = convolve(_product(memo, strata[:-1], N), have, N)
+            head = _product(memo, strata[:-1], N)
+            have = head if len(have) == 1 else convolve(head, have, N)
             memo.pop(strata[:-2], None)
     memo[strata] = have
     return have if have.cutoff == N else have.prefix(N)
@@ -300,20 +303,20 @@ def build_diagonal(
     (iii) search as prefixes; nothing older is read again, since the sweep
     window and the (iii) scan, which starts at max(n(m-1), 2)^2, pass every
     cutoff of the stage before.  The four benchmark cases take 62/63/54/51
-    truncated_zeta and 49/50/41/38 convolve calls.  Budgets count every
+    truncated_zeta and 39/40/34/30 convolve calls.  Budgets count every
     union formed, memo hits included.
 
-    When every stage is past A1 over powers of one prime p, each stage
-    stratum is graded by p, so its truncated_zeta and every convolve of a
-    product run on the exponents of p (dirichlet.GradedSeries, whose keys
+    When every factor a product applies is past A1 over one prime p, as
+    when every stage is past A1 over powers of p, its truncated_zeta and
+    convolve run on the exponents of p (dirichlet.GradedSeries, whose keys
     the one kernel _mul_into adds) instead of on dimensions of hundreds of
     bits, with the updates of dimension keys in their order: the same
     series, the same certificate.  Each factor's terms are formed on those
     exponents too, from the k of q = p^k each stage stratum proved when it
-    was built, and no dimension is formed for them.  An A1 stage, or
-    stages over two primes, keep dimension keys for every product they
-    enter.  A stage stratum's hash is formed once, when it is built, so a
-    memo lookup hashes no Fraction of its schedule.
+    was built, and no dimension is formed for them.  The factors of an A1
+    stage, or factors over two primes, keep dimension keys for every
+    product they enter.  A stage stratum's hash is formed once, when it is
+    built, so a memo lookup hashes no Fraction of its schedule.
     """
     rho = Fraction(rho)
     if n_budget < 0:

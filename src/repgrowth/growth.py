@@ -8,7 +8,7 @@ are exact there because minimal nontrivial dimensions diverge within every
 infinite stratum.  The exponent rules f(j) of geometric strata live here
 too: PolyExponent, and the construction's Schedule f(j) = n0*k_j - m0*j.
 
-Every stratum kind has the same six methods, so spec-level computations
+Every stratum kind has the same seven methods, so spec-level computations
 are loops over strata and a new kind is one class plus one STRATUM_KINDS
 entry: factors_below(bound), a (min_dim, factor) pair for each factor
 whose minimal nontrivial degree min_dim is <= bound, min_dim being the
@@ -16,11 +16,11 @@ value the stratum's stop test computed, so no caller forms it again;
 abscissa_rate(), (kind, rate) with kind "rational", "infinite" or
 "finite"; count_exponent(), b with m_n = O(n^b), or None;
 with_simple(simple), every factor in the simple or the cover view;
-grading(), the prime p when every dimension of every factor is a power of
-p (the stratum is graded), else None; and the classmethod
-from_jsonable(obj, pointer), the inverse of to_jsonable.  The
-two views differ on A1 factors alone: past A1 the model has no centre, so
-its series, minimal degrees and counts do not read the flag.
+id_str(), the stratum's name in reports and messages; to_jsonable(), its
+JSON object; and the classmethod from_jsonable(obj, pointer), the inverse
+of to_jsonable.  The two views differ on A1 factors alone: past A1 the
+model has no centre, so its series, minimal degrees and counts do not
+read the flag.
 """
 from __future__ import annotations
 
@@ -326,12 +326,6 @@ def _is_a1(t: LieType) -> bool:
     return t is A1 or t == A1
 
 
-def _grading(lie_type: LieType, pk: Tuple[int, int]) -> Optional[int]:
-    """p for a factor past A1 over q = p^k, pk = (p, k): its dimensions are
-    powers of q; None on A1, whose degrees q +- 1 are not."""
-    return None if _is_a1(lie_type) else pk[0]
-
-
 def _simple_flag(obj: dict, default: str, pointer: str) -> bool:
     """The JSON `flag` field: True for "simple", False for "cover"."""
     flag = obj.get("flag", default)
@@ -380,7 +374,9 @@ class FactorSpec:
         return _pair_set(self.lie_type, self.pairs)
 
     def grading(self) -> Optional[int]:
-        return _grading(self.lie_type, self._pk)
+        """p for a factor past A1 over q = p^k: its dimensions are powers of
+        q; None on A1, whose degrees q +- 1 are not."""
+        return None if _is_a1(self.lie_type) else self._pk[0]
 
     def min_nontrivial_dim(self, bound: Optional[int] = None) -> int:
         """The least nontrivial degree; bound + 1 for one the exponent alone
@@ -439,19 +435,9 @@ class FactorSpec:
         return cls(lt, q, _simple_flag(obj, "simple", pointer), mult, pairs)
 
 
-def _common(values) -> Optional[int]:
-    """The one value of values when they all agree and are not None; None
-    otherwise, and for no values at all."""
-    seen = set(values)
-    return seen.pop() if len(seen) == 1 else None
-
-
 @dataclass(frozen=True)
 class FiniteStratum:
     factors: Tuple[FactorSpec, ...]
-
-    def grading(self) -> Optional[int]:
-        return _common(f.grading() for f in self.factors)
 
     def factors_below(self, bound: int) -> List[Tuple[int, FactorSpec]]:
         dims = ((f.min_nontrivial_dim(bound), f) for f in self.factors)
@@ -621,9 +607,6 @@ class GeometricStratum(_Tower):
     def growth_constant(self) -> Optional[Fraction]:
         return self.exponents.rate()
 
-    def grading(self) -> Optional[int]:
-        return _grading(self.lie_type, self._pk)
-
     def id_str(self) -> str:
         return f"geom({self.lie_type.label()},q={self.q})"
 
@@ -692,9 +675,6 @@ class PrimeStratum(_Tower):
 
     def growth_constant(self) -> int:
         return self.rate_exponent() + 1
-
-    def grading(self) -> None:
-        return None  # A1 over every prime
 
     def id_str(self) -> str:
         return f"primes(p>={self.p_min},E={self.mult_exponent})"
@@ -781,9 +761,6 @@ class DiagonalStratum:
     def abscissa_rate(self) -> Tuple[str, Optional[Fraction]]:
         return ("rational", self.rho)
 
-    def grading(self) -> Optional[int]:
-        return grading(st.stratum for st in self.stages)
-
     def count_exponent(self) -> Optional[Fraction]:
         return self.rho  # upper bound across the materialized and asserted tail
 
@@ -863,12 +840,6 @@ class GroupSpec:
         )
 
 
-def grading(strata: Iterable[Stratum]) -> Optional[int]:
-    """The prime p when every stratum is graded by p, so that every
-    dimension of their product is a power of p; None otherwise."""
-    return _common(s.grading() for s in strata)
-
-
 def with_flag(spec: GroupSpec, simple: bool) -> GroupSpec:
     """The same spec with every factor forced to the simple quotient or the
     cover view (the G vs G-tilde comparison)."""
@@ -896,8 +867,8 @@ def _factor_terms(
     N, backend), bit for bit.  A linear factor of any type (M = 1 or
     min_dim^2 > N, so the terms are C(M, 1) * x_f) scales the exact terms
     of x_f in one pass, over a1_terms on A1 with no x_f list formed.  Given
-    top = floor_log(N, p) on a spec graded by p, every term is keyed by the
-    exponent of its dimension instead: x_f's from the pairs
+    top = floor_log(N, p) on a product graded by p, every term is keyed by
+    the exponent of its dimension instead: x_f's from the pairs
     (FactorSpec.x_terms), each power's by adding them (_power_terms given
     p), the same multiplicities in the same order."""
     M = f.multiplicity
@@ -940,10 +911,10 @@ def truncated_zeta(
     since the automatic backend reads every multiplicity before the first
     update and the order spans strata.
 
-    A graded spec, one whose strata all answer grading() with one prime p
-    (towers and finite factors past A1 over powers of p, and diagonal
-    stages over them), keys the accumulator by the exponent e of p^e
-    instead: the same factors and sort, the same sources list, and the
+    When every factor it applies is past A1 over one prime p (each
+    factor's grading(), read off the factor list as the backend is), the
+    product is graded by p and keys the accumulator by the exponent e of
+    p^e instead: the same factors and sort, the same sources list, and the
     same updates in the same order through the same kernel, which adds two
     keys where it would multiply them, so the output is the same to the
     bit.  Each factor's terms are formed at their exponents as well
@@ -951,8 +922,9 @@ def truncated_zeta(
     a factor over q = p^k, k proven when its stratum or FactorSpec was
     built, has the pair (m, n) of x_f at k*n, and the k-th power of a
     one-term x_f at k times its exponent, so no dimension is formed and no
-    float log reads an exponent back.  A1 strata, prime strata and strata
-    over several primes keep dimension keys.
+    float log reads an exponent back.  An A1 factor or factors over two
+    primes keep dimension keys, and a product of no factor is the plain
+    unit series.
 
     Cost: per factor, one call of _factor_terms, with no per-factor
     series, and, for a factor that a prime stratum or a finite stratum
@@ -971,7 +943,7 @@ def truncated_zeta(
     one series for x_f and one convolve per such power.  Then about
     N * sum(|x_f| / min_dim(x_f)) updates for the product, for dense and
     sparse (huge-N) cutoffs alike, each a multiply-add or, on the log
-    backend, a log-add written out in line with no call; on a graded spec
+    backend, a log-add written out in line with no call; on a graded product
     each adds two small exponents where dimension keys multiply two
     dimensions of up to log2(N) bits, and the accumulator holds at most
     floor(log_p N) + 1 keys.  Every one of them, in convolve too, runs
@@ -989,10 +961,12 @@ def truncated_zeta(
     if backend is None:
         big = any(mult_bits(f.multiplicity) > LOG_THRESHOLD_BITS for _, f in factors)
         backend = LOG if big else EXACT
+    p = factors[0][1].grading() if factors else None
+    if p is not None and any(f.grading() != p for _, f in factors):
+        p = None
     exact = backend == EXACT
     factors.sort(key=itemgetter(0))
 
-    p = grading(spec.strata)
     graded = p is not None  # keys are exponents of p: 1 = p^0, and d1 * d2 <= N is e1 + e2 <= top
     top = floor_log(N, p) if graded else None
     stop, unit = (top, 0) if graded else (N, 1)

@@ -490,7 +490,7 @@ def test_build_diagonal_leaves_no_reference_cycles(rho, stages, p):
 
 
 # the most truncated_zeta and convolve calls of each benchmark case
-BENCHMARK_CALLS = [(62, 49), (63, 50), (54, 41), (51, 38)]
+BENCHMARK_CALLS = [(62, 39), (63, 40), (54, 34), (51, 30)]
 
 
 @pytest.mark.parametrize("case, most", list(zip(BENCHMARK_CASES, BENCHMARK_CALLS)))

@@ -3,6 +3,7 @@ multiply on the exponents of p, through the one kernel dirichlet._mul_into
 with keys added in place of dimensions multiplied, in the same update
 order, so both key rules give the same series to the bit."""
 import functools
+import hashlib
 import inspect
 import math
 import warnings
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repgrowth import char_tables, constructor, dirichlet, growth
-from repgrowth.constructor import build_diagonal, default_diagonal_targets
+from repgrowth.constructor import build_diagonal, build_fixed_type, default_diagonal_targets
 from repgrowth.dirichlet import (
     EXACT,
     LOG,
@@ -39,7 +40,6 @@ from repgrowth.growth import (
 )
 from repgrowth.lie_data import A1, LieType, PairSet, positive_root_count, tits_excluded
 
-GRADED_KINDS = (FactorSpec, FiniteStratum, GeometricStratum, DiagonalStratum)
 TYPES = (
     LieType("A", 2),
     LieType("A", 2, True),
@@ -116,13 +116,12 @@ def graded_cases(draw):
 
 
 def _both_kernels(spec, N, backend):
-    """truncated_zeta as is and with every stratum's grading() None."""
+    """truncated_zeta as is and with every factor's grading() None."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)  # N past a diagonal's horizon
         graded = truncated_zeta(spec, N, backend=backend)
         with pytest.MonkeyPatch.context() as mp:
-            for cls in GRADED_KINDS:
-                mp.setattr(cls, "grading", lambda self: None)
+            mp.setattr(FactorSpec, "grading", lambda self: None)
             plain = truncated_zeta(spec, N, backend=backend)
     return graded, plain
 
@@ -132,10 +131,14 @@ def _both_kernels(spec, N, backend):
 def test_graded_and_dict_kernels_give_the_same_bytes(case, backend):
     spec, N = case
     graded, plain = _both_kernels(spec, N, backend)
-    p = growth.grading(spec.strata)
-    assert p is not None and graded.grading == p and plain.grading is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        ps = {f.grading() for _, f in growth._contributions(spec, N)}
+    p = ps.pop() if len(ps) == 1 else None
+    assert graded.grading == p and plain.grading is None
     assert graded.to_json().encode() == plain.to_json().encode()
-    assert [(p ** e, m) for e, m in zip(graded.exps, graded.mults)] == list(plain.items())
+    if p is not None:
+        assert [(p ** e, m) for e, m in zip(graded.exps, graded.mults)] == list(plain.items())
 
 
 def _watch_graded_kernel(mp, seen):
@@ -178,7 +181,6 @@ def test_a1_and_mixed_prime_specs_never_enter_the_graded_kernel(backend):
     with pytest.MonkeyPatch.context() as mp:
         _forbid_graded_kernel(mp)
         for spec in _a1_and_mixed_specs():
-            assert growth.grading(spec.strata) is None
             series = truncated_zeta(spec, 10 ** 4, backend=backend)
             assert series.grading is None
         # the control: the same patch stops a graded spec
@@ -186,6 +188,51 @@ def test_a1_and_mixed_prime_specs_never_enter_the_graded_kernel(backend):
         graded = GroupSpec((GeometricStratum(a2, 5, constructor.make_schedule(Fraction(2), a2)),))
         with pytest.raises(AssertionError, match="graded kernel from repgrowth.growth"):
             truncated_zeta(graded, 10 ** 4, backend=backend)
+
+
+# the A2 tower over 5 at N = 5^12, alone or with a stratum that applies no factor there
+EDGE_DIGESTS = {
+    EXACT: "ad9405283c50add1141faacb4e68e131c1a4d2082cb5c1f78fda9308d7702512",
+    LOG: "bab6f0a0339535c3ebab23593a1310c0b5afdf5c00e94119442d578b6dede465",
+}
+
+
+def _a2_tower() -> GeometricStratum:
+    return build_fixed_type(Fraction(2), LieType("A", 2), 5).strata[0]
+
+
+@pytest.mark.parametrize("backend", [EXACT, LOG])
+@pytest.mark.parametrize(
+    "idle", [PrimeStratum(10 ** 9, 1), FiniteStratum(())], ids=["primes", "empty"]
+)
+def test_a_stratum_with_no_factor_at_N_keeps_the_product_graded(idle, backend):
+    # the key rule is read off the factors applied: a prime stratum whose
+    # first factor lies past N, or an empty finite stratum, applies none
+    spec = GroupSpec((_a2_tower(), idle))
+    graded, plain = _both_kernels(spec, 5 ** 12, backend)
+    assert graded.grading == 5 and plain.grading is None
+    digest = hashlib.sha256(graded.to_json().encode()).hexdigest()
+    assert graded.to_json() == plain.to_json() and digest == EDGE_DIGESTS[backend]
+
+
+def test_a_product_of_no_factor_is_the_plain_unit_series():
+    tower = _a2_tower()
+    assert tower.min_dim_at(1) == 125
+    series = truncated_zeta(GroupSpec((tower,)), 100)
+    assert series == DirichletSeries(100, {1: 1}) and series.grading is None
+
+
+def test_a_union_with_no_factor_of_its_last_stratum_is_its_head(monkeypatch):
+    # a candidate scanned below its onset adds nothing: no convolve runs,
+    # and the union's series is the head's, graded as it is
+    a2, a3 = _a2_tower(), build_fixed_type(Fraction(2), LieType("A", 3), 5).strata[0]
+    assert a3.min_dim_at(1) == 5 ** 6
+    calls = []
+    real = constructor.convolve
+    monkeypatch.setattr(constructor, "convolve", lambda *a: calls.append(a) or real(*a))
+    head = truncated_zeta(GroupSpec((a2,)), 5 ** 5, backend=EXACT)
+    got = constructor._product({}, (a2, a3), 5 ** 5)
+    assert calls == [] and got == head and got.grading == 5
 
 
 @pytest.mark.parametrize(

@@ -483,7 +483,7 @@ def test_each_factor_is_applied_as_it_is_formed(backend):
             FiniteStratum((FactorSpec(LieType("A", 2), 25), FactorSpec(LieType("A", 2), 5))),
         )
     )
-    assert growth.grading(graded.strata) == 5
+    assert truncated_zeta(graded, 5 ** 60).grading == 5
     _applied_as_formed(_order_spec(), 5000, backend)
     _applied_as_formed(graded, 5 ** 60, backend)
 
@@ -1096,6 +1096,25 @@ def _instance(kind):
         return PrimeStratum(7, 2), 100
     stratum = _diagonal_spec().strata[0]
     return stratum, stratum.exact_horizon()
+
+
+STRATUM_PROTOCOL = (
+    "factors_below",
+    "abscissa_rate",
+    "count_exponent",
+    "with_simple",
+    "id_str",
+    "to_jsonable",
+    "from_jsonable",
+)
+
+
+@pytest.mark.parametrize("kind", sorted(STRATUM_KINDS))
+def test_every_stratum_kind_defines_the_protocol_the_module_lists(kind):
+    cls = STRATUM_KINDS[kind]
+    for name in STRATUM_PROTOCOL:
+        assert callable(getattr(cls, name, None)), name
+        assert f"{name}(" in growth.__doc__, name
 
 
 @pytest.mark.parametrize("kind", sorted(STRATUM_KINDS))
