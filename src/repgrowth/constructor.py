@@ -313,9 +313,14 @@ def build_diagonal(
     bits, with the updates of dimension keys in their order: the same
     series, the same certificate.  Each factor's terms are formed on those
     exponents too, from the k of q = p^k each stage stratum proved when it
-    was built, and no dimension is formed for them.  The factors of an A1
-    stage, or factors over two primes, keep dimension keys for every
-    product they enter.  A stage stratum's hash is formed once, when it is
+    was built, and no dimension is formed for them.  A stage series with
+    many factors below its cutoff skips the kernel: truncated_zeta forms it
+    by the recurrence n * F_n = sum_k c_k * F_(n-k) on those exponents
+    (growth._graded_product), about K^2/2 multiply-adds on its K exponents
+    whatever its factor count, where its estimate says that is cheaper; a
+    stage series of one or a few factors, and every convolve, keeps the
+    kernel.  The factors of an A1 stage, or factors over two primes, keep
+    dimension keys for every product they enter.  A stage stratum's hash is formed once, when it is
     built, so a memo lookup hashes no Fraction of its schedule.
     """
     rho = Fraction(rho)

@@ -31,7 +31,7 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .char_tables import a1_terms, primes_from, prime_power
@@ -55,6 +55,7 @@ from .dirichlet import (
     power_one_plus,  # noqa: F401  unused here; kept bound for the same reason
 )
 from .errors import (
+    InvariantError,
     PreconditionError,
     SpecFormatError,
     fraction_field,
@@ -887,6 +888,65 @@ def _factor_terms(
     return [(d, lc + math.log(m)) for d, m in terms if m and d <= stop]
 
 
+def _recurrence_pays(xs: list, K: int, top: int) -> bool:
+    """Whether _graded_product's recurrence, about K^2/2 multiply-adds on K
+    grid exponents plus sum(t_f) to form c, is cheaper than the kernel,
+    about t_1 updates for the first factor and K * t_f for each later one,
+    where t_f = min(K, min(M_f, top // e_f) * |x_f|) bounds the terms of
+    (1 + x_f)^M_f - 1, x_f starting at exponent e_f.  xs holds the (M_f,
+    x_f) in the order the kernel applies them."""
+    t = [min(K, min(M, top // x[0][0]) * len(x)) for M, x in xs]
+    return K * K / 2 + sum(t) < t[0] + K * sum(t[1:])
+
+
+def _graded_product(factors: list, N: int, p: int, top: int) -> Optional[GradedSeries]:
+    """The exact product over factors graded by p, top = floor_log(N, p), as
+    a power series F = prod_f (1 + x_f)^M_f in t = p^-s, by the first-order
+    recurrence n * F_n = sum_k c_k * F_(n-k), with c = t F'/F =
+    sum_f M_f * t x_f'/(1 + x_f) (J. C. P. Miller's; Knuth, TAOCP vol. 2,
+    section 4.7); or None, with nothing formed past the x_f, when
+    _recurrence_pays says the kernel is cheaper.
+
+    Every exponent of every x_f is a multiple of their gcd g, so c and F
+    are too, and both run on the K = top // g + 1 exponents 0, g, ..., top.
+    A one-term x_f = a * t^e (every canonical pair set) adds
+    M_f * e * (-1)^(i-1) * a^i at i * e; a longer one forms h = t x_f'/(1 +
+    x_f) by h_n = n * x_n - sum_k x_k * h_(n-k), about K * |x_f| steps, and
+    adds M_f * h.  Each F_n is then one exact divmod by n, about K^2/2
+    multiply-adds in all, whatever the number of factors or the support of
+    F; a nonzero remainder raises InvariantError.  F holds exact counts, so
+    its nonzero entries are the kernel's keys and values: the same
+    GradedSeries to the bit."""
+    xs = [(mult_to_int(f.multiplicity), f.x_terms(N, EXACT, top)) for _, f in factors]
+    g = math.gcd(*(e for _, x in xs for e, _ in x))
+    K = top // g + 1
+    if not _recurrence_pays(xs, K, top):
+        return None
+    c = [0] * K  # c[j]: the coefficient at exponent j * g
+    for M, x in xs:
+        if len(x) == 1:
+            (e, a), = x
+            v = M * e * a
+            for j in range(e // g, K, e // g):
+                c[j] += v
+                v *= -a
+            continue
+        h = [0] * K
+        x = [(e // g, a) for e, a in x]
+        at = dict(x)
+        for n in range(1, K):
+            h[n] = n * g * at.get(n, 0) - sum(a * h[n - k] for k, a in x if k < n)
+            c[n] += M * h[n]
+    del c[0]
+    F = [1]
+    for n in range(1, K):
+        Fn, r = divmod(sum(map(mul, c, reversed(F))), n * g)
+        if r:
+            raise InvariantError(f"graded product over p = {p}: {n * g} * F_{n * g} has remainder {r}")
+        F.append(Fn)
+    return GradedSeries(N, p, {n * g: Fn for n, Fn in enumerate(F) if Fn}, EXACT)
+
+
 def truncated_zeta(
     spec: GroupSpec,
     N: int,
@@ -924,7 +984,10 @@ def truncated_zeta(
     one-term x_f at k times its exponent, so no dimension is formed and no
     float log reads an exponent back.  An A1 factor or factors over two
     primes keep dimension keys, and a product of no factor is the plain
-    unit series.
+    unit series.  On the exact backend a graded product may instead come
+    from _graded_product's recurrence, which applies no factor one by one:
+    it forms the same series on the same exponents, and runs where its cost
+    estimate, read off the factors' terms, says it beats the kernel.
 
     Cost: per factor, one call of _factor_terms, with no per-factor
     series, and, for a factor that a prime stratum or a finite stratum
@@ -951,7 +1014,14 @@ def truncated_zeta(
     rules, and the binomial sums add their terms in line as the kernel
     adds them; the result series is made from the accumulator dict with no
     merged copy on the exact backend, and a graded one with no dict of
-    dimensions.
+    dimensions.  On a graded exact product those updates number about
+    K * sum(t_f) on K = top // g + 1 exponents, g the gcd of every term's
+    exponent and t_f <= K the terms of factor f's power, so a dense
+    product of many factors (a stage's tower at a large cutoff) costs
+    about K^2 times its factor count; the recurrence costs about K^2/2
+    multiply-adds whatever that count, and the kernel stays for the log
+    backend and for products of few or sparse factors, where K^2/2 would
+    exceed the updates (_recurrence_pays).
     """
     if N < 1:
         raise PreconditionError("N must be >= 1")
@@ -969,6 +1039,10 @@ def truncated_zeta(
 
     graded = p is not None  # keys are exponents of p: 1 = p^0, and d1 * d2 <= N is e1 + e2 <= top
     top = floor_log(N, p) if graded else None
+    if graded and exact:
+        series = _graded_product(factors, N, p, top)
+        if series is not None:
+            return series
     stop, unit = (top, 0) if graded else (N, 1)
     acc = {unit: 1 if exact else 0.0}
     sources = [unit]  # sorted keys of acc that the current factor can still reach

@@ -788,6 +788,9 @@ CONSTRUCT_DIGESTS = {
         "e8682996cdd0d6ee2ea0e438086cc83ce0f17e8a07ebbe58d72d9cb77bef653f",
     ("--rho", "3", "--stages", "3", "--p", "5", "--family", "B"):
         "def66999b00596bdcca41e85e7db82316b8ec1ff2b31ba3975bf371d9a8bba1c",
+    # pinned before exact graded products could take the recurrence
+    ("--rho", "2", "--stages", "12", "--p", "5"):
+        "e6e5cef8919b2d4161c1a1711234446642328d0e0eeef9d75c671eefcbc0117a",
 }
 P7_TARGETS = [
     {"rho_m": "3/2", "lie_type": {"family": "A", "rank": 2}, "p": 7},

@@ -1,7 +1,10 @@
 """Graded series: series whose every dimension is a power of one prime p
 multiply on the exponents of p, through the one kernel dirichlet._mul_into
 with keys added in place of dimensions multiplied, in the same update
-order, so both key rules give the same series to the bit."""
+order, so both key rules give the same series to the bit.  An exact graded
+product in truncated_zeta may come from the recurrence instead
+(growth._graded_product), where its cost estimate picks it: the same
+series to the bit again."""
 import functools
 import hashlib
 import inspect
@@ -25,7 +28,7 @@ from repgrowth.dirichlet import (
     convolve,
     floor_log,
 )
-from repgrowth.errors import PreconditionError
+from repgrowth.errors import InvariantError, PreconditionError
 from repgrowth.growth import (
     DiagonalStratum,
     FactorSpec,
@@ -39,6 +42,7 @@ from repgrowth.growth import (
     truncated_zeta,
 )
 from repgrowth.lie_data import A1, LieType, PairSet, positive_root_count, tits_excluded
+from test_acceptance import _brute_product
 
 TYPES = (
     LieType("A", 2),
@@ -141,25 +145,107 @@ def test_graded_and_dict_kernels_give_the_same_bytes(case, backend):
         assert [(p ** e, m) for e, m in zip(graded.exps, graded.mults)] == list(plain.items())
 
 
+@settings(max_examples=100, deadline=None)
+@given(graded_cases(), st.sampled_from(["kernel", "recurrence"]))
+def test_both_graded_branches_give_the_dict_kernels_bytes(case, branch):
+    # the estimate, forced each way, picks the branch of an exact graded
+    # product; the log backend never asks it
+    spec, N = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(growth, "_recurrence_pays", lambda *args: branch == "recurrence")
+        graded, plain = _both_kernels(spec, N, EXACT)
+    assert graded.to_json().encode() == plain.to_json().encode()
+
+
+def _a2_copies(q: int, pairs: PairSet) -> list:
+    """The degrees of one copy of A2(q) under the pair-set model, each as
+    often as its multiplicity: 1, then q^n with multiplicity q^m per pair."""
+    return [1] + [q ** n for m, n in pairs for _ in range(q ** m)]
+
+
+@pytest.mark.parametrize("branch", ["kernel", "recurrence"])
+@pytest.mark.parametrize(
+    "pairs", [None, PairSet([(0, 1), (1, 2), (2, 3)])], ids=["canonical", "three-pairs"]
+)
+def test_graded_products_match_brute_force_degree_enumeration(monkeypatch, pairs, branch):
+    a2 = LieType("A", 2)
+    factors = (FactorSpec(a2, 2, multiplicity=3, pairs=pairs), FactorSpec(a2, 4, multiplicity=2, pairs=pairs))
+    spec = GroupSpec((FiniteStratum(factors),))
+    monkeypatch.setattr(growth, "_recurrence_pays", lambda *args: branch == "recurrence")
+    N = 2 ** 13 + 5
+    got = truncated_zeta(spec, N, backend=EXACT)
+    degrees = [_a2_copies(f.q, f.pair_set()) for f in factors for _ in range(f.multiplicity)]
+    assert got.grading == 2 and dict(got.items()) == _brute_product(degrees, N)
+
+
+def _chosen_branches(spec, N) -> list:
+    """The branch the estimate picks at each call in truncated_zeta(spec, N)."""
+    choices = []
+    real = growth._recurrence_pays
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(growth, "_recurrence_pays", lambda *a: choices.append(real(*a)) or choices[-1])
+        assert truncated_zeta(spec, N).grading == 2
+    return ["recurrence" if c else "kernel" for c in choices]
+
+
+def test_the_estimate_sends_sparse_products_to_the_kernel_and_dense_ones_to_the_recurrence():
+    # the recurrence costs K^2/2 on K = top // g + 1 exponents whatever the
+    # support: one factor of a large M, or two factors, at a huge N would
+    # pay it for a few hundred kernel updates
+    a2 = LieType("A", 2)
+    big = 10 ** 6
+    one = GroupSpec((FiniteStratum((FactorSpec(a2, 2, multiplicity=big),)),))
+    two = GroupSpec((FiniteStratum((FactorSpec(a2, 4, multiplicity=big), FactorSpec(a2, 8, multiplicity=big))),))
+    tower = GroupSpec((GeometricStratum(a2, 2, PolyExponent((1,))),))  # A2(2^j)^2, j <= 200
+    assert _chosen_branches(one, 2 ** 2000) == ["kernel"]
+    assert _chosen_branches(two, 2 ** 1500) == ["kernel"]
+    assert _chosen_branches(tower, 2 ** 600) == ["recurrence"]
+
+
+def test_a_remainder_in_the_recurrence_is_an_invariant_failure(monkeypatch):
+    # each F_n must come out of one exact division: a multiplicity read as
+    # 1/3, whose (1 + 4 t^3)^(1/3) = 1 + (4/3) t^3 - ... is no count, is exit 5
+    a2 = LieType("A", 2)
+    spec = GroupSpec((FiniteStratum((FactorSpec(a2, 2), FactorSpec(a2, 4))),))
+    monkeypatch.setattr(growth, "_recurrence_pays", lambda *args: True)
+    monkeypatch.setattr(growth, "mult_to_int", lambda M: Fraction(1, 3))
+    with pytest.raises(InvariantError, match="remainder") as info:
+        truncated_zeta(spec, 2 ** 30, backend=EXACT)
+    assert info.value.exit_code == 5
+
+
 def _watch_graded_kernel(mp, seen):
-    """Wrap the one kernel where convolve (dirichlet) and truncated_zeta
-    (growth) call it: each call in graded mode, keys added rather than
-    multiplied, passes the calling module's name to seen before it runs."""
+    """Wrap both branches that form a graded product and pass each use to
+    seen: "kernel from <module>" before each call of the one kernel in
+    graded mode, keys added rather than multiplied, where convolve
+    (dirichlet) and truncated_zeta (growth) call it; and "recurrence from
+    repgrowth.growth" each time truncated_zeta's recurrence forms a product
+    (growth._graded_product returns None where its estimate sends the
+    product to the kernel)."""
     real = dirichlet._mul_into
     bind = inspect.signature(real).bind
     for module in (dirichlet, growth):
 
         def watched(*args, _name=module.__name__, **kwargs):
             if bind(*args, **kwargs).arguments.get("graded"):
-                seen(_name)
+                seen(f"kernel from {_name}")
             return real(*args, **kwargs)
 
         mp.setattr(module, "_mul_into", watched)
+    recurrence = growth._graded_product
+
+    def watched_recurrence(*args):
+        series = recurrence(*args)
+        if series is not None:
+            seen("recurrence from repgrowth.growth")
+        return series
+
+    mp.setattr(growth, "_graded_product", watched_recurrence)
 
 
 def _forbid_graded_kernel(mp):
-    def refuse(name):
-        raise AssertionError(f"entered the graded kernel from {name}")
+    def refuse(label):
+        raise AssertionError(f"entered the graded {label}")
 
     _watch_graded_kernel(mp, refuse)
 
@@ -183,11 +269,14 @@ def test_a1_and_mixed_prime_specs_never_enter_the_graded_kernel(backend):
         for spec in _a1_and_mixed_specs():
             series = truncated_zeta(spec, 10 ** 4, backend=backend)
             assert series.grading is None
-        # the control: the same patch stops a graded spec
+        # the controls: the same patch stops a graded spec on each branch,
+        # the recurrence (exact only) where the estimate is made to pick it
         a2 = LieType("A", 2)
         graded = GroupSpec((GeometricStratum(a2, 5, constructor.make_schedule(Fraction(2), a2)),))
-        with pytest.raises(AssertionError, match="graded kernel from repgrowth.growth"):
-            truncated_zeta(graded, 10 ** 4, backend=backend)
+        for branch in ("kernel", "recurrence") if backend == EXACT else ("kernel",):
+            mp.setattr(growth, "_recurrence_pays", lambda *a, _b=branch: _b == "recurrence")
+            with pytest.raises(AssertionError, match=f"graded {branch} from repgrowth.growth"):
+                truncated_zeta(graded, 10 ** 4, backend=backend)
 
 
 # the A2 tower over 5 at N = 5^12, alone or with a stratum that applies no factor there
@@ -236,16 +325,21 @@ def test_a_union_with_no_factor_of_its_last_stratum_is_its_head(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "targets",
+    "targets, branches",
     [
-        [(Fraction(3, 2), A1, 5), (Fraction(7, 4), LieType("A", 2), 5)],
-        [(Fraction(3, 2), LieType("A", 2), 5), (Fraction(7, 4), LieType("A", 3), 7)],
+        ([(Fraction(3, 2), A1, 5), (Fraction(7, 4), LieType("A", 2), 5)], {"kernel"}),
+        (
+            [(Fraction(3, 2), LieType("A", 2), 5), (Fraction(7, 4), LieType("A", 3), 7)],
+            {"kernel", "recurrence"},
+        ),
     ],
     ids=["a1-first", "two-primes"],
 )
-def test_products_with_an_a1_stage_or_two_primes_take_the_dict_kernel(monkeypatch, targets):
+def test_products_with_an_a1_stage_or_two_primes_take_the_dict_kernel(monkeypatch, targets, branches):
     # each stage past A1 is graded alone, but a product with an A1 stage or
-    # with a stage over another prime is not, so convolve keys by dimensions
+    # with a stage over another prime is not, so convolve keys by dimensions;
+    # the estimate sends every stage series of the A1-first build to the
+    # kernel, and some of the two-prime build's to the recurrence
     products, calls = [], []
     real = constructor.convolve
     monkeypatch.setattr(constructor, "convolve", lambda *a: products.append(real(*a)) or products[-1])
@@ -253,7 +347,8 @@ def test_products_with_an_a1_stage_or_two_primes_take_the_dict_kernel(monkeypatc
     _, cert = build_diagonal(Fraction(2), targets)
     assert cert.complete and products
     assert all(s.grading is None for s in products)
-    assert set(calls) == {"repgrowth.growth"}  # graded stage series, no graded convolve
+    # graded stage series, no graded convolve
+    assert set(calls) == {f"{b} from repgrowth.growth" for b in branches}
 
 
 def test_a_graded_build_forms_its_products_on_exponents(monkeypatch):
@@ -266,8 +361,14 @@ def test_a_graded_build_forms_its_products_on_exponents(monkeypatch):
     calls = []
     _watch_graded_kernel(monkeypatch, calls.append)
     _, cert = build_diagonal(Fraction(2), default_diagonal_targets(Fraction(2), 3, 5))
-    # truncated_zeta and convolve both keyed their updates by exponents
-    assert cert.complete and set(calls) == {"repgrowth.dirichlet", "repgrowth.growth"}
+    # convolve keyed its updates by exponents, and truncated_zeta formed its
+    # series on exponents by both branches: the kernel for the one-factor
+    # and sparse ones, the recurrence where the estimate picks it
+    assert cert.complete and set(calls) == {
+        "kernel from repgrowth.dirichlet",
+        "kernel from repgrowth.growth",
+        "recurrence from repgrowth.growth",
+    }
 
 
 @settings(max_examples=80, deadline=None)

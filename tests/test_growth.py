@@ -476,7 +476,9 @@ def _applied_as_formed(spec, N, backend):
 @pytest.mark.parametrize("backend", [EXACT, LOG])
 def test_each_factor_is_applied_as_it_is_formed(backend):
     # an A2 tower over 5 with a finite stratum over powers of 5 is graded:
-    # its factors go through the same kernel, keyed by exponent
+    # on the kernel branch its factors go through the same kernel, keyed by
+    # exponent; that branch is the log backend's and, with the cost estimate
+    # declining the recurrence, the exact backend's, as on a sparse product
     graded = GroupSpec(
         (
             build_fixed_type(Fraction(2), LieType("A", 2), 5).strata[0],
@@ -485,7 +487,22 @@ def test_each_factor_is_applied_as_it_is_formed(backend):
     )
     assert truncated_zeta(graded, 5 ** 60).grading == 5
     _applied_as_formed(_order_spec(), 5000, backend)
-    _applied_as_formed(graded, 5 ** 60, backend)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(growth, "_recurrence_pays", lambda *args: False)
+        _applied_as_formed(graded, 5 ** 60, backend)
+    # unpatched, the estimate sends this dense exact product to the
+    # recurrence, with no factor's terms formed and no kernel call; the log
+    # backend never asks it
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_factor_terms", "_mul_into", "_graded_product"):
+            real = getattr(growth, name)
+            mp.setattr(growth, name, lambda *a, _n=name, _f=real: calls.append((_n, _f(*a))) or calls[-1][1])
+        series = truncated_zeta(graded, 5 ** 60, backend=backend)
+    if backend == EXACT:
+        assert calls == [("_graded_product", series)] and series.grading == 5
+    else:
+        assert calls and {name for name, _ in calls} == {"_factor_terms", "_mul_into"}
 
 
 def _a1_factor_cases():
