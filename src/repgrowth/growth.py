@@ -12,7 +12,11 @@ Every stratum kind has the same seven methods, so spec-level computations
 are loops over strata and a new kind is one class plus one STRATUM_KINDS
 entry: factors_below(bound), a (min_dim, factor) pair for each factor
 whose minimal nontrivial degree min_dim is <= bound, min_dim being the
-value the stratum's stop test computed, so no caller forms it again;
+value the stratum's stop test computed, so no caller forms it again, and
+the factor anything with a multiplicity, grading() and terms(min_dim, N,
+backend, top), the terms truncated_zeta applies: a FactorSpec, or on a
+prime stratum a _PrimeFactor (p, M, simple), which builds a checked
+FactorSpec only for a prime whose x_f is raised to powers;
 abscissa_rate(), (kind, rate) with kind "rational", "infinite" or
 "finite"; count_exponent(), b with m_n = O(n^b), or None;
 with_simple(simple), every factor in the simple or the cover view;
@@ -32,7 +36,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from operator import itemgetter, mul
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .char_tables import a1_terms, primes_from, prime_power
 from .dirichlet import (
@@ -405,6 +409,10 @@ class FactorSpec:
         one = (1, 1 if backend == EXACT else 0.0)
         return DirichletSeries(N, [one] + self.x_terms(N, backend), backend)
 
+    def terms(self, min_dim: int, N: int, backend: str, top: Optional[int] = None) -> list:
+        """The terms of (1 + x_f)^M - 1 that truncated_zeta applies (_factor_terms)."""
+        return _factor_terms(self, min_dim, N, backend, top)
+
     def to_jsonable(self) -> dict:
         mult = self.multiplicity
         out = {
@@ -434,6 +442,35 @@ class FactorSpec:
         if "pairs" in obj:
             pairs = PairSet.from_jsonable(obj["pairs"], pointer + "/pairs")
         return cls(lt, q, _simple_flag(obj, "simple", pointer), mult, pairs)
+
+
+class _PrimeFactor(NamedTuple):
+    """SL2(p)^M, or PSL2(p)^M when simple, as a prime stratum's walk yields
+    it: no FactorSpec and none of its checks, which the stratum proves for
+    every p it draws from primes_from (p >= 5 prime, M >= 1).  It answers
+    what truncated_zeta and m_ns read of a factor: multiplicity, grading()
+    and terms()."""
+
+    p: int
+    multiplicity: Multiplicity
+    simple: bool
+
+    def grading(self) -> None:
+        """None: an A1 factor's degrees p +- 1 are not powers of one prime."""
+        return None
+
+    def factor(self) -> FactorSpec:
+        """The checked FactorSpec of this factor."""
+        return FactorSpec(A1, self.p, self.simple, self.multiplicity)
+
+    def terms(self, min_dim: int, N: int, backend: str, top: Optional[int] = None) -> list:
+        """FactorSpec.terms of factor(), bit for bit; a linear factor (M = 1
+        or min_dim^2 > N) reads them off a1_terms with no FactorSpec built.
+        top is None: an A1 factor never joins a graded product."""
+        M = self.multiplicity
+        if M != 1 and min_dim * min_dim <= N:
+            return _factor_terms(self.factor(), min_dim, N, backend)
+        return _linear_terms(a1_terms(self.p, self.simple)[1:], M, N, backend)
 
 
 @dataclass(frozen=True)
@@ -492,11 +529,6 @@ class _Tower:
         q, e = self.field(i)
         return _min_dim(self.lie_type, q, self.simple, self.pair_set(), e, bound)
 
-    def _factor(self, q: int, e: int, multiplicity: Multiplicity) -> FactorSpec:
-        """The factor that factors_below yields at the field size q = q_i^e,
-        formed: a FactorSpec, with its checks."""
-        return FactorSpec(self.lie_type, q, self.simple, multiplicity, self.pairs)
-
     @staticmethod
     def _power(base: int, e: int) -> Multiplicity:
         """base**e, kept unexpanded once it passes _MATERIALIZE_BITS bits."""
@@ -506,23 +538,6 @@ class _Tower:
 
     def n_min(self) -> int:
         return self.pair_set().min_dim_exponent()
-
-    def factors_below(self, bound: int) -> Iterator[Tuple[int, FactorSpec]]:
-        """(min_dim_at(i, bound), factor_at(i)) along the indices while the
-        degree is <= bound, from one field(i) per index: q^e is formed once
-        and serves both."""
-        a1 = _is_a1(self.lie_type)
-        n = self.n_min()
-        cap = bound.bit_length() + 1
-        for i in self.indices():
-            q, e = self.field(i)
-            if e * n > cap:
-                return
-            q **= e
-            d = _least_degree(a1, q, self.simple, n)
-            if d > bound:
-                return
-            yield d, self._factor(q, e, self.multiplicity(i))
 
     def abscissa_rate(self) -> Tuple[str, Optional[Fraction]]:
         c = self.growth_constant()
@@ -593,6 +608,23 @@ class GeometricStratum(_Tower):
             _pk=(p, k * e),
         )
 
+    def factors_below(self, bound: int) -> Iterator[Tuple[int, FactorSpec]]:
+        """(min_dim_at(i, bound), factor_at(i)) along the indices while the
+        degree is <= bound, from one field(i) per index: q^e is formed once
+        and serves both."""
+        a1 = _is_a1(self.lie_type)
+        n = self.n_min()
+        cap = bound.bit_length() + 1
+        for i in self.indices():
+            q, e = self.field(i)
+            if e * n > cap:
+                return
+            q **= e
+            d = _least_degree(a1, q, self.simple, n)
+            if d > bound:
+                return
+            yield d, self._factor(q, e, self.multiplicity(i))
+
     def indices(self) -> Iterator[int]:
         return itertools.count(self.skip + 1)
 
@@ -655,12 +687,21 @@ class PrimeStratum(_Tower):
 
     lie_type = A1
 
-    def factors_below(self, bound: int) -> Iterator[Tuple[int, FactorSpec]]:
+    def factors_below(self, bound: int) -> Iterator[Tuple[int, _PrimeFactor]]:
+        """(h, _PrimeFactor(p, M, simple)) for the primes p >= p_min whose
+        least degree h is <= bound, read off p itself (_least_degree), with
+        no FactorSpec and no field(p) formed.  h never decreases along the
+        primes, so the walk stops at the first one past the bound."""
         # every prime p >= p_min has minimal dimension >= (p_min - 1) // 2, so
         # a p_min far above the bound needs no sieve window at all
         if (self.p_min - 1) // 2 > bound:
-            return iter(())
-        return super().factors_below(bound)
+            return
+        simple = self.simple
+        for p in self.indices():
+            h = _least_degree(True, p, simple, 1)
+            if h > bound:
+                return
+            yield h, _PrimeFactor(p, self.multiplicity(p), simple)
 
     def rate_exponent(self) -> int:
         return 3 * self.mult_exponent
@@ -867,9 +908,10 @@ def _factor_terms(
     min_dim <= N where x_f starts: _power_terms(f.x_terms(N, backend), M,
     N, backend), bit for bit.  A linear factor of any type (M = 1 or
     min_dim^2 > N, so the terms are C(M, 1) * x_f) scales the exact terms
-    of x_f in one pass, over a1_terms on A1 with no x_f list formed.  Given
-    top = floor_log(N, p) on a product graded by p, every term is keyed by
-    the exponent of its dimension instead: x_f's from the pairs
+    of x_f in one pass (_linear_terms, as a prime stratum's linear primes
+    do with no FactorSpec), over a1_terms on A1 with no x_f list formed.
+    Given top = floor_log(N, p) on a product graded by p, every term is
+    keyed by the exponent of its dimension instead: x_f's from the pairs
     (FactorSpec.x_terms), each power's by adding them (_power_terms given
     p), the same multiplicities in the same order."""
     M = f.multiplicity
@@ -880,7 +922,13 @@ def _factor_terms(
         terms = a1_terms(f.q, f.simple)[1:]
     else:
         terms = f.x_terms(N, EXACT, top)
-    stop = N if p is None else top
+    return _linear_terms(terms, M, N if p is None else top, backend)
+
+
+def _linear_terms(terms, M: Multiplicity, stop: int, backend: str) -> list:
+    """C(M, 1) * x for a linear factor's exact terms x: each nonzero term
+    at a key <= stop scaled by M in one pass, or on the log backend
+    log M + log m, the terms _power_terms gives when x^2 passes stop."""
     if backend == EXACT:
         Mi = mult_to_int(M)
         return [(d, Mi * m) for d, m in terms if m and d <= stop]
@@ -905,7 +953,9 @@ def _graded_product(factors: list, N: int, p: int, top: int) -> Optional[GradedS
     recurrence n * F_n = sum_k c_k * F_(n-k), with c = t F'/F =
     sum_f M_f * t x_f'/(1 + x_f) (J. C. P. Miller's; Knuth, TAOCP vol. 2,
     section 4.7); or None, with nothing formed past the x_f, when
-    _recurrence_pays says the kernel is cheaper.
+    _recurrence_pays says the kernel is cheaper, and with nothing formed
+    at all for one factor, which that estimate never sends here (its t_1
+    <= K <= K^2/2).
 
     Every exponent of every x_f is a multiple of their gcd g, so c and F
     are too, and both run on the K = top // g + 1 exponents 0, g, ..., top.
@@ -917,6 +967,8 @@ def _graded_product(factors: list, N: int, p: int, top: int) -> Optional[GradedS
     F; a nonzero remainder raises InvariantError.  F holds exact counts, so
     its nonzero entries are the kernel's keys and values: the same
     GradedSeries to the bit."""
+    if len(factors) < 2:
+        return None
     xs = [(mult_to_int(f.multiplicity), f.x_terms(N, EXACT, top)) for _, f in factors]
     g = math.gcd(*(e for _, x in xs for e, _ in x))
     K = top // g + 1
@@ -987,41 +1039,44 @@ def truncated_zeta(
     unit series.  On the exact backend a graded product may instead come
     from _graded_product's recurrence, which applies no factor one by one:
     it forms the same series on the same exponents, and runs where its cost
-    estimate, read off the factors' terms, says it beats the kernel.
+    estimate, read off the factors' terms, says it beats the kernel; a
+    product of one factor goes to the kernel without asking it.
 
-    Cost: per factor, one call of _factor_terms, with no per-factor
-    series, and, for a factor that a prime stratum or a finite stratum
-    builds, FactorSpec's checks (prime_power among them: for a prime field
-    size between 10^6 and 2.5 * 10^7 a gcd, one square root and
-    Miller-Rabin on two or three bases); a geometric tower proves them once
-    for all its factors.  Its minimal dimension comes with it from
-    factors_below, which forms a tower index's field size once for both.
-    A linear factor (M = 1 or min_dim^2 > N, as for every prime
-    p > 2 sqrt(N) + 1 in the SL2-over-primes family) forms its terms
-    C(M, 1) * x_f in one pass over the closed form or the pair set, with no
-    mass identity summed.  Any other factor forms x_f the same way and one
-    binomial times each term, and each power x_f^k, k >= 2 and
-    min_dim^k <= N, as one term, with no series, when x_f has one term at
-    dims <= N (as on a one-pair set), and otherwise (the A1 degrees) with
-    one series for x_f and one convolve per such power.  Then about
-    N * sum(|x_f| / min_dim(x_f)) updates for the product, for dense and
-    sparse (huge-N) cutoffs alike, each a multiply-add or, on the log
-    backend, a log-add written out in line with no call; on a graded product
-    each adds two small exponents where dimension keys multiply two
-    dimensions of up to log2(N) bits, and the accumulator holds at most
-    floor(log_p N) + 1 keys.  Every one of them, in convolve too, runs
-    through one kernel, dirichlet._mul_into, with one of its two key
-    rules, and the binomial sums add their terms in line as the kernel
-    adds them; the result series is made from the accumulator dict with no
-    merged copy on the exact backend, and a graded one with no dict of
-    dimensions.  On a graded exact product those updates number about
-    K * sum(t_f) on K = top // g + 1 exponents, g the gcd of every term's
-    exponent and t_f <= K the terms of factor f's power, so a dense
-    product of many factors (a stage's tower at a large cutoff) costs
-    about K^2 times its factor count; the recurrence costs about K^2/2
-    multiply-adds whatever that count, and the kernel stays for the log
-    backend and for products of few or sparse factors, where K^2/2 would
-    exceed the updates (_recurrence_pays).
+    Cost: per factor, one call of its terms(), with no per-factor series.
+    A finite stratum's FactorSpecs ran their checks when the spec was
+    built, and a geometric tower proves them once for all its factors.  A
+    prime stratum builds a checked FactorSpec (prime_power among its
+    checks: one gcd below 10^6) only for a prime whose x_f is raised to
+    powers, p <= 2 sqrt(N) + 1 in the SL2-over-primes family; every other
+    prime is its p, M and view alone.  Its minimal dimension comes with it
+    from factors_below, which reads it off p, or forms a geometric tower
+    index's field size once for it and the factor.  A linear factor (M = 1
+    or min_dim^2 > N, as for every prime p > 2 sqrt(N) + 1) forms its
+    terms C(M, 1) * x_f in one pass (_linear_terms) over the closed form
+    or the pair set, with no mass identity summed.  Any other factor forms
+    x_f the same way and one binomial times each term, and each power
+    x_f^k, k >= 2 and min_dim^k <= N, as one term, with no series, when
+    x_f has one term at dims <= N (as on a one-pair set), and otherwise
+    (the A1 degrees) with one series for x_f and one convolve per such
+    power.  Then about N * sum(|x_f| / min_dim(x_f)) updates for the
+    product, for dense and sparse (huge-N) cutoffs alike, each a
+    multiply-add or, on the log backend, a log-add written out in line
+    with no call; on a graded product each adds two small exponents where
+    dimension keys multiply two dimensions of up to log2(N) bits, and the
+    accumulator holds at most floor(log_p N) + 1 keys.  Every one of
+    them, in convolve too, runs through one kernel, dirichlet._mul_into,
+    with one of its two key rules, and the binomial sums add their terms
+    in line as the kernel adds them; the result series is made from the
+    accumulator dict with no merged copy on the exact backend, and a
+    graded one with no dict of dimensions.  On a graded exact product
+    those updates number about K * sum(t_f) on K = top // g + 1
+    exponents, g the gcd of every term's exponent and t_f <= K the terms
+    of factor f's power, so a dense product of many factors (a stage's
+    tower at a large cutoff) costs about K^2 times its factor count; the
+    recurrence costs about K^2/2 multiply-adds whatever that count, and
+    the kernel stays for the log backend and for products of few or
+    sparse factors, where K^2/2 would exceed the updates
+    (_recurrence_pays).
     """
     if N < 1:
         raise PreconditionError("N must be >= 1")
@@ -1047,7 +1102,7 @@ def truncated_zeta(
     acc = {unit: 1 if exact else 0.0}
     sources = [unit]  # sorted keys of acc that the current factor can still reach
     for min_dim, f in factors:
-        x = _factor_terms(f, min_dim, N, backend, top)
+        x = f.terms(min_dim, N, backend, top)
         bound = top - x[0][0] if graded else N // x[0][0]
         del sources[bisect_right(sources, bound):]
         fresh = _mul_into(acc, acc, reversed(sources), x, stop, exact, bound, graded)

@@ -815,6 +815,24 @@ def test_construct_diagonal_targets_json_output_is_pinned(capsys, tmp_path):
     assert hashlib.sha256(out.encode()).hexdigest() == P7_DIGEST
 
 
+# sha256 of the `zeta --format csv --N 100000` stdout on the SL2-over-primes
+# family of d = 3, in the cover and the simple view, pinned while every prime
+# of a prime stratum was still built as a checked FactorSpec
+PRIMES_CSV_DIGESTS = {
+    "cover": "5b79ff91707f0197875c34fdf06f80dca4d84c285221e8a23c310d9be2b16a74",
+    "simple": "651bdf11d16f30bb655a9535e12cba9593c2cb47ec7f68a6ccc2a185601b87a6",
+}
+
+
+@pytest.mark.parametrize("view", list(PRIMES_CSV_DIGESTS))
+def test_zeta_csv_on_the_prime_family_is_pinned(capsys, view):
+    spec = growth.with_flag(sl2_over_primes_spec(3), view == "simple")
+    argv = ("zeta", "--spec", json.dumps(spec.to_jsonable()), "--N", "100000", "--format", "csv")
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PRIMES_CSV_DIGESTS[view]
+
+
 def _a1_first(rho_m, p, *later):
     """A --targets-json list: an A1 stage, then (rho_m, A_rank) stages over p."""
     stages = [(rho_m, 1), *later]

@@ -179,13 +179,15 @@ def test_graded_products_match_brute_force_degree_enumeration(monkeypatch, pairs
 
 
 def _chosen_branches(spec, N) -> list:
-    """The branch the estimate picks at each call in truncated_zeta(spec, N)."""
+    """The branch each _graded_product call in truncated_zeta(spec, N) picks:
+    a series from the recurrence, or None for the kernel (the estimate
+    declined, or the product has one factor, which it never accepts)."""
     choices = []
-    real = growth._recurrence_pays
+    real = growth._graded_product
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(growth, "_recurrence_pays", lambda *a: choices.append(real(*a)) or choices[-1])
+        mp.setattr(growth, "_graded_product", lambda *a: choices.append(real(*a)) or choices[-1])
         assert truncated_zeta(spec, N).grading == 2
-    return ["recurrence" if c else "kernel" for c in choices]
+    return ["kernel" if c is None else "recurrence" for c in choices]
 
 
 def test_the_estimate_sends_sparse_products_to_the_kernel_and_dense_ones_to_the_recurrence():
@@ -200,6 +202,22 @@ def test_the_estimate_sends_sparse_products_to_the_kernel_and_dense_ones_to_the_
     assert _chosen_branches(one, 2 ** 2000) == ["kernel"]
     assert _chosen_branches(two, 2 ** 1500) == ["kernel"]
     assert _chosen_branches(tower, 2 ** 600) == ["recurrence"]
+
+
+def test_a_one_factor_graded_product_forms_its_terms_once(monkeypatch):
+    # one factor never pays for the recurrence (t_1 <= K <= K^2/2), so the
+    # kernel forms its x_f, and nothing is formed before it to be dropped
+    a2 = LieType("A", 2)
+    for M in (1, 3, 10 ** 6):
+        spec = GroupSpec((FiniteStratum((FactorSpec(a2, 4, multiplicity=M),)),))
+        want = truncated_zeta(spec, 2 ** 300, backend=EXACT)
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            real = FactorSpec.x_terms
+            mp.setattr(FactorSpec, "x_terms", lambda *a: calls.append(a) or real(*a))
+            got = truncated_zeta(spec, 2 ** 300, backend=EXACT)
+        assert got.grading == 2 and got.to_json() == want.to_json()
+        assert len(calls) == 1, M
 
 
 def test_a_remainder_in_the_recurrence_is_an_invariant_failure(monkeypatch):
@@ -270,13 +288,14 @@ def test_a1_and_mixed_prime_specs_never_enter_the_graded_kernel(backend):
             series = truncated_zeta(spec, 10 ** 4, backend=backend)
             assert series.grading is None
         # the controls: the same patch stops a graded spec on each branch,
-        # the recurrence (exact only) where the estimate is made to pick it
+        # the recurrence (exact only) where the estimate is made to pick it;
+        # at 10^5 the tower applies two factors, since one never reaches it
         a2 = LieType("A", 2)
         graded = GroupSpec((GeometricStratum(a2, 5, constructor.make_schedule(Fraction(2), a2)),))
         for branch in ("kernel", "recurrence") if backend == EXACT else ("kernel",):
             mp.setattr(growth, "_recurrence_pays", lambda *a, _b=branch: _b == "recurrence")
             with pytest.raises(AssertionError, match=f"graded {branch} from repgrowth.growth"):
-                truncated_zeta(graded, 10 ** 4, backend=backend)
+                truncated_zeta(graded, 10 ** 5, backend=backend)
 
 
 # the A2 tower over 5 at N = 5^12, alone or with a stratum that applies no factor there
@@ -497,8 +516,9 @@ def test_equal_strata_built_apart_hash_equal_and_share_one_memo_entry(monkeypatc
 
 
 def test_tower_factors_reuse_the_stratum_proof(monkeypatch):
-    # a geometric tower builds each S(q^j) without prime_power; the public
-    # FactorSpec and a prime stratum's factors keep the check
+    # a geometric tower builds each S(q^j) without prime_power, and a prime
+    # stratum's walk builds no FactorSpec at all; the public FactorSpec
+    # keeps the check
     tower = GeometricStratum(LieType("A", 2), 25, PolyExponent((1, 1)))
     calls = []
     real = char_tables.prime_power
@@ -508,6 +528,6 @@ def test_tower_factors_reuse_the_stratum_proof(monkeypatch):
     assert [f for _, f in walked] == [tower.factor_at(j) for j in range(1, 11)]
     assert len(calls) == 10  # factor_at builds the public FactorSpec
     calls.clear()
-    assert len(list(PrimeStratum(5, 1).factors_below(100))) == len(calls) > 0
+    assert len(list(PrimeStratum(5, 1).factors_below(100))) > 0 and calls == []
     with pytest.raises(PreconditionError, match="not a prime power"):
         FactorSpec(LieType("A", 2), 10)

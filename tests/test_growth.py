@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repgrowth.char_tables import psl2_table, sl2_table, zeta_series
+from repgrowth.char_tables import primes_from, psl2_table, sl2_table, zeta_series
 from repgrowth.constructor import (
     build_diagonal,
     build_fixed_type,
@@ -68,6 +68,12 @@ A1 = LieType("A", 1)
 
 def finite_spec(*factors):
     return GroupSpec((FiniteStratum(tuple(factors)),))
+
+
+def checked_factor(f):
+    """A factor of a stratum walk as a checked FactorSpec: a prime stratum
+    yields _PrimeFactor items, which build theirs on demand."""
+    return f.factor() if isinstance(f, growth._PrimeFactor) else f
 
 
 # -- truncated_zeta ----------------------------------------------------------
@@ -208,7 +214,7 @@ def test_closed_form_terms_match_the_table_chain(name):
     make, Ns = DIFFERENTIAL_SPECS[name]
     spec = make()
     for N in Ns:
-        factors = [f for _, f in _contributions(spec, N)]
+        factors = [checked_factor(f) for _, f in _contributions(spec, N)]
         assert truncated_zeta(spec, N, backend="exact") == convolve_chain(factors, N, "exact")
         got_log = truncated_zeta(spec, N, backend="log")
         want_log = convolve_chain(factors, N, "log")
@@ -237,27 +243,36 @@ TOWER_WALKS = {
 
 @pytest.mark.parametrize("name", sorted(TOWER_WALKS))
 def test_tower_walk_forms_each_field_once(monkeypatch, name):
-    # factors_below calls field(i) once per index it visits, the last one
-    # (where the degree passes the bound) included, and yields what
-    # min_dim_at(i, bound) and factor_at(i) give at each index before it
+    # factors_below draws the indices in order up to the first one (where
+    # the degree passes the bound), calls field(i) at most once for each
+    # (a geometric tower once, a prime stratum never: it reads the degree
+    # off p), and yields what min_dim_at(i, bound) and factor_at(i) give at
+    # each index before it
     make, bounds = TOWER_WALKS[name]
     stratum = make()
     towers = [st.stratum for st in stratum.stages] if name == "diagonal" else [stratum]
-    calls = []
+    drawn, fields = [], []
     for cls in {type(t) for t in towers}:
-        field = cls.field
+        field, indices = cls.field, cls.indices
 
-        def counting(self, i, field=field):
-            calls.append((id(self), i))
+        def counting_field(self, i, field=field):
+            fields.append((id(self), i))
             return field(self, i)
 
-        monkeypatch.setattr(cls, "field", counting)
+        def counting_indices(self, indices=indices):
+            for i in indices(self):
+                drawn.append((id(self), i))
+                yield i
+
+        monkeypatch.setattr(cls, "field", counting_field)
+        monkeypatch.setattr(cls, "indices", counting_indices)
     longest = 0
     for bound in bounds:
-        calls.clear()
+        drawn.clear()
+        fields.clear()
         got = list(stratum.factors_below(bound))
-        visited = list(calls)
-        assert len(set(visited)) == len(visited), (bound, visited)
+        visited = list(drawn)
+        assert fields == ([] if name.startswith("primes") else visited), (bound, fields)
         want, stops = [], 0
         for t in towers:
             indices = [i for key, i in visited if key == id(t)]
@@ -265,7 +280,7 @@ def test_tower_walk_forms_each_field_once(monkeypatch, name):
                 want += [(t.min_dim_at(i, bound), t.factor_at(i)) for i in indices[:-1]]
                 assert t.min_dim_at(indices[-1], bound) > bound
                 stops += 1
-        assert got == want, bound
+        assert [(d, checked_factor(f)) for d, f in got] == want, bound
         assert len(got) == len(visited) - stops
         longest = max(longest, len(got))
     assert longest >= 3
@@ -297,6 +312,64 @@ def test_prime_tower_builds_no_tables_and_few_series(monkeypatch):
     assert truncated_zeta(spec, N) == want
     assert len(walk) > 700 and 0 < sum(powers) < 100
     assert len(calls) <= bound
+
+
+def test_only_powered_primes_build_a_factor_spec(monkeypatch):
+    # at N = 3000, 27 of the 781 primes have least degree h with h^2 <= N
+    # (5 <= p <= 109): only their x_f is raised to powers, so only they
+    # build a checked FactorSpec and call prime_power
+    N = 3000
+    spec = sl2_over_primes_spec(3)
+    walk = list(_contributions(spec, N))
+    powered = [f.p for d, f in walk if d * d <= N]
+    assert len(walk) == 781 and len(powered) == 27 and max(powered) == 109
+    builds, calls = [], []
+    post_init, real = FactorSpec.__post_init__, growth.prime_power
+    monkeypatch.setattr(
+        FactorSpec, "__post_init__", lambda self: builds.append(self.q) or post_init(self)
+    )
+    monkeypatch.setattr(growth, "prime_power", lambda q: calls.append(q) or real(q))
+    truncated_zeta(spec, N)
+    assert builds == calls == powered
+
+
+def _prime_and_finite(p_min, E, simple, N):
+    """A prime stratum and the finite stratum of checked FactorSpec(A1, p,
+    simple, M) over the same primes, M the stratum's own multiplicity."""
+    s = PrimeStratum(p_min, E, simple)
+    primes = itertools.takewhile(lambda p: p <= 2 * N + 3, primes_from(p_min))
+    finite = FiniteStratum(tuple(FactorSpec(A1, p, simple, s.multiplicity(p)) for p in primes))
+    return GroupSpec((s,)), GroupSpec((finite,))
+
+
+def _linear_edges(p_min, simple):
+    """N = h^2 and h^2 - 1 at the least degree h of the first, second and
+    sixth prime from p_min: there the prime's x_f^2 reaches N or just does
+    not, so the factor is powered or linear."""
+    s = PrimeStratum(p_min, 0, simple)
+    first = list(itertools.islice(primes_from(p_min), 6))
+    for p in (first[0], first[1], first[5]):
+        h = s.min_dim_at(p)
+        yield from (h * h - 1, h * h)
+
+
+@pytest.mark.parametrize("simple", [False, True], ids=["cover", "simple"])
+@pytest.mark.parametrize("p_min", [5, 7, 13])
+def test_prime_stratum_matches_its_finite_stratum_bit_for_bit(p_min, simple):
+    # each prime's terms come from the closed form where it is linear and
+    # from a checked FactorSpec where it is powered: the bytes are those of
+    # the same primes as FactorSpecs, on either backend
+    for N in sorted(set(_linear_edges(p_min, simple))) + [1000]:
+        for E in (0, 1, 2):
+            prime, finite = _prime_and_finite(p_min, E, simple, N)
+            for backend in (EXACT, LOG):
+                got = truncated_zeta(prime, N, backend=backend).to_json().encode()
+                assert got == truncated_zeta(finite, N, backend=backend).to_json().encode()
+        # E = 11: 60^11 > 2^64 already, so the automatic backend is log
+        prime, finite = _prime_and_finite(p_min, 11, simple, N)
+        got = truncated_zeta(prime, N)
+        assert got.backend == LOG
+        assert got.to_json().encode() == truncated_zeta(finite, N).to_json().encode()
 
 
 def test_one_term_factors_build_no_series(monkeypatch):
@@ -450,21 +523,27 @@ def test_factor_order_is_pinned_bit_for_bit():
 def _applied_as_formed(spec, N, backend):
     """Trace truncated_zeta's factor terms and kernel calls: each factor's
     terms must be formed, then applied, before the next factor's, in
-    increasing order of their least key (dimension, or graded exponent)."""
+    increasing order of their least key (dimension, or graded exponent).
+    Every factor forms its terms in one of two helpers, the linear one
+    (FactorSpec or a prime stratum's closed form) or _power_terms."""
     events = []
-    factor_terms, mul_into = growth._factor_terms, growth._mul_into
+    mul_into = growth._mul_into
 
-    def traced_factor_terms(*args):
-        x = factor_terms(*args)
-        events.append(("form", x[0][0]))
-        return x
+    def traced(form):
+        def forming(*args):
+            x = form(*args)
+            events.append(("form", x[0][0]))
+            return x
+
+        return forming
 
     def traced_mul_into(acc, src, d1s, x, *args):
         events.append(("mul", x[0][0]))
         return mul_into(acc, src, d1s, x, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(growth, "_factor_terms", traced_factor_terms)
+        for name in ("_linear_terms", "_power_terms"):
+            mp.setattr(growth, name, traced(getattr(growth, name)))
         mp.setattr(growth, "_mul_into", traced_mul_into)
         truncated_zeta(spec, N, backend=backend)
     n = len(list(_contributions(spec, N)))
@@ -1142,7 +1221,7 @@ def test_stratum_protocol_every_kind(kind):
         flagged = with_flag(GroupSpec((s,)), simple).strata[0]
         walk = list(flagged.factors_below(bound))
         assert walk and all(f.simple == simple for _, f in walk)
-        assert all(d == f.min_nontrivial_dim() <= bound for d, f in walk)
+        assert all(d == checked_factor(f).min_nontrivial_dim() <= bound for d, f in walk)
     assert type(s).from_jsonable(s.to_jsonable()) == s
     assert GroupSpec.from_jsonable(GroupSpec((s,)).to_jsonable()) == GroupSpec((s,))
 
