@@ -833,6 +833,23 @@ def test_zeta_csv_on_the_prime_family_is_pinned(capsys, view):
     assert hashlib.sha256(out.encode()).hexdigest() == PRIMES_CSV_DIGESTS[view]
 
 
+# sha256 of the `abscissa --example sl2-primes --empirical` stdout, pinned
+# while the slope report still held one SlopePoint per dimension
+EMPIRICAL_DIGESTS = {
+    ("3", "20000", "csv"): "442443dbaedfac66b28384e867a5fca1aaf56fc8278f93c8508ea76e5748a43d",
+    ("3", "20000", "json"): "9bcc6391e7711f142b8c83c07f161a57438554f184fa90dfad82ef701b368c97",
+    ("5", "5000", "json"): "860ed0b459b6802194200e9a3af12e4bfe60b0e669bdc329c316218aa0dc18f5",
+}
+
+
+@pytest.mark.parametrize("d,N,fmt", list(EMPIRICAL_DIGESTS))
+def test_abscissa_empirical_on_the_prime_family_is_pinned(capsys, d, N, fmt):
+    argv = ("abscissa", "--example", "sl2-primes", "--d", d, "--empirical", "--N", N)
+    code, out = run(capsys, *argv, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EMPIRICAL_DIGESTS[d, N, fmt]
+
+
 def _a1_first(rho_m, p, *later):
     """A --targets-json list: an A1 stage, then (rho_m, A_rank) stages over p."""
     stages = [(rho_m, 1), *later]

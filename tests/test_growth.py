@@ -856,6 +856,46 @@ def test_windowed_max_matches_the_bisect_loop(spec, N):
     assert rep.windowed_max.hex() == wmax.hex()
 
 
+def _points_csv(points):
+    """SlopeReport.to_csv as written when the report kept its points."""
+    lines = ["n,R_n_log10,slope"]
+    for p in points:
+        lines.append(f"{p.n},{p.log10_R:.6f},{p.slope:.9f}")
+    return "\n".join(lines) + "\n"
+
+
+def _points_json(rep, points):
+    """SlopeReport.to_json as written when the report kept its points."""
+    rows = [
+        f'    [\n      "{p.n}",\n      {p.log10_R!r},\n      {p.slope!r}\n    ]'
+        for p in points
+    ]
+    body = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    lo, hi = rep.window
+    return (
+        f'{{\n  "N": {rep.N},\n  "points": {body},\n  "window": [\n    {lo},\n'
+        f'    {hi}\n  ],\n  "windowed_max": {rep.windowed_max!r}\n}}'
+    )
+
+
+@pytest.mark.parametrize(
+    "spec,N", WINDOW_CASES, ids=[f"spec{i}-{N}" for i, (_, N) in enumerate(WINDOW_CASES)]
+)
+def test_slope_columns_match_the_per_point_loop(spec, N):
+    rep = empirical_slope(spec, N)
+    points, _ = _bisect_window(spec, N)
+    assert rep.ns == tuple(p.n for p in points)
+    assert [x.hex() for x in rep.log10_Rs] == [p.log10_R.hex() for p in points]
+    assert [x.hex() for x in rep.slopes] == [p.slope.hex() for p in points]
+    assert rep.to_csv() == _points_csv(points)
+    assert rep.to_json() == _points_json(rep, points)
+    assert rep.points == rep.points == points
+    again = empirical_slope(spec, N)
+    assert again == rep and hash(again) == hash(rep)
+    for column, kind in ((rep.ns, int), (rep.log10_Rs, float), (rep.slopes, float)):
+        assert type(column) is tuple and all(type(x) is kind for x in column)
+
+
 @pytest.mark.parametrize("d,N", [(3, 2500), (5, 999)])
 def test_log_cumulative_is_the_slope_prefix_bit_for_bit(d, N):
     spec = sl2_over_primes_spec(d)
