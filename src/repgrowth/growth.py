@@ -13,10 +13,10 @@ are loops over strata and a new kind is one class plus one STRATUM_KINDS
 entry: factors_below(bound), a (min_dim, factor) pair for each factor
 whose minimal nontrivial degree min_dim is <= bound, min_dim being the
 value the stratum's stop test computed, so no caller forms it again, and
-the factor anything with a multiplicity, grading() and terms(min_dim, N,
-backend, top), the terms truncated_zeta applies: a FactorSpec, or on a
-prime stratum a _PrimeFactor (p, M, simple), which builds a checked
-FactorSpec only for a prime whose x_f is raised to powers;
+the factor a _Factor, the one walk item that truncated_zeta, its graded
+product and m_ns read: S(q)^M with q = p^k, no check run on it, since a
+finite stratum yields the item of each FactorSpec, checked when the spec
+was built, and a tower proves the checks once for all its factors;
 abscissa_rate(), (kind, rate) with kind "rational", "infinite" or
 "finite"; count_exponent(), b with m_n = O(n^b), or None;
 with_simple(simple), every factor in the simple or the cover view;
@@ -339,49 +339,77 @@ def _simple_flag(obj: dict, default: str, pointer: str) -> bool:
     return flag == "simple"
 
 
+class _Factor(NamedTuple):
+    """S_lambda(q)^M, or its cover when not simple, over q = p^k, as a
+    stratum's walk yields it.  It runs no check: a FactorSpec ran them when
+    it was built, and a tower proves them once for all its factors."""
+
+    lie_type: LieType
+    q: int
+    p: int
+    k: int
+    simple: bool
+    multiplicity: Multiplicity
+    pairs: Optional[PairSet]
+
+    def grading(self) -> Optional[int]:
+        """p for a factor past A1: its dimensions are powers of q; None on
+        A1, whose degrees q +- 1 are not."""
+        return None if _is_a1(self.lie_type) else self.p
+
+    def x_terms(self, N: int, backend: str, top: Optional[int] = None) -> List[Tuple[int, object]]:
+        """The terms (dim, mult) of x_f = zeta_f - 1 at dims 2..N, sorted by
+        dimension; natural-log multiplicities on the log backend.  Given
+        top = floor_log(N, p) for a factor past A1, each term is keyed by
+        the exponent of its dimension p^e instead, the pair (m, n) at
+        e = k*n, with no dimension formed (xi_terms)."""
+        pairs = self.pairs
+        if top is not None:
+            terms = sorted(xi_terms(_pair_set(self.lie_type, pairs), self.q, top, self.k).items())
+        elif _is_a1(self.lie_type):
+            terms = [(d, m) for d, m in a1_terms(self.q, self.simple)[1:] if m and d <= N]
+        else:
+            terms = sorted(xi_terms(_pair_set(self.lie_type, pairs), self.q, N).items())
+        if backend == LOG:
+            return [(d, math.log(m)) for d, m in terms]
+        return terms
+
+
 @dataclass(frozen=True)
 class FactorSpec:
-    """One quasi-simple factor S_lambda(q) or its cover, with multiplicity."""
+    """One quasi-simple factor S_lambda(q) or its cover, with multiplicity,
+    checked when built; item is its walk item."""
 
     lie_type: LieType
     q: int
     simple: bool = True
     multiplicity: Multiplicity = 1
     pairs: Optional[PairSet] = None
-    _pk: Tuple[int, int] = field(init=False, repr=False, compare=False)  # q = p^k as (p, k)
+    item: _Factor = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pk = prime_power(self.q)
         if pk is None:
             raise PreconditionError(f"q = {int_name(self.q)} is not a prime power")
-        object.__setattr__(self, "_pk", pk)
         if tits_excluded(self.lie_type, self.q):
             raise PreconditionError(
                 f"{self.lie_type.label()}({self.q}) is Tits-excluded (not quasi-simple)"
             )
-        if isinstance(self.multiplicity, int) and self.multiplicity < 1:
-            raise PreconditionError("factor multiplicity must be >= 1")
+        M = self.multiplicity
+        if not isinstance(M, BigPower) and (type(M) is not int or M < 1):
+            raise PreconditionError(
+                f"factor multiplicity must be an int >= 1 or a BigPower, got {M!r}"
+            )
         if self.pairs is not None:
             _require_pairs(self.pairs, self.lie_type)
-
-    @classmethod
-    def _proven(cls, **fields) -> "FactorSpec":
-        """The factor of every field, each passed by name, _pk = (p, k) with
-        q = p^k among them, without __post_init__'s checks, for a caller
-        that has proven each of them already (GeometricStratum._factor)."""
-        if fields.keys() != cls.__dataclass_fields__.keys():
-            raise TypeError(f"FactorSpec._proven needs every field by name, got {sorted(fields)}")
-        f = object.__new__(cls)
-        f.__dict__.update(fields)
-        return f
+        item = _Factor(self.lie_type, self.q, *pk, self.simple, M, self.pairs)
+        object.__setattr__(self, "item", item)
 
     def pair_set(self) -> PairSet:
         return _pair_set(self.lie_type, self.pairs)
 
     def grading(self) -> Optional[int]:
-        """p for a factor past A1 over q = p^k: its dimensions are powers of
-        q; None on A1, whose degrees q +- 1 are not."""
-        return None if _is_a1(self.lie_type) else self._pk[0]
+        return self.item.grading()
 
     def min_nontrivial_dim(self, bound: Optional[int] = None) -> int:
         """The least nontrivial degree; bound + 1 for one the exponent alone
@@ -389,29 +417,12 @@ class FactorSpec:
         return _min_dim(self.lie_type, self.q, self.simple, self.pair_set(), bound=bound)
 
     def x_terms(self, N: int, backend: str, top: Optional[int] = None) -> List[Tuple[int, object]]:
-        """The terms (dim, mult) of x_f = zeta_f - 1 at dims 2..N, sorted by
-        dimension; natural-log multiplicities on the log backend.  Given
-        top = floor_log(N, p) for a factor past A1 over q = p^k, each term
-        is keyed by the exponent of its dimension p^e instead, the pair
-        (m, n) at e = k*n, with no dimension formed (xi_terms)."""
-        if top is not None:
-            terms = sorted(xi_terms(self.pair_set(), self.q, top, self._pk[1]).items())
-        elif _is_a1(self.lie_type):
-            terms = [(d, m) for d, m in a1_terms(self.q, self.simple)[1:] if m and d <= N]
-        else:
-            terms = sorted(xi_terms(self.pair_set(), self.q, N).items())
-        if backend == LOG:
-            return [(d, math.log(m)) for d, m in terms]
-        return terms
+        return self.item.x_terms(N, backend, top)
 
     def unit_series(self, N: int, backend: str) -> DirichletSeries:
         """The factor's zeta series (constant term included), one copy."""
         one = (1, 1 if backend == EXACT else 0.0)
         return DirichletSeries(N, [one] + self.x_terms(N, backend), backend)
-
-    def terms(self, min_dim: int, N: int, backend: str, top: Optional[int] = None) -> list:
-        """The terms of (1 + x_f)^M - 1 that truncated_zeta applies (_factor_terms)."""
-        return _factor_terms(self, min_dim, N, backend, top)
 
     def to_jsonable(self) -> dict:
         mult = self.multiplicity
@@ -444,41 +455,12 @@ class FactorSpec:
         return cls(lt, q, _simple_flag(obj, "simple", pointer), mult, pairs)
 
 
-class _PrimeFactor(NamedTuple):
-    """SL2(p)^M, or PSL2(p)^M when simple, as a prime stratum's walk yields
-    it: no FactorSpec and none of its checks, which the stratum proves for
-    every p it draws from primes_from (p >= 5 prime, M >= 1).  It answers
-    what truncated_zeta and m_ns read of a factor: multiplicity, grading()
-    and terms()."""
-
-    p: int
-    multiplicity: Multiplicity
-    simple: bool
-
-    def grading(self) -> None:
-        """None: an A1 factor's degrees p +- 1 are not powers of one prime."""
-        return None
-
-    def factor(self) -> FactorSpec:
-        """The checked FactorSpec of this factor."""
-        return FactorSpec(A1, self.p, self.simple, self.multiplicity)
-
-    def terms(self, min_dim: int, N: int, backend: str, top: Optional[int] = None) -> list:
-        """FactorSpec.terms of factor(), bit for bit; a linear factor (M = 1
-        or min_dim^2 > N) reads them off a1_terms with no FactorSpec built.
-        top is None: an A1 factor never joins a graded product."""
-        M = self.multiplicity
-        if M != 1 and min_dim * min_dim <= N:
-            return _factor_terms(self.factor(), min_dim, N, backend)
-        return _linear_terms(a1_terms(self.p, self.simple)[1:], M, N, backend)
-
-
 @dataclass(frozen=True)
 class FiniteStratum:
     factors: Tuple[FactorSpec, ...]
 
-    def factors_below(self, bound: int) -> List[Tuple[int, FactorSpec]]:
-        dims = ((f.min_nontrivial_dim(bound), f) for f in self.factors)
+    def factors_below(self, bound: int) -> List[Tuple[int, _Factor]]:
+        dims = ((f.min_nontrivial_dim(bound), f.item) for f in self.factors)
         return [(d, f) for d, f in dims if d <= bound]
 
     def abscissa_rate(self) -> Tuple[str, Optional[Fraction]]:
@@ -592,29 +574,18 @@ class GeometricStratum(_Tower):
         strata on every lookup, and a Schedule hashes two Fractions."""
         return self._hash
 
-    def _factor(self, q: int, e: int, multiplicity: Multiplicity) -> FactorSpec:
-        """S(q^e)^multiplicity over the stratum's q = p^k, with no check run
-        again: every check of FactorSpec holds for each S(q^j) once it holds
-        for the stratum.  q^j = p^(k*j); only field sizes 2 and 3 are
-        Tits-excluded, and q^j >= 4 from j = 2 on; q^f(j) >= 1, since
-        multiplicity(j) refuses f(j) < 0; the pair set is checked here."""
-        p, k = self._pk
-        return FactorSpec._proven(
-            lie_type=self.lie_type,
-            q=q,
-            simple=self.simple,
-            multiplicity=multiplicity,
-            pairs=self.pairs,
-            _pk=(p, k * e),
-        )
-
-    def factors_below(self, bound: int) -> Iterator[Tuple[int, FactorSpec]]:
-        """(min_dim_at(i, bound), factor_at(i)) along the indices while the
-        degree is <= bound, from one field(i) per index: q^e is formed once
-        and serves both."""
+    def factors_below(self, bound: int) -> Iterator[Tuple[int, _Factor]]:
+        """(min_dim_at(i, bound), factor_at(i).item) along the indices while
+        the degree is <= bound, from one field(i) per index: q^e is formed
+        once and serves both.  No check runs again: every check of
+        FactorSpec holds for each S(q^j) once it holds for the stratum.
+        q^j = p^(k*j); only field sizes 2 and 3 are Tits-excluded, and
+        q^j >= 4 from j = 2 on; q^f(j) >= 1, since multiplicity(j) refuses
+        f(j) < 0; the pair set is checked when the stratum is built."""
         a1 = _is_a1(self.lie_type)
         n = self.n_min()
         cap = bound.bit_length() + 1
+        p, k = self._pk
         for i in self.indices():
             q, e = self.field(i)
             if e * n > cap:
@@ -623,7 +594,8 @@ class GeometricStratum(_Tower):
             d = _least_degree(a1, q, self.simple, n)
             if d > bound:
                 return
-            yield d, self._factor(q, e, self.multiplicity(i))
+            M = self.multiplicity(i)
+            yield d, _Factor(self.lie_type, q, p, k * e, self.simple, M, self.pairs)
 
     def indices(self) -> Iterator[int]:
         return itertools.count(self.skip + 1)
@@ -687,11 +659,12 @@ class PrimeStratum(_Tower):
 
     lie_type = A1
 
-    def factors_below(self, bound: int) -> Iterator[Tuple[int, _PrimeFactor]]:
-        """(h, _PrimeFactor(p, M, simple)) for the primes p >= p_min whose
-        least degree h is <= bound, read off p itself (_least_degree), with
-        no FactorSpec and no field(p) formed.  h never decreases along the
-        primes, so the walk stops at the first one past the bound."""
+    def factors_below(self, bound: int) -> Iterator[Tuple[int, _Factor]]:
+        """(h, factor) for the primes p >= p_min whose least degree h is
+        <= bound, read off p itself (_least_degree), with no field(p)
+        formed; the stratum proves the checks for every p primes_from
+        draws (p >= 5 prime, M >= 1).  h never decreases along the primes,
+        so the walk stops at the first one past the bound."""
         # every prime p >= p_min has minimal dimension >= (p_min - 1) // 2, so
         # a p_min far above the bound needs no sieve window at all
         if (self.p_min - 1) // 2 > bound:
@@ -701,7 +674,12 @@ class PrimeStratum(_Tower):
             h = _least_degree(True, p, simple, 1)
             if h > bound:
                 return
-            yield h, _PrimeFactor(p, self.multiplicity(p), simple)
+            M = self.multiplicity(p)
+            if M != 1 and h * h <= bound:
+                # built checked, though proven: the bench tests trace its prime_power
+                yield h, FactorSpec(A1, p, simple, M).item
+            else:
+                yield h, _Factor(A1, p, p, 1, simple, M, None)
 
     def rate_exponent(self) -> int:
         return 3 * self.mult_exponent
@@ -789,7 +767,7 @@ class DiagonalStratum:
     def exact_horizon(self) -> int:
         return self.stages[-1].n_m if self.stages else 1
 
-    def factors_below(self, bound: int) -> Iterator[Tuple[int, FactorSpec]]:
+    def factors_below(self, bound: int) -> Iterator[Tuple[int, _Factor]]:
         if bound > self.exact_horizon():
             warnings.warn(
                 f"{self.id_str()}: truncation {bound} exceeds the materialized horizon "
@@ -892,7 +870,7 @@ def with_flag(spec: GroupSpec, simple: bool) -> GroupSpec:
 # contributions below a dimension bound
 
 
-def _contributions(spec: GroupSpec, bound: int) -> Iterator[Tuple[int, FactorSpec]]:
+def _contributions(spec: GroupSpec, bound: int) -> Iterator[Tuple[int, _Factor]]:
     """(min_dim, factor) for the factors whose minimal nontrivial dimension
     min_dim is <= bound.  Within every stratum the minimal dimensions
     diverge, so this is a finite, exact set (a TruncationWarning is issued
@@ -902,20 +880,20 @@ def _contributions(spec: GroupSpec, bound: int) -> Iterator[Tuple[int, FactorSpe
 
 
 def _factor_terms(
-    f: FactorSpec, min_dim: int, N: int, backend: str, top: Optional[int] = None
+    f: _Factor, min_dim: int, N: int, backend: str, top: Optional[int] = None
 ) -> list:
-    """The terms of (1 + x_f)^M - 1 at dims <= N, M = f.multiplicity and
-    min_dim <= N where x_f starts: _power_terms(f.x_terms(N, backend), M,
-    N, backend), bit for bit.  A linear factor of any type (M = 1 or
-    min_dim^2 > N, so the terms are C(M, 1) * x_f) scales the exact terms
-    of x_f in one pass (_linear_terms, as a prime stratum's linear primes
-    do with no FactorSpec), over a1_terms on A1 with no x_f list formed.
-    Given top = floor_log(N, p) on a product graded by p, every term is
-    keyed by the exponent of its dimension instead: x_f's from the pairs
-    (FactorSpec.x_terms), each power's by adding them (_power_terms given
-    p), the same multiplicities in the same order."""
+    """The terms of (1 + x_f)^M - 1 that truncated_zeta applies at dims
+    <= N, M = f.multiplicity and min_dim <= N where x_f starts:
+    _power_terms(f.x_terms(N, backend), M, N, backend), bit for bit.  A
+    linear factor of any type (M = 1 or min_dim^2 > N, so the terms are
+    C(M, 1) * x_f) scales the exact terms of x_f in one pass
+    (_linear_terms), over a1_terms on A1 with no x_f list formed.  Given
+    top = floor_log(N, p) on a product graded by p, every term is keyed by
+    the exponent of its dimension instead: x_f's from the pairs
+    (_Factor.x_terms), each power's by adding them (_power_terms given p),
+    the same multiplicities in the same order."""
     M = f.multiplicity
-    p = None if top is None else f._pk[0]  # a graded factor is past A1
+    p = None if top is None else f.p  # a graded factor is past A1
     if M != 1 and min_dim * min_dim <= N:
         return _power_terms(f.x_terms(N, backend, top), M, N, backend, p, top)
     if p is None and _is_a1(f.lie_type):
@@ -1030,9 +1008,9 @@ def truncated_zeta(
     same updates in the same order through the same kernel, which adds two
     keys where it would multiply them, so the output is the same to the
     bit.  Each factor's terms are formed at their exponents as well
-    (_factor_terms given top = floor_log(N, p)):
-    a factor over q = p^k, k proven when its stratum or FactorSpec was
-    built, has the pair (m, n) of x_f at k*n, and the k-th power of a
+    (_factor_terms given top = floor_log(N, p)): a factor over q = p^k, k
+    proven when its stratum or FactorSpec was built and carried by its
+    walk item, has the pair (m, n) of x_f at k*n, and the k-th power of a
     one-term x_f at k times its exponent, so no dimension is formed and no
     float log reads an exponent back.  An A1 factor or factors over two
     primes keep dimension keys, and a product of no factor is the plain
@@ -1042,13 +1020,13 @@ def truncated_zeta(
     estimate, read off the factors' terms, says it beats the kernel; a
     product of one factor goes to the kernel without asking it.
 
-    Cost: per factor, one call of its terms(), with no per-factor series.
-    A finite stratum's FactorSpecs ran their checks when the spec was
-    built, and a geometric tower proves them once for all its factors.  A
-    prime stratum builds a checked FactorSpec (prime_power among its
-    checks: one gcd below 10^6) only for a prime whose x_f is raised to
-    powers, p <= 2 sqrt(N) + 1 in the SL2-over-primes family; every other
-    prime is its p, M and view alone.  Its minimal dimension comes with it
+    Cost: per factor, one _factor_terms call on its walk item, a _Factor
+    that runs no check, with no per-factor series.  A finite stratum's
+    FactorSpecs ran their checks when the spec was built, a tower proves
+    them once for all its factors, and a prime stratum still builds a
+    checked FactorSpec (prime_power among its checks: one gcd below 10^6)
+    for a prime whose x_f is raised to powers, p <= 2 sqrt(N) + 1 in the
+    SL2-over-primes family.  A factor's minimal dimension comes with it
     from factors_below, which reads it off p, or forms a geometric tower
     index's field size once for it and the factor.  A linear factor (M = 1
     or min_dim^2 > N, as for every prime p > 2 sqrt(N) + 1) forms its
@@ -1102,7 +1080,7 @@ def truncated_zeta(
     acc = {unit: 1 if exact else 0.0}
     sources = [unit]  # sorted keys of acc that the current factor can still reach
     for min_dim, f in factors:
-        x = f.terms(min_dim, N, backend, top)
+        x = _factor_terms(f, min_dim, N, backend, top)
         bound = top - x[0][0] if graded else N // x[0][0]
         del sources[bisect_right(sources, bound):]
         fresh = _mul_into(acc, acc, reversed(sources), x, stop, exact, bound, graded)

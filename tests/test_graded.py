@@ -125,7 +125,7 @@ def _both_kernels(spec, N, backend):
         warnings.simplefilter("ignore", TruncationWarning)  # N past a diagonal's horizon
         graded = truncated_zeta(spec, N, backend=backend)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(FactorSpec, "grading", lambda self: None)
+            mp.setattr(growth._Factor, "grading", lambda self: None)
             plain = truncated_zeta(spec, N, backend=backend)
     return graded, plain
 
@@ -213,8 +213,8 @@ def test_a_one_factor_graded_product_forms_its_terms_once(monkeypatch):
         want = truncated_zeta(spec, 2 ** 300, backend=EXACT)
         calls = []
         with pytest.MonkeyPatch.context() as mp:
-            real = FactorSpec.x_terms
-            mp.setattr(FactorSpec, "x_terms", lambda *a: calls.append(a) or real(*a))
+            real = growth._Factor.x_terms
+            mp.setattr(growth._Factor, "x_terms", lambda *a: calls.append(a) or real(*a))
             got = truncated_zeta(spec, 2 ** 300, backend=EXACT)
         assert got.grading == 2 and got.to_json() == want.to_json()
         assert len(calls) == 1, M
@@ -446,7 +446,7 @@ def test_floor_log_and_graded_terms_are_exact(p):
             assert floor_log(N, p) == e
         assert floor_log(x * p, p) == e + 1
         if e:
-            f = tower._factor(x, e, 1)
+            f = growth._Factor(tower.lie_type, x, p, e, tower.simple, 1, tower.pairs)
             assert f.x_terms(x, EXACT) == [(x, 1)]
             assert f.x_terms(x, EXACT, floor_log(x, p)) == [(e, 1)]
 
@@ -483,8 +483,8 @@ def test_graded_factor_terms_are_the_dimension_terms_on_exponents(case, backend)
     f, N = case
     p = f.grading()
     d = f.min_nontrivial_dim()
-    got = growth._factor_terms(f, d, N, backend, floor_log(N, p))
-    want = graded_terms(growth._factor_terms(f, d, N, backend), p)
+    got = growth._factor_terms(f.item, d, N, backend, floor_log(N, p))
+    want = graded_terms(growth._factor_terms(f.item, d, N, backend), p)
     assert [e for e, _ in got] == [e for e, _ in want]
     assert [type(m) for _, m in got] == [type(m) for _, m in want]
     if backend == LOG:
@@ -517,17 +517,18 @@ def test_equal_strata_built_apart_hash_equal_and_share_one_memo_entry(monkeypatc
 
 def test_tower_factors_reuse_the_stratum_proof(monkeypatch):
     # a geometric tower builds each S(q^j) without prime_power, and a prime
-    # stratum's walk builds no FactorSpec at all; the public FactorSpec
-    # keeps the check
+    # stratum's walk builds a checked FactorSpec only for a powered prime
+    # (M != 1 and h^2 <= bound: 5..19 at 100); the public FactorSpec keeps
+    # the check
     tower = GeometricStratum(LieType("A", 2), 25, PolyExponent((1, 1)))
     calls = []
     real = char_tables.prime_power
     monkeypatch.setattr(growth, "prime_power", lambda q: calls.append(q) or real(q))
     walked = list(tower.factors_below(25 ** 30))
     assert len(walked) == 10 and calls == []
-    assert [f for _, f in walked] == [tower.factor_at(j) for j in range(1, 11)]
+    assert [f for _, f in walked] == [tower.factor_at(j).item for j in range(1, 11)]
     assert len(calls) == 10  # factor_at builds the public FactorSpec
     calls.clear()
-    assert len(list(PrimeStratum(5, 1).factors_below(100))) > 0 and calls == []
+    assert len(list(PrimeStratum(5, 1).factors_below(100))) > 0 and calls == [5, 7, 11, 13, 17, 19]
     with pytest.raises(PreconditionError, match="not a prime power"):
         FactorSpec(LieType("A", 2), 10)

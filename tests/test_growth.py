@@ -71,9 +71,9 @@ def finite_spec(*factors):
 
 
 def checked_factor(f):
-    """A factor of a stratum walk as a checked FactorSpec: a prime stratum
-    yields _PrimeFactor items, which build theirs on demand."""
-    return f.factor() if isinstance(f, growth._PrimeFactor) else f
+    """A factor of a stratum walk, a _Factor that runs no check, as the
+    checked FactorSpec of its fields."""
+    return FactorSpec(f.lie_type, f.q, f.simple, f.multiplicity, f.pairs)
 
 
 # -- truncated_zeta ----------------------------------------------------------
@@ -281,6 +281,8 @@ def test_tower_walk_forms_each_field_once(monkeypatch, name):
                 assert t.min_dim_at(indices[-1], bound) > bound
                 stops += 1
         assert [(d, checked_factor(f)) for d, f in got] == want, bound
+        # p and k too, which the graded key rule reads, are what the checks give
+        assert all(type(f) is growth._Factor and f == checked_factor(f).item for _, f in got)
         assert len(got) == len(visited) - stops
         longest = max(longest, len(got))
     assert longest >= 3
@@ -633,7 +635,7 @@ def test_one_pass_linear_terms_are_the_power_terms_bit_for_bit(backend):
         d, M = f.min_nontrivial_dim(), f.multiplicity
         x = f.x_terms(N, backend)
         want = growth._power_terms(x, M, N, backend)
-        got = growth._factor_terms(f, d, N, backend)
+        got = growth._factor_terms(f.item, d, N, backend)
         assert got == want, (f, N)
         if M == 1 or d * d > N:  # C(M, 1) * x_f, scaled here independently
             linear += 1
@@ -1262,6 +1264,7 @@ def test_stratum_protocol_every_kind(kind):
         walk = list(flagged.factors_below(bound))
         assert walk and all(f.simple == simple for _, f in walk)
         assert all(d == checked_factor(f).min_nontrivial_dim() <= bound for d, f in walk)
+        assert all(type(f) is growth._Factor and f == checked_factor(f).item for _, f in walk)
     assert type(s).from_jsonable(s.to_jsonable()) == s
     assert GroupSpec.from_jsonable(GroupSpec((s,)).to_jsonable()) == GroupSpec((s,))
 
@@ -1340,6 +1343,14 @@ def test_spec_parse_errors_carry_pointers():
         GroupSpec.from_jsonable({"strata": [{"index": "weird"}]})
     except SpecFormatError as e:
         assert "/strata/0" in str(e)
+
+
+@pytest.mark.parametrize("M", [2.5, "3", -1.0, True, 0])
+def test_a_multiplicity_must_be_an_int_or_a_big_power(M):
+    # the walk item trusts FactorSpec's checks, so a float, a string or a
+    # bool is refused here rather than failing inside truncated_zeta
+    with pytest.raises(PreconditionError, match="multiplicity"):
+        FactorSpec(A1, 5, multiplicity=M)
 
 
 def test_tits_exclusion_rejected_in_factors():
