@@ -60,9 +60,6 @@ _MR_BOUNDS = (
 )
 _MR_BASES = _SMALL_PRIMES[: len(_MR_BOUNDS)]
 _MR_EXACT_BELOW = _MR_BOUNDS[-1]
-# a perfect power r^e with no prime factor below 1000 has r >= 1009 > 2^9,
-# so 9 * e < its bit length; exponents past _SMALL_PRIMES need this many bits
-_SIEVED_EXPONENT_BITS = 9 * 1009
 
 
 def _iroot(n: int, k: int) -> int:
@@ -108,15 +105,15 @@ def prime_power(q: int) -> Optional[Tuple[int, int]]:
 
     One gcd with the product of the primes below 1000 finds q's small prime
     factors.  Without one, q < 1000^2 is prime; a larger q is reduced to its
-    root r with q = r^k and k maximal, over the prime exponents in
-    _SMALL_PRIMES (a sieve starts only for a q of 9081 bits or more, which
-    can need exponents past 997), and r is tested by Miller-Rabin on the
-    first k prime bases 2, 3, 5, ... for the least k with r < psi_k: one
-    below 2047, two below 1,373,653, three below 25,326,001, all thirteen
-    (2..41) from psi_12 ~ 3.2 * 10^23.  From psi_13 ~ 3.3 * 10^24 on, where
-    no count of bases is a proof, base 2 alone runs: r failing it gives
-    None, r passing it PreconditionError, even a base-2 strong pseudoprime
-    that a later base would show composite (exit 3 either way).
+    root r with q = r^k and k maximal, over the prime exponents e (from a
+    sieve past 997) while 9 * e <= q.bit_length(), as r >= 1009 > 2^9, and
+    r is tested by Miller-Rabin on the first k prime bases 2, 3, 5, ... for
+    the least k with r < psi_k: one below 2047, two below 1,373,653, three
+    below 25,326,001, all thirteen (2..41) from psi_12 ~ 3.2 * 10^23.  From
+    psi_13 ~ 3.3 * 10^24 on, where no count of bases is a proof, base 2
+    alone runs: r failing it gives None, r passing it PreconditionError,
+    even a base-2 strong pseudoprime that a later base would show
+    composite (exit 3 either way).
     """
     if q < 2:
         return None
@@ -132,8 +129,7 @@ def prime_power(q: int) -> Optional[Tuple[int, int]]:
     if q < 1000 * 1000:
         return (q, 1)
     k = 1
-    exponents = _SMALL_PRIMES if q.bit_length() < _SIEVED_EXPONENT_BITS else primes_from(2)
-    for e in exponents:
+    for e in itertools.chain(_SMALL_PRIMES, primes_from(1000)):
         if 9 * e > q.bit_length():
             break
         while True:
@@ -261,6 +257,6 @@ def min_nontrivial_degree(t: DegreeTable) -> int:
 def zeta_series(t: DegreeTable, N: int, backend: str = EXACT) -> DirichletSeries:
     """The degree data as a truncated series (dims > N dropped); the log
     backend holds the natural logs of the exact multiplicities."""
-    if backend == EXACT:
-        return DirichletSeries(N, t.degrees, EXACT)
-    return DirichletSeries(N, ((d, math.log(m)) for d, m in t.degrees), LOG)
+    if backend == LOG:
+        return DirichletSeries(N, t.degrees).to_log()
+    return DirichletSeries(N, t.degrees, backend)  # refuses an unknown backend

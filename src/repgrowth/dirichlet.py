@@ -125,72 +125,68 @@ class DirichletSeries:
     grading = None  # GradedSeries: the prime p of every dimension p^e
 
     def __init__(self, cutoff: int, entries, backend: str = EXACT):
+        """entries: (dim, multiplicity) pairs or a mapping of them, dims past
+        the cutoff dropped.  A dict whose sorted keys start at 1 or above and
+        whose kept values pass _init_sorted is kept as it is, with no merged
+        copy; other entries go through the merging loop, which raises its
+        errors in its order and adds (log-adds) the entries on one dim."""
         if cutoff < 1:
             raise PreconditionError("cutoff must be a positive integer")
         if backend not in (EXACT, LOG):
             raise PreconditionError(f"unknown backend {backend!r}")
-        if backend == EXACT and type(entries) is dict and self._init_exact_dict(cutoff, entries):
-            return
-        items = entries.items() if isinstance(entries, Mapping) else entries
+        if type(entries) is dict:
+            try:
+                dims = sorted(entries)
+                in_range = not dims or dims[0] >= 1
+            except TypeError:  # keys that do not compare with each other or with 1
+                in_range = False
+            if in_range:
+                del dims[bisect_right(dims, cutoff):]
+                if self._init_sorted(cutoff, backend, tuple(dims), tuple(map(entries.__getitem__, dims))):
+                    return
+        exact = backend == EXACT
         merged: Dict[int, object] = {}
-        if backend == EXACT:
-            for d, m in items:
-                if d < 1:
-                    raise PreconditionError(f"dimension {d} is not a positive integer")
-                if d > cutoff:
-                    continue  # truncation silently discards
+        for d, m in entries.items() if isinstance(entries, Mapping) else entries:
+            if d < 1:
+                raise PreconditionError(f"dimension {d} is not a positive integer")
+            if d > cutoff:
+                continue  # truncation silently discards
+            if exact:
                 if not isinstance(m, int) or m <= 0:
                     raise PreconditionError(
                         f"exact multiplicity at dim {d} must be a positive integer"
                     )
                 merged[d] = merged.get(d, 0) + m
-        else:
-            for d, m in items:
-                if d < 1:
-                    raise PreconditionError(f"dimension {d} is not a positive integer")
-                if d > cutoff:
-                    continue
+            else:
                 m = float(m)
                 if not math.isfinite(m):
                     raise PreconditionError(f"log multiplicity at dim {d} must be finite")
                 prev = merged.get(d)
                 merged[d] = m if prev is None else _logaddexp(prev, m)
         dims = sorted(merged)
-        object.__setattr__(self, "cutoff", cutoff)
-        object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "_dims", tuple(dims))
-        object.__setattr__(self, "_mults", tuple(map(merged.__getitem__, dims)))
-
-    def _init_exact_dict(self, cutoff: int, entries: dict) -> bool:
-        """Set up from a dict of exact entries without a merged copy: its
-        keys are distinct, so nothing merges.  The checks run on whole
-        sequences at C level, the sorted keys' ends against 1 and the cutoff,
-        then the kept values (see _init_sorted); returns False, setting
-        nothing, where one fails, so that the merging path raises its error
-        in its order."""
-        try:
-            dims = sorted(entries)
-            if dims and dims[0] < 1:
-                return False
-        except TypeError:  # keys that do not compare with each other or with 1
-            return False
-        del dims[bisect_right(dims, cutoff):]  # truncation silently discards
-        return self._init_sorted(cutoff, EXACT, tuple(dims), tuple(map(entries.__getitem__, dims)))
+        self._set(cutoff, backend, tuple(dims), tuple(map(merged.__getitem__, dims)))
 
     def _init_sorted(self, cutoff: int, backend: str, dims: tuple, mults: tuple) -> bool:
         """Set up from dims sorted, distinct and in [1, cutoff] and their
-        multiplicities, when these are exact and each a positive plain int:
-        the type set and the minimum are checked, with no loop in Python.
-        Returns False, setting nothing, otherwise (the log backend, a
-        nonpositive value, a float, an int subclass such as True, which the
-        merging path turns into a plain int)."""
-        if backend != EXACT or not {int}.issuperset(map(type, mults)) or min(mults, default=1) < 1:
-            return False
+        multiplicities, when these are exact positive plain ints, or finite
+        plain floats on the log backend: the type set and the minimum, or
+        finiteness, are checked with no loop in Python.  Returns False,
+        setting nothing, otherwise (an unknown backend, a nonpositive or
+        non-finite value, an int on the log backend, a subclass such as
+        True, which the merging loop turns into a plain int or float)."""
+        if backend == EXACT:
+            ok = {int}.issuperset(map(type, mults)) and min(mults, default=1) >= 1
+        else:
+            ok = backend == LOG and {float}.issuperset(map(type, mults)) and all(map(math.isfinite, mults))
+        if ok:
+            self._set(cutoff, backend, dims, mults)
+        return ok
+
+    def _set(self, cutoff: int, backend: str, dims: tuple, mults: tuple) -> None:
         object.__setattr__(self, "cutoff", cutoff)
-        object.__setattr__(self, "backend", EXACT)
+        object.__setattr__(self, "backend", backend)
         object.__setattr__(self, "_dims", dims)
         object.__setattr__(self, "_mults", mults)
-        return True
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("DirichletSeries is immutable")
@@ -226,19 +222,14 @@ class DirichletSeries:
             raise PreconditionError(f"prefix cutoff {N} is outside [1, {self.cutoff}]")
         i = bisect_right(self._dims, N)
         out = object.__new__(type(self))
-        object.__setattr__(out, "cutoff", N)
-        object.__setattr__(out, "backend", self.backend)
-        object.__setattr__(out, "_dims", self._dims[:i])
-        object.__setattr__(out, "_mults", self._mults[:i])
+        out._set(N, self.backend, self._dims[:i], self._mults[:i])
         return out
 
     def to_log(self) -> "DirichletSeries":
         """Explicit exact -> log conversion (never done implicitly)."""
         if self.backend == LOG:
             return self
-        return DirichletSeries(
-            self.cutoff, ((d, math.log(m)) for d, m in self.items()), LOG
-        )
+        return DirichletSeries(self.cutoff, dict(zip(self._dims, map(math.log, self._mults))), LOG)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DirichletSeries):
@@ -260,7 +251,7 @@ class DirichletSeries:
 
     def to_jsonable(self) -> dict:
         entries = [
-            [str(d), str(m) if self.backend == EXACT else float(m)]
+            [str(d), str(m) if self.backend == EXACT else m]
             for d, m in self.items()
         ]
         return {"cutoff": self.cutoff, "backend": self.backend, "entries": entries}
@@ -282,10 +273,8 @@ class DirichletSeries:
         byte, written row by row instead of through the pure-Python encoder;
         raises RangeOverflow as to_csv does."""
         self._require_printable()
-        if self.backend == EXACT:
-            rows = [f'    [\n      "{d}",\n      "{m}"\n    ]' for d, m in self.items()]
-        else:
-            rows = [f'    [\n      "{d}",\n      {float(m)!r}\n    ]' for d, m in self.items()]
+        q = '"' if self.backend == EXACT else ""  # a plain int or float's repr is its JSON
+        rows = [f'    [\n      "{d}",\n      {q}{m!r}{q}\n    ]' for d, m in self.items()]
         entries = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
         return (
             f'{{\n  "backend": "{self.backend}",\n  "cutoff": {self.cutoff},\n'
@@ -305,10 +294,11 @@ class GradedSeries(DirichletSeries):
         """entries: {e: multiplicity} on exponents e <= floor_log(cutoff, p),
         checked as DirichletSeries checks its entries.  The dimensions p^e
         are the running products of the steps p^(e - e_prev), formed in C
-        with no dict of dimensions.  Exact counts that are positive plain
-        ints, on exponents from 0 up to the cutoff, are kept as they are
-        (DirichletSeries._init_sorted); any other entries go through the
-        merging path of DirichletSeries, which raises its errors."""
+        with no dict of dimensions.  On exponents from 0 up to the cutoff,
+        counts that pass DirichletSeries._init_sorted (exact positive plain
+        ints, or finite plain floats on the log backend) are kept as they
+        are; any other entries go through the merging loop of
+        DirichletSeries, which raises its errors."""
         exps = sorted(entries)
         dims = tuple(accumulate(map(pow, repeat(p), map(sub, exps, [0, *exps])), mul))
         mults = tuple(map(entries.__getitem__, exps))

@@ -163,6 +163,14 @@ def _first_negative(coeffs: Sequence[int]) -> Optional[int]:
     return None
 
 
+def _require_ints(**fields) -> None:
+    """PreconditionError unless each field is a plain int, as FactorSpec
+    requires of its multiplicity: no float, bool or other int subclass."""
+    for name, v in fields.items():
+        if type(v) is not int:
+            raise PreconditionError(f"{name} must be an int, got {v!r}")
+
+
 @dataclass(frozen=True)
 class PolyExponent:
     """f(j) as an integer polynomial; degree >= 2 means superlinear
@@ -177,6 +185,7 @@ class PolyExponent:
             raise PreconditionError(
                 f"{len(self.coeffs)} coefficients: a poly schedule takes at most {MAX_POLY_COEFFS}"
             )
+        _require_ints(**{f"coeffs[{i}]": c for i, c in enumerate(self.coeffs)})
         bits = max(abs(c).bit_length() for c in self.coeffs)
         if len(self.coeffs) * bits > MAX_POLY_BITS:
             raise PreconditionError(
@@ -550,6 +559,7 @@ class GeometricStratum(_Tower):
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _require_ints(q=self.q, skip=self.skip)
         pk = prime_power(self.q) if self.q >= 2 else None
         if pk is None:
             raise PreconditionError(f"base field size {int_name(self.q)} is not a prime power")
@@ -652,6 +662,7 @@ class PrimeStratum(_Tower):
     simple: bool = False  # cover view by default: factors SL2(p), not PSL2(p)
 
     def __post_init__(self):
+        _require_ints(p_min=self.p_min, mult_exponent=self.mult_exponent)
         if self.p_min < 5:
             raise PreconditionError("p_min must be >= 5 (SL2(2), SL2(3) are excluded)")
         if self.mult_exponent < 0:
@@ -1045,8 +1056,8 @@ def truncated_zeta(
     them, in convolve too, runs through one kernel, dirichlet._mul_into,
     with one of its two key rules, and the binomial sums add their terms
     in line as the kernel adds them; the result series is made from the
-    accumulator dict with no merged copy on the exact backend, and a
-    graded one with no dict of dimensions.  On a graded exact product
+    accumulator dict with no merged copy on either backend, and a graded
+    one with no dict of dimensions.  On a graded exact product
     those updates number about K * sum(t_f) on K = top // g + 1
     exponents, g the gcd of every term's exponent and t_f <= K the terms
     of factor f's power, so a dense product of many factors (a stage's

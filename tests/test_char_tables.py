@@ -148,8 +148,10 @@ def test_prime_power_agrees_with_the_sieve(lo, hi):
 
 
 def test_prime_power_with_an_exponent_past_the_small_primes():
-    # 1009 is the first exponent the perfect-power loop takes from the sieve
+    # 1009 is the first exponent the perfect-power loop takes from the sieve;
+    # at 8981 bits it draws 1009 only to stop, past 997, the last it tries
     assert prime_power(1009 ** 1009) == (1009, 1009)
+    assert prime_power(1009 ** 900) == (1009, 900)
 
 
 def test_iroot_is_the_floor_root_up_to_14300_bits():
@@ -286,6 +288,10 @@ def test_zeta_series():
     assert dict(zeta_series(psl2_table(5), 4).items()) == {1: 1, 3: 2, 4: 1}
     full = zeta_series(sl2_table(5), 120)
     assert cumulative(full, 120) == 9
+    want = {1: 0.0, 2: math.log(2), 3: math.log(2), 4: math.log(2)}
+    assert zeta_series(sl2_table(5), 4, "log") == DirichletSeries(4, want, "log")
+    with pytest.raises(PreconditionError, match="unknown backend"):
+        zeta_series(sl2_table(5), 120, "bogus")
 
 
 def test_sim2_grid_sanity():

@@ -17,6 +17,7 @@ from repgrowth.dirichlet import (
     BackendMismatch,
     BigPower,
     DirichletSeries,
+    GradedSeries,
     RangeOverflow,
     _log_binomial,
     _logaddexp,
@@ -319,15 +320,23 @@ def convolve_power_terms(x, M, N, backend):
 
 
 def count_series_inits(monkeypatch):
-    """A list that gains one entry per DirichletSeries built from now on."""
+    """A list that gains one entry per DirichletSeries or GradedSeries built
+    from now on: a GradedSeries counts once, also where its __init__ calls
+    DirichletSeries.__init__."""
     calls = []
-    init = DirichletSeries.__init__
 
-    def counting_init(self, *args, **kwargs):
-        calls.append(1)
-        init(self, *args, **kwargs)
+    def counting(cls):
+        init = cls.__init__
 
-    monkeypatch.setattr(DirichletSeries, "__init__", counting_init)
+        def counting_init(self, *args, **kwargs):
+            if type(self) is cls:
+                calls.append(1)
+            init(self, *args, **kwargs)
+
+        return counting_init
+
+    for cls in (DirichletSeries, GradedSeries):
+        monkeypatch.setattr(cls, "__init__", counting(cls))
     return calls
 
 
@@ -437,3 +446,38 @@ def test_exact_series_from_a_dict_keeps_the_merging_checks_and_values():
         DirichletSeries(10, {2: -1, 0: 1})
     with pytest.raises(PreconditionError, match="at dim 5 must be a positive"):
         DirichletSeries(10, {2: 1, 5: 2.0})
+
+
+DICT_CASES = [
+    (EXACT, {7: 2, 1: 1, 3: 4}),
+    (EXACT, {0: 1, 2: 3}),
+    (EXACT, {2: 3, -1: 1}),
+    (EXACT, {2: 1, 30: 5}),
+    (EXACT, {2: 0}),
+    (EXACT, {3: 1, 2: -1}),
+    (EXACT, {2: True, 3: 1}),
+    (EXACT, {2: 1.5}),
+    (LOG, {7: 0.5, 1: 0.0, 3: -2.25}),
+    (LOG, {0: 0.0, 2: 1.0}),
+    (LOG, {2: 1.0, -1: 0.0}),
+    (LOG, {2: 0.5, 30: 1.0}),
+    (LOG, {2: 0.5, 3: math.nan}),
+    (LOG, {2: math.inf}),
+    (LOG, {2: -math.inf, 30: math.nan}),
+    (LOG, {2: 3, 3: 0.5}),
+    (LOG, {2: True}),
+]
+
+
+@pytest.mark.parametrize("backend, entries", DICT_CASES, ids=repr)
+def test_a_dict_builds_the_series_its_items_build(backend, entries):
+    # a dict is kept as it is where its checks pass and merged otherwise:
+    # either way, the series and the error are those of its (dim, mult) pairs
+    def build(e):
+        try:
+            s = DirichletSeries(10, e, backend)
+        except PreconditionError as err:
+            return str(err)
+        return s, [type(m) for m in s.mults]
+
+    assert build(entries) == build(list(entries.items()))

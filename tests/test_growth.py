@@ -387,6 +387,16 @@ def test_one_term_factors_build_no_series(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("graded", [False, True], ids=["primes", "tower"])
+def test_log_zeta_multiplicities_are_plain_floats(graded):
+    # to_json and to_jsonable print log multiplicities with no float() of
+    # their own
+    spec = build_fixed_type(Fraction(3, 2), A2, 5) if graded else sl2_over_primes_spec(3)
+    s = truncated_zeta(spec, 3000, backend=LOG)
+    assert (s.grading == 5) is graded and len(s) > 1
+    assert {type(m) for m in s.mults} == {float}
+
+
 def test_prime_stratum_stops_before_the_sieve_only_past_the_bound():
     # p = 23 has minimal dimension (23 - 1) / 2 = 11 in both views
     for simple in (False, True):
@@ -1351,6 +1361,28 @@ def test_a_multiplicity_must_be_an_int_or_a_big_power(M):
     # bool is refused here rather than failing inside truncated_zeta
     with pytest.raises(PreconditionError, match="multiplicity"):
         FactorSpec(A1, 5, multiplicity=M)
+
+
+A2 = LieType("A", 2)
+NON_INT_FIELDS = {
+    "mult_exponent float": (lambda: PrimeStratum(11, 1.5), "mult_exponent"),
+    "p_min float": (lambda: PrimeStratum(5.5, 1), "p_min"),
+    "mult_exponent bool": (lambda: PrimeStratum(5, True), "mult_exponent"),
+    "skip float": (lambda: GeometricStratum(A2, 5, PolyExponent((1,)), skip=0.5), "skip"),
+    "skip bool": (lambda: GeometricStratum(A2, 5, PolyExponent((1,)), skip=True), "skip"),
+    "q float": (lambda: GeometricStratum(A2, 5.0, PolyExponent((1,))), "q"),
+    "coefficient float": (lambda: PolyExponent((1.5,)), r"coeffs\[0\]"),
+}
+
+
+@pytest.mark.parametrize("name", NON_INT_FIELDS)
+def test_a_stratum_field_must_be_a_plain_int(name):
+    # the walk reads these fields unchecked: a float once gave a float count
+    # from m_n, or a failure inside the sieve or truncated_zeta, and True was
+    # taken as 1
+    build, field = NON_INT_FIELDS[name]
+    with pytest.raises(PreconditionError, match=rf"^{field} must be an int, got "):
+        build()
 
 
 def test_tits_exclusion_rejected_in_factors():
