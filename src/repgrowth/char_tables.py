@@ -12,8 +12,10 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 from math import gcd, isqrt
-from typing import Iterator, Optional, Tuple
+from operator import add, floordiv, mod, sub
+from typing import Iterator, List, Optional, Tuple
 
 from .dirichlet import EXACT, LOG, DirichletSeries
 from .errors import InvariantError, PreconditionError, int_name
@@ -207,6 +209,28 @@ def a1_terms(q: int, simple: bool) -> Tuple[Tuple[int, int], ...]:
     if q % 4 == 1:
         return ((1, 1), ((q + 1) // 2, 2), (q - 1, (q - 1) // 4), (q, 1), (q + 1, (q - 5) // 4))
     return ((1, 1), ((q - 1) // 2, 2), (q - 1, (q - 3) // 4), (q, 1), (q + 1, (q - 3) // 4))
+
+
+def a1_term_columns(qs: List[int], simple: bool) -> Iterator[Tuple[List[int], List[int]]]:
+    """The nontrivial families of a1_terms over the odd q >= 5 of qs, as
+    columns, by C-level maps with no call per q: for each family one
+    (degrees, multiplicities) pair of lists in the order of qs.  Each
+    family's degree is strictly increasing in q, so no two entries of a
+    family share a degree; the family q is qs itself.  The simple view's
+    half families (q -+ 1)/2 have multiplicity q % 4 - 1 and 3 - q % 4,
+    which is 0 on the residue that lacks them, as the family q + 1 of
+    PSL2(5) has multiplicity 0."""
+    below = list(map(sub, qs, repeat(1)))
+    if simple:
+        s, r = 4, list(map(mod, qs, repeat(4)))
+        low, high = list(map(sub, r, repeat(1))), list(map(sub, repeat(3), r))
+    else:
+        s, low, high = 2, [2] * len(qs), [2] * len(qs)
+    yield list(map(floordiv, qs, repeat(2))), low
+    yield list(map(floordiv, map(add, qs, repeat(1)), repeat(2))), high
+    yield below, list(map(floordiv, below, repeat(s)))
+    yield qs, [1] * len(qs)
+    yield list(map(add, qs, repeat(1))), list(map(floordiv, map(sub, qs, repeat(3)), repeat(s)))
 
 
 def a1_degrees(q: int, simple: bool) -> Tuple[Tuple[int, int], ...]:

@@ -396,6 +396,19 @@ def _mul_into(acc, src, k1s, x, stop, exact, bound=0, graded=False):
     return fresh
 
 
+class _Columns:
+    """Sorted (key, mult) terms as two lists, an x that _mul_into reads once
+    per source: each read zips them afresh, so no pair is held."""
+
+    __slots__ = ("dims", "mults")
+
+    def __init__(self, dims: list, mults: list):
+        self.dims, self.mults = dims, mults
+
+    def __iter__(self):
+        return zip(self.dims, self.mults)
+
+
 def floor_log(N: int, p: int) -> int:
     """floor(log_p N) for N >= 1 and p >= 2, exactly: the float estimate
     corrected by integer powers."""

@@ -8,7 +8,7 @@ are exact there because minimal nontrivial dimensions diverge within every
 infinite stratum.  The exponent rules f(j) of geometric strata live here
 too: PolyExponent, and the construction's Schedule f(j) = n0*k_j - m0*j.
 
-Every stratum kind has the same seven methods, so spec-level computations
+Every stratum kind has the same eight methods, so spec-level computations
 are loops over strata and a new kind is one class plus one STRATUM_KINDS
 entry: factors_below(bound), a (min_dim, factor) pair for each factor
 whose minimal nontrivial degree min_dim is <= bound, min_dim being the
@@ -17,6 +17,8 @@ the factor a _Factor, the one walk item that truncated_zeta, its graded
 product and m_ns read: S(q)^M with q = p^k, no check run on it, since a
 finite stratum yields the item of each FactorSpec, checked when the spec
 was built, and a tower proves the checks once for all its factors;
+split_walk(r, N), that walk to N as the items of min_dim <= r and a tail
+of the rest, which can sum its exact terms with no item (_PrimeTail);
 abscissa_rate(), (kind, rate) with kind "rational", "infinite" or
 "finite"; count_exponent(), b with m_n = O(n^b), or None;
 with_simple(simple), every factor in the simple or the cover view;
@@ -35,10 +37,11 @@ import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from operator import itemgetter, mul, truediv
+from itertools import repeat
+from operator import floordiv, itemgetter, mul, sub, truediv
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .char_tables import a1_terms, primes_from, prime_power
+from .char_tables import a1_term_columns, a1_terms, primes_from, prime_power
 from .dirichlet import (
     EXACT,
     LOG,
@@ -48,6 +51,7 @@ from .dirichlet import (
     Multiplicity,
     _log_binomial,
     _log_prefix_sums,
+    _Columns,
     _logaddexp,
     _mul_into,
     _power_terms,
@@ -464,9 +468,32 @@ class FactorSpec:
         return cls(lt, q, _simple_flag(obj, "simple", pointer), mult, pairs)
 
 
+class _Tail(list):
+    """A stratum's walk items past sqrt(N): linear, as min_dim^2 > N."""
+
+    def bits(self) -> float:
+        return max((mult_bits(f.multiplicity) for _, f in self), default=0)
+
+    def add_terms(self, S: dict, N: int) -> None:
+        """Add each item's exact terms C(M, 1) * x_f at dims <= N into S."""
+        for d, f in self:
+            for k, m in _factor_terms(f, d, N, EXACT):
+                S[k] = S.get(k, 0) + m
+
+
+def _split_walk(stratum, r: int, N: int) -> Tuple[list, _Tail]:
+    """(head, tail): the stratum's walk to N, the items of min_dim <= r in
+    walk order and the rest as a _Tail."""
+    head, tail = [], _Tail()
+    for item in stratum.factors_below(N):
+        (head if item[0] <= r else tail).append(item)
+    return head, tail
+
+
 @dataclass(frozen=True)
 class FiniteStratum:
     factors: Tuple[FactorSpec, ...]
+    split_walk = _split_walk
 
     def factors_below(self, bound: int) -> List[Tuple[int, _Factor]]:
         dims = ((f.min_nontrivial_dim(bound), f.item) for f in self.factors)
@@ -526,6 +553,8 @@ class _Tower:
         if e * math.log2(base) <= _MATERIALIZE_BITS:
             return base ** e
         return BigPower(base, e)
+
+    split_walk = _split_walk
 
     def n_min(self) -> int:
         return self.pair_set().min_dim_exponent()
@@ -692,6 +721,12 @@ class PrimeStratum(_Tower):
             else:
                 yield h, _Factor(A1, p, p, 1, simple, M, None)
 
+    def split_walk(self, r: int, N: int) -> Tuple[list, "_PrimeTail"]:
+        """(head, tail) as _split_walk gives them, the head walked to N
+        (its h^2 <= N decides a powered prime) and the tail as columns."""
+        head = list(itertools.takewhile(lambda t: t[0] <= r, self.factors_below(N)))
+        return head, _PrimeTail(self, r, N)
+
     def rate_exponent(self) -> int:
         return 3 * self.mult_exponent
 
@@ -732,6 +767,45 @@ class PrimeStratum(_Tower):
         return cls(p_min, e // 3, _simple_flag(obj, "cover", pointer))
 
 
+class _PrimeTail:
+    """The primes of a prime stratum whose least degree h is in (r, N], as
+    one column drawn from the sieve: h never decreases along the primes,
+    and h <= N puts p <= 2N + 1, h > r puts p >= 2r - 1.  Its items are the
+    walk's; its terms are formed as columns, with no item."""
+
+    def __init__(self, stratum: PrimeStratum, r: int, N: int):
+        self.stratum = stratum
+        lo = max(stratum.p_min, 2 * r - 1)
+        ps = [] if lo > 2 * N + 1 else list(itertools.takewhile((2 * N + 1).__ge__, primes_from(lo)))
+        self.ps = ps[bisect_right(ps, r, key=self._h):bisect_right(ps, N, key=self._h)]
+
+    def _h(self, p: int) -> int:
+        return _least_degree(True, p, self.stratum.simple, 1)
+
+    def __iter__(self) -> Iterator[Tuple[int, _Factor]]:
+        s = self.stratum
+        for p in self.ps:
+            yield self._h(p), _Factor(A1, p, p, 1, s.simple, s.multiplicity(p), None)
+
+    def bits(self) -> float:
+        """The largest multiplicity's bits: M(p) grows with p."""
+        return mult_bits(self.stratum.multiplicity(self.ps[-1])) if self.ps else 0
+
+    def add_terms(self, S: dict, N: int) -> None:
+        """Add M(p) times each family of a1_terms at dims <= N into S, a
+        family at a time, for all the primes at once."""
+        if not self.ps:
+            return
+        ps, E = self.ps, self.stratum.mult_exponent
+        mult_to_int(self.stratum.multiplicity(ps[-1]))  # RangeOverflow past what materializes
+        Ms = list(map(pow, map(floordiv, map(sub, map(pow, ps, repeat(3)), ps), repeat(2)), repeat(E)))
+        get = S.get
+        for ds, ms in a1_term_columns(ps, self.stratum.simple):
+            terms = zip(itertools.islice(ds, bisect_right(ds, N)), map(mul, ms, Ms))
+            for d, c in itertools.compress(terms, ms):
+                S[d] = get(d, 0) + c
+
+
 @dataclass(frozen=True)
 class DiagonalStage:
     rho_m: Fraction
@@ -757,6 +831,7 @@ class DiagonalStratum:
 
     rho: Fraction
     stages: Tuple[DiagonalStage, ...]
+    split_walk = _split_walk
 
     def __post_init__(self):
         if self.rho <= 0:
@@ -998,87 +1073,57 @@ def truncated_zeta(
 
     The backend is chosen automatically: once any factor multiplicity
     exceeds LOG_THRESHOLD_BITS (2^64), the whole computation runs in the
-    log domain; the exact backend is never silently degraded.
+    log domain; the exact backend is never silently degraded.  Each
+    stratum's split_walk hands over its items of min_dim <= isqrt(N) and a
+    tail that reports its largest multiplicity's bits, so no tail prime is
+    walked for the choice.
 
-    Each factor's powered series is 1 + x_f with x_f on dims >= 2, and the
-    product is accumulated in place in one dict keyed by dimension: factors
-    sorted stably by minimal nontrivial dimension (where x_f starts), ties
-    kept in enumeration order, and for each one every source
-    d1 <= N // min_dim(x_f), high to low, adds acc[d1] * m2 into
-    acc[d1 * d2].  Targets exceed their sources, so no source is updated
-    before it is read.  The fixed order keeps log-domain output
-    deterministic.  Each factor's terms are formed, applied and dropped
-    before the next factor's; only the factor list is held throughout,
-    since the automatic backend reads every multiplicity before the first
-    update and the order spans strata.
+    The product is accumulated in place in one dict keyed by dimension:
+    factors (1 + x_f)^M sorted stably by min_dim, ties in the order of
+    their strata and walks, each one's terms formed (_factor_terms) and
+    applied through the one kernel, dirichlet._mul_into (every source d1 <=
+    N // min_dim, high to low, adds into d1 * d2), before the next's.  On
+    the exact backend with dimension keys only the factors of min_dim <=
+    isqrt(N) go so; their product P then takes every factor past sqrt(N)
+    at once as 1 + S, S the sum of their terms (_apply_tails).  Below N
+    each is 1 + M_f x_f and any two meet only above N; the sources lie
+    below sqrt(N), where P is final; integer sums commute: so this is the
+    per-factor product to the bit.  A prime stratum forms its share of S
+    from the sieve's primes in columns (_PrimeTail).  The log backend,
+    whose bits follow the order of its log-adds, applies every factor so.
 
-    When every factor it applies is past A1 over one prime p (each
-    factor's grading(), read off the factor list as the backend is), the
-    product is graded by p and keys the accumulator by the exponent e of
-    p^e instead: the same factors and sort, the same sources list, and the
-    same updates in the same order through the same kernel, which adds two
-    keys where it would multiply them, so the output is the same to the
-    bit.  Each factor's terms are formed at their exponents as well
-    (_factor_terms given top = floor_log(N, p)): a factor over q = p^k, k
-    proven when its stratum or FactorSpec was built and carried by its
-    walk item, has the pair (m, n) of x_f at k*n, and the k-th power of a
-    one-term x_f at k times its exponent, so no dimension is formed and no
-    float log reads an exponent back.  An A1 factor or factors over two
-    primes keep dimension keys, and a product of no factor is the plain
-    unit series.  On the exact backend a graded product may instead come
-    from _graded_product's recurrence, which applies no factor one by one:
-    it forms the same series on the same exponents, and runs where its cost
-    estimate, read off the factors' terms, says it beats the kernel; a
-    product of one factor goes to the kernel without asking it.
+    When every factor is past A1 over one prime p (each item's grading()),
+    the product is graded and keyed by the exponent e of p^e: the same
+    factors, order and updates, the kernel adding keys where it would
+    multiply them, so the same output to the bit; each factor's terms are
+    formed at their exponents (_factor_terms given top = floor_log(N, p)).
+    An exact graded product of two or more factors may instead come from
+    _graded_product's recurrence, where _recurrence_pays says it is
+    cheaper.
 
-    Cost: per factor, one _factor_terms call on its walk item, a _Factor
-    that runs no check, with no per-factor series.  A finite stratum's
-    FactorSpecs ran their checks when the spec was built, a tower proves
-    them once for all its factors, and a prime stratum still builds a
-    checked FactorSpec (prime_power among its checks: one gcd below 10^6)
-    for a prime whose x_f is raised to powers, p <= 2 sqrt(N) + 1 in the
-    SL2-over-primes family.  A factor's minimal dimension comes with it
-    from factors_below, which reads it off p, or forms a geometric tower
-    index's field size once for it and the factor.  A linear factor (M = 1
-    or min_dim^2 > N, as for every prime p > 2 sqrt(N) + 1) forms its
-    terms C(M, 1) * x_f in one pass (_linear_terms) over the closed form
-    or the pair set, with no mass identity summed.  Any other factor forms
-    x_f the same way and one binomial times each term, and each power
-    x_f^k, k >= 2 and min_dim^k <= N, as one term, with no series, when
-    x_f has one term at dims <= N (as on a one-pair set), and otherwise
-    (the A1 degrees) with one series for x_f and one convolve per such
-    power.  Then about N * sum(|x_f| / min_dim(x_f)) updates for the
-    product, for dense and sparse (huge-N) cutoffs alike, each a
-    multiply-add or, on the log backend, a log-add written out in line
-    with no call; on a graded product each adds two small exponents where
-    dimension keys multiply two dimensions of up to log2(N) bits, and the
-    accumulator holds at most floor(log_p N) + 1 keys.  Every one of
-    them, in convolve too, runs through one kernel, dirichlet._mul_into,
-    with one of its two key rules, and the binomial sums add their terms
-    in line as the kernel adds them; the result series is made from the
-    accumulator dict with no merged copy on either backend, and a graded
-    one with no dict of dimensions.  On a graded exact product
-    those updates number about K * sum(t_f) on K = top // g + 1
-    exponents, g the gcd of every term's exponent and t_f <= K the terms
-    of factor f's power, so a dense product of many factors (a stage's
-    tower at a large cutoff) costs about K^2 times its factor count; the
-    recurrence costs about K^2/2 multiply-adds whatever that count, and
-    the kernel stays for the log backend and for products of few or
-    sparse factors, where K^2/2 would exceed the updates
-    (_recurrence_pays).
+    Cost: per factor applied one by one, one _factor_terms call on an
+    unchecked walk item (a prime stratum still builds a checked FactorSpec
+    for each powered prime), then about N * sum(|x_f| / min_dim) kernel
+    updates, dense or sparse; for a prime tail, a sieve to 2N + 1, a few
+    C-level maps per degree family and one dict update per term of S.  The
+    series is made from the accumulator dict, no merged copy formed.
     """
     if N < 1:
         raise PreconditionError("N must be >= 1")
     if backend not in (None, EXACT, LOG):
         raise PreconditionError(f"unknown backend {backend!r}")
-    factors = list(_contributions(spec, N))
+    walks = [s.split_walk(N if backend == LOG else math.isqrt(N), N) for s in spec.strata]
     if backend is None:
-        big = any(mult_bits(f.multiplicity) > LOG_THRESHOLD_BITS for _, f in factors)
-        backend = LOG if big else EXACT
-    p = factors[0][1].grading() if factors else None
-    if p is not None and any(f.grading() != p for _, f in factors):
+        bits = [t.bits() for _, t in walks] + [mult_bits(f.multiplicity) for h, _ in walks for _, f in h]
+        backend = LOG if max(bits, default=0) > LOG_THRESHOLD_BITS else EXACT
+    grades = (f.grading() for h, t in walks for _, f in itertools.chain(h, t))
+    p = next(grades, None)
+    if p is not None and any(g != p for g in grades):
         p = None
     exact = backend == EXACT
+    tails = [t for _, t in walks] if exact and p is None else []
+    factors = [item for h, t in walks for item in (h if tails else itertools.chain(h, t))]
+    del walks
     factors.sort(key=itemgetter(0))
 
     graded = p is not None  # keys are exponents of p: 1 = p^0, and d1 * d2 <= N is e1 + e2 <= top
@@ -1098,7 +1143,29 @@ def truncated_zeta(
         if fresh:
             sources += fresh
             sources.sort()
+    if tails:
+        _apply_tails(acc, sources, tails, N)
     return GradedSeries(N, p, acc, backend) if graded else DirichletSeries(N, acc, backend)
+
+
+def _apply_tails(acc: dict, sources: list, tails: list, N: int) -> None:
+    """acc times 1 + S, S the sum of the tails' terms, emptying tails (see
+    truncated_zeta).  The other sources read S's own counts up to N // (the
+    least of them) in one kernel call; the unit source (acc[1] = 1) adds S
+    by one dict update, S first taking acc's count on each key both hold."""
+    S = {}
+    while tails:
+        tails.pop().add_terms(S, N)
+    if S:
+        dims = sorted(S)
+        del sources[bisect_right(sources, N // dims[0]):]
+        del dims[bisect_right(dims, N // sources[1] if len(sources) > 1 else 0):]
+        x = _Columns(dims, list(map(S.__getitem__, dims)))
+        for k in filter(acc.__contains__, S):
+            S[k] += acc[k]
+        acc.update(S)
+        del S
+        _mul_into(acc, acc, reversed(sources[1:]), x, N, True)
 
 
 def m_n(spec: GroupSpec, n: int):
@@ -1243,23 +1310,30 @@ class SlopeReport:
         return tuple(map(SlopePoint, self.ns, self.log10_Rs, self.slopes))
 
     def to_csv(self) -> str:
-        rows = zip(self.ns, self.log10_Rs, self.slopes)
-        return "n,R_n_log10,slope\n" + "".join([f"{n},{lr:.6f},{s:.9f}\n" for n, lr, s in rows])
+        """A header and one row per point, formed in one join with no
+        other copy of the text."""
+        rows = [f"{n},{lr:.6f},{s:.9f}\n" for n, lr, s in zip(self.ns, self.log10_Rs, self.slopes)]
+        rows.insert(0, "n,R_n_log10,slope\n")
+        return "".join(rows)
 
     def to_json(self) -> str:
         """json.dumps of {"N", "window", "windowed_max", "points": [[str(n),
         log10_R, slope], ...]} with indent=2 and sort_keys=True, byte for
-        byte, written row by row instead of through the pure-Python encoder."""
+        byte, written row by row instead of through the pure-Python encoder,
+        each row with the separator before it, in one join as to_csv."""
+        seps = itertools.chain(["[\n"], repeat(",\n"))
         rows = [
-            f'    [\n      "{n}",\n      {lr!r},\n      {s!r}\n    ]'
-            for n, lr, s in zip(self.ns, self.log10_Rs, self.slopes)
+            f'{sep}    [\n      "{n}",\n      {lr!r},\n      {s!r}\n    ]'
+            for sep, n, lr, s in zip(seps, self.ns, self.log10_Rs, self.slopes)
         ]
-        points = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
         lo, hi = self.window
-        return (
-            f'{{\n  "N": {self.N},\n  "points": {points},\n  "window": [\n    {lo},\n'
-            f'    {hi}\n  ],\n  "windowed_max": {self.windowed_max!r}\n}}'
+        close = "\n  ]" if rows else "[]"
+        rows.insert(0, f'{{\n  "N": {self.N},\n  "points": ')
+        rows.append(
+            f'{close},\n  "window": [\n    {lo},\n    {hi}\n  ],\n'
+            f'  "windowed_max": {self.windowed_max!r}\n}}'
         )
+        return "".join(rows)
 
 
 def empirical_slope(spec: GroupSpec, N: int) -> SlopeReport:

@@ -275,6 +275,27 @@ def prefix_truncation(rng: random.Random, cases: int) -> bool:
     return ok
 
 
+def tail_agreement(rng: random.Random, cases: int) -> bool:
+    """The exact truncated_zeta, which applies every factor past sqrt(N) as
+    one linear factor, has the dimensions of the log backend's, which
+    applies them one by one, and its counts within relative 1e-9: on
+    PrimeStratum(5, E, simple) for E in {0, 1} in both views, per case at
+    h^2 - 1 and h^2 for the least degree h of a random prime below 90,
+    where that prime leaves the tail, and at a random N <= 2000."""
+    ok = True
+    for _ in range(cases):
+        for E, simple in product((0, 1), (False, True)):
+            s = growth.PrimeStratum(5, E, simple)
+            h = s.min_dim_at(rng.choice([p for p in range(5, 90) if prime_power(p) == (p, 1)]))
+            for N in (h * h - 1, h * h, rng.randint(1, 2000)):
+                spec = growth.GroupSpec((s,))
+                exact = growth.truncated_zeta(spec, N, backend=EXACT)
+                logd = growth.truncated_zeta(spec, N, backend=LOG)
+                ok &= logd.dims == exact.dims
+                ok &= all(abs(math.expm1(l - math.log(m))) < 1e-9 for l, m in zip(logd.mults, exact.mults))
+    return ok
+
+
 def suite() -> Iterator[Tuple[str, bool]]:
     """The named checks of `repgrowth check`, in order, with fixed seeds."""
     yield from character_tables(FIELD_SIZES)
@@ -291,6 +312,8 @@ def suite() -> Iterator[Tuple[str, bool]]:
     yield name, union_factorization(random.Random(17), 4)
     name = "truncated_zeta at N = its entries <= N at N' >= N, N' <= 2000 and 2^200 (4 cases)"
     yield name, prefix_truncation(random.Random(19), 4)
+    name = "exact tail product = log per-factor product within 1e-9, prime strata, N <= 2000 (2 cases)"
+    yield name, tail_agreement(random.Random(23), 2)
     yield "SL2-over-primes family abscissa 3d-4", all(
         growth.exact_abscissa(growth.sl2_over_primes_spec(d)).abscissa == 3 * d - 4
         for d in (3, 4, 5)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
 
-from .dirichlet import EXACT, DirichletSeries
+from .dirichlet import EXACT, LOG, DirichletSeries
 from .errors import PreconditionError, SpecFormatError, int_field, int_list
 
 # Bourbaki irreducible ranges; C starts at 3 and D at 4 so B2=C2 and D3=A3
@@ -232,5 +232,7 @@ def model_xi(a: PairSet, q: int, N: int, backend: str = EXACT) -> DirichletSerie
     """The basic polynomial xi_a(q) as a series truncated at N (see
     :func:`xi_terms`).  No constant term: callers add 1 themselves when
     forming 1 + xi."""
+    if backend not in (EXACT, LOG):
+        raise PreconditionError(f"unknown backend {backend!r}")
     series = DirichletSeries(N, xi_terms(a, q, N), EXACT)
     return series if backend == EXACT else series.to_log()

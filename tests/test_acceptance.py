@@ -239,5 +239,7 @@ def test_criterion_10_property_suites():
         assert invariants.union_factorization(rng, 12)
         # truncated_zeta at N is the prefix <= N of it at any N' >= N
         assert invariants.prefix_truncation(rng, 12)
+        # the exact tail product against the log backend's per-factor one
+        assert invariants.tail_agreement(rng, 6)
 
     run_criterion(10, "order axioms, series algebra, backend agreement, schedules", 60.0, body)

@@ -10,6 +10,8 @@ from repgrowth.char_tables import (
     _iroot,
     _strong_probable_prime,
     a1_degrees,
+    a1_term_columns,
+    a1_terms,
     is_prime,
     min_nontrivial_degree,
     prime_power,
@@ -321,6 +323,21 @@ def test_a1_degrees_branches_list_degrees_in_increasing_order():
         for simple in (False, True):
             degrees = [d for d, _ in a1_degrees(q, simple)]
             assert all(a < b for a, b in zip(degrees, degrees[1:])), (q, simple)
+
+
+@pytest.mark.parametrize("simple", [False, True], ids=["cover", "simple"])
+def test_a1_term_columns_are_a1_terms_by_family(simple):
+    # column k, read at position i, is the k-th nontrivial family of
+    # a1_terms(qs[i]), a multiplicity 0 kept (PSL2(5) at q + 1, and the
+    # simple view's half family of the other residue); each family's
+    # degrees increase strictly along the odd prime powers
+    qs = [q for q in range(5, 3000, 2) if prime_power(q)]
+    columns = list(a1_term_columns(qs, simple))
+    for i, q in enumerate(qs):
+        got = sorted((ds[i], ms[i]) for ds, ms in columns if ms[i])
+        assert got == sorted((d, m) for d, m in a1_terms(q, simple)[1:] if m), q
+    for ds, _ in columns:
+        assert all(a < b for a, b in zip(ds, ds[1:]))
 
 
 @pytest.mark.parametrize("q", [2, 3])

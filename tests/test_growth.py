@@ -355,13 +355,30 @@ def _linear_edges(p_min, simple):
         yield from (h * h - 1, h * h)
 
 
+def _tail_edges(p_min, simple):
+    """N = ((p_min - 1)/2)^2 - 1, where p_min > 2 sqrt(N) + 1 leaves no prime
+    of least degree <= sqrt(N), and the least N whose tail has no source >=
+    2: some prime's least degree is <= sqrt(N), and every one is past N //
+    (the least degree past sqrt(N))."""
+    s = PrimeStratum(p_min, 0, simple)
+    hs = [s.min_dim_at(p) for p in itertools.islice(primes_from(p_min), 20)]
+    empty = ((p_min - 1) // 2) ** 2 - 1
+    assert all(h * h > empty for h in hs) and hs[0] <= empty
+    for N in itertools.count(1):
+        head, tail = [h for h in hs if h * h <= N], [h for h in hs if h * h > N]
+        if head and min(head) > N // min(tail):
+            return [empty, N]
+
+
 @pytest.mark.parametrize("simple", [False, True], ids=["cover", "simple"])
 @pytest.mark.parametrize("p_min", [5, 7, 13])
 def test_prime_stratum_matches_its_finite_stratum_bit_for_bit(p_min, simple):
     # each prime's terms come from the closed form where it is linear and
-    # from a checked FactorSpec where it is powered: the bytes are those of
-    # the same primes as FactorSpecs, on either backend
-    for N in sorted(set(_linear_edges(p_min, simple))) + [1000]:
+    # from a checked FactorSpec where it is powered, and past sqrt(N) the
+    # exact backend sums every prime's terms in columns: the bytes are
+    # those of the same primes as FactorSpecs, on either backend
+    edges = _linear_edges(p_min, simple)
+    for N in sorted(set(edges) | set(_tail_edges(p_min, simple))) + [1000]:
         for E in (0, 1, 2):
             prime, finite = _prime_and_finite(p_min, E, simple, N)
             for backend in (EXACT, LOG):
@@ -459,6 +476,21 @@ def test_backend_autoswitch_on_huge_multiplicity():
             assert math.exp(s.mult_at(d)) == pytest.approx(m, rel=1e-9)
 
 
+@pytest.mark.parametrize("d,backend", [(3, EXACT), (4, LOG)])
+def test_a_tail_prime_alone_can_choose_the_log_backend(d, backend):
+    # at N = 2000 the primes of least degree <= sqrt(N) (p <= 89) have M <
+    # 2^38 for d = 4, and the largest prime, 4001 (h = 2000), has M ~ 2^70:
+    # the tail, summed in columns with no walk item, still decides
+    N = 2000
+    spec = sl2_over_primes_spec(d)
+    walk = list(_contributions(spec, N))
+    head = [f for h, f in walk if h * h <= N]
+    assert max(f.p for f in head) == 89 and max(f.multiplicity for f in head) < 2 ** 38
+    assert walk[-1][1].p == 4001 and walk[-1][1].multiplicity.bit_length() == (70 if d == 4 else 35)
+    got = truncated_zeta(spec, N)
+    assert got.backend == backend and got == truncated_zeta(spec, N, backend=backend)
+
+
 @pytest.mark.parametrize("backend", ["Exact", "LOG", "", "float"])
 def test_unknown_backend_is_refused_before_any_work(backend, monkeypatch):
     # a misspelt backend must not fall through to the log branch
@@ -532,12 +564,15 @@ def test_factor_order_is_pinned_bit_for_bit():
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (backend, N)
 
 
-def _applied_as_formed(spec, N, backend):
+def _applied_as_formed(spec, N, backend, cut=None):
     """Trace truncated_zeta's factor terms and kernel calls: each factor's
     terms must be formed, then applied, before the next factor's, in
     increasing order of their least key (dimension, or graded exponent).
     Every factor forms its terms in one of two helpers, the linear one
-    (FactorSpec or a prime stratum's closed form) or _power_terms."""
+    (FactorSpec or a prime stratum's closed form) or _power_terms.  Given a
+    cut, only the factors of least dimension <= cut are applied so; the
+    rest are then applied by one last kernel call, keyed from their least
+    dimension, after any terms the non-prime strata form for them."""
     events = []
     mul_into = growth._mul_into
 
@@ -550,7 +585,7 @@ def _applied_as_formed(spec, N, backend):
         return forming
 
     def traced_mul_into(acc, src, d1s, x, *args):
-        events.append(("mul", x[0][0]))
+        events.append(("mul", next(iter(x))[0]))
         return mul_into(acc, src, d1s, x, *args)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -558,18 +593,29 @@ def _applied_as_formed(spec, N, backend):
             mp.setattr(growth, name, traced(getattr(growth, name)))
         mp.setattr(growth, "_mul_into", traced_mul_into)
         truncated_zeta(spec, N, backend=backend)
-    n = len(list(_contributions(spec, N)))
-    assert n > 1 and [kind for kind, _ in events] == ["form", "mul"] * n
-    keys = [k for _, k in events[::2]]
-    assert [k for _, k in events[1::2]] == keys == sorted(keys)
+    dims = [d for d, _ in _contributions(spec, N)]
+    n = sum(d <= (N if cut is None else cut) for d in dims)
+    head, tail = events[: 2 * n], events[2 * n:]
+    assert n > 1 and [kind for kind, _ in head] == ["form", "mul"] * n
+    keys = [k for _, k in head[::2]]
+    assert [k for _, k in head[1::2]] == keys == sorted(keys)
+    if n < len(dims):
+        assert [kind for kind, _ in tail] == ["form"] * (len(tail) - 1) + ["mul"]
+        assert tail[-1][1] == min(d for d in dims if d > cut) and len(tail) - 1 < len(dims) - n
+    else:
+        assert tail == []
 
 
 @pytest.mark.parametrize("backend", [EXACT, LOG])
 def test_each_factor_is_applied_as_it_is_formed(backend):
-    # an A2 tower over 5 with a finite stratum over powers of 5 is graded:
-    # on the kernel branch its factors go through the same kernel, keyed by
-    # exponent; that branch is the log backend's and, with the cost estimate
-    # declining the recurrence, the exact backend's, as on a sparse product
+    # on dimension keys the exact backend applies the factors of least
+    # dimension <= sqrt(N) one by one, then every factor past it in one
+    # kernel call; the log backend applies every factor one by one.  An A2
+    # tower over 5 with a finite stratum over powers of 5 is graded: on the
+    # kernel branch its factors go through the same kernel one by one,
+    # keyed by exponent; that branch is the log backend's and, with the
+    # cost estimate declining the recurrence, the exact backend's, as on a
+    # sparse product
     graded = GroupSpec(
         (
             build_fixed_type(Fraction(2), LieType("A", 2), 5).strata[0],
@@ -577,7 +623,7 @@ def test_each_factor_is_applied_as_it_is_formed(backend):
         )
     )
     assert truncated_zeta(graded, 5 ** 60).grading == 5
-    _applied_as_formed(_order_spec(), 5000, backend)
+    _applied_as_formed(_order_spec(), 5000, backend, math.isqrt(5000) if backend == EXACT else None)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(growth, "_recurrence_pays", lambda *args: False)
         _applied_as_formed(graded, 5 ** 60, backend)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -195,6 +196,20 @@ def test_model_xi_examples():
 
 def test_model_xi_truncates():
     assert dict(model_xi(PairSet([(1, 1), (0, 3)]), 5, 10).items()) == {5: 5}
+
+
+@pytest.mark.parametrize("backend", ["bogus", "Exact", "LOG", ""])
+def test_model_xi_refuses_an_unknown_backend(backend):
+    # a misspelt backend must not fall through to the log branch
+    with pytest.raises(PreconditionError, match=f"unknown backend '{backend}'"):
+        model_xi(canonical_pair_set(LieType("A", 2)), 5, 100, backend)
+
+
+def test_model_xi_log_backend_holds_the_logs_of_the_exact_counts():
+    a = canonical_pair_set(LieType("A", 2))
+    exact, logd = model_xi(a, 5, 10 ** 4), model_xi(a, 5, 10 ** 4, "log")
+    assert logd.backend == "log" and logd.dims == exact.dims
+    assert logd.mults == tuple(map(math.log, exact.mults))
 
 
 def test_model_xi_additive_over_disjoint_union():
