@@ -546,8 +546,8 @@ def cumulative(s: DirichletSeries, n: int):
 
     Exact backend returns the integer count; the log backend returns the
     natural log of the count, the last of the _log_prefix_sums that are
-    empirical_slope's prefix sums.  Refuses n beyond the cutoff: the
-    truncation makes the answer unknown there.
+    empirical_slope's prefix sums on the log backend.  Refuses n beyond the
+    cutoff: the truncation makes the answer unknown there.
     """
     if n < 1:
         raise PreconditionError("n must be a positive integer")

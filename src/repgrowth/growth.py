@@ -81,7 +81,9 @@ from .lie_data import (
     xi_terms,
 )
 
-LOG_THRESHOLD_BITS = 64.0  # multiplicities above 2^64 push work into the log backend
+# truncated_zeta's automatic choice takes the log backend once a multiplicity
+# passes 2^64; empirical_slope's only past _MATERIALIZE_BITS
+LOG_THRESHOLD_BITS = 64.0
 _MATERIALIZE_BITS = 256    # tower multiplicities stay plain ints while this small
 MAX_POLY_COEFFS = 256      # _first_negative holds ~count^2/2 coefficients of size ~count!
 # count * the longest coefficient's bit length: _first_negative bisects over
@@ -1108,6 +1110,12 @@ def truncated_zeta(
     C-level maps per degree family and one dict update per term of S.  The
     series is made from the accumulator dict, no merged copy formed.
     """
+    return _product(spec, N, backend, LOG_THRESHOLD_BITS)
+
+
+def _product(spec: GroupSpec, N: int, backend: Optional[str], limit: float) -> DirichletSeries:
+    """truncated_zeta, whose automatic choice is exact unless a multiplicity
+    passes limit bits."""
     if N < 1:
         raise PreconditionError("N must be >= 1")
     if backend not in (None, EXACT, LOG):
@@ -1115,7 +1123,7 @@ def truncated_zeta(
     walks = [s.split_walk(N if backend == LOG else math.isqrt(N), N) for s in spec.strata]
     if backend is None:
         bits = [t.bits() for _, t in walks] + [mult_bits(f.multiplicity) for h, _ in walks for _, f in h]
-        backend = LOG if max(bits, default=0) > LOG_THRESHOLD_BITS else EXACT
+        backend = LOG if max(bits, default=0) > limit else EXACT
     grades = (f.grading() for h, t in walks for _, f in itertools.chain(h, t))
     p = next(grades, None)
     if p is not None and any(g != p for g in grades):
@@ -1337,15 +1345,21 @@ class SlopeReport:
 
 
 def empirical_slope(spec: GroupSpec, N: int) -> SlopeReport:
-    """Slope sequence log R_n / log n from the truncated series (log-domain
-    counts), plus the maximum over the window [sqrt(N), N].  Early
-    dimensions are dominated by the smallest factor and bias the limsup
-    proxy downward, hence the window.  The columns are C-level maps over the
-    prefix sums: at N = 2500 on SL2 over primes (d = 4) they and the sums
-    take 0.7 ms beside truncated_zeta's 9 ms, and a read of `points` 1.4 ms."""
-    series = truncated_zeta(spec, N, backend=LOG)
+    """Slope sequence log R_n / log n from the truncated series, plus the
+    maximum over the window [sqrt(N), N].  Early dimensions are dominated by
+    the smallest factor and bias the limsup proxy downward, hence the
+    window.  While every multiplicity has at most _MATERIALIZE_BITS bits
+    (read off truncated_zeta's one walk), R_n is the exact count, the exact
+    product taking the tail past sqrt(N) at once, and its logs are taken as
+    the prefix sums stream; past that the counts and their prefix sums are
+    log-domain, as truncated_zeta(spec, N, backend=LOG) gives them.  The
+    columns are C-level maps over the prefix sums."""
+    series = _product(spec, N, None, _MATERIALIZE_BITS)
     dims = series.dims
-    lrs = _log_prefix_sums(series.mults)
+    if series.backend == EXACT:
+        lrs = list(map(math.log, itertools.accumulate(series.mults)))
+    else:
+        lrs = _log_prefix_sums(series.mults)
     # R_n is constant between dimensions, so ln R_n / ln n peaks over the
     # window [lo, N] at lo or at a dimension in it (dims[0] = 1 <= lo)
     lo = max(2, math.isqrt(N - 1) + 1)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -17,7 +18,16 @@ from typing import Iterable, Iterator, List, Sequence, Tuple
 from . import growth
 from .char_tables import min_nontrivial_degree, prime_power, psl2_table, sl2_table
 from .constructor import build_fixed_type, make_schedule, prec_less
-from .dirichlet import EXACT, LOG, DirichletSeries, convolve, cumulative, evaluate, power_one_plus
+from .dirichlet import (
+    EXACT,
+    LOG,
+    DirichletSeries,
+    _log_prefix_sums,
+    convolve,
+    cumulative,
+    evaluate,
+    power_one_plus,
+)
 from .errors import PreconditionError
 from .lie_data import A1, LieType, PairSet, rho0
 
@@ -296,6 +306,30 @@ def tail_agreement(rng: random.Random, cases: int) -> bool:
     return ok
 
 
+def slope_agreement(rng: random.Random, cases: int) -> bool:
+    """empirical_slope, which reads the exact counts wherever every
+    multiplicity materializes, has the ns and window of the slopes formed
+    from the log backend's prefix sums, and every slope and the windowed
+    max within relative 1e-9: on PrimeStratum(5, E, simple) for E in
+    {1, 2} in both views, per case at a random N <= 2000."""
+    ok = True
+    for _ in range(cases):
+        for E, simple in product((1, 2), (False, True)):
+            spec = growth.GroupSpec((growth.PrimeStratum(5, E, simple),))
+            N = rng.randint(2, 2000)
+            rep = growth.empirical_slope(spec, N)
+            logd = growth.truncated_zeta(spec, N, backend=LOG)
+            lrs = _log_prefix_sums(logd.mults)
+            slopes = [lr / math.log(n) for lr, n in zip(lrs[1:], logd.dims[1:])]
+            lo = max(2, math.isqrt(N - 1) + 1)
+            at_lo = lrs[bisect_right(logd.dims, lo) - 1] / math.log(lo)
+            wmax = max([at_lo] + slopes[bisect_left(logd.dims, lo) - 1:])
+            ok &= rep.ns == logd.dims[1:] and rep.window == (lo, N)
+            ok &= all(math.isclose(a, b, rel_tol=1e-9) for a, b in zip(rep.slopes, slopes))
+            ok &= math.isclose(rep.windowed_max, wmax, rel_tol=1e-9)
+    return ok
+
+
 def suite() -> Iterator[Tuple[str, bool]]:
     """The named checks of `repgrowth check`, in order, with fixed seeds."""
     yield from character_tables(FIELD_SIZES)
@@ -314,6 +348,8 @@ def suite() -> Iterator[Tuple[str, bool]]:
     yield name, prefix_truncation(random.Random(19), 4)
     name = "exact tail product = log per-factor product within 1e-9, prime strata, N <= 2000 (2 cases)"
     yield name, tail_agreement(random.Random(23), 2)
+    name = "empirical slopes from exact counts = log-path slopes within 1e-9"
+    yield name, slope_agreement(random.Random(29), 2)
     yield "SL2-over-primes family abscissa 3d-4", all(
         growth.exact_abscissa(growth.sl2_over_primes_spec(d)).abscissa == 3 * d - 4
         for d in (3, 4, 5)

@@ -241,5 +241,7 @@ def test_criterion_10_property_suites():
         assert invariants.prefix_truncation(rng, 12)
         # the exact tail product against the log backend's per-factor one
         assert invariants.tail_agreement(rng, 6)
+        # slopes from the exact counts against the log backend's
+        assert invariants.slope_agreement(rng, 6)
 
     run_criterion(10, "order axioms, series algebra, backend agreement, schedules", 60.0, body)

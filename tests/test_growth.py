@@ -27,9 +27,11 @@ from repgrowth.dirichlet import (
     BigPower,
     DirichletSeries,
     RangeOverflow,
+    _log_prefix_sums,
     _logaddexp,
     convolve,
     cumulative,
+    mult_bits,
     mult_to_int,
     power_one_plus,
 )
@@ -864,12 +866,24 @@ def test_scheduled_tower_windowed_max_tracks_the_abscissa():
     assert maxima[-1] <= 2.0 + 0.5
 
 
+def _slope_prefix(spec, N):
+    """The series empirical_slope reads and its ln R_n prefix: exact counts,
+    summed and then logged, where every multiplicity of the walk to N has at
+    most growth._MATERIALIZE_BITS bits; log-domain counts and log-adds
+    otherwise."""
+    bits = max((mult_bits(f.multiplicity) for _, f in _contributions(spec, N)), default=0)
+    if bits <= growth._MATERIALIZE_BITS:
+        series = truncated_zeta(spec, N, backend=EXACT)
+        return series, [math.log(R) for R in itertools.accumulate(series.mults)]
+    series = truncated_zeta(spec, N, backend=LOG)
+    return series, list(itertools.accumulate(series.mults, _logaddexp))
+
+
 def _bisect_window(spec, N):
     """The windowed max as computed before it read the slopes: ln R_n by
     bisection at lo, at N and at every dimension in [lo, N]."""
-    series = truncated_zeta(spec, N, backend=LOG)
+    series, prefix = _slope_prefix(spec, N)
     dims = series.dims
-    prefix = list(itertools.accumulate(series.mults, _logaddexp))
 
     def ln_R(n):
         i = bisect_right(dims, n) - 1
@@ -956,15 +970,90 @@ def test_slope_columns_match_the_per_point_loop(spec, N):
 
 @pytest.mark.parametrize("d,N", [(3, 2500), (5, 999)])
 def test_log_cumulative_is_the_slope_prefix_bit_for_bit(d, N):
+    # the log cumulative is the log-add prefix; this family's slopes read
+    # the exact counts, each log10_R the log of the exact cumulative
     spec = sl2_over_primes_spec(d)
     series = truncated_zeta(spec, N, backend=LOG)
     prefix = list(itertools.accumulate(series.mults, _logaddexp))
     assert [cumulative(series, n) for n in series.dims] == prefix
     assert cumulative(series, series.cutoff) == prefix[-1]
+    exact = truncated_zeta(spec, N, backend=EXACT)
     points = empirical_slope(spec, N).points
     assert [p.log10_R for p in points] == [
-        cumulative(series, p.n) / math.log(10.0) for p in points
+        math.log(cumulative(exact, p.n)) / math.log(10.0) for p in points
     ]
+
+
+# each has a multiplicity past growth._MATERIALIZE_BITS below N: at d = 40
+# the prime 7's ((7^3 - 7) / 2)^38 has 281 bits, and the tower's 5^(30 * 4)
+# at q = 5^4 has 279
+LOG_PATH_CASES = [
+    (sl2_over_primes_spec(40), 999),
+    (GroupSpec((GeometricStratum(A1, 5, PolyExponent((0, 30))),)), 10 ** 4),
+]
+
+
+def _log_path_slopes(spec, N):
+    """(ns, slopes, window, windowed_max) as empirical_slope formed them
+    when it always read the log backend: _log_prefix_sums over the log
+    series, the window's max at lo and at its dimensions."""
+    series = truncated_zeta(spec, N, backend=LOG)
+    lrs = _log_prefix_sums(series.mults)
+    lo = max(2, math.isqrt(N - 1) + 1)
+    lr_lo = lrs[bisect_right(series.dims, lo) - 1]
+    ns, lrs = series.dims[1:], lrs[1:]
+    slopes = tuple(lr / math.log(n) for lr, n in zip(lrs, ns))
+    wmax = max((s for n, s in zip(ns, slopes) if n >= lo), default=0.0)
+    if lo <= N and lr_lo > 0:
+        wmax = max(wmax, lr_lo / math.log(lo))
+    return ns, slopes, (lo, N), wmax
+
+
+@pytest.mark.parametrize("spec,N", LOG_PATH_CASES, ids=["primes-d40", "tower-30j"])
+def test_log_path_slopes_are_the_log_cumulative_bit_for_bit(spec, N):
+    bits = max(mult_bits(f.multiplicity) for _, f in _contributions(spec, N))
+    assert bits > growth._MATERIALIZE_BITS
+    series = truncated_zeta(spec, N, backend=LOG)
+    rep = empirical_slope(spec, N)
+    assert [x.hex() for x in rep.log10_Rs] == [
+        (cumulative(series, n) / math.log(10.0)).hex() for n in rep.ns
+    ]
+    ns, slopes, window, wmax = _log_path_slopes(spec, N)
+    assert (rep.ns, rep.window) == (ns, window)
+    assert [x.hex() for x in rep.slopes] == [x.hex() for x in slopes]
+    assert rep.windowed_max.hex() == wmax.hex()
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_prime_family_slopes_read_the_exact_counts(d):
+    N = 2500
+    spec = sl2_over_primes_spec(d)
+    rep = empirical_slope(spec, N)
+    exact = truncated_zeta(spec, N, backend=EXACT)
+    assert rep.ns == exact.dims[1:]
+    Rs = list(itertools.accumulate(exact.mults))[1:]
+    assert list(rep.slopes) == [math.log(R) / math.log(n) for R, n in zip(Rs, rep.ns)]
+    # the log path's bits differ somewhere, so the equality above is the exact path's
+    assert list(rep.slopes) != list(_log_path_slopes(spec, N)[1])
+
+
+SLOPE_AGREEMENT_CASES = WINDOW_CASES + [
+    (with_flag(sl2_over_primes_spec(d), simple), N)
+    for d in (3, 4, 5)
+    for simple in (False, True)
+    for N in (1000, 2500)
+]
+
+
+@pytest.mark.parametrize(
+    "spec,N", SLOPE_AGREEMENT_CASES, ids=[f"spec{i}-{N}" for i, (_, N) in enumerate(SLOPE_AGREEMENT_CASES)]
+)
+def test_slopes_agree_with_the_log_path_within_1e_9(spec, N):
+    rep = empirical_slope(spec, N)
+    ns, slopes, window, wmax = _log_path_slopes(spec, N)
+    assert (rep.ns, rep.window) == (ns, window)
+    assert all(math.isclose(a, b, rel_tol=1e-9) for a, b in zip(rep.slopes, slopes))
+    assert math.isclose(rep.windowed_max, wmax, rel_tol=1e-9)
 
 
 class _DuckExponent:
