@@ -17,7 +17,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import add, mul, sub
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import PreconditionError, ReportedError, int_name
 
@@ -128,13 +128,18 @@ class DirichletSeries:
         """entries: (dim, multiplicity) pairs or a mapping of them, dims past
         the cutoff dropped.  A dict whose sorted keys start at 1 or above and
         whose kept values pass _init_sorted is kept as it is, with no merged
-        copy; other entries go through the merging loop, which raises its
-        errors in its order and adds (log-adds) the entries on one dim."""
+        copy, and so are _Columns, whose dims the caller forms sorted,
+        distinct and in [1, cutoff]; other entries go through the merging
+        loop, which raises its errors in its order and adds (log-adds) the
+        entries on one dim."""
         if cutoff < 1:
             raise PreconditionError("cutoff must be a positive integer")
         if backend not in (EXACT, LOG):
             raise PreconditionError(f"unknown backend {backend!r}")
-        if type(entries) is dict:
+        if type(entries) is _Columns:
+            if self._init_sorted(cutoff, backend, tuple(entries.dims), tuple(entries.mults)):
+                return
+        elif type(entries) is dict:
             try:
                 dims = sorted(entries)
                 in_range = not dims or dims[0] >= 1
@@ -396,13 +401,29 @@ def _mul_into(acc, src, k1s, x, stop, exact, bound=0, graded=False):
     return fresh
 
 
+def _mul_into_list(acc: list, k1s, x, N: int) -> None:
+    """_mul_into on the exact backend with dimension keys, into a list acc
+    indexed by dimension (len(acc) = N + 1, a zero slot for each dimension
+    the product does not reach): acc[k1 * k2] += acc[k1] * m2 for each
+    source k1 of k1s in turn, high to low, and the terms of x in order up
+    to N, with no hash and no record of the slots it fills."""
+    for k1 in k1s:
+        m1 = acc[k1]
+        for k2, m2 in x:
+            k = k1 * k2
+            if k > N:
+                break
+            acc[k] += m1 * m2
+
+
 class _Columns:
-    """Sorted (key, mult) terms as two lists, an x that _mul_into reads once
-    per source: each read zips them afresh, so no pair is held."""
+    """Sorted (key, mult) terms as two sequences, an x that the kernels
+    read once per source, and dense entries that DirichletSeries keeps as
+    they are: each read zips them afresh, so no pair is held."""
 
     __slots__ = ("dims", "mults")
 
-    def __init__(self, dims: list, mults: list):
+    def __init__(self, dims: Sequence, mults: Sequence):
         self.dims, self.mults = dims, mults
 
     def __iter__(self):

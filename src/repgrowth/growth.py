@@ -18,7 +18,8 @@ product and m_ns read: S(q)^M with q = p^k, no check run on it, since a
 finite stratum yields the item of each FactorSpec, checked when the spec
 was built, and a tower proves the checks once for all its factors;
 split_walk(r, N), that walk to N as the items of min_dim <= r and a tail
-of the rest, which can sum its exact terms with no item (_PrimeTail);
+of the rest, which adds its exact terms into a list indexed by dimension
+and, for a prime stratum, forms them with no item (_PrimeTail);
 abscissa_rate(), (kind, rate) with kind "rational", "infinite" or
 "finite"; count_exponent(), b with m_n = O(n^b), or None;
 with_simple(simple), every factor in the simple or the cover view;
@@ -37,8 +38,8 @@ import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import repeat
-from operator import floordiv, itemgetter, mul, sub, truediv
+from itertools import compress, repeat
+from operator import add, floordiv, itemgetter, mul, sub, truediv
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .char_tables import a1_term_columns, a1_terms, primes_from, prime_power
@@ -54,6 +55,7 @@ from .dirichlet import (
     _Columns,
     _logaddexp,
     _mul_into,
+    _mul_into_list,
     _power_terms,
     floor_log,
     convolve,  # noqa: F401  unused here; kept so growth.convolve stays bound (bench/tests)
@@ -91,6 +93,12 @@ MAX_POLY_COEFFS = 256      # _first_negative holds ~count^2/2 coefficients of si
 # both; the slowest accepted case measured on a 2-core machine,
 # j^126 (j - 255) + 254 (128 coefficients of up to 8 bits), takes about 0.23 s
 MAX_POLY_BITS = 1024
+# the exact product over dimensions adds into a list of N + 1 slots when N
+# <= _DENSE_SLOTS_PER_ITEM * (its walk items), and into a dict otherwise: a
+# slot costs 8 bytes, and each walk item adds at least one dict entry of
+# about 100 bytes (key, count and hash slot), so the list holds no more than
+# the dict would, and a sparse product at a huge N allocates no slot
+_DENSE_SLOTS_PER_ITEM = 16
 
 
 class TruncationWarning(UserWarning):
@@ -476,11 +484,12 @@ class _Tail(list):
     def bits(self) -> float:
         return max((mult_bits(f.multiplicity) for _, f in self), default=0)
 
-    def add_terms(self, S: dict, N: int) -> None:
-        """Add each item's exact terms C(M, 1) * x_f at dims <= N into S."""
+    def add_terms(self, S: list, N: int) -> None:
+        """Add each item's exact terms C(M, 1) * x_f at dims <= N into the
+        list S indexed by dimension (len(S) = N + 1)."""
         for d, f in self:
             for k, m in _factor_terms(f, d, N, EXACT):
-                S[k] = S.get(k, 0) + m
+                S[k] += m
 
 
 def _split_walk(stratum, r: int, N: int) -> Tuple[list, _Tail]:
@@ -789,23 +798,26 @@ class _PrimeTail:
         for p in self.ps:
             yield self._h(p), _Factor(A1, p, p, 1, s.simple, s.multiplicity(p), None)
 
+    def __len__(self) -> int:
+        return len(self.ps)
+
     def bits(self) -> float:
         """The largest multiplicity's bits: M(p) grows with p."""
         return mult_bits(self.stratum.multiplicity(self.ps[-1])) if self.ps else 0
 
-    def add_terms(self, S: dict, N: int) -> None:
-        """Add M(p) times each family of a1_terms at dims <= N into S, a
-        family at a time, for all the primes at once."""
+    def add_terms(self, S: list, N: int) -> None:
+        """Add M(p) times each family of a1_terms at dims <= N into the list
+        S indexed by dimension (len(S) = N + 1), a family at a time, for all
+        the primes at once."""
         if not self.ps:
             return
         ps, E = self.ps, self.stratum.mult_exponent
         mult_to_int(self.stratum.multiplicity(ps[-1]))  # RangeOverflow past what materializes
         Ms = list(map(pow, map(floordiv, map(sub, map(pow, ps, repeat(3)), ps), repeat(2)), repeat(E)))
-        get = S.get
         for ds, ms in a1_term_columns(ps, self.stratum.simple):
             terms = zip(itertools.islice(ds, bisect_right(ds, N)), map(mul, ms, Ms))
-            for d, c in itertools.compress(terms, ms):
-                S[d] = get(d, 0) + c
+            for d, c in compress(terms, ms):
+                S[d] += c
 
 
 @dataclass(frozen=True)
@@ -1080,19 +1092,22 @@ def truncated_zeta(
     tail that reports its largest multiplicity's bits, so no tail prime is
     walked for the choice.
 
-    The product is accumulated in place in one dict keyed by dimension:
-    factors (1 + x_f)^M sorted stably by min_dim, ties in the order of
-    their strata and walks, each one's terms formed (_factor_terms) and
-    applied through the one kernel, dirichlet._mul_into (every source d1 <=
-    N // min_dim, high to low, adds into d1 * d2), before the next's.  On
-    the exact backend with dimension keys only the factors of min_dim <=
-    isqrt(N) go so; their product P then takes every factor past sqrt(N)
-    at once as 1 + S, S the sum of their terms (_apply_tails).  Below N
-    each is 1 + M_f x_f and any two meet only above N; the sources lie
-    below sqrt(N), where P is final; integer sums commute: so this is the
-    per-factor product to the bit.  A prime stratum forms its share of S
-    from the sieve's primes in columns (_PrimeTail).  The log backend,
-    whose bits follow the order of its log-adds, applies every factor so.
+    The product is accumulated in place: factors (1 + x_f)^M sorted stably
+    by min_dim, ties in the order of their strata and walks, each one's
+    terms formed (_factor_terms) and applied by one kernel (every source
+    d1 <= N // min_dim, high to low, adds into d1 * d2) before the next's.
+    An exact product over dimensions with N <= _DENSE_SLOTS_PER_ITEM times
+    its walk items is dense (_dense_product): it adds into one list indexed
+    by dimension (dirichlet._mul_into_list), applies only the factors of
+    min_dim <= isqrt(N) so, and their product P then takes every factor
+    past sqrt(N) at once as 1 + S, S the sum of their terms in a second
+    list (each tail's add_terms).  Below N each is 1 + M_f x_f and any two
+    meet only above N; the sources lie below sqrt(N), where P is final;
+    integer sums commute: so this is the per-factor product to the bit.  A
+    prime stratum forms its share of S from the sieve's primes in columns
+    (_PrimeTail).  Any other product adds into one dict keyed by dimension
+    (dirichlet._mul_into), every factor one at a time, as the log backend's
+    bits follow the order of its log-adds.
 
     When every factor is past A1 over one prime p (each item's grading()),
     the product is graded and keyed by the exponent e of p^e: the same
@@ -1106,9 +1121,12 @@ def truncated_zeta(
     Cost: per factor applied one by one, one _factor_terms call on an
     unchecked walk item (a prime stratum still builds a checked FactorSpec
     for each powered prime), then about N * sum(|x_f| / min_dim) kernel
-    updates, dense or sparse; for a prime tail, a sieve to 2N + 1, a few
-    C-level maps per degree family and one dict update per term of S.  The
-    series is made from the accumulator dict, no merged copy formed.
+    updates, a slot's add when dense and a dict update when sparse; for a
+    prime tail, a sieve to 2N + 1, a few C-level maps per degree family and
+    one slot's add per term of S.  A dense product holds at most three
+    lists of N + 1 slots, reads its sources off its list by C-level
+    compress, and makes its series from the nonzero slots as tuples; a
+    sparse one from its dict.  No merged copy is formed.
     """
     return _product(spec, N, backend, LOG_THRESHOLD_BITS)
 
@@ -1129,10 +1147,13 @@ def _product(spec: GroupSpec, N: int, backend: Optional[str], limit: float) -> D
     if p is not None and any(g != p for g in grades):
         p = None
     exact = backend == EXACT
-    tails = [t for _, t in walks] if exact and p is None else []
-    factors = [item for h, t in walks for item in (h if tails else itertools.chain(h, t))]
+    dense = exact and p is None and N <= _DENSE_SLOTS_PER_ITEM * sum(len(h) + len(t) for h, t in walks)
+    tails = [t for _, t in walks] if dense else []
+    factors = [item for h, t in walks for item in (h if dense else itertools.chain(h, t))]
     del walks
     factors.sort(key=itemgetter(0))
+    if dense:
+        return _dense_product(factors, tails, N)
 
     graded = p is not None  # keys are exponents of p: 1 = p^0, and d1 * d2 <= N is e1 + e2 <= top
     top = floor_log(N, p) if graded else None
@@ -1151,29 +1172,35 @@ def _product(spec: GroupSpec, N: int, backend: Optional[str], limit: float) -> D
         if fresh:
             sources += fresh
             sources.sort()
-    if tails:
-        _apply_tails(acc, sources, tails, N)
     return GradedSeries(N, p, acc, backend) if graded else DirichletSeries(N, acc, backend)
 
 
-def _apply_tails(acc: dict, sources: list, tails: list, N: int) -> None:
-    """acc times 1 + S, S the sum of the tails' terms, emptying tails (see
-    truncated_zeta).  The other sources read S's own counts up to N // (the
-    least of them) in one kernel call; the unit source (acc[1] = 1) adds S
-    by one dict update, S first taking acc's count on each key both hold."""
-    S = {}
+def _dense_product(factors: list, tails: list, N: int) -> DirichletSeries:
+    """The dense exact product over dimensions, emptying tails (see
+    truncated_zeta): a head factor's sources are the nonzero slots of acc
+    up to N // (its least dimension), read off the list high to low; the
+    tail's, other than the unit source, read S's nonzero columns up to N //
+    (the least of them)."""
+    acc = [0] * (N + 1)
+    acc[1] = 1
+    for min_dim, f in factors:
+        x = _factor_terms(f, min_dim, N, EXACT)
+        bound = N // x[0][0]
+        _mul_into_list(acc, compress(range(bound, 0, -1), acc[bound:0:-1]), x, N)
+    S = [0] * (N + 1)
     while tails:
         tails.pop().add_terms(S, N)
-    if S:
-        dims = sorted(S)
-        del sources[bisect_right(sources, N // dims[0]):]
-        del dims[bisect_right(dims, N // sources[1] if len(sources) > 1 else 0):]
-        x = _Columns(dims, list(map(S.__getitem__, dims)))
-        for k in filter(acc.__contains__, S):
-            S[k] += acc[k]
-        acc.update(S)
+    lo = next(compress(range(N + 1), S), None)
+    if lo is not None:
+        bound = N // lo
+        k1s = list(compress(range(bound, 1, -1), acc[bound:1:-1]))
+        hi = N // k1s[-1] if k1s else 0
+        x = _Columns(list(compress(range(lo, hi + 1), S[lo:hi + 1])), list(filter(None, S[lo:hi + 1])))
+        acc = list(map(add, acc, S))
         del S
-        _mul_into(acc, acc, reversed(sources[1:]), x, N, True)
+        _mul_into_list(acc, k1s, x, N)
+        del x
+    return DirichletSeries(N, _Columns(tuple(compress(range(N + 1), acc)), tuple(filter(None, acc))))
 
 
 def m_n(spec: GroupSpec, n: int):

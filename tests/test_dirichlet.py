@@ -19,6 +19,7 @@ from repgrowth.dirichlet import (
     DirichletSeries,
     GradedSeries,
     RangeOverflow,
+    _Columns,
     _log_binomial,
     _logaddexp,
     _mul_into,
@@ -472,7 +473,9 @@ DICT_CASES = [
 @pytest.mark.parametrize("backend, entries", DICT_CASES, ids=repr)
 def test_a_dict_builds_the_series_its_items_build(backend, entries):
     # a dict is kept as it is where its checks pass and merged otherwise:
-    # either way, the series and the error are those of its (dim, mult) pairs
+    # either way, the series and the error are those of its (dim, mult) pairs;
+    # so are _Columns', for dims sorted, distinct and in [1, cutoff] as the
+    # dense exact product forms them
     def build(e):
         try:
             s = DirichletSeries(10, e, backend)
@@ -481,3 +484,7 @@ def test_a_dict_builds_the_series_its_items_build(backend, entries):
         return s, [type(m) for m in s.mults]
 
     assert build(entries) == build(list(entries.items()))
+    dims = sorted(entries)
+    if 1 <= dims[0] and dims[-1] <= 10:
+        columns = _Columns(tuple(dims), tuple(map(entries.__getitem__, dims)))
+        assert build(columns) == build(list(entries.items()))

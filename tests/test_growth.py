@@ -567,7 +567,8 @@ def test_factor_order_is_pinned_bit_for_bit():
 
 
 def _applied_as_formed(spec, N, backend, cut=None):
-    """Trace truncated_zeta's factor terms and kernel calls: each factor's
+    """Trace truncated_zeta's factor terms and kernel calls, on the dict
+    kernel _mul_into and the list kernel _mul_into_list alike: each factor's
     terms must be formed, then applied, before the next factor's, in
     increasing order of their least key (dimension, or graded exponent).
     Every factor forms its terms in one of two helpers, the linear one
@@ -576,7 +577,6 @@ def _applied_as_formed(spec, N, backend, cut=None):
     rest are then applied by one last kernel call, keyed from their least
     dimension, after any terms the non-prime strata form for them."""
     events = []
-    mul_into = growth._mul_into
 
     def traced(form):
         def forming(*args):
@@ -586,14 +586,18 @@ def _applied_as_formed(spec, N, backend, cut=None):
 
         return forming
 
-    def traced_mul_into(acc, src, d1s, x, *args):
-        events.append(("mul", next(iter(x))[0]))
-        return mul_into(acc, src, d1s, x, *args)
+    def traced_kernel(kernel, at):  # x is the kernel's argument at
+        def applying(*args):
+            events.append(("mul", next(iter(args[at]))[0]))
+            return kernel(*args)
+
+        return applying
 
     with pytest.MonkeyPatch.context() as mp:
         for name in ("_linear_terms", "_power_terms"):
             mp.setattr(growth, name, traced(getattr(growth, name)))
-        mp.setattr(growth, "_mul_into", traced_mul_into)
+        for name, at in (("_mul_into", 3), ("_mul_into_list", 2)):
+            mp.setattr(growth, name, traced_kernel(getattr(growth, name), at))
         truncated_zeta(spec, N, backend=backend)
     dims = [d for d, _ in _contributions(spec, N)]
     n = sum(d <= (N if cut is None else cut) for d in dims)
@@ -610,9 +614,10 @@ def _applied_as_formed(spec, N, backend, cut=None):
 
 @pytest.mark.parametrize("backend", [EXACT, LOG])
 def test_each_factor_is_applied_as_it_is_formed(backend):
-    # on dimension keys the exact backend applies the factors of least
-    # dimension <= sqrt(N) one by one, then every factor past it in one
-    # kernel call; the log backend applies every factor one by one.  An A2
+    # on dimension keys the exact backend, dense here, applies the factors
+    # of least dimension <= sqrt(N) one by one on the list kernel, then
+    # every factor past it in one call of that kernel; the log backend
+    # applies every factor one by one on the dict kernel.  An A2
     # tower over 5 with a finite stratum over powers of 5 is graded: on the
     # kernel branch its factors go through the same kernel one by one,
     # keyed by exponent; that branch is the log backend's and, with the
@@ -642,6 +647,98 @@ def test_each_factor_is_applied_as_it_is_formed(backend):
         assert calls == [("_graded_product", series)] and series.grading == 5
     else:
         assert calls and {name for name, _ in calls} == {"_factor_terms", "_mul_into"}
+
+
+def _dense_calls(mp):
+    """A list that gains the cutoff N of each product that truncated_zeta
+    accumulates in the list indexed by dimension, from now on."""
+    calls, dense = [], growth._dense_product
+
+    def watched(factors, tails, N):
+        calls.append(N)
+        return dense(factors, tails, N)
+
+    mp.setattr(growth, "_dense_product", watched)
+    return calls
+
+
+def _list_and_dict_paths(spec, N):
+    """The exact truncated_zeta(spec, N) accumulated in the list and in the
+    dict, each from the same walk: every product over dimensions with a
+    walk item is dense when each item may cost 10^9 slots, none when it may
+    cost 0."""
+    out, walked = [], any(True for _ in _contributions(spec, N))
+    for per_item in (10 ** 9, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(growth, "_DENSE_SLOTS_PER_ITEM", per_item)
+            calls = _dense_calls(mp)
+            out.append(truncated_zeta(spec, N, backend=EXACT))
+        assert calls == ([N] if per_item and walked else [])
+    return out
+
+
+# the tail prime of least degree h = 5, p = 11 in both views, joins the
+# head at N = h^2 = 25
+LIST_PATH_NS = (1, 2, 3, 4, 24, 25, 26, 1000, 2999, 3000)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+@pytest.mark.parametrize("simple", [False, True])
+def test_list_path_is_the_dict_path_on_the_prime_family(d, simple):
+    spec = with_flag(sl2_over_primes_spec(d), simple)
+    table = psl2_table if simple else sl2_table
+    for N in LIST_PATH_NS:
+        dense, sparse = _list_and_dict_paths(spec, N)
+        assert dense == sparse and dense.backend == EXACT, N
+        assert dense.mults[0] == 1 and {int} == set(map(type, dense.mults)), N
+        if N <= 4 and d == 3:
+            # M = 60 for p = 5 and 168 for p = 7, the only primes of h <= 4
+            oracle = _brute_product([_degrees(table(5))] * 60 + [_degrees(table(7))] * 168, N)
+            assert dict(dense.items()) == oracle, N
+
+
+@pytest.mark.parametrize("simple", [False, True])
+def test_list_path_matches_brute_force_on_primes_of_multiplicity_one(simple):
+    # with E = 0 each prime is one factor, so the oracle lists every copy;
+    # at N = 26 the head holds the primes of h <= 5 and the tail p <= 53
+    spec = GroupSpec((PrimeStratum(5, 0, simple),))
+    table = psl2_table if simple else sl2_table
+    for N in LIST_PATH_NS[:7]:
+        dense, sparse = _list_and_dict_paths(spec, N)
+        primes = itertools.takewhile((2 * N + 1).__ge__, primes_from(5))
+        oracle = _brute_product([_degrees(table(p)) for p in primes], N)
+        assert dict(dense.items()) == oracle and dense == sparse, N
+
+
+def test_list_path_is_the_dict_path_on_the_order_spec():
+    # mixed strata (finite, primes, A1 and A2 towers, a diagonal) in ties of
+    # least dimension; the dense product is also the pinned series
+    spec = _order_spec()
+    dense, sparse = _list_and_dict_paths(spec, 5000)
+    assert dense == sparse
+    digest = hashlib.sha256(dense.to_json().encode()).hexdigest()
+    assert digest == ORDER_DIGESTS[EXACT, 5000]
+
+
+def test_only_a_dense_exact_product_over_dimensions_takes_the_list():
+    sparse_finite = finite_spec(FactorSpec(A1, 10007), FactorSpec(A1, 10009, multiplicity=3))
+    tower = GroupSpec((GeometricStratum(A1, 10007, PolyExponent((0, 1))),))
+    diagonal = _diagonal_spec()
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _dense_calls(mp)
+        # two walk items at N = 10^12: a list would take 8 TB
+        assert len(truncated_zeta(sparse_finite, 10 ** 12)) == 53
+        # ten items at 10^40, on the exact backend forced and the automatic log
+        assert truncated_zeta(tower, 10 ** 40, backend=EXACT).backend == EXACT
+        assert truncated_zeta(tower, 10 ** 40).backend == LOG
+        # graded: keys are exponents of 5, not dimensions
+        assert truncated_zeta(diagonal, 10 ** 7).grading == 5
+        assert truncated_zeta(sl2_over_primes_spec(3), 3000, backend=LOG).backend == LOG
+        assert calls == []
+        # 781 walk items at N = 3000, on truncated_zeta and on empirical_slope
+        assert truncated_zeta(sl2_over_primes_spec(3), 3000).backend == EXACT
+        empirical_slope(sl2_over_primes_spec(3), 3000)
+        assert calls == [3000, 3000]
 
 
 def _a1_factor_cases():
