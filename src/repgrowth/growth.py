@@ -17,9 +17,10 @@ the factor a _Factor, the one walk item that truncated_zeta, its graded
 product and m_ns read: S(q)^M with q = p^k, no check run on it, since a
 finite stratum yields the item of each FactorSpec, checked when the spec
 was built, and a tower proves the checks once for all its factors;
-split_walk(r, N), that walk to N as the items of min_dim <= r and a tail
-of the rest, which adds its exact terms into a list indexed by dimension
-and, for a prime stratum, forms them with no item (_PrimeTail);
+split_walk(r, N), that walk to N as a head and a tail: the whole walk and
+no tail, but on a prime stratum the items of min_dim <= r and the rest as
+sieve columns, which add their exact terms into a list indexed by
+dimension with no item formed (_PrimeTail);
 abscissa_rate(), (kind, rate) with kind "rational", "infinite" or
 "finite"; count_exponent(), b with m_n = O(n^b), or None;
 with_simple(simple), every factor in the simple or the cover view;
@@ -478,27 +479,11 @@ class FactorSpec:
         return cls(lt, q, _simple_flag(obj, "simple", pointer), mult, pairs)
 
 
-class _Tail(list):
-    """A stratum's walk items past sqrt(N): linear, as min_dim^2 > N."""
-
-    def bits(self) -> float:
-        return max((mult_bits(f.multiplicity) for _, f in self), default=0)
-
-    def add_terms(self, S: list, N: int) -> None:
-        """Add each item's exact terms C(M, 1) * x_f at dims <= N into the
-        list S indexed by dimension (len(S) = N + 1)."""
-        for d, f in self:
-            for k, m in _factor_terms(f, d, N, EXACT):
-                S[k] += m
-
-
-def _split_walk(stratum, r: int, N: int) -> Tuple[list, _Tail]:
-    """(head, tail): the stratum's walk to N, the items of min_dim <= r in
-    walk order and the rest as a _Tail."""
-    head, tail = [], _Tail()
-    for item in stratum.factors_below(N):
-        (head if item[0] <= r else tail).append(item)
-    return head, tail
+def _split_walk(stratum, r: int, N: int) -> Tuple[list, tuple]:
+    """(head, tail): the stratum's whole walk to N as the head, and no
+    tail.  Only a prime stratum gains from a tail (_PrimeTail); any other
+    factor past r is applied as a head factor, linear when r = isqrt(N)."""
+    return list(stratum.factors_below(N)), ()
 
 
 @dataclass(frozen=True)
@@ -733,8 +718,9 @@ class PrimeStratum(_Tower):
                 yield h, _Factor(A1, p, p, 1, simple, M, None)
 
     def split_walk(self, r: int, N: int) -> Tuple[list, "_PrimeTail"]:
-        """(head, tail) as _split_walk gives them, the head walked to N
-        (its h^2 <= N decides a powered prime) and the tail as columns."""
+        """(head, tail): the walk to N, the items of min_dim <= r as the
+        head (its h^2 <= N decides a powered prime) and the rest as the
+        columns of a _PrimeTail."""
         head = list(itertools.takewhile(lambda t: t[0] <= r, self.factors_below(N)))
         return head, _PrimeTail(self, r, N)
 
@@ -1088,9 +1074,9 @@ def truncated_zeta(
     The backend is chosen automatically: once any factor multiplicity
     exceeds LOG_THRESHOLD_BITS (2^64), the whole computation runs in the
     log domain; the exact backend is never silently degraded.  Each
-    stratum's split_walk hands over its items of min_dim <= isqrt(N) and a
-    tail that reports its largest multiplicity's bits, so no tail prime is
-    walked for the choice.
+    stratum's split_walk hands over its walk; a prime stratum's keeps the
+    primes past isqrt(N) as a tail that reports its largest multiplicity's
+    bits, so no tail prime is walked for the choice.
 
     The product is accumulated in place: factors (1 + x_f)^M sorted stably
     by min_dim, ties in the order of their strata and walks, each one's
@@ -1098,16 +1084,16 @@ def truncated_zeta(
     d1 <= N // min_dim, high to low, adds into d1 * d2) before the next's.
     An exact product over dimensions with N <= _DENSE_SLOTS_PER_ITEM times
     its walk items is dense (_dense_product): it adds into one list indexed
-    by dimension (dirichlet._mul_into_list), applies only the factors of
-    min_dim <= isqrt(N) so, and their product P then takes every factor
-    past sqrt(N) at once as 1 + S, S the sum of their terms in a second
-    list (each tail's add_terms).  Below N each is 1 + M_f x_f and any two
-    meet only above N; the sources lie below sqrt(N), where P is final;
-    integer sums commute: so this is the per-factor product to the bit.  A
-    prime stratum forms its share of S from the sieve's primes in columns
-    (_PrimeTail).  Any other product adds into one dict keyed by dimension
-    (dirichlet._mul_into), every factor one at a time, as the log backend's
-    bits follow the order of its log-adds.
+    by dimension (dirichlet._mul_into_list), applies every walk item so,
+    and their product P then takes the primes of every prime stratum's
+    tail at once as 1 + S, S the sum of their terms, formed from the
+    sieve's primes in columns into a second list (_PrimeTail.add_terms).
+    Below N each tail prime is 1 + M_f x_f and any two meet only above N;
+    the sources lie below sqrt(N), where P is final; integer sums commute:
+    so this is the per-factor product to the bit.  Any other product adds
+    into one dict keyed by dimension (dirichlet._mul_into), every factor
+    one at a time, as the log backend's bits follow the order of its
+    log-adds.
 
     When every factor is past A1 over one prime p (each item's grading()),
     the product is graded and keyed by the exponent e of p^e: the same
@@ -1122,11 +1108,11 @@ def truncated_zeta(
     unchecked walk item (a prime stratum still builds a checked FactorSpec
     for each powered prime), then about N * sum(|x_f| / min_dim) kernel
     updates, a slot's add when dense and a dict update when sparse; for a
-    prime tail, a sieve to 2N + 1, a few C-level maps per degree family and
-    one slot's add per term of S.  A dense product holds at most three
-    lists of N + 1 slots, reads its sources off its list by C-level
-    compress, and makes its series from the nonzero slots as tuples; a
-    sparse one from its dict.  No merged copy is formed.
+    prime stratum's tail, a sieve to 2N + 1, a few C-level maps per degree
+    family and one slot's add per term of S.  A dense product holds at
+    most three lists of N + 1 slots, reads its sources off its list by
+    C-level compress, and makes its series from the nonzero slots as
+    tuples; a sparse one from its dict.  No merged copy is formed.
     """
     return _product(spec, N, backend, LOG_THRESHOLD_BITS)
 
@@ -1140,7 +1126,7 @@ def _product(spec: GroupSpec, N: int, backend: Optional[str], limit: float) -> D
         raise PreconditionError(f"unknown backend {backend!r}")
     walks = [s.split_walk(N if backend == LOG else math.isqrt(N), N) for s in spec.strata]
     if backend is None:
-        bits = [t.bits() for _, t in walks] + [mult_bits(f.multiplicity) for h, _ in walks for _, f in h]
+        bits = [t.bits() for _, t in walks if t] + [mult_bits(f.multiplicity) for h, _ in walks for _, f in h]
         backend = LOG if max(bits, default=0) > limit else EXACT
     grades = (f.grading() for h, t in walks for _, f in itertools.chain(h, t))
     p = next(grades, None)
@@ -1148,7 +1134,7 @@ def _product(spec: GroupSpec, N: int, backend: Optional[str], limit: float) -> D
         p = None
     exact = backend == EXACT
     dense = exact and p is None and N <= _DENSE_SLOTS_PER_ITEM * sum(len(h) + len(t) for h, t in walks)
-    tails = [t for _, t in walks] if dense else []
+    tails = [t for _, t in walks if t] if dense else []
     factors = [item for h, t in walks for item in (h if dense else itertools.chain(h, t))]
     del walks
     factors.sort(key=itemgetter(0))
@@ -1176,11 +1162,11 @@ def _product(spec: GroupSpec, N: int, backend: Optional[str], limit: float) -> D
 
 
 def _dense_product(factors: list, tails: list, N: int) -> DirichletSeries:
-    """The dense exact product over dimensions, emptying tails (see
-    truncated_zeta): a head factor's sources are the nonzero slots of acc
-    up to N // (its least dimension), read off the list high to low; the
-    tail's, other than the unit source, read S's nonzero columns up to N //
-    (the least of them)."""
+    """The dense exact product over dimensions, emptying tails, the prime
+    strata's non-empty _PrimeTails (see truncated_zeta): a walk item's
+    sources are the nonzero slots of acc up to N // (its least dimension),
+    read off the list high to low; the tails', other than the unit source,
+    read S's nonzero columns up to N // (the least of them)."""
     acc = [0] * (N + 1)
     acc[1] = 1
     for min_dim, f in factors:

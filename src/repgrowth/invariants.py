@@ -286,8 +286,8 @@ def prefix_truncation(rng: random.Random, cases: int) -> bool:
 
 
 def tail_agreement(rng: random.Random, cases: int) -> bool:
-    """The exact truncated_zeta, which applies every factor past sqrt(N) as
-    one linear factor, has the dimensions of the log backend's, which
+    """The exact truncated_zeta, which applies a prime stratum's factors
+    past sqrt(N) as one linear factor, has the dimensions of the log backend's, which
     applies them one by one, and its counts within relative 1e-9: on
     PrimeStratum(5, E, simple) for E in {0, 1} in both views, per case at
     h^2 - 1 and h^2 for the least degree h of a random prime below 90,

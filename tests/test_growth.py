@@ -573,9 +573,10 @@ def _applied_as_formed(spec, N, backend, cut=None):
     increasing order of their least key (dimension, or graded exponent).
     Every factor forms its terms in one of two helpers, the linear one
     (FactorSpec or a prime stratum's closed form) or _power_terms.  Given a
-    cut, only the factors of least dimension <= cut are applied so; the
-    rest are then applied by one last kernel call, keyed from their least
-    dimension, after any terms the non-prime strata form for them."""
+    cut, a prime stratum's factors past it are its tail: they form no
+    terms, and are applied by one last kernel call, keyed from their least
+    dimension; every other factor past the cut is applied as it is formed,
+    in order after the factors at or below the cut."""
     events = []
 
     def traced(form):
@@ -599,24 +600,25 @@ def _applied_as_formed(spec, N, backend, cut=None):
         for name, at in (("_mul_into", 3), ("_mul_into_list", 2)):
             mp.setattr(growth, name, traced_kernel(getattr(growth, name), at))
         truncated_zeta(spec, N, backend=backend)
-    dims = [d for d, _ in _contributions(spec, N)]
-    n = sum(d <= (N if cut is None else cut) for d in dims)
+    dims = [(isinstance(s, PrimeStratum), d) for s in spec.strata for d, _ in s.factors_below(N)]
+    tail_dims = [d for prime, d in dims if prime and cut is not None and d > cut]
+    n = len(dims) - len(tail_dims)
     head, tail = events[: 2 * n], events[2 * n:]
     assert n > 1 and [kind for kind, _ in head] == ["form", "mul"] * n
     keys = [k for _, k in head[::2]]
     assert [k for _, k in head[1::2]] == keys == sorted(keys)
-    if n < len(dims):
-        assert [kind for kind, _ in tail] == ["form"] * (len(tail) - 1) + ["mul"]
-        assert tail[-1][1] == min(d for d in dims if d > cut) and len(tail) - 1 < len(dims) - n
+    if tail_dims:
+        assert tail == [("mul", min(tail_dims))]
+        assert any(not prime and d > cut for prime, d in dims) and keys[-1] > cut
     else:
         assert tail == []
 
 
 @pytest.mark.parametrize("backend", [EXACT, LOG])
 def test_each_factor_is_applied_as_it_is_formed(backend):
-    # on dimension keys the exact backend, dense here, applies the factors
-    # of least dimension <= sqrt(N) one by one on the list kernel, then
-    # every factor past it in one call of that kernel; the log backend
+    # on dimension keys the exact backend, dense here, applies every
+    # factor one by one on the list kernel but a prime stratum's factors
+    # past sqrt(N), then those in one call of that kernel; the log backend
     # applies every factor one by one on the dict kernel.  An A2
     # tower over 5 with a finite stratum over powers of 5 is graded: on the
     # kernel branch its factors go through the same kernel one by one,
@@ -720,6 +722,21 @@ def test_list_path_is_the_dict_path_on_the_order_spec():
     assert digest == ORDER_DIGESTS[EXACT, 5000]
 
 
+# sha256 of to_json(), pinned while a finite stratum's factors past sqrt(N)
+# formed one linear factor 1 + S: applying them one by one moves no byte
+THOUSAND_FACTORS_DIGEST = "a09a418a12d5e2ca807d97e7bd4c9e9af54af8054d5afebcf17fb2db097a01b1"
+
+
+def test_list_path_is_the_dict_path_on_a_thousand_finite_factors():
+    # SL2(p) once for each of the first 1000 primes from 5: dense at N =
+    # 16,000, with all but 52 factors past sqrt(N), each applied on its own
+    primes = itertools.islice(primes_from(5), 1000)
+    spec = finite_spec(*(FactorSpec(A1, p, simple=False) for p in primes))
+    dense, sparse = _list_and_dict_paths(spec, 16000)
+    assert dense == sparse
+    assert hashlib.sha256(dense.to_json().encode()).hexdigest() == THOUSAND_FACTORS_DIGEST
+
+
 def test_only_a_dense_exact_product_over_dimensions_takes_the_list():
     sparse_finite = finite_spec(FactorSpec(A1, 10007), FactorSpec(A1, 10009, multiplicity=3))
     tower = GroupSpec((GeometricStratum(A1, 10007, PolyExponent((0, 1))),))
@@ -734,6 +751,17 @@ def test_only_a_dense_exact_product_over_dimensions_takes_the_list():
         # graded: keys are exponents of 5, not dimensions
         assert truncated_zeta(diagonal, 10 ** 7).grading == 5
         assert truncated_zeta(sl2_over_primes_spec(3), 3000, backend=LOG).backend == LOG
+        # a prime stratum whose primes all lie just below 2N + 1, every one
+        # in its tail: sparse unpatched, forced exact and automatic (exact at
+        # 10^6, log at 10^9), and the series of the same primes as factors
+        for N, p_min, n in ((10 ** 6, 1999800, 12), (10 ** 9, 2 * 10 ** 9 - 200, 11)):
+            primes = PrimeStratum(p_min, 1)
+            walk = list(primes.factors_below(N))
+            same = finite_spec(*(FactorSpec(A1, f.q, False, f.multiplicity) for _, f in walk))
+            assert len(walk) == n and walk[0][0] > math.isqrt(N)
+            for backend in (EXACT, None):
+                series = truncated_zeta(GroupSpec((primes,)), N, backend=backend)
+                assert series == truncated_zeta(same, N, backend=backend) and len(series) > n
         assert calls == []
         # 781 walk items at N = 3000, on truncated_zeta and on empirical_slope
         assert truncated_zeta(sl2_over_primes_spec(3), 3000).backend == EXACT
