@@ -84,10 +84,9 @@ from .lie_data import (
     xi_terms,
 )
 
-# truncated_zeta's automatic choice takes the log backend once a multiplicity
-# passes 2^64; empirical_slope's only past _MATERIALIZE_BITS
-LOG_THRESHOLD_BITS = 64.0
-_MATERIALIZE_BITS = 256    # tower multiplicities stay plain ints while this small
+# a tower multiplicity stays a plain int while it has at most this many bits,
+# and truncated_zeta's automatic choice is exact unless one has more
+_MATERIALIZE_BITS = 256
 MAX_POLY_COEFFS = 256      # _first_negative holds ~count^2/2 coefficients of size ~count!
 # count * the longest coefficient's bit length: _first_negative bisects over
 # [1, 2 + max|c_i| // lead] at every derivative level, so its time grows with
@@ -1071,12 +1070,13 @@ def truncated_zeta(
 ) -> DirichletSeries:
     """Dirichlet product over every factor that contributes below N.
 
-    The backend is chosen automatically: once any factor multiplicity
-    exceeds LOG_THRESHOLD_BITS (2^64), the whole computation runs in the
-    log domain; the exact backend is never silently degraded.  Each
-    stratum's split_walk hands over its walk; a prime stratum's keeps the
-    primes past isqrt(N) as a tail that reports its largest multiplicity's
-    bits, so no tail prime is walked for the choice.
+    The backend is chosen automatically: exact unless some factor
+    multiplicity has more than _MATERIALIZE_BITS (256) bits, the size past
+    which a tower keeps it as an unexpanded BigPower; the whole computation
+    then runs in the log domain.  The exact backend is never silently
+    degraded.  Each stratum's split_walk hands over its walk; a prime
+    stratum's keeps the primes past isqrt(N) as a tail that reports its
+    largest multiplicity's bits, so no tail prime is walked for the choice.
 
     The product is accumulated in place: factors (1 + x_f)^M sorted stably
     by min_dim, ties in the order of their strata and walks, each one's
@@ -1114,12 +1114,6 @@ def truncated_zeta(
     C-level compress, and makes its series from the nonzero slots as
     tuples; a sparse one from its dict.  No merged copy is formed.
     """
-    return _product(spec, N, backend, LOG_THRESHOLD_BITS)
-
-
-def _product(spec: GroupSpec, N: int, backend: Optional[str], limit: float) -> DirichletSeries:
-    """truncated_zeta, whose automatic choice is exact unless a multiplicity
-    passes limit bits."""
     if N < 1:
         raise PreconditionError("N must be >= 1")
     if backend not in (None, EXACT, LOG):
@@ -1127,7 +1121,7 @@ def _product(spec: GroupSpec, N: int, backend: Optional[str], limit: float) -> D
     walks = [s.split_walk(N if backend == LOG else math.isqrt(N), N) for s in spec.strata]
     if backend is None:
         bits = [t.bits() for _, t in walks if t] + [mult_bits(f.multiplicity) for h, _ in walks for _, f in h]
-        backend = LOG if max(bits, default=0) > limit else EXACT
+        backend = LOG if max(bits, default=0) > _MATERIALIZE_BITS else EXACT
     grades = (f.grading() for h, t in walks for _, f in itertools.chain(h, t))
     p = next(grades, None)
     if p is not None and any(g != p for g in grades):
@@ -1361,13 +1355,12 @@ def empirical_slope(spec: GroupSpec, N: int) -> SlopeReport:
     """Slope sequence log R_n / log n from the truncated series, plus the
     maximum over the window [sqrt(N), N].  Early dimensions are dominated by
     the smallest factor and bias the limsup proxy downward, hence the
-    window.  While every multiplicity has at most _MATERIALIZE_BITS bits
-    (read off truncated_zeta's one walk), R_n is the exact count, the exact
-    product taking the tail past sqrt(N) at once, and its logs are taken as
-    the prefix sums stream; past that the counts and their prefix sums are
-    log-domain, as truncated_zeta(spec, N, backend=LOG) gives them.  The
-    columns are C-level maps over the prefix sums."""
-    series = _product(spec, N, None, _MATERIALIZE_BITS)
+    window.  R_n comes from truncated_zeta(spec, N) on its automatic
+    backend: the exact count while every multiplicity has at most
+    _MATERIALIZE_BITS bits, its logs taken as the prefix sums stream; past
+    that the counts and their prefix sums are log-domain.  The columns are
+    C-level maps over the prefix sums."""
+    series = truncated_zeta(spec, N)
     dims = series.dims
     if series.backend == EXACT:
         lrs = list(map(math.log, itertools.accumulate(series.mults)))

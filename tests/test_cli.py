@@ -3,6 +3,7 @@ import copy
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -558,13 +559,36 @@ def test_inline_json_array_is_a_spec_not_a_path(capsys, text):
     assert "spec must be an object with a 'strata' list" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("d", [3, 4])  # exact, and log by the 2^64 switch
+# at N = 300 the largest M has 27 bits (d = 3) and 54 (d = 4), so both are
+# exact, and about 267 (d = 12), past 256 bits, so that one is log
+@pytest.mark.parametrize("d", [3, 4, 12])
 def test_zeta_json_is_json_dumps_of_the_series(capsys, d):
     spec = sl2_over_primes_spec(d)
     code, out = run(capsys, "zeta", "--spec", json.dumps(spec.to_jsonable()), "--N", "300")
     assert code == 0
-    want = truncated_zeta(spec, 300).to_jsonable()
-    assert out == json.dumps(want, indent=2, sort_keys=True) + "\n"
+    series = truncated_zeta(spec, 300)
+    assert series.backend == ("log" if d == 12 else "exact")
+    assert out == json.dumps(series.to_jsonable(), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("d,N", [(5, 2500), (4, 2000)])
+def test_zeta_and_empirical_slope_read_the_same_counts(capsys, d, N):
+    # one backend rule: every multiplicity has at most 256 bits here, so zeta
+    # prints exact counts and the slopes' R_n are their running sums
+    spec = json.dumps(sl2_over_primes_spec(d).to_jsonable())
+    code, out = run(capsys, "zeta", "--spec", spec, "--N", str(N), "--format", "csv")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    running, want = 0, []
+    for dim, count in rows:
+        running += int(count)
+        if int(dim) > 1:
+            want.append(f"{dim},{math.log(running) / math.log(10.0):.6f}")
+    code, out = run(capsys, "abscissa", "--example", "sl2-primes", "--d", str(d),
+                    "--empirical", "--N", str(N), "--format", "csv")
+    assert code == 0
+    got = [line.rsplit(",", 1)[0] for line in out.splitlines()[1:]]
+    assert len(got) > 100 and got == want
 
 
 def _run_module(*argv):
@@ -601,7 +625,7 @@ def test_reused_parser_answers_each_call_as_a_fresh_process(capsys, monkeypatch,
     assert got == [_run_module(*argv) for argv in calls]
 
 
-# one A2 factor with multiplicity 2^63 - 1: below 2^64, so zeta stays exact
+# one A2 factor with multiplicity 2^63 - 1: below 2^256, so zeta stays exact
 LONG_COUNT_SPEC = json.dumps(
     {
         "strata": [

@@ -380,17 +380,24 @@ def test_prime_stratum_matches_its_finite_stratum_bit_for_bit(p_min, simple):
     # exact backend sums every prime's terms in columns: the bytes are
     # those of the same primes as FactorSpecs, on either backend
     edges = _linear_edges(p_min, simple)
+    automatic = set()
     for N in sorted(set(edges) | set(_tail_edges(p_min, simple))) + [1000]:
         for E in (0, 1, 2):
             prime, finite = _prime_and_finite(p_min, E, simple, N)
             for backend in (EXACT, LOG):
                 got = truncated_zeta(prime, N, backend=backend).to_json().encode()
                 assert got == truncated_zeta(finite, N, backend=backend).to_json().encode()
-        # E = 11: 60^11 > 2^64 already, so the automatic backend is log
-        prime, finite = _prime_and_finite(p_min, 11, simple, N)
-        got = truncated_zeta(prime, N)
-        assert got.backend == LOG
-        assert got.to_json().encode() == truncated_zeta(finite, N).to_json().encode()
+        # on the automatic backend, E = 11 (60^11 ~ 2^65) is exact until a
+        # prime's M passes 256 bits (p > 272), and E = 44 (60^44 ~ 2^260)
+        # is log at every N
+        for E in (11, 44):
+            prime, finite = _prime_and_finite(p_min, E, simple, N)
+            got = truncated_zeta(prime, N)
+            bits = max(mult_bits(f.multiplicity) for _, f in _contributions(prime, N))
+            assert got.backend == (LOG if bits > growth._MATERIALIZE_BITS else EXACT)
+            assert got.to_json().encode() == truncated_zeta(finite, N).to_json().encode()
+            automatic.add((E, got.backend))
+    assert automatic == {(11, EXACT), (11, LOG), (44, LOG)}
 
 
 def test_one_term_factors_build_no_series(monkeypatch):
@@ -478,17 +485,21 @@ def test_backend_autoswitch_on_huge_multiplicity():
             assert math.exp(s.mult_at(d)) == pytest.approx(m, rel=1e-9)
 
 
-@pytest.mark.parametrize("d,backend", [(3, EXACT), (4, LOG)])
+@pytest.mark.parametrize("d,backend", [(3, EXACT), (4, EXACT), (10, LOG)])
 def test_a_tail_prime_alone_can_choose_the_log_backend(d, backend):
-    # at N = 2000 the primes of least degree <= sqrt(N) (p <= 89) have M <
-    # 2^38 for d = 4, and the largest prime, 4001 (h = 2000), has M ~ 2^70:
-    # the tail, summed in columns with no walk item, still decides
+    # at N = 2000 the primes of least degree <= sqrt(N) (p <= 89) have M of
+    # at most 148 bits (d = 10), and the largest prime, 4001 (h = 2000), has
+    # M of 34 to 35 bits per power d - 2, a BigPower of about 2^279 for
+    # d = 10: the tail, summed in columns with no walk item, still decides
     N = 2000
     spec = sl2_over_primes_spec(d)
     walk = list(_contributions(spec, N))
     head = [f for h, f in walk if h * h <= N]
-    assert max(f.p for f in head) == 89 and max(f.multiplicity for f in head) < 2 ** 38
-    assert walk[-1][1].p == 4001 and walk[-1][1].multiplicity.bit_length() == (70 if d == 4 else 35)
+    assert max(f.p for f in head) == 89
+    assert max(mult_bits(f.multiplicity) for f in head) <= 148 < growth._MATERIALIZE_BITS
+    last = walk[-1][1]
+    assert last.p == 4001 and 34 < mult_bits(last.multiplicity) / (d - 2) <= 35
+    assert isinstance(last.multiplicity, BigPower) is (backend == LOG)
     got = truncated_zeta(spec, N)
     assert got.backend == backend and got == truncated_zeta(spec, N, backend=backend)
 
@@ -745,15 +756,16 @@ def test_only_a_dense_exact_product_over_dimensions_takes_the_list():
         calls = _dense_calls(mp)
         # two walk items at N = 10^12: a list would take 8 TB
         assert len(truncated_zeta(sparse_finite, 10 ** 12)) == 53
-        # ten items at 10^40, on the exact backend forced and the automatic log
+        # ten items at 10^40 (10007^10 ~ 2^133 at most), forced exact and
+        # automatic, which is exact too
         assert truncated_zeta(tower, 10 ** 40, backend=EXACT).backend == EXACT
-        assert truncated_zeta(tower, 10 ** 40).backend == LOG
+        assert truncated_zeta(tower, 10 ** 40).backend == EXACT
         # graded: keys are exponents of 5, not dimensions
         assert truncated_zeta(diagonal, 10 ** 7).grading == 5
         assert truncated_zeta(sl2_over_primes_spec(3), 3000, backend=LOG).backend == LOG
         # a prime stratum whose primes all lie just below 2N + 1, every one
         # in its tail: sparse unpatched, forced exact and automatic (exact at
-        # 10^6, log at 10^9), and the series of the same primes as factors
+        # both, M ~ 2^92 at 10^9), and the series of the same primes as factors
         for N, p_min, n in ((10 ** 6, 1999800, 12), (10 ** 9, 2 * 10 ** 9 - 200, 11)):
             primes = PrimeStratum(p_min, 1)
             walk = list(primes.factors_below(N))
@@ -1160,6 +1172,22 @@ def test_prime_family_slopes_read_the_exact_counts(d):
     assert list(rep.slopes) == [math.log(R) / math.log(n) for R, n in zip(Rs, rep.ns)]
     # the log path's bits differ somewhere, so the equality above is the exact path's
     assert list(rep.slopes) != list(_log_path_slopes(spec, N)[1])
+
+
+@pytest.mark.parametrize("spec,N", [(sl2_over_primes_spec(4), 2000)] + LOG_PATH_CASES,
+                         ids=["primes-d4", "primes-d40", "tower-30j"])
+def test_empirical_slope_calls_truncated_zeta_once(spec, N, monkeypatch):
+    # one entry point: the slopes read truncated_zeta's automatic backend,
+    # through the public name that a tracer wraps
+    calls, real = [], growth.truncated_zeta
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(growth, "truncated_zeta", counting)
+    empirical_slope(spec, N)
+    assert calls == [((spec, N), {})]
 
 
 SLOPE_AGREEMENT_CASES = WINDOW_CASES + [
