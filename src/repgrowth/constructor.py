@@ -16,7 +16,7 @@ from itertools import count
 from typing import List, Optional, Sequence, Tuple
 
 from .char_tables import is_prime, prime_power
-from .dirichlet import EXACT, DirichletSeries, convolve, cumulative
+from .dirichlet import EXACT, DirichletSeries, convolve, cumulative, floor_log
 from .errors import BudgetExceededError, InvariantError, PreconditionError, int_name
 from .growth import (
     DiagonalStage,
@@ -24,6 +24,7 @@ from .growth import (
     GeometricStratum,
     GroupSpec,
     Schedule,
+    _GradedProduct,
     exact_abscissa,
     truncated_zeta,
 )
@@ -187,42 +188,70 @@ def _first_past(series: DirichletSeries, n_prev: int, test) -> Tuple[Optional[in
     return None, running
 
 
-def _product(memo: dict, strata: tuple, N: int) -> DirichletSeries:
-    """The exact series of the product of the nonempty strata at N, each in
-    its own view: the convolve of its head strata[:-1]'s product with the
-    last stratum's series, formed by truncated_zeta.  When that series is
-    the unit {1: 1} (no factor of the last stratum at or below N, as for a
-    candidate scanned below its onset), the product is the head's, with no
-    convolve.  When every factor the two apply is past A1 over one prime
-    p, both series are GradedSeries, so that convolve runs on the
-    exponents of p, with the updates of dimension keys in their order, and
-    the product is graded again.  memo holds each tuple of strata at the
-    largest cutoff formed so far, and a smaller N gets its entries <= N,
-    which are the product truncated at N.  A stale entry leaves memo
-    before it is formed again, and forming a product drops its head's
-    head: that was formed with the head, at the head's cutoff, so a call
-    that needs it again needs it past that cutoff."""
-    have = memo.pop(strata, None)
-    if have is None or have.cutoff < N:
-        have = truncated_zeta(GroupSpec(strata[-1:]), N, backend=EXACT)
-        if len(strata) > 1:
-            head = _product(memo, strata[:-1], N)
-            have = head if len(have) == 1 else convolve(head, have, N)
-            memo.pop(strata[:-2], None)
-    memo[strata] = have
-    return have if have.cutoff == N else have.prefix(N)
+class _StageRun(_GradedProduct):
+    """One stage stratum's recurrence, kept for one build.  The cutoffs a
+    build asks of a stratum rise by squares from its onset, so K stays
+    within a few times its factor count, and each exponent formed serves
+    every later cutoff: the run takes every cutoff from two factors on,
+    with no estimate."""
+
+    def pays(self, xs: list, K: int, top: int) -> bool:
+        return True
 
 
 class _Unions:
-    """The union series of one diagonal build: _product's memo, and the
-    entries of every union formed so far, memo hits included, against a
-    budget."""
+    """The union series of one diagonal build: product's memo, the
+    _StageRun of each stage stratum when every stage is past A1 over one
+    prime p (None otherwise), and the entries of every union formed so
+    far, memo hits included, against a budget."""
 
-    def __init__(self, budget: int):
-        self.memo, self.used, self.budget = {}, 0, budget
+    def __init__(self, budget: int, p: Optional[int] = None):
+        self.memo, self.runs, self.p, self.used, self.budget = {}, {}, p, 0, budget
+
+    def product(self, strata: tuple, N: int) -> DirichletSeries:
+        """The exact series of the product of the nonempty strata at N,
+        each in its own view: the convolve of its head strata[:-1]'s
+        product with the last stratum's series (stage).  When that series
+        is the unit {1: 1} (no factor of the last stratum at or below N, as
+        for a candidate scanned below its onset), the product is the
+        head's, with no convolve.  When every factor the two apply is past
+        A1 over one prime p, both series are GradedSeries, so that convolve
+        runs on the exponents of p, with the updates of dimension keys in
+        their order, and the product is graded again.  memo holds each
+        tuple of strata at the largest cutoff formed so far, and a smaller
+        N gets its entries <= N, which are the product truncated at N.  A
+        stale entry leaves memo before it is formed again, and forming a
+        product drops its head's head: that was formed with the head, at
+        the head's cutoff, so a call that needs it again needs it past that
+        cutoff."""
+        memo = self.memo
+        have = memo.pop(strata, None)
+        if have is None or have.cutoff < N:
+            have = self.stage(strata[-1], N)
+            if len(strata) > 1:
+                head = self.product(strata[:-1], N)
+                have = head if len(have) == 1 else convolve(head, have, N)
+                memo.pop(strata[:-2], None)
+        memo[strata] = have
+        return have if have.cutoff == N else have.prefix(N)
+
+    def stage(self, stratum: GeometricStratum, N: int) -> DirichletSeries:
+        """The exact series of one stage stratum at N: from its _StageRun
+        in a build graded by p, a prefix at a top the run has reached and
+        past it the run extended by the factors the walk adds after the
+        len(run.xs) it applied (the walk of the stratum with that many more
+        dropped), so no factor is walked or formed twice; truncated_zeta
+        forms it in any other build, and below two factors."""
+        series = None
+        if self.p is not None:
+            run = self.runs.get(stratum) or self.runs.setdefault(stratum, _StageRun(self.p))
+            top, applied = floor_log(N, self.p), len(run.xs)
+            walk = replace(stratum, skip=stratum.skip + applied) if applied else stratum
+            series = run.extend(list(walk.factors_below(N)) if top > run.top else [], N, top)
+        return truncated_zeta(GroupSpec((stratum,)), N, backend=EXACT) if series is None else series
 
     def series(self, strata: tuple, N: int) -> DirichletSeries:
-        s = _product(self.memo, strata, N)
+        s = self.product(strata, N)
         self.used += len(s)
         if self.used > self.budget:
             raise BudgetExceededError(f"work budget {self.budget} exhausted")
@@ -271,6 +300,7 @@ def _decide(
         return swept_to
     if violation >= stratum.min_dim_at(stratum.skip + 1):
         del unions.memo[union]
+        unions.runs.pop(stratum, None)
         return None
     raise InvariantError(
         f"stage {len(built) + 1}: slope exceeds rho at {violation}, below this stage's onset"
@@ -293,35 +323,36 @@ def build_diagonal(
     of a scan included; it must be >= 0.
 
     On the exact backend the Dirichlet product is associative and
-    commutative, so a union series is _product's, memoized per tuple of
-    strata.  Past A1 both views are one series, so every scan reads the
-    cover view, but the (iii) search reads an A1 stage, which increasing
-    ranks allow only first, in the simple view.  The memo evicts what is not
+    commutative, so a union series is _Unions.product's, memoized per
+    tuple of strata.  Past A1 both views are one series, so every scan
+    reads the cover view, but the (iii) search reads an A1 stage, which
+    increasing ranks allow only first, in the simple view.  The memo evicts what is not
     read again as it goes: forming a product pops its head's head, and a
     rejected candidate leaves it.  The cover product of built, the last
     sweep union of the stage before, serves the early sweep cutoffs and the
     (iii) search as prefixes; nothing older is read again, since the sweep
     window and the (iii) scan, which starts at max(n(m-1), 2)^2, pass every
-    cutoff of the stage before.  The four benchmark cases take 62/63/54/51
-    truncated_zeta and 39/40/34/30 convolve calls.  Budgets count every
-    union formed, memo hits included.
+    cutoff of the stage before.  Budgets count every union formed, memo
+    hits included.
 
     When every factor a product applies is past A1 over one prime p, as
-    when every stage is past A1 over powers of p, its truncated_zeta and
+    when every stage is past A1 over powers of p, its stage series and
     convolve run on the exponents of p (dirichlet.GradedSeries, whose keys
     the one kernel _mul_into adds) instead of on dimensions of hundreds of
     bits, with the updates of dimension keys in their order: the same
     series, the same certificate.  Each factor's terms are formed on those
     exponents too, from the k of q = p^k each stage stratum proved when it
-    was built, and no dimension is formed for them.  A stage series with
-    many factors below its cutoff skips the kernel: truncated_zeta forms it
-    by the recurrence n * F_n = sum_k c_k * F_(n-k) on those exponents
-    (growth._graded_product), about K^2/2 multiply-adds on its K exponents
-    whatever its factor count, where its estimate says that is cheaper; a
-    stage series of one or a few factors, and every convolve, keeps the
-    kernel.  The factors of an A1 stage, or factors over two primes, keep
-    dimension keys for every product they enter.  A stage stratum's hash is formed once, when it is
-    built, so a memo lookup hashes no Fraction of its schedule.
+    was built, and no dimension is formed for them.  In such a build each
+    stage stratum keeps one run of the recurrence n * F_n = sum_k c_k *
+    F_(n-k) on those exponents (growth._GradedProduct) from its first two
+    factors on: each larger cutoff forms only its new exponents and
+    factors, and a smaller one is a prefix; truncated_zeta forms a stage
+    series of fewer factors.  The four benchmark cases take 62/63/54/51
+    stage series, 24/25/18/21 of them by truncated_zeta, and 39/40/34/30
+    convolve calls.  An A1 stage or stages over two primes keep dimension
+    keys for every product they enter, and every stage series of such a
+    build comes from truncated_zeta.  A stage stratum's hash is formed once,
+    when it is built, so a memo lookup hashes no Fraction of its schedule.
     """
     rho = Fraction(rho)
     if n_budget < 0:
@@ -337,7 +368,8 @@ def build_diagonal(
     if any(r >= rho for r in rhos):
         raise PreconditionError("every rho_m must stay below the limit rho")
 
-    unions = _Unions(n_budget)
+    primes = {p for _, _, p in targets}  # ranks increase, so only the first stage can be A1
+    unions = _Unions(n_budget, primes.pop() if len(primes) == 1 and targets[0][1] != A1 else None)
     stages: List[DiagonalStage] = []
     records: List[StageRecord] = []
     built: Tuple[GeometricStratum, ...] = ()  # the accepted stages, cover view

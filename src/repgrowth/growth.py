@@ -60,7 +60,6 @@ from .dirichlet import (
     _power_terms,
     floor_log,
     convolve,  # noqa: F401  unused here; kept so growth.convolve stays bound (bench/tests)
-    mult_bits,
     mult_log,
     mult_to_int,
     power_one_plus,  # noqa: F401  unused here; kept bound for the same reason
@@ -85,7 +84,8 @@ from .lie_data import (
 )
 
 # a tower multiplicity stays a plain int while it has at most this many bits,
-# and truncated_zeta's automatic choice is exact unless one has more
+# and truncated_zeta's automatic choice is exact unless one has more; _wide
+# decides both
 _MATERIALIZE_BITS = 256
 MAX_POLY_COEFFS = 256      # _first_negative holds ~count^2/2 coefficients of size ~count!
 # count * the longest coefficient's bit length: _first_negative bisects over
@@ -103,6 +103,14 @@ _DENSE_SLOTS_PER_ITEM = 16
 
 class TruncationWarning(UserWarning):
     """A truncated computation could not certify exactness below its cutoff."""
+
+
+def _wide(base: int, e: int = 1) -> bool:
+    """Whether base**e, an int (e = 1) or a BigPower's value, has more than
+    _MATERIALIZE_BITS bits, decided exactly: base**e >= 2**(e *
+    (base.bit_length() - 1)) settles a wide power with none formed, and
+    any other has at most 2 * _MATERIALIZE_BITS bits and is formed."""
+    return e * (base.bit_length() - 1) >= _MATERIALIZE_BITS or (base ** e).bit_length() > _MATERIALIZE_BITS
 
 
 def _caller_stacklevel() -> int:
@@ -545,9 +553,7 @@ class _Tower:
     @staticmethod
     def _power(base: int, e: int) -> Multiplicity:
         """base**e, kept unexpanded once it passes _MATERIALIZE_BITS bits."""
-        if e * math.log2(base) <= _MATERIALIZE_BITS:
-            return base ** e
-        return BigPower(base, e)
+        return BigPower(base, e) if _wide(base, e) else base ** e
 
     split_walk = _split_walk
 
@@ -786,9 +792,9 @@ class _PrimeTail:
     def __len__(self) -> int:
         return len(self.ps)
 
-    def bits(self) -> float:
-        """The largest multiplicity's bits: M(p) grows with p."""
-        return mult_bits(self.stratum.multiplicity(self.ps[-1])) if self.ps else 0
+    def largest(self) -> Multiplicity:
+        """A non-empty tail's largest multiplicity: M(p) grows with p."""
+        return self.stratum.multiplicity(self.ps[-1])
 
     def add_terms(self, S: list, N: int) -> None:
         """Add M(p) times each family of a1_terms at dims <= N into the list
@@ -999,67 +1005,96 @@ def _linear_terms(terms, M: Multiplicity, stop: int, backend: str) -> list:
     return [(d, lc + math.log(m)) for d, m in terms if m and d <= stop]
 
 
-def _recurrence_pays(xs: list, K: int, top: int) -> bool:
-    """Whether _graded_product's recurrence, about K^2/2 multiply-adds on K
-    grid exponents plus sum(t_f) to form c, is cheaper than the kernel,
-    about t_1 updates for the first factor and K * t_f for each later one,
-    where t_f = min(K, min(M_f, top // e_f) * |x_f|) bounds the terms of
-    (1 + x_f)^M_f - 1, x_f starting at exponent e_f.  xs holds the (M_f,
-    x_f) in the order the kernel applies them."""
-    t = [min(K, min(M, top // x[0][0]) * len(x)) for M, x in xs]
-    return K * K / 2 + sum(t) < t[0] + K * sum(t[1:])
+class _GradedProduct:
+    """The exact product over factors graded by p as a power series F =
+    prod_f (1 + x_f)^M_f in t = p^-s, by the first-order recurrence n * F_n
+    = sum_k c_k * F_(n-k), with c = t F'/F = sum_f M_f * t x_f'/(1 + x_f)
+    (J. C. P. Miller's; Knuth, TAOCP vol. 2, section 4.7), as a run that a
+    larger cutoff extends.
 
+    Every exponent of every x_f up to top = floor_log(N, p) is a multiple
+    of their gcd g, so c and F are too, and both run on the K = top // g +
+    1 exponents 0, g, ..., top.  A one-term x_f = a * t^e (every canonical
+    pair set) adds M_f * e * (-1)^(i-1) * a^i at i * e; a longer one forms h
+    = t x_f'/(1 + x_f) by h_n = n * x_n - sum_k x_k * h_(n-k), about K *
+    |x_f| steps, and adds M_f * h.  Each F_n is then one exact divmod by n,
+    about K^2/2 multiply-adds in all, whatever the number of factors or the
+    support of F; a nonzero remainder raises InvariantError.  F holds exact
+    counts, so its nonzero entries are the kernel's keys and values: the
+    same GradedSeries to the bit.
 
-def _graded_product(factors: list, N: int, p: int, top: int) -> Optional[GradedSeries]:
-    """The exact product over factors graded by p, top = floor_log(N, p), as
-    a power series F = prod_f (1 + x_f)^M_f in t = p^-s, by the first-order
-    recurrence n * F_n = sum_k c_k * F_(n-k), with c = t F'/F =
-    sum_f M_f * t x_f'/(1 + x_f) (J. C. P. Miller's; Knuth, TAOCP vol. 2,
-    section 4.7); or None, with nothing formed past the x_f, when
-    _recurrence_pays says the kernel is cheaper, and with nothing formed
-    at all for one factor, which that estimate never sends here (its t_1
-    <= K <= K^2/2).
+    The state is g, c, F, each multi-term factor's h, the (M_f, x_f, f)
+    applied and the top reached.  A factor first walked past a cutoff N
+    has every exponent above floor_log(N, p), so a larger top leaves every
+    c_j and F_n below the old one as it is and forms only the new ones; an
+    x_f is formed again only where its pair set can add a term, and a finer
+    grid forms every exponent again."""
 
-    Every exponent of every x_f is a multiple of their gcd g, so c and F
-    are too, and both run on the K = top // g + 1 exponents 0, g, ..., top.
-    A one-term x_f = a * t^e (every canonical pair set) adds
-    M_f * e * (-1)^(i-1) * a^i at i * e; a longer one forms h = t x_f'/(1 +
-    x_f) by h_n = n * x_n - sum_k x_k * h_(n-k), about K * |x_f| steps, and
-    adds M_f * h.  Each F_n is then one exact divmod by n, about K^2/2
-    multiply-adds in all, whatever the number of factors or the support of
-    F; a nonzero remainder raises InvariantError.  F holds exact counts, so
-    its nonzero entries are the kernel's keys and values: the same
-    GradedSeries to the bit."""
-    if len(factors) < 2:
-        return None
-    xs = [(mult_to_int(f.multiplicity), f.x_terms(N, EXACT, top)) for _, f in factors]
-    g = math.gcd(*(e for _, x in xs for e, _ in x))
-    K = top // g + 1
-    if not _recurrence_pays(xs, K, top):
-        return None
-    c = [0] * K  # c[j]: the coefficient at exponent j * g
-    for M, x in xs:
-        if len(x) == 1:
-            (e, a), = x
-            v = M * e * a
-            for j in range(e // g, K, e // g):
-                c[j] += v
-                v *= -a
-            continue
-        h = [0] * K
-        x = [(e // g, a) for e, a in x]
-        at = dict(x)
-        for n in range(1, K):
-            h[n] = n * g * at.get(n, 0) - sum(a * h[n - k] for k, a in x if k < n)
-            c[n] += M * h[n]
-    del c[0]
-    F = [1]
-    for n in range(1, K):
-        Fn, r = divmod(sum(map(mul, c, reversed(F))), n * g)
-        if r:
-            raise InvariantError(f"graded product over p = {p}: {n * g} * F_{n * g} has remainder {r}")
-        F.append(Fn)
-    return GradedSeries(N, p, {n * g: Fn for n, Fn in enumerate(F) if Fn}, EXACT)
+    def __init__(self, p: int):
+        self.p, self.g, self.top = p, 0, 0
+        self.xs, self.h, self.c, self.F = [], {}, [0], [1]
+
+    def pays(self, xs: list, K: int, top: int) -> bool:
+        """Whether the recurrence, about K^2/2 multiply-adds on K grid
+        exponents plus sum(t_f) to form c, is cheaper than the kernel,
+        about t_1 updates for the first factor and K * t_f for each later
+        one, where t_f = min(K, min(M_f, top // e_f) * |x_f|) bounds the
+        terms of (1 + x_f)^M_f - 1, x_f starting at exponent e_f: the
+        estimate for truncated_zeta's run, formed once.  xs holds the (M_f,
+        x_f, f) in the order the kernel applies them."""
+        t = [min(K, min(M, top // x[0][0]) * len(x)) for M, x, _ in xs]
+        return K * K / 2 + sum(t) < t[0] + K * sum(t[1:])
+
+    def extend(self, factors: list, N: int, top: int) -> Optional[GradedSeries]:
+        """The product at N, top = floor_log(N, p), once the walk items
+        factors past the last cutoff are applied (every item, from empty);
+        a prefix at a top already reached.  None where pays says no, with
+        nothing formed past the new x_f; from fewer than two items at the
+        start, with nothing formed (pays never takes one, its t_1 <= K <=
+        K^2/2); and where no factor lies at or below N, whose
+        product is truncated_zeta's plain unit series."""
+        T0 = self.top
+        if not self.xs and len(factors) < 2:
+            return None
+        if top > T0:
+            xs = [(M, f.x_terms(N, EXACT, top) if f.pairs and len(x) < len(f.pairs) else x, f) for M, x, f in self.xs]
+            xs += [(mult_to_int(f.multiplicity), f.x_terms(N, EXACT, top), f) for _, f in factors]
+            g = math.gcd(*(e for _, x, _ in xs for e, _ in x))
+            K = top // g + 1
+            if not self.pays(xs, K, top):
+                return None
+            if g != self.g:  # the first grid, or a finer one: every exponent again
+                T0, self.h, self.c, self.F = 0, {}, [0], [1]
+            n0 = T0 // g + 1  # the first grid index past T0
+            self.g, self.top, self.xs = g, top, xs
+            c = self.c
+            c += [0] * (K - len(c))  # c[j]: the coefficient at exponent j * g
+            for i, (M, x, _) in enumerate(xs):
+                if len(x) == 1:
+                    (e, a), = x
+                    m = T0 // e + 1  # the first multiple of e past T0
+                    v = M * e * a * (-a) ** (m - 1)
+                    for j in range(m * e // g, K, e // g):
+                        c[j] += v
+                        v *= -a
+                    continue
+                h = self.h.setdefault(i, [0])  # from exponent 0 for an x_f new to h
+                x = [(e // g, a) for e, a in x]
+                at = dict(x)
+                for n in range(len(h), K):
+                    h.append(n * g * at.get(n, 0) - sum(a * h[n - k] for k, a in x if k < n))
+                    if n >= n0:
+                        c[n] += M * h[n]
+            F = self.F
+            for n in range(len(F), K):
+                F.append(0)  # times c_0 = 0, so the sum starts at c_1 * F_(n-1)
+                Fn, r = divmod(sum(map(mul, c, reversed(F))), n * g)
+                if r:
+                    raise InvariantError(f"graded product over p = {self.p}: {n * g} * F_{n * g} has remainder {r}")
+                F[n] = Fn
+        g = self.g
+        entries = {n * g: Fn for n, Fn in enumerate(self.F[: top // g + 1]) if Fn}
+        return GradedSeries(N, self.p, entries, EXACT) if len(entries) > 1 else None
 
 
 def truncated_zeta(
@@ -1072,11 +1107,12 @@ def truncated_zeta(
 
     The backend is chosen automatically: exact unless some factor
     multiplicity has more than _MATERIALIZE_BITS (256) bits, the size past
-    which a tower keeps it as an unexpanded BigPower; the whole computation
-    then runs in the log domain.  The exact backend is never silently
-    degraded.  Each stratum's split_walk hands over its walk; a prime
-    stratum's keeps the primes past isqrt(N) as a tail that reports its
-    largest multiplicity's bits, so no tail prime is walked for the choice.
+    which a tower keeps it as an unexpanded BigPower, both decided exactly
+    by _wide; the whole computation then runs in the log domain.  The
+    exact backend is never silently degraded.  Each stratum's split_walk
+    hands over its walk; a prime stratum's keeps the primes past isqrt(N)
+    as a tail that reports its largest multiplicity, so no tail prime is
+    walked for the choice.
 
     The product is accumulated in place: factors (1 + x_f)^M sorted stably
     by min_dim, ties in the order of their strata and walks, each one's
@@ -1101,8 +1137,8 @@ def truncated_zeta(
     multiply them, so the same output to the bit; each factor's terms are
     formed at their exponents (_factor_terms given top = floor_log(N, p)).
     An exact graded product of two or more factors may instead come from
-    _graded_product's recurrence, where _recurrence_pays says it is
-    cheaper.
+    the recurrence of a _GradedProduct run, where its estimate (pays) says
+    it is cheaper.
 
     Cost: per factor applied one by one, one _factor_terms call on an
     unchecked walk item (a prime stratum still builds a checked FactorSpec
@@ -1120,8 +1156,9 @@ def truncated_zeta(
         raise PreconditionError(f"unknown backend {backend!r}")
     walks = [s.split_walk(N if backend == LOG else math.isqrt(N), N) for s in spec.strata]
     if backend is None:
-        bits = [t.bits() for _, t in walks if t] + [mult_bits(f.multiplicity) for h, _ in walks for _, f in h]
-        backend = LOG if max(bits, default=0) > _MATERIALIZE_BITS else EXACT
+        mults = [t.largest() for _, t in walks if t] + [f.multiplicity for h, _ in walks for _, f in h]
+        wide = (_wide(M.base, M.exponent) if isinstance(M, BigPower) else _wide(M) for M in mults)
+        backend = LOG if any(wide) else EXACT
     grades = (f.grading() for h, t in walks for _, f in itertools.chain(h, t))
     p = next(grades, None)
     if p is not None and any(g != p for g in grades):
@@ -1138,7 +1175,7 @@ def truncated_zeta(
     graded = p is not None  # keys are exponents of p: 1 = p^0, and d1 * d2 <= N is e1 + e2 <= top
     top = floor_log(N, p) if graded else None
     if graded and exact:
-        series = _graded_product(factors, N, p, top)
+        series = _GradedProduct(p).extend(factors, N, top)
         if series is not None:
             return series
     stop, unit = (top, 0) if graded else (N, 1)

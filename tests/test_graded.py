@@ -3,8 +3,9 @@ multiply on the exponents of p, through the one kernel dirichlet._mul_into
 with keys added in place of dimensions multiplied, in the same update
 order, so both key rules give the same series to the bit.  An exact graded
 product in truncated_zeta may come from the recurrence instead
-(growth._graded_product), where its cost estimate picks it: the same
-series to the bit again."""
+(growth._GradedProduct), where its cost estimate picks it: the same
+series to the bit again, and build_diagonal extends one such run per
+stage stratum to each larger cutoff."""
 import functools
 import hashlib
 import inspect
@@ -152,7 +153,7 @@ def test_both_graded_branches_give_the_dict_kernels_bytes(case, branch):
     # product; the log backend never asks it
     spec, N = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(growth, "_recurrence_pays", lambda *args: branch == "recurrence")
+        mp.setattr(growth._GradedProduct, "pays", lambda *args: branch == "recurrence")
         graded, plain = _both_kernels(spec, N, EXACT)
     assert graded.to_json().encode() == plain.to_json().encode()
 
@@ -171,7 +172,7 @@ def test_graded_products_match_brute_force_degree_enumeration(monkeypatch, pairs
     a2 = LieType("A", 2)
     factors = (FactorSpec(a2, 2, multiplicity=3, pairs=pairs), FactorSpec(a2, 4, multiplicity=2, pairs=pairs))
     spec = GroupSpec((FiniteStratum(factors),))
-    monkeypatch.setattr(growth, "_recurrence_pays", lambda *args: branch == "recurrence")
+    monkeypatch.setattr(growth._GradedProduct, "pays", lambda *args: branch == "recurrence")
     N = 2 ** 13 + 5
     got = truncated_zeta(spec, N, backend=EXACT)
     degrees = [_a2_copies(f.q, f.pair_set()) for f in factors for _ in range(f.multiplicity)]
@@ -179,13 +180,14 @@ def test_graded_products_match_brute_force_degree_enumeration(monkeypatch, pairs
 
 
 def _chosen_branches(spec, N) -> list:
-    """The branch each _graded_product call in truncated_zeta(spec, N) picks:
-    a series from the recurrence, or None for the kernel (the estimate
-    declined, or the product has one factor, which it never accepts)."""
+    """The branch each _GradedProduct.extend call in truncated_zeta(spec, N)
+    picks: a series from the recurrence, or None for the kernel (the
+    estimate declined, or the product has one factor, which it never
+    accepts)."""
     choices = []
-    real = growth._graded_product
+    real = growth._GradedProduct.extend
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(growth, "_graded_product", lambda *a: choices.append(real(*a)) or choices[-1])
+        mp.setattr(growth._GradedProduct, "extend", lambda *a: choices.append(real(*a)) or choices[-1])
         assert truncated_zeta(spec, N).grading == 2
     return ["kernel" if c is None else "recurrence" for c in choices]
 
@@ -225,7 +227,7 @@ def test_a_remainder_in_the_recurrence_is_an_invariant_failure(monkeypatch):
     # 1/3, whose (1 + 4 t^3)^(1/3) = 1 + (4/3) t^3 - ... is no count, is exit 5
     a2 = LieType("A", 2)
     spec = GroupSpec((FiniteStratum((FactorSpec(a2, 2), FactorSpec(a2, 4))),))
-    monkeypatch.setattr(growth, "_recurrence_pays", lambda *args: True)
+    monkeypatch.setattr(growth._GradedProduct, "pays", lambda *args: True)
     monkeypatch.setattr(growth, "mult_to_int", lambda M: Fraction(1, 3))
     with pytest.raises(InvariantError, match="remainder") as info:
         truncated_zeta(spec, 2 ** 30, backend=EXACT)
@@ -237,8 +239,9 @@ def _watch_graded_kernel(mp, seen):
     seen: "kernel from <module>" before each call of the one kernel in
     graded mode, keys added rather than multiplied, where convolve
     (dirichlet) and truncated_zeta (growth) call it; and "recurrence from
-    repgrowth.growth" each time truncated_zeta's recurrence forms a product
-    (growth._graded_product returns None where its estimate sends the
+    repgrowth.growth" each time a recurrence run, truncated_zeta's or a
+    stage stratum's in build_diagonal, gives a product
+    (growth._GradedProduct.extend returns None where its estimate sends the
     product to the kernel)."""
     real = dirichlet._mul_into
     bind = inspect.signature(real).bind
@@ -250,7 +253,7 @@ def _watch_graded_kernel(mp, seen):
             return real(*args, **kwargs)
 
         mp.setattr(module, "_mul_into", watched)
-    recurrence = growth._graded_product
+    recurrence = growth._GradedProduct.extend
 
     def watched_recurrence(*args):
         series = recurrence(*args)
@@ -258,7 +261,7 @@ def _watch_graded_kernel(mp, seen):
             seen("recurrence from repgrowth.growth")
         return series
 
-    mp.setattr(growth, "_graded_product", watched_recurrence)
+    mp.setattr(growth._GradedProduct, "extend", watched_recurrence)
 
 
 def _forbid_graded_kernel(mp):
@@ -293,7 +296,7 @@ def test_a1_and_mixed_prime_specs_never_enter_the_graded_kernel(backend):
         a2 = LieType("A", 2)
         graded = GroupSpec((GeometricStratum(a2, 5, constructor.make_schedule(Fraction(2), a2)),))
         for branch in ("kernel", "recurrence") if backend == EXACT else ("kernel",):
-            mp.setattr(growth, "_recurrence_pays", lambda *a, _b=branch: _b == "recurrence")
+            mp.setattr(growth._GradedProduct, "pays", lambda *a, _b=branch: _b == "recurrence")
             with pytest.raises(AssertionError, match=f"graded {branch} from repgrowth.growth"):
                 truncated_zeta(graded, 10 ** 5, backend=backend)
 
@@ -339,7 +342,7 @@ def test_a_union_with_no_factor_of_its_last_stratum_is_its_head(monkeypatch):
     real = constructor.convolve
     monkeypatch.setattr(constructor, "convolve", lambda *a: calls.append(a) or real(*a))
     head = truncated_zeta(GroupSpec((a2,)), 5 ** 5, backend=EXACT)
-    got = constructor._product({}, (a2, a3), 5 ** 5)
+    got = constructor._Unions(0, 5).product((a2, a3), 5 ** 5)
     assert calls == [] and got == head and got.grading == 5
 
 
@@ -502,17 +505,17 @@ def test_equal_strata_built_apart_hash_equal_and_share_one_memo_entry(monkeypatc
     assert hash(a) == hash((a.lie_type, a.q, a.exponents, a.simple, a.pairs, a.skip))
     assert hash(replace(a, skip=1)) != hash(a)
     calls = []
-    real = constructor.truncated_zeta
+    real = constructor._Unions.stage
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(constructor, "truncated_zeta", counting)
-    memo = {}
-    first = constructor._product(memo, (a,), 5 ** 40)
-    assert constructor._product(memo, (b,), 5 ** 40) is first
-    assert len(memo) == len(calls) == 1
+    monkeypatch.setattr(constructor._Unions, "stage", counting)
+    unions = constructor._Unions(0, 5)
+    first = unions.product((a,), 5 ** 40)
+    assert unions.product((b,), 5 ** 40) is first
+    assert len(unions.memo) == len(unions.runs) == len(calls) == 1
 
 
 def test_tower_factors_reuse_the_stratum_proof(monkeypatch):
@@ -532,3 +535,120 @@ def test_tower_factors_reuse_the_stratum_proof(monkeypatch):
     assert len(list(PrimeStratum(5, 1).factors_below(100))) > 0 and calls == [5, 7, 11, 13, 17, 19]
     with pytest.raises(PreconditionError, match="not a prime power"):
         FactorSpec(LieType("A", 2), 10)
+
+
+def _fresh(stratum, N):
+    return truncated_zeta(GroupSpec((stratum,)), N, backend=EXACT)
+
+
+def _assert_fresh(stratum, N, got):
+    """got is the series a fresh truncated_zeta forms for stratum at N: the
+    same entries, bytes and grading."""
+    want = _fresh(stratum, N)
+    assert got == want and got.grading == want.grading and got.to_json() == want.to_json()
+
+
+def _watch_stages(mp) -> list:
+    """A list that gains (stratum, N, series, factors its run applied) for
+    each stage series a build asks of _Unions.stage from now on, the count
+    None where the build keeps no run for the stratum."""
+    seen, real = [], constructor._Unions.stage
+
+    def watched(self, stratum, N):
+        series = real(self, stratum, N)
+        run = self.runs.get(stratum)
+        seen.append((stratum, N, series, None if run is None else len(run.xs)))
+        return series
+
+    mp.setattr(constructor._Unions, "stage", watched)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "rho, stages, p, family",
+    [
+        (Fraction(2), 7, 5, "A"),
+        (Fraction(3), 7, 5, "A"),
+        (Fraction(5, 2), 6, 7, "A"),
+        (Fraction(2), 6, 7, "A"),
+        (Fraction(3), 3, 5, "B"),
+    ],
+)
+def test_a_stage_run_gives_the_fresh_series_at_every_cutoff(monkeypatch, rho, stages, p, family):
+    # every stage series of a build graded by one prime comes from its
+    # stratum's run, extended cutoff by cutoff; each equals the series
+    # truncated_zeta forms from nothing at that cutoff
+    seen = _watch_stages(monkeypatch)
+    build_diagonal(rho, default_diagonal_targets(rho, stages, p, family))
+    for stratum, N, series, _ in seen:
+        _assert_fresh(stratum, N, series)
+    applied = {}
+    for stratum, _, _, count in seen:
+        applied.setdefault(stratum, []).append(count)
+    assert None not in {c for counts in applied.values() for c in counts}
+    # some run took a factor past the first cutoff it formed
+    assert any(len({c for c in counts if c}) > 1 for counts in applied.values())
+
+
+@pytest.mark.parametrize(
+    "targets",
+    [
+        [(Fraction(3, 2), A1, 5), (Fraction(7, 4), LieType("A", 2), 5)],
+        [(Fraction(3, 2), LieType("A", 2), 5), (Fraction(7, 4), LieType("A", 3), 7)],
+    ],
+    ids=["a1-first", "two-primes"],
+)
+def test_builds_with_an_a1_stage_or_two_primes_keep_no_run(monkeypatch, targets):
+    seen = _watch_stages(monkeypatch)
+    build_diagonal(Fraction(2), targets)
+    assert seen and {count for *_, count in seen} == {None}
+
+
+def _multi_term_stratum() -> GeometricStratum:
+    # x_f = 5^j t^(2j) + 25^j t^(3j) over q = 5, the first four factors
+    # dropped: at top 10 the grid is 2 (exponents 8 and 10), at top 12 the
+    # first factor gains its second term at 12, and from top 15 the grid is 1
+    a2 = LieType("A", 2)
+    return GeometricStratum(a2, 5, PolyExponent((0, 1)), False, PairSet({(1, 2), (2, 3)}), 3)
+
+
+def test_a_run_extends_a_multi_term_stage_across_a_shrinking_grid():
+    stratum = _multi_term_stratum()
+    unions = constructor._Unions(0, 5)
+    grids, first_terms = [], []
+    for top in (10, 11, 12, 14, 15, 20, 31, 60):
+        N = 5 ** top + 7
+        _assert_fresh(stratum, N, unions.stage(stratum, N))
+        run = unions.runs[stratum]
+        grids.append(run.g)
+        first_terms.append(len(run.xs[0][1]))
+    assert grids[:4] == [2, 2, 2, 2] and grids[4:] == [1, 1, 1, 1]
+    assert first_terms[:3] == [1, 1, 2] and 0 in run.h  # its h formed once it has two terms
+
+
+def test_a_cutoff_below_the_top_reached_is_a_prefix():
+    # below the top a run reached, its series is a prefix with nothing
+    # formed, down to one factor; below every factor, truncated_zeta's
+    # plain unit series
+    stratum = _multi_term_stratum()
+    unions = constructor._Unions(0, 5)
+    unions.stage(stratum, 5 ** 40)
+    run = unions.runs[stratum]
+    state = (run.top, run.g, list(run.F), list(run.c), len(run.xs))
+    for N in (5 ** 40 - 1, 5 ** 25, 5 ** 15 + 3, 5 ** 9, 5 ** 8, 5 ** 8 - 1, 7, 1):
+        _assert_fresh(stratum, N, unions.stage(stratum, N))
+    assert (run.top, run.g, list(run.F), list(run.c), len(run.xs)) == state
+    assert unions.stage(stratum, 5 ** 8).grading == 5 and unions.stage(stratum, 5 ** 8 - 1).grading is None
+
+
+def test_a_remainder_in_an_extended_run_is_an_invariant_failure(monkeypatch):
+    # the factors an extension adds pass the same exact division: a
+    # multiplicity read as 1/3 is exit 5, as it is from empty
+    stratum = build_fixed_type(Fraction(2), LieType("A", 2), 5).strata[0]
+    unions = constructor._Unions(0, 5)
+    unions.stage(stratum, 5 ** 30)
+    assert len(unions.runs[stratum].xs) >= 2
+    monkeypatch.setattr(growth, "mult_to_int", lambda M: Fraction(1, 3))
+    with pytest.raises(InvariantError, match="remainder") as info:
+        unions.stage(stratum, 5 ** 60)
+    assert info.value.exit_code == 5

@@ -504,6 +504,34 @@ def test_a_tail_prime_alone_can_choose_the_log_backend(d, backend):
     assert got.backend == backend and got == truncated_zeta(spec, N, backend=backend)
 
 
+@pytest.mark.parametrize(
+    "M, backend",
+    [(2 ** 256, LOG), (BigPower(4, 128), LOG), (BigPower(2, 256), LOG), (2 ** 256 - 1, EXACT), (BigPower(4, 127), EXACT)],
+)
+def test_a_multiplicity_of_2_to_the_256_is_log_as_an_int_or_a_bigpower(M, backend):
+    # one exact rule: more than 256 bits is log, whatever form M takes
+    spec = GroupSpec((FiniteStratum((FactorSpec(LieType("A", 2), 4, multiplicity=M),)),))
+    assert truncated_zeta(spec, 100).backend == backend
+
+
+@pytest.mark.parametrize("e, backend", [(128, LOG), (127, EXACT)])
+def test_a_tower_holds_a_bigpower_exactly_when_it_goes_log(e, backend):
+    # 4^128 = 2^256 has 257 bits: the tower keeps it unexpanded, by the
+    # same rule that sends the product to the log backend
+    tower = GeometricStratum(A1, 4, PolyExponent((0, e)))
+    assert isinstance(tower.multiplicity(1), BigPower) is (backend == LOG)
+    assert truncated_zeta(GroupSpec((tower,)), 10).backend == backend
+
+
+def test_wide_is_the_bit_length_rule_and_forms_no_huge_power():
+    for base in range(2, 70):
+        e0 = int(growth._MATERIALIZE_BITS / math.log2(base))
+        for e in range(max(1, e0 - 2), e0 + 3):
+            assert growth._wide(base, e) is ((base ** e).bit_length() > growth._MATERIALIZE_BITS), (base, e)
+    assert growth._wide(5, 10 ** 40)  # decided with no power formed
+    assert not growth._wide(2 ** 256 - 1) and growth._wide(2 ** 256)
+
+
 @pytest.mark.parametrize("backend", ["Exact", "LOG", "", "float"])
 def test_unknown_backend_is_refused_before_any_work(backend, monkeypatch):
     # a misspelt backend must not fall through to the log branch
@@ -645,19 +673,19 @@ def test_each_factor_is_applied_as_it_is_formed(backend):
     assert truncated_zeta(graded, 5 ** 60).grading == 5
     _applied_as_formed(_order_spec(), 5000, backend, math.isqrt(5000) if backend == EXACT else None)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(growth, "_recurrence_pays", lambda *args: False)
+        mp.setattr(growth._GradedProduct, "pays", lambda *args: False)
         _applied_as_formed(graded, 5 ** 60, backend)
     # unpatched, the estimate sends this dense exact product to the
     # recurrence, with no factor's terms formed and no kernel call; the log
     # backend never asks it
     calls = []
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_factor_terms", "_mul_into", "_graded_product"):
-            real = getattr(growth, name)
-            mp.setattr(growth, name, lambda *a, _n=name, _f=real: calls.append((_n, _f(*a))) or calls[-1][1])
+        for owner, name in ((growth, "_factor_terms"), (growth, "_mul_into"), (growth._GradedProduct, "extend")):
+            real = getattr(owner, name)
+            mp.setattr(owner, name, lambda *a, _n=name, _f=real: calls.append((_n, _f(*a))) or calls[-1][1])
         series = truncated_zeta(graded, 5 ** 60, backend=backend)
     if backend == EXACT:
-        assert calls == [("_graded_product", series)] and series.grading == 5
+        assert calls == [("extend", series)] and series.grading == 5
     else:
         assert calls and {name for name, _ in calls} == {"_factor_terms", "_mul_into"}
 
