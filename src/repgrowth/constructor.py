@@ -201,12 +201,11 @@ class _StageRun(_GradedProduct):
 
 class _Unions:
     """The union series of one diagonal build: product's memo, the
-    _StageRun of each stage stratum when every stage is past A1 over one
-    prime p (None otherwise), and the entries of every union formed so
-    far, memo hits included, against a budget."""
+    _StageRun of each stage stratum past A1, and the entries of every
+    union formed so far, memo hits included, against a budget."""
 
-    def __init__(self, budget: int, p: Optional[int] = None):
-        self.memo, self.runs, self.p, self.used, self.budget = {}, {}, p, 0, budget
+    def __init__(self, budget: int):
+        self.memo, self.runs, self.used, self.budget = {}, {}, 0, budget
 
     def product(self, strata: tuple, N: int) -> DirichletSeries:
         """The exact series of the product of the nonempty strata at N,
@@ -236,17 +235,22 @@ class _Unions:
         return have if have.cutoff == N else have.prefix(N)
 
     def stage(self, stratum: GeometricStratum, N: int) -> DirichletSeries:
-        """The exact series of one stage stratum at N: from its _StageRun
-        in a build graded by p, a prefix at a top the run has reached and
-        past it the run extended by the factors the walk adds after the
-        len(run.xs) it applied (the walk of the stratum with that many more
-        dropped), so no factor is walked or formed twice; truncated_zeta
-        forms it in any other build, and below two factors."""
+        """The exact series of one stage stratum at N.  Past A1 it is
+        graded by the p of q = p^k and comes from the stratum's _StageRun:
+        a prefix at a top the run has reached, and past it the run
+        extended by the factors the walk adds after the len(run.xs) it
+        applied (the walk of the stratum with that many more dropped), so
+        no factor is walked or formed twice.  A pair set with two
+        exponents n, whose x_f a larger top may lengthen, starts its run
+        again from the full walk instead.  truncated_zeta forms an A1
+        stage, and a stage series below two factors."""
         series = None
-        if self.p is not None:
-            run = self.runs.get(stratum) or self.runs.setdefault(stratum, _StageRun(self.p))
-            top, applied = floor_log(N, self.p), len(run.xs)
-            walk = replace(stratum, skip=stratum.skip + applied) if applied else stratum
+        if stratum.lie_type != A1:
+            p, run = stratum._pk[0], self.runs.get(stratum)
+            top = floor_log(N, p)
+            if run is None or top > run.top and len({n for _, n in stratum.pair_set()}) > 1:
+                run = self.runs[stratum] = _StageRun(p)
+            walk = replace(stratum, skip=stratum.skip + len(run.xs)) if run.xs else stratum
             series = run.extend(list(walk.factors_below(N)) if top > run.top else [], N, top)
         return truncated_zeta(GroupSpec((stratum,)), N, backend=EXACT) if series is None else series
 
@@ -342,17 +346,19 @@ def build_diagonal(
     bits, with the updates of dimension keys in their order: the same
     series, the same certificate.  Each factor's terms are formed on those
     exponents too, from the k of q = p^k each stage stratum proved when it
-    was built, and no dimension is formed for them.  In such a build each
-    stage stratum keeps one run of the recurrence n * F_n = sum_k c_k *
-    F_(n-k) on those exponents (growth._GradedProduct) from its first two
-    factors on: each larger cutoff forms only its new exponents and
-    factors, and a smaller one is a prefix; truncated_zeta forms a stage
-    series of fewer factors.  The four benchmark cases take 62/63/54/51
-    stage series, 24/25/18/21 of them by truncated_zeta, and 39/40/34/30
-    convolve calls.  An A1 stage or stages over two primes keep dimension
-    keys for every product they enter, and every stage series of such a
-    build comes from truncated_zeta.  A stage stratum's hash is formed once,
-    when it is built, so a memo lookup hashes no Fraction of its schedule.
+    was built, and no dimension is formed for them.  An A1 stage or stages
+    over two primes keep dimension keys for every product they enter.
+
+    Each stage stratum past A1 is graded by its own prime, whatever the
+    other stages, and keeps one run of the recurrence n * F_n = sum_k c_k
+    * F_(n-k) on its exponents (growth._GradedProduct) for the call, from
+    its first two factors on: each larger cutoff forms only its new
+    exponents and factors, and a smaller one is a prefix; truncated_zeta
+    forms an A1 stage series and one of fewer factors.  The four benchmark
+    cases take 62/63/54/51 stage series, 24/25/18/21 of them by
+    truncated_zeta, and 39/40/34/30 convolve calls.  A stage stratum's hash
+    is formed once, when it is built, so a memo lookup hashes no Fraction
+    of its schedule.
     """
     rho = Fraction(rho)
     if n_budget < 0:
@@ -368,8 +374,7 @@ def build_diagonal(
     if any(r >= rho for r in rhos):
         raise PreconditionError("every rho_m must stay below the limit rho")
 
-    primes = {p for _, _, p in targets}  # ranks increase, so only the first stage can be A1
-    unions = _Unions(n_budget, primes.pop() if len(primes) == 1 and targets[0][1] != A1 else None)
+    unions = _Unions(n_budget)
     stages: List[DiagonalStage] = []
     records: List[StageRecord] = []
     built: Tuple[GeometricStratum, ...] = ()  # the accepted stages, cover view

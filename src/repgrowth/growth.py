@@ -1023,16 +1023,16 @@ class _GradedProduct:
     counts, so its nonzero entries are the kernel's keys and values: the
     same GradedSeries to the bit.
 
-    The state is g, c, F, each multi-term factor's h, the (M_f, x_f, f)
-    applied and the top reached.  A factor first walked past a cutoff N
-    has every exponent above floor_log(N, p), so a larger top leaves every
-    c_j and F_n below the old one as it is and forms only the new ones; an
-    x_f is formed again only where its pair set can add a term, and a finer
-    grid forms every exponent again."""
+    The state is g, c, F, the (M_f, x_f) applied and the top reached.  A
+    factor first walked past a cutoff N has every exponent above
+    floor_log(N, p), so where every x_f is one term, which a larger top
+    leaves as it is, a larger top on the same grid leaves every c_j and
+    F_n below the old one as it is and forms only the new ones; a finer
+    grid forms every exponent again.  A longer x_f, which a larger top may
+    lengthen, needs a new run from empty at each larger top."""
 
     def __init__(self, p: int):
-        self.p, self.g, self.top = p, 0, 0
-        self.xs, self.h, self.c, self.F = [], {}, [0], [1]
+        self.p, self.g, self.top, self.xs, self.c, self.F = p, 0, 0, [], [0], [1]
 
     def pays(self, xs: list, K: int, top: int) -> bool:
         """Whether the recurrence, about K^2/2 multiply-adds on K grid
@@ -1041,8 +1041,8 @@ class _GradedProduct:
         one, where t_f = min(K, min(M_f, top // e_f) * |x_f|) bounds the
         terms of (1 + x_f)^M_f - 1, x_f starting at exponent e_f: the
         estimate for truncated_zeta's run, formed once.  xs holds the (M_f,
-        x_f, f) in the order the kernel applies them."""
-        t = [min(K, min(M, top // x[0][0]) * len(x)) for M, x, _ in xs]
+        x_f) in the order the kernel applies them."""
+        t = [min(K, min(M, top // x[0][0]) * len(x)) for M, x in xs]
         return K * K / 2 + sum(t) < t[0] + K * sum(t[1:])
 
     def extend(self, factors: list, N: int, top: int) -> Optional[GradedSeries]:
@@ -1051,25 +1051,23 @@ class _GradedProduct:
         a prefix at a top already reached.  None where pays says no, with
         nothing formed past the new x_f; from fewer than two items at the
         start, with nothing formed (pays never takes one, its t_1 <= K <=
-        K^2/2); and where no factor lies at or below N, whose
-        product is truncated_zeta's plain unit series."""
-        T0 = self.top
+        K^2/2); and where no factor lies at or below N, whose product is
+        truncated_zeta's plain unit series."""
         if not self.xs and len(factors) < 2:
             return None
-        if top > T0:
-            xs = [(M, f.x_terms(N, EXACT, top) if f.pairs and len(x) < len(f.pairs) else x, f) for M, x, f in self.xs]
-            xs += [(mult_to_int(f.multiplicity), f.x_terms(N, EXACT, top), f) for _, f in factors]
-            g = math.gcd(*(e for _, x, _ in xs for e, _ in x))
+        if top > self.top:
+            xs = self.xs + [(mult_to_int(f.multiplicity), f.x_terms(N, EXACT, top)) for _, f in factors]
+            g = math.gcd(*(e for _, x in xs for e, _ in x))
             K = top // g + 1
             if not self.pays(xs, K, top):
                 return None
-            if g != self.g:  # the first grid, or a finer one: every exponent again
-                T0, self.h, self.c, self.F = 0, {}, [0], [1]
-            n0 = T0 // g + 1  # the first grid index past T0
+            T0 = self.top if g == self.g else 0  # the first grid, or a finer one: every exponent again
+            if not T0:
+                self.c, self.F = [0], [1]
             self.g, self.top, self.xs = g, top, xs
             c = self.c
             c += [0] * (K - len(c))  # c[j]: the coefficient at exponent j * g
-            for i, (M, x, _) in enumerate(xs):
+            for M, x in xs:
                 if len(x) == 1:
                     (e, a), = x
                     m = T0 // e + 1  # the first multiple of e past T0
@@ -1078,12 +1076,12 @@ class _GradedProduct:
                         c[j] += v
                         v *= -a
                     continue
-                h = self.h.setdefault(i, [0])  # from exponent 0 for an x_f new to h
+                h = [0] * K
                 x = [(e // g, a) for e, a in x]
                 at = dict(x)
-                for n in range(len(h), K):
-                    h.append(n * g * at.get(n, 0) - sum(a * h[n - k] for k, a in x if k < n))
-                    if n >= n0:
+                for n in range(1, K):
+                    h[n] = n * g * at.get(n, 0) - sum(a * h[n - k] for k, a in x if k < n)
+                    if n * g > T0:
                         c[n] += M * h[n]
             F = self.F
             for n in range(len(F), K):

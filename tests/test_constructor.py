@@ -595,7 +595,7 @@ def test_decide_replays_each_stage_of_the_certificate(rho, stages, p):
             unions = _Unions(10 ** 9)
             fewer = replace(stratum, skip=record.dropped - 1)
             assert _decide(unions, built, fewer, rho, n_prev, j_star) is None
-            assert (*built, fewer) not in unions.memo
+            assert (*built, fewer) not in unions.memo and fewer not in unions.runs
             rejected += 1
         built, n_prev = (*built, stratum), record.n_m
     assert rejected

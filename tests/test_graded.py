@@ -342,26 +342,23 @@ def test_a_union_with_no_factor_of_its_last_stratum_is_its_head(monkeypatch):
     real = constructor.convolve
     monkeypatch.setattr(constructor, "convolve", lambda *a: calls.append(a) or real(*a))
     head = truncated_zeta(GroupSpec((a2,)), 5 ** 5, backend=EXACT)
-    got = constructor._Unions(0, 5).product((a2, a3), 5 ** 5)
+    got = constructor._Unions(0).product((a2, a3), 5 ** 5)
     assert calls == [] and got == head and got.grading == 5
 
 
 @pytest.mark.parametrize(
-    "targets, branches",
+    "targets",
     [
-        ([(Fraction(3, 2), A1, 5), (Fraction(7, 4), LieType("A", 2), 5)], {"kernel"}),
-        (
-            [(Fraction(3, 2), LieType("A", 2), 5), (Fraction(7, 4), LieType("A", 3), 7)],
-            {"kernel", "recurrence"},
-        ),
+        [(Fraction(3, 2), A1, 5), (Fraction(7, 4), LieType("A", 2), 5)],
+        [(Fraction(3, 2), LieType("A", 2), 5), (Fraction(7, 4), LieType("A", 3), 7)],
     ],
     ids=["a1-first", "two-primes"],
 )
-def test_products_with_an_a1_stage_or_two_primes_take_the_dict_kernel(monkeypatch, targets, branches):
+def test_products_with_an_a1_stage_or_two_primes_take_the_dict_kernel(monkeypatch, targets):
     # each stage past A1 is graded alone, but a product with an A1 stage or
     # with a stage over another prime is not, so convolve keys by dimensions;
-    # the estimate sends every stage series of the A1-first build to the
-    # kernel, and some of the two-prime build's to the recurrence
+    # a stage series past A1 comes from its stratum's run from two factors
+    # on, and from truncated_zeta's kernel below
     products, calls = [], []
     real = constructor.convolve
     monkeypatch.setattr(constructor, "convolve", lambda *a: products.append(real(*a)) or products[-1])
@@ -370,7 +367,7 @@ def test_products_with_an_a1_stage_or_two_primes_take_the_dict_kernel(monkeypatc
     assert cert.complete and products
     assert all(s.grading is None for s in products)
     # graded stage series, no graded convolve
-    assert set(calls) == {f"{b} from repgrowth.growth" for b in branches}
+    assert set(calls) == {f"{b} from repgrowth.growth" for b in ("kernel", "recurrence")}
 
 
 def test_a_graded_build_forms_its_products_on_exponents(monkeypatch):
@@ -512,7 +509,7 @@ def test_equal_strata_built_apart_hash_equal_and_share_one_memo_entry(monkeypatc
         return real(*args, **kwargs)
 
     monkeypatch.setattr(constructor._Unions, "stage", counting)
-    unions = constructor._Unions(0, 5)
+    unions = constructor._Unions(0)
     first = unions.product((a,), 5 ** 40)
     assert unions.product((b,), 5 ** 40) is first
     assert len(unions.memo) == len(unions.runs) == len(calls) == 1
@@ -575,9 +572,9 @@ def _watch_stages(mp) -> list:
     ],
 )
 def test_a_stage_run_gives_the_fresh_series_at_every_cutoff(monkeypatch, rho, stages, p, family):
-    # every stage series of a build graded by one prime comes from its
-    # stratum's run, extended cutoff by cutoff; each equals the series
-    # truncated_zeta forms from nothing at that cutoff
+    # every stage series of a build past A1 comes from its stratum's run,
+    # extended cutoff by cutoff; each equals the series truncated_zeta
+    # forms from nothing at that cutoff
     seen = _watch_stages(monkeypatch)
     build_diagonal(rho, default_diagonal_targets(rho, stages, p, family))
     for stratum, N, series, _ in seen:
@@ -598,10 +595,15 @@ def test_a_stage_run_gives_the_fresh_series_at_every_cutoff(monkeypatch, rho, st
     ],
     ids=["a1-first", "two-primes"],
 )
-def test_builds_with_an_a1_stage_or_two_primes_keep_no_run(monkeypatch, targets):
+def test_an_a1_stage_keeps_no_run(monkeypatch, targets):
+    # each stage past A1 keeps its run, graded by its own prime, whatever
+    # the other stages; an A1 stage comes from truncated_zeta
     seen = _watch_stages(monkeypatch)
     build_diagonal(Fraction(2), targets)
-    assert seen and {count for *_, count in seen} == {None}
+    for stratum, N, series, count in seen:
+        _assert_fresh(stratum, N, series)
+        assert (count is None) is (stratum.lie_type == A1)
+    assert {s.lie_type for s, *_ in seen} == {t for _, t, _ in targets}
 
 
 def _multi_term_stratum() -> GeometricStratum:
@@ -612,18 +614,42 @@ def _multi_term_stratum() -> GeometricStratum:
     return GeometricStratum(a2, 5, PolyExponent((0, 1)), False, PairSet({(1, 2), (2, 3)}), 3)
 
 
-def test_a_run_extends_a_multi_term_stage_across_a_shrinking_grid():
+def test_a_multi_term_stage_starts_its_run_again_at_each_larger_cutoff():
+    # a larger top may lengthen an x_f, so each one forms the run from the
+    # full walk; a smaller cutoff is still a prefix of the run
     stratum = _multi_term_stratum()
-    unions = constructor._Unions(0, 5)
-    grids, first_terms = [], []
+    unions = constructor._Unions(0)
+    grids, first_terms, runs = [], [], []
     for top in (10, 11, 12, 14, 15, 20, 31, 60):
         N = 5 ** top + 7
         _assert_fresh(stratum, N, unions.stage(stratum, N))
         run = unions.runs[stratum]
         grids.append(run.g)
         first_terms.append(len(run.xs[0][1]))
+        runs.append(run)
     assert grids[:4] == [2, 2, 2, 2] and grids[4:] == [1, 1, 1, 1]
-    assert first_terms[:3] == [1, 1, 2] and 0 in run.h  # its h formed once it has two terms
+    assert first_terms[:3] == [1, 1, 2] and len(set(map(id, runs))) == len(runs)
+    _assert_fresh(stratum, 5 ** 30, unions.stage(stratum, 5 ** 30))
+    assert unions.runs[stratum] is run
+
+
+def test_a_one_term_run_forms_only_what_a_larger_cutoff_adds(monkeypatch):
+    # on the same grid, a larger top applies only the factors walked past
+    # the last one and forms only the exponents past the old top: c_j and
+    # F_n below it stay the same objects
+    stratum = build_fixed_type(Fraction(2), LieType("A", 2), 5).strata[0]
+    unions = constructor._Unions(0)
+    unions.stage(stratum, 5 ** 30)
+    run = unions.runs[stratum]
+    F, xs = list(run.F), list(run.xs)
+    formed = []
+    real = GeometricStratum.factors_below
+    monkeypatch.setattr(GeometricStratum, "factors_below", lambda self, N: formed.append(self.skip) or real(self, N))
+    series = unions.stage(stratum, 5 ** 60)
+    assert formed == [stratum.skip + len(xs)] and run.xs[: len(xs)] == xs
+    assert unions.runs[stratum] is run and run.top == 60
+    _assert_fresh(stratum, 5 ** 60, series)
+    assert all(a is b for a, b in zip(run.F, F)) and len(run.F) > len(F)
 
 
 def test_a_cutoff_below_the_top_reached_is_a_prefix():
@@ -631,7 +657,7 @@ def test_a_cutoff_below_the_top_reached_is_a_prefix():
     # formed, down to one factor; below every factor, truncated_zeta's
     # plain unit series
     stratum = _multi_term_stratum()
-    unions = constructor._Unions(0, 5)
+    unions = constructor._Unions(0)
     unions.stage(stratum, 5 ** 40)
     run = unions.runs[stratum]
     state = (run.top, run.g, list(run.F), list(run.c), len(run.xs))
@@ -645,7 +671,7 @@ def test_a_remainder_in_an_extended_run_is_an_invariant_failure(monkeypatch):
     # the factors an extension adds pass the same exact division: a
     # multiplicity read as 1/3 is exit 5, as it is from empty
     stratum = build_fixed_type(Fraction(2), LieType("A", 2), 5).strata[0]
-    unions = constructor._Unions(0, 5)
+    unions = constructor._Unions(0)
     unions.stage(stratum, 5 ** 30)
     assert len(unions.runs[stratum].xs) >= 2
     monkeypatch.setattr(growth, "mult_to_int", lambda M: Fraction(1, 3))
