@@ -3,8 +3,9 @@
 Exit codes: 0 ok, 1 stdout closed early, and the exit_code of each
 errors.ReportedError subclass: 2 parse error, 3 precondition violation,
 4 budget exhausted (a --budget, a number too large to materialize exactly,
-a base**exponent multiplicity whose log passes double range, or an exact
-count too long to print), 5 internal invariant failure.
+a base**exponent multiplicity whose log passes double range, an exact
+count too long to print, or memory run out, a MemoryError), 5 internal
+invariant failure.
 Identical invocations produce byte-identical output on the exact backend.
 """
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Optional
 
 from . import constructor, finite_groups, growth, invariants, lie_data
 from .dirichlet import max_str_digits
-from .errors import InvariantError, PreconditionError, ReportedError, SpecFormatError
+from .errors import BudgetExceededError, InvariantError, PreconditionError, ReportedError, SpecFormatError
 from .errors import fraction_field, int_field, rational
 
 
@@ -301,6 +302,10 @@ def main(argv: Optional[list] = None) -> int:
             with open(args.out, "w") as fh:
                 json.dump({"partial_certificate": e.partial.to_jsonable()}, fh, indent=2)
         return e.exit_code
+    except MemoryError:
+        pass  # leaving the handler frees the frames the traceback holds
+    print(f"error: out of memory in {args.command}", file=sys.stderr)
+    return BudgetExceededError.exit_code
 
 
 def entrypoint() -> None:

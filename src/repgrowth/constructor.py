@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from typing import List, Optional, Sequence, Tuple
@@ -175,12 +175,16 @@ def _slope_test(tau: Fraction, strict: bool):
     return lambda R, n: R ** den >= n ** num
 
 
-def _first_past(series: DirichletSeries, n_prev: int, test) -> Tuple[Optional[int], int]:
+def _first_past(
+    series: DirichletSeries, n_prev: int, test, running: Optional[int] = None
+) -> Tuple[Optional[int], int]:
     """The first dimension d > n_prev of series with test(R_d, d), R_d the
     running count of the entries at dims <= d, and R_d there; (None, the
-    total count) when there is none."""
+    total count) when there is none.  running, when given, is the count at
+    dims <= n_prev, summed otherwise."""
     i = bisect_right(series.dims, n_prev)
-    running = sum(series.mults[:i])
+    if running is None:
+        running = sum(series.mults[:i])
     for d, mult in zip(series.dims[i:], series.mults[i:]):
         running += mult
         if test(running, d):
@@ -218,20 +222,30 @@ class _Unions:
         runs on the exponents of p, with the updates of dimension keys in
         their order, and the product is graded again.  memo holds each
         tuple of strata at the largest cutoff formed so far, and a smaller
-        N gets its entries <= N, which are the product truncated at N.  A
-        stale entry leaves memo before it is formed again, and forming a
-        product drops its head's head: that was formed with the head, at
-        the head's cutoff, so a call that needs it again needs it past that
-        cutoff."""
+        N gets its entries <= N, which are the product truncated at N.
+
+        A graded entry that N passes is extended: convolve forms only the
+        pairs past its cutoff (have) and appends their entries, so a build
+        forms each pair of a tuple once.  memo keeps the prefixes of the
+        tuple, which the extension of its head reads at N.  An entry keyed
+        by dimensions (an A1 stage, stages over two primes) leaves memo
+        before it is formed again from nothing, and forming it drops its
+        head's head, as that head was formed at the head's cutoff: those
+        unions run to 10^5 entries of hundreds of bits, and an extension
+        would hold the stale entry and its extension at once."""
         memo = self.memo
-        have = memo.pop(strata, None)
+        have = memo.get(strata)
         if have is None or have.cutoff < N:
-            have = self.stage(strata[-1], N)
+            if have is not None and have.grading is None:  # keyed by dimensions
+                del memo[strata]
+                have = None
+            series = self.stage(strata[-1], N)
             if len(strata) > 1:
                 head = self.product(strata[:-1], N)
-                have = head if len(have) == 1 else convolve(head, have, N)
-                memo.pop(strata[:-2], None)
-        memo[strata] = have
+                series = head if len(series) == 1 else convolve(head, series, N, have=have)
+                if series.grading is None:
+                    memo.pop(strata[:-2], None)
+            memo[strata] = have = series
         return have if have.cutoff == N else have.prefix(N)
 
     def stage(self, stratum: GeometricStratum, N: int) -> DirichletSeries:
@@ -250,7 +264,7 @@ class _Unions:
             top = floor_log(N, p)
             if run is None or top > run.top and len({n for _, n in stratum.pair_set()}) > 1:
                 run = self.runs[stratum] = _StageRun(p)
-            walk = replace(stratum, skip=stratum.skip + len(run.xs)) if run.xs else stratum
+            walk = stratum.with_skip(stratum.skip + len(run.xs)) if run.xs else stratum
             series = run.extend(list(walk.factors_below(N)) if top > run.top else [], N, top)
         return truncated_zeta(GroupSpec((stratum,)), N, backend=EXACT) if series is None else series
 
@@ -270,16 +284,17 @@ class _Unions:
         (unbounded when None).  Entries <= C do not depend on the cutoff,
         so the hit is the one a full-cutoff scan finds.  The slope test is
         formed once (_slope_test), so no Fraction operation runs per entry,
-        and the running count starts past n_prev with one sum."""
+        and the running count starts past n_prev with one sum; each larger
+        C resumes past the last one from the count there."""
         test = _slope_test(tau, strict)
-        C = max(n_prev, 2) ** 2
+        C, running = max(n_prev, 2) ** 2, None
         while True:
             if cap is not None:
                 C = min(C, cap)
-            hit = _first_past(self.series(strata, C), n_prev, test)
-            if hit[0] is not None or C == cap:
-                return hit
-            C *= C
+            hit, running = _first_past(self.series(strata, C), n_prev, test, running)
+            if hit is not None or C == cap:
+                return hit, running
+            n_prev, C = C, C * C
 
 
 def _decide(
@@ -330,14 +345,17 @@ def build_diagonal(
     commutative, so a union series is _Unions.product's, memoized per
     tuple of strata.  Past A1 both views are one series, so every scan
     reads the cover view, but the (iii) search reads an A1 stage, which
-    increasing ranks allow only first, in the simple view.  The memo evicts what is not
-    read again as it goes: forming a product pops its head's head, and a
-    rejected candidate leaves it.  The cover product of built, the last
-    sweep union of the stage before, serves the early sweep cutoffs and the
-    (iii) search as prefixes; nothing older is read again, since the sweep
-    window and the (iii) scan, which starts at max(n(m-1), 2)^2, pass every
-    cutoff of the stage before.  Budgets count every union formed, memo
-    hits included.
+    increasing ranks allow only first, in the simple view.  The cover
+    product of built, the last sweep union of the stage before, serves the
+    early sweep cutoffs and the (iii) search as prefixes.  A larger cutoff
+    extends a graded union past the one it was formed at, so each of its
+    pairs is formed once, and the memo keeps every prefix of the union's
+    tuple for that; a union keyed by dimensions is formed again at each
+    larger cutoff and pops its head's head, which nothing reads again, as
+    the sweep window and the (iii) scan, which starts at max(n(m-1), 2)^2,
+    pass every cutoff of the stage before.  A rejected candidate's union
+    leaves the memo.  Budgets count every union formed, memo hits
+    included.
 
     When every factor a product applies is past A1 over one prime p, as
     when every stage is past A1 over powers of p, its stage series and
@@ -356,9 +374,10 @@ def build_diagonal(
     exponents and factors, and a smaller one is a prefix; truncated_zeta
     forms an A1 stage series and one of fewer factors.  The four benchmark
     cases take 62/63/54/51 stage series, 24/25/18/21 of them by
-    truncated_zeta, and 39/40/34/30 convolve calls.  A stage stratum's hash
-    is formed once, when it is built, so a memo lookup hashes no Fraction
-    of its schedule.
+    truncated_zeta, and 39/40/34/30 convolve calls of 6,626/6,624/2,852/
+    3,561 kernel updates.  A stage stratum's hash is formed once, when it
+    is built or derived with another skip (with_skip), from the hash its
+    Schedule formed once, so a memo lookup hashes no Fraction.
     """
     rho = Fraction(rho)
     if n_budget < 0:
@@ -391,7 +410,7 @@ def build_diagonal(
             # condition (ii): extend the drop prefix until _decide accepts
             j_star = math.ceil(Fraction(1, 2) / (rho - rho_m)) + 1
             for skip in count(skip):
-                stratum = replace(base, skip=skip)
+                stratum = base.with_skip(skip)
                 window = _decide(unions, built, stratum, rho, n_prev, j_star)
                 if window is not None:
                     break

@@ -15,8 +15,8 @@ import sys
 from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import accumulate, repeat
-from operator import add, mul, sub
+from itertools import accumulate, groupby, repeat
+from operator import add, floordiv, mul, sub
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import PreconditionError, ReportedError, int_name
@@ -187,11 +187,13 @@ class DirichletSeries:
             self._set(cutoff, backend, dims, mults)
         return ok
 
-    def _set(self, cutoff: int, backend: str, dims: tuple, mults: tuple) -> None:
+    def _set(self, cutoff: int, backend: str, dims: Optional[tuple], mults: tuple) -> None:
+        """dims None leaves them to a GradedSeries to form on first use."""
         object.__setattr__(self, "cutoff", cutoff)
         object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "_dims", dims)
         object.__setattr__(self, "_mults", mults)
+        if dims is not None:
+            object.__setattr__(self, "_dims", dims)
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("DirichletSeries is immutable")
@@ -208,10 +210,10 @@ class DirichletSeries:
         return zip(self._dims, self._mults)
 
     def __len__(self) -> int:
-        return len(self._dims)
+        return len(self._mults)
 
     def __bool__(self) -> bool:
-        return bool(self._dims)
+        return bool(self._mults)
 
     def mult_at(self, d: int, default=None):
         i = bisect_right(self._dims, d) - 1
@@ -228,6 +230,16 @@ class DirichletSeries:
         i = bisect_right(self._dims, N)
         out = object.__new__(type(self))
         out._set(N, self.backend, self._dims[:i], self._mults[:i])
+        return out
+
+    def after(self, head: "DirichletSeries") -> "DirichletSeries":
+        """head's entries, then this series', at this cutoff, for a head of
+        this backend whose cutoff lies below every dim of this series: this
+        series' kind, with no merge."""
+        if self._dims and self._dims[0] <= head.cutoff:
+            raise PreconditionError(f"dimension {int_name(self._dims[0])} is not past the cutoff {int_name(head.cutoff)}")
+        out = object.__new__(type(self))
+        out._set(self.cutoff, self.backend, head._dims + self._dims, head._mults + self._mults)
         return out
 
     def to_log(self) -> "DirichletSeries":
@@ -291,25 +303,27 @@ class GradedSeries(DirichletSeries):
     """A series graded by a prime p: every dimension is a power p^e, and
     the exponents e are kept alongside the dimensions, so that convolve
     adds two small exponents where it would multiply two dimensions.  It
-    equals, prints and serializes as the DirichletSeries of its entries."""
+    equals, prints and serializes as the DirichletSeries of its entries.
+
+    The dimensions are formed on first use and then kept: convolve, prefix
+    and after read only the exponents, so a series that is only multiplied
+    or cut never forms its dimensions, which run to hundreds of bits."""
 
     __slots__ = ("grading", "exps")
 
     def __init__(self, cutoff: int, p: int, entries: dict, backend: str = EXACT):
         """entries: {e: multiplicity} on exponents e <= floor_log(cutoff, p),
-        checked as DirichletSeries checks its entries.  The dimensions p^e
-        are the running products of the steps p^(e - e_prev), formed in C
-        with no dict of dimensions.  On exponents from 0 up to the cutoff,
-        counts that pass DirichletSeries._init_sorted (exact positive plain
-        ints, or finite plain floats on the log backend) are kept as they
-        are; any other entries go through the merging loop of
-        DirichletSeries, which raises its errors."""
+        checked as DirichletSeries checks its entries.  On exponents from 0
+        up to the cutoff, counts that pass DirichletSeries._init_sorted
+        (exact positive plain ints, or finite plain floats on the log
+        backend) are kept as they are, and no dimension is formed; any
+        other entries go through the merging loop of DirichletSeries, which
+        raises its errors."""
         exps = sorted(entries)
-        dims = tuple(accumulate(map(pow, repeat(p), map(sub, exps, [0, *exps])), mul))
         mults = tuple(map(entries.__getitem__, exps))
-        in_range = not exps or (exps[0] >= 0 and dims[-1] <= cutoff)
-        if not (cutoff >= 1 and in_range and self._init_sorted(cutoff, backend, dims, mults)):
-            super().__init__(cutoff, zip(dims, mults), backend)
+        in_range = not exps or (exps[0] >= 0 and p ** exps[-1] <= cutoff)
+        if not (cutoff >= 1 and in_range and self._init_sorted(cutoff, backend, None, mults)):
+            super().__init__(cutoff, zip(_powers(p, exps), mults), backend)
             if len(self) != len(exps):
                 raise PreconditionError(
                     f"an exponent of {p} puts a dimension past the cutoff {cutoff}"
@@ -317,11 +331,45 @@ class GradedSeries(DirichletSeries):
         object.__setattr__(self, "grading", p)
         object.__setattr__(self, "exps", tuple(exps))
 
-    def prefix(self, N: int) -> "GradedSeries":
-        out = super().prefix(N)
-        object.__setattr__(out, "grading", self.grading)
-        object.__setattr__(out, "exps", self.exps[:len(out)])
+    @classmethod
+    def _of(cls, cutoff: int, backend: str, p: int, exps: tuple, mults: tuple) -> "GradedSeries":
+        """The series of exps and mults, which the caller takes from series
+        already checked, with no check and no dimension formed."""
+        out = object.__new__(cls)
+        out._set(cutoff, backend, None, mults)
+        object.__setattr__(out, "grading", p)
+        object.__setattr__(out, "exps", exps)
         return out
+
+    def __getattr__(self, name):
+        """_dims on first use: the powers p^e of exps, then kept in the slot,
+        which later reads find with no call here."""
+        if name != "_dims":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        dims = _powers(self.grading, self.exps)
+        object.__setattr__(self, "_dims", dims)
+        return dims
+
+    def prefix(self, N: int) -> "GradedSeries":
+        if not 1 <= N <= self.cutoff:
+            raise PreconditionError(f"prefix cutoff {N} is outside [1, {self.cutoff}]")
+        i = bisect_right(self.exps, floor_log(N, self.grading))
+        return self._of(N, self.backend, self.grading, self.exps[:i], self._mults[:i])
+
+    def after(self, head: DirichletSeries) -> "GradedSeries":
+        """DirichletSeries.after on exponents; a head that is not graded by
+        this series' p has every dimension a power of p all the same."""
+        p = self.grading
+        if self.exps and p ** self.exps[0] <= head.cutoff:
+            raise PreconditionError(f"exponent {self.exps[0]} of {p} is not past the cutoff {int_name(head.cutoff)}")
+        exps = head.exps if head.grading == p else tuple(floor_log(d, p) for d in head.dims)
+        return self._of(self.cutoff, self.backend, p, exps + self.exps, head.mults + self._mults)
+
+
+def _powers(p: int, exps) -> tuple:
+    """The dimensions p^e of the sorted exponents exps: the running
+    products of the steps p^(e - e_prev), formed in C."""
+    return tuple(accumulate(map(pow, repeat(p), map(sub, exps, [0, *exps])), mul))
 
 
 def evaluate(s: DirichletSeries, sigma: float) -> float:
@@ -441,33 +489,53 @@ def floor_log(N: int, p: int) -> int:
     return e
 
 
-def convolve(s1: DirichletSeries, s2: DirichletSeries, N: int) -> DirichletSeries:
+def convolve(
+    s1: DirichletSeries, s2: DirichletSeries, N: int, have: Optional[DirichletSeries] = None
+) -> DirichletSeries:
     """Dirichlet product truncated at N: entry at d is sum over d1*d2 = d.
 
     Two series graded by one prime p (GradedSeries) multiply on their
     exponents: _mul_into keys each update by e1 + e2 in place of d1 * d2,
     in the same order, so the result is the same series to the bit, graded
-    by p again."""
-    if s1.backend != s2.backend:
+    by p again.
+
+    have, when given, is this product at a cutoff M = have.cutoff <= N, and
+    only the pairs past it are formed: d2 > M // d1 for each source d1, or
+    e1 + e2 > floor_log(M, p) when graded.  The first such term of s2,
+    found by bisect, falls as d1 rises, and each run of sources that share
+    it is one kernel call on the terms from it on, the runs in the order of
+    their sources.  Every new key lies past every key of have, so the new
+    entries follow have's, and each key gets the updates of a fresh
+    product in their order: the same series to the bit on either
+    backend."""
+    if s1.backend != s2.backend or (have is not None and have.backend != s1.backend):
         raise BackendMismatch("cannot convolve series with different backends")
     if N > min(s1.cutoff, s2.cutoff):
         raise PreconditionError("convolution target N exceeds an input cutoff")
     if N < 1:
         raise PreconditionError("cutoff must be a positive integer")
+    if have is not None and have.cutoff > N:
+        raise PreconditionError(f"the product held is at {int_name(have.cutoff)}, past the target {int_name(N)}")
     p = s1.grading
     graded = p is not None and p == s2.grading
     acc: Dict[int, object] = {}
     if s1 and s2:
+        # part(top, k): the largest key that k takes to a key <= top
         if graded:
-            k1s, k2s, stop = s1.exps, s2.exps, floor_log(N, p)
-            reach = stop - k2s[0]
+            k1s, k2s, stop, part = s1.exps, s2.exps, floor_log(N, p), sub
         else:
-            k1s, k2s, stop = s1.dims, s2.dims, N
-            reach = N // k2s[0]
-        k1s = k1s[:bisect_right(k1s, reach)]
-        x = list(zip(k2s, s2.mults))
-        _mul_into(acc, dict(zip(k1s, s1.mults)), k1s, x, stop, s1.backend == EXACT, graded=graded)
-    return GradedSeries(N, p, acc, s1.backend) if graded else DirichletSeries(N, acc, s1.backend)
+            k1s, k2s, stop, part = s1.dims, s2.dims, N, floordiv
+        k1s = k1s[:bisect_right(k1s, part(stop, k2s[0]))]
+        runs = [(0, k1s)]
+        if have is not None:
+            top = floor_log(have.cutoff, p) if graded else have.cutoff
+            runs = groupby(k1s, lambda k1: bisect_right(k2s, part(top, k1)))
+        x, src, exact = list(zip(k2s, s2.mults)), dict(zip(k1s, s1.mults)), s1.backend == EXACT
+        for i, run in runs:
+            _mul_into(acc, src, run, x[i:], stop, exact, 0, graded)
+        del src  # as large as s1: freed before the result's tuples are built
+    out = GradedSeries(N, p, acc, s1.backend) if graded else DirichletSeries(N, acc, s1.backend)
+    return out if have is None else out.after(have)
 
 
 def _log_binomial(M: Multiplicity, k: int) -> float:

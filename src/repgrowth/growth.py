@@ -255,6 +255,13 @@ class Schedule:
     m0: int
     n0: int
     j0: int
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        """The dataclass hash of the fields, formed once: a Fraction's hash
+        takes a modular inverse, and a stage stratum hashes its schedule
+        each time it is derived (GeometricStratum.with_skip)."""
+        return self._hash
 
     def __post_init__(self):
         if not (0 < self.rho0 < self.rho):
@@ -268,6 +275,7 @@ class Schedule:
                 "schedule needs D = n0*num - m0*den >= 0 and "
                 "2*j0*D > n0*(den - 1) - 2*den, rho = num/den, to keep f(j) >= 0"
             )
+        object.__setattr__(self, "_hash", hash((self.rho, self.rho0, self.m0, self.n0, self.j0)))
 
     def k(self, j: int) -> int:
         num, den = self.rho.numerator, self.rho.denominator
@@ -594,10 +602,15 @@ class GeometricStratum(_Tower):
         if pk is None:
             raise PreconditionError(f"base field size {int_name(self.q)} is not a prime power")
         object.__setattr__(self, "_pk", pk)
-        if self.skip < 0:
-            raise PreconditionError("skip must be >= 0")
         if self.pairs is not None:
             _require_pairs(self.pairs, self.lie_type)
+        self._check_skip()
+
+    def _check_skip(self) -> None:
+        """The checks that skip enters, then the hash: the only work a
+        stratum derived with another skip or simple flag does again."""
+        if self.skip < 0:
+            raise PreconditionError("skip must be >= 0")
         # Tits exclusions have field size 2 or 3, so only the first factor
         # S(q) of an unskipped tower can be one; q^(skip+1) >= 4 otherwise
         if self.skip == 0 and tits_excluded(self.lie_type, self.q):
@@ -611,8 +624,23 @@ class GeometricStratum(_Tower):
     def __hash__(self) -> int:
         """The dataclass hash of the compared fields, formed once when the
         stratum is built: build_diagonal's memo hashes tuples of stage
-        strata on every lookup, and a Schedule hashes two Fractions."""
+        strata on every lookup."""
         return self._hash
+
+    def _derive(self, **change) -> "GeometricStratum":
+        """replace(self, **change) for skip or simple alone, with no
+        prime_power(q) and no check of the pair set, which neither enters."""
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__, **change)
+        out._check_skip()
+        return out
+
+    def with_skip(self, skip: int) -> "GeometricStratum":
+        _require_ints(skip=skip)
+        return self._derive(skip=skip)
+
+    def with_simple(self, simple: bool) -> "GeometricStratum":
+        return self._derive(simple=simple)
 
     def factors_below(self, bound: int) -> Iterator[Tuple[int, _Factor]]:
         """(min_dim_at(i, bound), factor_at(i).item) along the indices while

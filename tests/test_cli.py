@@ -77,6 +77,20 @@ def test_construct_diagonal_budget_exit_code(capsys):
     assert code == 4
 
 
+def test_memory_run_out_in_a_union_kernel_is_a_budget_exit(capsys, monkeypatch):
+    # an A1-first build over two primes can exhaust a memory cap in its
+    # dimension-keyed unions before its entry budget stops it
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(dirichlet, "_mul_into", exhausted)
+    code = main(["construct", "diagonal", "--rho", "2", "--stages", "3", "--p", "5"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == "error: out of memory in construct\n"
+    assert "Traceback" not in captured.err
+
+
 def test_prg_verdict_from_inline_spec(capsys):
     spec_json = json.dumps(
         {"strata": [{"index": "primes", "p_min": 5, "rate_exponent": 3, "flag": "cover"}]}

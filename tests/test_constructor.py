@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repgrowth
-from repgrowth import constructor
+from repgrowth import constructor, dirichlet
 from repgrowth.constructor import (
     DiagonalCertificate,
     Schedule,
@@ -493,6 +493,9 @@ def test_build_diagonal_leaves_no_reference_cycles(rho, stages, p):
 # case: every stage is past A1 over one prime, so a stage series comes from
 # its stratum's run, and truncated_zeta forms only those below two factors
 BENCHMARK_CALLS = [(62, 24, 39), (63, 25, 40), (54, 18, 34), (51, 21, 30)]
+# kernel updates of every convolve in the build: the pairs of each union
+# tuple at the largest cutoff it is read at, each formed at most once
+BENCHMARK_UPDATES = [6904, 6900, 3004, 3715]
 
 
 @pytest.mark.parametrize("case, most", list(zip(BENCHMARK_CASES, BENCHMARK_CALLS)))
@@ -526,6 +529,30 @@ def test_build_diagonal_forms_each_product_once_per_cutoff(monkeypatch, case, mo
     assert calls["truncated_zeta"] <= most[1]
     assert calls["convolve"] <= most[2]
     assert simple and not any(simple)
+
+
+@pytest.mark.parametrize("case, most", list(zip(BENCHMARK_CASES, BENCHMARK_UPDATES)))
+def test_a_union_extended_to_a_larger_cutoff_forms_only_its_new_pairs(monkeypatch, case, most):
+    # every kernel update assigns one key of its accumulator
+    updates = []
+
+    class Tally(dict):
+        def __setitem__(self, key, value):
+            updates.append(key)
+            super().__setitem__(key, value)
+
+    real = dirichlet._mul_into
+
+    def counted(acc, *args):
+        tally = Tally(acc)
+        fresh = real(tally, *args)
+        acc.update(tally)
+        return fresh
+
+    monkeypatch.setattr(dirichlet, "_mul_into", counted)
+    rho, stages, p = case
+    build_diagonal(rho, default_diagonal_targets(rho, stages, p))
+    assert 0 < len(updates) <= most
 
 
 @pytest.mark.parametrize(

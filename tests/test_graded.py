@@ -361,7 +361,7 @@ def test_products_with_an_a1_stage_or_two_primes_take_the_dict_kernel(monkeypatc
     # on, and from truncated_zeta's kernel below
     products, calls = [], []
     real = constructor.convolve
-    monkeypatch.setattr(constructor, "convolve", lambda *a: products.append(real(*a)) or products[-1])
+    monkeypatch.setattr(constructor, "convolve", lambda *a, **k: products.append(real(*a, **k)) or products[-1])
     _watch_graded_kernel(monkeypatch, calls.append)
     _, cert = build_diagonal(Fraction(2), targets)
     assert cert.complete and products
@@ -413,6 +413,85 @@ def test_graded_convolve_is_the_dict_convolve(p, a, b, e, backend):
     assert got.grading == p and want.grading is None
     assert got.to_json() == want.to_json()
     assert convolve(ga, db, M).grading is None  # one plain operand: the dict kernel
+
+
+def _fresh_and_extended(a, b, M, N):
+    have = convolve(a, b, M)
+    return convolve(a, b, N), convolve(a, b, N, have=have)
+
+
+def _same_bits(got, want):
+    assert type(got) is type(want) and got.grading == want.grading
+    assert getattr(got, "exps", None) == getattr(want, "exps", None)
+    assert got == want and got.to_json() == want.to_json()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(PRIMES),
+    st.dictionaries(st.integers(0, 60), st.integers(1, 10 ** 30), min_size=1, max_size=12),
+    st.dictionaries(st.integers(0, 60), st.integers(1, 10 ** 30), min_size=1, max_size=12),
+    st.tuples(st.integers(0, 60), st.integers(0, 2)),
+    st.tuples(st.integers(0, 60), st.integers(0, 2)),
+    st.sampled_from([EXACT, LOG]),
+)
+def test_a_graded_product_extended_past_its_cutoff_is_the_fresh_one(p, a, b, at1, at2, backend):
+    # cutoffs on a power of p (offset 0) and between two powers
+    M, N = sorted(p ** e + k * (p ** e // 3) for e, k in (at1, at2))
+    top = floor_log(N, p)
+    a = {k: v for k, v in a.items() if k <= top} or {0: 1}
+    b = {k: v for k, v in b.items() if k <= top} or {0: 1}
+    if backend == LOG:
+        a, b = ({k: math.log(v) for k, v in s.items()} for s in (a, b))
+    want, got = _fresh_and_extended(GradedSeries(N, p, a, backend), GradedSeries(N, p, b, backend), M, N)
+    assert want.grading == p
+    _same_bits(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(st.integers(1, 3000), st.integers(1, 10 ** 30), min_size=1, max_size=30),
+    st.dictionaries(st.integers(1, 3000), st.integers(1, 10 ** 30), min_size=1, max_size=30),
+    st.integers(1, 3000),
+    st.integers(1, 3000),
+    st.sampled_from([EXACT, LOG]),
+)
+def test_a_product_keyed_by_dimensions_extended_past_its_cutoff_is_the_fresh_one(a, b, M, N, backend):
+    M, N = sorted((M, N))
+    if backend == LOG:
+        a, b = ({k: math.log(v) for k, v in s.items()} for s in (a, b))
+    want, got = _fresh_and_extended(DirichletSeries(N, a, backend), DirichletSeries(N, b, backend), M, N)
+    _same_bits(got, want)
+
+
+def test_an_extension_from_the_unit_series_forms_every_other_entry():
+    # below both onsets the product is {1: 1}: graded or not, it extends
+    N = 5 ** 30
+    a, b = GradedSeries(N, 5, {0: 1, 7: 3, 20: 2}), GradedSeries(N, 5, {0: 1, 9: 4, 13: 1})
+    want = convolve(a, b, N)
+    for have in (convolve(a, b, 5 ** 6), DirichletSeries(5 ** 6 + 1, {1: 1})):
+        assert len(have) == 1
+        _same_bits(convolve(a, b, N, have=have), want)
+    da, db = (DirichletSeries(N, list(s.items())) for s in (a, b))
+    _same_bits(convolve(da, db, N, have=DirichletSeries(5 ** 6, {1: 1})), convolve(da, db, N))
+    with pytest.raises(PreconditionError, match="past the target"):
+        convolve(a, b, 5 ** 6, have=want)
+    with pytest.raises(PreconditionError, match="not past the cutoff"):
+        convolve(a, b, 5 ** 6).after(want)
+    with pytest.raises(PreconditionError, match="not past the cutoff"):
+        convolve(da, db, 5 ** 6).after(convolve(da, db, 5 ** 8))
+
+
+def test_a_graded_series_forms_its_dimensions_on_first_read():
+    # convolve, prefix and after read exponents only
+    s = GradedSeries(5 ** 40, 5, {0: 1, 3: 7, 40: 9})
+    cut = convolve(s, s, 5 ** 40, have=convolve(s, s, 5 ** 5)).prefix(5 ** 20)
+    assert len(cut) == 3 and cut and cut.exps == (0, 3, 6)
+    with pytest.raises(AttributeError):
+        object.__getattribute__(cut, "_dims")
+    assert cut.dims == (1, 125, 15625) and cut.dims is cut.dims
+    with pytest.raises(AttributeError, match="no attribute 'other'"):
+        cut.other
 
 
 def test_prefix_keeps_the_grading_and_slices_the_exponents():
@@ -513,6 +592,30 @@ def test_equal_strata_built_apart_hash_equal_and_share_one_memo_entry(monkeypatc
     first = unions.product((a,), 5 ** 40)
     assert unions.product((b,), 5 ** 40) is first
     assert len(unions.memo) == len(unions.runs) == len(calls) == 1
+
+
+def test_a_stratum_derived_with_another_skip_or_flag_is_the_replaced_one(monkeypatch):
+    a2 = LieType("A", 2)
+    base = GeometricStratum(a2, 25, constructor.make_schedule(Fraction(2), a2), simple=False)
+    wants = [replace(base, skip=3), replace(base, simple=True), replace(replace(base, skip=2), simple=True)]
+    tits = GeometricStratum(A1, 2, PolyExponent((1, 1)), skip=1)
+    # the proof of q = 5^2 and the pair set's check carry over
+    monkeypatch.setattr(growth, "prime_power", lambda q: pytest.fail("prime_power ran again"))
+    monkeypatch.setattr(growth, "_require_pairs", lambda *a: pytest.fail("pair set checked again"))
+    gots = [base.with_skip(3), base.with_simple(True), base.with_skip(2).with_simple(True)]
+    for got, want in zip(gots, wants):
+        assert got == want and hash(got) == hash(want) and got._pk == want._pk == (5, 2)
+        assert got.with_skip(0) == base.with_simple(got.simple)
+    sched = base.exponents  # its hash formed once, as the dataclass forms it
+    assert hash(sched) == hash((sched.rho, sched.rho0, sched.m0, sched.n0, sched.j0))
+    with pytest.raises(PreconditionError, match="skip must be >= 0"):
+        base.with_skip(-1)
+    for bad in (1.0, True):
+        with pytest.raises(PreconditionError, match="skip must be an int"):
+            base.with_skip(bad)
+    with pytest.raises(PreconditionError, match="Tits-excluded"):
+        tits.with_skip(0)
+    assert tits.with_simple(False).skip == 1
 
 
 def test_tower_factors_reuse_the_stratum_proof(monkeypatch):
