@@ -218,7 +218,7 @@ class _Unions:
         is the unit {1: 1} (no factor of the last stratum at or below N, as
         for a candidate scanned below its onset), the product is the
         head's, with no convolve.  When every factor the two apply is past
-        A1 over one prime p, both series are GradedSeries, so that convolve
+        A1 over one prime p, both series are graded by p, so that convolve
         runs on the exponents of p, with the updates of dimension keys in
         their order, and the product is graded again.  memo holds each
         tuple of strata at the largest cutoff formed so far, and a smaller
@@ -359,8 +359,8 @@ def build_diagonal(
 
     When every factor a product applies is past A1 over one prime p, as
     when every stage is past A1 over powers of p, its stage series and
-    convolve run on the exponents of p (dirichlet.GradedSeries, whose keys
-    the one kernel _mul_into adds) instead of on dimensions of hundreds of
+    convolve run on the exponents of p (series graded by p, whose keys the
+    one kernel _mul_into adds) instead of on dimensions of hundreds of
     bits, with the updates of dimension keys in their order: the same
     series, the same certificate.  Each factor's terms are formed on those
     exponents too, from the k of q = p^k each stage stratum proved when it

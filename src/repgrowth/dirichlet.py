@@ -1,8 +1,11 @@
 """Truncated Dirichlet-series arithmetic with exact and log-domain backends.
 
-A series is a finite sorted map {dimension -> multiplicity} truncated at a
-cutoff N.  Dimensions are arbitrary-precision positive integers (model
-dimensions grow like q^n and overflow machine words almost immediately).
+A series is counts on sorted keys, truncated at a cutoff N, and a key rule
+that reads the keys as dimensions: a key is a dimension, or, in a series
+graded by a prime p, the exponent e of the dimension p^e.  Either way it is
+the finite map {dimension -> multiplicity}.  Dimensions are
+arbitrary-precision positive integers (model dimensions grow like q^n and
+overflow machine words almost immediately).
 The exact backend keeps multiplicities as positive big integers and is
 closed under every operation here; the log backend keeps natural-log
 multiplicities as floats.  Backends never mix silently: conversion is
@@ -119,25 +122,44 @@ def _logaddexp(a: float, b: float) -> float:
 
 
 class DirichletSeries:
-    """Immutable truncated series: sorted dims, parallel multiplicities."""
+    """Immutable truncated series: counts on sorted keys, and the key rule
+    that reads them.  With grading None a key is a dimension; with grading
+    a prime p every dimension is a power p^e, keyed by its exponent e, so
+    that convolve adds two small exponents where it would multiply two
+    dimensions.  The rule does not show: a series equals, hashes, prints
+    and serializes as the (dimension, multiplicity) entries it holds.
 
-    __slots__ = ("cutoff", "backend", "_dims", "_mults")
-    grading = None  # GradedSeries: the prime p of every dimension p^e
+    A graded series forms its dimensions on first read and then keeps
+    them: convolve, prefix, after, mult_at and cumulative read the keys,
+    so a series that is only multiplied, cut or summed never forms its
+    dimensions, which run to hundreds of bits."""
 
-    def __init__(self, cutoff: int, entries, backend: str = EXACT):
+    __slots__ = ("cutoff", "backend", "grading", "keys", "mults", "_dims")
+
+    def __init__(self, cutoff: int, entries, backend: str = EXACT, grading: Optional[int] = None):
         """entries: (dim, multiplicity) pairs or a mapping of them, dims past
-        the cutoff dropped.  A dict whose sorted keys start at 1 or above and
+        the cutoff dropped; given grading a prime p, a dict {e: multiplicity}
+        on exponents e of p^e, one past floor_log(cutoff, p) raising.  A
+        dict whose sorted keys start at 1 (at 0 when graded) or above and
         whose kept values pass _init_sorted is kept as it is, with no merged
-        copy, and so are _Columns, whose dims the caller forms sorted,
-        distinct and in [1, cutoff]; other entries go through the merging
-        loop, which raises its errors in its order and adds (log-adds) the
-        entries on one dim."""
+        copy and no dimension formed, and so are _Columns, whose dims the
+        caller forms sorted, distinct and in [1, cutoff]; other entries go
+        through the merging loop, on their dimensions, which raises its
+        errors in its order and adds (log-adds) the entries on one dim."""
         if cutoff < 1:
             raise PreconditionError("cutoff must be a positive integer")
         if backend not in (EXACT, LOG):
             raise PreconditionError(f"unknown backend {backend!r}")
-        if type(entries) is _Columns:
-            if self._init_sorted(cutoff, backend, tuple(entries.dims), tuple(entries.mults)):
+        if grading is not None:
+            keys = sorted(entries)
+            if keys and keys[-1] > floor_log(cutoff, grading):
+                raise PreconditionError(f"an exponent of {grading} puts a dimension past the cutoff {cutoff}")
+            mults = tuple(map(entries.__getitem__, keys))
+            if (not keys or keys[0] >= 0) and self._init_sorted(cutoff, backend, grading, tuple(keys), mults):
+                return
+            entries = zip(_powers(grading, keys), mults)
+        elif type(entries) is _Columns:
+            if self._init_sorted(cutoff, backend, None, tuple(entries.dims), tuple(entries.mults)):
                 return
         elif type(entries) is dict:
             try:
@@ -147,7 +169,7 @@ class DirichletSeries:
                 in_range = False
             if in_range:
                 del dims[bisect_right(dims, cutoff):]
-                if self._init_sorted(cutoff, backend, tuple(dims), tuple(map(entries.__getitem__, dims))):
+                if self._init_sorted(cutoff, backend, None, tuple(dims), tuple(map(entries.__getitem__, dims))):
                     return
         exact = backend == EXACT
         merged: Dict[int, object] = {}
@@ -168,11 +190,11 @@ class DirichletSeries:
                     raise PreconditionError(f"log multiplicity at dim {d} must be finite")
                 prev = merged.get(d)
                 merged[d] = m if prev is None else _logaddexp(prev, m)
-        dims = sorted(merged)
-        self._set(cutoff, backend, tuple(dims), tuple(map(merged.__getitem__, dims)))
+        dims = sorted(merged)  # graded: the distinct powers of keys, none dropped
+        self._set(cutoff, backend, grading, tuple(dims if grading is None else keys), tuple(map(merged.__getitem__, dims)))
 
-    def _init_sorted(self, cutoff: int, backend: str, dims: tuple, mults: tuple) -> bool:
-        """Set up from dims sorted, distinct and in [1, cutoff] and their
+    def _init_sorted(self, cutoff: int, backend: str, grading: Optional[int], keys: tuple, mults: tuple) -> bool:
+        """Set up from keys sorted, distinct and in range and their
         multiplicities, when these are exact positive plain ints, or finite
         plain floats on the log backend: the type set and the minimum, or
         finiteness, are checked with no loop in Python.  Returns False,
@@ -184,69 +206,86 @@ class DirichletSeries:
         else:
             ok = backend == LOG and {float}.issuperset(map(type, mults)) and all(map(math.isfinite, mults))
         if ok:
-            self._set(cutoff, backend, dims, mults)
+            self._set(cutoff, backend, grading, keys, mults)
         return ok
 
-    def _set(self, cutoff: int, backend: str, dims: Optional[tuple], mults: tuple) -> None:
-        """dims None leaves them to a GradedSeries to form on first use."""
+    def _set(self, cutoff: int, backend: str, grading: Optional[int], keys: tuple, mults: tuple) -> "DirichletSeries":
         object.__setattr__(self, "cutoff", cutoff)
         object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "_mults", mults)
-        if dims is not None:
-            object.__setattr__(self, "_dims", dims)
+        object.__setattr__(self, "grading", grading)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "mults", mults)
+        return self
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("DirichletSeries is immutable")
 
     @property
     def dims(self) -> Tuple[int, ...]:
-        return self._dims
+        """The keys, or when graded by p the powers p^e of the keys e,
+        formed on first read and then kept."""
+        if self.grading is None:
+            return self.keys
+        try:
+            return self._dims
+        except AttributeError:
+            object.__setattr__(self, "_dims", _powers(self.grading, self.keys))
+            return self._dims
 
-    @property
-    def mults(self) -> Tuple:
-        return self._mults
+    def _top(self, n: int) -> int:
+        """The largest key of a dimension <= n, for n >= 1."""
+        return n if self.grading is None else floor_log(n, self.grading)
+
+    def _key(self, d: int) -> Optional[int]:
+        """The key of the dimension d >= 1, None where d is no power of the
+        grading."""
+        k = self._top(d)
+        return k if self.grading is None or self.grading ** k == d else None
 
     def items(self) -> Iterator[Tuple[int, object]]:
-        return zip(self._dims, self._mults)
+        return zip(self.dims, self.mults)
 
     def __len__(self) -> int:
-        return len(self._mults)
+        return len(self.mults)
 
     def __bool__(self) -> bool:
-        return bool(self._mults)
+        return bool(self.mults)
 
     def mult_at(self, d: int, default=None):
-        i = bisect_right(self._dims, d) - 1
-        if i >= 0 and self._dims[i] == d:
-            return self._mults[i]
-        return default
+        k = self._key(d) if d >= 1 else None
+        i = -1 if k is None else bisect_right(self.keys, k) - 1
+        return self.mults[i] if i >= 0 and self.keys[i] == k else default
 
     def prefix(self, N: int) -> "DirichletSeries":
         """The entries at dims <= N as a series truncated at N <= cutoff, of
-        this series' kind; on the exact backend the product a series holds,
+        this key rule; on the exact backend the product a series holds,
         truncated at N, is its prefix (invariants.prefix_truncation)."""
         if not 1 <= N <= self.cutoff:
             raise PreconditionError(f"prefix cutoff {N} is outside [1, {self.cutoff}]")
-        i = bisect_right(self._dims, N)
-        out = object.__new__(type(self))
-        out._set(N, self.backend, self._dims[:i], self._mults[:i])
-        return out
+        i = bisect_right(self.keys, self._top(N))
+        return object.__new__(DirichletSeries)._set(N, self.backend, self.grading, self.keys[:i], self.mults[:i])
 
     def after(self, head: "DirichletSeries") -> "DirichletSeries":
         """head's entries, then this series', at this cutoff, for a head of
-        this backend whose cutoff lies below every dim of this series: this
-        series' kind, with no merge."""
-        if self._dims and self._dims[0] <= head.cutoff:
-            raise PreconditionError(f"dimension {int_name(self._dims[0])} is not past the cutoff {int_name(head.cutoff)}")
-        out = object.__new__(type(self))
-        out._set(self.cutoff, self.backend, head._dims + self._dims, head._mults + self._mults)
-        return out
+        this backend whose cutoff lies below every dim of this series and
+        whose every dim has a key under this series' rule: this key rule,
+        with no merge."""
+        if self.keys and self.keys[0] <= self._top(head.cutoff):
+            raise PreconditionError(f"dimension {int_name(self.dims[0])} is not past the cutoff {int_name(head.cutoff)}")
+        keys = head.keys if head.grading == self.grading else tuple(map(self._key, head.dims))
+        if None in keys:
+            d = head.dims[keys.index(None)]
+            raise PreconditionError(f"dimension {int_name(d)} of the head is not a power of {self.grading}")
+        return object.__new__(DirichletSeries)._set(
+            self.cutoff, self.backend, self.grading, keys + self.keys, head.mults + self.mults
+        )
 
     def to_log(self) -> "DirichletSeries":
-        """Explicit exact -> log conversion (never done implicitly)."""
+        """Explicit exact -> log conversion (never done implicitly), of this
+        key rule."""
         if self.backend == LOG:
             return self
-        return DirichletSeries(self.cutoff, dict(zip(self._dims, map(math.log, self._mults))), LOG)
+        return DirichletSeries(self.cutoff, dict(zip(self.keys, map(math.log, self.mults))), LOG, self.grading)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DirichletSeries):
@@ -254,12 +293,12 @@ class DirichletSeries:
         return (
             self.backend == other.backend
             and self.cutoff == other.cutoff
-            and self._dims == other._dims
-            and self._mults == other._mults
+            and self.dims == other.dims
+            and self.mults == other.mults
         )
 
     def __hash__(self):
-        return hash((self.backend, self.cutoff, self._dims, self._mults))
+        return hash((self.backend, self.cutoff, self.dims, self.mults))
 
     def __repr__(self) -> str:
         head = ", ".join(f"{d}:{m}" for d, m in list(self.items())[:6])
@@ -275,7 +314,7 @@ class DirichletSeries:
 
     def _require_printable(self) -> None:
         digits = max_str_digits()
-        if self.backend == EXACT and max(self._mults, default=0) >= 10 ** digits:
+        if self.backend == EXACT and max(self.mults, default=0) >= 10 ** digits:
             raise RangeOverflow(f"an exact count has more than {digits} digits, too many to print")
 
     def to_csv(self) -> str:
@@ -297,73 +336,6 @@ class DirichletSeries:
             f'{{\n  "backend": "{self.backend}",\n  "cutoff": {self.cutoff},\n'
             f'  "entries": {entries}\n}}'
         )
-
-
-class GradedSeries(DirichletSeries):
-    """A series graded by a prime p: every dimension is a power p^e, and
-    the exponents e are kept alongside the dimensions, so that convolve
-    adds two small exponents where it would multiply two dimensions.  It
-    equals, prints and serializes as the DirichletSeries of its entries.
-
-    The dimensions are formed on first use and then kept: convolve, prefix
-    and after read only the exponents, so a series that is only multiplied
-    or cut never forms its dimensions, which run to hundreds of bits."""
-
-    __slots__ = ("grading", "exps")
-
-    def __init__(self, cutoff: int, p: int, entries: dict, backend: str = EXACT):
-        """entries: {e: multiplicity} on exponents e <= floor_log(cutoff, p),
-        checked as DirichletSeries checks its entries.  On exponents from 0
-        up to the cutoff, counts that pass DirichletSeries._init_sorted
-        (exact positive plain ints, or finite plain floats on the log
-        backend) are kept as they are, and no dimension is formed; any
-        other entries go through the merging loop of DirichletSeries, which
-        raises its errors."""
-        exps = sorted(entries)
-        mults = tuple(map(entries.__getitem__, exps))
-        in_range = not exps or (exps[0] >= 0 and p ** exps[-1] <= cutoff)
-        if not (cutoff >= 1 and in_range and self._init_sorted(cutoff, backend, None, mults)):
-            super().__init__(cutoff, zip(_powers(p, exps), mults), backend)
-            if len(self) != len(exps):
-                raise PreconditionError(
-                    f"an exponent of {p} puts a dimension past the cutoff {cutoff}"
-                )
-        object.__setattr__(self, "grading", p)
-        object.__setattr__(self, "exps", tuple(exps))
-
-    @classmethod
-    def _of(cls, cutoff: int, backend: str, p: int, exps: tuple, mults: tuple) -> "GradedSeries":
-        """The series of exps and mults, which the caller takes from series
-        already checked, with no check and no dimension formed."""
-        out = object.__new__(cls)
-        out._set(cutoff, backend, None, mults)
-        object.__setattr__(out, "grading", p)
-        object.__setattr__(out, "exps", exps)
-        return out
-
-    def __getattr__(self, name):
-        """_dims on first use: the powers p^e of exps, then kept in the slot,
-        which later reads find with no call here."""
-        if name != "_dims":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        dims = _powers(self.grading, self.exps)
-        object.__setattr__(self, "_dims", dims)
-        return dims
-
-    def prefix(self, N: int) -> "GradedSeries":
-        if not 1 <= N <= self.cutoff:
-            raise PreconditionError(f"prefix cutoff {N} is outside [1, {self.cutoff}]")
-        i = bisect_right(self.exps, floor_log(N, self.grading))
-        return self._of(N, self.backend, self.grading, self.exps[:i], self._mults[:i])
-
-    def after(self, head: DirichletSeries) -> "GradedSeries":
-        """DirichletSeries.after on exponents; a head that is not graded by
-        this series' p has every dimension a power of p all the same."""
-        p = self.grading
-        if self.exps and p ** self.exps[0] <= head.cutoff:
-            raise PreconditionError(f"exponent {self.exps[0]} of {p} is not past the cutoff {int_name(head.cutoff)}")
-        exps = head.exps if head.grading == p else tuple(floor_log(d, p) for d in head.dims)
-        return self._of(self.cutoff, self.backend, p, exps + self.exps, head.mults + self._mults)
 
 
 def _powers(p: int, exps) -> tuple:
@@ -494,10 +466,10 @@ def convolve(
 ) -> DirichletSeries:
     """Dirichlet product truncated at N: entry at d is sum over d1*d2 = d.
 
-    Two series graded by one prime p (GradedSeries) multiply on their
-    exponents: _mul_into keys each update by e1 + e2 in place of d1 * d2,
-    in the same order, so the result is the same series to the bit, graded
-    by p again.
+    Two series graded by one prime p multiply on their keys, the exponents
+    of p: _mul_into keys each update by e1 + e2 in place of d1 * d2, in the
+    same order, so the result is the same series to the bit, graded by p
+    again.  Any other two multiply on their dimensions.
 
     have, when given, is this product at a cutoff M = have.cutoff <= N, and
     only the pairs past it are formed: d2 > M // d1 for each source d1, or
@@ -505,9 +477,10 @@ def convolve(
     found by bisect, falls as d1 rises, and each run of sources that share
     it is one kernel call on the terms from it on, the runs in the order of
     their sources.  Every new key lies past every key of have, so the new
-    entries follow have's, and each key gets the updates of a fresh
-    product in their order: the same series to the bit on either
-    backend."""
+    entries follow have's, have's keyed again by the product's rule (a
+    dimension of have that the rule has no key for raises), and each key
+    gets the updates of a fresh product in their order: the same series to
+    the bit on either backend."""
     if s1.backend != s2.backend or (have is not None and have.backend != s1.backend):
         raise BackendMismatch("cannot convolve series with different backends")
     if N > min(s1.cutoff, s2.cutoff):
@@ -516,25 +489,24 @@ def convolve(
         raise PreconditionError("cutoff must be a positive integer")
     if have is not None and have.cutoff > N:
         raise PreconditionError(f"the product held is at {int_name(have.cutoff)}, past the target {int_name(N)}")
-    p = s1.grading
-    graded = p is not None and p == s2.grading
+    p = s1.grading if s1.grading == s2.grading else None  # the product's key rule
     acc: Dict[int, object] = {}
     if s1 and s2:
         # part(top, k): the largest key that k takes to a key <= top
-        if graded:
-            k1s, k2s, stop, part = s1.exps, s2.exps, floor_log(N, p), sub
-        else:
+        if p is None:
             k1s, k2s, stop, part = s1.dims, s2.dims, N, floordiv
+        else:
+            k1s, k2s, stop, part = s1.keys, s2.keys, floor_log(N, p), sub
         k1s = k1s[:bisect_right(k1s, part(stop, k2s[0]))]
         runs = [(0, k1s)]
         if have is not None:
-            top = floor_log(have.cutoff, p) if graded else have.cutoff
+            top = have.cutoff if p is None else floor_log(have.cutoff, p)
             runs = groupby(k1s, lambda k1: bisect_right(k2s, part(top, k1)))
         x, src, exact = list(zip(k2s, s2.mults)), dict(zip(k1s, s1.mults)), s1.backend == EXACT
         for i, run in runs:
-            _mul_into(acc, src, run, x[i:], stop, exact, 0, graded)
+            _mul_into(acc, src, run, x[i:], stop, exact, 0, p is not None)
         del src  # as large as s1: freed before the result's tuples are built
-    out = GradedSeries(N, p, acc, s1.backend) if graded else DirichletSeries(N, acc, s1.backend)
+    out = DirichletSeries(N, acc, s1.backend, p)
     return out if have is None else out.after(have)
 
 
@@ -565,9 +537,10 @@ def _power_terms(
     """The entries of (1 + x)^M - 1 at dims <= N, sorted by dimension, for x
     a sorted list of (dim, mult) pairs on distinct dims in [2, N].  Given a
     prime p and top = floor_log(N, p), every dimension is a power p^e and
-    is keyed by its exponent e instead, in x and in the result, so that a
-    product of two terms adds their keys where it would multiply them: the
-    same terms in the same order, and the same bits, as convolve dispatches.
+    is keyed by its exponent e instead, in x, in the result and in the
+    series graded by p that convolve multiplies, so that a product of two
+    terms adds their keys where it would multiply them: the same terms in
+    the same order, and the same bits.
 
     x^k starts at min_dim(x)^k, so only the powers with min_dim(x)^k <= N
     contribute, at most log2(N) of them.  For a one-term x = (d, m) each
@@ -606,9 +579,9 @@ def _power_terms(
             terms = [(start, mk * m0 if exact else mk + m0)]
             continue
         if xs is None:
-            xs = xk = GradedSeries(N, p, dict(x), backend) if p else DirichletSeries(N, x, backend)
+            xs = xk = DirichletSeries(N, dict(x), backend, p)
         xk = convolve(xk, xs, N)
-        terms = zip(xk.exps, xk.mults) if p else xk.items()
+        terms = zip(xk.keys, xk.mults)
     return sorted(out.items())
 
 
@@ -644,7 +617,7 @@ def cumulative(s: DirichletSeries, n: int):
         raise PreconditionError(
             f"cumulative at n={n} exceeds the truncation cutoff {s.cutoff}"
         )
-    idx = bisect_right(s.dims, n)
+    idx = bisect_right(s.keys, s._top(n))
     if s.backend == EXACT:
         return sum(s.mults[:idx])
     sums = _log_prefix_sums(s.mults[:idx])

@@ -49,7 +49,6 @@ from .dirichlet import (
     LOG,
     BigPower,
     DirichletSeries,
-    GradedSeries,
     Multiplicity,
     _log_binomial,
     _log_prefix_sums,
@@ -1049,7 +1048,7 @@ class _GradedProduct:
     about K^2/2 multiply-adds in all, whatever the number of factors or the
     support of F; a nonzero remainder raises InvariantError.  F holds exact
     counts, so its nonzero entries are the kernel's keys and values: the
-    same GradedSeries to the bit.
+    same series graded by p to the bit.
 
     The state is g, c, F, the (M_f, x_f) applied and the top reached.  A
     factor first walked past a cutoff N has every exponent above
@@ -1073,7 +1072,7 @@ class _GradedProduct:
         t = [min(K, min(M, top // x[0][0]) * len(x)) for M, x in xs]
         return K * K / 2 + sum(t) < t[0] + K * sum(t[1:])
 
-    def extend(self, factors: list, N: int, top: int) -> Optional[GradedSeries]:
+    def extend(self, factors: list, N: int, top: int) -> Optional[DirichletSeries]:
         """The product at N, top = floor_log(N, p), once the walk items
         factors past the last cutoff are applied (every item, from empty);
         a prefix at a top already reached.  None where pays says no, with
@@ -1120,7 +1119,7 @@ class _GradedProduct:
                 F[n] = Fn
         g = self.g
         entries = {n * g: Fn for n, Fn in enumerate(self.F[: top // g + 1]) if Fn}
-        return GradedSeries(N, self.p, entries, EXACT) if len(entries) > 1 else None
+        return DirichletSeries(N, entries, EXACT, self.p) if len(entries) > 1 else None
 
 
 def truncated_zeta(
@@ -1158,7 +1157,7 @@ def truncated_zeta(
     log-adds.
 
     When every factor is past A1 over one prime p (each item's grading()),
-    the product is graded and keyed by the exponent e of p^e: the same
+    the product is graded by p, keyed by the exponent e of p^e: the same
     factors, order and updates, the kernel adding keys where it would
     multiply them, so the same output to the bit; each factor's terms are
     formed at their exponents (_factor_terms given top = floor_log(N, p)).
@@ -1215,7 +1214,7 @@ def truncated_zeta(
         if fresh:
             sources += fresh
             sources.sort()
-    return GradedSeries(N, p, acc, backend) if graded else DirichletSeries(N, acc, backend)
+    return DirichletSeries(N, acc, backend, p)
 
 
 def _dense_product(factors: list, tails: list, N: int) -> DirichletSeries:

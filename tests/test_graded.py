@@ -9,6 +9,7 @@ stage stratum to each larger cutoff."""
 import functools
 import hashlib
 import inspect
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -25,8 +26,8 @@ from repgrowth.dirichlet import (
     LOG,
     BigPower,
     DirichletSeries,
-    GradedSeries,
     convolve,
+    cumulative,
     floor_log,
 )
 from repgrowth.errors import InvariantError, PreconditionError
@@ -143,7 +144,7 @@ def test_graded_and_dict_kernels_give_the_same_bytes(case, backend):
     assert graded.grading == p and plain.grading is None
     assert graded.to_json().encode() == plain.to_json().encode()
     if p is not None:
-        assert [(p ** e, m) for e, m in zip(graded.exps, graded.mults)] == list(plain.items())
+        assert [(p ** e, m) for e, m in zip(graded.keys, graded.mults)] == list(plain.items())
 
 
 @settings(max_examples=100, deadline=None)
@@ -403,9 +404,9 @@ def test_graded_convolve_is_the_dict_convolve(p, a, b, e, backend):
     top = floor_log(N, p)
     a = {k: v for k, v in a.items() if k <= top} or {0: 1}
     b = {k: v for k, v in b.items() if k <= top} or {0: 1}
-    ga, gb = GradedSeries(N, p, a, EXACT), GradedSeries(N, p, b, EXACT)
+    ga, gb = DirichletSeries(N, a, EXACT, p), DirichletSeries(N, b, EXACT, p)
     if backend == LOG:
-        ga, gb = (GradedSeries(N, p, {k: math.log(v) for k, v in s.items()}, LOG) for s in (a, b))
+        ga, gb = (DirichletSeries(N, {k: math.log(v) for k, v in s.items()}, LOG, p) for s in (a, b))
     da, db = (DirichletSeries(N, list(s.items()), backend) for s in (ga, gb))
     assert ga == da and gb == db
     M = max(1, N // p)
@@ -413,6 +414,29 @@ def test_graded_convolve_is_the_dict_convolve(p, a, b, e, backend):
     assert got.grading == p and want.grading is None
     assert got.to_json() == want.to_json()
     assert convolve(ga, db, M).grading is None  # one plain operand: the dict kernel
+    for graded, plain in ((ga, da), (gb, db), (got, want)):
+        _agree(graded, plain)
+
+
+def _agree(graded, plain):
+    """Every accessor reads the same off a graded series and the series of
+    its entries keyed by dimensions: at every dimension, one off it, and
+    every power of p, at or one below it."""
+    p = graded.grading
+    assert p is not None and plain.grading is None
+    assert graded == plain and hash(graded) == hash(plain) and len(graded) == len(plain)
+    assert list(graded.items()) == list(plain.items())
+    assert graded.to_csv() == plain.to_csv() and graded.to_json() == plain.to_json()
+    assert graded.to_log() == plain.to_log() and graded.to_log().grading == p
+    N = graded.cutoff
+    powers = (p ** e + k for e in range(floor_log(N, p) + 1) for k in (-1, 0))
+    near = (d + k for d in plain.dims for k in (-1, 0, 1))
+    for n in sorted({n for n in itertools.chain(powers, near, [N]) if 1 <= n <= N}):
+        assert graded.mult_at(n) == plain.mult_at(n)
+        assert cumulative(graded, n) == cumulative(plain, n)
+        cut = graded.prefix(n)
+        assert cut == plain.prefix(n) and cut.grading == p
+    assert graded.mult_at(0, "none") == plain.mult_at(0, "none") == "none"
 
 
 def _fresh_and_extended(a, b, M, N):
@@ -422,7 +446,7 @@ def _fresh_and_extended(a, b, M, N):
 
 def _same_bits(got, want):
     assert type(got) is type(want) and got.grading == want.grading
-    assert getattr(got, "exps", None) == getattr(want, "exps", None)
+    assert got.keys == want.keys
     assert got == want and got.to_json() == want.to_json()
 
 
@@ -443,7 +467,7 @@ def test_a_graded_product_extended_past_its_cutoff_is_the_fresh_one(p, a, b, at1
     b = {k: v for k, v in b.items() if k <= top} or {0: 1}
     if backend == LOG:
         a, b = ({k: math.log(v) for k, v in s.items()} for s in (a, b))
-    want, got = _fresh_and_extended(GradedSeries(N, p, a, backend), GradedSeries(N, p, b, backend), M, N)
+    want, got = _fresh_and_extended(DirichletSeries(N, a, backend, p), DirichletSeries(N, b, backend, p), M, N)
     assert want.grading == p
     _same_bits(got, want)
 
@@ -467,7 +491,7 @@ def test_a_product_keyed_by_dimensions_extended_past_its_cutoff_is_the_fresh_one
 def test_an_extension_from_the_unit_series_forms_every_other_entry():
     # below both onsets the product is {1: 1}: graded or not, it extends
     N = 5 ** 30
-    a, b = GradedSeries(N, 5, {0: 1, 7: 3, 20: 2}), GradedSeries(N, 5, {0: 1, 9: 4, 13: 1})
+    a, b = DirichletSeries(N, {0: 1, 7: 3, 20: 2}, grading=5), DirichletSeries(N, {0: 1, 9: 4, 13: 1}, grading=5)
     want = convolve(a, b, N)
     for have in (convolve(a, b, 5 ** 6), DirichletSeries(5 ** 6 + 1, {1: 1})):
         assert len(have) == 1
@@ -482,11 +506,36 @@ def test_an_extension_from_the_unit_series_forms_every_other_entry():
         convolve(da, db, 5 ** 6).after(convolve(da, db, 5 ** 8))
 
 
+def test_an_extension_refuses_a_head_dimension_that_is_no_power_of_p():
+    # a head keyed by dimensions is keyed again by exponents of p; 6 has
+    # none, and floor_log(6, 5) = 1 would have put its count at 5
+    s = DirichletSeries(25, {0: 1, 1: 1}, grading=5)
+    assert convolve(s, s, 25) == DirichletSeries(25, {1: 1, 5: 2, 25: 1})
+    with pytest.raises(PreconditionError, match="dimension 6 of the head is not a power of 5"):
+        convolve(s, s, 25, have=DirichletSeries(6, {1: 1, 6: 7}))
+
+
+def test_to_log_keeps_the_key_rule():
+    s = DirichletSeries(25, {0: 1, 1: 2}, grading=5)
+    got = s.to_log()
+    assert got.grading == 5 and got.keys == (0, 1)
+    assert got == DirichletSeries(25, {1: 0.0, 5: math.log(2)}, LOG)
+    # two converted series multiply on their exponents, to the bytes of the
+    # product keyed by dimensions
+    N = 5 ** 9
+    a, b = (DirichletSeries(N, e, grading=5).to_log() for e in ({0: 1, 1: 2, 4: 3}, {0: 1, 2: 5, 3: 7}))
+    da, db = (DirichletSeries(N, list(s.items()), LOG) for s in (a, b))
+    got, want = convolve(a, b, N), convolve(da, db, N)
+    assert got.grading == 5 and want.grading is None
+    assert got.to_json().encode() == want.to_json().encode()
+
+
 def test_a_graded_series_forms_its_dimensions_on_first_read():
-    # convolve, prefix and after read exponents only
-    s = GradedSeries(5 ** 40, 5, {0: 1, 3: 7, 40: 9})
+    # convolve, prefix, after, mult_at and cumulative read exponents only
+    s = DirichletSeries(5 ** 40, {0: 1, 3: 7, 40: 9}, grading=5)
     cut = convolve(s, s, 5 ** 40, have=convolve(s, s, 5 ** 5)).prefix(5 ** 20)
-    assert len(cut) == 3 and cut and cut.exps == (0, 3, 6)
+    assert len(cut) == 3 and cut and cut.keys == (0, 3, 6)
+    assert cut.mult_at(125) == 14 and cut.mult_at(126) is None and cumulative(cut, 5 ** 6) == 64
     with pytest.raises(AttributeError):
         object.__getattribute__(cut, "_dims")
     assert cut.dims == (1, 125, 15625) and cut.dims is cut.dims
@@ -495,16 +544,16 @@ def test_a_graded_series_forms_its_dimensions_on_first_read():
 
 
 def test_prefix_keeps_the_grading_and_slices_the_exponents():
-    s = GradedSeries(5 ** 40, 5, {0: 1, 3: 7, 10: 2, 40: 9})
+    s = DirichletSeries(5 ** 40, {0: 1, 3: 7, 10: 2, 40: 9}, grading=5)
     cut = s.prefix(5 ** 10 + 1)
-    assert cut.grading == 5 and cut.exps == (0, 3, 10)
+    assert cut.grading == 5 and cut.keys == (0, 3, 10)
     assert cut == DirichletSeries(5 ** 10 + 1, {1: 1, 125: 7, 5 ** 10: 2})
     plain = DirichletSeries(100, {1: 1, 7: 2, 99: 3}).prefix(50)
     assert type(plain) is DirichletSeries and plain == DirichletSeries(50, {1: 1, 7: 2})
     with pytest.raises(PreconditionError):
         s.prefix(5 ** 41)
     with pytest.raises(PreconditionError, match="past the cutoff"):
-        GradedSeries(5 ** 3, 5, {4: 1})
+        DirichletSeries(5 ** 3, {4: 1}, grading=5)
 
 
 def graded_terms(terms, p):
