@@ -13,10 +13,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .char_tables import is_prime, prime_power
-from .dirichlet import EXACT, DirichletSeries, convolve, cumulative, floor_log
+from .dirichlet import EXACT, DirichletSeries, convolve, cumulative, floor_log, mult_to_int
 from .errors import BudgetExceededError, InvariantError, PreconditionError, int_name
 from .growth import (
     DiagonalStage,
@@ -24,7 +25,6 @@ from .growth import (
     GeometricStratum,
     GroupSpec,
     Schedule,
-    _GradedProduct,
     exact_abscissa,
     truncated_zeta,
 )
@@ -192,21 +192,73 @@ def _first_past(
     return None, running
 
 
-class _StageRun(_GradedProduct):
-    """One stage stratum's recurrence, kept for one build.  The cutoffs a
-    build asks of a stratum rise by squares from its onset, so K stays
-    within a few times its factor count, and each exponent formed serves
-    every later cutoff: the run takes every cutoff from two factors on,
-    with no estimate."""
+class _StageRun:
+    """One stage stratum's exact series, kept for one build: the power
+    series F = prod_f (1 + x_f)^M_f in t = p^-s, run by the first-order
+    recurrence n * F_n = sum_k c_k * F_(n-k), with c = t F'/F = sum_f M_f *
+    t x_f'/(1 + x_f) (J. C. P. Miller's; Knuth, TAOCP vol. 2, section 4.7),
+    to each larger cutoff a build asks.  Every stage stratum has the
+    canonical pair set, so each x_f is one term a * t^e, which adds M_f * e
+    * (-1)^(i-1) * a^i to c at i * e, and which a larger top leaves as it is.
 
-    def pays(self, xs: list, K: int, top: int) -> bool:
-        return True
+    Every exponent applied is a multiple of their gcd g, so c and F run on
+    the K = top // g + 1 exponents 0, g, ..., top.  Each F_n is then one
+    exact divmod by n, about K^2/2 multiply-adds in all, whatever the number
+    of factors or the support of F; a nonzero remainder raises
+    InvariantError.  F holds exact counts, so its nonzero entries are the
+    keys and values of truncated_zeta's kernel: the same series graded by p
+    to the bit.  The cutoffs a build asks of a stratum rise by squares from
+    its onset, so K stays within a few times its factor count.
+
+    The state is g, c, F, the (M_f, x_f) applied and the top reached.  A
+    factor first walked past a cutoff N has every exponent above
+    floor_log(N, p), so a larger top on the same grid leaves every c_j and
+    F_n below the old one as it is and forms only the new ones; a finer
+    grid forms every exponent again."""
+
+    def __init__(self, p: int):
+        self.p, self.g, self.top, self.xs, self.c, self.F = p, 1, 0, [], [0], [1]
+
+    def extend(self, factors: list, N: int, top: int) -> DirichletSeries:
+        """The product at N, top = floor_log(N, p), once the walk items
+        factors past the last cutoff are applied (every item, from empty);
+        a prefix at a top already reached; and truncated_zeta's plain unit
+        series where no factor lies at or below N."""
+        if top > self.top and (self.xs or factors):
+            if any(f.pairs is not None for _, f in factors):
+                raise PreconditionError("a stage run applies only factors of the canonical pair set")
+            xs = self.xs + [(mult_to_int(f.multiplicity), f.x_terms(N, EXACT, top)) for _, f in factors]
+            g = math.gcd(*(x[0][0] for _, x in xs))
+            K = top // g + 1
+            T0 = self.top if g == self.g else 0  # the first grid, or a finer one: every exponent again
+            if not T0:
+                self.c, self.F = [0], [1]
+            self.g, self.top, self.xs = g, top, xs
+            c = self.c
+            c += [0] * (K - len(c))  # c[j]: the coefficient at exponent j * g
+            for M, ((e, a),) in xs:
+                m = T0 // e + 1  # the first multiple of e past T0
+                v = M * e * a * (-a) ** (m - 1)
+                for j in range(m * e // g, K, e // g):
+                    c[j] += v
+                    v *= -a
+            F = self.F
+            for n in range(len(F), K):
+                F.append(0)  # times c_0 = 0, so the sum starts at c_1 * F_(n-1)
+                Fn, r = divmod(sum(map(mul, c, reversed(F))), n * g)
+                if r:
+                    raise InvariantError(f"graded product over p = {self.p}: {n * g} * F_{n * g} has remainder {r}")
+                F[n] = Fn
+        g = self.g
+        entries = {n * g: Fn for n, Fn in enumerate(self.F[: top // g + 1]) if Fn}
+        return DirichletSeries(N, entries, EXACT, self.p) if len(entries) > 1 else DirichletSeries(N, {1: 1})
 
 
 class _Unions:
     """The union series of one diagonal build: product's memo, the
-    _StageRun of each stage stratum past A1, and the entries of every
-    union formed so far, memo hits included, against a budget."""
+    _StageRun of each stage stratum past A1, which forms every series of
+    that stratum, and the entries of every union formed so far, memo hits
+    included, against a budget."""
 
     def __init__(self, budget: int):
         self.memo, self.runs, self.used, self.budget = {}, {}, 0, budget
@@ -249,24 +301,20 @@ class _Unions:
         return have if have.cutoff == N else have.prefix(N)
 
     def stage(self, stratum: GeometricStratum, N: int) -> DirichletSeries:
-        """The exact series of one stage stratum at N.  Past A1 it is
-        graded by the p of q = p^k and comes from the stratum's _StageRun:
-        a prefix at a top the run has reached, and past it the run
-        extended by the factors the walk adds after the len(run.xs) it
-        applied (the walk of the stratum with that many more dropped), so
-        no factor is walked or formed twice.  A pair set with two
-        exponents n, whose x_f a larger top may lengthen, starts its run
-        again from the full walk instead.  truncated_zeta forms an A1
-        stage, and a stage series below two factors."""
-        series = None
-        if stratum.lie_type != A1:
-            p, run = stratum._pk[0], self.runs.get(stratum)
-            top = floor_log(N, p)
-            if run is None or top > run.top and len({n for _, n in stratum.pair_set()}) > 1:
-                run = self.runs[stratum] = _StageRun(p)
-            walk = stratum.with_skip(stratum.skip + len(run.xs)) if run.xs else stratum
-            series = run.extend(list(walk.factors_below(N)) if top > run.top else [], N, top)
-        return truncated_zeta(GroupSpec((stratum,)), N, backend=EXACT) if series is None else series
+        """The exact series of one stage stratum at N.  Past A1 it comes
+        from the stratum's _StageRun, graded by the p of q = p^k: a prefix
+        at a top the run has reached, and past it the run extended by the
+        factors the walk adds after the len(run.xs) it applied (the walk of
+        the stratum with that many more dropped), so no factor is walked or
+        formed twice.  truncated_zeta forms an A1 stage."""
+        if stratum.lie_type == A1:
+            return truncated_zeta(GroupSpec((stratum,)), N, backend=EXACT)
+        run = self.runs.get(stratum)
+        if run is None:
+            run = self.runs[stratum] = _StageRun(stratum._pk[0])
+        top = floor_log(N, run.p)
+        walk = stratum.with_skip(stratum.skip + len(run.xs)) if run.xs else stratum
+        return run.extend(list(walk.factors_below(N)) if top > run.top else [], N, top)
 
     def series(self, strata: tuple, N: int) -> DirichletSeries:
         s = self.product(strata, N)
@@ -358,26 +406,25 @@ def build_diagonal(
     included.
 
     When every factor a product applies is past A1 over one prime p, as
-    when every stage is past A1 over powers of p, its stage series and
-    convolve run on the exponents of p (series graded by p, whose keys the
-    one kernel _mul_into adds) instead of on dimensions of hundreds of
-    bits, with the updates of dimension keys in their order: the same
-    series, the same certificate.  Each factor's terms are formed on those
-    exponents too, from the k of q = p^k each stage stratum proved when it
-    was built, and no dimension is formed for them.  An A1 stage or stages
+    when every stage is past A1 over powers of p, its convolve runs on the
+    exponents of p (series graded by p, whose keys the one kernel
+    _mul_into adds) instead of on dimensions of hundreds of bits, with the
+    updates of dimension keys in their order: the same series, the same
+    certificate.  Each factor's terms are formed on those exponents too,
+    from the k of q = p^k each stage stratum proved when it was built, and
+    no dimension is formed for them.  An A1 stage or stages
     over two primes keep dimension keys for every product they enter.
 
     Each stage stratum past A1 is graded by its own prime, whatever the
     other stages, and keeps one run of the recurrence n * F_n = sum_k c_k
-    * F_(n-k) on its exponents (growth._GradedProduct) for the call, from
-    its first two factors on: each larger cutoff forms only its new
-    exponents and factors, and a smaller one is a prefix; truncated_zeta
-    forms an A1 stage series and one of fewer factors.  The four benchmark
-    cases take 62/63/54/51 stage series, 24/25/18/21 of them by
-    truncated_zeta, and 39/40/34/30 convolve calls of 6,626/6,624/2,852/
-    3,561 kernel updates.  A stage stratum's hash is formed once, when it
-    is built or derived with another skip (with_skip), from the hash its
-    Schedule formed once, so a memo lookup hashes no Fraction.
+    * F_(n-k) on its exponents (_StageRun) for the call, which forms every
+    series of the stratum: each larger cutoff forms only its new exponents
+    and factors, and a smaller one is a prefix; truncated_zeta forms an A1
+    stage series.  The four benchmark cases take 62/63/54/51 stage series,
+    0 of them by truncated_zeta, and 39/40/34/30 convolve calls of 6,626/
+    6,624/2,852/3,561 kernel updates.  A stage stratum's hash is formed
+    once, when it is built or derived with another skip (with_skip), from
+    the hash its Schedule formed once, so a memo lookup hashes no Fraction.
     """
     rho = Fraction(rho)
     if n_budget < 0:

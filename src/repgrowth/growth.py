@@ -13,8 +13,8 @@ are loops over strata and a new kind is one class plus one STRATUM_KINDS
 entry: factors_below(bound), a (min_dim, factor) pair for each factor
 whose minimal nontrivial degree min_dim is <= bound, min_dim being the
 value the stratum's stop test computed, so no caller forms it again, and
-the factor a _Factor, the one walk item that truncated_zeta, its graded
-product and m_ns read: S(q)^M with q = p^k, no check run on it, since a
+the factor a _Factor, the one walk item that truncated_zeta, a stage
+run of build_diagonal and m_ns read: S(q)^M with q = p^k, no check run on it, since a
 finite stratum yields the item of each FactorSpec, checked when the spec
 was built, and a tower proves the checks once for all its factors;
 split_walk(r, N), that walk to N as a head and a tail: the whole walk and
@@ -64,7 +64,6 @@ from .dirichlet import (
     power_one_plus,  # noqa: F401  unused here; kept bound for the same reason
 )
 from .errors import (
-    InvariantError,
     PreconditionError,
     SpecFormatError,
     fraction_field,
@@ -1032,96 +1031,6 @@ def _linear_terms(terms, M: Multiplicity, stop: int, backend: str) -> list:
     return [(d, lc + math.log(m)) for d, m in terms if m and d <= stop]
 
 
-class _GradedProduct:
-    """The exact product over factors graded by p as a power series F =
-    prod_f (1 + x_f)^M_f in t = p^-s, by the first-order recurrence n * F_n
-    = sum_k c_k * F_(n-k), with c = t F'/F = sum_f M_f * t x_f'/(1 + x_f)
-    (J. C. P. Miller's; Knuth, TAOCP vol. 2, section 4.7), as a run that a
-    larger cutoff extends.
-
-    Every exponent of every x_f up to top = floor_log(N, p) is a multiple
-    of their gcd g, so c and F are too, and both run on the K = top // g +
-    1 exponents 0, g, ..., top.  A one-term x_f = a * t^e (every canonical
-    pair set) adds M_f * e * (-1)^(i-1) * a^i at i * e; a longer one forms h
-    = t x_f'/(1 + x_f) by h_n = n * x_n - sum_k x_k * h_(n-k), about K *
-    |x_f| steps, and adds M_f * h.  Each F_n is then one exact divmod by n,
-    about K^2/2 multiply-adds in all, whatever the number of factors or the
-    support of F; a nonzero remainder raises InvariantError.  F holds exact
-    counts, so its nonzero entries are the kernel's keys and values: the
-    same series graded by p to the bit.
-
-    The state is g, c, F, the (M_f, x_f) applied and the top reached.  A
-    factor first walked past a cutoff N has every exponent above
-    floor_log(N, p), so where every x_f is one term, which a larger top
-    leaves as it is, a larger top on the same grid leaves every c_j and
-    F_n below the old one as it is and forms only the new ones; a finer
-    grid forms every exponent again.  A longer x_f, which a larger top may
-    lengthen, needs a new run from empty at each larger top."""
-
-    def __init__(self, p: int):
-        self.p, self.g, self.top, self.xs, self.c, self.F = p, 0, 0, [], [0], [1]
-
-    def pays(self, xs: list, K: int, top: int) -> bool:
-        """Whether the recurrence, about K^2/2 multiply-adds on K grid
-        exponents plus sum(t_f) to form c, is cheaper than the kernel,
-        about t_1 updates for the first factor and K * t_f for each later
-        one, where t_f = min(K, min(M_f, top // e_f) * |x_f|) bounds the
-        terms of (1 + x_f)^M_f - 1, x_f starting at exponent e_f: the
-        estimate for truncated_zeta's run, formed once.  xs holds the (M_f,
-        x_f) in the order the kernel applies them."""
-        t = [min(K, min(M, top // x[0][0]) * len(x)) for M, x in xs]
-        return K * K / 2 + sum(t) < t[0] + K * sum(t[1:])
-
-    def extend(self, factors: list, N: int, top: int) -> Optional[DirichletSeries]:
-        """The product at N, top = floor_log(N, p), once the walk items
-        factors past the last cutoff are applied (every item, from empty);
-        a prefix at a top already reached.  None where pays says no, with
-        nothing formed past the new x_f; from fewer than two items at the
-        start, with nothing formed (pays never takes one, its t_1 <= K <=
-        K^2/2); and where no factor lies at or below N, whose product is
-        truncated_zeta's plain unit series."""
-        if not self.xs and len(factors) < 2:
-            return None
-        if top > self.top:
-            xs = self.xs + [(mult_to_int(f.multiplicity), f.x_terms(N, EXACT, top)) for _, f in factors]
-            g = math.gcd(*(e for _, x in xs for e, _ in x))
-            K = top // g + 1
-            if not self.pays(xs, K, top):
-                return None
-            T0 = self.top if g == self.g else 0  # the first grid, or a finer one: every exponent again
-            if not T0:
-                self.c, self.F = [0], [1]
-            self.g, self.top, self.xs = g, top, xs
-            c = self.c
-            c += [0] * (K - len(c))  # c[j]: the coefficient at exponent j * g
-            for M, x in xs:
-                if len(x) == 1:
-                    (e, a), = x
-                    m = T0 // e + 1  # the first multiple of e past T0
-                    v = M * e * a * (-a) ** (m - 1)
-                    for j in range(m * e // g, K, e // g):
-                        c[j] += v
-                        v *= -a
-                    continue
-                h = [0] * K
-                x = [(e // g, a) for e, a in x]
-                at = dict(x)
-                for n in range(1, K):
-                    h[n] = n * g * at.get(n, 0) - sum(a * h[n - k] for k, a in x if k < n)
-                    if n * g > T0:
-                        c[n] += M * h[n]
-            F = self.F
-            for n in range(len(F), K):
-                F.append(0)  # times c_0 = 0, so the sum starts at c_1 * F_(n-1)
-                Fn, r = divmod(sum(map(mul, c, reversed(F))), n * g)
-                if r:
-                    raise InvariantError(f"graded product over p = {self.p}: {n * g} * F_{n * g} has remainder {r}")
-                F[n] = Fn
-        g = self.g
-        entries = {n * g: Fn for n, Fn in enumerate(self.F[: top // g + 1]) if Fn}
-        return DirichletSeries(N, entries, EXACT, self.p) if len(entries) > 1 else None
-
-
 def truncated_zeta(
     spec: GroupSpec,
     N: int,
@@ -1161,9 +1070,8 @@ def truncated_zeta(
     factors, order and updates, the kernel adding keys where it would
     multiply them, so the same output to the bit; each factor's terms are
     formed at their exponents (_factor_terms given top = floor_log(N, p)).
-    An exact graded product of two or more factors may instead come from
-    the recurrence of a _GradedProduct run, where its estimate (pays) says
-    it is cheaper.
+    build_diagonal forms its stage series by a recurrence of its own
+    (constructor._StageRun) instead.
 
     Cost: per factor applied one by one, one _factor_terms call on an
     unchecked walk item (a prime stratum still builds a checked FactorSpec
@@ -1199,10 +1107,6 @@ def truncated_zeta(
 
     graded = p is not None  # keys are exponents of p: 1 = p^0, and d1 * d2 <= N is e1 + e2 <= top
     top = floor_log(N, p) if graded else None
-    if graded and exact:
-        series = _GradedProduct(p).extend(factors, N, top)
-        if series is not None:
-            return series
     stop, unit = (top, 0) if graded else (N, 1)
     acc = {unit: 1 if exact else 0.0}
     sources = [unit]  # sorted keys of acc that the current factor can still reach

@@ -490,9 +490,9 @@ def test_build_diagonal_leaves_no_reference_cycles(rho, stages, p):
 
 
 # the most stage series, truncated_zeta and convolve calls of each benchmark
-# case: every stage is past A1 over one prime, so a stage series comes from
-# its stratum's run, and truncated_zeta forms only those below two factors
-BENCHMARK_CALLS = [(62, 24, 39), (63, 25, 40), (54, 18, 34), (51, 21, 30)]
+# case: every stage is past A1 over one prime, so every stage series comes
+# from its stratum's run, and truncated_zeta forms none
+BENCHMARK_CALLS = [(62, 0, 39), (63, 0, 40), (54, 0, 34), (51, 0, 30)]
 # kernel updates of every convolve in the build: the pairs of each union
 # tuple at the largest cutoff it is read at, each formed at most once
 BENCHMARK_UPDATES = [6904, 6900, 3004, 3715]

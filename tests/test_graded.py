@@ -1,11 +1,10 @@
 """Graded series: series whose every dimension is a power of one prime p
 multiply on the exponents of p, through the one kernel dirichlet._mul_into
 with keys added in place of dimensions multiplied, in the same update
-order, so both key rules give the same series to the bit.  An exact graded
-product in truncated_zeta may come from the recurrence instead
-(growth._GradedProduct), where its cost estimate picks it: the same
-series to the bit again, and build_diagonal extends one such run per
-stage stratum to each larger cutoff."""
+order, so both key rules give the same series to the bit.  build_diagonal
+forms each stage series past A1 by a recurrence instead
+(constructor._StageRun), one run per stage stratum extended to each larger
+cutoff: the same series to the bit again."""
 import functools
 import hashlib
 import inspect
@@ -43,7 +42,7 @@ from repgrowth.growth import (
     sl2_over_primes_spec,
     truncated_zeta,
 )
-from repgrowth.lie_data import A1, LieType, PairSet, positive_root_count, tits_excluded
+from repgrowth.lie_data import A1, LieType, PairSet, canonical_pair_set, positive_root_count, tits_excluded
 from test_acceptance import _brute_product
 
 TYPES = (
@@ -147,69 +146,34 @@ def test_graded_and_dict_kernels_give_the_same_bytes(case, backend):
         assert [(p ** e, m) for e, m in zip(graded.keys, graded.mults)] == list(plain.items())
 
 
-@settings(max_examples=100, deadline=None)
-@given(graded_cases(), st.sampled_from(["kernel", "recurrence"]))
-def test_both_graded_branches_give_the_dict_kernels_bytes(case, branch):
-    # the estimate, forced each way, picks the branch of an exact graded
-    # product; the log backend never asks it
-    spec, N = case
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(growth._GradedProduct, "pays", lambda *args: branch == "recurrence")
-        graded, plain = _both_kernels(spec, N, EXACT)
-    assert graded.to_json().encode() == plain.to_json().encode()
-
-
-def _a2_copies(q: int, pairs: PairSet) -> list:
-    """The degrees of one copy of A2(q) under the pair-set model, each as
+def _copy_degrees(q: int, pairs: PairSet) -> list:
+    """The degrees of one copy of S(q) under the pair-set model, each as
     often as its multiplicity: 1, then q^n with multiplicity q^m per pair."""
     return [1] + [q ** n for m, n in pairs for _ in range(q ** m)]
 
 
-@pytest.mark.parametrize("branch", ["kernel", "recurrence"])
 @pytest.mark.parametrize(
-    "pairs", [None, PairSet([(0, 1), (1, 2), (2, 3)])], ids=["canonical", "three-pairs"]
+    "pairs, branch",
+    [(None, "kernel"), (None, "recurrence"), (PairSet([(0, 1), (1, 2), (2, 3)]), "kernel")],
+    ids=["canonical-kernel", "canonical-recurrence", "three-pairs-kernel"],
 )
-def test_graded_products_match_brute_force_degree_enumeration(monkeypatch, pairs, branch):
+def test_graded_products_match_brute_force_degree_enumeration(pairs, branch):
+    # the kernel is truncated_zeta's; the recurrence, a stage run's, takes
+    # the canonical pair set alone
     a2 = LieType("A", 2)
     factors = (FactorSpec(a2, 2, multiplicity=3, pairs=pairs), FactorSpec(a2, 4, multiplicity=2, pairs=pairs))
     spec = GroupSpec((FiniteStratum(factors),))
-    monkeypatch.setattr(growth._GradedProduct, "pays", lambda *args: branch == "recurrence")
     N = 2 ** 13 + 5
-    got = truncated_zeta(spec, N, backend=EXACT)
-    degrees = [_a2_copies(f.q, f.pair_set()) for f in factors for _ in range(f.multiplicity)]
+    if branch == "kernel":
+        got = truncated_zeta(spec, N, backend=EXACT)
+    else:
+        got = constructor._StageRun(2).extend(list(spec.strata[0].factors_below(N)), N, floor_log(N, 2))
+    degrees = [_copy_degrees(f.q, f.pair_set()) for f in factors for _ in range(f.multiplicity)]
     assert got.grading == 2 and dict(got.items()) == _brute_product(degrees, N)
 
 
-def _chosen_branches(spec, N) -> list:
-    """The branch each _GradedProduct.extend call in truncated_zeta(spec, N)
-    picks: a series from the recurrence, or None for the kernel (the
-    estimate declined, or the product has one factor, which it never
-    accepts)."""
-    choices = []
-    real = growth._GradedProduct.extend
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(growth._GradedProduct, "extend", lambda *a: choices.append(real(*a)) or choices[-1])
-        assert truncated_zeta(spec, N).grading == 2
-    return ["kernel" if c is None else "recurrence" for c in choices]
-
-
-def test_the_estimate_sends_sparse_products_to_the_kernel_and_dense_ones_to_the_recurrence():
-    # the recurrence costs K^2/2 on K = top // g + 1 exponents whatever the
-    # support: one factor of a large M, or two factors, at a huge N would
-    # pay it for a few hundred kernel updates
-    a2 = LieType("A", 2)
-    big = 10 ** 6
-    one = GroupSpec((FiniteStratum((FactorSpec(a2, 2, multiplicity=big),)),))
-    two = GroupSpec((FiniteStratum((FactorSpec(a2, 4, multiplicity=big), FactorSpec(a2, 8, multiplicity=big))),))
-    tower = GroupSpec((GeometricStratum(a2, 2, PolyExponent((1,))),))  # A2(2^j)^2, j <= 200
-    assert _chosen_branches(one, 2 ** 2000) == ["kernel"]
-    assert _chosen_branches(two, 2 ** 1500) == ["kernel"]
-    assert _chosen_branches(tower, 2 ** 600) == ["recurrence"]
-
-
 def test_a_one_factor_graded_product_forms_its_terms_once(monkeypatch):
-    # one factor never pays for the recurrence (t_1 <= K <= K^2/2), so the
-    # kernel forms its x_f, and nothing is formed before it to be dropped
+    # the kernel forms the one factor's x_f once
     a2 = LieType("A", 2)
     for M in (1, 3, 10 ** 6):
         spec = GroupSpec((FiniteStratum((FactorSpec(a2, 4, multiplicity=M),)),))
@@ -227,23 +191,21 @@ def test_a_remainder_in_the_recurrence_is_an_invariant_failure(monkeypatch):
     # each F_n must come out of one exact division: a multiplicity read as
     # 1/3, whose (1 + 4 t^3)^(1/3) = 1 + (4/3) t^3 - ... is no count, is exit 5
     a2 = LieType("A", 2)
-    spec = GroupSpec((FiniteStratum((FactorSpec(a2, 2), FactorSpec(a2, 4))),))
-    monkeypatch.setattr(growth._GradedProduct, "pays", lambda *args: True)
-    monkeypatch.setattr(growth, "mult_to_int", lambda M: Fraction(1, 3))
+    stratum = FiniteStratum((FactorSpec(a2, 2), FactorSpec(a2, 4)))
+    monkeypatch.setattr(constructor, "mult_to_int", lambda M: Fraction(1, 3))
     with pytest.raises(InvariantError, match="remainder") as info:
-        truncated_zeta(spec, 2 ** 30, backend=EXACT)
+        constructor._StageRun(2).extend(list(stratum.factors_below(2 ** 30)), 2 ** 30, 30)
     assert info.value.exit_code == 5
 
 
 def _watch_graded_kernel(mp, seen):
-    """Wrap both branches that form a graded product and pass each use to
+    """Wrap both paths that form a graded product and pass each use to
     seen: "kernel from <module>" before each call of the one kernel in
     graded mode, keys added rather than multiplied, where convolve
     (dirichlet) and truncated_zeta (growth) call it; and "recurrence from
-    repgrowth.growth" each time a recurrence run, truncated_zeta's or a
-    stage stratum's in build_diagonal, gives a product
-    (growth._GradedProduct.extend returns None where its estimate sends the
-    product to the kernel)."""
+    repgrowth.constructor" each time a stage stratum's run in
+    build_diagonal gives a graded product (below every factor it gives the
+    plain unit series)."""
     real = dirichlet._mul_into
     bind = inspect.signature(real).bind
     for module in (dirichlet, growth):
@@ -254,15 +216,15 @@ def _watch_graded_kernel(mp, seen):
             return real(*args, **kwargs)
 
         mp.setattr(module, "_mul_into", watched)
-    recurrence = growth._GradedProduct.extend
+    recurrence = constructor._StageRun.extend
 
     def watched_recurrence(*args):
         series = recurrence(*args)
-        if series is not None:
-            seen("recurrence from repgrowth.growth")
+        if series.grading is not None:
+            seen("recurrence from repgrowth.constructor")
         return series
 
-    mp.setattr(growth._GradedProduct, "extend", watched_recurrence)
+    mp.setattr(constructor._StageRun, "extend", watched_recurrence)
 
 
 def _forbid_graded_kernel(mp):
@@ -291,15 +253,15 @@ def test_a1_and_mixed_prime_specs_never_enter_the_graded_kernel(backend):
         for spec in _a1_and_mixed_specs():
             series = truncated_zeta(spec, 10 ** 4, backend=backend)
             assert series.grading is None
-        # the controls: the same patch stops a graded spec on each branch,
-        # the recurrence (exact only) where the estimate is made to pick it;
-        # at 10^5 the tower applies two factors, since one never reaches it
+        # the controls: the same patch stops a graded spec in truncated_zeta's
+        # kernel, and the same tower as a stage stratum in its run (exact only)
         a2 = LieType("A", 2)
-        graded = GroupSpec((GeometricStratum(a2, 5, constructor.make_schedule(Fraction(2), a2)),))
-        for branch in ("kernel", "recurrence") if backend == EXACT else ("kernel",):
-            mp.setattr(growth._GradedProduct, "pays", lambda *a, _b=branch: _b == "recurrence")
-            with pytest.raises(AssertionError, match=f"graded {branch} from repgrowth.growth"):
-                truncated_zeta(graded, 10 ** 5, backend=backend)
+        tower = GeometricStratum(a2, 5, constructor.make_schedule(Fraction(2), a2))
+        with pytest.raises(AssertionError, match="graded kernel from repgrowth.growth"):
+            truncated_zeta(GroupSpec((tower,)), 10 ** 5, backend=backend)
+        if backend == EXACT:
+            with pytest.raises(AssertionError, match="graded recurrence from repgrowth.constructor"):
+                constructor._Unions(0).stage(tower, 10 ** 5)
 
 
 # the A2 tower over 5 at N = 5^12, alone or with a stratum that applies no factor there
@@ -358,8 +320,7 @@ def test_a_union_with_no_factor_of_its_last_stratum_is_its_head(monkeypatch):
 def test_products_with_an_a1_stage_or_two_primes_take_the_dict_kernel(monkeypatch, targets):
     # each stage past A1 is graded alone, but a product with an A1 stage or
     # with a stage over another prime is not, so convolve keys by dimensions;
-    # a stage series past A1 comes from its stratum's run from two factors
-    # on, and from truncated_zeta's kernel below
+    # a stage series past A1 comes from its stratum's run
     products, calls = [], []
     real = constructor.convolve
     monkeypatch.setattr(constructor, "convolve", lambda *a, **k: products.append(real(*a, **k)) or products[-1])
@@ -368,27 +329,23 @@ def test_products_with_an_a1_stage_or_two_primes_take_the_dict_kernel(monkeypatc
     assert cert.complete and products
     assert all(s.grading is None for s in products)
     # graded stage series, no graded convolve
-    assert set(calls) == {f"{b} from repgrowth.growth" for b in ("kernel", "recurrence")}
+    assert set(calls) == {"recurrence from repgrowth.constructor"}
 
 
 def test_a_graded_build_forms_its_products_on_exponents(monkeypatch):
     # the control for the test above: a graded build's convolve keys by
-    # exponents, and the patch that refuses graded mode stops the build
+    # exponents, and the patch that refuses graded mode stops the build at
+    # its first stage series
     with pytest.MonkeyPatch.context() as mp:
         _forbid_graded_kernel(mp)
-        with pytest.raises(AssertionError, match="graded kernel"):
+        with pytest.raises(AssertionError, match="graded recurrence from repgrowth.constructor"):
             build_diagonal(Fraction(2), default_diagonal_targets(Fraction(2), 2, 5))
     calls = []
     _watch_graded_kernel(monkeypatch, calls.append)
     _, cert = build_diagonal(Fraction(2), default_diagonal_targets(Fraction(2), 3, 5))
-    # convolve keyed its updates by exponents, and truncated_zeta formed its
-    # series on exponents by both branches: the kernel for the one-factor
-    # and sparse ones, the recurrence where the estimate picks it
-    assert cert.complete and set(calls) == {
-        "kernel from repgrowth.dirichlet",
-        "kernel from repgrowth.growth",
-        "recurrence from repgrowth.growth",
-    }
+    # convolve keyed its updates by exponents, and the stage runs formed
+    # their series on exponents
+    assert cert.complete and set(calls) == {"kernel from repgrowth.dirichlet", "recurrence from repgrowth.constructor"}
 
 
 @settings(max_examples=80, deadline=None)
@@ -758,31 +715,15 @@ def test_an_a1_stage_keeps_no_run(monkeypatch, targets):
     assert {s.lie_type for s, *_ in seen} == {t for _, t, _ in targets}
 
 
-def _multi_term_stratum() -> GeometricStratum:
-    # x_f = 5^j t^(2j) + 25^j t^(3j) over q = 5, the first four factors
-    # dropped: at top 10 the grid is 2 (exponents 8 and 10), at top 12 the
-    # first factor gains its second term at 12, and from top 15 the grid is 1
+def test_a_stage_run_refuses_a_pair_set_other_than_the_canonical_one():
+    # every stage stratum of a build has the canonical pair set, one pair,
+    # so each x_f is one term at every cutoff; at 5^10 this stratum's first
+    # x_f is one term too, but a larger cutoff would lengthen it, so its run
+    # refuses it from the start
     a2 = LieType("A", 2)
-    return GeometricStratum(a2, 5, PolyExponent((0, 1)), False, PairSet({(1, 2), (2, 3)}), 3)
-
-
-def test_a_multi_term_stage_starts_its_run_again_at_each_larger_cutoff():
-    # a larger top may lengthen an x_f, so each one forms the run from the
-    # full walk; a smaller cutoff is still a prefix of the run
-    stratum = _multi_term_stratum()
-    unions = constructor._Unions(0)
-    grids, first_terms, runs = [], [], []
-    for top in (10, 11, 12, 14, 15, 20, 31, 60):
-        N = 5 ** top + 7
-        _assert_fresh(stratum, N, unions.stage(stratum, N))
-        run = unions.runs[stratum]
-        grids.append(run.g)
-        first_terms.append(len(run.xs[0][1]))
-        runs.append(run)
-    assert grids[:4] == [2, 2, 2, 2] and grids[4:] == [1, 1, 1, 1]
-    assert first_terms[:3] == [1, 1, 2] and len(set(map(id, runs))) == len(runs)
-    _assert_fresh(stratum, 5 ** 30, unions.stage(stratum, 5 ** 30))
-    assert unions.runs[stratum] is run
+    stratum = GeometricStratum(a2, 5, PolyExponent((0, 1)), False, PairSet({(1, 2), (2, 3)}), 3)
+    with pytest.raises(PreconditionError, match="canonical pair set"):
+        constructor._Unions(0).stage(stratum, 5 ** 10 + 7)
 
 
 def test_a_one_term_run_forms_only_what_a_larger_cutoff_adds(monkeypatch):
@@ -808,15 +749,15 @@ def test_a_cutoff_below_the_top_reached_is_a_prefix():
     # below the top a run reached, its series is a prefix with nothing
     # formed, down to one factor; below every factor, truncated_zeta's
     # plain unit series
-    stratum = _multi_term_stratum()
+    stratum = _a2_tower()
     unions = constructor._Unions(0)
     unions.stage(stratum, 5 ** 40)
     run = unions.runs[stratum]
     state = (run.top, run.g, list(run.F), list(run.c), len(run.xs))
-    for N in (5 ** 40 - 1, 5 ** 25, 5 ** 15 + 3, 5 ** 9, 5 ** 8, 5 ** 8 - 1, 7, 1):
+    for N in (5 ** 40 - 1, 5 ** 25, 5 ** 15 + 3, 5 ** 9, 5 ** 3, 5 ** 3 - 1, 7, 1):
         _assert_fresh(stratum, N, unions.stage(stratum, N))
     assert (run.top, run.g, list(run.F), list(run.c), len(run.xs)) == state
-    assert unions.stage(stratum, 5 ** 8).grading == 5 and unions.stage(stratum, 5 ** 8 - 1).grading is None
+    assert unions.stage(stratum, 5 ** 3).grading == 5 and unions.stage(stratum, 5 ** 3 - 1).grading is None
 
 
 def test_a_remainder_in_an_extended_run_is_an_invariant_failure(monkeypatch):
@@ -826,7 +767,54 @@ def test_a_remainder_in_an_extended_run_is_an_invariant_failure(monkeypatch):
     unions = constructor._Unions(0)
     unions.stage(stratum, 5 ** 30)
     assert len(unions.runs[stratum].xs) >= 2
-    monkeypatch.setattr(growth, "mult_to_int", lambda M: Fraction(1, 3))
+    monkeypatch.setattr(constructor, "mult_to_int", lambda M: Fraction(1, 3))
     with pytest.raises(InvariantError, match="remainder") as info:
         unions.stage(stratum, 5 ** 60)
     assert info.value.exit_code == 5
+
+
+@st.composite
+def canonical_runs(draw):
+    """(stratum, cutoffs): a tower past A1 over q = p^k with the canonical
+    pair set, and increasing cutoffs: one below its first factor, one with
+    that factor alone, one with two, then up to four more, up to its
+    MOST_FACTORS-th."""
+    p = draw(st.sampled_from(PRIMES))
+    t = draw(st.sampled_from(TYPES))
+    q = p ** draw(st.integers(1, 3))
+    rule = draw(st.one_of(st.just((0,)), st.tuples(st.integers(0, 3), st.integers(0, 2))))
+    skip = 1 if tits_excluded(t, q) else draw(st.integers(0, 2))
+    stratum = GeometricStratum(t, q, PolyExponent(rule), draw(st.booleans()), None, skip)
+    dims = [1] + [stratum.min_dim_at(skip + i) for i in (1, 2, 3, MOST_FACTORS)]
+    cutoffs = [draw(st.integers(lo, hi - 1)) for lo, hi in zip(dims, dims[1:4])]
+    exps = draw(st.lists(st.integers(floor_log(dims[3], p), floor_log(dims[4], p)), max_size=4, unique=True))
+    return stratum, cutoffs + [draw(st.integers(p ** e, p ** (e + 1) - 1)) for e in sorted(exps)]
+
+
+def _brute_stage(stratum, N):
+    """_brute_product over every copy of every factor of stratum at or
+    below N, or None past eight copies or a copy of over 1000 degrees."""
+    copies = []
+    for _, f in stratum.factors_below(N):
+        (m, n), = canonical_pair_set(f.lie_type)
+        M = dirichlet.mult_to_int(f.multiplicity)
+        if len(copies) + M > 8 or f.q ** m >= 1000:
+            return None
+        copies += [_copy_degrees(f.q, [(m, n)])] * M
+    return _brute_product(copies, N)
+
+
+@settings(max_examples=150, deadline=None)
+@given(canonical_runs())
+def test_one_run_extended_along_its_cutoffs_is_truncated_zeta_at_each(case):
+    # one run, from below its first factor, through one and two factors,
+    # to larger cutoffs: at each, the bytes truncated_zeta forms from
+    # nothing, and the brute product where it reaches
+    stratum, cutoffs = case
+    unions = constructor._Unions(0)
+    for N in cutoffs:
+        got = unions.stage(stratum, N)
+        assert got.to_json() == truncated_zeta(GroupSpec((stratum,)), N, backend=EXACT).to_json()
+        brute = _brute_stage(stratum, N)
+        assert brute is None or dict(got.items()) == brute
+    assert len(unions.runs) == 1
