@@ -12,7 +12,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import compress, count
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
@@ -181,12 +181,16 @@ def _first_past(
     """The first dimension d > n_prev of series with test(R_d, d), R_d the
     running count of the entries at dims <= d, and R_d there; (None, the
     total count) when there is none.  running, when given, is the count at
-    dims <= n_prev, summed otherwise."""
-    i = bisect_right(series.dims, n_prev)
+    dims <= n_prev, summed otherwise.  A series graded by p is scanned on
+    its keys e, each tested at p**e, so no tuple of its dimensions is
+    formed for a prefix that is read once."""
+    p = series.grading
+    i = bisect_right(series.keys, n_prev if p is None else floor_log(n_prev, p))
     if running is None:
         running = sum(series.mults[:i])
-    for d, mult in zip(series.dims[i:], series.mults[i:]):
+    for k, mult in zip(series.keys[i:], series.mults[i:]):
         running += mult
+        d = k if p is None else p ** k
         if test(running, d):
             return d, running
     return None, running
@@ -223,7 +227,10 @@ class _StageRun:
         """The product at N, top = floor_log(N, p), once the walk items
         factors past the last cutoff are applied (every item, from empty);
         a prefix at a top already reached; and truncated_zeta's plain unit
-        series where no factor lies at or below N."""
+        series where no factor lies at or below N.  A factor with no
+        multiple of its exponent past the old top adds nothing and is
+        passed over, and the series is formed from F's nonzero slots as
+        they stand, through the check of DirichletSeries._init_sorted."""
         if top > self.top and (self.xs or factors):
             if any(f.pairs is not None for _, f in factors):
                 raise PreconditionError("a stage run applies only factors of the canonical pair set")
@@ -238,6 +245,8 @@ class _StageRun:
             c += [0] * (K - len(c))  # c[j]: the coefficient at exponent j * g
             for M, ((e, a),) in xs:
                 m = T0 // e + 1  # the first multiple of e past T0
+                if m * e > top:
+                    continue  # no exponent of this factor past T0
                 v = M * e * a * (-a) ** (m - 1)
                 for j in range(m * e // g, K, e // g):
                     c[j] += v
@@ -249,9 +258,14 @@ class _StageRun:
                 if r:
                     raise InvariantError(f"graded product over p = {self.p}: {n * g} * F_{n * g} has remainder {r}")
                 F[n] = Fn
-        g = self.g
-        entries = {n * g: Fn for n, Fn in enumerate(self.F[: top // g + 1]) if Fn}
-        return DirichletSeries(N, entries, EXACT, self.p) if len(entries) > 1 else DirichletSeries(N, {1: 1})
+        F = self.F[: top // self.g + 1]
+        keys, mults = tuple(compress(range(0, top + 1, self.g), F)), tuple(filter(None, F))
+        if len(keys) == 1:
+            return DirichletSeries(N, {1: 1})
+        out = object.__new__(DirichletSeries)
+        if out._init_sorted(N, EXACT, self.p, keys, mults):
+            return out
+        return DirichletSeries(N, dict(zip(keys, mults)), EXACT, self.p)  # raises on a slot that is no count
 
 
 class _Unions:
@@ -346,7 +360,8 @@ class _Unions:
 
 
 def _decide(
-    unions: _Unions, built: tuple, stratum, rho: Fraction, n_prev: int, j_star: int
+    unions: _Unions, built: tuple, stratum, rho: Fraction, n_prev: int, j_star: int,
+    r_prev: Optional[int] = None, clean_to: Optional[int] = None,
 ) -> Optional[int]:
     """Check (ii) for one candidate stratum on top of the stages built,
     both in the cover view: the exact sweep of their union finds no slope
@@ -355,17 +370,36 @@ def _decide(
     can spike past rho; the simple view's sweep window, which on A1 ends
     at or past the cover view's, covers all of them.
 
+    Given r_prev, built's count at n_prev, one exact count decides first
+    (with None, the sweep alone decides).  The candidate's count at its
+    onset d0 > n_prev, its least nontrivial dimension, is c = sum M_f *
+    |terms of x_f at or below d0| over its factors at or below d0, and
+    every other entry of the union lies at built's dims or at 2 * d0 or
+    past, so the union's count at d0 is at least r_prev + c.  When that
+    passes rho and built is clean on (n_prev, d0] (nothing built, or d0 <=
+    clean_to, the window of the stage accepted last), the sweep's first
+    violation is d0: the candidate is rejected with no stage series and
+    no union formed.
+
     Returns the evidence that accepts, swept_to, the end of that window.
     A violation at or past the candidate's onset rejects it: its union
     leaves the memo and the result is None.  A violation below the onset
     is built's, which was accepted under rho: an InvariantError (exit 5)
     that names the stage m = len(built) + 1."""
+    d0 = stratum.min_dim_at(stratum.skip + 1)
+    if r_prev is not None and n_prev < d0 and (not built or d0 <= clean_to):
+        c = sum(
+            mult_to_int(f.multiplicity) * sum(m for _, m in f.x_terms(d0, EXACT))
+            for _, f in stratum.factors_below(d0)
+        )
+        if _slope_test(rho, True)(r_prev + c, d0):
+            return None
     union = (*built, stratum)
     swept_to = stratum.with_simple(True).min_dim_at(max(stratum.skip + 4, j_star))
     violation, _ = unions.first_past(union, n_prev, rho, True, swept_to)
     if violation is None:
         return swept_to
-    if violation >= stratum.min_dim_at(stratum.skip + 1):
+    if violation >= d0:
         del unions.memo[union]
         unions.runs.pop(stratum, None)
         return None
@@ -385,7 +419,9 @@ def build_diagonal(
     Per stage the leading factors are dropped until (i) nothing new appears
     at dimensions <= n(m-1) (exact, since minimal dimensions are computable)
     and (ii) no slope in the exact sweep exceeds rho (_decide); then n(m) is
-    searched as the first checkpoint with slope >= rho_m - 1/m.  n_budget
+    searched as the first checkpoint with slope >= rho_m - 1/m.  Built's
+    count at n(m-1), check (i)'s right side, is formed before the
+    candidates for _decide's onset test, which forms no union.  n_budget
     caps the total entries of the union series formed, every prefix cutoff
     of a scan included; it must be >= 0.
 
@@ -420,9 +456,9 @@ def build_diagonal(
     * F_(n-k) on its exponents (_StageRun) for the call, which forms every
     series of the stratum: each larger cutoff forms only its new exponents
     and factors, and a smaller one is a prefix; truncated_zeta forms an A1
-    stage series.  The four benchmark cases take 62/63/54/51 stage series,
-    0 of them by truncated_zeta, and 39/40/34/30 convolve calls of 6,626/
-    6,624/2,852/3,561 kernel updates.  A stage stratum's hash is formed
+    stage series.  The four benchmark cases take 48/49/49/40 stage series,
+    0 of them by truncated_zeta, and 29/30/31/22 convolve calls of 6,179/
+    6,181/2,746/3,299 kernel updates.  A stage stratum's hash is formed
     once, when it is built or derived with another skip (with_skip), from
     the hash its Schedule formed once, so a memo lookup hashes no Fraction.
     """
@@ -445,7 +481,7 @@ def build_diagonal(
     records: List[StageRecord] = []
     built: Tuple[GeometricStratum, ...] = ()  # the accepted stages, cover view
     shown: Tuple[GeometricStratum, ...] = ()  # the same, but an A1 stage simple
-    n_prev = 1
+    n_prev, window = 1, None
     try:
         for m, (rho_m, t_m, p_m) in enumerate(targets, start=1):
             rho_m = Fraction(rho_m)
@@ -454,19 +490,21 @@ def build_diagonal(
             skip = 0
             while base.min_dim_at(skip + 1) <= n_prev:
                 skip += 1
+            # (i)'s right side, which _decide's onset test reads too; the
+            # empty product holds only the trivial representation
+            rhs = cumulative(unions.series(built, n_prev), n_prev) if built else 1
             # condition (ii): extend the drop prefix until _decide accepts
             j_star = math.ceil(Fraction(1, 2) / (rho - rho_m)) + 1
             for skip in count(skip):
                 stratum = base.with_skip(skip)
-                window = _decide(unions, built, stratum, rho, n_prev, j_star)
-                if window is not None:
+                swept_to = _decide(unions, built, stratum, rho, n_prev, j_star, rhs, window)
+                if swept_to is not None:
                     break
+            window = swept_to
 
             # (i) exact cumulative equality at n(m-1) on the cover view
             union = (*built, stratum)
             lhs = cumulative(unions.series(union, n_prev), n_prev)
-            # the empty product holds only the trivial representation
-            rhs = cumulative(unions.series(built, n_prev), n_prev) if built else 1
             if lhs != rhs:
                 raise InvariantError(f"stage {m}: new representations at or below {n_prev}")
             built = union

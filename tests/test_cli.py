@@ -909,6 +909,11 @@ A1_FIRST_DIGESTS = {
         "a1a1f716f2e5cb8426963689bdcf5ad584f4aea71f016df0532b67b8f083fd57",
     ("3", _a1_first("2", 7, ("5/2", 2))):
         "e2f34e91053f49ad46ecda6dd31dd30b81d730b3caa81a77372ff8ecc1082e70",
+    # pinned before a candidate could be rejected at its onset: here that
+    # test reads an A1 count in the cover view and a union keyed by
+    # dimensions
+    ("2", _a1_first("3/2", 5, ("7/4", 2))):
+        "7dab037518ec48a825c5fdfac0bf015acfcad1d4ec1b91d5313c3b506f8bb557",
 }
 
 
@@ -1473,11 +1478,11 @@ def test_module_docstring_lists_the_reported_exit_codes():
 
 def test_budget_exit_writes_the_partial_certificate_to_out(capsys, tmp_path):
     path = tmp_path / "cert.json"
-    argv = ["construct", "diagonal", "--rho", "2", "--p", "5", "--budget", "300"]
+    argv = ["construct", "diagonal", "--rho", "2", "--p", "5", "--budget", "200"]
     with pytest.raises(errors.BudgetExceededError) as info:
-        constructor.build_diagonal(Fraction(2), constructor.default_diagonal_targets(2, 4, 5), 300)
+        constructor.build_diagonal(Fraction(2), constructor.default_diagonal_targets(2, 4, 5), 200)
     assert main([*argv, "--out", str(path)]) == 4
-    assert capsys.readouterr() == ("", "error: work budget 300 exhausted\n")
+    assert capsys.readouterr() == ("", "error: work budget 200 exhausted\n")
     cert = json.loads(path.read_text())
     assert cert == {"partial_certificate": info.value.partial.to_jsonable()}
     assert len(cert["partial_certificate"]["stages"]) == 3

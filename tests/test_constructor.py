@@ -465,13 +465,15 @@ def test_budgets_run_out_at_the_same_union():
     # every union formed counts its entries, memo hits included, so budgets
     # run out at the same union: on the grid of the test above, edges holds
     # the last budget with k stages done; in the (3, 7, 5) benchmark case
-    # stage k ends once `used` union entries have been formed
+    # stage k ends once `used` union entries have been formed.  Check (i)'s
+    # count of built is formed before the candidates, and a candidate
+    # rejected at its onset forms no union
     targets = default_diagonal_targets(Fraction(2), 4, 5)
-    edges = [(16, 0), (58, 1), (142, 2), (328, 3)]
+    edges = [(16, 0), (55, 1), (127, 2), (262, 3)]
     want = {b: next((k for top, k in edges if b <= top), None) for b in range(1, 400, 3)}
     assert {b: _stages_done(Fraction(2), targets, b) for b in want} == want
     targets = default_diagonal_targets(Fraction(3), 7, 5)
-    for k, used in enumerate([17, 55, 150, 336, 642, 1222, 2032], start=1):
+    for k, used in enumerate([17, 52, 141, 275, 489, 883, 1427], start=1):
         assert _stages_done(Fraction(3), targets, used - 1) == k - 1
         assert _stages_done(Fraction(3), targets, used) == (k if k < 7 else None)
 
@@ -491,11 +493,12 @@ def test_build_diagonal_leaves_no_reference_cycles(rho, stages, p):
 
 # the most stage series, truncated_zeta and convolve calls of each benchmark
 # case: every stage is past A1 over one prime, so every stage series comes
-# from its stratum's run, and truncated_zeta forms none
-BENCHMARK_CALLS = [(62, 0, 39), (63, 0, 40), (54, 0, 34), (51, 0, 30)]
+# from its stratum's run, and truncated_zeta forms none; a candidate
+# rejected at its onset by one exact count forms neither
+BENCHMARK_CALLS = [(48, 0, 29), (49, 0, 30), (49, 0, 31), (40, 0, 22)]
 # kernel updates of every convolve in the build: the pairs of each union
 # tuple at the largest cutoff it is read at, each formed at most once
-BENCHMARK_UPDATES = [6904, 6900, 3004, 3715]
+BENCHMARK_UPDATES = [6179, 6181, 2746, 3299]
 
 
 @pytest.mark.parametrize("case, most", list(zip(BENCHMARK_CASES, BENCHMARK_CALLS)))
@@ -531,7 +534,9 @@ def test_build_diagonal_forms_each_product_once_per_cutoff(monkeypatch, case, mo
     assert simple and not any(simple)
 
 
-@pytest.mark.parametrize("case, most", list(zip(BENCHMARK_CASES, BENCHMARK_UPDATES)))
+@pytest.mark.parametrize(
+    "case, most", list(zip(BENCHMARK_CASES, BENCHMARK_UPDATES)), ids=[f"case{i}" for i in range(len(BENCHMARK_CASES))]
+)
 def test_a_union_extended_to_a_larger_cutoff_forms_only_its_new_pairs(monkeypatch, case, most):
     # every kernel update assigns one key of its accumulator
     updates = []
@@ -639,6 +644,81 @@ def test_a_violation_below_the_onset_is_an_invariant_error():
         candidate = replace(base, skip=skip)
         with pytest.raises(InvariantError, match="stage 2: slope exceeds rho at 125, below"):
             _decide(_Unions(10 ** 9), built, candidate, rho, 1, _j_star(rho, Fraction(3, 2)))
+
+
+def _a(rank):
+    return LieType("A", rank)
+
+
+# the builds the onset test is checked on: the benchmark cases, 12 stages at
+# p = 5, test_cli's P7_TARGETS, the CI build over primes 5 and 7, and a
+# build whose first stage is A1
+ONSET_CASES = [
+    *(pytest.param(rho, default_diagonal_targets(rho, n, p), id=f"case{i}") for i, (rho, n, p) in enumerate(BENCHMARK_CASES)),
+    pytest.param(Fraction(2), default_diagonal_targets(Fraction(2), 12, 5), id="12-stages"),
+    pytest.param(
+        Fraction(5, 2),
+        [(Fraction(3, 2), _a(2), 7), (Fraction(2), LieType("C", 3), 7), (Fraction(9, 4), _a(5), 7)],
+        id="p7",
+    ),
+    pytest.param(
+        Fraction(2), [(Fraction(2 * m - 1, m), _a(m + 1), 7 if m % 2 == 0 else 5) for m in range(1, 9)], id="two-primes"
+    ),
+    pytest.param(Fraction(2), [(Fraction(3, 2), A1, 5), (Fraction(7, 4), _a(2), 5)], id="a1-first"),
+]
+
+
+@pytest.mark.parametrize("rho, targets", ONSET_CASES)
+def test_the_onset_test_decides_each_candidate_as_the_sweep_does(rho, targets):
+    # every candidate from the (i) walk's start to the recorded skip, decided
+    # with the onset test (built's count at n(m-1) and the last stage's sweep
+    # window, as the build passes them) and by the sweep alone: the same
+    # verdict.  An onset rejection forms nothing, lies in built's clean
+    # window, and is a sweep violation exactly at the onset d0; and on these
+    # builds every sweep violation at an onset inside that window is one
+    spec, cert = build_diagonal(rho, targets)
+    sweeps = _Unions(10 ** 9)
+    built, n_prev, window, at_onset = (), 1, None, 0
+    for stage, record in zip(spec.strata[0].stages, cert.stages):
+        stratum = stage.stratum.with_simple(False)
+        j_star = _j_star(rho, record.rho_m)
+        r_prev = int(record.checks[0].detail["cumulative"])
+        swept_to = int(record.checks[1].detail["swept_to"])
+        start = next(s for s in range(record.dropped + 1) if stratum.min_dim_at(s + 1) > n_prev)
+        for skip in range(start, record.dropped + 1):
+            candidate = replace(stratum, skip=skip)
+            d0 = candidate.min_dim_at(skip + 1)
+            unions = _Unions(10 ** 9)
+            verdict = _decide(unions, built, candidate, rho, n_prev, j_star, r_prev, window)
+            assert verdict == _decide(sweeps, built, candidate, rho, n_prev, j_star)
+            assert verdict == (swept_to if skip == record.dropped else None)
+            if verdict is None:
+                hit, _ = sweeps.first_past((*built, candidate), n_prev, rho, True, d0)
+                tier = unions.used == 0
+                assert tier == (hit == d0 and (not built or d0 <= window))
+                if tier:
+                    assert not unions.memo and not unions.runs
+                    at_onset += 1
+        built, n_prev, window = (*built, stratum), record.n_m, swept_to
+    assert at_onset
+
+
+def test_the_onset_test_reads_built_only_inside_its_clean_window():
+    # the onset count bounds the union's count at d0 from below, but a
+    # verdict at d0 also needs built clean on (n(m-1), d0): this built
+    # passes rho at 125, past the window 124 it is given, so the sweep, not
+    # the onset test, decides the A3 candidate, whose onset count passes
+    # rho at 15625, and finds built's violation
+    rho = Fraction(2)
+    built = (build_fixed_type(Fraction(3), _a(2), 5).strata[0].with_simple(False),)
+    candidate = build_fixed_type(Fraction(3, 2), _a(3), 5).strata[0].with_simple(False)
+    j_star = _j_star(rho, Fraction(3, 2))
+    with pytest.raises(InvariantError, match="stage 2: slope exceeds rho at 125, below"):
+        _decide(_Unions(10 ** 9), built, candidate, rho, 1, j_star, 1, 124)
+    # with nothing built, the same count rejects it with nothing formed
+    unions = _Unions(10 ** 9)
+    assert _decide(unions, (), candidate, rho, 1, j_star, 1) is None
+    assert unions.used == 0 and not unions.memo and not unions.runs
 
 
 def test_certificate_json_shape():
