@@ -17,9 +17,9 @@ the factor a _Factor, the one walk item that truncated_zeta, a stage
 run of build_diagonal and m_ns read: S(q)^M with q = p^k, no check run on it, since a
 finite stratum yields the item of each FactorSpec, checked when the spec
 was built, and a tower proves the checks once for all its factors;
-split_walk(r, N), that walk to N as a head and a tail: the whole walk and
-no tail, but on a prime stratum the items of min_dim <= r and the rest as
-sieve columns, which add their exact terms into a list indexed by
+split_walk(N), that walk to N as a head and a tail: the whole walk and
+no tail, but on a prime stratum the items of min_dim <= isqrt(N) and the
+rest as sieve columns, which add their exact terms into a list indexed by
 dimension with no item formed (_PrimeTail);
 abscissa_rate(), (kind, rate) with kind "rational", "infinite" or
 "finite"; count_exponent(), b with m_n = O(n^b), or None;
@@ -82,7 +82,7 @@ from .lie_data import (
 )
 
 # a tower multiplicity stays a plain int while it has at most this many bits,
-# and truncated_zeta's automatic choice is exact unless one has more; _wide
+# and _plan's automatic choice is exact unless one has more; _wide
 # decides both
 _MATERIALIZE_BITS = 256
 MAX_POLY_COEFFS = 256      # _first_negative holds ~count^2/2 coefficients of size ~count!
@@ -91,11 +91,10 @@ MAX_POLY_COEFFS = 256      # _first_negative holds ~count^2/2 coefficients of si
 # both; the slowest accepted case measured on a 2-core machine,
 # j^126 (j - 255) + 254 (128 coefficients of up to 8 bits), takes about 0.23 s
 MAX_POLY_BITS = 1024
-# the exact product over dimensions adds into a list of N + 1 slots when N
-# <= _DENSE_SLOTS_PER_ITEM * (its walk items), and into a dict otherwise: a
-# slot costs 8 bytes, and each walk item adds at least one dict entry of
-# about 100 bytes (key, count and hash slot), so the list holds no more than
-# the dict would, and a sparse product at a huge N allocates no slot
+# a slot of _plan's dense list costs 8 bytes, and each walk item adds at least
+# one dict entry of about 100 bytes (key, count and hash slot), so a list of
+# N + 1 slots, at most this many per walk item, holds no more than the dict
+# would, and a sparse product at a huge N allocates no slot
 _DENSE_SLOTS_PER_ITEM = 16
 
 
@@ -492,10 +491,9 @@ class FactorSpec:
         return cls(lt, q, _simple_flag(obj, "simple", pointer), mult, pairs)
 
 
-def _split_walk(stratum, r: int, N: int) -> Tuple[list, tuple]:
-    """(head, tail): the stratum's whole walk to N as the head, and no
-    tail.  Only a prime stratum gains from a tail (_PrimeTail); any other
-    factor past r is applied as a head factor, linear when r = isqrt(N)."""
+def _split_walk(stratum, N: int) -> Tuple[list, tuple]:
+    """(head, tail): the whole walk to N and no tail.  Only a prime stratum
+    gains from one (_PrimeTail); any other factor past isqrt(N) is linear."""
     return list(stratum.factors_below(N)), ()
 
 
@@ -748,12 +746,13 @@ class PrimeStratum(_Tower):
             else:
                 yield h, _Factor(A1, p, p, 1, simple, M, None)
 
-    def split_walk(self, r: int, N: int) -> Tuple[list, "_PrimeTail"]:
-        """(head, tail): the walk to N, the items of min_dim <= r as the
-        head (its h^2 <= N decides a powered prime) and the rest as the
-        columns of a _PrimeTail."""
-        head = list(itertools.takewhile(lambda t: t[0] <= r, self.factors_below(N)))
-        return head, _PrimeTail(self, r, N)
+    def split_walk(self, N: int) -> Tuple[list, "_PrimeTail"]:
+        """(head, tail): the walk to N, the items of min_dim <= r = isqrt(N)
+        as the head (its h^2 <= N decides a powered prime), which draws no
+        sieve window when empty, and the rest as a _PrimeTail's columns."""
+        r = math.isqrt(N)
+        walk = self.factors_below(N) if (self.p_min - 1) // 2 <= r else ()
+        return list(itertools.takewhile(lambda t: t[0] <= r, walk)), _PrimeTail(self, r, N)
 
     def rate_exponent(self) -> int:
         return 3 * self.mult_exponent
@@ -1031,63 +1030,35 @@ def _linear_terms(terms, M: Multiplicity, stop: int, backend: str) -> list:
     return [(d, lc + math.log(m)) for d, m in terms if m and d <= stop]
 
 
-def truncated_zeta(
-    spec: GroupSpec,
-    N: int,
-    *,
-    backend: Optional[str] = None,
-) -> DirichletSeries:
-    """Dirichlet product over every factor that contributes below N.
+@dataclass(frozen=True)
+class _Plan:
+    """truncated_zeta's run at N as _plan decides it: factors, the walk items
+    (min_dim, item) in the order they are applied; tails, the _PrimeTails
+    that a dense product applies at once as 1 + S."""
 
-    The backend is chosen automatically: exact unless some factor
-    multiplicity has more than _MATERIALIZE_BITS (256) bits, the size past
-    which a tower keeps it as an unexpanded BigPower, both decided exactly
-    by _wide; the whole computation then runs in the log domain.  The
-    exact backend is never silently degraded.  Each stratum's split_walk
-    hands over its walk; a prime stratum's keeps the primes past isqrt(N)
-    as a tail that reports its largest multiplicity, so no tail prime is
-    walked for the choice.
+    N: int
+    backend: str
+    grading: Optional[int]
+    dense: bool
+    factors: Tuple[Tuple[int, object], ...]
+    tails: Tuple[_PrimeTail, ...]
 
-    The product is accumulated in place: factors (1 + x_f)^M sorted stably
-    by min_dim, ties in the order of their strata and walks, each one's
-    terms formed (_factor_terms) and applied by one kernel (every source
-    d1 <= N // min_dim, high to low, adds into d1 * d2) before the next's.
-    An exact product over dimensions with N <= _DENSE_SLOTS_PER_ITEM times
-    its walk items is dense (_dense_product): it adds into one list indexed
-    by dimension (dirichlet._mul_into_list), applies every walk item so,
-    and their product P then takes the primes of every prime stratum's
-    tail at once as 1 + S, S the sum of their terms, formed from the
-    sieve's primes in columns into a second list (_PrimeTail.add_terms).
-    Below N each tail prime is 1 + M_f x_f and any two meet only above N;
-    the sources lie below sqrt(N), where P is final; integer sums commute:
-    so this is the per-factor product to the bit.  Any other product adds
-    into one dict keyed by dimension (dirichlet._mul_into), every factor
-    one at a time, as the log backend's bits follow the order of its
-    log-adds.
 
-    When every factor is past A1 over one prime p (each item's grading()),
-    the product is graded by p, keyed by the exponent e of p^e: the same
-    factors, order and updates, the kernel adding keys where it would
-    multiply them, so the same output to the bit; each factor's terms are
-    formed at their exponents (_factor_terms given top = floor_log(N, p)).
-    build_diagonal forms its stage series by a recurrence of its own
-    (constructor._StageRun) instead.
-
-    Cost: per factor applied one by one, one _factor_terms call on an
-    unchecked walk item (a prime stratum still builds a checked FactorSpec
-    for each powered prime), then about N * sum(|x_f| / min_dim) kernel
-    updates, a slot's add when dense and a dict update when sparse; for a
-    prime stratum's tail, a sieve to 2N + 1, a few C-level maps per degree
-    family and one slot's add per term of S.  A dense product holds at
-    most three lists of N + 1 slots, reads its sources off its list by
-    C-level compress, and makes its series from the nonzero slots as
-    tuples; a sparse one from its dict.  No merged copy is formed.
-    """
+def _plan(spec: GroupSpec, N: int, backend: Optional[str] = None) -> _Plan:
+    """truncated_zeta's plan at N from each stratum's split_walk(N), with no
+    term formed and no kernel run.  Given no backend, it is exact unless
+    some multiplicity is _wide, then log throughout (the exact backend is
+    never silently degraded); a prime tail's largest() stands for its
+    primes.  The product is graded by p when every item is past A1 over one
+    prime p (grading()).  An exact product over dimensions is dense when N
+    <= _DENSE_SLOTS_PER_ITEM times its walk items: head items one by one,
+    then the prime tails at once; any other applies every item in turn, all
+    sorted stably by min_dim, ties in the order of their strata and walks."""
     if N < 1:
         raise PreconditionError("N must be >= 1")
     if backend not in (None, EXACT, LOG):
         raise PreconditionError(f"unknown backend {backend!r}")
-    walks = [s.split_walk(N if backend == LOG else math.isqrt(N), N) for s in spec.strata]
+    walks = [s.split_walk(N) for s in spec.strata]
     if backend is None:
         mults = [t.largest() for _, t in walks if t] + [f.multiplicity for h, _ in walks for _, f in h]
         wide = (_wide(M.base, M.exponent) if isinstance(M, BigPower) else _wide(M) for M in mults)
@@ -1096,46 +1067,73 @@ def truncated_zeta(
     p = next(grades, None)
     if p is not None and any(g != p for g in grades):
         p = None
-    exact = backend == EXACT
-    dense = exact and p is None and N <= _DENSE_SLOTS_PER_ITEM * sum(len(h) + len(t) for h, t in walks)
-    tails = [t for _, t in walks if t] if dense else []
-    factors = [item for h, t in walks for item in (h if dense else itertools.chain(h, t))]
-    del walks
-    factors.sort(key=itemgetter(0))
-    if dense:
-        return _dense_product(factors, tails, N)
+    dense = backend == EXACT and p is None and N <= _DENSE_SLOTS_PER_ITEM * sum(len(h) + len(t) for h, t in walks)
+    factors = sorted((item for h, t in walks for item in (h if dense else itertools.chain(h, t))), key=itemgetter(0))
+    return _Plan(N, backend, p, dense, tuple(factors), tuple(t for _, t in walks if t) if dense else ())
 
+
+def truncated_zeta(spec: GroupSpec, N: int, *, backend: Optional[str] = None) -> DirichletSeries:
+    """Dirichlet product over every factor that contributes below N, formed
+    as _plan(spec, N, backend) decides: backend, key rule, density, split.
+
+    The product is accumulated in place: each factor (1 + x_f)^M has its
+    terms formed (_factor_terms) and applied by one kernel (every source
+    d1 <= N // min_dim, high to low, adds into d1 * d2) before the next's,
+    into a dict (dirichlet._mul_into), or if dense into a list indexed by
+    dimension (_dense_product).  A dense product P of the walk items then
+    takes every tail prime at once as 1 + S, S the sum of their terms
+    formed in columns (_PrimeTail.add_terms).  Below N each tail prime is
+    1 + M_f x_f and any two meet only above N; the sources lie below
+    sqrt(N), where P is final; integer sums commute: so this is the
+    per-factor product to the bit.  The log backend's bits follow the
+    order of its log-adds.  Graded by p, keys are the exponents e of p^e
+    (top = floor_log(N, p)): the same factors, order and updates, the
+    kernel adding keys where it would multiply them, so the same bits.
+
+    Cost: per factor applied one by one, one _factor_terms call on an
+    unchecked walk item (a prime stratum still builds a checked FactorSpec
+    for each powered prime), then about N * sum(|x_f| / min_dim) kernel
+    updates, a slot's add when dense and a dict update when sparse; for a
+    prime stratum's tail, a sieve to 2N + 1, a few C-level maps per degree
+    family and one slot's add per term of S.  A dense product holds at
+    most three lists of N + 1 slots and makes its series from the nonzero
+    slots; a sparse one from its dict.
+    """
+    plan = _plan(spec, N, backend)
+    if plan.dense:
+        return _dense_product(plan)
+    p, exact = plan.grading, plan.backend == EXACT
     graded = p is not None  # keys are exponents of p: 1 = p^0, and d1 * d2 <= N is e1 + e2 <= top
     top = floor_log(N, p) if graded else None
     stop, unit = (top, 0) if graded else (N, 1)
     acc = {unit: 1 if exact else 0.0}
     sources = [unit]  # sorted keys of acc that the current factor can still reach
-    for min_dim, f in factors:
-        x = _factor_terms(f, min_dim, N, backend, top)
+    for min_dim, f in plan.factors:
+        x = _factor_terms(f, min_dim, N, plan.backend, top)
         bound = top - x[0][0] if graded else N // x[0][0]
         del sources[bisect_right(sources, bound):]
         fresh = _mul_into(acc, acc, reversed(sources), x, stop, exact, bound, graded)
         if fresh:
             sources += fresh
             sources.sort()
-    return DirichletSeries(N, acc, backend, p)
+    return DirichletSeries(N, acc, plan.backend, p)
 
 
-def _dense_product(factors: list, tails: list, N: int) -> DirichletSeries:
-    """The dense exact product over dimensions, emptying tails, the prime
-    strata's non-empty _PrimeTails (see truncated_zeta): a walk item's
-    sources are the nonzero slots of acc up to N // (its least dimension),
-    read off the list high to low; the tails', other than the unit source,
-    read S's nonzero columns up to N // (the least of them)."""
+def _dense_product(plan: _Plan) -> DirichletSeries:
+    """A dense plan's product (see truncated_zeta): a walk item's sources
+    are the nonzero slots of acc up to N // (its least dimension), read off
+    the list high to low by C-level compress; the tails', other than the
+    unit source, read S's nonzero columns up to N // (the least of them)."""
+    N = plan.N
     acc = [0] * (N + 1)
     acc[1] = 1
-    for min_dim, f in factors:
+    for min_dim, f in plan.factors:
         x = _factor_terms(f, min_dim, N, EXACT)
         bound = N // x[0][0]
         _mul_into_list(acc, compress(range(bound, 0, -1), acc[bound:0:-1]), x, N)
     S = [0] * (N + 1)
-    while tails:
-        tails.pop().add_terms(S, N)
+    for tail in plan.tails:
+        tail.add_terms(S, N)
     lo = next(compress(range(N + 1), S), None)
     if lo is not None:
         bound = N // lo

@@ -538,7 +538,7 @@ def test_unknown_backend_is_refused_before_any_work(backend, monkeypatch):
     def no_factors(*args):
         raise AssertionError("factors enumerated before the backend was checked")
 
-    monkeypatch.setattr(growth, "_contributions", no_factors)
+    monkeypatch.setattr(PrimeStratum, "split_walk", no_factors)
     with pytest.raises(PreconditionError, match="unknown backend"):
         truncated_zeta(sl2_over_primes_spec(3), 100, backend=backend)
 
@@ -673,19 +673,6 @@ def test_each_factor_is_applied_as_it_is_formed(backend):
     _applied_as_formed(graded, 5 ** 60, backend)
 
 
-def _dense_calls(mp):
-    """A list that gains the cutoff N of each product that truncated_zeta
-    accumulates in the list indexed by dimension, from now on."""
-    calls, dense = [], growth._dense_product
-
-    def watched(factors, tails, N):
-        calls.append(N)
-        return dense(factors, tails, N)
-
-    mp.setattr(growth, "_dense_product", watched)
-    return calls
-
-
 def _list_and_dict_paths(spec, N):
     """The exact truncated_zeta(spec, N) accumulated in the list and in the
     dict, each from the same walk: every product over dimensions with a
@@ -695,9 +682,8 @@ def _list_and_dict_paths(spec, N):
     for per_item in (10 ** 9, 0):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(growth, "_DENSE_SLOTS_PER_ITEM", per_item)
-            calls = _dense_calls(mp)
+            assert growth._plan(spec, N, EXACT).dense is bool(per_item and walked)
             out.append(truncated_zeta(spec, N, backend=EXACT))
-        assert calls == ([N] if per_item and walked else [])
     return out
 
 
@@ -759,37 +745,52 @@ def test_list_path_is_the_dict_path_on_a_thousand_finite_factors():
     assert hashlib.sha256(dense.to_json().encode()).hexdigest() == THOUSAND_FACTORS_DIGEST
 
 
-def test_only_a_dense_exact_product_over_dimensions_takes_the_list():
+def test_only_a_dense_exact_product_over_dimensions_takes_the_list(monkeypatch):
+    # each plan as (backend, grading, dense, tails), read with no product
+    # formed; the first six also run, on the plan's backend and grading
     sparse_finite = finite_spec(FactorSpec(A1, 10007), FactorSpec(A1, 10009, multiplicity=3))
     tower = GroupSpec((GeometricStratum(A1, 10007, PolyExponent((0, 1))),))
-    diagonal = _diagonal_spec()
-    with pytest.MonkeyPatch.context() as mp:
-        calls = _dense_calls(mp)
-        # two walk items at N = 10^12: a list would take 8 TB
-        assert len(truncated_zeta(sparse_finite, 10 ** 12)) == 53
-        # ten items at 10^40 (10007^10 ~ 2^133 at most), forced exact and
-        # automatic, which is exact too
-        assert truncated_zeta(tower, 10 ** 40, backend=EXACT).backend == EXACT
-        assert truncated_zeta(tower, 10 ** 40).backend == EXACT
+    cases = [
+        # two walk items at N = 10^12, a CI pin: a list would take 8 TB
+        (sparse_finite, 10 ** 12, None, (EXACT, None, False, 0)),
+        # ten items at 10^40 (10007^10 ~ 2^133 at most), forced exact and automatic
+        (tower, 10 ** 40, EXACT, (EXACT, None, False, 0)),
+        (tower, 10 ** 40, None, (EXACT, None, False, 0)),
         # graded: keys are exponents of 5, not dimensions
-        assert truncated_zeta(diagonal, 10 ** 7).grading == 5
-        assert truncated_zeta(sl2_over_primes_spec(3), 3000, backend=LOG).backend == LOG
-        # a prime stratum whose primes all lie just below 2N + 1, every one
-        # in its tail: sparse unpatched, forced exact and automatic (exact at
-        # both, M ~ 2^92 at 10^9), and the series of the same primes as factors
-        for N, p_min, n in ((10 ** 6, 1999800, 12), (10 ** 9, 2 * 10 ** 9 - 200, 11)):
-            primes = PrimeStratum(p_min, 1)
-            walk = list(primes.factors_below(N))
-            same = finite_spec(*(FactorSpec(A1, f.q, False, f.multiplicity) for _, f in walk))
-            assert len(walk) == n and walk[0][0] > math.isqrt(N)
-            for backend in (EXACT, None):
-                series = truncated_zeta(GroupSpec((primes,)), N, backend=backend)
-                assert series == truncated_zeta(same, N, backend=backend) and len(series) > n
-        assert calls == []
-        # 781 walk items at N = 3000, on truncated_zeta and on empirical_slope
-        assert truncated_zeta(sl2_over_primes_spec(3), 3000).backend == EXACT
-        empirical_slope(sl2_over_primes_spec(3), 3000)
-        assert calls == [3000, 3000]
+        (_diagonal_spec(), 10 ** 7, None, (EXACT, 5, False, 0)),
+        (sl2_over_primes_spec(3), 3000, LOG, (LOG, None, False, 0)),
+        # 781 walk items at N = 3000 on the automatic plan, the one that
+        # empirical_slope's truncated_zeta(spec, N) runs
+        (sl2_over_primes_spec(3), 3000, None, (EXACT, None, True, 1)),
+        # the other zeta runs that CI pins, each with the plan its step claims
+        (sl2_over_primes_spec(3), 10 ** 6, None, (EXACT, None, True, 1)),
+        (sl2_over_primes_spec(4), 10 ** 5, None, (EXACT, None, True, 1)),
+        (GroupSpec((PrimeStratum(1999999999800, 0),)), 10 ** 12, None, (EXACT, None, False, 0)),
+        (build_fixed_type(Fraction(2), LieType("A", 2), 5), 5 ** 60, None, (EXACT, 5, False, 0)),
+    ]
+    starts = []
+    monkeypatch.setattr(growth, "primes_from", lambda start: starts.append(start) or primes_from(start))
+    plans = [growth._plan(spec, N, backend) for spec, N, backend, _ in cases]
+    assert [(p.backend, p.grading, p.dense, len(p.tails)) for p in plans] == [want for *_, want in cases]
+    # the primes from 1999999999800 have no head item at 10^12: only the tail sieves
+    assert starts.count(1999999999800) == 1
+    assert len(plans[5].factors) + len(plans[5].tails[0]) == 781
+    assert mult_to_int(plans[7].tails[0].largest()).bit_length() == 104  # exact at 104 bits
+    series = [truncated_zeta(spec, N, backend=backend) for spec, N, backend, _ in cases[:6]]
+    assert [(s.backend, s.grading) for s in series] == [(p.backend, p.grading) for p in plans[:6]]
+    assert len(series[0]) == 53
+    # a prime stratum whose primes all lie just below 2N + 1, every one in
+    # its tail: sparse, forced exact and automatic (exact at both, M ~ 2^92
+    # at 10^9), and the series of the same primes as factors
+    for N, p_min, n in ((10 ** 6, 1999800, 12), (10 ** 9, 2 * 10 ** 9 - 200, 11)):
+        primes = GroupSpec((PrimeStratum(p_min, 1),))
+        walk = list(primes.strata[0].factors_below(N))
+        same = finite_spec(*(FactorSpec(A1, f.q, False, f.multiplicity) for _, f in walk))
+        assert len(walk) == n and walk[0][0] > math.isqrt(N)
+        for backend in (EXACT, None):
+            assert not growth._plan(primes, N, backend).dense
+            got = truncated_zeta(primes, N, backend=backend)
+            assert got == truncated_zeta(same, N, backend=backend) and len(got) > n
 
 
 def _a1_factor_cases():
