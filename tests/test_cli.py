@@ -1,6 +1,5 @@
 import contextlib
 import copy
-import hashlib
 import io
 import json
 import math
@@ -14,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repgrowth
+import golden
 from repgrowth import cli, constructor, dirichlet, errors, finite_groups, growth, invariants
 from repgrowth.cli import main
 from repgrowth.dirichlet import cumulative
@@ -605,16 +604,6 @@ def test_zeta_and_empirical_slope_read_the_same_counts(capsys, d, N):
     assert len(got) > 100 and got == want
 
 
-def _run_module(*argv):
-    """Exit code, stdout and stderr of python -m repgrowth argv in a fresh
-    process, which must end within 30 s."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repgrowth.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "repgrowth", *argv], capture_output=True, env=env, timeout=30
-    )
-    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
-
-
 def test_reused_parser_answers_each_call_as_a_fresh_process(capsys, monkeypatch, tmp_path):
     # main() builds the parser once per process; a parse error, a run, a
     # refused --out and a run of another command in turn on that one parser
@@ -633,10 +622,10 @@ def test_reused_parser_answers_each_call_as_a_fresh_process(capsys, monkeypatch,
     for argv in calls:
         code = main(list(argv))
         out, err = capsys.readouterr()
-        got.append((code, out, err))
+        got.append((code, out.encode(), err))
     assert cli.build_parser() is parser
     assert [code for code, _, _ in got] == [2, 0, 2, 0]
-    assert got == [_run_module(*argv) for argv in calls]
+    assert got == [golden.run(argv) for argv in calls]
 
 
 # one A2 factor with multiplicity 2^63 - 1: below 2^256, so zeta stays exact
@@ -658,14 +647,14 @@ LONG_COUNT_SPEC = json.dumps(
 def test_zeta_count_too_long_to_print_is_a_budget_exit(tmp_path, fmt):
     # at N = 2^600 the largest count has 3,539 digits; at 2^900 str() refuses one
     argv = ("zeta", "--spec", LONG_COUNT_SPEC, "--format", fmt, "--N")
-    code, out, err = _run_module(*argv, str(2 ** 600))
+    code, out, err = golden.run((*argv, str(2 ** 600)))
     assert (code, err) == (0, "")
     assert max(len(line) for line in out.splitlines()) > 3539
     target = tmp_path / "series"
     for where in ((), ("--out", str(target))):
-        assert _run_module(*argv, str(2 ** 900), *where) == (
+        assert golden.run((*argv, str(2 ** 900), *where)) == (
             4,
-            "",
+            b"",
             "error: an exact count has more than 4300 digits, too many to print\n",
         )
     assert not target.exists()
@@ -684,7 +673,7 @@ HUGE_E_SPEC = json.dumps({"strata": [{"index": "primes", "rate_exponent": 3 * 10
 )
 def test_huge_prime_rate_exponent_finishes(argv):
     # ((p^3 - p)/2)^E used to be formed in full, and neither command ended
-    code, out, err = _run_module(*argv)
+    code, out, err = golden.run(argv)
     assert (code, err) == (0, "")
     assert json.loads(out)
 
@@ -704,10 +693,10 @@ FAR_FIRST_DIM = {
 
 @pytest.mark.parametrize("spec", FAR_FIRST_DIM.values(), ids=FAR_FIRST_DIM.keys())
 def test_first_dimension_far_above_n_contributes_nothing(spec):
-    zeta = _run_module("zeta", "--spec", json.dumps(spec), "--N", "100")
+    zeta = golden.run(("zeta", "--spec", json.dumps(spec), "--N", "100"))
     assert (zeta[0], zeta[2]) == (0, "")
     assert json.loads(zeta[1])["entries"] == [["1", "1"]]
-    slope = _run_module("abscissa", "--empirical", "--spec", json.dumps(spec), "--N", "100")
+    slope = golden.run(("abscissa", "--empirical", "--spec", json.dumps(spec), "--N", "100"))
     assert (slope[0], slope[2]) == (0, "")
     assert json.loads(slope[1])["points"] == []
 
@@ -819,104 +808,6 @@ def test_targets_json_equal_to_the_default_stages(capsys, tmp_path):
     assert default[0] == 0 and from_file == default
 
 
-# sha256 of the `construct diagonal` stdout, pinned before build_diagonal
-# formed its unions from per-stratum series and scanned prefixes
-CONSTRUCT_DIGESTS = {
-    ("--rho", "2", "--stages", "10", "--p", "5"):
-        "e8682996cdd0d6ee2ea0e438086cc83ce0f17e8a07ebbe58d72d9cb77bef653f",
-    ("--rho", "3", "--stages", "3", "--p", "5", "--family", "B"):
-        "def66999b00596bdcca41e85e7db82316b8ec1ff2b31ba3975bf371d9a8bba1c",
-    # pinned before exact graded products could take the recurrence
-    ("--rho", "2", "--stages", "12", "--p", "5"):
-        "e6e5cef8919b2d4161c1a1711234446642328d0e0eeef9d75c671eefcbc0117a",
-}
-P7_TARGETS = [
-    {"rho_m": "3/2", "lie_type": {"family": "A", "rank": 2}, "p": 7},
-    {"rho_m": "2", "lie_type": {"family": "C", "rank": 3}, "p": 7},
-    {"rho_m": "9/4", "lie_type": {"family": "A", "rank": 5}, "p": 7},
-]
-P7_DIGEST = "32494ccfdefc06bd032488fd66f942029be04d6b08bfac9678700e92b84ad944"
-
-
-@pytest.mark.parametrize("args", list(CONSTRUCT_DIGESTS))
-def test_construct_diagonal_output_is_pinned(capsys, args):
-    code, out = run(capsys, "construct", "diagonal", *args)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == CONSTRUCT_DIGESTS[args]
-
-
-def test_construct_diagonal_targets_json_output_is_pinned(capsys, tmp_path):
-    path = tmp_path / "targets.json"
-    path.write_text(json.dumps(P7_TARGETS))
-    code, out = run(capsys, "construct", "diagonal", "--rho", "5/2", "--targets-json", str(path))
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == P7_DIGEST
-
-
-# sha256 of the `zeta --format csv --N 100000` stdout on the SL2-over-primes
-# family of d = 3, in the cover and the simple view, pinned while every prime
-# of a prime stratum was still built as a checked FactorSpec
-PRIMES_CSV_DIGESTS = {
-    "cover": "5b79ff91707f0197875c34fdf06f80dca4d84c285221e8a23c310d9be2b16a74",
-    "simple": "651bdf11d16f30bb655a9535e12cba9593c2cb47ec7f68a6ccc2a185601b87a6",
-}
-
-
-@pytest.mark.parametrize("view", list(PRIMES_CSV_DIGESTS))
-def test_zeta_csv_on_the_prime_family_is_pinned(capsys, view):
-    spec = growth.with_flag(sl2_over_primes_spec(3), view == "simple")
-    argv = ("zeta", "--spec", json.dumps(spec.to_jsonable()), "--N", "100000", "--format", "csv")
-    code, out = run(capsys, *argv)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == PRIMES_CSV_DIGESTS[view]
-
-
-# sha256 of the `abscissa --example sl2-primes --empirical` stdout.  The
-# json entries print every bit of each slope and were pinned once the
-# slopes of specs whose multiplicities all materialize came from the exact
-# counts; the csv entry, pinned while the report held one SlopePoint per
-# dimension, prints nine decimals, which that change left as they were.
-# At d = 40 the prime 7's multiplicity has 281 bits, so those slopes stay
-# on the log path, pinned before that change.
-EMPIRICAL_DIGESTS = {
-    ("3", "20000", "csv"): "442443dbaedfac66b28384e867a5fca1aaf56fc8278f93c8508ea76e5748a43d",
-    ("3", "20000", "json"): "9030071b2d088e27e50e9524b0cac0ad2d33716d033567ac11a8f77ecd29303d",
-    ("5", "5000", "json"): "73d6e7aae101d8fa554b6d6af1d8ae73b1cc39e4722012925f96633d84adfb65",
-    ("40", "100", "json"): "6e03db1ddaf80dda6b8abcfe8b3c88612387db2372de9036b564dac65147dccd",
-}
-
-
-@pytest.mark.parametrize("d,N,fmt", list(EMPIRICAL_DIGESTS))
-def test_abscissa_empirical_on_the_prime_family_is_pinned(capsys, d, N, fmt):
-    argv = ("abscissa", "--example", "sl2-primes", "--d", d, "--empirical", "--N", N)
-    code, out = run(capsys, *argv, "--format", fmt)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == EMPIRICAL_DIGESTS[d, N, fmt]
-
-
-def _a1_first(rho_m, p, *later):
-    """A --targets-json list: an A1 stage, then (rho_m, A_rank) stages over p."""
-    stages = [(rho_m, 1), *later]
-    return json.dumps(
-        [{"rho_m": r, "lie_type": {"family": "A", "rank": k}, "p": p} for r, k in stages]
-    )
-
-
-# sha256 of the `construct diagonal` stdout, pinned while the n(m) search
-# still read every stage in the simple view: on A1 the two views differ
-A1_FIRST_DIGESTS = {
-    ("4", _a1_first("2", 5, ("3", 2))):
-        "a1a1f716f2e5cb8426963689bdcf5ad584f4aea71f016df0532b67b8f083fd57",
-    ("3", _a1_first("2", 7, ("5/2", 2))):
-        "e2f34e91053f49ad46ecda6dd31dd30b81d730b3caa81a77372ff8ecc1082e70",
-    # pinned before a candidate could be rejected at its onset: here that
-    # test reads an A1 count in the cover view and a union keyed by
-    # dimensions
-    ("2", _a1_first("3/2", 5, ("7/4", 2))):
-        "7dab037518ec48a825c5fdfac0bf015acfcad1d4ec1b91d5313c3b506f8bb557",
-}
-
-
 def _check_diagonal_output(out: str) -> list:
     """Re-check the printed certificate from its spec alone: at each stage m
     the cover-view slope of stages 1..m stays <= rho up to swept_to, and
@@ -947,18 +838,16 @@ def test_an_a1_stage_over_q_1_mod_4_is_built(capsys):
     # SL2(5) has a degree-2 irreducible that PSL2(5) lacks: the sweep finds
     # the cover-view slope above rho there, and the onset it is compared
     # with is the cover view's too, so the factor is dropped
-    targets = _a1_first("2", 5)
+    targets = golden.targets(("2", "A", 1, 5))
     code, out = run(capsys, "construct", "diagonal", "--rho", "3", "--targets-json", targets)
     assert code == 0
     assert _check_diagonal_output(out) == [(1, 13)]
 
 
-@pytest.mark.parametrize("args", list(A1_FIRST_DIGESTS))
+@pytest.mark.parametrize("args", [pin.argv for pin in golden.PINS if pin.name.startswith("diagonal-a1-first")])
 def test_construct_diagonal_with_an_a1_first_stage_is_pinned(capsys, args):
-    rho, targets = args
-    code, out = run(capsys, "construct", "diagonal", "--rho", rho, "--targets-json", targets)
+    code, out = run(capsys, *args)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == A1_FIRST_DIGESTS[args]
     _check_diagonal_output(out)
 
 
@@ -1065,8 +954,9 @@ CLOSED_STDOUT = pytest.mark.parametrize(
 
 def _run_into_closed_stdout(argv, lines_read, unbuffered):
     """Exit code and stderr of python -m repgrowth argv, whose stdout pipe
-    is closed after lines_read lines (0: before the command starts)."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repgrowth.__file__)))
+    is closed after lines_read lines (0: before the command starts).  Not
+    golden.run's child: that one's stdout pipe cannot be closed early."""
+    env = dict(os.environ, PYTHONPATH=golden.SRC)
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"

@@ -651,8 +651,8 @@ def _a(rank):
 
 
 # the builds the onset test is checked on: the benchmark cases, 12 stages at
-# p = 5, test_cli's P7_TARGETS, the CI build over primes 5 and 7, and a
-# build whose first stage is A1
+# p = 5, and the golden corpus's diagonal-p7, diagonal-two-primes and
+# diagonal-a1-first-onset builds
 ONSET_CASES = [
     *(pytest.param(rho, default_diagonal_targets(rho, n, p), id=f"case{i}") for i, (rho, n, p) in enumerate(BENCHMARK_CASES)),
     pytest.param(Fraction(2), default_diagonal_targets(Fraction(2), 12, 5), id="12-stages"),

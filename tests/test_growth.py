@@ -751,7 +751,7 @@ def test_only_a_dense_exact_product_over_dimensions_takes_the_list(monkeypatch):
     sparse_finite = finite_spec(FactorSpec(A1, 10007), FactorSpec(A1, 10009, multiplicity=3))
     tower = GroupSpec((GeometricStratum(A1, 10007, PolyExponent((0, 1))),))
     cases = [
-        # two walk items at N = 10^12, a CI pin: a list would take 8 TB
+        # two walk items at N = 10^12, a golden pin: a list would take 8 TB
         (sparse_finite, 10 ** 12, None, (EXACT, None, False, 0)),
         # ten items at 10^40 (10007^10 ~ 2^133 at most), forced exact and automatic
         (tower, 10 ** 40, EXACT, (EXACT, None, False, 0)),
@@ -762,7 +762,7 @@ def test_only_a_dense_exact_product_over_dimensions_takes_the_list(monkeypatch):
         # 781 walk items at N = 3000 on the automatic plan, the one that
         # empirical_slope's truncated_zeta(spec, N) runs
         (sl2_over_primes_spec(3), 3000, None, (EXACT, None, True, 1)),
-        # the other zeta runs that CI pins, each with the plan its step claims
+        # the other zeta runs that golden.py pins, each with the plan its pin claims
         (sl2_over_primes_spec(3), 10 ** 6, None, (EXACT, None, True, 1)),
         (sl2_over_primes_spec(4), 10 ** 5, None, (EXACT, None, True, 1)),
         (GroupSpec((PrimeStratum(1999999999800, 0),)), 10 ** 12, None, (EXACT, None, False, 0)),
