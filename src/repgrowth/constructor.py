@@ -456,11 +456,9 @@ def build_diagonal(
     * F_(n-k) on its exponents (_StageRun) for the call, which forms every
     series of the stratum: each larger cutoff forms only its new exponents
     and factors, and a smaller one is a prefix; truncated_zeta forms an A1
-    stage series.  The four benchmark cases take 48/49/49/40 stage series,
-    0 of them by truncated_zeta, and 29/30/31/22 convolve calls of 6,179/
-    6,181/2,746/3,299 kernel updates.  A stage stratum's hash is formed
-    once, when it is built or derived with another skip (with_skip), from
-    the hash its Schedule formed once, so a memo lookup hashes no Fraction.
+    stage series.  A stage stratum's hash is formed once, when it is built
+    or derived with another skip (with_skip), from the hash its Schedule
+    formed once, so a memo lookup hashes no Fraction.
     """
     rho = Fraction(rho)
     if n_budget < 0:

@@ -105,12 +105,6 @@ def mult_log(m: Multiplicity) -> float:
     return math.log(m)
 
 
-def mult_bits(m: Multiplicity) -> float:
-    if isinstance(m, BigPower):
-        return m.bits()
-    return m.bit_length()
-
-
 def mult_to_int(m: Multiplicity) -> int:
     return m.to_int() if isinstance(m, BigPower) else m
 

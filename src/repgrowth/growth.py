@@ -323,26 +323,6 @@ def _pair_set(lie_type: LieType, pairs: Optional[PairSet]) -> PairSet:
     return canonical_pair_set(lie_type) if pairs is None else pairs
 
 
-def _min_dim(
-    lie_type: LieType,
-    q: int,
-    simple: bool,
-    pairs: PairSet,
-    e: int = 1,
-    bound: Optional[int] = None,
-) -> int:
-    """Minimal nontrivial irreducible degree of S_lambda(q^e), or of its
-    cover when not simple, for the pair set pairs.  That degree is at least
-    (q^(e*n) - 1)/2 >= (2^(e*n) - 1)/2, for n the least pair exponent (1 on
-    A1, whose one pair set is [[1, 1]]), so given a bound, a degree whose
-    exponent e*n passes bound.bit_length() + 1 is returned as bound + 1
-    without forming q^e or q^(e*n)."""
-    n = pairs.min_dim_exponent()
-    if bound is not None and e * n > bound.bit_length() + 1:
-        return bound + 1
-    return _least_degree(lie_type == A1, q ** e, simple, n)
-
-
 def _require_pairs(pairs: PairSet, lie_type: LieType) -> None:
     """require_pair_set, and on A1 the set {(1, 1)} alone: A1 series come
     from the SL2/PSL2 character degrees, so no other set describes them."""
@@ -352,8 +332,9 @@ def _require_pairs(pairs: PairSet, lie_type: LieType) -> None:
 
 
 def _least_degree(a1: bool, q: int, simple: bool, n: int) -> int:
-    """_min_dim from the field size q itself: (q - 1) or (q +- 1)/2 on A1,
-    q^n for the least pair exponent n otherwise."""
+    """The least nontrivial degree of S(q), or of its cover when not
+    simple, from the field size q: (q - 1) or (q +- 1)/2 on A1, q^n for
+    the least pair exponent n otherwise."""
     if a1:
         if q % 2 == 0:
             return q - 1
@@ -444,21 +425,20 @@ class FactorSpec:
     def pair_set(self) -> PairSet:
         return _pair_set(self.lie_type, self.pairs)
 
-    def grading(self) -> Optional[int]:
-        return self.item.grading()
-
     def min_nontrivial_dim(self, bound: Optional[int] = None) -> int:
-        """The least nontrivial degree; bound + 1 for one the exponent alone
-        puts above a given bound (see _min_dim)."""
-        return _min_dim(self.lie_type, self.q, self.simple, self.pair_set(), bound=bound)
-
-    def x_terms(self, N: int, backend: str, top: Optional[int] = None) -> List[Tuple[int, object]]:
-        return self.item.x_terms(N, backend, top)
+        """The least nontrivial degree (_least_degree).  It is at least
+        (q^n - 1)/2 >= (2^n - 1)/2 for n the least pair exponent, so given
+        a bound, one whose n passes bound.bit_length() + 1 is returned as
+        bound + 1 with no q^n formed."""
+        n = self.pair_set().min_dim_exponent()
+        if bound is not None and n > bound.bit_length() + 1:
+            return bound + 1
+        return _least_degree(_is_a1(self.lie_type), self.q, self.simple, n)
 
     def unit_series(self, N: int, backend: str) -> DirichletSeries:
         """The factor's zeta series (constant term included), one copy."""
         one = (1, 1 if backend == EXACT else 0.0)
-        return DirichletSeries(N, [one] + self.x_terms(N, backend), backend)
+        return DirichletSeries(N, [one] + self.item.x_terms(N, backend), backend)
 
     def to_jsonable(self) -> dict:
         mult = self.multiplicity
@@ -532,34 +512,21 @@ class FiniteStratum:
 
 
 class _Tower:
-    """An infinite stratum: factors S(q_i)^{m_i} at the indices i of a tower
-    whose field sizes q_i diverge, so every truncation has a finite exact
-    horizon.  A subclass supplies the index sequence, the field size
-    q_i = q^e (as the pair q, e) and the multiplicity at an index, and the
-    growth constant c: the sum of m_i over q_i <= x grows like x^c (None
-    when it outgrows every power)."""
+    """An infinite stratum whose least degrees diverge, so every truncation
+    is a finite walk (factors_below, min_dim_at).  It holds the rate rules
+    both towers share, from the subclass's pair set and growth constant c:
+    the total multiplicity of the factors of field size <= x grows like x^c
+    (None when it outgrows every power)."""
 
     pairs: Optional[PairSet] = None
 
     def pair_set(self) -> PairSet:
         return _pair_set(self.lie_type, self.pairs)
 
-    def factor_at(self, i: int) -> FactorSpec:
-        q, e = self.field(i)
-        return FactorSpec(self.lie_type, q ** e, self.simple, self.multiplicity(i), self.pairs)
-
-    def min_dim_at(self, i: int, bound: Optional[int] = None) -> int:
-        """The least nontrivial degree at index i; bound + 1 for one the
-        exponents alone put above a given bound (see _min_dim)."""
-        q, e = self.field(i)
-        return _min_dim(self.lie_type, q, self.simple, self.pair_set(), e, bound)
-
     @staticmethod
     def _power(base: int, e: int) -> Multiplicity:
         """base**e, kept unexpanded once it passes _MATERIALIZE_BITS bits."""
         return BigPower(base, e) if _wide(base, e) else base ** e
-
-    split_walk = _split_walk
 
     def n_min(self) -> int:
         return self.pair_set().min_dim_exponent()
@@ -573,9 +540,6 @@ class _Tower:
     def count_exponent(self) -> Optional[Fraction]:
         c = self.growth_constant()
         return None if c is None else Fraction(c, self.n_min())
-
-    def with_simple(self, simple: bool) -> "_Tower":
-        return replace(self, simple=simple)
 
 
 @dataclass(frozen=True)
@@ -591,6 +555,7 @@ class GeometricStratum(_Tower):
     skip: int = 0
     _pk: Tuple[int, int] = field(init=False, repr=False, compare=False)  # q = p^k as (p, k)
     _hash: int = field(init=False, repr=False, compare=False)
+    split_walk = _split_walk
 
     def __post_init__(self):
         _require_ints(q=self.q, skip=self.skip)
@@ -638,34 +603,32 @@ class GeometricStratum(_Tower):
     def with_simple(self, simple: bool) -> "GeometricStratum":
         return self._derive(simple=simple)
 
+    def min_dim_at(self, j: int) -> int:
+        """The least nontrivial degree of the factor S(q^j)."""
+        return _least_degree(_is_a1(self.lie_type), self.q ** j, self.simple, self.n_min())
+
     def factors_below(self, bound: int) -> Iterator[Tuple[int, _Factor]]:
-        """(min_dim_at(i, bound), factor_at(i).item) along the indices while
-        the degree is <= bound, from one field(i) per index: q^e is formed
-        once and serves both.  No check runs again: every check of
-        FactorSpec holds for each S(q^j) once it holds for the stratum.
-        q^j = p^(k*j); only field sizes 2 and 3 are Tits-excluded, and
-        q^j >= 4 from j = 2 on; q^f(j) >= 1, since multiplicity(j) refuses
-        f(j) < 0; the pair set is checked when the stratum is built."""
+        """(min_dim_at(j), S(q^j)^{q^f(j)}) for j = skip+1, skip+2, ...
+        while the degree is <= bound, q^j formed once for both.  That degree
+        is at least (2^(j*n) - 1)/2, n the least pair exponent, so the walk
+        stops with no q^j formed once j*n passes bound.bit_length() + 1.
+        No check runs again: every check of FactorSpec holds for each
+        S(q^j) once it holds for the stratum.  q^j = p^(k*j); only field
+        sizes 2 and 3 are Tits-excluded, and q^j >= 4 from j = 2 on; q^f(j)
+        >= 1, since multiplicity(j) refuses f(j) < 0; the pair set is
+        checked when the stratum is built."""
         a1 = _is_a1(self.lie_type)
         n = self.n_min()
         cap = bound.bit_length() + 1
         p, k = self._pk
-        for i in self.indices():
-            q, e = self.field(i)
-            if e * n > cap:
+        for j in itertools.count(self.skip + 1):
+            if j * n > cap:
                 return
-            q **= e
+            q = self.q ** j
             d = _least_degree(a1, q, self.simple, n)
             if d > bound:
                 return
-            M = self.multiplicity(i)
-            yield d, _Factor(self.lie_type, q, p, k * e, self.simple, M, self.pairs)
-
-    def indices(self) -> Iterator[int]:
-        return itertools.count(self.skip + 1)
-
-    def field(self, j: int) -> Tuple[int, int]:
-        return self.q, j
+            yield d, _Factor(self.lie_type, q, p, k * j, self.simple, self.multiplicity(j), self.pairs)
 
     def multiplicity(self, j: int) -> Multiplicity:
         f = self.exponents.f(j)
@@ -724,19 +687,23 @@ class PrimeStratum(_Tower):
 
     lie_type = A1
 
+    def min_dim_at(self, p: int) -> int:
+        """The least nontrivial degree h of the factor over the prime p:
+        (p +- 1)/2, which never decreases along the primes."""
+        return _least_degree(True, p, self.simple, 1)
+
     def factors_below(self, bound: int) -> Iterator[Tuple[int, _Factor]]:
-        """(h, factor) for the primes p >= p_min whose least degree h is
-        <= bound, read off p itself (_least_degree), with no field(p)
-        formed; the stratum proves the checks for every p primes_from
-        draws (p >= 5 prime, M >= 1).  h never decreases along the primes,
-        so the walk stops at the first one past the bound."""
+        """(min_dim_at(p), factor) for the primes p >= p_min whose least
+        degree is <= bound; the stratum proves the checks for every p
+        primes_from draws (p >= 5 prime, M >= 1).  The walk stops at the
+        first prime past the bound."""
         # every prime p >= p_min has minimal dimension >= (p_min - 1) // 2, so
         # a p_min far above the bound needs no sieve window at all
         if (self.p_min - 1) // 2 > bound:
             return
         simple = self.simple
-        for p in self.indices():
-            h = _least_degree(True, p, simple, 1)
+        for p in primes_from(self.p_min):
+            h = self.min_dim_at(p)
             if h > bound:
                 return
             M = self.multiplicity(p)
@@ -754,14 +721,11 @@ class PrimeStratum(_Tower):
         walk = self.factors_below(N) if (self.p_min - 1) // 2 <= r else ()
         return list(itertools.takewhile(lambda t: t[0] <= r, walk)), _PrimeTail(self, r, N)
 
+    def with_simple(self, simple: bool) -> "PrimeStratum":
+        return replace(self, simple=simple)
+
     def rate_exponent(self) -> int:
         return 3 * self.mult_exponent
-
-    def indices(self) -> Iterator[int]:
-        return primes_from(self.p_min)
-
-    def field(self, p: int) -> Tuple[int, int]:
-        return p, 1
 
     def multiplicity(self, p: int) -> Multiplicity:
         return self._power((p ** 3 - p) // 2, self.mult_exponent)
@@ -804,15 +768,13 @@ class _PrimeTail:
         self.stratum = stratum
         lo = max(stratum.p_min, 2 * r - 1)
         ps = [] if lo > 2 * N + 1 else list(itertools.takewhile((2 * N + 1).__ge__, primes_from(lo)))
-        self.ps = ps[bisect_right(ps, r, key=self._h):bisect_right(ps, N, key=self._h)]
-
-    def _h(self, p: int) -> int:
-        return _least_degree(True, p, self.stratum.simple, 1)
+        h = stratum.min_dim_at
+        self.ps = ps[bisect_right(ps, r, key=h):bisect_right(ps, N, key=h)]
 
     def __iter__(self) -> Iterator[Tuple[int, _Factor]]:
         s = self.stratum
         for p in self.ps:
-            yield self._h(p), _Factor(A1, p, p, 1, s.simple, s.multiplicity(p), None)
+            yield s.min_dim_at(p), _Factor(A1, p, p, 1, s.simple, s.multiplicity(p), None)
 
     def __len__(self) -> int:
         return len(self.ps)

@@ -60,6 +60,18 @@ A2_TOWER = json.dumps(
     {"strata": [{"flag": "simple", "index": "geometric", "lie_type": {"family": "A", "rank": 2, "twisted": False},
                  "q": 5, "schedule": {"j0": 1, "kind": "schedule", "m0": 2, "n0": 3, "rho": "2", "rho0": "2/3"}}]},
     indent=2, sort_keys=True)
+# the "spec" of the stdout of `construct diagonal --rho 2 --stages 2 --p 5`
+DIAGONAL_2 = json.dumps(
+    {"strata": [{"index": "diagonal", "rho": "2", "stages": [
+        {"n_m": "125", "rho_m": "1", "stratum": {
+            "flag": "simple", "index": "geometric", "lie_type": {"family": "A", "rank": 2, "twisted": False}, "q": 5,
+            "schedule": {"j0": 3, "kind": "schedule", "m0": 2, "n0": 3, "rho": "1", "rho0": "2/3"}}},
+        {"n_m": "1953125", "rho_m": "3/2", "stratum": {
+            "flag": "simple", "index": "geometric", "lie_type": {"family": "A", "rank": 3, "twisted": False}, "q": 5,
+            "schedule": {"j0": 1, "kind": "schedule", "m0": 3, "n0": 6, "rho": "3/2", "rho0": "1/2"}, "skip": 1}}]}]},
+    indent=2, sort_keys=True)
+A1_TOWER = ('{"strata": [{"index": "geometric", "q": 5, "lie_type": {"family": "A", "rank": 1}, "flag": "simple",'
+            ' "schedule": {"kind": "poly", "coeffs": [0, 2]}}]}')
 DIAGONAL = ("construct", "diagonal", "--rho")
 ABSCISSA = ("abscissa", "--example", "sl2-primes", "--empirical")
 ZETA = ("zeta", "--format", "csv", "--N")
@@ -132,6 +144,12 @@ PINS = [
     # an exact product on the exponents of 5, printed when the graded recurrence took it (2743eb3)
     Pin("zeta-graded", (*ZETA, str(5 ** 60), "--spec", A2_TOWER),
         "6a94fee6fc89ee26023892d5524b6ccaa1ebb7d9a5e2ad135af02e6f99483baf"),
+    # a sparse exact product of a PolyExponent tower's 9 factors, 2,116 entries (8bec483)
+    Pin("zeta-a1-tower", (*ZETA, "1000000", "--spec", A1_TOWER),
+        "3ca836b186bc2c33d6dabebfd536d53e95ff2c6535767450110f1dbc8d795294"),
+    # a diagonal stratum read back from JSON, graded by 5, at its horizon 5^9 (8bec483)
+    Pin("zeta-diagonal", (*ZETA, str(5 ** 9), "--spec", DIAGONAL_2),
+        "f2e8cb154e73e629678d638f6a52bc1934bfb91027127176a40c8f60089140a7"),
     # nine decimals per slope, pinned while the report held one SlopePoint per dimension (7979370)
     Pin("abscissa-d3-csv", (*ABSCISSA, "--d", "3", "--N", "20000", "--format", "csv"),
         "442443dbaedfac66b28384e867a5fca1aaf56fc8278f93c8508ea76e5748a43d"),

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import copy
 import io
@@ -1380,3 +1381,20 @@ def test_budget_exit_writes_the_partial_certificate_to_out(capsys, tmp_path):
     path = tmp_path / "zeta.json"
     assert main(["zeta", "--group", "SL2", "--q", "6", "--N", "10", "--out", str(path)]) == 3
     assert not path.exists()
+
+
+def test_the_readme_quick_start_runs_and_prints_what_its_comments_state():
+    # the python block under README's "Library quick start", run in a child
+    # under -W error, each bare expression's value printed, then t's order
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("## Library quick start", 1)[1]
+    block = ast.parse(re.search(r"```python\n(.*?)```", section, re.S).group(1)).body
+    lines = [f"print(repr({ast.unparse(s.value)}))" if isinstance(s, ast.Expr) else ast.unparse(s) for s in block]
+    source = "\n".join(lines + ["print(t.order)"])
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", source], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")))
+    assert proc.returncode == 0, proc.stderr
+    evaluated, *values = proc.stdout.splitlines()
+    float(evaluated)
+    assert values == ["Fraction(5, 1)", "228", "Fraction(3, 2)", "True", "2280", "120", "3", "4896"]

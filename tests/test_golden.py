@@ -20,6 +20,11 @@ def test_the_graded_zeta_pin_reads_what_construct_fixed_prints():
     assert hashlib.sha256((golden.A2_TOWER + "\n").encode()).hexdigest() == PINS["fixed-a2"].sha256
 
 
+def test_the_diagonal_zeta_pin_reads_what_construct_diagonal_prints():
+    code, out, _ = golden.run(("construct", "diagonal", "--rho", "2", "--stages", "2", "--p", "5"))
+    assert code == 0 and json.loads(out)["spec"] == json.loads(golden.DIAGONAL_2)
+
+
 @pytest.mark.parametrize("d, e, view", [(3, 3, "cover"), (3, 3, "simple"), (4, 6, "cover")])
 def test_the_prime_family_pins_read_sl2_over_primes_spec(d, e, view):
     spec = with_flag(sl2_over_primes_spec(d), view == "simple")

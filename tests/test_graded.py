@@ -566,7 +566,7 @@ def graded_factors(draw):
 @given(graded_factors(), st.sampled_from([EXACT, LOG]))
 def test_graded_factor_terms_are_the_dimension_terms_on_exponents(case, backend):
     f, N = case
-    p = f.grading()
+    p = f.item.grading()
     d = f.min_nontrivial_dim()
     got = growth._factor_terms(f.item, d, N, backend, floor_log(N, p))
     want = graded_terms(growth._factor_terms(f.item, d, N, backend), p)
@@ -635,8 +635,9 @@ def test_tower_factors_reuse_the_stratum_proof(monkeypatch):
     monkeypatch.setattr(growth, "prime_power", lambda q: calls.append(q) or real(q))
     walked = list(tower.factors_below(25 ** 30))
     assert len(walked) == 10 and calls == []
-    assert [f for _, f in walked] == [tower.factor_at(j).item for j in range(1, 11)]
-    assert len(calls) == 10  # factor_at builds the public FactorSpec
+    checked = [FactorSpec(tower.lie_type, 25 ** j, tower.simple, tower.multiplicity(j)) for j in range(1, 11)]
+    assert [f for _, f in walked] == [f.item for f in checked]
+    assert len(calls) == 10  # each public FactorSpec runs the check
     calls.clear()
     assert len(list(PrimeStratum(5, 1).factors_below(100))) > 0 and calls == [5, 7, 11, 13, 17, 19]
     with pytest.raises(PreconditionError, match="not a prime power"):

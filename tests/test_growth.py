@@ -31,7 +31,6 @@ from repgrowth.dirichlet import (
     _logaddexp,
     convolve,
     cumulative,
-    mult_bits,
     mult_to_int,
     power_one_plus,
 )
@@ -61,7 +60,7 @@ from repgrowth.growth import (
     truncated_zeta,
     with_flag,
 )
-from repgrowth.lie_data import LieType, PairSet, canonical_pair_set, rho0, tits_excluded, xi_terms
+from repgrowth.lie_data import LieType, PairSet, rho0, tits_excluded, xi_terms
 from test_acceptance import _brute_product, _degrees
 from test_dirichlet import count_series_inits
 
@@ -76,6 +75,31 @@ def checked_factor(f):
     """A factor of a stratum walk, a _Factor that runs no check, as the
     checked FactorSpec of its fields."""
     return FactorSpec(f.lie_type, f.q, f.simple, f.multiplicity, f.pairs)
+
+
+def checked_walk(tower, bound):
+    """(degree, checked FactorSpec) at each index of a geometric or prime
+    tower while the degree is <= bound, built from the stratum's fields
+    alone, and the degree at the index where the walk stops."""
+    if isinstance(tower, PrimeStratum):
+        factors = (FactorSpec(A1, p, tower.simple, tower.multiplicity(p)) for p in primes_from(tower.p_min))
+    else:
+        factors = (
+            FactorSpec(tower.lie_type, tower.q ** j, tower.simple, tower.multiplicity(j), tower.pairs)
+            for j in itertools.count(tower.skip + 1)
+        )
+    walk = []
+    for f in factors:
+        d = f.min_nontrivial_dim()
+        if d > bound:
+            return walk, d
+        walk.append((d, f))
+
+
+def _bits(m):
+    """The bit length of a multiplicity: BigPower.bits() if it is kept
+    unexpanded, else int.bit_length()."""
+    return m.bits() if isinstance(m, BigPower) else m.bit_length()
 
 
 # -- truncated_zeta ----------------------------------------------------------
@@ -185,7 +209,7 @@ def test_accumulator_matches_convolve_chain_at_sparse_cutoff():
         + build_fixed_type(Fraction(2), LieType("A", 3), 7).strata
     )
     N = 2 ** 100
-    factors = [s.factor_at(j) for s in spec.strata for j in range(1, 40) if s.min_dim_at(j) <= N]
+    factors = [f for s in spec.strata for _, f in checked_walk(s, N)[0]]
     got = truncated_zeta(spec, N, backend="exact")
     assert len(got) > len(factors)
     assert got == convolve_chain(factors, N, "exact")
@@ -226,7 +250,7 @@ def test_closed_form_terms_match_the_table_chain(name):
         for f in factors:
             for backend in ("exact", "log"):
                 want = [(d, m) for d, m in reference_unit_series(f, N, backend).items() if d != 1]
-                assert f.x_terms(N, backend) == want
+                assert f.item.x_terms(N, backend) == want
                 assert f.unit_series(N, backend) == reference_unit_series(f, N, backend)
 
 
@@ -244,50 +268,50 @@ TOWER_WALKS = {
 
 
 @pytest.mark.parametrize("name", sorted(TOWER_WALKS))
-def test_tower_walk_forms_each_field_once(monkeypatch, name):
-    # factors_below draws the indices in order up to the first one (where
-    # the degree passes the bound), calls field(i) at most once for each
-    # (a geometric tower once, a prime stratum never: it reads the degree
-    # off p), and yields what min_dim_at(i, bound) and factor_at(i) give at
-    # each index before it
+def test_tower_walk_forms_each_field_once(name):
+    # factors_below yields, at each index before the first whose degree
+    # passes the bound, the degree and the item of the checked FactorSpec
+    # built at that index from the stratum's fields
     make, bounds = TOWER_WALKS[name]
     stratum = make()
     towers = [st.stratum for st in stratum.stages] if name == "diagonal" else [stratum]
-    drawn, fields = [], []
-    for cls in {type(t) for t in towers}:
-        field, indices = cls.field, cls.indices
-
-        def counting_field(self, i, field=field):
-            fields.append((id(self), i))
-            return field(self, i)
-
-        def counting_indices(self, indices=indices):
-            for i in indices(self):
-                drawn.append((id(self), i))
-                yield i
-
-        monkeypatch.setattr(cls, "field", counting_field)
-        monkeypatch.setattr(cls, "indices", counting_indices)
     longest = 0
     for bound in bounds:
-        drawn.clear()
-        fields.clear()
         got = list(stratum.factors_below(bound))
-        visited = list(drawn)
-        assert fields == ([] if name.startswith("primes") else visited), (bound, fields)
-        want, stops = [], 0
+        want = []
         for t in towers:
-            indices = [i for key, i in visited if key == id(t)]
-            if indices:
-                want += [(t.min_dim_at(i, bound), t.factor_at(i)) for i in indices[:-1]]
-                assert t.min_dim_at(indices[-1], bound) > bound
-                stops += 1
+            walk, stop = checked_walk(t, bound)
+            want += walk
+            assert stop > bound
         assert [(d, checked_factor(f)) for d, f in got] == want, bound
         # p and k too, which the graded key rule reads, are what the checks give
         assert all(type(f) is growth._Factor and f == checked_factor(f).item for _, f in got)
-        assert len(got) == len(visited) - stops
+        assert [f for _, f in got] == [f.item for _, f in want]
         longest = max(longest, len(got))
     assert longest >= 3
+
+
+STAGE_TOWERS = [(Fraction(2), A1), (Fraction(2), LieType("A", 2)), (Fraction(3), LieType("B", 2))]
+
+
+@pytest.mark.parametrize("simple", [False, True], ids=["cover", "simple"])
+def test_each_min_dim_at_is_the_degree_its_walk_yields(simple):
+    # GeometricStratum.min_dim_at(j) and PrimeStratum.min_dim_at(p) are the
+    # degrees the walks yield at j and p (head and tail items alike), and the
+    # least dimension of that factor's own terms (a1_terms on A1)
+    for rho, t in STAGE_TOWERS:
+        base = build_fixed_type(rho, t, 5).strata[0].with_simple(simple)
+        for s in (base, base.with_skip(2)):
+            walk = list(s.factors_below(5 ** 40))
+            assert len(walk) >= 3
+            for j, (d, f) in zip(itertools.count(s.skip + 1), walk):
+                assert s.min_dim_at(j) == d == f.x_terms(d, EXACT)[0][0]
+            assert s.min_dim_at(s.skip + len(walk) + 1) > 5 ** 40
+    prime = PrimeStratum(5, 1, simple)
+    head, tail = prime.split_walk(2000)
+    assert head and tail
+    for h, f in head + list(tail):
+        assert prime.min_dim_at(f.p) == h == f.x_terms(h, EXACT)[0][0]
 
 
 def _patch_everywhere(monkeypatch, fn, replacement):
@@ -393,7 +417,7 @@ def test_prime_stratum_matches_its_finite_stratum_bit_for_bit(p_min, simple):
         for E in (11, 44):
             prime, finite = _prime_and_finite(p_min, E, simple, N)
             got = truncated_zeta(prime, N)
-            bits = max(mult_bits(f.multiplicity) for _, f in _contributions(prime, N))
+            bits = max(_bits(f.multiplicity) for _, f in _contributions(prime, N))
             assert got.backend == (LOG if bits > growth._MATERIALIZE_BITS else EXACT)
             assert got.to_json().encode() == truncated_zeta(finite, N).to_json().encode()
             automatic.add((E, got.backend))
@@ -496,9 +520,9 @@ def test_a_tail_prime_alone_can_choose_the_log_backend(d, backend):
     walk = list(_contributions(spec, N))
     head = [f for h, f in walk if h * h <= N]
     assert max(f.p for f in head) == 89
-    assert max(mult_bits(f.multiplicity) for f in head) <= 148 < growth._MATERIALIZE_BITS
+    assert max(f.multiplicity.bit_length() for f in head) <= 148 < growth._MATERIALIZE_BITS
     last = walk[-1][1]
-    assert last.p == 4001 and 34 < mult_bits(last.multiplicity) / (d - 2) <= 35
+    assert last.p == 4001 and 34 < _bits(last.multiplicity) / (d - 2) <= 35
     assert isinstance(last.multiplicity, BigPower) is (backend == LOG)
     got = truncated_zeta(spec, N)
     assert got.backend == backend and got == truncated_zeta(spec, N, backend=backend)
@@ -840,7 +864,7 @@ def test_one_pass_linear_terms_are_the_power_terms_bit_for_bit(backend):
     linear = 0
     for f, N in cases:
         d, M = f.min_nontrivial_dim(), f.multiplicity
-        x = f.x_terms(N, backend)
+        x = f.item.x_terms(N, backend)
         want = growth._power_terms(x, M, N, backend)
         got = growth._factor_terms(f.item, d, N, backend)
         assert got == want, (f, N)
@@ -1020,7 +1044,7 @@ def _slope_prefix(spec, N):
     summed and then logged, where every multiplicity of the walk to N has at
     most growth._MATERIALIZE_BITS bits; log-domain counts and log-adds
     otherwise."""
-    bits = max((mult_bits(f.multiplicity) for _, f in _contributions(spec, N)), default=0)
+    bits = max((_bits(f.multiplicity) for _, f in _contributions(spec, N)), default=0)
     if bits <= growth._MATERIALIZE_BITS:
         series = truncated_zeta(spec, N, backend=EXACT)
         return series, [math.log(R) for R in itertools.accumulate(series.mults)]
@@ -1160,7 +1184,7 @@ def _log_path_slopes(spec, N):
 
 @pytest.mark.parametrize("spec,N", LOG_PATH_CASES, ids=["primes-d40", "tower-30j"])
 def test_log_path_slopes_are_the_log_cumulative_bit_for_bit(spec, N):
-    bits = max(mult_bits(f.multiplicity) for _, f in _contributions(spec, N))
+    bits = max(_bits(f.multiplicity) for _, f in _contributions(spec, N))
     assert bits > growth._MATERIALIZE_BITS
     series = truncated_zeta(spec, N, backend=LOG)
     rep = empirical_slope(spec, N)
@@ -1472,13 +1496,17 @@ def test_m_ns_is_m_n_at_every_n(spec, top):
 )
 def test_min_dim_with_a_bound_answers_bound_plus_one_only_above_it(lie_type):
     # the exponent shortcut may only answer for degrees above the bound
-    pairs = canonical_pair_set(lie_type)
     for q, e, simple in itertools.product((2, 3, 4, 5, 7, 8, 9), range(1, 14), (True, False)):
-        degree = growth._min_dim(lie_type, q ** e, simple, pairs)
+        if tits_excluded(lie_type, q ** e):
+            continue
+        f = FactorSpec(lie_type, q ** e, simple)
+        degree = f.min_nontrivial_dim()
         for bound in {1, 2, 3, 7, 8, 100, 2 ** 20, max(degree - 1, 1), degree, degree + 1}:
-            got = growth._min_dim(lie_type, q, simple, pairs, e, bound)
+            got = f.min_nontrivial_dim(bound)
             assert got in ((degree,) if degree <= bound else (degree, bound + 1))
-        assert growth._min_dim(lie_type, q, simple, pairs, 10 ** 9 * e, 10 ** 6) == 10 ** 6 + 1
+    # a tower's walk stops on the exponent alone, with no q^j formed
+    far = GeometricStratum(lie_type, 5, PolyExponent((0,)), skip=10 ** 9)
+    assert list(far.factors_below(10 ** 6)) == []
 
 
 FAR_TOWER = GeometricStratum(A1, 5, PolyExponent((0, 1)))
