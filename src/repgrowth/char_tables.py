@@ -14,11 +14,21 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 from math import gcd, isqrt
-from operator import add, floordiv, mod, sub
+from operator import add, floordiv, gt, mod, sub
 from typing import Iterator, List, Optional, Tuple
 
 from .dirichlet import EXACT, LOG, DirichletSeries
 from .errors import InvariantError, PreconditionError, int_name
+
+
+def _primes_to(n: int) -> List[int]:
+    """The primes <= n, by one bytearray sieve of Eratosthenes."""
+    flags = bytearray(b"\x01") * (n + 1)
+    flags[:2] = b"\x00\x00"
+    for d in range(2, isqrt(n) + 1):
+        if flags[d]:
+            flags[d * d::d] = bytes(len(range(d * d, n + 1, d)))
+    return list(itertools.compress(range(n + 1), flags))
 
 
 def primes_from(start: int) -> Iterator[int]:
@@ -26,17 +36,22 @@ def primes_from(start: int) -> Iterator[int]:
 
     A segmented sieve: windows [lo, hi) follow each other with the width
     doubling from 64.  In each window the multiples d*d, d*(d+1), ... are
-    crossed off for d = 2, 3, 5 and every d <= sqrt(hi - 1) prime to 30,
-    a set that holds every prime up to sqrt(hi - 1).  A window needs
-    O(width) bytes whatever start is.
+    crossed off for the primes d <= sqrt(hi - 1): those below 1000, and
+    past hi = 10^6 those of one sieve up to twice that bound (_primes_to),
+    formed again only when a window's bound passes the last one.  C-level
+    maps pass over each d whose first multiple >= lo lies past the window.
+    A window needs O(width + sqrt(hi)) bytes.
     """
-    lo = max(2, start)
-    width = 64
+    lo, width, bound, base = max(2, start), 64, 999, _SMALL_PRIMES
     while True:
         hi = lo + width
+        r = isqrt(hi - 1)
+        if r > bound:
+            bound = 2 * r
+            base = _primes_to(bound)
+        ds = base[:bisect_right(base, r)]
         flags = bytearray(b"\x01") * width
-        wheel = (d for d in range(7, isqrt(hi - 1) + 1, 2) if d % 3 and d % 5)
-        for d in itertools.chain((2, 3, 5), wheel):
+        for d in itertools.compress(ds, map(gt, repeat(width), map(mod, repeat(-lo), ds))):
             first = max(d * d - lo, -lo % d)  # offset of max(d*d, first multiple >= lo)
             if first < width:
                 flags[first::d] = bytes(len(range(first, width, d)))
@@ -45,7 +60,7 @@ def primes_from(start: int) -> Iterator[int]:
         width *= 2
 
 
-_SMALL_PRIMES = tuple(itertools.takewhile(lambda p: p < 1000, primes_from(2)))
+_SMALL_PRIMES = tuple(_primes_to(999))
 _SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 _PRIMORIAL = math.prod(_SMALL_PRIMES)
 # psi_k, the least strong pseudoprime to the first k prime bases (OEIS

@@ -28,15 +28,7 @@ from .growth import (
     exact_abscissa,
     truncated_zeta,
 )
-from .lie_data import (
-    A1,
-    LieType,
-    PairSet,
-    canonical_pair_set,
-    require_pair_set,
-    rho0,
-    tits_excluded,
-)
+from .lie_data import A1, LieType, PairSet, canonical_pair_set, rho0, tits_excluded
 
 def _prec_key(pair: Tuple[int, int], rho: Fraction) -> Tuple[Fraction, int]:
     m, n = pair
@@ -56,12 +48,13 @@ def prec_min(a: PairSet, rho: Fraction) -> Tuple[int, int]:
     return min(a, key=lambda pair: _prec_key(pair, rho))
 
 
-def make_schedule(rho: Fraction, t: LieType, a: Optional[PairSet] = None) -> Schedule:
-    """Schedule for the type's admissibility threshold rho0 = rk/|Phi+|.
+def make_schedule(rho: Fraction, t: LieType) -> Schedule:
+    """Schedule for the type's admissibility threshold rho0 = rk/|Phi+|,
+    from the order-minimal pair of the canonical pair set.
 
     Nonnegativity of f is an exact proof obligation, discharged by
-    Schedule's bound: j0 = ceil(1/(rho-rho0)), and every pair (m, n) of a
-    valid set has m <= n*rho0.
+    Schedule's bound: j0 = ceil(1/(rho-rho0)), and the canonical pair
+    (rk, |Phi+|) has m = n*rho0.
     """
     rho = Fraction(rho)
     r0 = rho0(t)
@@ -69,10 +62,7 @@ def make_schedule(rho: Fraction, t: LieType, a: Optional[PairSet] = None) -> Sch
         raise PreconditionError(
             f"rho = {rho} is inadmissible for {t.label()}: need rho > rk/|Phi+| = {r0}"
         )
-    if a is None:
-        a = canonical_pair_set(t)
-    require_pair_set(a, t)
-    m0, n0 = prec_min(a, rho)
+    m0, n0 = prec_min(canonical_pair_set(t), rho)
     j0 = math.ceil(1 / (rho - r0))
     return Schedule(rho, r0, m0, n0, j0)
 
@@ -330,11 +320,16 @@ class _Unions:
         walk = stratum.with_skip(stratum.skip + len(run.xs)) if run.xs else stratum
         return run.extend(list(walk.factors_below(N)) if top > run.top else [], N, top)
 
-    def series(self, strata: tuple, N: int) -> DirichletSeries:
-        s = self.product(strata, N)
-        self.used += len(s)
+    def charge(self, entries: int) -> None:
+        """Count entries read against the budget: BudgetExceededError once
+        the total passes it."""
+        self.used += entries
         if self.used > self.budget:
             raise BudgetExceededError(f"work budget {self.budget} exhausted")
+
+    def series(self, strata: tuple, N: int) -> DirichletSeries:
+        s = self.product(strata, N)
+        self.charge(len(s))
         return s
 
     def first_past(
@@ -379,7 +374,9 @@ def _decide(
     passes rho and built is clean on (n_prev, d0] (nothing built, or d0 <=
     clean_to, the window of the stage accepted last), the sweep's first
     violation is d0: the candidate is rejected with no stage series and
-    no union formed.
+    no union formed.  The terms of x_f read for c, at least the one at d0,
+    are charged to the budget like a union's entries, so a run of onset
+    rejections ends in BudgetExceededError too.
 
     Returns the evidence that accepts, swept_to, the end of that window.
     A violation at or past the candidate's onset rejects it: its union
@@ -388,10 +385,9 @@ def _decide(
     that names the stage m = len(built) + 1."""
     d0 = stratum.min_dim_at(stratum.skip + 1)
     if r_prev is not None and n_prev < d0 and (not built or d0 <= clean_to):
-        c = sum(
-            mult_to_int(f.multiplicity) * sum(m for _, m in f.x_terms(d0, EXACT))
-            for _, f in stratum.factors_below(d0)
-        )
+        xs = [(mult_to_int(f.multiplicity), f.x_terms(d0, EXACT)) for _, f in stratum.factors_below(d0)]
+        unions.charge(sum(len(x) for _, x in xs))
+        c = sum(M * sum(m for _, m in x) for M, x in xs)
         if _slope_test(rho, True)(r_prev + c, d0):
             return None
     union = (*built, stratum)

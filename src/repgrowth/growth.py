@@ -154,7 +154,9 @@ def _first_negative(coeffs: Sequence[int]) -> Optional[int]:
     with g'(c - 1) and g'(c) on opposite sides of 0 (g'(c) may be 0), and
     c - 1 and c become cuts for g.  Along f's pieces, the first one that
     starts >= 0 and ends < 0 holds the answer, found by bisection.  f(1) < 0
-    is answered before any cut is formed.
+    is answered before any cut is formed, and each later piece starts where
+    the one before it ended, at a point already found >= 0, so only a
+    piece's end is tested.
     """
     if sum(coeffs) < 0:
         return 1
@@ -175,8 +177,6 @@ def _first_negative(coeffs: Sequence[int]) -> Optional[int]:
         cuts = refined
     f = ders[0]
     for a, b in zip(cuts, cuts[1:]):
-        if _horner(f, a) < 0:
-            return a
         if _horner(f, b) < 0:
             return _first_true(lambda j: _horner(f, j) < 0, a, b)
     return None
@@ -786,9 +786,7 @@ class _PrimeTail:
     def add_terms(self, S: list, N: int) -> None:
         """Add M(p) times each family of a1_terms at dims <= N into the list
         S indexed by dimension (len(S) = N + 1), a family at a time, for all
-        the primes at once."""
-        if not self.ps:
-            return
+        the primes at once, for a non-empty tail (_plan hands over no other)."""
         ps, E = self.ps, self.stratum.mult_exponent
         mult_to_int(self.stratum.multiplicity(ps[-1]))  # RangeOverflow past what materializes
         Ms = list(map(pow, map(floordiv, map(sub, map(pow, ps, repeat(3)), ps), repeat(2)), repeat(E)))
@@ -964,10 +962,12 @@ def _factor_terms(
     <= N, M = f.multiplicity and min_dim <= N where x_f starts:
     _power_terms(f.x_terms(N, backend), M, N, backend), bit for bit.  A
     linear factor of any type (M = 1 or min_dim^2 > N, so the terms are
-    C(M, 1) * x_f) scales the exact terms of x_f in one pass
-    (_linear_terms), over a1_terms on A1 with no x_f list formed.  Given
-    top = floor_log(N, p) on a product graded by p, every term is keyed by
-    the exponent of its dimension instead: x_f's from the pairs
+    C(M, 1) * x_f) scales the exact terms of x_f in one pass, over
+    a1_terms on A1 with no x_f list formed: each nonzero term at a key <=
+    N (top when graded) times M, or on the log backend log M + log m, the
+    terms _power_terms gives when x^2 passes that key.  Given top =
+    floor_log(N, p) on a product graded by p, every term is keyed by the
+    exponent of its dimension instead: x_f's from the pairs
     (_Factor.x_terms), each power's by adding them (_power_terms given p),
     the same multiplicities in the same order."""
     M = f.multiplicity
@@ -978,13 +978,7 @@ def _factor_terms(
         terms = a1_terms(f.q, f.simple)[1:]
     else:
         terms = f.x_terms(N, EXACT, top)
-    return _linear_terms(terms, M, N if p is None else top, backend)
-
-
-def _linear_terms(terms, M: Multiplicity, stop: int, backend: str) -> list:
-    """C(M, 1) * x for a linear factor's exact terms x: each nonzero term
-    at a key <= stop scaled by M in one pass, or on the log backend
-    log M + log m, the terms _power_terms gives when x^2 passes stop."""
+    stop = N if p is None else top
     if backend == EXACT:
         Mi = mult_to_int(M)
         return [(d, Mi * m) for d, m in terms if m and d <= stop]

@@ -135,12 +135,6 @@ class PairSet:
     def __iter__(self):
         return iter(sorted(self.pairs))
 
-    def __len__(self):
-        return len(self.pairs)
-
-    def __contains__(self, pair):
-        return tuple(pair) in self.pairs
-
     def __eq__(self, other):
         return isinstance(other, PairSet) and self.pairs == other.pairs
 

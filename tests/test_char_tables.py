@@ -2,12 +2,14 @@ import itertools
 import math
 import random
 import time
+from bisect import bisect_left
 
 import pytest
 
 from repgrowth.char_tables import (
     DegreeTable,
     _iroot,
+    _primes_to,
     _strong_probable_prime,
     a1_degrees,
     a1_term_columns,
@@ -138,11 +140,18 @@ def test_prime_power_past_the_last_base_count_edge_cannot_prove():
 
 @pytest.mark.parametrize(
     "lo,hi",
-    [(10 ** 6, 12 * 10 ** 5), (PSI[1] - 3000, PSI[1] + 3000), (PSI[2] - 3000, PSI[2] + 3000)],
+    [
+        (10 ** 6, 12 * 10 ** 5),
+        (PSI[1] - 3000, PSI[1] + 3000),
+        (PSI[2] - 3000, PSI[2] + 3000),
+        (1999999999800, 2 * 10 ** 12 + 2),
+    ],
 )
 def test_prime_power_agrees_with_the_sieve(lo, hi):
     # past 10^6 every prime takes the Miller-Rabin path; the windows at psi_2
-    # and psi_3 hold primes on both sides of a change in the base count
+    # and psi_3 hold primes on both sides of a change in the base count; the
+    # last, the 9 primes of the zeta-sparse-primes pin, sieves by the primes
+    # to about 1.4 * 10^6
     sieved = set(itertools.takewhile(lambda p: p < hi, primes_from(lo)))
     got = {n: prime_power(n) for n in range(lo, hi)}
     assert {n for n, pk in got.items() if pk == (n, 1)} == sieved
@@ -194,6 +203,17 @@ def test_primes_from_matches_trial_division(start):
     want = [p for p in ORACLE_PRIMES if p >= start][:3000]
     assert want[-1] < ORACLE_PRIMES[-1]
     assert list(itertools.islice(primes_from(start), 3000)) == want
+
+
+def test_primes_from_matches_one_plain_sieve_across_its_base_sieves():
+    # windows past hi = 10^6 cross off by the primes of a base sieve, formed
+    # again at 4 * 10^6; from each start, the primes to 5 * 10^6 are those of
+    # one sieve of that whole range
+    n = 5 * 10 ** 6
+    plain = _primes_to(n)
+    assert len(plain) == 348513
+    for start in (0, 999_000, 3_999_000):
+        assert list(itertools.takewhile(n.__ge__, primes_from(start))) == plain[bisect_left(plain, start):]
 
 
 def test_sl2_5_table_matches_brute_force_class_count():

@@ -499,6 +499,14 @@ def test_negative_budget_is_refused_and_zero_runs_out(capsys):
     assert code == 4 and err == "error: work budget 0 exhausted\n"
 
 
+def test_a_run_of_onset_rejections_exits_4_on_its_budget():
+    # rho_m = rho - 10^-6 rejects about 500,000 candidates at their onset;
+    # each is charged the term it reads, so --budget 1000 ends the run
+    targets = '[{"rho_m": "1999999/1000000", "lie_type": {"family": "A", "rank": 2}, "p": 5}]'
+    argv = ("construct", "diagonal", "--rho", "2", "--targets-json", targets, "--budget", "1000")
+    assert golden.run(argv) == (4, b"", "error: work budget 1000 exhausted\n")
+
+
 def test_legal_diagonal_stratum_without_stages_is_read(capsys):
     spec = {"strata": [{"index": "diagonal", "rho": "2", "stages": []}]}
     code, out = run(capsys, "abscissa", "--spec", json.dumps(spec))

@@ -24,7 +24,7 @@ from repgrowth.constructor import (
     prec_less,
     prec_min,
 )
-from repgrowth.dirichlet import cumulative
+from repgrowth.dirichlet import EXACT, cumulative
 from repgrowth.errors import BudgetExceededError, InvariantError, PreconditionError
 from repgrowth.growth import GroupSpec, exact_abscissa, truncated_zeta, with_flag
 from repgrowth.invariants import termwise_two_sided
@@ -467,15 +467,28 @@ def test_budgets_run_out_at_the_same_union():
     # the last budget with k stages done; in the (3, 7, 5) benchmark case
     # stage k ends once `used` union entries have been formed.  Check (i)'s
     # count of built is formed before the candidates, and a candidate
-    # rejected at its onset forms no union
+    # rejected at its onset forms no union but is charged the terms it read
     targets = default_diagonal_targets(Fraction(2), 4, 5)
-    edges = [(16, 0), (55, 1), (127, 2), (262, 3)]
+    edges = [(17, 0), (59, 1), (134, 2), (271, 3)]
     want = {b: next((k for top, k in edges if b <= top), None) for b in range(1, 400, 3)}
     assert {b: _stages_done(Fraction(2), targets, b) for b in want} == want
     targets = default_diagonal_targets(Fraction(3), 7, 5)
-    for k, used in enumerate([17, 52, 141, 275, 489, 883, 1427], start=1):
+    for k, used in enumerate([18, 55, 146, 283, 500, 897, 1444], start=1):
         assert _stages_done(Fraction(3), targets, used - 1) == k - 1
         assert _stages_done(Fraction(3), targets, used) == (k if k < 7 else None)
+
+
+def test_a_run_of_onset_rejections_exhausts_the_budget():
+    # one A2 stage at rho_m = 1999/1000 under rho = 2 rejects about 500
+    # candidates at their onset, each charged the one term of x_f it reads:
+    # a budget of 1000 lets the build finish, one of 100 stops it with an
+    # empty partial certificate
+    targets = [(Fraction(1999, 1000), LieType("A", 2), 5)]
+    _, cert = build_diagonal(Fraction(2), targets, 1000)
+    assert cert.stages[0].dropped > 100
+    with pytest.raises(BudgetExceededError, match="work budget 100 exhausted") as info:
+        build_diagonal(Fraction(2), targets, 100)
+    assert info.value.partial == DiagonalCertificate(Fraction(2), (), complete=False)
 
 
 @pytest.mark.parametrize("rho, stages, p", BENCHMARK_CASES)
@@ -673,8 +686,9 @@ def test_the_onset_test_decides_each_candidate_as_the_sweep_does(rho, targets):
     # every candidate from the (i) walk's start to the recorded skip, decided
     # with the onset test (built's count at n(m-1) and the last stage's sweep
     # window, as the build passes them) and by the sweep alone: the same
-    # verdict.  An onset rejection forms nothing, lies in built's clean
-    # window, and is a sweep violation exactly at the onset d0; and on these
+    # verdict.  An onset rejection forms nothing, is charged only the terms
+    # of x_f it read, lies in built's clean window, and is a sweep violation
+    # exactly at the onset d0 (a sweep adds the union's entries); and on these
     # builds every sweep violation at an onset inside that window is one
     spec, cert = build_diagonal(rho, targets)
     sweeps = _Unions(10 ** 9)
@@ -694,7 +708,8 @@ def test_the_onset_test_decides_each_candidate_as_the_sweep_does(rho, targets):
             assert verdict == (swept_to if skip == record.dropped else None)
             if verdict is None:
                 hit, _ = sweeps.first_past((*built, candidate), n_prev, rho, True, d0)
-                tier = unions.used == 0
+                reads = sum(len(f.x_terms(d0, EXACT)) for _, f in candidate.factors_below(d0))
+                tier = not unions.memo and unions.used == reads
                 assert tier == (hit == d0 and (not built or d0 <= window))
                 if tier:
                     assert not unions.memo and not unions.runs
@@ -715,10 +730,11 @@ def test_the_onset_test_reads_built_only_inside_its_clean_window():
     j_star = _j_star(rho, Fraction(3, 2))
     with pytest.raises(InvariantError, match="stage 2: slope exceeds rho at 125, below"):
         _decide(_Unions(10 ** 9), built, candidate, rho, 1, j_star, 1, 124)
-    # with nothing built, the same count rejects it with nothing formed
+    # with nothing built, the same count rejects it with nothing formed,
+    # charged the one term it read, x_f's at d0
     unions = _Unions(10 ** 9)
     assert _decide(unions, (), candidate, rho, 1, j_star, 1) is None
-    assert unions.used == 0 and not unions.memo and not unions.runs
+    assert unions.used == 1 and not unions.memo and not unions.runs
 
 
 def test_certificate_json_shape():

@@ -20,6 +20,7 @@ from repgrowth.constructor import (
     build_fixed_type,
     default_diagonal_targets,
     make_schedule,
+    prec_min,
 )
 from repgrowth.dirichlet import (
     EXACT,
@@ -48,6 +49,7 @@ from repgrowth.growth import (
     PrgVerdict,
     PrimeStratum,
     RateSummary,
+    Schedule,
     SlopePoint,
     TruncationWarning,
     _contributions,
@@ -634,8 +636,7 @@ def _applied_as_formed(spec, N, backend, cut=None):
     kernel _mul_into and the list kernel _mul_into_list alike: each factor's
     terms must be formed, then applied, before the next factor's, in
     increasing order of their least key (dimension, or graded exponent).
-    Every factor forms its terms in one of two helpers, the linear one
-    (FactorSpec or a prime stratum's closed form) or _power_terms.  Given a
+    Every factor forms its terms in one call of _factor_terms.  Given a
     cut, a prime stratum's factors past it are its tail: they form no
     terms, and are applied by one last kernel call, keyed from their least
     dimension; every other factor past the cut is applied as it is formed,
@@ -658,8 +659,7 @@ def _applied_as_formed(spec, N, backend, cut=None):
         return applying
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_linear_terms", "_power_terms"):
-            mp.setattr(growth, name, traced(getattr(growth, name)))
+        mp.setattr(growth, "_factor_terms", traced(growth._factor_terms))
         for name, at in (("_mul_into", 3), ("_mul_into_list", 2)):
             mp.setattr(growth, name, traced_kernel(getattr(growth, name), at))
         truncated_zeta(spec, N, backend=backend)
@@ -1009,7 +1009,7 @@ def test_richer_validated_pair_sets_keep_the_abscissa():
             pairs.add((m, n))
         a = PairSet(pairs)
         rho = rho0(t) + Fraction(rng.randint(1, 10), 3)
-        sched = make_schedule(rho, t, a)
+        sched = Schedule(rho, rho0(t), *prec_min(a, rho), math.ceil(1 / (rho - rho0(t))))
         spec = GroupSpec((GeometricStratum(t, 5, sched, pairs=a),))
         assert exact_abscissa(spec).abscissa == rho
 
@@ -1744,7 +1744,7 @@ def test_empty_pair_set_is_refused_when_built():
     with pytest.raises(PreconditionError, match="empty"):
         GeometricStratum(LieType("A", 2), 5, PolyExponent((0, 1)), pairs=PairSet([]))
     with pytest.raises(PreconditionError, match="empty"):
-        make_schedule(Fraction(2), LieType("A", 2), PairSet([]))
+        prec_min(PairSet([]), Fraction(2))
 
 
 def test_diagonal_stratum_meets_the_construction_rules():
