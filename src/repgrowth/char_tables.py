@@ -31,19 +31,25 @@ def _primes_to(n: int) -> List[int]:
     return list(itertools.compress(range(n + 1), flags))
 
 
-def primes_from(start: int) -> Iterator[int]:
+def primes_from(start: int, first_hi: Optional[int] = None) -> Iterator[int]:
     """Primes >= start in increasing order.
 
     A segmented sieve: windows [lo, hi) follow each other with the width
-    doubling from 64.  In each window the multiples d*d, d*(d+1), ... are
+    doubling from 64; given first_hi, the windows that double from 64
+    follow one first window [start, first_hi], sieved at once, so that a
+    caller that reads the primes to first_hi and one more draws one small
+    window past it.  In each window the multiples d*d, d*(d+1), ... are
     crossed off for the primes d <= sqrt(hi - 1): those below 1000, and
     past hi = 10^6 those of one sieve up to twice that bound (_primes_to),
     formed again only when a window's bound passes the last one.  C-level
     maps pass over each d whose first multiple >= lo lies past the window.
     A window needs O(width + sqrt(hi)) bytes.
     """
-    lo, width, bound, base = max(2, start), 64, 999, _SMALL_PRIMES
-    while True:
+    lo, bound, base = max(2, start), 999, _SMALL_PRIMES
+    widths = (64 << k for k in itertools.count())
+    if first_hi is not None:
+        widths = itertools.chain((max(0, first_hi + 1 - lo),), widths)
+    for width in widths:
         hi = lo + width
         r = isqrt(hi - 1)
         if r > bound:
@@ -57,7 +63,6 @@ def primes_from(start: int) -> Iterator[int]:
                 flags[first::d] = bytes(len(range(first, width, d)))
         yield from itertools.compress(range(lo, hi), flags)
         lo = hi
-        width *= 2
 
 
 _SMALL_PRIMES = tuple(_primes_to(999))

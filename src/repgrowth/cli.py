@@ -11,6 +11,7 @@ Identical invocations produce byte-identical output on the exact backend.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import io
 import json
@@ -98,18 +99,26 @@ def _refuse(args, flags, why: str) -> None:
             raise SpecFormatError(f"{flag} {why}")
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+def _emit(out, text: str) -> None:
+    """Write one chunk of a command's output to out."""
+    out.write(text)
+
+
+def _emit_chunks(args, chunks) -> None:
+    """Write each chunk to the --out file, or to stdout, as it is formed,
+    and a newline after the last when it does not end in one: the file gets
+    the bytes that stdout would."""
+    with open(args.out, "w") if getattr(args, "out", None) else contextlib.nullcontext(sys.stdout) as out:
+        last = "\n"
+        for chunk in chunks:
+            _emit(out, chunk)
+            last = chunk or last
+        if not last.endswith("\n"):
+            _emit(out, "\n")
 
 
 def _emit_json(args, obj) -> None:
-    _emit(args, json.dumps(obj, indent=2, sort_keys=True))
+    _emit_chunks(args, (json.dumps(obj, indent=2, sort_keys=True),))
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +135,7 @@ def _cmd_zeta(args) -> int:
         _refuse(args, ["--q"], "applies only with --group")
         spec = _load_spec(args.spec)
     series = growth.truncated_zeta(spec, args.N)
-    _emit(args, series.to_csv() if args.format == "csv" else series.to_json())
+    _emit_chunks(args, series.csv_chunks() if args.format == "csv" else series.json_chunks())
     return 0
 
 
@@ -144,12 +153,12 @@ def _cmd_abscissa(args) -> int:
     else:
         spec = _load_spec(args.spec)
     if args.empirical:
-        report = growth.empirical_slope(spec, 10 ** 6 if args.N is None else args.N)
-        _emit(args, report.to_csv() if args.format == "csv" else report.to_json())
+        run = growth.SlopePass(spec, 10 ** 6 if args.N is None else args.N)
+        _emit_chunks(args, run.csv_chunks() if args.format == "csv" else run.json_chunks())
         return 0
     summary = growth.exact_abscissa(spec)
     if args.format == "csv":
-        _emit(args, summary.to_csv())
+        _emit_chunks(args, (summary.to_csv(),))
     else:
         _emit_json(args, summary.to_jsonable())
     return 0

@@ -18,9 +18,9 @@ import sys
 from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import accumulate, groupby, repeat
+from itertools import accumulate, chain, groupby, repeat
 from operator import add, floordiv, mul, sub
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import PreconditionError, ReportedError, int_name
 
@@ -29,6 +29,9 @@ LOG = "log"
 
 # Refuse to materialize exponent-form multiplicities beyond this many bits.
 MAX_MATERIALIZE_BITS = 1 << 22
+# The most rows that row_chunks forms in one chunk: about 0.1 MB of CSV text
+# at N = 10^6, and one chunk for every table of N <= 4096.
+ROWS_PER_CHUNK = 4096
 
 
 class BackendMismatch(PreconditionError):
@@ -139,12 +142,16 @@ class DirichletSeries:
         copy and no dimension formed, and so are _Columns, whose dims the
         caller forms sorted, distinct and in [1, cutoff]; other entries go
         through the merging loop, on their dimensions, which raises its
-        errors in its order and adds (log-adds) the entries on one dim."""
+        errors in its order and adds (log-adds) the entries on one dim.
+        Dimensions and exponents are plain ints: any other key (2.5, True,
+        "a") raises PreconditionError, an exponent before any other check."""
         if cutoff < 1:
             raise PreconditionError("cutoff must be a positive integer")
         if backend not in (EXACT, LOG):
             raise PreconditionError(f"unknown backend {backend!r}")
         if grading is not None:
+            if not {int}.issuperset(map(type, entries)):
+                raise PreconditionError(f"an exponent of {grading} is not a plain integer")
             keys = sorted(entries)
             if keys and keys[-1] > floor_log(cutoff, grading):
                 raise PreconditionError(f"an exponent of {grading} puts a dimension past the cutoff {cutoff}")
@@ -158,7 +165,8 @@ class DirichletSeries:
         elif type(entries) is dict:
             try:
                 dims = sorted(entries)
-                in_range = not dims or dims[0] >= 1
+                # plain-int keys from 1 on; the merging loop refuses any other
+                in_range = (not dims or dims[0] >= 1) and {int}.issuperset(map(type, dims))
             except TypeError:  # keys that do not compare with each other or with 1
                 in_range = False
             if in_range:
@@ -168,8 +176,8 @@ class DirichletSeries:
         exact = backend == EXACT
         merged: Dict[int, object] = {}
         for d, m in entries.items() if isinstance(entries, Mapping) else entries:
-            if d < 1:
-                raise PreconditionError(f"dimension {d} is not a positive integer")
+            if type(d) is not int or d < 1:
+                raise PreconditionError(f"dimension {d!r} is not a positive integer")
             if d > cutoff:
                 continue  # truncation silently discards
             if exact:
@@ -307,29 +315,83 @@ class DirichletSeries:
         return {"cutoff": self.cutoff, "backend": self.backend, "entries": entries}
 
     def _require_printable(self) -> None:
+        """RangeOverflow when an exact count has more digits than str()
+        prints; 10^digits is formed only for a count of more than 3 * digits
+        bits, as every smaller one lies below 8^digits."""
         digits = max_str_digits()
-        if self.backend == EXACT and max(self.mults, default=0) >= 10 ** digits:
+        top = max(self.mults, default=0) if self.backend == EXACT else 0
+        if top.bit_length() > 3 * digits and top >= 10 ** digits:
             raise RangeOverflow(f"an exact count has more than {digits} digits, too many to print")
 
-    def to_csv(self) -> str:
-        """A dimension,multiplicity header and one row per entry; raises
-        RangeOverflow, before any text is formed, when a count is too long
-        to print."""
+    def csv_chunks(self) -> Iterator[str]:
+        """to_csv's text as row_chunks forms it, a dimension,multiplicity
+        header first; raises RangeOverflow, before any chunk is formed, when
+        a count is too long to print."""
         self._require_printable()
-        return "dimension,multiplicity\n" + "".join(f"{d},{m}\n" for d, m in self.items())
+        return chain(("dimension,multiplicity\n",), row_chunks("%s,%s\n", column_blocks(self.dims, self.mults)))
+
+    def json_chunks(self) -> Iterator[str]:
+        """to_json's text as row_chunks forms it; raises RangeOverflow as
+        csv_chunks does."""
+        self._require_printable()
+        q = '"' if self.backend == EXACT else ""  # a plain int or float's repr is its JSON
+        return chain(
+            (f'{{\n  "backend": "{self.backend}",\n  "cutoff": {self.cutoff},\n  "entries": ',),
+            json_list(f'    [\n      "%s",\n      {q}%r{q}\n    ]', column_blocks(self.dims, self.mults)),
+            ("\n}",),
+        )
+
+    def to_csv(self) -> str:
+        """A dimension,multiplicity header and one row per entry."""
+        return "".join(self.csv_chunks())
 
     def to_json(self) -> str:
         """json.dumps(self.to_jsonable(), indent=2, sort_keys=True), byte for
-        byte, written row by row instead of through the pure-Python encoder;
-        raises RangeOverflow as to_csv does."""
-        self._require_printable()
-        q = '"' if self.backend == EXACT else ""  # a plain int or float's repr is its JSON
-        rows = [f'    [\n      "{d}",\n      {q}{m!r}{q}\n    ]' for d, m in self.items()]
-        entries = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
-        return (
-            f'{{\n  "backend": "{self.backend}",\n  "cutoff": {self.cutoff},\n'
-            f'  "entries": {entries}\n}}'
-        )
+        byte, written row by row instead of through the pure-Python encoder."""
+        return "".join(self.json_chunks())
+
+
+def column_blocks(*columns: Sequence) -> Iterator[list]:
+    """The columns, of equal length, cut into blocks of ROWS_PER_CHUNK rows:
+    a list of slices, one per column, for each block."""
+    k = ROWS_PER_CHUNK
+    for i in range(0, len(columns[0]), k):
+        yield [c[i:i + k] for c in columns]
+
+
+def row_chunks(row: str, blocks: Iterable[Sequence[Sequence]], sep: str = "") -> Iterator[str]:
+    """The rows of a table as text, one chunk per block, sep between rows.
+    A block is a list of columns of equal length, at most ROWS_PER_CHUNK;
+    each of its rows i is row % (c[i] for c in columns), and the chunk is one
+    % of the format (sep + row) repeated over the block's rows, applied to the
+    columns interleaved, with the first sep of the table cut off.  An empty
+    block forms no chunk."""
+    fmt = sep + row
+    lead = len(sep)  # the first row of the table has no sep before it
+    for cols in blocks:
+        k, w = len(cols[0]), len(cols)
+        if not k:
+            continue
+        values = [None] * (k * w)
+        for j, c in enumerate(cols):
+            values[j::w] = c
+        yield (fmt * k)[lead:] % tuple(values)
+        lead = 0
+
+
+def json_list(row: str, blocks: Iterable[Sequence[Sequence]]) -> Iterator[str]:
+    """The value of a key of a top-level object, as json.dumps(indent=2)
+    prints it: "[]" when no block has a row, else the rows, each indented
+    four spaces and formed by row_chunks, between "[\n" and "\n  ]"."""
+    chunks = row_chunks(row, blocks, ",\n")
+    first = next(chunks, None)
+    if first is None:
+        yield "[]"
+        return
+    yield "[\n"
+    yield first
+    yield from chunks
+    yield "\n  ]"
 
 
 def _powers(p: int, exps) -> tuple:
@@ -618,14 +680,14 @@ def cumulative(s: DirichletSeries, n: int):
     return sums[-1] if sums else -math.inf
 
 
-def _log_prefix_sums(ms) -> List[float]:
+def _log_prefix_sums(ms, a: float = -math.inf) -> List[float]:
     """The natural logs of the running sums of exp(m) over the log
-    multiplicities ms, folded left to right from -inf: each log-add written
-    out in line as _mul_into writes it (the larger operand first, then
-    a + log1p(exp(b - a))), bit for bit _logaddexp, with no call per term."""
+    multiplicities ms, folded left to right from a, the log of the sum
+    before them: each log-add written out in line as _mul_into writes it
+    (the larger operand first, then a + log1p(exp(b - a))), bit for bit
+    _logaddexp, with no call per term."""
     out = []
     log1p, exp = math.log1p, math.exp
-    a = -math.inf
     for b in ms:
         if a < b:
             a, b = b, a

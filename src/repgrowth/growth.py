@@ -39,7 +39,7 @@ import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 from operator import add, floordiv, itemgetter, mul, sub, truediv
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -53,6 +53,9 @@ from .dirichlet import (
     _log_binomial,
     _log_prefix_sums,
     _Columns,
+    column_blocks,
+    json_list,
+    row_chunks,
     _logaddexp,
     _mul_into,
     _mul_into_list,
@@ -767,7 +770,7 @@ class _PrimeTail:
     def __init__(self, stratum: PrimeStratum, r: int, N: int):
         self.stratum = stratum
         lo = max(stratum.p_min, 2 * r - 1)
-        ps = [] if lo > 2 * N + 1 else list(itertools.takewhile((2 * N + 1).__ge__, primes_from(lo)))
+        ps = [] if lo > 2 * N + 1 else list(itertools.takewhile((2 * N + 1).__ge__, primes_from(lo, 2 * N + 1)))
         h = stratum.min_dim_at
         self.ps = ps[bisect_right(ps, r, key=h):bisect_right(ps, N, key=h)]
 
@@ -1229,8 +1232,34 @@ class SlopePoint:
     slope: float
 
 
+class _SlopeText:
+    """The text of a slope table, for a class with N, window, blocks() (the
+    blocks [ns, log10_Rs, slopes] of row_chunks) and windowed_max, read
+    once the last block is formed.  Each table is the join of its chunks."""
+
+    def csv_chunks(self) -> Iterator[str]:
+        """A header and one row per point, nine decimals per slope."""
+        return itertools.chain(("n,R_n_log10,slope\n",), row_chunks("%d,%.6f,%.9f\n", self.blocks()))
+
+    def json_chunks(self) -> Iterator[str]:
+        """json.dumps of {"N", "window", "windowed_max", "points": [[str(n),
+        log10_R, slope], ...]} with indent=2 and sort_keys=True, byte for
+        byte, written row by row instead of through the pure-Python
+        encoder."""
+        yield f'{{\n  "N": {self.N},\n  "points": '
+        yield from json_list('    [\n      "%d",\n      %r,\n      %r\n    ]', self.blocks())
+        lo, hi = self.window
+        yield f',\n  "window": [\n    {lo},\n    {hi}\n  ],\n  "windowed_max": {self.windowed_max!r}\n}}'
+
+    def to_csv(self) -> str:
+        return "".join(self.csv_chunks())
+
+    def to_json(self) -> str:
+        return "".join(self.json_chunks())
+
+
 @dataclass(frozen=True)
-class SlopeReport:
+class SlopeReport(_SlopeText):
     """Three columns, ns (the dimensions n >= 2), log10_Rs and slopes
     (ln R_n / ln n); `points` rebuilds their SlopePoints on each read."""
     N: int
@@ -1244,62 +1273,70 @@ class SlopeReport:
     def points(self) -> Tuple[SlopePoint, ...]:
         return tuple(map(SlopePoint, self.ns, self.log10_Rs, self.slopes))
 
-    def to_csv(self) -> str:
-        """A header and one row per point, formed in one join with no
-        other copy of the text."""
-        rows = [f"{n},{lr:.6f},{s:.9f}\n" for n, lr, s in zip(self.ns, self.log10_Rs, self.slopes)]
-        rows.insert(0, "n,R_n_log10,slope\n")
-        return "".join(rows)
+    def blocks(self) -> Iterator[list]:
+        return column_blocks(self.ns, self.log10_Rs, self.slopes)
 
-    def to_json(self) -> str:
-        """json.dumps of {"N", "window", "windowed_max", "points": [[str(n),
-        log10_R, slope], ...]} with indent=2 and sort_keys=True, byte for
-        byte, written row by row instead of through the pure-Python encoder,
-        each row with the separator before it, in one join as to_csv."""
-        seps = itertools.chain(["[\n"], repeat(",\n"))
-        rows = [
-            f'{sep}    [\n      "{n}",\n      {lr!r},\n      {s!r}\n    ]'
-            for sep, n, lr, s in zip(seps, self.ns, self.log10_Rs, self.slopes)
-        ]
-        lo, hi = self.window
-        close = "\n  ]" if rows else "[]"
-        rows.insert(0, f'{{\n  "N": {self.N},\n  "points": ')
-        rows.append(
-            f'{close},\n  "window": [\n    {lo},\n    {hi}\n  ],\n'
-            f'  "windowed_max": {self.windowed_max!r}\n}}'
-        )
-        return "".join(rows)
+
+class SlopePass(_SlopeText):
+    """The slope sequence ln R_n / ln n of truncated_zeta(spec, N) and its
+    maximum over the window [sqrt(N), N], formed a block at a time, so that
+    a caller that writes the table holds no column: each read of blocks()
+    passes over the series in the blocks of column_blocks, and yields the
+    points of each as a block [ns, log10_Rs, slopes] for row_chunks.  It
+    carries from block to block the prefix sum R_n (its log on the log
+    backend), the log R at the window's start, and the windowed max, which
+    it sets once the last block is formed.
+
+    R_n is truncated_zeta's on its automatic backend: the exact count while
+    every multiplicity has at most _MATERIALIZE_BITS bits, its log taken as
+    the prefix sums run; past that the counts and their prefix sums are
+    log-domain.  Early dimensions are dominated by the smallest factor and
+    bias the limsup proxy downward, hence the window.  The columns are
+    C-level maps over each block's prefix sums."""
+
+    def __init__(self, spec: GroupSpec, N: int):
+        self.series = truncated_zeta(spec, N)
+        self.N = N
+        self.window = (max(2, math.isqrt(N - 1) + 1), N)
+        self.windowed_max: Optional[float] = None
+
+    def blocks(self) -> Iterator[list]:
+        s, lo = self.series, self.window[0]
+        exact = s.backend == EXACT
+        total = 0 if exact else -math.inf  # R, or ln R, before the block
+        wmax = lr_lo = 0.0
+        for dims, mults in column_blocks(s.dims, s.mults):
+            if exact:
+                lrs = list(accumulate(mults, initial=total))
+                del lrs[0]
+                total = lrs[-1]
+                lrs = list(map(math.log, lrs))
+            else:
+                lrs = _log_prefix_sums(mults, total)
+                total = lrs[-1]
+            # R_n is constant between dimensions, so ln R_n / ln n peaks over
+            # the window [lo, N] at lo or at a dimension in it (dims[0] = 1 <= lo)
+            if dims[0] <= lo:
+                lr_lo = lrs[bisect_right(dims, lo) - 1]
+            start = bisect_right(dims, 1)
+            del lrs[:start]
+            ns = dims[start:]
+            slopes = tuple(map(truediv, lrs, map(math.log, ns)))
+            # no slope is negative, as R_n >= R_1 = 1
+            wmax = max(wmax, max(itertools.islice(slopes, bisect_left(ns, lo), None), default=0.0))
+            yield [ns, tuple(map(truediv, lrs, repeat(math.log(10.0)))), slopes]
+        if lo <= self.N and lr_lo > 0:
+            wmax = max(wmax, lr_lo / math.log(lo))
+        self.windowed_max = wmax
 
 
 def empirical_slope(spec: GroupSpec, N: int) -> SlopeReport:
-    """Slope sequence log R_n / log n from the truncated series, plus the
-    maximum over the window [sqrt(N), N].  Early dimensions are dominated by
-    the smallest factor and bias the limsup proxy downward, hence the
-    window.  R_n comes from truncated_zeta(spec, N) on its automatic
-    backend: the exact count while every multiplicity has at most
-    _MATERIALIZE_BITS bits, its logs taken as the prefix sums stream; past
-    that the counts and their prefix sums are log-domain.  The columns are
-    C-level maps over the prefix sums."""
-    series = truncated_zeta(spec, N)
-    dims = series.dims
-    if series.backend == EXACT:
-        lrs = list(map(math.log, itertools.accumulate(series.mults)))
-    else:
-        lrs = _log_prefix_sums(series.mults)
-    # R_n is constant between dimensions, so ln R_n / ln n peaks over the
-    # window [lo, N] at lo or at a dimension in it (dims[0] = 1 <= lo)
-    lo = max(2, math.isqrt(N - 1) + 1)
-    lr_lo = lrs[bisect_right(dims, lo) - 1]
-    start = bisect_right(dims, 1)
-    del lrs[:start]
-    ns = tuple(itertools.islice(dims, start, None))
-    slopes = tuple(map(truediv, lrs, map(math.log, ns)))
-    # no slope is negative, as R_n >= R_1 = 1
-    wmax = max(itertools.islice(slopes, bisect_left(ns, lo), None), default=0.0)
-    if lo <= N and lr_lo > 0:
-        wmax = max(wmax, lr_lo / math.log(lo))
-    log10_Rs = tuple(map(truediv, lrs, itertools.repeat(math.log(10.0))))
-    return SlopeReport(N, (lo, N), ns, log10_Rs, slopes, wmax)
+    """SlopePass(spec, N) with its blocks joined into the three columns of
+    a SlopeReport."""
+    run = SlopePass(spec, N)
+    blocks = list(run.blocks())
+    ns, log10_Rs, slopes = (tuple(itertools.chain.from_iterable(b[j] for b in blocks)) for j in range(3))
+    return SlopeReport(N, run.window, ns, log10_Rs, slopes, run.windowed_max)
 
 
 # ---------------------------------------------------------------------------

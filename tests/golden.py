@@ -75,6 +75,9 @@ A1_TOWER = ('{"strata": [{"index": "geometric", "q": 5, "lie_type": {"family": "
 DIAGONAL = ("construct", "diagonal", "--rho")
 ABSCISSA = ("abscissa", "--example", "sl2-primes", "--empirical")
 ZETA = ("zeta", "--format", "csv", "--N")
+# the address space of the four 10^6 table pins: truncated_zeta peaks near 135 MB there, and a run
+# that holds its table or slope columns beside the series, 222-338 MB at 0ee3c55, runs out of memory
+STREAMED_MIB = 192
 
 
 def targets(*stages):
@@ -129,9 +132,13 @@ PINS = [
     # the same in the simple view (6661ec2)
     Pin("zeta-primes-simple", (*ZETA, "100000", "--spec", PRIMES % (5, 3, "simple")),
         "651bdf11d16f30bb655a9535e12cba9593c2cb47ec7f68a6ccc2a185601b87a6"),
-    # the exact per-factor product at 10^6 (300fd26)
+    # the exact per-factor product at 10^6 (300fd26), under a cap that a run
+    # holding its whole table as one string exceeds (STREAMED_MIB)
     Pin("zeta-primes-1e6", (*ZETA, "1000000", "--spec", PRIMES % (5, 3, "cover")),
-        "630e9c3fa0e200155d314b3b9823365b6bbf20ff059dffb78ad7e8050e5109bf", ci_only=True),
+        "630e9c3fa0e200155d314b3b9823365b6bbf20ff059dffb78ad7e8050e5109bf", mib=STREAMED_MIB, ci_only=True),
+    # the same series as JSON, 58 MB of text (0ee3c55)
+    Pin("zeta-primes-1e6-json", ("zeta", "--format", "json", "--N", "1000000", "--spec", PRIMES % (5, 3, "cover")),
+        "601ea80bde6fade657cab50d72b6e00caa9506da5e161cca22171ec2948f1707", mib=STREAMED_MIB, ci_only=True),
     # d = 4: its largest multiplicity has 104 bits, so the counts stay exact (3f218f8)
     Pin("zeta-primes-d4", (*ZETA, "100000", "--spec", PRIMES % (5, 6, "cover")),
         "176cb59474afed1be6ae40a932c3db629a407e6ba8d669774806afa77b355200"),
@@ -162,9 +169,13 @@ PINS = [
     # 7's multiplicity has 281 bits at d = 40, so these slopes stay on the log path (7e5f55f)
     Pin("abscissa-d40-json", (*ABSCISSA, "--d", "40", "--N", "100", "--format", "json"),
         "6e03db1ddaf80dda6b8abcfe8b3c88612387db2372de9036b564dac65147dccd"),
-    # slopes of the exact counts at 10^6, 414 rows off the log path's in the last decimal (7e5f55f)
+    # slopes of the exact counts at 10^6, 414 rows off the log path's in the last decimal (7e5f55f),
+    # under a cap that a run holding its three columns exceeds
     Pin("abscissa-d3-1e6", (*ABSCISSA, "--N", "1000000", "--format", "csv"),
-        "0d1a76da642236ed3e0caecc3ace023a5e3776d0f886bb0d19156715c5868717", ci_only=True),
+        "0d1a76da642236ed3e0caecc3ace023a5e3776d0f886bb0d19156715c5868717", mib=STREAMED_MIB, ci_only=True),
+    # every bit of each slope at 10^6, 79 MB of JSON (0ee3c55)
+    Pin("abscissa-d3-1e6-json", (*ABSCISSA, "--N", "1000000", "--format", "json"),
+        "8a87e7d3f0cf5634064f2c976c5e6df69c7542c70f80237032addd7f39eb4644", mib=STREAMED_MIB, ci_only=True),
 ]
 
 

@@ -712,7 +712,7 @@ def test_first_dimension_far_above_n_contributes_nothing(spec):
 
 @pytest.mark.parametrize("p_min", [10 ** 14, 10 ** 18])
 def test_huge_p_min_enumerates_no_primes(capsys, monkeypatch, p_min):
-    def no_sieve(start):
+    def no_sieve(start, first_hi=None):
         raise AssertionError(f"primes_from({start}) called")
 
     monkeypatch.setattr(growth, "primes_from", no_sieve)
@@ -950,14 +950,16 @@ def test_targets_json_needs_no_p(capsys, tmp_path):
 CLOSED_STDOUT = pytest.mark.parametrize(
     "argv, lines_read",
     [
-        # about 0.5 MB of CSV, far more than a pipe buffers: the writer is
-        # still writing when the reader goes away
+        # about 0.5 MB of CSV in five chunks, far more than a pipe buffers:
+        # the writer is still writing when the reader goes away
         (("abscissa", "--example", "sl2-primes", "--empirical", "--N", "20000", "--format", "csv"), 1),
         # a few hundred bytes, still buffered when the command flushes
         # stdout into a pipe closed before it started
         (("construct", "fixed", "--rho", "2", "--p", "5"), 0),
+        # about 1 MB of a series' JSON, closed within its first chunk
+        (("zeta", "--spec", json.dumps(sl2_over_primes_spec(3).to_jsonable()), "--N", "20000"), 1),
     ],
-    ids=["mid-write", "at-flush"],
+    ids=["mid-write", "at-flush", "mid-write-zeta-json"],
 )
 
 
@@ -1004,6 +1006,25 @@ OUT_COMMANDS = {
     "prg": ("prg", "--spec", json.dumps(sl2_over_primes_spec(3).to_jsonable())),
     "gens": ("gens", "--group", "C3"),
 }
+
+
+STREAMED_COMMANDS = {
+    f"{command}-{fmt}": (*argv, "--N", "300", "--format", fmt)
+    for command, argv in (("zeta", ("zeta", "--spec", json.dumps(sl2_over_primes_spec(3).to_jsonable()))),
+                          ("slopes", ("abscissa", "--example", "sl2-primes", "--empirical")))
+    for fmt in ("csv", "json")
+}
+STREAMED_COMMANDS["abscissa-csv"] = ("abscissa", "--example", "sl2-primes", "--format", "csv")
+
+
+@pytest.mark.parametrize("argv", [*STREAMED_COMMANDS.values(), *OUT_COMMANDS.values()],
+                         ids=[*STREAMED_COMMANDS, *OUT_COMMANDS])
+def test_out_gets_the_bytes_of_stdout(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.setattr(dirichlet, "ROWS_PER_CHUNK", 7)  # tables of many chunks
+    code, out = run(capsys, *argv)
+    target = tmp_path / "out"
+    assert code == 0 and run(capsys, *argv, "--out", str(target)) == (0, "")
+    assert target.read_bytes() == out.encode() and out.endswith("\n")
 
 
 @pytest.mark.parametrize("command", sorted(OUT_COMMANDS))

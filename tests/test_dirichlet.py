@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repgrowth import dirichlet
 from repgrowth.dirichlet import (
     EXACT,
     LOG,
@@ -268,6 +269,58 @@ TO_JSON_CASES = {
 def test_to_json_is_json_dumps_byte_for_byte(name):
     s = TO_JSON_CASES[name]
     assert s.to_json() == json.dumps(s.to_jsonable(), indent=2, sort_keys=True)
+
+
+def _csv_join(s):
+    """to_csv as one f-string join, as it was written before it streamed."""
+    return "dimension,multiplicity\n" + "".join(f"{d},{m}\n" for d, m in s.items())
+
+
+def _json_join(s):
+    """to_json as one f-string join, as it was written before it streamed."""
+    q = '"' if s.backend == EXACT else ""
+    rows = [f'    [\n      "{d}",\n      {q}{m!r}{q}\n    ]' for d, m in s.items()]
+    entries = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    return f'{{\n  "backend": "{s.backend}",\n  "cutoff": {s.cutoff},\n  "entries": {entries}\n}}'
+
+
+CHUNKED_CASES = {
+    "exact": DirichletSeries(10 ** 30, {1: 1, 2: 2, 3: 2, 7: 10 ** 40, 10 ** 29: 3 ** 200}),
+    "log": DirichletSeries(9, {1: 0.0, 2: 1e-300, 3: -0.0, 5: 123456.789, 9: 2.0 ** 60}, LOG),
+    "graded": DirichletSeries(5 ** 20, {0: 1, 1: 4, 2: 5 ** 30, 3: 7, 20: 2}, EXACT, 5),
+    "one-entry": DirichletSeries(1, {1: 1}),
+    "empty": DirichletSeries(7, {}),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(CHUNKED_CASES))
+def test_chunked_tables_are_the_row_join(monkeypatch, name, rows):
+    monkeypatch.setattr(dirichlet, "ROWS_PER_CHUNK", rows)
+    s = CHUNKED_CASES[name]
+    assert s.to_csv() == _csv_join(s)
+    assert s.to_json() == _json_join(s) == json.dumps(s.to_jsonable(), indent=2, sort_keys=True)
+    # the header, then one chunk per block of at most `rows` rows
+    header, *chunks = s.csv_chunks()
+    assert header == "dimension,multiplicity\n"
+    assert [c.count("\n") for c in chunks] == [min(rows, len(s) - i) for i in range(0, len(s), rows)]
+
+
+def test_an_empty_series_prints_an_empty_entry_list():
+    assert '\n  "entries": []\n}' in CHUNKED_CASES["empty"].to_json()
+    assert CHUNKED_CASES["empty"].to_csv() == "dimension,multiplicity\n"
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4096])
+def test_row_chunks_interleave_the_columns_in_one_format_per_block(monkeypatch, rows):
+    monkeypatch.setattr(dirichlet, "ROWS_PER_CHUNK", rows)
+    columns = (tuple(range(7)), tuple("abcdefg"), tuple(x / 4 for x in range(7)))
+    blocks = list(dirichlet.column_blocks(*columns))
+    assert [len(b[0]) for b in blocks] == [min(rows, 7 - i) for i in range(0, 7, rows)]
+    chunks = list(dirichlet.row_chunks("%d:%s:%r", blocks + [[(), (), ()]], "|"))
+    assert len(chunks) == len(blocks)  # an empty block forms no chunk
+    assert "".join(chunks) == "|".join(f"{i}:{c}:{x!r}" for i, c, x in zip(*columns))
+    assert list(dirichlet.json_list("%d", [[()]])) == ["[]"]
 
 
 # sha256 of to_json() on the log backend, pinned when the three multiply-add

@@ -22,6 +22,7 @@ from repgrowth.constructor import (
     make_schedule,
     prec_min,
 )
+from repgrowth import dirichlet
 from repgrowth.dirichlet import (
     EXACT,
     LOG,
@@ -793,7 +794,7 @@ def test_only_a_dense_exact_product_over_dimensions_takes_the_list(monkeypatch):
         (build_fixed_type(Fraction(2), LieType("A", 2), 5), 5 ** 60, None, (EXACT, 5, False, 0)),
     ]
     starts = []
-    monkeypatch.setattr(growth, "primes_from", lambda start: starts.append(start) or primes_from(start))
+    monkeypatch.setattr(growth, "primes_from", lambda start, hi=None: starts.append(start) or primes_from(start, hi))
     plans = [growth._plan(spec, N, backend) for spec, N, backend, _ in cases]
     assert [(p.backend, p.grading, p.dense, len(p.tails)) for p in plans] == [want for *_, want in cases]
     # the primes from 1999999999800 have no head item at 10^12: only the tail sieves
@@ -1139,6 +1140,41 @@ def test_slope_columns_match_the_per_point_loop(spec, N):
     assert again == rep and hash(again) == hash(rep)
     for column, kind in ((rep.ns, int), (rep.log10_Rs, float), (rep.slopes, float)):
         assert type(column) is tuple and all(type(x) is kind for x in column)
+
+
+# d = 3 reads the exact counts, d = 40 the log backend (7's multiplicity
+# has 281 bits); the A5 factor at 36 has its window's max at lo alone
+CHUNKED_SLOPE_CASES = [(sl2_over_primes_spec(3), 300), (sl2_over_primes_spec(40), 100),
+                       (finite_spec(FactorSpec(A1, 5, simple=True)), 36)]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("spec,N", CHUNKED_SLOPE_CASES, ids=["primes-d3", "primes-d40", "a5-36"])
+def test_the_slope_pass_in_small_blocks_is_the_one_block_pass(monkeypatch, spec, N, rows):
+    whole = empirical_slope(spec, N)
+    assert len(whole.ns) < dirichlet.ROWS_PER_CHUNK  # one block
+    points, _ = _bisect_window(spec, N)
+    monkeypatch.setattr(dirichlet, "ROWS_PER_CHUNK", rows)
+    rep = empirical_slope(spec, N)
+    assert (rep.ns, rep.window) == (whole.ns, whole.window)
+    for a, b in ((rep.log10_Rs, whole.log10_Rs), (rep.slopes, whole.slopes)):
+        assert [x.hex() for x in a] == [x.hex() for x in b]
+    assert rep.windowed_max.hex() == whole.windowed_max.hex()
+    # the report's text, and the text a SlopePass writes with no column held
+    assert rep.to_csv() == growth.SlopePass(spec, N).to_csv() == _points_csv(points)
+    assert rep.to_json() == growth.SlopePass(spec, N).to_json() == _points_json(rep, points)
+    run = growth.SlopePass(spec, N)
+    assert run.windowed_max is None  # set once the last block is formed
+    assert all(len(block[0]) <= rows for block in run.blocks())
+    assert run.windowed_max == rep.windowed_max
+
+
+def test_a_report_with_no_points_prints_an_empty_point_list():
+    rep = empirical_slope(GroupSpec(()), 1000)
+    assert rep.ns == () and rep.to_csv() == "n,R_n_log10,slope\n"
+    assert '\n  "points": [],\n' in rep.to_json()
+    obj = {"N": 1000, "points": [], "window": [32, 1000], "windowed_max": 0.0}
+    assert rep.to_json() == growth.SlopePass(GroupSpec(()), 1000).to_json() == json.dumps(obj, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("d,N", [(3, 2500), (5, 999)])

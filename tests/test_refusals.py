@@ -73,7 +73,15 @@ REFUSALS = {
     "graded-zero-count": (
         lambda: DirichletSeries(25, {0: 1, 1: 0}, EXACT, 5), PreconditionError, "must be a positive integer",
     ),
-    "keys-that-do-not-compare": (lambda: DirichletSeries(5, {"a": 1, 2: 1}), TypeError, "not supported"),
+    "keys-that-do-not-compare": (
+        lambda: DirichletSeries(5, {"a": 1, 2: 1}), PreconditionError, "dimension 'a' is not a positive integer",
+    ),
+    "float-key": (lambda: DirichletSeries(5, {2.5: 1}), PreconditionError, "dimension 2.5 is not a positive integer"),
+    "str-key-in-pairs": (lambda: DirichletSeries(5, [("a", 1)]), PreconditionError, "dimension 'a' is not"),
+    "bool-key": (lambda: DirichletSeries(5, {True: 1}), PreconditionError, "dimension True is not"),
+    "graded-float-key": (
+        lambda: DirichletSeries(25, {0.5: 1}, EXACT, 5), PreconditionError, "an exponent of 5 is not a plain integer",
+    ),
     "series-attribute": (lambda: _set(S, "cutoff", 3), AttributeError, "immutable"),
     "count-too-long-to-print": (
         lambda: DirichletSeries(2, {1: 10 ** max_str_digits()}).to_csv(), RangeOverflow, "too many to print",
