@@ -439,8 +439,8 @@ def build_diagonal(
 
     When every factor a product applies is past A1 over one prime p, as
     when every stage is past A1 over powers of p, its convolve runs on the
-    exponents of p (series graded by p, whose keys the one kernel
-    _mul_into adds) instead of on dimensions of hundreds of bits, with the
+    exponents of p (series graded by p, whose keys its kernel
+    _mul_terms adds) instead of on dimensions of hundreds of bits, with the
     updates of dimension keys in their order: the same series, the same
     certificate.  Each factor's terms are formed on those exponents too,
     from the k of q = p^k each stage stratum proved when it was built, and

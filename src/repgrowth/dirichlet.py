@@ -18,7 +18,7 @@ import sys
 from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import accumulate, chain, groupby, repeat
+from itertools import accumulate, chain, repeat
 from operator import add, floordiv, mul, sub
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -436,8 +436,8 @@ def evaluate(s: DirichletSeries, sigma: float) -> float:
         raise RangeOverflow("sum exceeds double range; evaluate on the log backend")
 
 
-def _mul_into(acc, src, k1s, x, stop, exact, bound=0, graded=False):
-    """Add src[k1] * x into the dict acc, for each key k1 of k1s in turn and
+def _mul_into(acc, k1s, x, stop, exact, bound=0, graded=False):
+    """Add acc[k1] * x into the dict acc, for each key k1 of k1s in turn and
     the terms of x in order (sum of logs and a log-add on the log backend,
     written out in line: the operands swapped so that the larger comes
     first, then a + log1p(exp(b - a)), bit for bit _logaddexp).  x holds
@@ -448,16 +448,14 @@ def _mul_into(acc, src, k1s, x, stop, exact, bound=0, graded=False):
     the same updates in the same order, so the same bits on the log
     backend, with small-int keys that spare each update a multiply, a
     compare and two hashes of a dimension that can run to thousands of
-    bits.  Returns the keys it created that are <= bound, in creation
-    order.
-
-    src may be acc itself when every target key exceeds its source and
-    k1s runs high to low: then no source is updated before it is read.
+    bits.  k1s runs high to low and every target key exceeds its source, so
+    no source is updated before it is read.  Returns the keys it created
+    that are <= bound, in creation order.
     """
     fresh = []
     log1p, exp = math.log1p, math.exp
     for k1 in k1s:
-        m1 = src[k1]
+        m1 = acc[k1]
         for k2, m2 in x:
             k = k1 + k2 if graded else k1 * k2
             if k > stop:
@@ -475,6 +473,41 @@ def _mul_into(acc, src, k1s, x, stop, exact, bound=0, graded=False):
                     prev, m = m, prev
                 acc[k] = prev + log1p(exp(m - prev))
     return fresh
+
+
+def _mul_terms(acc, k1s, m1s, x, stop, exact, graded, past):
+    """Add m1 * m2 into the dict acc at k1 * k2 (graded, at k1 + k2) for each
+    term (k2, m2) of x in turn and, per term, each source (k1, m1) of the
+    sorted columns k1s, m1s whose update lands in (past, stop]: one slice
+    of sources, found by two bisects.  The log-add is _mul_into's, written
+    out in line.  A key's first update sets it and each later one adds to
+    it, so the bits of a log sum follow the order of its updates: x runs
+    high to low on the log backend, which gives each key its updates in
+    ascending source order.  On the exact backend x runs low to high, and
+    a unit term (key 1, or 0 graded, count 1) met while acc is empty is
+    one acc.update of its slice, which shares the sources' key and count
+    objects where k1 * 1 would form new ones."""
+    log1p, exp = math.log1p, math.exp
+    for k2, m2 in x:
+        if graded:
+            i, j = bisect_right(k1s, past - k2), bisect_right(k1s, stop - k2)
+        else:
+            i, j = bisect_right(k1s, past // k2), bisect_right(k1s, stop // k2)
+        if exact and m2 == 1 and k2 == (0 if graded else 1) and not acc:
+            acc.update(zip(k1s[i:j], m1s[i:j]))
+            continue
+        for k1, m1 in zip(k1s[i:j], m1s[i:j]):
+            k = k1 + k2 if graded else k1 * k2
+            prev = acc.get(k)
+            if prev is None:
+                acc[k] = m1 * m2 if exact else m1 + m2
+            elif exact:
+                acc[k] = prev + m1 * m2
+            else:
+                m = m1 + m2
+                if prev < m:
+                    prev, m = m, prev
+                acc[k] = prev + log1p(exp(m - prev))
 
 
 def _mul_into_list(acc: list, k1s, x, N: int) -> None:
@@ -523,18 +556,16 @@ def convolve(
     """Dirichlet product truncated at N: entry at d is sum over d1*d2 = d.
 
     Two series graded by one prime p multiply on their keys, the exponents
-    of p: _mul_into keys each update by e1 + e2 in place of d1 * d2, in the
+    of p: _mul_terms keys each update by e1 + e2 in place of d1 * d2, in the
     same order, so the result is the same series to the bit, graded by p
     again.  Any other two multiply on their dimensions.
 
     have, when given, is this product at a cutoff M = have.cutoff <= N, and
-    only the pairs past it are formed: d2 > M // d1 for each source d1, or
-    e1 + e2 > floor_log(M, p) when graded.  The first such term of s2,
-    found by bisect, falls as d1 rises, and each run of sources that share
-    it is one kernel call on the terms from it on, the runs in the order of
-    their sources.  Every new key lies past every key of have, so the new
-    entries follow have's, have's keyed again by the product's rule (a
-    dimension of have that the rule has no key for raises), and each key
+    only the pairs past it are formed: d1 > M // d2 for each term d2, or
+    e1 + e2 > floor_log(M, p) when graded, the sources of each term one
+    slice found by bisect.  Every new key lies past every key of have, so
+    the new entries follow have's, have's keyed again by the product's rule
+    (a dimension of have that the rule has no key for raises), and each key
     gets the updates of a fresh product in their order: the same series to
     the bit on either backend."""
     if s1.backend != s2.backend or (have is not None and have.backend != s1.backend):
@@ -548,20 +579,19 @@ def convolve(
     p = s1.grading if s1.grading == s2.grading else None  # the product's key rule
     acc: Dict[int, object] = {}
     if s1 and s2:
-        # part(top, k): the largest key that k takes to a key <= top
+        # part(top, k): the largest key that k takes to a key <= top;
+        # past: the key below every key of a fresh product, or have's top key
         if p is None:
-            k1s, k2s, stop, part = s1.dims, s2.dims, N, floordiv
+            k1s, k2s, stop, part, past = s1.dims, s2.dims, N, floordiv, 0
         else:
-            k1s, k2s, stop, part = s1.keys, s2.keys, floor_log(N, p), sub
-        k1s = k1s[:bisect_right(k1s, part(stop, k2s[0]))]
-        runs = [(0, k1s)]
+            k1s, k2s, stop, part, past = s1.keys, s2.keys, floor_log(N, p), sub, -1
         if have is not None:
-            top = have.cutoff if p is None else floor_log(have.cutoff, p)
-            runs = groupby(k1s, lambda k1: bisect_right(k2s, part(top, k1)))
-        x, src, exact = list(zip(k2s, s2.mults)), dict(zip(k1s, s1.mults)), s1.backend == EXACT
-        for i, run in runs:
-            _mul_into(acc, src, run, x[i:], stop, exact, 0, p is not None)
-        del src  # as large as s1: freed before the result's tuples are built
+            past = have.cutoff if p is None else floor_log(have.cutoff, p)
+        exact = s1.backend == EXACT
+        x = list(zip(k2s[:bisect_right(k2s, part(stop, k1s[0]))], s2.mults))
+        if not exact:
+            x.reverse()
+        _mul_terms(acc, k1s, s1.mults, x, stop, exact, p is not None, past)
     out = DirichletSeries(N, acc, s1.backend, p)
     return out if have is None else out.after(have)
 

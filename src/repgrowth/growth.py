@@ -1071,7 +1071,7 @@ def truncated_zeta(spec: GroupSpec, N: int, *, backend: Optional[str] = None) ->
         x = _factor_terms(f, min_dim, N, plan.backend, top)
         bound = top - x[0][0] if graded else N // x[0][0]
         del sources[bisect_right(sources, bound):]
-        fresh = _mul_into(acc, acc, reversed(sources), x, stop, exact, bound, graded)
+        fresh = _mul_into(acc, reversed(sources), x, stop, exact, bound, graded)
         if fresh:
             sources += fresh
             sources.sort()

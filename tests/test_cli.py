@@ -83,7 +83,7 @@ def test_memory_run_out_in_a_union_kernel_is_a_budget_exit(capsys, monkeypatch):
     def exhausted(*args):
         raise MemoryError
 
-    monkeypatch.setattr(dirichlet, "_mul_into", exhausted)
+    monkeypatch.setattr(dirichlet, "_mul_terms", exhausted)
     code = main(["construct", "diagonal", "--rho", "2", "--stages", "3", "--p", "5"])
     captured = capsys.readouterr()
     assert code == 4 and captured.out == ""

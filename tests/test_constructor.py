@@ -559,15 +559,18 @@ def test_a_union_extended_to_a_larger_cutoff_forms_only_its_new_pairs(monkeypatc
             updates.append(key)
             super().__setitem__(key, value)
 
-    real = dirichlet._mul_into
+        def update(self, pairs):
+            for key, value in pairs:
+                self[key] = value
+
+    real = dirichlet._mul_terms
 
     def counted(acc, *args):
         tally = Tally(acc)
-        fresh = real(tally, *args)
+        real(tally, *args)
         acc.update(tally)
-        return fresh
 
-    monkeypatch.setattr(dirichlet, "_mul_into", counted)
+    monkeypatch.setattr(dirichlet, "_mul_terms", counted)
     rho, stages, p = case
     build_diagonal(rho, default_diagonal_targets(rho, stages, p))
     assert 0 < len(updates) <= most

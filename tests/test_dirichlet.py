@@ -23,10 +23,12 @@ from repgrowth.dirichlet import (
     _log_binomial,
     _logaddexp,
     _mul_into,
+    _mul_terms,
     _power_terms,
     convolve,
     cumulative,
     evaluate,
+    floor_log,
     mult_to_int,
     power_one_plus,
 )
@@ -361,7 +363,9 @@ def convolve_power_terms(x, M, N, backend):
         c = math.comb(Mi, k) if exact else _log_binomial(M, k)
         if c == (0 if exact else float("-inf")):
             break
-        _mul_into(out, {1: c}, (1,), terms, N, exact)
+        out[1] = c  # the one source, below every key of terms
+        _mul_into(out, (1,), terms, N, exact)
+        del out[1]
         k += 1
         if (isinstance(M, int) and k > M) or d0 ** k > N:
             break
@@ -419,15 +423,80 @@ LOG_ADD_GRID = [
 
 @pytest.mark.parametrize("graded, stop", [(False, 6), (True, 5)], ids=["dims", "exponents"])
 def test_inlined_log_add_is_logaddexp_bit_for_bit(graded, stop):
-    # _mul_into adds in the log domain without calling _logaddexp; on a grid
-    # of equal operands, large gaps and negatives, in both argument orders,
-    # the sum it stores at 2 * 3 (or, graded, at 2 + 3) must be _logaddexp's
-    # to the last bit
+    # _mul_into and _mul_terms add in the log domain without calling
+    # _logaddexp; on a grid of equal operands, large gaps and negatives, in
+    # both argument orders, the sum each stores at 2 * 3 (or, graded, at
+    # 2 + 3) must be _logaddexp's to the last bit
+    past = -1 if graded else 0
     for prev, m1, m2 in product(LOG_ADD_GRID, LOG_ADD_GRID, (0.0, -3.25, 1.5)):
+        want = _bits(_logaddexp(prev, m1 + m2))
+        acc = {2: m1, stop: prev}
+        fresh = _mul_into(acc, (2,), [(3, m2)], stop, False, 0, graded)
+        assert fresh == [] and list(acc) == [2, stop]
+        assert _bits(acc[stop]) == want, (prev, m1, m2)
         acc = {stop: prev}
-        fresh = _mul_into(acc, {2: m1}, (2,), [(3, m2)], stop, False, 0, graded)
-        assert fresh == [] and list(acc) == [stop]
-        assert _bits(acc[stop]) == _bits(_logaddexp(prev, m1 + m2)), (prev, m1, m2)
+        _mul_terms(acc, (2,), (m1,), [(3, m2)], stop, False, graded, past)
+        assert list(acc) == [stop] and _bits(acc[stop]) == want, (prev, m1, m2)
+
+
+def source_by_source(s1, s2, N, have=None):
+    """Reference for convolve: its loop before it had a kernel of its own,
+    the sources of s1 ascending and, per source, the terms of s2 in order,
+    each update past have's cutoff and <= N set or added (_logaddexp on the
+    log backend) into one dict."""
+    p = s1.grading if s1.grading == s2.grading else None
+    k1s, k2s = (s1.dims, s2.dims) if p is None else (s1.keys, s2.keys)
+    stop = N if p is None else floor_log(N, p)
+    if have is None:
+        top = 0 if p is None else -1
+    else:
+        top = have.cutoff if p is None else floor_log(have.cutoff, p)
+    exact, acc = s1.backend == EXACT, {}
+    for k1, m1 in zip(k1s, s1.mults):
+        for k2, m2 in zip(k2s, s2.mults):
+            k = k1 * k2 if p is None else k1 + k2
+            if k > stop:
+                break
+            if k > top:
+                m = m1 * m2 if exact else m1 + m2
+                prev = acc.get(k)
+                acc[k] = m if prev is None else prev + m if exact else _logaddexp(prev, m)
+    out = DirichletSeries(N, acc, s1.backend, p)
+    return out if have is None else out.after(have)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from([None, 2, 3]), st.sampled_from([EXACT, LOG]), st.booleans())
+def test_convolve_is_the_source_by_source_loop_bit_for_bit(data, grading, backend, extend):
+    # the term-major kernel gives each key the updates of the source loop in
+    # the same order on the log backend, and the same sums on the exact one
+    keys = st.integers(0, 12) if grading else st.integers(1, 400)
+    a, b = (data.draw(st.dictionaries(keys, st.integers(1, 10 ** 40), min_size=1, max_size=20)) for _ in "ab")
+    if grading:
+        N = data.draw(st.integers(1, grading ** 12))
+        top = floor_log(N, grading)
+        a, b = ({k: v for k, v in s.items() if k <= top} or {0: 1} for s in (a, b))
+    else:
+        N = data.draw(st.integers(1, 5000))
+    if backend == LOG:
+        a, b = ({k: math.log(v) for k, v in s.items()} for s in (a, b))
+    s1, s2 = (DirichletSeries(N, s, backend, grading) for s in (a, b))
+    have = convolve(s1, s2, data.draw(st.integers(1, N))) if extend else None
+    got, want = convolve(s1, s2, N, have), source_by_source(s1, s2, N, have)
+    assert got.grading == want.grading and got.keys == want.keys
+    assert got.to_json() == want.to_json()
+    assert got.mults == want.mults
+    if backend == LOG:
+        assert list(map(_bits, got.mults)) == list(map(_bits, want.mults))
+
+
+def test_a_unit_term_shares_the_sources_counts():
+    # on the exact backend, the product by a series whose first term is 1
+    # holds the very count objects of the other factor below its next term
+    big = DirichletSeries(100, {d: 10 ** 50 + d for d in range(1, 101)})
+    got = convolve(big, DirichletSeries(100, {1: 1, 7: 2}), 100)
+    assert got.mults[:6] == big.mults[:6]
+    assert all(m is n for m, n in zip(got.mults[:6], big.mults[:6]))
 
 
 LOG_BINOMIAL_ONE = [

@@ -1,7 +1,8 @@
 """Graded series: series whose every dimension is a power of one prime p
-multiply on the exponents of p, through the one kernel dirichlet._mul_into
-with keys added in place of dimensions multiplied, in the same update
-order, so both key rules give the same series to the bit.  build_diagonal
+multiply on the exponents of p, through the kernels dirichlet._mul_terms
+(convolve) and dirichlet._mul_into (truncated_zeta) with keys added in
+place of dimensions multiplied, in the same update order, so both key
+rules give the same series to the bit.  build_diagonal
 forms each stage series past A1 by a recurrence instead
 (constructor._StageRun), one run per stage stratum extended to each larger
 cutoff: the same series to the bit again."""
@@ -200,22 +201,21 @@ def test_a_remainder_in_the_recurrence_is_an_invariant_failure(monkeypatch):
 
 def _watch_graded_kernel(mp, seen):
     """Wrap both paths that form a graded product and pass each use to
-    seen: "kernel from <module>" before each call of the one kernel in
-    graded mode, keys added rather than multiplied, where convolve
-    (dirichlet) and truncated_zeta (growth) call it; and "recurrence from
-    repgrowth.constructor" each time a stage stratum's run in
-    build_diagonal gives a graded product (below every factor it gives the
-    plain unit series)."""
-    real = dirichlet._mul_into
-    bind = inspect.signature(real).bind
-    for module in (dirichlet, growth):
+    seen: "kernel from <module>" before each call of a kernel in graded
+    mode, keys added rather than multiplied, where convolve calls
+    _mul_terms (dirichlet) and truncated_zeta calls _mul_into (growth); and
+    "recurrence from repgrowth.constructor" each time a stage stratum's run
+    in build_diagonal gives a graded product (below every factor it gives
+    the plain unit series)."""
+    for module, name in ((dirichlet, "_mul_terms"), (growth, "_mul_into")):
+        real = getattr(module, name)
 
-        def watched(*args, _name=module.__name__, **kwargs):
-            if bind(*args, **kwargs).arguments.get("graded"):
+        def watched(*args, _name=module.__name__, _real=real, _bind=inspect.signature(real).bind, **kwargs):
+            if _bind(*args, **kwargs).arguments.get("graded"):
                 seen(f"kernel from {_name}")
-            return real(*args, **kwargs)
+            return _real(*args, **kwargs)
 
-        mp.setattr(module, "_mul_into", watched)
+        mp.setattr(module, name, watched)
     recurrence = constructor._StageRun.extend
 
     def watched_recurrence(*args):

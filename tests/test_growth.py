@@ -652,17 +652,17 @@ def _applied_as_formed(spec, N, backend, cut=None):
 
         return forming
 
-    def traced_kernel(kernel, at):  # x is the kernel's argument at
+    def traced_kernel(kernel):  # x is each kernel's third argument
         def applying(*args):
-            events.append(("mul", next(iter(args[at]))[0]))
+            events.append(("mul", next(iter(args[2]))[0]))
             return kernel(*args)
 
         return applying
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(growth, "_factor_terms", traced(growth._factor_terms))
-        for name, at in (("_mul_into", 3), ("_mul_into_list", 2)):
-            mp.setattr(growth, name, traced_kernel(getattr(growth, name), at))
+        for name in ("_mul_into", "_mul_into_list"):
+            mp.setattr(growth, name, traced_kernel(getattr(growth, name)))
         truncated_zeta(spec, N, backend=backend)
     dims = [(isinstance(s, PrimeStratum), d) for s in spec.strata for d, _ in s.factors_below(N)]
     tail_dims = [d for prime, d in dims if prime and cut is not None and d > cut]
