@@ -204,8 +204,8 @@ class _StageRun:
     to the bit.  The cutoffs a build asks of a stratum rise by squares from
     its onset, so K stays within a few times its factor count.
 
-    The state is g, c, F, the (M_f, x_f) applied and the top reached.  A
-    factor first walked past a cutoff N has every exponent above
+    The state is g, c, F, the (M_f, e, a) applied and the top reached.  A
+    factor first applied past a cutoff N has every exponent above
     floor_log(N, p), so a larger top on the same grid leaves every c_j and
     F_n below the old one as it is and forms only the new ones; a finer
     grid forms every exponent again."""
@@ -214,18 +214,16 @@ class _StageRun:
         self.p, self.g, self.top, self.xs, self.c, self.F = p, 1, 0, [], [0], [1]
 
     def extend(self, factors: list, N: int, top: int) -> DirichletSeries:
-        """The product at N, top = floor_log(N, p), once the walk items
-        factors past the last cutoff are applied (every item, from empty);
-        a prefix at a top already reached; and truncated_zeta's plain unit
-        series where no factor lies at or below N.  A factor with no
-        multiple of its exponent past the old top adds nothing and is
-        passed over, and the series is formed from F's nonzero slots as
+        """The product at N, top = floor_log(N, p), once the factors (M_f,
+        e, a), e <= top, past the last cutoff are applied (every one, from
+        empty); a prefix at a top already reached; and truncated_zeta's
+        plain unit series where no factor lies at or below N.  A factor
+        with no multiple of its exponent past the old top adds nothing and
+        is passed over, and the series is formed from F's nonzero slots as
         they stand, through the check of DirichletSeries._init_sorted."""
         if top > self.top and (self.xs or factors):
-            if any(f.pairs is not None for _, f in factors):
-                raise PreconditionError("a stage run applies only factors of the canonical pair set")
-            xs = self.xs + [(mult_to_int(f.multiplicity), f.x_terms(N, EXACT, top)) for _, f in factors]
-            g = math.gcd(*(x[0][0] for _, x in xs))
+            xs = self.xs + factors
+            g = math.gcd(*(e for _, e, _ in xs))
             K = top // g + 1
             T0 = self.top if g == self.g else 0  # the first grid, or a finer one: every exponent again
             if not T0:
@@ -233,7 +231,7 @@ class _StageRun:
             self.g, self.top, self.xs = g, top, xs
             c = self.c
             c += [0] * (K - len(c))  # c[j]: the coefficient at exponent j * g
-            for M, ((e, a),) in xs:
+            for M, e, a in xs:
                 m = T0 // e + 1  # the first multiple of e past T0
                 if m * e > top:
                     continue  # no exponent of this factor past T0
@@ -308,17 +306,25 @@ class _Unions:
         """The exact series of one stage stratum at N.  Past A1 it comes
         from the stratum's _StageRun, graded by the p of q = p^k: a prefix
         at a top the run has reached, and past it the run extended by the
-        factors the walk adds after the len(run.xs) it applied (the walk of
-        the stratum with that many more dropped), so no factor is walked or
-        formed twice.  truncated_zeta forms an A1 stage."""
+        triple (M_j, k*n*j, q^(m*j)) of each S(q^j), j past the len(run.xs)
+        applied, while min_dim_at(j) <= N: its one term q_j^m at q_j^n, for
+        the canonical pair (m, n).  truncated_zeta forms an A1 stage."""
         if stratum.lie_type == A1:
             return truncated_zeta(GroupSpec((stratum,)), N, backend=EXACT)
         run = self.runs.get(stratum)
         if run is None:
+            if stratum.pairs is not None:
+                raise PreconditionError("a stage run applies only factors of the canonical pair set")
             run = self.runs[stratum] = _StageRun(stratum._pk[0])
-        top = floor_log(N, run.p)
-        walk = stratum.with_skip(stratum.skip + len(run.xs)) if run.xs else stratum
-        return run.extend(list(walk.factors_below(N)) if top > run.top else [], N, top)
+        top, factors = floor_log(N, run.p), []
+        if top > run.top:
+            (m, n), = stratum.pair_set()  # the canonical pair (rk, |Phi+|)
+            k, q = stratum._pk[1], stratum.q
+            j = stratum.skip + len(run.xs) + 1
+            while stratum.min_dim_at(j) <= N:
+                factors.append((mult_to_int(stratum.multiplicity(j)), k * n * j, q ** (m * j)))
+                j += 1
+        return run.extend(factors, N, top)
 
     def charge(self, entries: int) -> None:
         """Count entries read against the budget: BudgetExceededError once
@@ -451,10 +457,11 @@ def build_diagonal(
     other stages, and keeps one run of the recurrence n * F_n = sum_k c_k
     * F_(n-k) on its exponents (_StageRun) for the call, which forms every
     series of the stratum: each larger cutoff forms only its new exponents
-    and factors, and a smaller one is a prefix; truncated_zeta forms an A1
-    stage series.  A stage stratum's hash is formed once, when it is built
-    or derived with another skip (with_skip), from the hash its Schedule
-    formed once, so a memo lookup hashes no Fraction.
+    and factors, each three ints read off the stratum (_Unions.stage), and
+    a smaller one is a prefix; truncated_zeta forms an A1 stage series.  A
+    stage stratum's hash is formed once, when it is built or derived with
+    another skip (with_skip), from the hash its Schedule formed once, so a
+    memo lookup hashes no Fraction.
     """
     rho = Fraction(rho)
     if n_budget < 0:

@@ -256,6 +256,7 @@ class Schedule:
     n0: int
     j0: int
     _hash: int = field(init=False, repr=False, compare=False)
+    _frac: Tuple[int, int] = field(init=False, repr=False, compare=False)  # rho as (num, den)
 
     def __hash__(self) -> int:
         """The dataclass hash of the fields, formed once: a Fraction's hash
@@ -276,9 +277,10 @@ class Schedule:
                 "2*j0*D > n0*(den - 1) - 2*den, rho = num/den, to keep f(j) >= 0"
             )
         object.__setattr__(self, "_hash", hash((self.rho, self.rho0, self.m0, self.n0, self.j0)))
+        object.__setattr__(self, "_frac", (num, den))
 
     def k(self, j: int) -> int:
-        num, den = self.rho.numerator, self.rho.denominator
+        num, den = self._frac
         return (2 * num * j + den) // (2 * den)
 
     def f(self, j: int) -> int:
@@ -557,6 +559,7 @@ class GeometricStratum(_Tower):
     pairs: Optional[PairSet] = None
     skip: int = 0
     _pk: Tuple[int, int] = field(init=False, repr=False, compare=False)  # q = p^k as (p, k)
+    _least: Tuple[bool, int] = field(init=False, repr=False, compare=False)  # (is A1, n_min())
     _hash: int = field(init=False, repr=False, compare=False)
     split_walk = _split_walk
 
@@ -568,6 +571,7 @@ class GeometricStratum(_Tower):
         object.__setattr__(self, "_pk", pk)
         if self.pairs is not None:
             _require_pairs(self.pairs, self.lie_type)
+        object.__setattr__(self, "_least", (_is_a1(self.lie_type), self.n_min()))
         self._check_skip()
 
     def _check_skip(self) -> None:
@@ -608,7 +612,7 @@ class GeometricStratum(_Tower):
 
     def min_dim_at(self, j: int) -> int:
         """The least nontrivial degree of the factor S(q^j)."""
-        return _least_degree(_is_a1(self.lie_type), self.q ** j, self.simple, self.n_min())
+        return _least_degree(self._least[0], self.q ** j, self.simple, self._least[1])
 
     def factors_below(self, bound: int) -> Iterator[Tuple[int, _Factor]]:
         """(min_dim_at(j), S(q^j)^{q^f(j)}) for j = skip+1, skip+2, ...
@@ -620,8 +624,7 @@ class GeometricStratum(_Tower):
         sizes 2 and 3 are Tits-excluded, and q^j >= 4 from j = 2 on; q^f(j)
         >= 1, since multiplicity(j) refuses f(j) < 0; the pair set is
         checked when the stratum is built."""
-        a1 = _is_a1(self.lie_type)
-        n = self.n_min()
+        a1, n = self._least
         cap = bound.bit_length() + 1
         p, k = self._pk
         for j in itertools.count(self.skip + 1):

@@ -93,28 +93,31 @@ PINS = [
     # the A2 tower that the graded zeta pin below reads as its spec (44b967d)
     Pin("fixed-a2", ("construct", "fixed", "--rho", "2", "--p", "5", "--rank", "2"),
         "b713020546c61b818d377d9e66d595a4d5bd1fcf7c581018cc6ff6f6f5423825"),
-    # the default stages at rho 2 over 5 (f22cc2f)
+    # the default stages at rho 2 over 5 (f22cc2f); least passing cap 20 MiB at 9bb0479
     Pin("diagonal-10", (*DIAGONAL, "2", "--stages", "10", "--p", "5"),
-        "e8682996cdd0d6ee2ea0e438086cc83ce0f17e8a07ebbe58d72d9cb77bef653f"),
-    # family B stages at rho 3 (f22cc2f)
+        "e8682996cdd0d6ee2ea0e438086cc83ce0f17e8a07ebbe58d72d9cb77bef653f", mib=32),
+    # family B stages at rho 3 (f22cc2f); least passing cap 20 MiB at 9bb0479
     Pin("diagonal-b", (*DIAGONAL, "3", "--stages", "3", "--p", "5", "--family", "B"),
-        "def66999b00596bdcca41e85e7db82316b8ec1ff2b31ba3975bf371d9a8bba1c"),
-    # pinned before exact graded products could take the recurrence (255e70b)
+        "def66999b00596bdcca41e85e7db82316b8ec1ff2b31ba3975bf371d9a8bba1c", mib=32),
+    # pinned before exact graded products could take the recurrence (255e70b);
+    # least passing cap 24 MiB at 9bb0479
     Pin("diagonal-12", (*DIAGONAL, "2", "--stages", "12", "--p", "5"),
-        "e6e5cef8919b2d4161c1a1711234446642328d0e0eeef9d75c671eefcbc0117a"),
-    # its stage series run past 5^1000 by their recurrences (411f28f)
+        "e6e5cef8919b2d4161c1a1711234446642328d0e0eeef9d75c671eefcbc0117a", mib=40),
+    # its stage series run past 5^1000 by their recurrences (411f28f); least passing cap 24 MiB at 9bb0479
     Pin("diagonal-13", (*DIAGONAL, "2", "--stages", "13", "--p", "5"),
-        "81306d122a916cd036d594d56a0d8a73175f130b4598e210a67fea7633c1dec0", ci_only=True),
-    # each union extends its memoized product past its old cutoff (ee9cfed)
+        "81306d122a916cd036d594d56a0d8a73175f130b4598e210a67fea7633c1dec0", mib=40, ci_only=True),
+    # each union extends its memoized product past its old cutoff (ee9cfed);
+    # least passing cap 36 MiB at 9bb0479
     Pin("diagonal-16", (*DIAGONAL, "2", "--stages", "16", "--p", "5"),
-        "27b0b567cad65c6cb577824c012c2ca8c7041a6cfbb5dbaee450701e466ff5c9", ci_only=True),
-    # the benchmark's slowest case, (3, 7, 5), at nearly twice its stages (baef8c0)
+        "27b0b567cad65c6cb577824c012c2ca8c7041a6cfbb5dbaee450701e466ff5c9", mib=56, ci_only=True),
+    # the benchmark's slowest case, (3, 7, 5), at nearly twice its stages (baef8c0);
+    # least passing cap 28 MiB at 9bb0479
     Pin("diagonal-rho3-13", (*DIAGONAL, "3", "--stages", "13", "--p", "5"),
-        "c8187d866133758c5b7ff828e9a6a208bed3cd4920d8a609e97afcf17e580a1a", ci_only=True),
-    # a --targets-json list over p = 7 with a C3 stage (f22cc2f)
+        "c8187d866133758c5b7ff828e9a6a208bed3cd4920d8a609e97afcf17e580a1a", mib=48, ci_only=True),
+    # a --targets-json list over p = 7 with a C3 stage (f22cc2f); least passing cap 20 MiB at 9bb0479
     Pin("diagonal-p7", (*DIAGONAL, "5/2", "--targets-json",
                         targets(("3/2", "A", 2, 7), ("2", "C", 3, 7), ("9/4", "A", 5, 7))),
-        "32494ccfdefc06bd032488fd66f942029be04d6b08bfac9678700e92b84ad944"),
+        "32494ccfdefc06bd032488fd66f942029be04d6b08bfac9678700e92b84ad944", mib=32),
     # stages graded by 5 and by 7 in turn, whose unions are keyed by dimensions (52b6e35); its least
     # passing cap was 59 MiB at 8b06830 and is 41 MiB since convolve has a kernel of its own
     Pin("diagonal-two-primes", (*DIAGONAL, "2", "--targets-json", targets(*TWO_PRIMES[:8])),
@@ -123,16 +126,18 @@ PINS = [
     # cap was 245 MiB at 8b06830 and is 150 MiB since convolve has a kernel of its own
     Pin("diagonal-two-primes-10", (*DIAGONAL, "2", "--targets-json", targets(*TWO_PRIMES)),
         "61ead41c602c1b1b0864518d99980e1d82be8c4edf929764cf7b8900b07d0423", mib=232, ci_only=True),
-    # an A1 first stage, pinned while the n(m) search read every stage in the simple view (9a4e406)
+    # an A1 first stage, pinned while the n(m) search read every stage in the simple view (9a4e406);
+    # least passing cap 24 MiB at 9bb0479
     Pin("diagonal-a1-first-5", (*DIAGONAL, "4", "--targets-json", targets(("2", "A", 1, 5), ("3", "A", 2, 5))),
-        "a1a1f716f2e5cb8426963689bdcf5ad584f4aea71f016df0532b67b8f083fd57"),
-    # the same over 7 (9a4e406)
+        "a1a1f716f2e5cb8426963689bdcf5ad584f4aea71f016df0532b67b8f083fd57", mib=40),
+    # the same over 7 (9a4e406); least passing cap 32 MiB at 9bb0479
     Pin("diagonal-a1-first-7", (*DIAGONAL, "3", "--targets-json", targets(("2", "A", 1, 7), ("5/2", "A", 2, 7))),
-        "e2f34e91053f49ad46ecda6dd31dd30b81d730b3caa81a77372ff8ecc1082e70"),
-    # onset rejection reads an A1 count in the cover view and a union keyed by dimensions (baef8c0)
+        "e2f34e91053f49ad46ecda6dd31dd30b81d730b3caa81a77372ff8ecc1082e70", mib=48),
+    # onset rejection reads an A1 count in the cover view and a union keyed by dimensions (baef8c0);
+    # least passing cap 32 MiB at 9bb0479
     Pin("diagonal-a1-first-onset", (*DIAGONAL, "2", "--targets-json",
                                     targets(("3/2", "A", 1, 5), ("7/4", "A", 2, 5))),
-        "7dab037518ec48a825c5fdfac0bf015acfcad1d4ec1b91d5313c3b506f8bb557"),
+        "7dab037518ec48a825c5fdfac0bf015acfcad1d4ec1b91d5313c3b506f8bb557", mib=48),
     # SL2 over primes, d = 3, pinned while each prime was a checked FactorSpec (6661ec2)
     Pin("zeta-primes-cover", (*ZETA, "100000", "--spec", PRIMES % (5, 3, "cover")),
         "5b79ff91707f0197875c34fdf06f80dca4d84c285221e8a23c310d9be2b16a74"),

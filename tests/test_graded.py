@@ -168,7 +168,10 @@ def test_graded_products_match_brute_force_degree_enumeration(pairs, branch):
     if branch == "kernel":
         got = truncated_zeta(spec, N, backend=EXACT)
     else:
-        got = constructor._StageRun(2).extend(list(spec.strata[0].factors_below(N)), N, floor_log(N, 2))
+        # each factor's one term a * t^e from its canonical pair (m, n): e = k*n over q = 2^k, a = q^m
+        (m, n), = canonical_pair_set(a2)
+        triples = [(f.multiplicity, f.item.k * n, f.q ** m) for f in factors]
+        got = constructor._StageRun(2).extend(triples, N, floor_log(N, 2))
     degrees = [_copy_degrees(f.q, f.pair_set()) for f in factors for _ in range(f.multiplicity)]
     assert got.grading == 2 and dict(got.items()) == _brute_product(degrees, N)
 
@@ -188,14 +191,12 @@ def test_a_one_factor_graded_product_forms_its_terms_once(monkeypatch):
         assert len(calls) == 1, M
 
 
-def test_a_remainder_in_the_recurrence_is_an_invariant_failure(monkeypatch):
+def test_a_remainder_in_the_recurrence_is_an_invariant_failure():
     # each F_n must come out of one exact division: a multiplicity read as
     # 1/3, whose (1 + 4 t^3)^(1/3) = 1 + (4/3) t^3 - ... is no count, is exit 5
-    a2 = LieType("A", 2)
-    stratum = FiniteStratum((FactorSpec(a2, 2), FactorSpec(a2, 4)))
-    monkeypatch.setattr(constructor, "mult_to_int", lambda M: Fraction(1, 3))
+    # (the A2 factors over 2 and 4: t^3 with count 4, t^6 with count 16)
     with pytest.raises(InvariantError, match="remainder") as info:
-        constructor._StageRun(2).extend(list(stratum.factors_below(2 ** 30)), 2 ** 30, 30)
+        constructor._StageRun(2).extend([(Fraction(1, 3), 3, 4), (Fraction(1, 3), 6, 16)], 2 ** 30, 30)
     assert info.value.exit_code == 5
 
 
@@ -655,6 +656,56 @@ def _assert_fresh(stratum, N, got):
     assert got == want and got.grading == want.grading and got.to_json() == want.to_json()
 
 
+def _walked_factors(stratum, applied, N):
+    """The reference for the factors a stage run applies past a cutoff:
+    (M, x_f) for each factor of the walk of stratum with applied more
+    dropped, x_f = [(e, a)] keyed by the exponent of p, as walk items and
+    x_terms form them."""
+    top = floor_log(N, stratum._pk[0])
+    walk = stratum.with_skip(stratum.skip + applied).factors_below(N)
+    return [(dirichlet.mult_to_int(f.multiplicity), f.x_terms(N, EXACT, top)) for _, f in walk]
+
+
+DIFFERENTIAL_BUILDS = [
+    # the diagonal_certificate cases
+    *(pytest.param(rho, default_diagonal_targets(rho, n, p), id=f"bench-{rho}-{n}-{p}")
+      for rho, n, p in [(Fraction(2), 7, 5), (Fraction(3), 7, 5), (Fraction(5, 2), 6, 7), (Fraction(2), 6, 7)]),
+    # the targets of the diagonal-b, diagonal-p7 and diagonal-two-primes pins of tests/golden.py
+    pytest.param(Fraction(3), default_diagonal_targets(Fraction(3), 3, 5, "B"), id="b"),
+    pytest.param(Fraction(5, 2), [(Fraction(3, 2), LieType("A", 2), 7), (Fraction(2), LieType("C", 3), 7),
+                                  (Fraction(9, 4), LieType("A", 5), 7)], id="p7"),
+    pytest.param(Fraction(2), [(Fraction(2 * m - 1, m), LieType("A", m + 1), 7 if m % 2 == 0 else 5)
+                               for m in range(1, 9)], id="two-primes"),
+]
+
+
+@pytest.mark.parametrize("rho, targets", DIFFERENTIAL_BUILDS)
+def test_a_stage_run_applies_the_factors_the_walk_forms(monkeypatch, rho, targets):
+    # at every cutoff a build asks of a stage stratum, the triples (M, e, a)
+    # its run applies are the walk's factors past those applied, through
+    # x_terms, and the stage series is truncated_zeta's to the bit
+    real_stage, real_extend = constructor._Unions.stage, constructor._StageRun.extend
+    strata, extended = [], []
+
+    def stage(self, stratum, N):
+        strata.append(stratum)
+        return real_stage(self, stratum, N)
+
+    def checked(self, factors, N, top):
+        stratum = strata[-1]  # the stratum whose stage series this run forms
+        want = _walked_factors(stratum, len(self.xs), N) if top > self.top else []
+        assert [(M, [(e, a)]) for M, e, a in factors] == want  # before a wrong factor derails the build
+        extended.append(self.xs and factors)
+        series = real_extend(self, factors, N, top)
+        _assert_fresh(stratum, N, series)
+        return series
+
+    monkeypatch.setattr(constructor._Unions, "stage", stage)
+    monkeypatch.setattr(constructor._StageRun, "extend", checked)
+    build_diagonal(rho, targets)
+    assert any(extended)  # some run took factors past those it applied
+
+
 def _watch_stages(mp) -> list:
     """A list that gains (stratum, N, series, factors its run applied) for
     each stage series a build asks of _Unions.stage from now on, the count
@@ -728,19 +779,21 @@ def test_a_stage_run_refuses_a_pair_set_other_than_the_canonical_one():
 
 
 def test_a_one_term_run_forms_only_what_a_larger_cutoff_adds(monkeypatch):
-    # on the same grid, a larger top applies only the factors walked past
-    # the last one and forms only the exponents past the old top: c_j and
-    # F_n below it stay the same objects
+    # on the same grid, a larger top forms the multiplicity of only the
+    # indices past those applied and only the exponents past the old top:
+    # c_j and F_n below it stay the same objects
     stratum = build_fixed_type(Fraction(2), LieType("A", 2), 5).strata[0]
     unions = constructor._Unions(0)
     unions.stage(stratum, 5 ** 30)
     run = unions.runs[stratum]
     F, xs = list(run.F), list(run.xs)
     formed = []
-    real = GeometricStratum.factors_below
-    monkeypatch.setattr(GeometricStratum, "factors_below", lambda self, N: formed.append(self.skip) or real(self, N))
+    real = GeometricStratum.multiplicity
+    monkeypatch.setattr(GeometricStratum, "multiplicity", lambda self, j: formed.append(j) or real(self, j))
     series = unions.stage(stratum, 5 ** 60)
-    assert formed == [stratum.skip + len(xs)] and run.xs[: len(xs)] == xs
+    first = stratum.skip + len(xs) + 1  # the first index past those applied
+    assert formed == list(range(first, first + len(run.xs) - len(xs))) and len(run.xs) > len(xs)
+    assert run.xs[: len(xs)] == xs
     assert unions.runs[stratum] is run and run.top == 60
     _assert_fresh(stratum, 5 ** 60, series)
     assert all(a is b for a, b in zip(run.F, F)) and len(run.F) > len(F)
