@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import InvariantError, PreconditionError
 
@@ -20,24 +21,39 @@ AUT_ORDER_LIMIT = 400
 
 def _compose(p1: tuple, p2: tuple) -> tuple:
     # (p1*p2)(i) = p1(p2(i))
-    return tuple(p1[p2[i]] for i in range(len(p1)))
+    return tuple([p1[i] for i in p2])
 
 
-def _mat_mul(a: tuple, b: tuple, p: int) -> tuple:
-    (a11, a12), (a21, a22) = a
-    (b11, b12), (b21, b22) = b
-    return (
-        ((a11 * b11 + a12 * b21) % p, (a11 * b12 + a12 * b22) % p),
-        ((a21 * b11 + a22 * b21) % p, (a21 * b12 + a22 * b22) % p),
-    )
+def _matrix_mul(p: int, projective: bool):
+    """The product of 2x2 matrices over F_p, as nested tuples of residues,
+    in one frame per call.  projective: the product modulo +-1, represented
+    by the lexicographically smaller of M and -M; for a matrix of
+    determinant 1 the first nonzero entry of the top row decides, and M is
+    the smaller when that entry is below p/2."""
+
+    def mul(a: tuple, b: tuple) -> tuple:
+        (a11, a12), (a21, a22) = a
+        (b11, b12), (b21, b22) = b
+        c11 = (a11 * b11 + a12 * b21) % p
+        c12 = (a11 * b12 + a12 * b22) % p
+        c21 = (a21 * b11 + a22 * b21) % p
+        c22 = (a21 * b12 + a22 * b22) % p
+        if projective and 2 * (c11 or c12) >= p:
+            return ((-c11 % p, -c12 % p), (-c21 % p, -c22 % p))
+        return ((c11, c12), (c21, c22))
+
+    return mul
 
 
 class ConcreteGroup:
     """A finite group as an explicit multiplication table over element
     indices, built from its identity, generators and mul.  The table is
-    fixed at construction; the caches (the subgroup-class graph, the phi
-    levels, |Aut G|, simplicity) fill on first use, so an instance shared
-    between threads needs a lock around its first counts.
+    fixed at construction; the caches (the conjugacy classes of elements,
+    the subgroup-class graph, the phi levels, |Aut G|, simplicity) fill on
+    first use, so an instance shared between threads needs a lock around
+    its first counts.  The class tuple is formed once and read by the
+    simplicity test, by automorphism_count and by the root of the class
+    graph.
 
     The right-regular action of the generators fills the table (Cayley's
     theorem) with n * |gens| mul calls: _elements first reaches each
@@ -58,13 +74,16 @@ class ConcreteGroup:
         self._spot_check(elements, mul)
         self.inverse: List[int] = [row.index(0) for row in self.table]
         self._whole: FrozenSet[int] = frozenset(range(n))
+        self._classes: Optional[Tuple[FrozenSet[int], ...]] = None
         # caches shared across the counting operations; the subgroup
         # registry maps every subgroup reached to its conjugacy class index,
         # and _sub_edges[sid] maps the class of each <H, z> for the cosets
-        # Hz != H to the number of those cosets
+        # Hz != H to the number of those cosets.  _unlinked holds the
+        # classes filed but without edges yet, in the order first reached.
         self._sub_index: Dict[FrozenSet[int], int] = {}
         self._sub_sets: List[FrozenSet[int]] = []
         self._sub_edges: List[Dict[int, int]] = []
+        self._unlinked: Deque[tuple] = deque()
         # the tuple-count level c_r over the classes, and phi_0 .. phi_r
         self._level: List[int] = []
         self._phi: List[int] = []
@@ -73,12 +92,12 @@ class ConcreteGroup:
 
     def _spot_check(self, elements: List, mul) -> None:
         # mul against the table on random pairs (a product that is not an
-        # element fails too), and associativity on random triples
+        # element equals none of them, so it fails too), and associativity
+        # on random triples
         t = self.table
-        index = {e: i for i, e in enumerate(elements)}
         draws = iter(_randrange_draws(random.Random(0), self.order, 3000))
         for a, b, c in zip(draws, draws, draws):
-            if index.get(mul(elements[a], elements[b])) != t[a][b]:
+            if mul(elements[a], elements[b]) != elements[t[a][b]]:
                 raise InvariantError(f"{self.name}: mul disagrees with the table")
             if t[t[a][b]][c] != t[a][t[b][c]]:
                 raise InvariantError("multiplication table is not associative")
@@ -116,16 +135,22 @@ class ConcreteGroup:
                     reps += [tr[s] for s in used]
         return frozenset(seen)
 
-    def conjugacy_classes(self) -> List[FrozenSet[int]]:
-        remaining = set(range(self.order))
-        out = []
-        t = self.table
-        while remaining:
-            x = min(remaining)
-            cls = {t[t[g][x]][self.inverse[g]] for g in range(self.order)}
-            out.append(frozenset(cls))
-            remaining -= cls
-        return out
+    def conjugacy_classes(self) -> Tuple[FrozenSet[int], ...]:
+        """The conjugacy classes of elements, in the order of their least
+        elements (so the identity's class comes first); formed on the first
+        call and the same tuple after."""
+        if self._classes is None:
+            t = self.table
+            seen: set = set()
+            out = []
+            for x in range(self.order):
+                if x not in seen:
+                    # g x g^-1, with t[g][x] read off row g
+                    cls = frozenset([t[row[x]][g_inv] for row, g_inv in zip(t, self.inverse)])
+                    out.append(cls)
+                    seen |= cls
+            self._classes = tuple(out)
+        return self._classes
 
     def is_nonabelian_simple(self) -> bool:
         """Simple iff the normal closure of every nontrivial class is the
@@ -144,17 +169,16 @@ class ConcreteGroup:
 
     def _register(self, sub: FrozenSet[int], gens: Tuple[int, ...]) -> int:
         """Index of the conjugacy class of the subgroup sub, generated by
-        gens; the first call for a class also builds its part of the class
-        graph.  The first subgroup H seen of a class is its representative:
-        every conjugate gHg^-1 maps to the same index.  The right cosets
-        Hz != H fall into orbits under two moves that keep the class of
-        <H, z>: z -> zs for s in gens, since <H, zs> = <H, z>, and
-        z -> gzg^-1 for g in N_G(H), since <H, gzg^-1> = g<H, z>g^-1.  The
-        conjugations run over the normalizer elements that each enlarge the
-        subgroup the earlier ones generate with H.  Each orbit's least
-        element z is closed once, <H, z> is registered in turn (the
-        recursion is at most as deep as the longest subgroup chain), and
-        _sub_edges[sid] maps each class reached to its number of cosets."""
+        gens.  The first subgroup H seen of a class is its representative:
+        the first call for a class files every conjugate gHg^-1 under the
+        same index and queues H on _unlinked, where _link builds its edges,
+        so the classes are linked breadth first from the trivial class, and
+        each representative keeps the shortest generator tuple that any
+        chain of classes from the trivial one gives.  The trivial subgroup,
+        the root, is linked at once: under the normalizer moves (see _link)
+        its cosets {z} fall into orbits that are exactly the element
+        classes, so it registers <min C> with edge |C| for each nontrivial
+        class C, with no coset walk and no normalizer closure."""
         sid = self._sub_index.get(sub)
         if sid is not None:
             return sid
@@ -162,6 +186,13 @@ class ConcreteGroup:
         self._sub_sets.append(sub)
         edges: Dict[int, int] = {}
         self._sub_edges.append(edges)
+        if len(sub) == 1:
+            self._sub_index[sub] = sid
+            for cls in self.conjugacy_classes()[1:]:  # the identity's class comes first
+                z = min(cls)
+                nid = self._register(self.closure((z,)), (z,))
+                edges[nid] = edges.get(nid, 0) + len(cls)
+            return sid
         t = self.table
         inv = self.inverse
         # coset[x] indexes the right coset Hx, reps[i] is the least element
@@ -182,8 +213,25 @@ class ConcreteGroup:
                 self._sub_index.setdefault(conj, sid)
                 if conj == sub:
                     normal.append(g)
+        self._unlinked.append((sid, gens, coset, reps, normal))
+        return sid
+
+    def _link(self, sid: int, gens: Tuple[int, ...], coset: Dict[int, int], reps: List[int],
+              normal: List[int]) -> None:
+        """The edges of the class sid, whose representative H = <gens> has
+        the right cosets coset and their least elements reps, and whose
+        normalizer holds the elements normal (one per coset of H).  The
+        cosets Hz != H fall into orbits under two moves that keep the class
+        of <H, z>: z -> zs for s in gens, since <H, zs> = <H, z>, and
+        z -> gzg^-1 for g in N_G(H), since <H, gzg^-1> = g<H, z>g^-1.  The
+        conjugations run over the normalizer elements that each enlarge the
+        subgroup the earlier ones generate with H.  Each orbit's least
+        element z is closed once, <H, z> is registered, and _sub_edges[sid]
+        maps each class reached to its number of cosets."""
+        t = self.table
+        inv = self.inverse
         conjugators = []
-        inside = sub
+        inside = self._sub_sets[sid]
         for g in normal:
             if g not in inside:
                 conjugators.append(g)
@@ -191,6 +239,7 @@ class ConcreteGroup:
         moves = [[coset[t[z][s]] for z in reps] for s in gens] + [
             [coset[t[t[g][z]][inv[g]]] for z in reps] for g in conjugators
         ]
+        edges = self._sub_edges[sid]
         seen = [False] * len(reps)
         for i in range(1, len(reps)):
             if not seen[i]:
@@ -205,7 +254,6 @@ class ConcreteGroup:
                 z = reps[i]
                 nid = self._register(self.closure(gens + (z,)), gens + (z,))
                 edges[nid] = edges.get(nid, 0) + len(orbit)
-        return sid
 
     def __repr__(self):
         return f"ConcreteGroup({self.name}, order={self.order})"
@@ -266,21 +314,13 @@ def alternating_group_5() -> ConcreteGroup:
     return permutation_group("A5", [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)])
 
 
-def _psl2_canon(m: tuple, p: int) -> tuple:
-    """The lexicographically smaller of M and -M: the first nonzero entry of
-    the top row decides, and M is the smaller when that entry is below p/2."""
-    (a, b), (c, d) = m
-    if 2 * (a or b) < p:
-        return m
-    return (((-a) % p, (-b) % p), ((-c) % p, (-d) % p))
-
-
-def _matrix_group(name: str, p: int, mul, center: int) -> ConcreteGroup:
-    """The group that [[1, 1], [0, 1]] and [[0, -1], [1, 0]] generate under
-    mul: SL2(F_p) modulo a center of the given order, with mul(1, M) the
-    representative of the matrix M."""
+def _matrix_group(name: str, p: int, center: int) -> ConcreteGroup:
+    """The group that [[1, 1], [0, 1]] and [[0, -1], [1, 0]] generate:
+    SL2(F_p) modulo a center of order 1 or 2 (the matrices +-1), with the
+    product of _matrix_mul."""
     if p > 13:
         raise PreconditionError("matrix catalog capped at p <= 13")
+    mul = _matrix_mul(p, center == 2)
     one = ((1, 0), (0, 1))
     gens = [mul(one, ((1, 1), (0, 1))), mul(one, ((0, p - 1), (1, 0)))]
     G = ConcreteGroup(f"{name}_{p}", mul(one, one), gens, mul)
@@ -291,15 +331,13 @@ def _matrix_group(name: str, p: int, mul, center: int) -> ConcreteGroup:
 
 def sl2_group(p: int) -> ConcreteGroup:
     """SL2(F_p) as explicit 2x2 matrices; order p(p^2-1)."""
-    return _matrix_group("SL2", p, lambda a, b: _mat_mul(a, b, p), 1)
+    return _matrix_group("SL2", p, 1)
 
 
 def psl2_group(p: int) -> ConcreteGroup:
     """PSL2(F_p): matrices modulo +-1 (a center of order gcd(2, p - 1)),
     represented by the lexicographically smaller of M and -M."""
-    return _matrix_group(
-        "PSL2", p, lambda a, b: _psl2_canon(_mat_mul(a, b, p), p), math.gcd(2, p - 1)
-    )
+    return _matrix_group("PSL2", p, math.gcd(2, p - 1))
 
 
 _CATALOG = {
@@ -342,17 +380,20 @@ def generating_tuple_count(G: ConcreteGroup, d: int) -> int:
     it to its conjugate g<H, z>g^-1, so c_{r-1}(<H, z>) is constant on each
     orbit of the cosets under these moves, and the sum runs over the
     orbits, each term times the orbit's size.  The class graph is built
-    once per group, in one pass from the trivial class: each representative
-    closes one coset per orbit (and one subgroup per normalizer generator),
-    and its orbits that reach the same class merge into one edge.  After
-    that each level costs one multiply-add per edge, and the levels
-    computed so far are kept, so a larger d resumes where the last call
-    stopped.
+    once per group, breadth first from the trivial class, whose orbits are
+    the conjugacy classes of elements: each representative closes one
+    coset per orbit (and, past the root, one subgroup per normalizer
+    generator), and its orbits that reach the same class merge into one
+    edge.  After that each level costs one multiply-add per edge, and the
+    levels computed so far are kept, so a larger d resumes where the last
+    call stopped.
     """
     if d < 1:
         raise PreconditionError("d must be >= 1")
     if not G._phi:
         G._register(frozenset((G.identity,)), ())
+        while G._unlinked:
+            G._link(*G._unlinked.popleft())
         G._level = [int(len(H) == G.order) for H in G._sub_sets]
         G._phi.append(G._level[0])
     while len(G._phi) <= d:
@@ -375,8 +416,13 @@ def automorphism_count(G: ConcreteGroup) -> int:
         raise PreconditionError(f"automorphism counting capped at order {AUT_ORDER_LIMIT}")
     if G._aut_cache is not None:
         return G._aut_cache
+    # conjugates share their order, so one element_order per class
+    orders = [0] * G.order
+    for cls in G.conjugacy_classes():
+        k = G.element_order(min(cls))
+        for x in cls:
+            orders[x] = k
     # pick a of maximal order to keep the candidate pool small
-    orders = [G.element_order(i) for i in range(G.order)]
     a = max(range(G.order), key=lambda i: orders[i])
     b = None
     for cand in sorted(range(G.order), key=lambda i: -orders[i]):

@@ -75,6 +75,7 @@ A1_TOWER = ('{"strata": [{"index": "geometric", "q": 5, "lie_type": {"family": "
 DIAGONAL = ("construct", "diagonal", "--rho")
 ABSCISSA = ("abscissa", "--example", "sl2-primes", "--empirical")
 ZETA = ("zeta", "--format", "csv", "--N")
+GENS = ("gens", "--group")
 # the address space of the four 10^6 table pins: truncated_zeta peaks near 135 MB there, and a run
 # that holds its table or slope columns beside the series, 222-338 MB at 0ee3c55, runs out of memory
 STREAMED_MIB = 192
@@ -138,6 +139,16 @@ PINS = [
     Pin("diagonal-a1-first-onset", (*DIAGONAL, "2", "--targets-json",
                                     targets(("3/2", "A", 1, 5), ("7/4", "A", 2, 5))),
         "7dab037518ec48a825c5fdfac0bf015acfcad1d4ec1b91d5313c3b506f8bb557", mib=48),
+    # phi_2, phi_3, |Aut A5| and d(A5^60) = 3, Wiegold's b + 2 at b = 1 (748b977);
+    # least passing cap 20 MiB at 748b977
+    Pin("gens-a5", (*GENS, "A5", "--d", "2", "--d", "3", "--min-gens", "60"),
+        "d12b0c5b704e3f11707514337702611eb4566a050c1c83b4866c560bb9e0e43c", mib=32),
+    # a group that is not simple, so no --min-gens (748b977); least passing cap 20 MiB at 748b977
+    Pin("gens-sl2-5", (*GENS, "SL2_5", "--d", "2", "--d", "3"),
+        "4644f22ea765e9e203f23f0aca3797bc57163fb68d5a38a1f6c8be9fe9ee366a", mib=32),
+    # phi_4 alone, and the least k with d(PSL2(7)^k) = 4 (748b977); least passing cap 20 MiB at 748b977
+    Pin("gens-psl2-7", (*GENS, "PSL2_7", "--d", "4", "--min-gens", "13369"),
+        "d8f15fdf0f9bee9284908dc0394833bdb01d78fbf96a73b3e9bef60dfa13e41c", mib=32),
     # SL2 over primes, d = 3, pinned while each prime was a checked FactorSpec (6661ec2)
     Pin("zeta-primes-cover", (*ZETA, "100000", "--spec", PRIMES % (5, 3, "cover")),
         "5b79ff91707f0197875c34fdf06f80dca4d84c285221e8a23c310d9be2b16a74"),

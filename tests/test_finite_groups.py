@@ -6,14 +6,14 @@ from collections import Counter, deque
 
 import pytest
 
+from repgrowth import finite_groups
 from repgrowth.errors import InvariantError, PreconditionError
 from repgrowth.finite_groups import (
     AUT_ORDER_LIMIT,
     ConcreteGroup,
     _compose,
     _elements,
-    _mat_mul,
-    _psl2_canon,
+    _matrix_mul,
     _randrange_draws,
     alternating_group_5,
     automorphism_count,
@@ -258,33 +258,46 @@ def test_counts_frozen(make, phi2, phi3, aut):
     }
 
 
+def ref_mat_mul(a, b, p):
+    """Reference: the product of 2x2 matrices mod p, written out apart
+    from the catalog's multiplication."""
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in (0, 1)) % p for j in (0, 1)) for i in (0, 1))
+
+
+def ref_canon(m, p):
+    """Reference: the lexicographically smaller of M and -M mod p."""
+    return min(m, tuple(tuple(-x % p for x in row) for row in m))
+
+
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_psl2_canon_is_min_of_m_and_minus_m(p):
+    mul = _matrix_mul(p, True)
+    one = ((1, 0), (0, 1))
     for a, b, c, d in itertools.product(range(p), repeat=4):
         if (a * d - b * c) % p != 1:
             continue
         m = ((a, b), (c, d))
         neg = (((-a) % p, (-b) % p), ((-c) % p, (-d) % p))
-        assert _psl2_canon(m, p) == min(m, neg)
+        assert mul(one, m) == mul(m, one) == min(m, neg)
 
 
 def _sl2(p):
     return (
         ((1, 0), (0, 1)),
         [((1, 1), (0, 1)), ((0, p - 1), (1, 0))],
-        lambda a, b: _mat_mul(a, b, p),
+        lambda a, b: ref_mat_mul(a, b, p),
         lambda: sl2_group(p),
     )
 
 
 def _psl2(p):
     def canon(m):
-        return _psl2_canon(m, p)
+        return ref_canon(m, p)
 
     return (
         canon(((1, 0), (0, 1))),
         [canon(((1, 1), (0, 1))), canon(((0, p - 1), (1, 0)))],
-        lambda a, b: canon(_mat_mul(a, b, p)),
+        lambda a, b: canon(ref_mat_mul(a, b, p)),
         lambda: psl2_group(p),
     )
 
@@ -365,6 +378,23 @@ def test_shared_element_builder_is_a_plain_bfs(name):
     assert all(want[j] == mul(want[i], gens[k]) and i < j for j, (i, k) in enumerate(first, 1))
     # the constructors index the elements in that order
     assert build().table == n2_oracle(name)[0]
+
+
+@pytest.mark.parametrize("name", ["SL2_5", "PSL2_7"])
+def test_catalog_products_match_the_reference_on_every_pair(name, monkeypatch):
+    identity, gens, ref, build = BUILDS[name]
+    muls = []
+
+    class Recorded(ConcreteGroup):
+        def __init__(self, name, identity, gens, mul):
+            muls.append(mul)
+            super().__init__(name, identity, gens, mul)
+
+    monkeypatch.setattr(finite_groups, "ConcreteGroup", Recorded)
+    build()
+    (mul,) = muls
+    elements = plain_bfs(identity, gens, ref)
+    assert all(mul(x, y) == ref(x, y) for x in elements for y in elements)
 
 
 @pytest.mark.parametrize("name", sorted(BUILDS))
@@ -519,7 +549,7 @@ def test_coset_orbits_keep_the_class_of_every_coset(name):
 
 @pytest.mark.parametrize(
     "make, orbits, conjugators",
-    [(alternating_group_5, 28, 6), (lambda: sl2_group(5), 50, 12), (lambda: psl2_group(7), 71, 13)],
+    [(alternating_group_5, 28, 4), (lambda: sl2_group(5), 50, 10), (lambda: psl2_group(7), 71, 11)],
     ids=["A5", "SL2_5", "PSL2_7"],
 )
 def test_class_graph_closes_one_coset_per_orbit(make, orbits, conjugators, monkeypatch):
@@ -535,7 +565,8 @@ def test_class_graph_closes_one_coset_per_orbit(make, orbits, conjugators, monke
     generating_tuple_count(G, 2)
     monkeypatch.undo()
     # one closure per orbit, and one per greedy generator of N_G(H) over
-    # H; each of those at least doubles the subgroup it extends
+    # H past the trivial class, whose orbits are the classes of elements;
+    # each of those at least doubles the subgroup it extends
     assert sum(orbit_count(G, H) for H in G._sub_sets) == orbits
     assert len(calls) == orbits + conjugators
     t, inv = G.table, G.inverse
@@ -544,6 +575,61 @@ def test_class_graph_closes_one_coset_per_orbit(make, orbits, conjugators, monke
         normalizer = [g for g in range(G.order) if frozenset(t[t[g][h]][inv[g]] for h in H) == H]
         bound += (len(normalizer) // len(H)).bit_length() - 1
     assert conjugators <= bound
+
+
+@pytest.mark.parametrize(
+    "make, most",
+    [(alternating_group_5, 13), (lambda: sl2_group(5), 16), (lambda: psl2_group(7), 24)],
+    ids=["A5", "SL2_5", "PSL2_7"],
+)
+def test_representatives_keep_their_shortest_generator_tuples(make, most, monkeypatch):
+    # a depth-first registration keeps 18 and 27 generators in all for
+    # SL2(5) and PSL2(7)
+    G = make()
+    length = {}
+    register = ConcreteGroup._register
+
+    def recorded(self, sub, gens):
+        new = sub not in self._sub_index
+        sid = register(self, sub, gens)
+        if new:
+            length[sid] = len(gens)
+        return sid
+
+    monkeypatch.setattr(ConcreteGroup, "_register", recorded)
+    generating_tuple_count(G, 2)
+    monkeypatch.undo()
+    assert sum(length.values()) <= most
+    # each tuple is as short as the shortest chain of classes to its class
+    depth, queue = {0: 0}, [0]
+    for sid in queue:
+        for nid in G._sub_edges[sid]:
+            if nid not in depth:
+                depth[nid] = depth[sid] + 1
+                queue.append(nid)
+    assert length == depth
+
+
+def test_conjugacy_classes_are_formed_once():
+    G = psl2_group(7)
+    assert G.conjugacy_classes() is G.conjugacy_classes()
+
+
+def test_counts_and_min_generators_share_one_class_pass(monkeypatch):
+    # the root of the class graph, automorphism_count and the simplicity
+    # test each read the classes, and all get the same tuple
+    G = psl2_group(7)
+    got = []
+    classes = ConcreteGroup.conjugacy_classes
+
+    def recorded(self):
+        got.append(classes(self))
+        return got[-1]
+
+    monkeypatch.setattr(ConcreteGroup, "conjugacy_classes", recorded)
+    counts_jsonable(G, [2, 3])
+    assert min_generators_power(G, 13369) == 4
+    assert len(got) >= 3 and all(c is got[0] for c in got)
 
 
 def random_permutation_group(seed):
